@@ -15,7 +15,7 @@ from .models import (ModelKind, PhysicalParams, PolarState, State,
                      dimensionalize, nondimensionalize, reference_scales,
                      state_from_components, to_cartesian, to_polar)
 from .dynamics import EnergyPair, energies, pseudo_potential, rhs
-from .integrate import IntegratorConfig, Trajectory, TrajectorySample, integrate
+from .integrate import IntegratorConfig, Trajectory, integrate
 from .invariants import (GeneralErmakovSpec, InvariantReport,
                          elliptic_coupling, ermakov_invariant,
                          general_ermakov_invariant, invariant_report,

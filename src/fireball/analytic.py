@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoMotionError, UnsupportedModelError
-from .models import ModelKind, State, check_state, to_polar
+from .models import ModelKind, State, radius, to_polar
 from .integrate import solve_ode
 from .invariants import (ELLIPTIC_POLAR_COEFF, ermakov_invariant,
                          itilde_invariant)
@@ -47,19 +47,20 @@ class RadialSolution:
 
     @classmethod
     def from_state(cls, state: State, kind: ModelKind) -> "RadialSolution":
-        check_state(state, kind)
+        inv = _law_invariant(state, kind)
         H = energies(state, kind).hamiltonian
-        if kind is ModelKind.TWO_D:
-            inv = ermakov_invariant(state, kind)
-            r_rdot = float(state.q @ state.qdot)
-        elif kind is ModelKind.ELLIPTIC_3D:
-            inv = itilde_invariant(state)
-            r_rdot = float(2.0 * state.q[0] * state.qdot[0]
-                           + state.q[1] * state.qdot[1])
-        else:
-            raise UnsupportedModelError(
-                f"radial solutions exist for 2d/elliptic models, not {kind.value!r}")
-        return cls(energy=H, invariant=inv, t0=state.t - r_rdot / (2.0 * H))
+        _, r_rdot = radius(state.q, state.qdot, kind)
+        return cls(energy=H, invariant=inv, t0=state.t - float(r_rdot) / (2.0 * H))
+
+
+def _law_invariant(state: State, kind: ModelKind) -> float:
+    """Invariant of the radial and angular laws: I for 2d, Itilde for elliptic."""
+    if not kind.has_ermakov_invariant:
+        raise UnsupportedModelError(
+            f"radial solutions exist for 2d/elliptic models, not {kind.value!r}")
+    if kind is ModelKind.ELLIPTIC_3D:
+        return itilde_invariant(state)
+    return ermakov_invariant(state, kind)
 
 
 def radial(sol: RadialSolution, t):
@@ -140,10 +141,7 @@ class AngularSolution:
     @classmethod
     def from_state(cls, state: State, kind: ModelKind) -> "AngularSolution":
         polar = to_polar(state, kind)
-        if kind is ModelKind.TWO_D:
-            inv = ermakov_invariant(state, kind)
-        else:
-            inv = itilde_invariant(state)
+        inv = _law_invariant(state, kind)
         speed = polar.r ** 2 * polar.phidot
         return cls(invariant=inv, phi0=polar.phi, sign0=-1 if speed < 0.0 else 1)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (ConfigError, DomainError, FireballError, IntegrationError,
                      QuadratureError, UnsupportedModelError)
-from .models import ModelKind, State, state_from_components
+from .models import ModelKind, State, radius, state_from_components
 from .integrate import IntegratorConfig, integrate, sample_grid
 from . import analytic, invariants, verification
 
@@ -206,36 +206,28 @@ def _run_simulate(settings: dict) -> int:
     return 0
 
 
-def _simulate_job(config_path: str, overrides: dict) -> int:
-    settings = {k: _DEFAULTS.get(k) for k in _STATE_KEYS + _INTEGRATOR_KEYS
-                + ["out", "format"]}
-    settings.update(parse_config_file(config_path))
-    settings.update(overrides)
-    return _run_simulate(settings)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     keys = _STATE_KEYS + _INTEGRATOR_KEYS + ["out", "format", "jobs"]
-    if args.configs:
-        overrides = {k: getattr(args, k) for k in keys
-                     if getattr(args, k, None) is not None and k != "jobs"}
-        jobs = args.jobs or _DEFAULTS["jobs"]
-        outs = set()
-        for path in args.configs:
-            out = {**parse_config_file(path), **overrides}.get("out")
-            if not out:
-                raise ConfigError(f"config {path} does not set an output path")
-            if out in outs:
-                raise ConfigError(f"output path {out} used by more than one config")
-            outs.add(out)
-        if jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                codes = list(pool.map(_simulate_job, args.configs,
-                                      [overrides] * len(args.configs)))
-        else:
-            codes = [_simulate_job(path, overrides) for path in args.configs]
-        return max(codes)
-    return _run_simulate(_merge_settings(args, keys))
+    if not args.configs:
+        return _run_simulate(_merge_settings(args, keys))
+    # A sweep: each config file in turn, with the flags overriding it.
+    runs = [_merge_settings(argparse.Namespace(**{**vars(args), "config": path}), keys)
+            for path in args.configs]
+    outs = set()
+    for path, settings in zip(args.configs, runs):
+        out = settings.get("out")
+        if not out:
+            raise ConfigError(f"config {path} does not set an output path")
+        if out in outs:
+            raise ConfigError(f"output path {out} used by more than one config")
+        outs.add(out)
+    jobs = args.jobs or _DEFAULTS["jobs"]
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            codes = list(pool.map(_run_simulate, runs))
+    else:
+        codes = [_run_simulate(settings) for settings in runs]
+    return max(codes)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -291,8 +283,8 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     else:
         raise ConfigError("analytic needs either an initial state (--X ...) or --H and --I")
 
-    grid = sample_grid(grid_start, grid_start + settings["t_end"],
-                       settings["sample_interval"])
+    cfg = _integrator_config({**settings, "t_end": grid_start + settings["t_end"]})
+    grid = sample_grid(grid_start, cfg.t_end, cfg.sample_interval)
     r, rdot = analytic.radial(radial_sol, grid)
     ttilde = analytic.time_reparam(radial_sol, grid)
     phi, _ = analytic.angular_quadrature(angular_sol, kind, _relative(ttilde))
@@ -301,16 +293,8 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     if settings["compare"]:
         if initial is None:
             raise ConfigError("--compare requires an initial state (--X ...)")
-        cfg = IntegratorConfig(t_end=grid_start + settings["t_end"],
-                               sample_interval=settings["sample_interval"],
-                               rel_tol=settings["rel_tol"],
-                               abs_tol=settings["abs_tol"],
-                               max_step=settings["max_step"])
         traj = integrate(initial, kind, cfg)
-        if kind is ModelKind.TWO_D:
-            r_num = np.linalg.norm(traj.qs, axis=1)
-        else:
-            r_num = np.sqrt(2.0 * traj.qs[:, 0] ** 2 + traj.qs[:, 1] ** 2)
+        r_num, _ = radius(traj.qs, traj.qdots, kind)
         n = min(len(r_num), len(r))
         extra.append(f"max_delta_r={np.max(np.abs(r_num[:n] - r[:n])):.17g}")
 

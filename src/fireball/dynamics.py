@@ -9,9 +9,11 @@ force derived from a pseudo-potential V:
                                                                V = (3/2) (X^2 Y)^{-2/3}
     1d:        Xdd = 1/X^3,                                    V = 1/(2 X^2)
 
-The elliptic system carries the anisotropic kinetic term Xd^2 + Yd^2/2
-(canonical momenta (2 Xd, Yd)), so its Euler-Lagrange equations read
-2 Xdd = -dV/dX, Ydd = -dV/dY.  All other models are plain  qdd = -grad V.
+Every model is  Xdd_i = 1/(X_i P^{2/D})  with P the product of the
+variances over the D spatial axes (elliptic: Z = X, so P = X^2 Y), and
+V = (D/2) P^{-2/D}.  The kinetic weights M count the spatial axes each
+coordinate carries (elliptic: M = (2, 1), so its kinetic term is
+Xd^2 + Yd^2/2); the Euler-Lagrange equations read  M qdd = -grad V.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedModelError
-from .models import ModelKind, State, check_state
+from .models import ModelKind, State, axis_product, check_state
 
 
 def _positive(q: np.ndarray) -> np.ndarray:
@@ -55,21 +57,15 @@ def rhs(state: State, kind: ModelKind) -> np.ndarray:
 
 
 def potential(q: np.ndarray, kind: ModelKind):
-    """Pseudo-potential V evaluated at variances ``q``.
+    """Pseudo-potential V = (D/2) P^(-2/D), with P the product of the
+    variances over the D spatial axes.
 
     Accepts a (d,) vector or an (n, d) batch; returns a scalar or (n,) array.
     """
     q = np.asarray(q, dtype=float)
     _positive(q)
-    if kind is ModelKind.TWO_D:
-        return 1.0 / (q[..., 0] * q[..., 1])
-    if kind is ModelKind.THREE_D:
-        return 1.5 * (q[..., 0] * q[..., 1] * q[..., 2]) ** (-2.0 / 3.0)
-    if kind is ModelKind.ELLIPTIC_3D:
-        return 1.5 * (q[..., 0] ** 2 * q[..., 1]) ** (-2.0 / 3.0)
-    if kind is ModelKind.ONE_D:
-        return 0.5 / q[..., 0] ** 2
-    raise UnsupportedModelError(str(kind))
+    D = kind.spatial_dim
+    return D / 2 * axis_product(q, kind) ** (-2.0 / D)
 
 
 def pseudo_potential(state: State, kind: ModelKind) -> float:
@@ -77,40 +73,17 @@ def pseudo_potential(state: State, kind: ModelKind) -> float:
     return float(potential(state.q, kind))
 
 
-def potential_gradient(state: State, kind: ModelKind) -> np.ndarray:
-    """Closed-form grad V.  Satisfies M qdd = -grad V with M the kinetic
-    metric (identity except elliptic, where M = diag(2, 1))."""
-    check_state(state, kind)
-    q = state.q
-    if kind is ModelKind.TWO_D:
-        X, Y = q
-        return np.array([-1.0 / (X * X * Y), -1.0 / (X * Y * Y)])
-    if kind is ModelKind.THREE_D:
-        s = (q[0] * q[1] * q[2]) ** (-2.0 / 3.0)
-        return -s / q
-    if kind is ModelKind.ELLIPTIC_3D:
-        X, Y = q
-        s = (X * X * Y) ** (-5.0 / 3.0)
-        return np.array([-2.0 * X * Y * s, -X * X * s])
-    if kind is ModelKind.ONE_D:
-        return np.array([-1.0 / q[0] ** 3])
-    raise UnsupportedModelError(str(kind))
-
-
 def kinetic(qdot: np.ndarray, kind: ModelKind):
-    """Kinetic part of the energy (batch-friendly like :func:`potential`)."""
+    """Kinetic part of the energy, sum(M qdot^2) / 2 (batch-friendly like
+    :func:`potential`)."""
     qdot = np.asarray(qdot, dtype=float)
-    if kind is ModelKind.ELLIPTIC_3D:
-        return qdot[..., 0] ** 2 + 0.5 * qdot[..., 1] ** 2
-    return 0.5 * np.sum(qdot ** 2, axis=-1)
+    return 0.5 * np.sum(kind.weights * qdot ** 2, axis=-1)
 
 
 def canonical_momenta(state: State, kind: ModelKind) -> np.ndarray:
-    """dL/d(qdot): equals qdot except for the elliptic model's (2 Xd, Yd)."""
+    """dL/d(qdot) = M qdot: qdot except for the elliptic model's (2 Xd, Yd)."""
     check_state(state, kind)
-    if kind is ModelKind.ELLIPTIC_3D:
-        return np.array([2.0 * state.qdot[0], state.qdot[1]])
-    return state.qdot.copy()
+    return kind.weights * state.qdot
 
 
 @dataclass(frozen=True)

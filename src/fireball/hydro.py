@@ -1,24 +1,23 @@
 """Gaussian-profile fluid fields, conservation-law residuals, total energy.
 
-The reduced ODEs come from a Gaussian density profile with linear velocity
-field and spatially uniform temperature:
+The reduced ODEs of all four models come from one Gaussian profile with a
+linear velocity field and a spatially uniform temperature.  Over the D
+spatial axes a, with variance Q_a on axis a (the model's coordinates X, Y,
+Z; the elliptic model's third axis carries X) and reference variance Q0_a:
 
-    2d:  n = n0 (X0 Y0 / X Y) exp(-x^2/2X^2 - y^2/2Y^2),
-         v = (Xd x / X, Yd y / Y),   T = T0 X0 Y0 / (X Y),   eps = n T
-    1d:  n = n0 (X0 / X) exp(-x^2/2X^2),
-         v = Xd x / X,   T = T0 (X0 / X)^2,                  eps = n T / 2
+    n   = n0 prod_a(Q0_a / Q_a) exp(-sum_a x_a^2 / 2 Q_a^2),
+    v_a = (Qd_a / Q_a) x_a,
+    T   = T0 prod_a(Q0_a / Q_a)^(2/D),   p = n T,   eps = (D/2) n T.
 
-with p = n T in both.  :func:`pde_residuals` substitutes these fields back
-into the continuity, momentum and energy equations: spatial derivatives are
-analytic (elementary Gaussians) and only the time derivatives use centered
+So 1d has T = T0 (X0/X)^2 and eps = n T / 2, and 2d has T = T0 X0 Y0/(X Y)
+and eps = n T.  :func:`pde_residuals` substitutes these fields back into the
+continuity, momentum and energy equations: spatial derivatives are analytic
+(elementary Gaussians) and only the time derivatives use centered
 differences across adjacent trajectory samples, so the residual along an
 exact trajectory is pure time-discretization error.  Only the momentum
 equation actually tests the equation of motion; continuity and the energy
 law hold identically for any variance history, which the tests exploit as a
 negative control.
-
-Field reconstruction for the 3d and elliptic models is out of scope (their
-profile normalization follows a different convention).
 """
 
 from __future__ import annotations
@@ -29,12 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .errors import (DomainError, InsufficientDataError, QuadratureError,
-                     UnsupportedModelError)
-from .models import ModelKind, PhysicalParams, State, check_state, reference_scales
+from .errors import DomainError, InsufficientDataError, QuadratureError
+from .models import (ModelKind, PhysicalParams, State, axis_product,
+                     check_state, reference_scales)
 from .integrate import Trajectory
 
 PROBE_LIMIT_SIGMA = 5.0
+# Stencil rows per block in pde_residuals: bounds its (rows, probes, D)
+# temporaries, which have 125 probes per row for the 3-axis models.
+RESIDUAL_BLOCK_ROWS = 128
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -49,48 +51,35 @@ class FluidFields:
     eps: float
 
 
-def _require_field_model(kind: ModelKind) -> None:
-    if kind not in (ModelKind.ONE_D, ModelKind.TWO_D):
-        raise UnsupportedModelError(
-            f"field reconstruction is implemented for 1d/2d models, not {kind.value!r}")
+def _variance_ratio(params: PhysicalParams, qs, kind: ModelKind):
+    """prod_a(Q0_a / Q_a) for dimensional variances ``qs`` (..., dim)."""
+    return axis_product(params.variances(kind), kind) / axis_product(qs, kind)
 
 
 def fields_at(params: PhysicalParams, state: State, point,
               kind: ModelKind) -> FluidFields:
-    """Evaluate (n, v, T, p, eps) at a spatial point for a dimensional state."""
-    _require_field_model(kind)
+    """Evaluate (n, v, T, p, eps) at a spatial point for a dimensional state.
+
+    ``point`` has one coordinate per spatial axis (three for elliptic).
+    """
     check_state(state, kind)
+    D = kind.spatial_dim
     point = np.atleast_1d(np.asarray(point, dtype=float))
-    if point.shape != (kind.dim,):
-        raise DomainError(f"point must have {kind.dim} coordinates, got {point.shape}")
-    if kind is ModelKind.TWO_D:
-        X, Y = state.q
-        Xd, Yd = state.qdot
-        x, y = point
-        ratio = params.X0 * params._require("Y0", kind) / (X * Y)
-        n = params.n0 * ratio * math.exp(-x * x / (2 * X * X) - y * y / (2 * Y * Y))
-        T = params.T0 * ratio
-        v = np.array([Xd / X * x, Yd / Y * y])
-        eps = n * T
-    else:
-        (X,), (Xd,) = state.q, state.qdot
-        (x,) = point
-        ratio = params.X0 / X
-        n = params.n0 * ratio * math.exp(-x * x / (2 * X * X))
-        T = params.T0 * ratio ** 2
-        v = np.array([Xd / X * x])
-        eps = 0.5 * n * T
-    return FluidFields(n=n, v=v, T=T, p=n * T, eps=eps)
+    if point.shape != (D,):
+        raise DomainError(f"point must have {D} coordinates, got {point.shape}")
+    Q = state.q[list(kind.axes)]
+    rate = state.qdot[list(kind.axes)] / Q
+    ratio = float(_variance_ratio(params, state.q, kind))
+    n = params.n0 * ratio * math.exp(-float(np.sum(point ** 2 / (2 * Q ** 2))))
+    T = params.T0 * ratio ** (2.0 / D)
+    return FluidFields(n=n, v=rate * point, T=T, p=n * T, eps=D / 2 * n * T)
 
 
 def default_probe_points(kind: ModelKind) -> np.ndarray:
-    """Tensor grid of {0, +-1, +-2} standard deviations per axis."""
-    _require_field_model(kind)
+    """Tensor grid of {0, +-1, +-2} standard deviations per spatial axis."""
     offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    if kind is ModelKind.ONE_D:
-        return offsets[:, None]
-    gx, gy = np.meshgrid(offsets, offsets, indexing="ij")
-    return np.column_stack([gx.ravel(), gy.ravel()])
+    grids = np.meshgrid(*[offsets] * kind.spatial_dim, indexing="ij")
+    return np.column_stack([g.ravel() for g in grids])
 
 
 @dataclass(frozen=True)
@@ -116,21 +105,21 @@ def pde_residuals(params: PhysicalParams, traj: Trajectory, probe_points=None,
     hydrodynamic equations.
 
     Probe points are given in units of the instantaneous standard deviation
-    per axis (must lie within +-5); each residual is evaluated at the fixed
-    physical location selected by the stencil's center sample.
+    per spatial axis (must lie within +-5); each residual is evaluated at the
+    fixed physical location selected by the stencil's center sample.
     """
     kind = traj.kind if kind is None else kind
     if kind is not traj.kind:
         raise DomainError(f"trajectory is {traj.kind.value!r}, not {kind.value!r}")
-    _require_field_model(kind)
     if len(traj) < 3:
         raise InsufficientDataError(
             f"need at least 3 samples for time differencing, got {len(traj)}")
+    D = kind.spatial_dim
 
     probes = default_probe_points(kind) if probe_points is None \
         else np.atleast_2d(np.asarray(probe_points, dtype=float))
-    if probes.shape[1] != kind.dim:
-        raise DomainError(f"probe points must have {kind.dim} coordinates")
+    if probes.shape[1] != D:
+        raise DomainError(f"probe points must have {D} coordinates")
     if np.any(np.abs(probes) > PROBE_LIMIT_SIGMA):
         raise DomainError(f"probe points must lie within +-{PROBE_LIMIT_SIGMA} sigma")
 
@@ -139,64 +128,41 @@ def pde_residuals(params: PhysicalParams, traj: Trajectory, probe_points=None,
         raise DomainError("pde_residuals requires a uniform sample grid")
 
     length, time_scale = reference_scales(params, kind)
-    vel = length / time_scale
     qs = traj.qs * length
-    qdots = traj.qdots * vel
+    Q = qs[:, list(kind.axes)]
+    rate = traj.qdots[:, list(kind.axes)] * (length / time_scale) / Q
+    ratio = _variance_ratio(params, qs, kind)
+    n_pref = params.n0 * ratio
+    T = params.T0 * ratio ** (2.0 / D)
     dt = dt_grid[0] * time_scale
     m = params.m
 
-    # Stencil layout: center index c = 1..n-2, neighbours c-1 / c+1.
-    Xc, Xm, Xp = qs[1:-1, 0:1], qs[:-2, 0:1], qs[2:, 0:1]
-    Xdc, Xdm, Xdp = qdots[1:-1, 0:1], qdots[:-2, 0:1], qdots[2:, 0:1]
+    rows = len(traj) - 2
+    continuity = np.empty((rows, len(probes)))
+    momentum = np.empty_like(continuity)
+    energy = np.empty_like(continuity)
+    # Stencil center c = lo..hi-1 with neighbours c-1 / c+1; output row c-1.
+    for lo in range(1, rows + 1, RESIDUAL_BLOCK_ROWS):
+        hi = min(lo + RESIDUAL_BLOCK_ROWS, rows + 1)
+        c, before, after = slice(lo, hi), slice(lo - 1, hi - 1), slice(lo + 1, hi + 1)
+        x = probes[None, :, :] * Q[c, None, :]  # (rows, probes, D), fixed per stencil
 
-    if kind is ModelKind.TWO_D:
-        Y0 = params._require("Y0", kind)
-        Yc, Ym, Yp = qs[1:-1, 1:2], qs[:-2, 1:2], qs[2:, 1:2]
-        Ydc, Ydm, Ydp = qdots[1:-1, 1:2], qdots[:-2, 1:2], qdots[2:, 1:2]
-        x = probes[None, :, 0] * Xc  # (n-2, n_probes), fixed per stencil
-        y = probes[None, :, 1] * Yc
+        def density(s):
+            return n_pref[s, None] * np.exp(-np.sum(x ** 2 / (2 * Q[s, None, :] ** 2), axis=-1))
 
-        def n_of(X, Y):
-            return params.n0 * params.X0 * Y0 / (X * Y) \
-                * np.exp(-x ** 2 / (2 * X ** 2) - y ** 2 / (2 * Y ** 2))
-
-        def T_of(X, Y):
-            return params.T0 * params.X0 * Y0 / (X * Y)
-
-        n_c, n_m, n_p = n_of(Xc, Yc), n_of(Xm, Ym), n_of(Xp, Yp)
-        T_c = T_of(Xc, Yc)
+        n_m, n_c, n_p = density(before), density(c), density(after)
+        T_c = T[c, None]
+        rate_c, Q_c = rate[c, None, :], Q[c, None, :]
         dn_dt = (n_p - n_m) / (2 * dt)
-        deps_dt = (n_p * T_of(Xp, Yp) - n_m * T_of(Xm, Ym)) / (2 * dt)
-        dvx_dt = (Xdp / Xp - Xdm / Xm) / (2 * dt) * x
-        dvy_dt = (Ydp / Yp - Ydm / Ym) / (2 * dt) * y
+        deps_dt = D / 2 * (n_p * T[after, None] - n_m * T[before, None]) / (2 * dt)
+        dv_dt = (rate[after] - rate[before])[:, None, :] / (2 * dt) * x
 
-        expansion = Xdc / Xc + Ydc / Yc
-        div_nv = n_c * (Xdc / Xc * (1 - x ** 2 / Xc ** 2)
-                        + Ydc / Yc * (1 - y ** 2 / Yc ** 2))
-        continuity = dn_dt + div_nv
-        res_mx = dvx_dt + (Xdc / Xc) ** 2 * x - T_c / m * x / Xc ** 2
-        res_my = dvy_dt + (Ydc / Yc) ** 2 * y - T_c / m * y / Yc ** 2
-        momentum = np.maximum(np.abs(res_mx), np.abs(res_my))
-        energy = deps_dt + T_c * div_nv + n_c * T_c * expansion
-    else:
-        x = probes[None, :, 0] * Xc
-
-        def n_of(X):
-            return params.n0 * params.X0 / X * np.exp(-x ** 2 / (2 * X ** 2))
-
-        def T_of(X):
-            return params.T0 * (params.X0 / X) ** 2
-
-        n_c, n_m, n_p = n_of(Xc), n_of(Xm), n_of(Xp)
-        T_c = T_of(Xc)
-        dn_dt = (n_p - n_m) / (2 * dt)
-        deps_dt = 0.5 * (n_p * T_of(Xp) - n_m * T_of(Xm)) / (2 * dt)
-        dv_dt = (Xdp / Xp - Xdm / Xm) / (2 * dt) * x
-
-        div_nv = n_c * Xdc / Xc * (1 - x ** 2 / Xc ** 2)
-        continuity = dn_dt + div_nv
-        momentum = np.abs(dv_dt + (Xdc / Xc) ** 2 * x - T_c / m * x / Xc ** 2)
-        energy = deps_dt + 0.5 * T_c * div_nv + n_c * T_c * Xdc / Xc
+        div_nv = n_c * np.sum(rate_c * (1 - x ** 2 / Q_c ** 2), axis=-1)
+        continuity[before] = dn_dt + div_nv
+        res_m = dv_dt + rate_c ** 2 * x - T_c[..., None] / m * x / Q_c ** 2
+        momentum[before] = np.max(np.abs(res_m), axis=-1)
+        energy[before] = deps_dt + D / 2 * T_c * div_nv \
+            + n_c * T_c * np.sum(rate[c], axis=-1)[:, None]
 
     return PdeResidualReport(times=traj.times[1:-1] * time_scale, probes=probes,
                              continuity=continuity, momentum=momentum,
@@ -208,33 +174,22 @@ def _quadrature_pass(params: PhysicalParams, state: State, kind: ModelKind,
     """Gauss-Hermite integral of n m v^2/2 + eps (or just the density) over
     space, with nodes placed on the instantaneous Gaussian."""
     u, w = hermgauss(nodes)
-    m = params.m
-    if kind is ModelKind.TWO_D:
-        X, Y = state.q
-        Xd, Yd = state.qdot
-        pref = params.n0 * params.X0 * params._require("Y0", kind) / (X * Y)
-        T = params.T0 * params.X0 * params._require("Y0", kind) / (X * Y)
-        if density_only:
-            # plain density integral: 2 X Y * pref * (sum w)^2
-            return 2.0 * X * Y * pref * float(np.sum(w)) ** 2
-        x = _SQRT2 * X * u
-        y = _SQRT2 * Y * u
-        vx2 = (Xd / X * x) ** 2
-        vy2 = (Yd / Y * y) ** 2
-        # integrand factor g(x, y) = pref (m v^2/2 + T), e^{-u^2-w^2} absorbed
-        inner = 0.5 * m * (vx2[:, None] + vy2[None, :]) + T
-        return 2.0 * X * Y * pref * float(w @ inner @ w)
-    if kind is ModelKind.ONE_D:
-        (X,), (Xd,) = state.q, state.qdot
-        pref = params.n0 * params.X0 / X
-        T = params.T0 * (params.X0 / X) ** 2
-        if density_only:
-            return _SQRT2 * X * pref * float(np.sum(w))
-        x = _SQRT2 * X * u
-        g = pref * (0.5 * m * (Xd / X * x) ** 2 + 0.5 * T)
-        return _SQRT2 * X * float(w @ g)
-    raise UnsupportedModelError(
-        f"the energy functional is implemented for 1d/2d models, not {kind.value!r}")
+    D = kind.spatial_dim
+    Q = state.q[list(kind.axes)]
+    Qd = state.qdot[list(kind.axes)]
+    ratio = float(_variance_ratio(params, state.q, kind))
+    # Nodes x_a = sqrt(2) Q_a u_a absorb the Gaussian into the weights; per
+    # particle, eps / n = T D/2 and m v_a^2 / 2 = m Qd_a^2 u_a^2.
+    integrand = np.full((nodes,) * D, 1.0 if density_only
+                        else D / 2 * params.T0 * ratio ** (2.0 / D))
+    if not density_only:
+        for a in range(D):
+            shape = [1] * D
+            shape[a] = nodes
+            integrand = integrand + (params.m * (Qd[a] * u) ** 2).reshape(shape)
+    for _ in range(D):
+        integrand = integrand @ w
+    return params.n0 * ratio * float(np.prod(_SQRT2 * Q)) * float(integrand)
 
 
 def _converged_quadrature(params, state, kind, nodes, density_only) -> float:
@@ -254,8 +209,9 @@ def total_energy(params: PhysicalParams, state: State, kind: ModelKind,
 
     Constant along trajectories and proportional to the dimensionless energy
     of the reduced system, with a state-independent constant fixed by the
-    Gaussian moments (2 pi n0 X0 Y0 T0 in 2d, sqrt(2 pi) n0 X0 T0 in 1d;
-    the tests verify this against the quadrature rather than assuming it).
+    Gaussian moments: (2 pi)^(D/2) n0 T0 prod_a Q0_a (2 pi n0 X0 Y0 T0 in
+    2d, (2 pi)^(3/2) n0 X0^2 Y0 T0 for elliptic; the tests verify this
+    against the quadrature rather than assuming it).
     """
     check_state(state, kind)
     return _converged_quadrature(params, state, kind, nodes, density_only=False)

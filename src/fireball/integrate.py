@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -64,6 +64,13 @@ class IntegratorConfig:
     initial_step: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is not None and math.isnan(v):
+                raise DomainError(f"{f.name} must not be NaN")
+        for name in ("t_end", "sample_interval"):
+            if math.isinf(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
         for name in ("rel_tol", "abs_tol"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
@@ -74,16 +81,6 @@ class IntegratorConfig:
             raise DomainError("max_step must be positive")
         if self.initial_step is not None and self.initial_step <= 0.0:
             raise DomainError("initial_step must be positive when given")
-
-
-@dataclass(frozen=True)
-class TrajectorySample:
-    t: float
-    q: np.ndarray
-    qdot: np.ndarray
-
-    def state(self) -> State:
-        return State(t=self.t, q=self.q, qdot=self.qdot)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,14 +115,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.times.size
-
-    @property
-    def samples(self) -> list[TrajectorySample]:
-        return [TrajectorySample(float(t), q, qd)
-                for t, q, qd in zip(self.times, self.qs, self.qdots)]
-
-    def sample(self, i: int) -> TrajectorySample:
-        return TrajectorySample(float(self.times[i]), self.qs[i], self.qdots[i])
 
     def state(self, i: int) -> State:
         return State(t=float(self.times[i]), q=self.qs[i], qdot=self.qdots[i])

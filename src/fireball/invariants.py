@@ -37,30 +37,23 @@ def hamiltonian_values(qs, qdots, kind: ModelKind) -> np.ndarray:
 
 
 def ermakov_values(qs, qdots, kind: ModelKind) -> np.ndarray:
+    """Ermakov invariant I on a batch of planar states; qs/qdots are (n, 2)."""
     if not kind.has_ermakov_invariant:
         raise UnsupportedModelError(
             f"the Ermakov invariant is defined for 2d/elliptic models, not {kind.value!r}")
     qs = np.asarray(qs, dtype=float)
     qdots = np.asarray(qdots, dtype=float)
-    X, Y = qs[..., 0], qs[..., 1]
-    Xd, Yd = qdots[..., 0], qdots[..., 1]
-    w = X * Yd - Y * Xd
-    if kind is ModelKind.TWO_D:
-        return 0.5 * w ** 2 + Y / X + X / Y
-    return 0.5 * w ** 2 + 0.75 * (Y / X) ** (4.0 / 3.0) \
-        + 1.5 * (X / Y) ** (2.0 / 3.0)
+    spec = two_d_coupling() if kind is ModelKind.TWO_D else elliptic_coupling()
+    return _ermakov(spec, qs[..., 0], qs[..., 1], qdots[..., 0], qdots[..., 1])
 
 
 def noether_values(ts, qs, qdots, kind: ModelKind) -> np.ndarray:
-    """Scaling invariant J = 2 t H - q . p on a batch of states."""
+    """Scaling invariant J = 2 t H - q . p on a batch of states, p = M qdot."""
     ts = np.asarray(ts, dtype=float)
     qs = np.asarray(qs, dtype=float)
     qdots = np.asarray(qdots, dtype=float)
-    momenta = qdots.copy()
-    if kind is ModelKind.ELLIPTIC_3D:
-        momenta[..., 0] *= 2.0
     H = hamiltonian_values(qs, qdots, kind)
-    return 2.0 * ts * H - np.sum(qs * momenta, axis=-1)
+    return 2.0 * ts * H - np.sum(qs * (kind.weights * qdots), axis=-1)
 
 
 def ermakov_invariant(state: State, kind: ModelKind) -> float:
@@ -82,37 +75,36 @@ def noether_invariant(state: State, kind: ModelKind) -> float:
 
 @dataclass(frozen=True)
 class GeneralErmakovSpec:
-    """Coupling pair of a general Ermakov system (frequency fixed to zero).
-
-    ``f``/``g`` are the couplings as functions of Y/X and X/Y respectively,
-    ``F``/``G`` their antiderivatives.  ``g``/``G`` may be None for the
-    degenerate pair where the second equation is free motion (then Y is
-    unconstrained in sign and the X/Y term is absent).
+    """Coupling pair of a general Ermakov system (frequency fixed to zero),
+    given by the antiderivatives ``F``/``G`` of its couplings as functions of
+    Y/X and X/Y respectively.  ``G`` may be None for the degenerate pair where
+    the second equation is free motion (then Y is unconstrained in sign and
+    the X/Y term is absent).
     """
 
-    f: Callable[[float], float]
     F: Callable[[float], float]
-    g: Callable[[float], float] | None
     G: Callable[[float], float] | None
-    omega: float = 0.0
 
 
 def two_d_coupling() -> GeneralErmakovSpec:
-    return GeneralErmakovSpec(f=lambda s: 1.0, F=lambda s: s,
-                              g=lambda s: 1.0, G=lambda s: s)
+    return GeneralErmakovSpec(F=lambda s: s, G=lambda s: s)
 
 
 def elliptic_coupling() -> GeneralErmakovSpec:
-    return GeneralErmakovSpec(
-        f=lambda s: s ** (1.0 / 3.0), F=lambda s: 0.75 * s ** (4.0 / 3.0),
-        g=lambda s: s ** (-1.0 / 3.0), G=lambda s: 1.5 * s ** (2.0 / 3.0))
+    return GeneralErmakovSpec(F=lambda s: 0.75 * s ** (4.0 / 3.0),
+                              G=lambda s: 1.5 * s ** (2.0 / 3.0))
 
 
 def pinney_coupling() -> GeneralErmakovSpec:
     """Pair whose first member is the zero-frequency Pinney equation and whose
-    second member is free motion (g = 0)."""
-    return GeneralErmakovSpec(f=lambda s: s, F=lambda s: 0.5 * s * s,
-                              g=None, G=None)
+    second member is free motion (no X/Y coupling)."""
+    return GeneralErmakovSpec(F=lambda s: 0.5 * s * s, G=None)
+
+
+def _ermakov(spec: GeneralErmakovSpec, X, Y, Xdot, Ydot):
+    w = X * Ydot - Y * Xdot
+    value = 0.5 * w ** 2 + spec.F(Y / X)
+    return value if spec.G is None else value + spec.G(X / Y)
 
 
 def general_ermakov_invariant(spec: GeneralErmakovSpec, X: float, Y: float,
@@ -120,13 +112,9 @@ def general_ermakov_invariant(spec: GeneralErmakovSpec, X: float, Y: float,
     """Evaluate the invariant of a general Ermakov pair at a phase point."""
     if X <= 0.0:
         raise DomainError(f"X must be strictly positive, got {X}")
-    w = X * Ydot - Y * Xdot
-    value = 0.5 * w * w + spec.F(Y / X)
-    if spec.G is not None:
-        if Y <= 0.0:
-            raise DomainError(f"Y must be strictly positive for this pair, got {Y}")
-        value += spec.G(X / Y)
-    return float(value)
+    if spec.G is not None and Y <= 0.0:
+        raise DomainError(f"Y must be strictly positive for this pair, got {Y}")
+    return float(_ermakov(spec, X, Y, Xdot, Ydot))
 
 
 def polar_invariants(polar: PolarState, kind: ModelKind) -> tuple[float, float]:

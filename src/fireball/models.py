@@ -31,21 +31,39 @@ class ModelKind(Enum):
     ELLIPTIC_3D = "elliptic"
 
     @property
+    def axes(self) -> tuple[int, ...]:
+        """Stored coordinate carried by each spatial axis of the Gaussian.
+
+        Every other per-model fact derives from this map; the elliptic
+        model's third axis (Z) carries X.
+        """
+        return {ModelKind.ONE_D: (0,), ModelKind.TWO_D: (0, 1),
+                ModelKind.THREE_D: (0, 1, 2), ModelKind.ELLIPTIC_3D: (0, 1, 0)}[self]
+
+    @property
     def dim(self) -> int:
         """Number of independent variance coordinates."""
-        return {ModelKind.ONE_D: 1, ModelKind.TWO_D: 2,
-                ModelKind.THREE_D: 3, ModelKind.ELLIPTIC_3D: 2}[self]
+        return max(self.axes) + 1
+
+    @property
+    def spatial_dim(self) -> int:
+        """Number D of spatial axes of the Gaussian profile."""
+        return len(self.axes)
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return {ModelKind.ONE_D: ("X",),
-                ModelKind.TWO_D: ("X", "Y"),
-                ModelKind.THREE_D: ("X", "Y", "Z"),
-                ModelKind.ELLIPTIC_3D: ("X", "Y")}[self]
+        return ("X", "Y", "Z")[:self.dim]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Kinetic weights M: the number of spatial axes each coordinate
+        carries, so the kinetic energy is sum(M qdot^2) / 2."""
+        return np.bincount(self.axes).astype(float)
 
     @property
     def has_ermakov_invariant(self) -> bool:
-        return self in (ModelKind.TWO_D, ModelKind.ELLIPTIC_3D)
+        """True for the planar models (2d, elliptic)."""
+        return self.dim == 2
 
     @classmethod
     def from_name(cls, name: str) -> "ModelKind":
@@ -147,31 +165,30 @@ class PhysicalParams:
             if val is not None and val <= 0.0:
                 raise DomainError(f"{name} must be strictly positive when given")
 
-    def _require(self, name: str, kind: ModelKind) -> float:
-        val = getattr(self, name)
-        if val is None:
-            raise DomainError(f"model {kind.value!r} requires reference value {name}")
-        return val
+    def variances(self, kind: ModelKind) -> np.ndarray:
+        """Reference variances of the coordinates of ``kind`` (X0, Y0, Z0 in turn)."""
+        names = ("X0", "Y0", "Z0")[:kind.dim]
+        for name in names:
+            if getattr(self, name) is None:
+                raise DomainError(f"model {kind.value!r} requires reference value {name}")
+        return np.array([getattr(self, name) for name in names])
+
+
+def axis_product(values, kind: ModelKind):
+    """Product of per-coordinate ``values`` (..., dim) over the spatial axes
+    of ``kind``: X Y Z for 3d, X^2 Y for elliptic."""
+    # Repeated axes are multiplied first (X X Y), the rounding of X**2 * Y.
+    return np.prod(np.asarray(values, dtype=float)[..., sorted(kind.axes)], axis=-1)
 
 
 def reference_scales(params: PhysicalParams, kind: ModelKind) -> tuple[float, float]:
     """Return ``(length_scale, time_scale)`` of the rescaling for ``kind``.
 
-    Dimensionless variables are ``q/length_scale`` and ``t/time_scale``; the
-    velocity scale is ``sqrt(T0/m)`` for every model.
+    The length scale is the geometric mean of the reference variances over
+    the spatial axes.  Dimensionless variables are ``q/length_scale`` and
+    ``t/time_scale``; the velocity scale is ``sqrt(T0/m)`` for every model.
     """
-    if kind is ModelKind.ONE_D:
-        length = params.X0
-    elif kind is ModelKind.TWO_D:
-        length = math.sqrt(params.X0 * params._require("Y0", kind))
-    elif kind is ModelKind.THREE_D:
-        length = (params.X0 * params._require("Y0", kind)
-                  * params._require("Z0", kind)) ** (1.0 / 3.0)
-    elif kind is ModelKind.ELLIPTIC_3D:
-        # Z is slaved to X, so the geometric mean uses X0 twice.
-        length = (params.X0 ** 2 * params._require("Y0", kind)) ** (1.0 / 3.0)
-    else:  # pragma: no cover
-        raise UnsupportedModelError(str(kind))
+    length = float(axis_product(params.variances(kind), kind)) ** (1.0 / kind.spatial_dim)
     time = length * math.sqrt(params.m / params.T0)
     return length, time
 
@@ -192,22 +209,14 @@ def dimensionalize(params: PhysicalParams, state: State, kind: ModelKind) -> Sta
     return State(t=state.t * time, q=state.q * length, qdot=state.qdot * vel)
 
 
-_SQRT2 = math.sqrt(2.0)
-
-
 @dataclass(frozen=True)
 class PolarState:
-    """Polar view of a planar state: ``r`` radial, ``phi`` in (0, pi/2).
-
-    ``ttilde`` is the reparametrized time where known (0.0 otherwise); it is
-    carried along for bookkeeping and never used by the coordinate maps.
-    """
+    """Polar view of a planar state: ``r`` radial, ``phi`` in (0, pi/2)."""
 
     r: float
     phi: float
     rdot: float = 0.0
     phidot: float = 0.0
-    ttilde: float = 0.0
 
     def __post_init__(self):
         if self.r <= 0.0:
@@ -216,45 +225,47 @@ class PolarState:
             raise DomainError(f"phi must lie strictly inside (0, pi/2), got {self.phi}")
 
 
-def to_polar(state: State, kind: ModelKind) -> PolarState:
-    """Convert a planar state to polar coordinates.
+def radius(qs, qdots, kind: ModelKind):
+    """``(r, r rdot)`` with r^2 = sum(M q^2), M the kinetic weights.
 
-    For the true 2-d model: X = r cos(phi), Y = r sin(phi).
-    For the elliptic model the stretched map X = r cos(phi)/sqrt(2),
-    Y = r sin(phi) is used, so r**2 = 2 X**2 + Y**2.
+    Accepts a (d,) state or (n, d) batches.  For the planar models r is the
+    polar radius; for 3d it is the radius of the law r^2 = 2 H t^2 - 2 J t + r0^2.
     """
-    if kind not in (ModelKind.TWO_D, ModelKind.ELLIPTIC_3D):
+    qs = np.asarray(qs, dtype=float)
+    weighted = kind.weights * qs
+    return (np.sqrt(np.sum(weighted * qs, axis=-1)),
+            np.sum(weighted * qdots, axis=-1))
+
+
+def _require_planar(kind: ModelKind) -> None:
+    if kind.dim != 2:
         raise UnsupportedModelError(
             f"polar coordinates are defined for 2d/elliptic models, not {kind.value!r}")
+
+
+def to_polar(state: State, kind: ModelKind) -> PolarState:
+    """Convert a planar state to polar coordinates of the stretched variables
+    sqrt(M) q: X = r cos(phi) / sqrt(M_X), Y = r sin(phi) / sqrt(M_Y).
+
+    For the true 2-d model this is X = r cos(phi), Y = r sin(phi); for the
+    elliptic model X = r cos(phi)/sqrt(2), Y = r sin(phi), so
+    r**2 = 2 X**2 + Y**2.
+    """
+    _require_planar(kind)
     check_state(state, kind)
-    X, Y = state.q
-    Xd, Yd = state.qdot
-    if kind is ModelKind.TWO_D:
-        r = math.hypot(X, Y)
-        phi = math.atan2(Y, X)
-        rdot = (X * Xd + Y * Yd) / r
-        phidot = (X * Yd - Y * Xd) / r ** 2
-    elif kind is ModelKind.ELLIPTIC_3D:
-        r = math.sqrt(2.0 * X * X + Y * Y)
-        phi = math.atan2(Y, _SQRT2 * X)
-        rdot = (2.0 * X * Xd + Y * Yd) / r
-        phidot = _SQRT2 * (X * Yd - Y * Xd) / r ** 2
-    return PolarState(r=r, phi=phi, rdot=rdot, phidot=phidot)
+    stretch = np.sqrt(kind.weights)
+    (u, v), (ud, vd) = stretch * state.q, stretch * state.qdot
+    r, r_rdot = radius(state.q, state.qdot, kind)
+    return PolarState(r=float(r), phi=math.atan2(v, u), rdot=float(r_rdot / r),
+                      phidot=float((u * vd - v * ud) / r ** 2))
 
 
 def to_cartesian(polar: PolarState, kind: ModelKind, t: float = 0.0) -> State:
     """Inverse of :func:`to_polar`; ``t`` restores the time stamp."""
+    _require_planar(kind)
     r, phi, rdot, phidot = polar.r, polar.phi, polar.rdot, polar.phidot
     c, s = math.cos(phi), math.sin(phi)
-    if kind is ModelKind.TWO_D:
-        q = np.array([r * c, r * s])
-        qdot = np.array([rdot * c - r * phidot * s,
-                         rdot * s + r * phidot * c])
-    elif kind is ModelKind.ELLIPTIC_3D:
-        q = np.array([r * c / _SQRT2, r * s])
-        qdot = np.array([(rdot * c - r * phidot * s) / _SQRT2,
-                         rdot * s + r * phidot * c])
-    else:
-        raise UnsupportedModelError(
-            f"polar coordinates are defined for 2d/elliptic models, not {kind.value!r}")
+    stretch = np.sqrt(kind.weights)
+    q = np.array([r * c, r * s]) / stretch
+    qdot = np.array([rdot * c - r * phidot * s, rdot * s + r * phidot * c]) / stretch
     return State(t=t, q=q, qdot=qdot)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError, UnsupportedModelError
 from .models import ModelKind, State, check_state
 from .integrate import Trajectory
-from .dynamics import accel, canonical_momenta, energies, potential_gradient
+from .dynamics import accel, canonical_momenta, energies
 
 FieldFn = Callable[[float, np.ndarray, np.ndarray], float]
 
@@ -96,7 +96,7 @@ def noether_condition_residual(sym: PointSymmetry, kind: ModelKind,
     _, eta, taudot, etadot, _, gaugedot = _prolongation(sym, state)
     qd = state.qdot
     L = energies(state, kind).lagrangian
-    dL_dq = -potential_gradient(state, kind)
+    dL_dq = kind.weights * accel(state.q, kind)  # -grad V = M qdd
     p = canonical_momenta(state, kind)
     g1_L = float(eta @ dL_dq + (etadot - taudot * qd) @ p)  # dL/dt = 0
     return g1_L + taudot * L - gaugedot
@@ -235,7 +235,7 @@ def dynamical_symmetry_check(sym: DynamicalSymmetry | FieldFn,
 
     pair = energies(state, kind)
     L = pair.lagrangian
-    dL_dq = -potential_gradient(state, kind)
+    dL_dq = qdd  # -grad V (unit kinetic weights)
     p = qd  # canonical momenta of the 2d model
     Ldot = float(qd @ dL_dq + qdd @ p)
 

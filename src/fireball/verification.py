@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .models import (ModelKind, PhysicalParams, State, dimensionalize,
-                     state_from_components, to_polar)
+                     radius, state_from_components, to_polar)
 from .integrate import IntegratorConfig, integrate
 from .dynamics import energies
 from . import analytic, hydro, invariants, symmetry
@@ -75,31 +75,22 @@ def analytic_checks(initial: State, kind: ModelKind, *, rel_tol,
     cfg = IntegratorConfig(t_end=initial.t + horizon, sample_interval=0.01,
                            rel_tol=rel_tol, abs_tol=abs_tol)
     traj = integrate(initial, kind, cfg)
-    out = []
+    H = energies(initial, kind).hamiltonian
+    r0, r_rdot0 = radius(initial.q, initial.qdot, kind)
     if kind is ModelKind.ONE_D:
-        H = energies(initial, kind).hamiltonian
-        t0 = initial.t - initial.q[0] * initial.qdot[0] / (2.0 * H)
+        t0 = initial.t - float(r_rdot0) / (2.0 * H)
         X_exact, _ = analytic.one_d_solution(H, t0, traj.times)
-        out.append(_result("analytic_solution_match",
-                           np.max(np.abs(traj.qs[:, 0] - X_exact)), 1e-6))
-    elif kind is ModelKind.THREE_D:
-        H = energies(initial, kind).hamiltonian
+        return [_result("analytic_solution_match",
+                        np.max(np.abs(traj.qs[:, 0] - X_exact)), 1e-6)]
+    if kind is ModelKind.THREE_D:
         J = invariants.noether_invariant(initial, kind)
-        r0 = float(np.linalg.norm(initial.q))
-        r_exact, _ = analytic.radial_3d(H, J, r0, traj.times - initial.t)
-        r_num = np.linalg.norm(traj.qs, axis=1)
-        out.append(_result("analytic_radial_match",
-                           np.max(np.abs(r_num - r_exact) / r_exact), 1e-6))
+        r_exact, _ = analytic.radial_3d(H, J, float(r0), traj.times - initial.t)
     else:
         sol = analytic.RadialSolution.from_state(initial, kind)
         r_exact, _ = analytic.radial(sol, traj.times)
-        if kind is ModelKind.TWO_D:
-            r_num = np.linalg.norm(traj.qs, axis=1)
-        else:
-            r_num = np.sqrt(2.0 * traj.qs[:, 0] ** 2 + traj.qs[:, 1] ** 2)
-        out.append(_result("analytic_radial_match",
-                           np.max(np.abs(r_num - r_exact) / r_exact), 1e-6))
-    return out
+    r_num, _ = radius(traj.qs, traj.qdots, kind)
+    return [_result("analytic_radial_match",
+                    np.max(np.abs(r_num - r_exact) / r_exact), 1e-6)]
 
 
 def symmetry_checks(kind: ModelKind, rng, *, rel_tol, abs_tol) -> list[CheckResult]:
@@ -196,7 +187,7 @@ def elliptic_checks(rng, *, rel_tol, abs_tol) -> list[CheckResult]:
 
 
 def hydro_checks(kind: ModelKind, rng, *, rel_tol, abs_tol) -> list[CheckResult]:
-    params = PhysicalParams(n0=1.0, T0=1.0, X0=1.0, Y0=1.0, m=1.0)
+    params = PhysicalParams(n0=1.0, T0=1.0, X0=1.0, Y0=1.0, Z0=1.0, m=1.0)
     initial = default_initial_state(kind)
     cfg = IntegratorConfig(t_end=2.0, sample_interval=1e-3,
                            rel_tol=rel_tol, abs_tol=abs_tol)
@@ -240,6 +231,6 @@ def run_verification(kind: ModelKind, initial: State | None = None, *,
         results += symmetry_checks(kind, rng, rel_tol=rel_tol, abs_tol=abs_tol)
     if kind is ModelKind.ELLIPTIC_3D:
         results += elliptic_checks(rng, rel_tol=rel_tol, abs_tol=abs_tol)
-    if do_hydro and kind in (ModelKind.ONE_D, ModelKind.TWO_D):
+    if do_hydro:
         results += hydro_checks(kind, rng, rel_tol=rel_tol, abs_tol=abs_tol)
     return results

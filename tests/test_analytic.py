@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from fireball import (AngularSolution, DomainError, IntegratorConfig,
                       ModelKind, NoMotionError, RadialSolution, State,
-                      UnsupportedModelError, angular_quadrature,
+                      UnsupportedModelError, angular_quadrature, energies,
                       ermakov_invariant, general_ermakov_invariant, integrate,
-                      one_d_solution, pinney_coupling, radial, radial_3d,
-                      superposition_1d, time_reparam, to_polar)
+                      noether_invariant, one_d_solution, pinney_coupling,
+                      radial, radial_3d, superposition_1d, time_reparam,
+                      to_polar)
 from fireball.analytic import angular_minimum, angular_potential
+from fireball.models import radius
 
 
 class TestRadial:
@@ -172,6 +175,28 @@ class TestComposedPipeline:
             Y = r * np.sin(phi)
         assert np.max(np.abs(X - traj.qs[:, 0])) <= 1e-6
         assert np.max(np.abs(Y - traj.qs[:, 1])) <= 1e-6
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_closed_forms_on_random_states(self, kind, data):
+        # one_d_solution (1d), radial (2d, elliptic) or radial_3d, each in
+        # the radius r^2 = sum(M q^2) of the integrated trajectory
+        initial = State(
+            t=0.0, q=[data.draw(st.floats(0.6, 1.8)) for _ in range(kind.dim)],
+            qdot=[data.draw(st.floats(-0.8, 0.8)) for _ in range(kind.dim)])
+        traj = integrate(initial, kind,
+                         IntegratorConfig(t_end=50.0, sample_interval=0.5))
+        H = energies(initial, kind).hamiltonian
+        r, r_rdot = radius(traj.qs, traj.qdots, kind)
+        if kind is ModelKind.ONE_D:
+            exact, _ = one_d_solution(H, -r_rdot[0] / (2.0 * H), traj.times)
+        elif kind is ModelKind.THREE_D:
+            exact, _ = radial_3d(H, noether_invariant(initial, kind), r[0],
+                                 traj.times)
+        else:
+            exact, _ = radial(RadialSolution.from_state(initial, kind), traj.times)
+        assert np.max(np.abs(r - exact) / exact) <= 1e-8
 
     def test_1d_closed_form_vs_integrator(self):
         initial = State(t=0.0, q=[0.9], qdot=[0.6])

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -73,6 +74,15 @@ class TestSimulate:
     def test_bad_flag_exits_2_with_usage(self, capsys):
         assert main(["simulate", "--no-such-flag"]) == 2
         assert "usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", "1d", "--X", "1", "--t-end", "nan"],
+        ["simulate", "--model", "1d", "--X", "1", "--sample-interval", "nan"],
+        ["simulate", "--model", "1d", "--X", "1", "--max-step", "nan"],
+        ["verify", "--model", "1d", "--t-end", "nan"],
+    ], ids=["t_end", "sample_interval", "max_step", "verify_t_end"])
+    def test_nonfinite_setting_is_config_error(self, argv, tmp_path):
+        assert main(argv + ["--out", str(tmp_path / "x.out")]) == 2
 
     def test_nonpositive_variance_is_config_error(self, tmp_path):
         code = main(["simulate", "--model", "1d", "--X", "-1", "--t-end", "1",
@@ -233,6 +243,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "fireball.cli", "simulate", "--model", "1d",
              "--X", "1", "--t-end", "0.5", "--out", "-"],
             capture_output=True, text=True, timeout=60,
-            env={"PATH": "/usr/bin:/bin", "FIREBALL_LOG": "debug"})
+            env={"PATH": "/usr/bin:/bin", "FIREBALL_LOG": "debug",
+                 "PYTHONPATH": os.environ.get("PYTHONPATH", "")})
         assert proc.returncode == 0
         assert proc.stdout.startswith("# schema=1")

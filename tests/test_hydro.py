@@ -5,11 +5,14 @@ import pytest
 
 from fireball import (DomainError, InsufficientDataError, IntegratorConfig,
                       ModelKind, PhysicalParams, QuadratureError, State,
-                      Trajectory, UnsupportedModelError, dimensionalize,
-                      energies, fields_at, integrate, one_d_solution,
-                      particle_number, pde_residuals, total_energy)
+                      Trajectory, dimensionalize, energies, fields_at,
+                      integrate, one_d_solution, particle_number,
+                      pde_residuals, total_energy)
+from fireball.verification import default_initial_state
 
 UNIT = PhysicalParams(n0=1.0, T0=1.0, X0=1.0, Y0=1.0, m=1.0)
+UNIT3 = PhysicalParams(n0=1.0, T0=1.0, X0=1.0, Y0=1.0, Z0=1.0, m=1.0)
+PARAMS3 = PhysicalParams(n0=1.3, T0=2.0, X0=0.8, Y0=1.2, Z0=0.7, m=1.5)
 
 
 def exact_1d_trajectory(t_end=2.0, dt=1e-3):
@@ -63,13 +66,24 @@ class TestFields:
             assert f.p == f.n * f.T
             assert f.eps == f.n * f.T
 
-    def test_unsupported_models(self):
-        s = State(t=0.0, q=[1, 1, 1], qdot=[0, 0, 0])
-        with pytest.raises(UnsupportedModelError):
-            fields_at(UNIT, s, (0, 0, 0), ModelKind.THREE_D)
-        s2 = State(t=0.0, q=[1, 1], qdot=[0, 0])
-        with pytest.raises(UnsupportedModelError):
-            fields_at(UNIT, s2, (0, 0), ModelKind.ELLIPTIC_3D)
+    def test_elliptic_is_3d_with_z_equal_x(self):
+        # the elliptic profile has three spatial axes, the third carrying X
+        params = PhysicalParams(n0=1.3, T0=2.0, X0=0.8, Y0=1.2, Z0=0.8, m=1.5)
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            (X, Y), (Xd, Yd) = rng.uniform(0.5, 3.0, 2), rng.uniform(-1, 1, 2)
+            pt = rng.uniform(-2, 2, 3)
+            ell = fields_at(params, State(t=0.0, q=[X, Y], qdot=[Xd, Yd]), pt,
+                            ModelKind.ELLIPTIC_3D)
+            full = fields_at(params, State(t=0.0, q=[X, Y, X], qdot=[Xd, Yd, Xd]),
+                             pt, ModelKind.THREE_D)
+            assert ell.n == pytest.approx(full.n, rel=1e-14)
+            assert ell.T == pytest.approx(full.T, rel=1e-14)
+            assert ell.v == pytest.approx(full.v, rel=1e-14)
+            assert ell.eps == pytest.approx(1.5 * ell.n * ell.T, rel=1e-15)
+        with pytest.raises(DomainError):
+            fields_at(params, State(t=0.0, q=[1, 1], qdot=[0, 0]), (0, 0),
+                      ModelKind.ELLIPTIC_3D)
 
 
 class TestPdeResiduals:
@@ -116,12 +130,19 @@ class TestPdeResiduals:
         with pytest.raises(DomainError):
             pde_residuals(UNIT, exact_1d_trajectory(), probe_points=[[6.0]])
 
-    def test_model_must_support_fields(self):
-        s = State(t=0.0, q=[1.0, 1.0], qdot=[0.0, 0.0])
-        traj = integrate(s, ModelKind.ELLIPTIC_3D,
-                         IntegratorConfig(t_end=0.1, sample_interval=0.01))
-        with pytest.raises(UnsupportedModelError):
-            pde_residuals(UNIT, traj)
+    @pytest.mark.parametrize("params", [UNIT3, PARAMS3], ids=["unit", "scaled"])
+    @pytest.mark.parametrize("kind", [ModelKind.THREE_D, ModelKind.ELLIPTIC_3D])
+    def test_three_axis_models_close(self, kind, params):
+        traj = integrate(default_initial_state(kind), kind,
+                         IntegratorConfig(t_end=0.5, sample_interval=5e-4))
+        report = pde_residuals(params, traj)
+        assert report.probes.shape == (125, 3)
+        assert report.max_abs <= 1e-5
+        stretch = np.ones(kind.dim)
+        stretch[0] = 1.01
+        warped = Trajectory(kind=kind, times=traj.times, qs=traj.qs * stretch,
+                            qdots=traj.qdots * stretch)
+        assert np.max(pde_residuals(params, warped).momentum) > 1e-3
 
 
 class TestTotalEnergy:
@@ -147,9 +168,13 @@ class TestTotalEnergy:
     @pytest.mark.parametrize("kind,closed_form", [
         (ModelKind.TWO_D, lambda p: 2.0 * math.pi * p.n0 * p.X0 * p.Y0 * p.T0),
         (ModelKind.ONE_D, lambda p: math.sqrt(2.0 * math.pi) * p.n0 * p.X0 * p.T0),
+        (ModelKind.THREE_D,
+         lambda p: (2.0 * math.pi) ** 1.5 * p.n0 * p.X0 * p.Y0 * p.Z0 * p.T0),
+        (ModelKind.ELLIPTIC_3D,
+         lambda p: (2.0 * math.pi) ** 1.5 * p.n0 * p.X0 ** 2 * p.Y0 * p.T0),
     ])
     def test_proportional_to_dimensionless_energy(self, kind, closed_form):
-        params = PhysicalParams(n0=1.4, T0=2.2, X0=0.9, Y0=1.6, m=0.8)
+        params = PhysicalParams(n0=1.4, T0=2.2, X0=0.9, Y0=1.6, Z0=1.3, m=0.8)
         rng = np.random.default_rng(17)
         ratios = []
         for _ in range(10):
@@ -167,10 +192,12 @@ class TestTotalEnergy:
         with pytest.raises(DomainError):
             total_energy(UNIT, s, ModelKind.ONE_D, nodes=8)
 
-    def test_unsupported_model(self):
-        s = State(t=0.0, q=[1, 1, 1], qdot=[0, 0, 0])
-        with pytest.raises(UnsupportedModelError):
-            total_energy(UNIT, s, ModelKind.THREE_D)
+    @pytest.mark.parametrize("kind", [ModelKind.THREE_D, ModelKind.ELLIPTIC_3D])
+    def test_three_axis_unit_ratio(self, kind):
+        s = default_initial_state(kind)
+        ratio = total_energy(UNIT3, s, kind) / energies(s, kind).hamiltonian
+        assert ratio == pytest.approx((2.0 * math.pi) ** 1.5, rel=1e-12)
+        assert ratio == pytest.approx(15.749610, rel=1e-7)
 
 
 class TestParticleNumber:
@@ -192,3 +219,12 @@ class TestParticleNumber:
         s = State(t=0.0, q=[2.2], qdot=[0.3])
         assert particle_number(params, s, ModelKind.ONE_D) == pytest.approx(
             math.sqrt(2 * math.pi) * 2.0 * 1.5, rel=1e-12)
+
+    @pytest.mark.parametrize("kind,variances", [
+        (ModelKind.THREE_D, lambda p: p.X0 * p.Y0 * p.Z0),
+        (ModelKind.ELLIPTIC_3D, lambda p: p.X0 ** 2 * p.Y0),
+    ])
+    def test_three_axis_value(self, kind, variances):
+        s = dimensionalize(PARAMS3, default_initial_state(kind), kind)
+        assert particle_number(PARAMS3, s, kind) == pytest.approx(
+            (2 * math.pi) ** 1.5 * PARAMS3.n0 * variances(PARAMS3), rel=1e-12)

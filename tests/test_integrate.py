@@ -120,13 +120,6 @@ class TestTrajectory:
             Trajectory(kind=ModelKind.ONE_D, times=[0.0, 1.0],
                        qs=[[1.0], [-1.0]], qdots=[[0.0], [0.0]])
 
-    def test_samples_view(self):
-        s = State(t=0.0, q=[1.0], qdot=[0.0])
-        traj = integrate(s, ModelKind.ONE_D, tight(1.0, interval=0.5))
-        samples = traj.samples
-        assert [round(x.t, 12) for x in samples] == [0.0, 0.5, 1.0]
-        assert samples[0].state().q[0] == 1.0
-
 
 class TestGuards:
     def test_singularity_error_carries_last_state(self):

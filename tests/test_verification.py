@@ -17,8 +17,10 @@ def test_three_d_suite_passes():
     names = {r.name for r in results}
     assert "analytic_radial_match" in names
     assert "scaling_form_invariance" in names
-    # no planar-only or field-reconstruction checks for 3d
-    assert not any("ermakov" in n or "pde" in n for n in names)
+    # no planar-only checks for 3d; the hydro closure covers every model
+    assert not any("ermakov" in n for n in names)
+    assert {"pde_residual_max", "total_energy_drift",
+            "energy_ratio_spread"} <= names
 
 
 def test_drift_tolerance_is_enforced():
