@@ -173,13 +173,13 @@ def angular_quadrature(sol: AngularSolution, kind: ModelKind, ttilde_grid,
     v0 = sol.sign0 * math.sqrt(max(v_sq, 0.0))
 
     def f(_t, y):
-        return np.array([y[1], -_angular_potential_slope(y[0], kind)])
+        return y[1], -_angular_potential_slope(y[0], kind)
 
     def guard(y):
         return 0.0 < y[0] < math.pi / 2.0
 
     sample = grid if grid[0] == 0.0 else np.concatenate([[0.0], grid])
-    ys = solve_ode(f, 0.0, np.array([sol.phi0, v0]), sample,
+    ys = solve_ode(f, 0.0, [sol.phi0, v0], sample,
                    rel_tol=rel_tol, abs_tol=abs_tol, guard=guard)
     if grid[0] != 0.0:
         ys = ys[1:]

@@ -4,7 +4,8 @@ Runs are configured by flags and/or a plain ``key = value`` config file
 (``#`` starts a comment); flags override the file.  Trajectories are written
 as CSV with run metadata in ``#``-prefixed header lines, verification
 reports as JSON.  Exit codes: 0 success, 1 verification failure, 2 usage or
-config error, 3 runtime/numeric failure.
+config error, 3 runtime/numeric failure (including any unexpected exception,
+whose traceback is logged only at ``FIREBALL_LOG=debug``).
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if out in outs:
             raise ConfigError(f"output path {out} used by more than one config")
         outs.add(out)
-    jobs = args.jobs or _DEFAULTS["jobs"]
+    jobs = min(args.jobs or _DEFAULTS["jobs"], len(runs), os.cpu_count() or 1)
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             codes = list(pool.map(_run_simulate, runs))
@@ -389,6 +390,10 @@ def main(argv=None) -> int:
         return 3
     except (QuadratureError, FireballError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # exit 1 means only "a check failed"
+        log.debug("unexpected failure", exc_info=True)
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -19,11 +19,15 @@ Xd^2 + Yd^2/2); the Euler-Lagrange equations read  M qdd = -grad V.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedModelError
+from .errors import DomainError
 from .models import ModelKind, State, axis_product, check_state
+
+# Smallest variance the integrator may step to; the force is singular at 0.
+POSITIVITY_FLOOR = 1e-12
 
 
 def _positive(q: np.ndarray) -> np.ndarray:
@@ -33,21 +37,67 @@ def _positive(q: np.ndarray) -> np.ndarray:
 
 
 def accel(q: np.ndarray, kind: ModelKind) -> np.ndarray:
-    """Acceleration vector at variances ``q`` (raw-array fast path)."""
+    """Acceleration 1/(q P^(2/D)) at variances ``q``, with P the product of
+    the variances over the D spatial axes.
+
+    Accepts a (d,) vector or an (n, d) batch like :func:`potential`.
+    """
+    q = np.asarray(q, dtype=float)
     _positive(q)
-    if kind is ModelKind.TWO_D:
-        X, Y = q
-        return np.array([1.0 / (X * X * Y), 1.0 / (X * Y * Y)])
-    if kind is ModelKind.THREE_D:
-        s = (q[0] * q[1] * q[2]) ** (2.0 / 3.0)
-        return 1.0 / (q * s)
-    if kind is ModelKind.ELLIPTIC_3D:
-        X, Y = q
-        s = (X * X * Y) ** (2.0 / 3.0)
-        return np.array([1.0 / (X * s), 1.0 / (Y * s)])
-    if kind is ModelKind.ONE_D:
-        return np.array([1.0 / q[0] ** 3])
-    raise UnsupportedModelError(str(kind))
+    return 1.0 / (q * np.expand_dims(axis_product(q, kind), -1) ** (2.0 / kind.spatial_dim))
+
+
+# Scalar vector fields y' = f(t, y) with y = (q, qdot) as a list of floats:
+# the integrator's hot path, and its only positivity check.  X * X * X, not
+# X ** 3: a float power raises OverflowError where numpy returned inf (the
+# 2/3 powers below cannot overflow).
+def _below_floor(y) -> DomainError:
+    return DomainError(
+        f"variance at or below the positivity floor {POSITIVITY_FLOOR} in {y}")
+
+
+def _field_1d(t, y):
+    X, Xd = y
+    if not X > POSITIVITY_FLOOR:
+        raise _below_floor(y)
+    return Xd, 1.0 / (X * X * X)
+
+
+def _field_2d(t, y):
+    X, Y, Xd, Yd = y
+    if not (X > POSITIVITY_FLOOR and Y > POSITIVITY_FLOOR):
+        raise _below_floor(y)
+    return Xd, Yd, 1.0 / (X * X * Y), 1.0 / (X * Y * Y)
+
+
+def _field_3d(t, y):
+    X, Y, Z, Xd, Yd, Zd = y
+    if not (X > POSITIVITY_FLOOR and Y > POSITIVITY_FLOOR and Z > POSITIVITY_FLOOR):
+        raise _below_floor(y)
+    s = (X * Y * Z) ** (2.0 / 3.0)
+    return Xd, Yd, Zd, 1.0 / (X * s), 1.0 / (Y * s), 1.0 / (Z * s)
+
+
+def _field_elliptic(t, y):
+    X, Y, Xd, Yd = y
+    if not (X > POSITIVITY_FLOOR and Y > POSITIVITY_FLOOR):
+        raise _below_floor(y)
+    s = (X * X * Y) ** (2.0 / 3.0)
+    return Xd, Yd, 1.0 / (X * s), 1.0 / (Y * s)
+
+
+_FIELDS = {ModelKind.ONE_D: _field_1d, ModelKind.TWO_D: _field_2d,
+           ModelKind.THREE_D: _field_3d, ModelKind.ELLIPTIC_3D: _field_elliptic}
+
+
+def vector_field(kind: ModelKind) -> Callable[[float, list], Sequence[float]]:
+    """First-order form f(t, [q..., qdot...]) = (qdot..., accel(q)...) of
+    the model, on Python floats.
+
+    Raises :class:`DomainError` when any variance is <= POSITIVITY_FLOOR
+    (NaN included), which the integrator treats as a rejected step.
+    """
+    return _FIELDS[kind]
 
 
 def rhs(state: State, kind: ModelKind) -> np.ndarray:

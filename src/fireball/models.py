@@ -81,7 +81,7 @@ def _as_vector(values, name: str) -> np.ndarray:
         arr = arr.reshape(1)
     if arr.ndim != 1:
         raise DomainError(f"{name} must be a 1-d sequence, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, arr.tolist())):
         raise DomainError(f"{name} contains non-finite entries: {arr}")
     return arr
 
@@ -104,10 +104,10 @@ class State:
         qdot = _as_vector(self.qdot, "qdot")
         if q.shape != qdot.shape:
             raise DomainError(f"q and qdot lengths differ: {q.shape} vs {qdot.shape}")
-        if np.any(q <= 0.0):
+        if min(q.tolist(), default=1.0) <= 0.0:
             raise DomainError(f"variances must be strictly positive, got {q}")
-        q.flags.writeable = False
-        qdot.flags.writeable = False
+        q.setflags(write=False)
+        qdot.setflags(write=False)
         object.__setattr__(self, "t", float(self.t))
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "qdot", qdot)

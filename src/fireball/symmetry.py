@@ -171,8 +171,7 @@ def ode_residual(traj: Trajectory) -> float:
         raise DomainError("ode_residual requires a uniform sample grid")
     h = dt[0]
     fd_acc = (traj.qs[2:] - 2.0 * traj.qs[1:-1] + traj.qs[:-2]) / h ** 2
-    model_acc = np.stack([accel(qi, traj.kind) for qi in traj.qs[1:-1]])
-    return float(np.max(np.abs(fd_acc - model_acc)))
+    return float(np.max(np.abs(fd_acc - accel(traj.qs[1:-1], traj.kind))))
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,20 @@ class TestSimulate:
         assert code == 3
         assert "t=0.125" in capsys.readouterr().err
 
+    def test_unexpected_exception_exits_3(self, capsys, monkeypatch):
+        import fireball.cli as cli
+
+        def boom(initial, kind, config):
+            raise OverflowError("(34, 'Numerical result out of range')")
+
+        monkeypatch.setattr(cli, "integrate", boom)
+        code = main(["simulate", "--model", "1d", "--X", "1", "--t-end", "1",
+                     "--out", "-"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "OverflowError" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
     def test_bad_flag_exits_2_with_usage(self, capsys):
         assert main(["simulate", "--no-such-flag"]) == 2
         assert "usage" in capsys.readouterr().err
@@ -152,6 +166,39 @@ class TestConfigFile:
         assert main(["simulate", *paths, "--jobs", "2"]) == 0
         for i in range(2):
             assert (tmp_path / f"out{i}.csv").exists()
+
+    @pytest.mark.parametrize("jobs, n_configs, cpus, workers", [
+        (8, 3, 2, 2), (8, 2, 16, 2), (3, 5, 16, 3), (4, 1, 16, None), (4, 3, 1, None)])
+    def test_jobs_capped_by_configs_and_cpus(self, tmp_path, monkeypatch,
+                                             jobs, n_configs, cpus, workers):
+        import concurrent.futures
+
+        started = []
+
+        class RecordingPool:  # runs the map serially, starts no process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        paths = []
+        for i in range(n_configs):
+            cfg = tmp_path / f"run{i}.cfg"
+            cfg.write_text(f"model = 1d\nX = 1.0\nt_end = 0.1\n"
+                           f"out = {tmp_path / f'out{i}.csv'}\n")
+            paths.append(str(cfg))
+        assert main(["simulate", *paths, "--jobs", str(jobs)]) == 0
+        assert started == ([] if workers is None else [workers])
+        assert all((tmp_path / f"out{i}.csv").exists() for i in range(n_configs))
 
     def test_sweep_requires_distinct_outputs(self, tmp_path):
         cfgs = []

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fireball import DomainError, ModelKind, State, energies, pseudo_potential, rhs
-from fireball.dynamics import accel, canonical_momenta, kinetic, potential
+from fireball.dynamics import (POSITIVITY_FLOOR, accel, canonical_momenta, kinetic,
+                               potential, vector_field)
 
 positive = st.floats(min_value=0.2, max_value=5.0)
 rate = st.floats(min_value=-2.0, max_value=2.0)
@@ -46,6 +49,37 @@ class TestRhs:
             ae = rhs(State(t=0, q=[x, y], qdot=[0, 0]), ModelKind.ELLIPTIC_3D)
             a3 = rhs(State(t=0, q=[x, y, x], qdot=[0, 0, 0]), ModelKind.THREE_D)
             assert ae == pytest.approx([a3[0], a3[1]], rel=1e-14)
+
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_batch_matches_rows(self, kind):
+        qs = np.random.default_rng(2).uniform(0.3, 3.0, (50, kind.dim))
+        rows = np.stack([accel(q, kind) for q in qs])
+        np.testing.assert_allclose(accel(qs, kind), rows, rtol=1e-15, atol=0.0)
+
+
+class TestVectorField:
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_is_qdot_and_accel(self, kind, data):
+        q = [data.draw(positive) for _ in range(kind.dim)]
+        qdot = [data.draw(rate) for _ in range(kind.dim)]
+        got = vector_field(kind)(0.0, q + qdot)
+        assert list(got[:kind.dim]) == qdot
+        np.testing.assert_allclose(got[kind.dim:], accel(np.array(q), kind),
+                                   rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_raises_at_or_below_the_floor(self, kind, data):
+        q = [data.draw(positive) for _ in range(kind.dim)]
+        i = data.draw(st.integers(0, kind.dim - 1))
+        q[i] = data.draw(st.floats(min_value=-5.0, max_value=POSITIVITY_FLOOR)
+                         | st.just(math.nan))
+        with pytest.raises(DomainError):
+            vector_field(kind)(0.0, q + [0.0] * kind.dim)
 
 
 class TestPotential:

@@ -133,9 +133,21 @@ class TestGuards:
         assert err.value.last_t is not None
         assert err.value.last_y[0] > 0.0
 
+    def test_floor_raised_by_f_rejects_steps(self):
+        # the model fields' form of the guard: f itself refuses the stage
+        def f(t, y):
+            if not y[0] > 1e-12:
+                raise DomainError("below the floor")
+            return (-1.0,)
+
+        with pytest.raises(SingularityError) as err:
+            solve_ode(f, 0.0, [1.0], np.array([0.0, 2.0]))
+        assert err.value.last_y[0] > 1e-12
+        assert err.value.last_t == pytest.approx(1.0, abs=1e-6)
+
     def test_step_underflow_on_blowup(self):
         def f(t, y):
-            return y * y  # blows up at t = 1 from y(0) = 1
+            return [v * v for v in y]  # blows up at t = 1 from y(0) = 1
 
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationError) as err:
@@ -144,7 +156,7 @@ class TestGuards:
 
     def test_integration_error_names_last_good_time(self):
         def f(t, y):
-            return y * y
+            return [v * v for v in y]
 
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationError) as err:

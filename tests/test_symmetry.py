@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fireball import (DomainError, DynamicalSymmetry, IntegratorConfig,
                       ModelKind, PointSymmetry, State, Trajectory,
@@ -155,6 +156,23 @@ class TestScaledTrajectory:
                                rel_tol=1e-11, abs_tol=1e-13)
         traj = integrate(initial, kind, cfg)
         assert ode_residual(scaled_trajectory(traj, beta)) <= 1e-5
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @settings(max_examples=4, deadline=None)
+    @given(data=st.data(), beta=st.floats(min_value=0.5, max_value=2.0))
+    def test_commutes_with_integrate(self, kind, data, beta):
+        # integrate then map == map the initial state and grid, then integrate
+        q = np.array([data.draw(st.floats(0.6, 1.8)) for _ in range(kind.dim)])
+        qdot = np.array([data.draw(st.floats(-0.8, 0.8)) for _ in range(kind.dim)])
+        cfg = IntegratorConfig(t_end=10.0, sample_interval=0.5)
+        image = scaled_trajectory(integrate(State(t=0.0, q=q, qdot=qdot), kind, cfg), beta)
+        direct = integrate(State(t=0.0, q=beta * q, qdot=qdot / beta), kind,
+                           IntegratorConfig(t_end=beta ** 2 * cfg.t_end,
+                                            sample_interval=beta ** 2 * cfg.sample_interval))
+        assert len(direct) == len(image)
+        np.testing.assert_allclose(direct.times, image.times, rtol=1e-12)
+        for got, want in ((direct.qs, image.qs), (direct.qdots, image.qdots)):
+            assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
     def test_near_identity_matches_generator(self):
         s = State(t=0.0, q=[1.0, 1.2], qdot=[0.1, -0.2])
