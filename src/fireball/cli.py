@@ -51,6 +51,9 @@ _DEFAULTS = {
     "drift_tol": 1e-8, "analytic": True, "symmetry": True, "hydro": True,
     "t0": 0.0, "phi0": math.pi / 4.0, "sign0": 1, "compare": False,
 }
+# verify samples its drift check more coarsely than simulate writes rows.
+_VERIFY_DEFAULTS = {**_DEFAULTS,
+                    "sample_interval": verification.DRIFT_SAMPLE_INTERVAL}
 
 
 def _parse_bool(text: str) -> bool:
@@ -88,9 +91,10 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _merge_settings(args: argparse.Namespace, keys: list[str]) -> dict:
+def _merge_settings(args: argparse.Namespace, keys: list[str],
+                    defaults: dict = _DEFAULTS) -> dict:
     """defaults < config file < explicit flags."""
-    merged = {k: _DEFAULTS.get(k) for k in keys}
+    merged = {k: defaults.get(k) for k in keys}
     if getattr(args, "config", None):
         file_values = parse_config_file(args.config)
         for key, value in file_values.items():
@@ -132,10 +136,6 @@ def _integrator_config(settings: dict) -> IntegratorConfig:
                             max_step=settings["max_step"])
 
 
-def _fmt(value) -> str:
-    return "" if value is None else f"{value:.17g}"
-
-
 def _write_text(out: str | None, text: str) -> None:
     if out in (None, "-"):
         sys.stdout.write(text)
@@ -144,27 +144,13 @@ def _write_text(out: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _trajectory_rows(traj, kind: ModelKind):
-    """Rows in the fixed CSV column order, None for absent columns."""
-    labels = kind.labels
-    H = invariants.hamiltonian_values(traj.qs, traj.qdots, kind)
-    J = invariants.noether_values(traj.times, traj.qs, traj.qdots, kind)
-    I_vals = invariants.ermakov_values(traj.qs, traj.qdots, kind) \
-        if kind.has_ermakov_invariant else None
-    rows = []
-    for i, t in enumerate(traj.times):
-        coords = dict(zip(labels, traj.qs[i]))
-        rates = dict(zip(labels, traj.qdots[i]))
-        rows.append([
-            float(t),
-            coords.get("X"), coords.get("Y"), coords.get("Z"),
-            rates.get("X"), rates.get("Y"), rates.get("Z"),
-            float(H[i]),
-            float(I_vals[i]) if I_vals is not None else None,
-            2.0 * float(I_vals[i]) if kind is ModelKind.ELLIPTIC_3D else None,
-            float(J[i]),
-        ])
-    return rows
+def _trajectory_columns(traj, kind: ModelKind) -> dict[str, np.ndarray]:
+    """The CSV columns the model defines, by name."""
+    columns = {"t": traj.times, **invariants.invariant_report(traj).values}
+    for i, label in enumerate(kind.labels):
+        columns[label] = traj.qs[:, i]
+        columns[label + "dot"] = traj.qdots[:, i]
+    return columns
 
 
 def _meta_lines(command: str, settings: dict, keys: list[str]) -> list[str]:
@@ -173,14 +159,23 @@ def _meta_lines(command: str, settings: dict, keys: list[str]) -> list[str]:
 
 
 def _emit_table(settings: dict, command: str, meta_keys: list[str],
-                columns, rows, extra_comments=()) -> None:
+                columns, data: dict, extra_comments=()) -> None:
+    """Write the ``columns`` of ``data`` (name -> 1-d array) as one table.
+
+    A column missing from ``data`` is an empty CSV field and a JSON null.
+    """
+    present = [c for c in columns if c in data]
+    table = np.column_stack([data[c] for c in present]).tolist()
     if settings["format"] == "json":
+        if len(present) < len(columns):
+            slots = [present.index(c) if c in data else None for c in columns]
+            table = [[None if j is None else row[j] for j in slots] for row in table]
         doc = {
             "schema": SCHEMA_VERSION,
             "command": command,
             "settings": {k: settings[k] for k in meta_keys if settings.get(k) is not None},
             "columns": list(columns),
-            "rows": rows,
+            "rows": table,
         }
         for comment in extra_comments:
             key, _, value = comment.partition("=")
@@ -190,8 +185,9 @@ def _emit_table(settings: dict, command: str, meta_keys: list[str],
         lines = _meta_lines(command, settings, meta_keys)
         lines += [f"# {c}" for c in extra_comments]
         lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
+        # 17 significant digits round-trip every float.
+        row_format = ",".join("%.17g" if c in data else "" for c in columns)
+        lines += [row_format % tuple(row) for row in table]
         _write_text(settings.get("out"), "\n".join(lines) + "\n")
     else:
         raise ConfigError(f"unknown output format {settings['format']!r}")
@@ -203,7 +199,7 @@ def _run_simulate(settings: dict) -> int:
     traj = integrate(initial, kind, _integrator_config(settings))
     meta = _STATE_KEYS + _INTEGRATOR_KEYS
     _emit_table(settings, "simulate", meta, CSV_COLUMNS,
-                _trajectory_rows(traj, kind))
+                _trajectory_columns(traj, kind))
     return 0
 
 
@@ -234,14 +230,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     keys = _STATE_KEYS + _INTEGRATOR_KEYS + \
         ["out", "format", "seed", "drift_tol", "analytic", "symmetry", "hydro"]
-    settings = _merge_settings(args, keys)
+    settings = _merge_settings(args, keys, _VERIFY_DEFAULTS)
     kind = _model_kind(settings)
     initial = None
     if settings.get("X") is not None:
         initial = _initial_state(settings, kind)
     results = verification.run_verification(
         kind, initial, t_end=settings["t_end"], rel_tol=settings["rel_tol"],
-        abs_tol=settings["abs_tol"], drift_tol=settings["drift_tol"],
+        abs_tol=settings["abs_tol"], sample_interval=settings["sample_interval"],
+        max_step=settings["max_step"], drift_tol=settings["drift_tol"],
         seed=settings["seed"], do_analytic=settings["analytic"],
         do_symmetry=settings["symmetry"], do_hydro=settings["hydro"])
     passed = all(r.passed for r in results)
@@ -299,14 +296,13 @@ def cmd_analytic(args: argparse.Namespace) -> int:
         n = min(len(r_num), len(r))
         extra.append(f"max_delta_r={np.max(np.abs(r_num[:n] - r[:n])):.17g}")
 
-    rows = [[float(grid[i]), float(r[i]), float(rdot[i]), float(ttilde[i]),
-             float(phi[i])] for i in range(len(grid))]
     meta = ["model", "H", "I", "t0", "t_end", "sample_interval"]
     settings["H"] = radial_sol.energy
     settings["I"] = radial_sol.invariant
     settings["t0"] = radial_sol.t0
     _emit_table(settings, "analytic", meta, ("t", "r", "rdot", "ttilde", "phi"),
-                rows, extra_comments=extra)
+                {"t": grid, "r": r, "rdot": rdot, "ttilde": ttilde, "phi": phi},
+                extra_comments=extra)
     return 0
 
 

@@ -7,10 +7,19 @@ Hermite interpolation would dominate the drift of the conserved quantities);
 a two-point Hermite interpolant remains as the fallback for samples that end
 up strictly inside a step.
 
-The stepper works on Python floats: the state is a list, the right-hand side
-``f(t, y)`` receives a list of floats and returns a sequence of floats, and
-the stages are plain sums over the components, which for the 2-6 component
-systems here is far cheaper than numpy calls on tiny arrays.
+The stepper works on Python floats: the state is a list, and the right-hand
+side ``f(t, y)`` receives a list of floats and returns a sequence of floats
+of the same length, which for the 1-6 component systems here is far cheaper
+than numpy calls on tiny arrays.  One step is a kernel generated for the
+state length n from the tableau (``_step_source``), compiled once per n and
+cached.  It unpacks the state and the stage derivatives into locals and
+writes each stage component out as a scalar sum.  Once the model's field is a
+few scalar operations, interpreter overhead (a list comprehension over zip
+per stage, a loop for the error norm) costs several times more per step than
+the field; the unrolled kernel removes most of it.  Its expressions are those
+of the hand-written stepper, term for term in tableau order, so every sample
+and every step decision is bit-identical to it; the tests keep that stepper
+as the reference.
 
 Positivity is checked once per stage, inside the model's vector field
 (:func:`fireball.dynamics.vector_field`): it raises :class:`DomainError` when
@@ -25,6 +34,7 @@ signals a bug or invalid input rather than physics.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from array import array
@@ -56,6 +66,49 @@ _A = (
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 _MAX_GUARD_REJECTS = 50
+
+
+def _step_source(n: int) -> str:
+    """Source of one Dormand-Prince step unrolled for an n-component state.
+
+    The generated ``_step(f, t, h, y, k1, abs_tol, rel_tol)`` calls ``f`` for
+    stages 2-7 and returns ``(y_new, k7, error_sum_of_squares)``.  Each
+    component is the plain sum ``y_i + h * (a_s1 * k1_i + ...)`` over the
+    nonzero tableau entries in tableau order, the coefficients written as
+    exact float literals, so every value rounds as the hand-written sum does.
+    """
+    comps = range(n)
+
+    def combo(weights, i):
+        return " + ".join(f"{w!r} * k{j}_{i}" for j, w in enumerate(weights, 1) if w != 0.0)
+
+    def at(c):
+        return "t + h" if c == 1.0 else f"t + {c!r} * h"
+
+    def unpack(name, value):
+        return f"    {', '.join(f'{name}_{i}' for i in comps)}, = {value}"
+
+    lines = ["def _step(f, t, h, y, k1, abs_tol, rel_tol):", unpack("y", "y"), unpack("k1", "k1")]
+    for s in range(2, 7):
+        stage = ", ".join(f"y_{i} + h * ({combo(_A[s - 1], i)})" for i in comps)
+        lines.append(unpack(f"k{s}", f"f({at(_C[s - 1])}, [{stage}])"))
+    lines += [f"    v_{i} = y_{i} + h * ({combo(_A[6], i)})" for i in comps]
+    lines += [f"    y_new = [{', '.join(f'v_{i}' for i in comps)}]",
+              f"    k7 = f({at(_C[6])}, y_new)",
+              unpack("k7", "k7")]
+    for i in comps:
+        lines += [f"    u, v = abs(y_{i}), abs(v_{i})",
+                  f"    e_{i} = h * ({combo(_E, i)}) / (abs_tol + rel_tol * (u if u > v else v))"]
+    lines.append(f"    return y_new, k7, {' + '.join(f'e_{i} * e_{i}' for i in comps)}")
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _step_kernel(n: int):
+    """The step of :func:`_step_source` for n components, compiled once."""
+    namespace = {}
+    exec(compile(_step_source(n), f"<dormand-prince step, n={n}>", "exec"), namespace)
+    return namespace["_step"]
 
 
 @dataclass(frozen=True)
@@ -168,18 +221,14 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     """Integrate y' = f(t, y) and return y at the requested sample times.
 
     ``f`` receives the state as a list of floats and returns a sequence of
-    floats (a tuple, list or 1-d array) of the same length; it may raise
-    :class:`DomainError` to reject a stage, e.g. at a variance floor.
+    floats (a tuple, list or 1-d array) of the same length, else ValueError
+    is raised; it may raise :class:`DomainError` to reject a stage, e.g. at
+    a variance floor.
     ``sample_times`` must be increasing and start at >= t0; integration runs
     to its last entry.  ``guard`` (if given) receives each step's end state
     as a list and must hold there; a DomainError from ``f`` and a failed
     guard both reject the step.  Returns a (len(sample_times), len(y0)) array.
     """
-    (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
-     (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6)) = _A
-    _, c2, c3, c4, c5, _, _ = _C
-    e1, _, e3, e4, e5, e6, e7 = _E
-
     y = [float(v) for v in y0]
     n = len(y)
     t = float(t0)
@@ -202,18 +251,25 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
 
     h = initial_step if initial_step is not None else min(max_step, span / 100.0, 0.1)
     h = min(h, span)
+    step = _step_kernel(n)
     k1 = f(t, y)
     guard_rejects = 0
     n_steps = n_rejects = 0
 
     t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
     while t < t_stop:
-        h = min(h, max_step, t_end - t)
-        if next_idx < n_samples:
+        # Comparisons stand in for min() and max() in this loop, with the
+        # same ties and NaN handling, at less cost per step than the calls.
+        if max_step < h:
+            h = max_step
+        if t_end - t < h:
+            h = t_end - t
+        if next_idx < n_samples and times[next_idx] - t < h:
             # Land exactly on the next sample: interpolation error would
             # otherwise dominate invariant drift once steps outgrow the grid.
-            h = min(h, times[next_idx] - t)
-        if h < 1e-14 * max(1.0, abs(t)):
+            h = times[next_idx] - t
+        at = abs(t)
+        if h < 1e-14 * (at if at > 1.0 else 1.0):
             if guard_rejects > 0:
                 raise SingularityError(
                     f"positivity guard forced the step below the floor at t={t!r}",
@@ -222,18 +278,7 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
                 f"step size underflow at t={t!r} (h={h!r})", last_t=t, last_y=np.array(y))
 
         try:
-            k2 = f(t + c2 * h, [u + h * (a21 * p1) for u, p1 in zip(y, k1)])
-            k3 = f(t + c3 * h, [u + h * (a31 * p1 + a32 * p2)
-                                for u, p1, p2 in zip(y, k1, k2)])
-            k4 = f(t + c4 * h, [u + h * (a41 * p1 + a42 * p2 + a43 * p3)
-                                for u, p1, p2, p3 in zip(y, k1, k2, k3)])
-            k5 = f(t + c5 * h, [u + h * (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
-                                for u, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
-            k6 = f(t + h, [u + h * (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
-                           for u, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [u + h * (b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
-                     for u, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
-            k7 = f(t + h, y_new)
+            y_new, k7, sq = step(f, t, h, y, k1, abs_tol, rel_tol)
         except DomainError:
             guard_rejects += 1
             if guard_rejects > _MAX_GUARD_REJECTS:
@@ -251,17 +296,12 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
             continue
         guard_rejects = 0
 
-        sq = 0.0
-        for u, v, p1, p3, p4, p5, p6, p7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-            u, v = abs(u), abs(v)
-            e = h * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7) \
-                / (abs_tol + rel_tol * (u if u > v else v))
-            sq += e * e
         err = math.sqrt(sq / n)
 
         if err <= 1.0:
             t_new = t + h
-            tol = 1e-14 * max(1.0, abs(t_new))
+            at = abs(t_new)
+            tol = 1e-14 * (at if at > 1.0 else 1.0)
             while next_idx < n_samples and times[next_idx] <= t_new + tol:
                 ts = times[next_idx]
                 if abs(ts - t_new) <= tol:
@@ -272,10 +312,18 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
                 next_idx += 1
             t, y, k1 = t_new, y_new, k7  # FSAL: k7 = f(t_new, y_new)
             n_steps += 1
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            # 0 <= err <= 1: the factor is at least 0.9, so only the cap at
+            # 5 can bind.
+            factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
+            if factor > 5.0:
+                factor = 5.0
         else:
+            # err > 1 or NaN: the factor is below 0.9 or NaN, so only the
+            # floor at 0.2 can bind (NaN takes it, as in max(0.2, nan)).
             n_rejects += 1
-            factor = min(1.0, max(0.2, 0.9 * err ** -0.2))
+            factor = 0.9 * err ** -0.2
+            if not factor > 0.2:
+                factor = 0.2
         h *= factor
 
     while next_idx < n_samples:  # trailing samples at t_end

@@ -52,7 +52,11 @@ def noether_values(ts, qs, qdots, kind: ModelKind) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     qs = np.asarray(qs, dtype=float)
     qdots = np.asarray(qdots, dtype=float)
-    H = hamiltonian_values(qs, qdots, kind)
+    return _noether(ts, qs, qdots, kind, hamiltonian_values(qs, qdots, kind))
+
+
+def _noether(ts, qs, qdots, kind: ModelKind, H) -> np.ndarray:
+    """J from the energy H already evaluated on the same states."""
     return 2.0 * ts * H - np.sum(qs * (kind.weights * qdots), axis=-1)
 
 
@@ -162,10 +166,9 @@ def invariant_report(traj: Trajectory) -> InvariantReport:
     if len(traj) == 0:
         raise DomainError("cannot report invariants of an empty trajectory")
     kind = traj.kind
+    H = hamiltonian_values(traj.qs, traj.qdots, kind)
     values: dict[str, np.ndarray] = {
-        "H": hamiltonian_values(traj.qs, traj.qdots, kind),
-        "J": noether_values(traj.times, traj.qs, traj.qdots, kind),
-    }
+        "H": H, "J": _noether(traj.times, traj.qs, traj.qdots, kind, H)}
     if kind.has_ermakov_invariant:
         values["I"] = ermakov_values(traj.qs, traj.qdots, kind)
     if kind is ModelKind.ELLIPTIC_3D:

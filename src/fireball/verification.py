@@ -20,6 +20,9 @@ from .integrate import IntegratorConfig, integrate
 from .dynamics import energies
 from . import analytic, hydro, invariants, symmetry
 
+# Sample spacing of the drift check unless the caller sets one.
+DRIFT_SAMPLE_INTERVAL = 0.5
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -60,9 +63,9 @@ def _random_states(kind: ModelKind, rng, n, t_max=3.0) -> list[State]:
 
 
 def drift_checks(initial: State, kind: ModelKind, *, t_end, rel_tol, abs_tol,
-                 sample_interval, drift_tol) -> list[CheckResult]:
+                 sample_interval, max_step, drift_tol) -> list[CheckResult]:
     cfg = IntegratorConfig(t_end=t_end, sample_interval=sample_interval,
-                           rel_tol=rel_tol, abs_tol=abs_tol)
+                           rel_tol=rel_tol, abs_tol=abs_tol, max_step=max_step)
     report = invariants.invariant_report(integrate(initial, kind, cfg))
     return [_result(f"invariant_drift_{name}", drift, drift_tol)
             for name, drift in sorted(report.drift.items())]
@@ -215,16 +218,22 @@ def hydro_checks(kind: ModelKind, rng, *, rel_tol, abs_tol) -> list[CheckResult]
 
 def run_verification(kind: ModelKind, initial: State | None = None, *,
                      t_end: float = 50.0, rel_tol: float = 1e-10,
-                     abs_tol: float = 1e-12, sample_interval: float = 0.5,
+                     abs_tol: float = 1e-12,
+                     sample_interval: float = DRIFT_SAMPLE_INTERVAL,
+                     max_step: float = math.inf,
                      drift_tol: float = 1e-8, seed: int = 0,
                      do_analytic: bool = True, do_symmetry: bool = True,
                      do_hydro: bool = True) -> list[CheckResult]:
-    """Run every check applicable to ``kind`` and return the results."""
+    """Run every check applicable to ``kind`` and return the results.
+
+    ``sample_interval`` and ``max_step`` apply to the drift check, the run
+    from ``initial`` to ``t_end``; the other checks fix their own grids.
+    """
     rng = np.random.default_rng(seed)
     initial = default_initial_state(kind) if initial is None else initial
     results = drift_checks(initial, kind, t_end=t_end, rel_tol=rel_tol,
                            abs_tol=abs_tol, sample_interval=sample_interval,
-                           drift_tol=drift_tol)
+                           max_step=max_step, drift_tol=drift_tol)
     if do_analytic:
         results += analytic_checks(initial, kind, rel_tol=rel_tol, abs_tol=abs_tol)
     if do_symmetry:

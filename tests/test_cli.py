@@ -116,6 +116,21 @@ class TestSimulate:
         i_val = doc["rows"][0][doc["columns"].index("I")]
         assert itilde == pytest.approx(2 * i_val, rel=1e-15)
 
+    @pytest.mark.parametrize("model,state", [
+        ("1d", ["--X", "1"]), ("2d", ["--X", "1", "--Y", "1.3"]),
+        ("3d", ["--X", "1", "--Y", "1.3", "--Z", "0.9"]),
+        ("elliptic", ["--X", "1", "--Y", "1.3"])], ids=["1d", "2d", "3d", "elliptic"])
+    def test_csv_and_json_tables_agree(self, model, state, tmp_path):
+        # an absent column is an empty CSV field exactly where JSON has null
+        args = ["simulate", "--model", model, *state, "--Xdot", "-0.2", "--t-end", "0.5"]
+        assert main(args + ["--out", str(tmp_path / "t.csv")]) == 0
+        assert main(args + ["--format", "json", "--out", str(tmp_path / "t.json")]) == 0
+        _, header, rows = read_csv(tmp_path / "t.csv")
+        doc = json.loads((tmp_path / "t.json").read_text())
+        assert header == doc["columns"] and len(rows) == len(doc["rows"]) == 51
+        for fields, values in zip(rows, doc["rows"]):
+            assert fields == ["" if v is None else f"{v:.17g}" for v in values]
+
     def test_output_is_deterministic(self, tmp_path):
         args = ["simulate", "--model", "2d", "--X", "1", "--Y", "1.3",
                 "--t-end", "2"]
@@ -248,6 +263,26 @@ class TestVerify:
                      "--out", str(out)]) == 0
         names = {c["name"] for c in json.loads(out.read_text())["checks"]}
         assert all(n.startswith("invariant_drift") for n in names)
+
+    @pytest.mark.parametrize("flag", ["--sample-interval", "--max-step"])
+    def test_nan_drift_run_setting_is_config_error(self, flag, tmp_path):
+        assert main(["verify", "--model", "1d", "--t-end", "1", flag, "nan",
+                     "--out", str(tmp_path / "report.json")]) == 2
+
+    def test_drift_run_takes_sample_interval_and_max_step(self, tmp_path):
+        out = tmp_path / "report.json"
+
+        def drift_values(*flags):
+            assert main(["verify", "--model", "2d", "--t-end", "5", *flags,
+                         "--no-symmetry", "--no-hydro", "--no-analytic",
+                         "--out", str(out)]) == 0
+            return {c["name"]: c["value"] for c in json.loads(out.read_text())["checks"]}
+
+        default = drift_values()
+        # verify's own 0.5 spacing by default, not simulate's 0.01
+        assert drift_values("--sample-interval", "0.5") == default
+        assert drift_values("--sample-interval", "0.1") != default
+        assert drift_values("--max-step", "0.05") != default
 
 
 class TestAnalytic:

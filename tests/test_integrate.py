@@ -1,11 +1,15 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fireball import (DomainError, IntegrationError, IntegratorConfig,
                       ModelKind, SingularityError, State, Trajectory,
                       energies, integrate, one_d_solution)
+from fireball.analytic import _angular_potential_slope
+from fireball.dynamics import vector_field
 from fireball.integrate import _hermite, sample_grid, solve_ode
 from fireball.invariants import hamiltonian_values
 
@@ -174,3 +178,246 @@ class TestHermiteFallback:
             got = _hermite(t, t0, np.array([poly(t0)]), np.array([dpoly(t0)]),
                            t1, np.array([poly(t1)]), np.array([dpoly(t1)]))
             assert got[0] == pytest.approx(poly(t), rel=1e-13)
+
+
+# The stepper as written by hand, with its own copy of the Dormand & Prince
+# (1980) tableau: one list comprehension over zip per stage and a loop for
+# the error norm.  solve_ode's generated kernel must match it bit for bit.
+_REF_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_REF_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_REF_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def reference_solve_ode(f, t0, y0, sample_times, *, rel_tol=1e-10, abs_tol=1e-12,
+                        max_step=math.inf, initial_step=None, guard=None):
+    (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6)) = _REF_A
+    _, c2, c3, c4, c5, _, _ = _REF_C
+    e1, _, e3, e4, e5, e6, e7 = _REF_E
+
+    def singular(t, y):
+        return SingularityError("guard", last_t=t, last_y=np.array(y))
+
+    y = [float(v) for v in y0]
+    n = len(y)
+    t = float(t0)
+    times = np.asarray(sample_times, dtype=float).tolist()
+    t_end = times[-1]
+    span = t_end - t
+    out = []
+    n_samples = len(times)
+    next_idx = 0
+    while next_idx < n_samples and times[next_idx] <= t + 1e-14 * max(1.0, abs(t)):
+        out.extend(y)
+        next_idx += 1
+    if span == 0.0:
+        return np.array(out).reshape(-1, n)
+
+    h = initial_step if initial_step is not None else min(max_step, span / 100.0, 0.1)
+    h = min(h, span)
+    k1 = f(t, y)
+    guard_rejects = 0
+    t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
+    while t < t_stop:
+        h = min(h, max_step, t_end - t)
+        if next_idx < n_samples:
+            h = min(h, times[next_idx] - t)
+        if h < 1e-14 * max(1.0, abs(t)):
+            if guard_rejects > 0:
+                raise SingularityError("floor", last_t=t, last_y=np.array(y))
+            raise IntegrationError("underflow", last_t=t, last_y=np.array(y))
+        try:
+            k2 = f(t + c2 * h, [u + h * (a21 * p1) for u, p1 in zip(y, k1)])
+            k3 = f(t + c3 * h, [u + h * (a31 * p1 + a32 * p2)
+                                for u, p1, p2 in zip(y, k1, k2)])
+            k4 = f(t + c4 * h, [u + h * (a41 * p1 + a42 * p2 + a43 * p3)
+                                for u, p1, p2, p3 in zip(y, k1, k2, k3)])
+            k5 = f(t + c5 * h, [u + h * (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
+                                for u, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
+            k6 = f(t + h, [u + h * (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
+                           for u, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [u + h * (b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
+                     for u, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
+            k7 = f(t + h, y_new)
+        except DomainError:
+            guard_rejects += 1
+            if guard_rejects > 50:
+                raise singular(t, y) from None
+            h *= 0.5
+            continue
+        if guard is not None and not guard(y_new):
+            guard_rejects += 1
+            if guard_rejects > 50:
+                raise singular(t, y)
+            h *= 0.5
+            continue
+        guard_rejects = 0
+
+        sq = 0.0
+        for u, v, p1, p3, p4, p5, p6, p7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+            u, v = abs(u), abs(v)
+            e = h * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7) \
+                / (abs_tol + rel_tol * (u if u > v else v))
+            sq += e * e
+        err = math.sqrt(sq / n)
+
+        if err <= 1.0:
+            t_new = t + h
+            tol = 1e-14 * max(1.0, abs(t_new))
+            while next_idx < n_samples and times[next_idx] <= t_new + tol:
+                ts = times[next_idx]
+                if abs(ts - t_new) <= tol:
+                    out.extend(y_new)
+                else:
+                    out.extend(_hermite(ts, t, np.array(y), np.array(k1),
+                                        t_new, np.array(y_new), np.array(k7)))
+                next_idx += 1
+            t, y, k1 = t_new, y_new, k7
+            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+        else:
+            factor = min(1.0, max(0.2, 0.9 * err ** -0.2))
+        h *= factor
+
+    while next_idx < n_samples:
+        out.extend(y)
+        next_idx += 1
+    return np.array(out).reshape(-1, n)
+
+
+def counted(f):
+    """``f`` with a call counter in ``.calls``."""
+    def wrapper(t, y):
+        wrapper.calls += 1
+        return f(t, y)
+    wrapper.calls = 0
+    return wrapper
+
+
+def outcome(solver, make_field, *args, **kwargs):
+    """(samples or the raised error's type and last state, RHS calls)."""
+    f = counted(make_field())
+    try:
+        result = solver(f, *args, **kwargs)
+    except IntegrationError as exc:  # SingularityError included
+        result = (type(exc), exc.last_t, exc.last_y.tolist())
+    return result, f.calls
+
+
+def assert_matches_reference(make_field, *args, **kwargs):
+    """solve_ode and the reference give the same samples (or the same error
+    at the same state) bit for bit, with the same number of RHS calls."""
+    got, got_calls = outcome(solve_ode, make_field, *args, **kwargs)
+    want, want_calls = outcome(reference_solve_ode, make_field, *args, **kwargs)
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert got == want
+    assert got_calls == want_calls
+    return got
+
+
+class TestReferenceStepper:
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_model_fields(self, kind, data):
+        d = kind.dim
+        q = [data.draw(st.floats(0.6, 1.8)) for _ in range(d)]
+        qdot = [data.draw(st.floats(-0.8, 0.8)) for _ in range(d)]
+        t0 = data.draw(st.floats(0.0, 3.0))
+        landing = sample_grid(t0, t0 + 0.5, 1e-3)
+        tolerance_bound = sample_grid(t0, 1e4, 1e3)
+        for grid in (landing, tolerance_bound):
+            assert_matches_reference(lambda: vector_field(kind), t0, q + qdot, grid)
+
+    @settings(max_examples=6, deadline=None)
+    @given(invariant=st.floats(2.5, 40.0), sign=st.sampled_from([-1.0, 1.0]))
+    def test_guarded_angular_field(self, invariant, sign):
+        # angular_quadrature's field and guard, plus a guard that also turns
+        # down about a third of the steps, so the guard path runs often
+        def make_field():
+            return lambda _t, y: (y[1], -_angular_potential_slope(y[0], ModelKind.TWO_D))
+
+        refusals = []
+
+        def guard(y):
+            ok = 0.0 < y[0] < math.pi / 2.0 and math.sin(1e4 * y[1]) < 0.5
+            if not ok:
+                refusals.append(y)
+            return ok
+
+        v0 = sign * math.sqrt(2.0 * (invariant - 2.0))
+        grid = sample_grid(0.0, 3.0, 0.01)
+        assert_matches_reference(make_field, 0.0, [math.pi / 4.0, v0], grid,
+                                 rel_tol=1e-12, abs_tol=1e-12, guard=guard)
+        assert refusals
+
+    def test_guard_singularity_is_the_same(self):
+        got = assert_matches_reference(lambda: lambda _t, y: (y[1], -1.0), 0.0,
+                                       [1.0, 0.0], np.array([0.0, 3.0]),
+                                       guard=lambda y: y[0] > 0.0)
+        assert got[0] is SingularityError
+
+    def test_domain_error_mid_step(self):
+        # every 11th call refuses its stage, so the refusal falls on each of
+        # stages 2-7 in turn
+        def make_field():
+            calls = [0]
+
+            def f(_t, y):
+                calls[0] += 1
+                if calls[0] % 11 == 0:
+                    raise DomainError("refused stage")
+                return y[2], y[3], -y[0], -2.0 * y[1]
+            return f
+
+        assert_matches_reference(make_field, 0.0, [1.0, 0.5, 0.0, 0.3],
+                                 sample_grid(0.0, 5.0, 0.05))
+
+    @pytest.mark.parametrize("make_field,y0", [
+        (lambda: lambda t, y: [-0.5 * y[0] + math.sin(t)], [1.3]),
+        (lambda: lambda t, y: np.array([y[1], -y[0] * y[2], y[0] * y[1] - 0.1 * y[2]]),
+         [0.2, 1.0, -0.4]),
+        (lambda: lambda t, y: (10.0 * (y[1] - y[0]), y[0] * (28.0 - y[2]) - y[1],
+                               y[0] * y[1] - 8.0 / 3.0 * y[2]), [1.0, 1.0, 1.0]),
+    ], ids=["n1", "n3-array", "n3-lorenz"])
+    def test_custom_sizes(self, make_field, y0):
+        for grid, kw in ((sample_grid(0.0, 2.0, 1e-3), {}),
+                         (np.array([0.0, 0.7, 2.0]), {"rel_tol": 1e-8}),
+                         (np.array([0.0, 2.0]), {"max_step": 0.3, "initial_step": 0.01})):
+            assert_matches_reference(make_field, 0.0, y0, grid, **kw)
+
+    @pytest.mark.parametrize("reply", [(1.0,), (1.0, 2.0, 3.0)], ids=["short", "long"])
+    def test_field_of_wrong_length_raises(self, reply):
+        def f(t, y):
+            return reply
+
+        with pytest.raises(ValueError):
+            solve_ode(f, 0.0, [1.0, 0.0], np.array([0.0, 1.0]))
+
+
+class TestBenchmarkContract:
+    """perfbench/spans.py reads solve_ode's step record and wraps the ``f``
+    it is given to count RHS evaluations."""
+
+    def test_step_record_and_rhs_calls(self, caplog):
+        kind = ModelKind.TWO_D
+        f = counted(vector_field(kind))
+        with caplog.at_level(logging.DEBUG, logger="fireball.integrate"):
+            solve_ode(f, 0.0, [1.0, 1.3, -0.2, 0.35], sample_grid(0.0, 20.0, 0.5))
+        records = [r for r in caplog.records if str(r.msg).startswith("solve_ode:")]
+        assert len(records) == 1
+        accepted, rejected = records[0].args[0:2]
+        assert type(accepted) is int and type(rejected) is int
+        assert accepted > 0 and rejected > 0
+        # no stage raises here: one call to start, six per attempted step
+        assert f.calls == 1 + 6 * (accepted + rejected)

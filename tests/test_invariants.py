@@ -11,7 +11,8 @@ from fireball import (DomainError, IntegratorConfig, ModelKind, State,
                       one_d_solution, pinney_coupling, polar_invariants,
                       to_polar, two_d_coupling)
 from fireball.invariants import (ELLIPTIC_POLAR_COEFF, ERMAKOV_MIN_2D,
-                                 ERMAKOV_MIN_ELLIPTIC)
+                                 ERMAKOV_MIN_ELLIPTIC, hamiltonian_values,
+                                 noether_values)
 
 positive = st.floats(min_value=0.1, max_value=8.0)
 rate = st.floats(min_value=-3.0, max_value=3.0)
@@ -191,3 +192,15 @@ class TestReport:
         cfg = IntegratorConfig(t_end=50.0, sample_interval=0.1)
         report = invariant_report(integrate(s, ModelKind.TWO_D, cfg))
         assert np.all(report.values["I"] >= ERMAKOV_MIN_2D)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_values_equal_the_batch_functions(self, kind):
+        # the report evaluates H once and derives J from it: same bits
+        traj = integrate(State(t=0.5, q=[1.1, 0.8, 1.4][:kind.dim],
+                               qdot=[0.3, -0.2, 0.1][:kind.dim]),
+                         kind, IntegratorConfig(t_end=3.0, sample_interval=0.25))
+        report = invariant_report(traj)
+        assert np.array_equal(report.values["H"],
+                              hamiltonian_values(traj.qs, traj.qdots, kind))
+        assert np.array_equal(report.values["J"],
+                              noether_values(traj.times, traj.qs, traj.qdots, kind))
