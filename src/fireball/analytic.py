@@ -114,6 +114,20 @@ def _angular_potential_slope(phi: float, kind: ModelKind) -> float:
     return -(2.0 / 3.0) * ELLIPTIC_POLAR_COEFF * w ** (-5.0 / 3.0) * wprime
 
 
+def _angular_field(kind: ModelKind):
+    """Scalar field of (phi, dphi/dttilde) for :func:`solve_ode`.  It raises
+    DomainError for a stage outside (0, pi/2), so the solver rejects that
+    step, as it does at a variance floor."""
+    half_pi = math.pi / 2.0
+
+    def f(_t, y):
+        phi = y[0]
+        if not 0.0 < phi < half_pi:
+            raise DomainError(f"phi={phi!r} left (0, pi/2)")
+        return y[1], -_angular_potential_slope(phi, kind)
+    return f
+
+
 def angular_minimum(kind: ModelKind) -> tuple[float, float]:
     """(phi*, U(phi*)): location and value of the potential minimum."""
     if kind is ModelKind.TWO_D:
@@ -172,17 +186,8 @@ def angular_quadrature(sol: AngularSolution, kind: ModelKind, ttilde_grid,
             f"angle {sol.phi0} is classically forbidden for invariant {sol.invariant}")
     v0 = sol.sign0 * math.sqrt(max(v_sq, 0.0))
 
-    def f(_t, y):
-        return y[1], -_angular_potential_slope(y[0], kind)
-
-    def guard(y):
-        return 0.0 < y[0] < math.pi / 2.0
-
-    sample = grid if grid[0] == 0.0 else np.concatenate([[0.0], grid])
-    ys = solve_ode(f, 0.0, [sol.phi0, v0], sample,
-                   rel_tol=rel_tol, abs_tol=abs_tol, guard=guard)
-    if grid[0] != 0.0:
-        ys = ys[1:]
+    ys = solve_ode(_angular_field(kind), 0.0, [sol.phi0, v0], grid,
+                   rel_tol=rel_tol, abs_tol=abs_tol)
     return ys[:, 0], ys[:, 1]
 
 

@@ -39,15 +39,15 @@ _CONFIG_TYPES = {
     "model": str, "X": float, "Y": float, "Z": float,
     "Xdot": float, "Ydot": float, "Zdot": float,
     "t_end": float, "rel_tol": float, "abs_tol": float, "max_step": float,
-    "sample_interval": float, "out": str, "format": str, "jobs": int,
-    "seed": int, "drift_tol": float, "analytic": bool, "symmetry": bool,
+    "sample_interval": float, "out": str, "format": str, "seed": int,
+    "drift_tol": float, "analytic": bool, "symmetry": bool,
     "hydro": bool, "H": float, "I": float, "t0": float, "phi0": float,
     "sign0": int, "compare": bool,
 }
 
 _DEFAULTS = {
     "t_end": 10.0, "rel_tol": 1e-10, "abs_tol": 1e-12, "max_step": math.inf,
-    "sample_interval": 0.01, "format": "csv", "jobs": 1, "seed": 0,
+    "sample_interval": 0.01, "format": "csv", "seed": 0,
     "drift_tol": 1e-8, "analytic": True, "symmetry": True, "hydro": True,
     "t0": 0.0, "phi0": math.pi / 4.0, "sign0": 1, "compare": False,
 }
@@ -204,7 +204,7 @@ def _run_simulate(settings: dict) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    keys = _STATE_KEYS + _INTEGRATOR_KEYS + ["out", "format", "jobs"]
+    keys = _STATE_KEYS + _INTEGRATOR_KEYS + ["out", "format"]
     if not args.configs:
         return _run_simulate(_merge_settings(args, keys))
     # A sweep: each config file in turn, with the flags overriding it.
@@ -218,7 +218,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if out in outs:
             raise ConfigError(f"output path {out} used by more than one config")
         outs.add(out)
-    jobs = min(args.jobs or _DEFAULTS["jobs"], len(runs), os.cpu_count() or 1)
+    jobs = min(args.jobs or 1, len(runs), os.cpu_count() or 1)
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             codes = list(pool.map(_run_simulate, runs))

@@ -39,4 +39,5 @@ class IntegrationError(FireballError, RuntimeError):
 
 
 class SingularityError(IntegrationError):
-    """Repeated step rejections against the positivity guard (singular force)."""
+    """Repeated step rejections by a field that refuses the stage state, e.g.
+    at the variance floor (a singular force)."""

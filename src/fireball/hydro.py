@@ -99,8 +99,8 @@ class PdeResidualReport:
                          np.max(np.abs(self.energy))))
 
 
-def pde_residuals(params: PhysicalParams, traj: Trajectory, probe_points=None,
-                  kind: ModelKind | None = None) -> PdeResidualReport:
+def pde_residuals(params: PhysicalParams, traj: Trajectory,
+                  probe_points=None) -> PdeResidualReport:
     """Substitute the profile built on a (dimensionless) trajectory into the
     hydrodynamic equations.
 
@@ -108,9 +108,7 @@ def pde_residuals(params: PhysicalParams, traj: Trajectory, probe_points=None,
     per spatial axis (must lie within +-5); each residual is evaluated at the
     fixed physical location selected by the stencil's center sample.
     """
-    kind = traj.kind if kind is None else kind
-    if kind is not traj.kind:
-        raise DomainError(f"trajectory is {traj.kind.value!r}, not {kind.value!r}")
+    kind = traj.kind
     if len(traj) < 3:
         raise InsufficientDataError(
             f"need at least 3 samples for time differencing, got {len(traj)}")

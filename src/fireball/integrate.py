@@ -1,11 +1,10 @@
-"""Adaptive Dormand-Prince 5(4) integration with positivity guarding.
+"""Adaptive Dormand-Prince 5(4) integration.
 
 The embedded pair gives a 5th-order propagated solution with a 4th-order
-error estimate.  Steps land exactly on the sampling grid, so sampled values
-carry no interpolation error (once steps outgrow the grid spacing, cubic
-Hermite interpolation would dominate the drift of the conserved quantities);
-a two-point Hermite interpolant remains as the fallback for samples that end
-up strictly inside a step.
+error estimate.  Steps land exactly on the sampling grid, so every sample is
+a step's end state and carries no interpolation error (once steps outgrow
+the grid spacing, interpolation error would dominate the drift of the
+conserved quantities).
 
 The stepper works on Python floats: the state is a list, and the right-hand
 side ``f(t, y)`` receives a list of floats and returns a sequence of floats
@@ -21,11 +20,12 @@ of the hand-written stepper, term for term in tableau order, so every sample
 and every step decision is bit-identical to it; the tests keep that stepper
 as the reference.
 
-Positivity is checked once per stage, inside the model's vector field
-(:func:`fireball.dynamics.vector_field`): it raises :class:`DomainError` when
-any variance is <= POSITIVITY_FLOOR (1e-12).  The last stage evaluates f at
-the step's end point, so that check also covers every accepted state.  A
-step whose stage raises (or whose end state fails an optional ``guard``) is
+The field is the only check on the state: it raises :class:`DomainError`
+for a stage outside its domain.  The models' fields
+(:func:`fireball.dynamics.vector_field`) do so when any variance is
+<= POSITIVITY_FLOOR (1e-12), the angular quadrature's field when the angle
+leaves (0, pi/2).  The last stage evaluates f at the step's end point, so
+that check also covers every accepted state.  A step whose stage raises is
 rejected and halved; 50 consecutive such rejections raise
 :class:`SingularityError`.  Trajectories started from valid states never
 reach the axes (the Ermakov bound keeps X Y >= 1/H), so a singularity abort
@@ -65,7 +65,7 @@ _A = (
 # b5 - b4: weights of the local error estimate.
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
-_MAX_GUARD_REJECTS = 50
+_MAX_REFUSALS = 50
 
 
 def _step_source(n: int) -> str:
@@ -193,21 +193,6 @@ def sample_grid(t0: float, t_end: float, interval: float) -> np.ndarray:
     return grid
 
 
-def _hermite(t, t0, y0, f0, t1, y1, f1):
-    """Cubic Hermite value at t inside the accepted step [t0, t1]."""
-    h = t1 - t0
-    s = (t - t0) / h
-    s2, s3 = s * s, s * s * s
-    return ((2 * s3 - 3 * s2 + 1) * y0 + (s3 - 2 * s2 + s) * h * f0
-            + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * h * f1)
-
-
-def _singular(t, y) -> SingularityError:
-    return SingularityError(
-        f"positivity guard rejected {_MAX_GUARD_REJECTS} consecutive "
-        f"steps near t={t!r}", last_t=t, last_y=np.array(y))
-
-
 def solve_ode(f: Callable[[float, list], Sequence[float]],
               t0: float,
               y0: Sequence[float],
@@ -216,23 +201,25 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
               rel_tol: float = 1e-10,
               abs_tol: float = 1e-12,
               max_step: float = math.inf,
-              initial_step: float | None = None,
-              guard: Callable[[list], bool] | None = None) -> np.ndarray:
+              initial_step: float | None = None) -> np.ndarray:
     """Integrate y' = f(t, y) and return y at the requested sample times.
 
     ``f`` receives the state as a list of floats and returns a sequence of
     floats (a tuple, list or 1-d array) of the same length, else ValueError
-    is raised; it may raise :class:`DomainError` to reject a stage, e.g. at
-    a variance floor.
-    ``sample_times`` must be increasing and start at >= t0; integration runs
-    to its last entry.  ``guard`` (if given) receives each step's end state
-    as a list and must hold there; a DomainError from ``f`` and a failed
-    guard both reject the step.  Returns a (len(sample_times), len(y0)) array.
+    is raised; it raises :class:`DomainError` to reject a stage outside its
+    domain, e.g. at a variance floor.
+    ``sample_times`` must be non-decreasing, else DomainError is raised;
+    samples at or before t0 get y0, and integration runs to the last entry.
+    Every later sample is the end of a step, since steps land on them.
+    Returns a (len(sample_times), len(y0)) array.
     """
     y = [float(v) for v in y0]
     n = len(y)
     t = float(t0)
-    times = np.asarray(sample_times, dtype=float).tolist()
+    times = np.asarray(sample_times, dtype=float)
+    if np.any(np.diff(times) < 0.0):
+        raise DomainError("sample times must be non-decreasing")
+    times = times.tolist()
     t_end = times[-1]
     if t_end < t:
         raise DomainError(f"sample times end at {t_end} before start {t}")
@@ -253,7 +240,7 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     h = min(h, span)
     step = _step_kernel(n)
     k1 = f(t, y)
-    guard_rejects = 0
+    refusals = 0  # consecutive steps rejected by a DomainError from f
     n_steps = n_rejects = 0
 
     t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
@@ -270,9 +257,9 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
             h = times[next_idx] - t
         at = abs(t)
         if h < 1e-14 * (at if at > 1.0 else 1.0):
-            if guard_rejects > 0:
+            if refusals > 0:
                 raise SingularityError(
-                    f"positivity guard forced the step below the floor at t={t!r}",
+                    f"domain refusals forced the step below the floor at t={t!r}",
                     last_t=t, last_y=np.array(y))
             raise IntegrationError(
                 f"step size underflow at t={t!r} (h={h!r})", last_t=t, last_y=np.array(y))
@@ -280,21 +267,15 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
         try:
             y_new, k7, sq = step(f, t, h, y, k1, abs_tol, rel_tol)
         except DomainError:
-            guard_rejects += 1
-            if guard_rejects > _MAX_GUARD_REJECTS:
-                raise _singular(t, y) from None
+            refusals += 1
+            if refusals > _MAX_REFUSALS:
+                raise SingularityError(
+                    f"the field refused {_MAX_REFUSALS} consecutive steps near t={t!r}",
+                    last_t=t, last_y=np.array(y)) from None
             n_rejects += 1
             h *= 0.5
             continue
-
-        if guard is not None and not guard(y_new):
-            guard_rejects += 1
-            if guard_rejects > _MAX_GUARD_REJECTS:
-                raise _singular(t, y)
-            n_rejects += 1
-            h *= 0.5
-            continue
-        guard_rejects = 0
+        refusals = 0
 
         err = math.sqrt(sq / n)
 
@@ -302,13 +283,11 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
             t_new = t + h
             at = abs(t_new)
             tol = 1e-14 * (at if at > 1.0 else 1.0)
+            # The step landed on (or stopped short of) the next sample, and
+            # the samples do not decrease, so each one emitted here lies
+            # within tol of t_new.
             while next_idx < n_samples and times[next_idx] <= t_new + tol:
-                ts = times[next_idx]
-                if abs(ts - t_new) <= tol:
-                    out.extend(y_new)
-                else:
-                    out.extend(_hermite(ts, t, np.array(y), np.array(k1),
-                                        t_new, np.array(y_new), np.array(k7)))
+                out.extend(y_new)
                 next_idx += 1
             t, y, k1 = t_new, y_new, k7  # FSAL: k7 = f(t_new, y_new)
             n_steps += 1

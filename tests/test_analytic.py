@@ -128,6 +128,19 @@ class TestAngular:
             along = 0.5 * dphi ** 2 + angular_potential(phi, kind)
             assert np.max(np.abs(along - inv)) <= 1e-8
 
+    def test_stage_leaving_the_range_is_rejected(self):
+        # At a large invariant the steps overshoot the turning points, so
+        # stages fall outside (0, pi/2), where the elliptic slope would take
+        # a complex power; the field must reject them.
+        inv = 1e4
+        kind = ModelKind.ELLIPTIC_3D
+        phi, dphi = angular_quadrature(
+            AngularSolution(invariant=inv, phi0=math.atan(1.0 / math.sqrt(2.0))),
+            kind, np.linspace(0.0, 2.0, 11), rel_tol=1e-8, abs_tol=1e-8)
+        assert np.all((phi > 0.0) & (phi < math.pi / 2.0))
+        along = 0.5 * dphi ** 2 + angular_potential(phi, kind)
+        assert np.max(np.abs(along - inv)) / inv <= 1e-4
+
     def test_no_motion_below_minimum(self):
         with pytest.raises(NoMotionError):
             angular_quadrature(AngularSolution(invariant=1.9, phi0=math.pi / 4),

@@ -168,6 +168,16 @@ class TestConfigFile:
             parse_config_file(str(cfg))
         assert main(["simulate", "--config", str(cfg)]) == 2
 
+    def test_jobs_is_a_flag_not_a_config_key(self, tmp_path):
+        # a sweep runs its configs with --jobs; a jobs line in one config
+        # would be silently ignored, so it is an unknown key
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = 1d\nX = 1.0\nt_end = 0.1\njobs = 2\n"
+                       f"out = {tmp_path / 'out.csv'}\n")
+        assert main(["simulate", str(cfg)]) == 2
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert not (tmp_path / "out.csv").exists()
+
     def test_missing_file(self):
         assert main(["simulate", "--config", "/nonexistent/run.cfg"]) == 2
 

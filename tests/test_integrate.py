@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from fireball import (DomainError, IntegrationError, IntegratorConfig,
                       ModelKind, SingularityError, State, Trajectory,
                       energies, integrate, one_d_solution)
-from fireball.analytic import _angular_potential_slope
+from fireball.analytic import _angular_field, angular_potential
 from fireball.dynamics import vector_field
-from fireball.integrate import _hermite, sample_grid, solve_ode
+from fireball.integrate import sample_grid, solve_ode
 from fireball.invariants import hamiltonian_values
 
 
@@ -127,15 +127,19 @@ class TestTrajectory:
 
 class TestGuards:
     def test_singularity_error_carries_last_state(self):
-        # contrived ODE heading straight into the guard
+        # contrived ODE heading straight into a floor on its first component;
+        # the second component is the time, so the whole state is checked
         def f(t, y):
-            return np.array([-1.0])
+            if not y[0] > 1e-12:
+                raise DomainError("below the floor")
+            return np.array([-1.0, 1.0])
 
         with pytest.raises(SingularityError) as err:
-            solve_ode(f, 0.0, np.array([1.0]), np.array([0.0, 2.0]),
-                      guard=lambda y: y[0] > 1e-12)
-        assert err.value.last_t is not None
-        assert err.value.last_y[0] > 0.0
+            solve_ode(f, 0.0, np.array([1.0, 0.0]), np.array([0.0, 2.0]))
+        last_t, last_y = err.value.last_t, err.value.last_y
+        assert last_t == pytest.approx(1.0, abs=1e-6)
+        assert last_y.shape == (2,) and last_y[0] > 0.0
+        assert last_y[1] == pytest.approx(last_t, rel=1e-12)
 
     def test_floor_raised_by_f_rejects_steps(self):
         # the model fields' form of the guard: f itself refuses the stage
@@ -167,17 +171,15 @@ class TestGuards:
                 solve_ode(f, 0.0, np.array([1.0]), np.array([0.0, 2.0]))
         assert "t=" in str(err.value)
 
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 0.5, 2.0], [0.0, 1.0, 1.0 - 1e-9, 2.0]],
+                             ids=["back-a-step", "back-by-1e-9"])
+    def test_decreasing_sample_times_raise(self, times):
+        with pytest.raises(DomainError):
+            solve_ode(lambda t, y: (-y[0],), 0.0, [1.0], np.array(times))
 
-class TestHermiteFallback:
-    def test_cubic_is_reproduced_exactly(self):
-        # interpolant must be exact for cubics (4th-order accurate)
-        poly = np.polynomial.Polynomial([0.3, -1.2, 0.7, 2.0])
-        dpoly = poly.deriv()
-        t0, t1 = 0.5, 1.7
-        for t in np.linspace(t0, t1, 7):
-            got = _hermite(t, t0, np.array([poly(t0)]), np.array([dpoly(t0)]),
-                           t1, np.array([poly(t1)]), np.array([dpoly(t1)]))
-            assert got[0] == pytest.approx(poly(t), rel=1e-13)
+    def test_repeated_sample_times_are_the_same_sample(self):
+        ys = solve_ode(lambda t, y: (-y[0],), 0.0, [1.0], np.array([0.0, 0.5, 0.5, 1.0]))
+        assert ys[1].tobytes() == ys[2].tobytes()
 
 
 # The stepper as written by hand, with its own copy of the Dormand & Prince
@@ -197,14 +199,11 @@ _REF_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1
 
 
 def reference_solve_ode(f, t0, y0, sample_times, *, rel_tol=1e-10, abs_tol=1e-12,
-                        max_step=math.inf, initial_step=None, guard=None):
+                        max_step=math.inf, initial_step=None):
     (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
      (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6)) = _REF_A
     _, c2, c3, c4, c5, _, _ = _REF_C
     e1, _, e3, e4, e5, e6, e7 = _REF_E
-
-    def singular(t, y):
-        return SingularityError("guard", last_t=t, last_y=np.array(y))
 
     y = [float(v) for v in y0]
     n = len(y)
@@ -224,14 +223,14 @@ def reference_solve_ode(f, t0, y0, sample_times, *, rel_tol=1e-10, abs_tol=1e-12
     h = initial_step if initial_step is not None else min(max_step, span / 100.0, 0.1)
     h = min(h, span)
     k1 = f(t, y)
-    guard_rejects = 0
+    refusals = 0
     t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
     while t < t_stop:
         h = min(h, max_step, t_end - t)
         if next_idx < n_samples:
             h = min(h, times[next_idx] - t)
         if h < 1e-14 * max(1.0, abs(t)):
-            if guard_rejects > 0:
+            if refusals > 0:
                 raise SingularityError("floor", last_t=t, last_y=np.array(y))
             raise IntegrationError("underflow", last_t=t, last_y=np.array(y))
         try:
@@ -248,18 +247,12 @@ def reference_solve_ode(f, t0, y0, sample_times, *, rel_tol=1e-10, abs_tol=1e-12
                      for u, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
             k7 = f(t + h, y_new)
         except DomainError:
-            guard_rejects += 1
-            if guard_rejects > 50:
-                raise singular(t, y) from None
+            refusals += 1
+            if refusals > 50:
+                raise SingularityError("refused", last_t=t, last_y=np.array(y)) from None
             h *= 0.5
             continue
-        if guard is not None and not guard(y_new):
-            guard_rejects += 1
-            if guard_rejects > 50:
-                raise singular(t, y)
-            h *= 0.5
-            continue
-        guard_rejects = 0
+        refusals = 0
 
         sq = 0.0
         for u, v, p1, p3, p4, p5, p6, p7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
@@ -273,12 +266,9 @@ def reference_solve_ode(f, t0, y0, sample_times, *, rel_tol=1e-10, abs_tol=1e-12
             t_new = t + h
             tol = 1e-14 * max(1.0, abs(t_new))
             while next_idx < n_samples and times[next_idx] <= t_new + tol:
-                ts = times[next_idx]
-                if abs(ts - t_new) <= tol:
-                    out.extend(y_new)
-                else:
-                    out.extend(_hermite(ts, t, np.array(y), np.array(k1),
-                                        t_new, np.array(y_new), np.array(k7)))
+                # every sample is a step's end: none falls inside a step
+                assert abs(times[next_idx] - t_new) <= tol, "sample inside a step"
+                out.extend(y_new)
                 next_idx += 1
             t, y, k1 = t_new, y_new, k7
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
@@ -342,29 +332,61 @@ class TestReferenceStepper:
     @settings(max_examples=6, deadline=None)
     @given(invariant=st.floats(2.5, 40.0), sign=st.sampled_from([-1.0, 1.0]))
     def test_guarded_angular_field(self, invariant, sign):
-        # angular_quadrature's field and guard, plus a guard that also turns
-        # down about a third of the steps, so the guard path runs often
-        def make_field():
-            return lambda _t, y: (y[1], -_angular_potential_slope(y[0], ModelKind.TWO_D))
-
+        # angular_quadrature's field, made to refuse every 19th call too, so
+        # that about a third of the steps are refused at one stage or another
         refusals = []
 
-        def guard(y):
-            ok = 0.0 < y[0] < math.pi / 2.0 and math.sin(1e4 * y[1]) < 0.5
-            if not ok:
-                refusals.append(y)
-            return ok
+        def make_field():
+            field = _angular_field(ModelKind.TWO_D)
+            calls = [0]
+
+            def f(t, y):
+                calls[0] += 1
+                if calls[0] % 19 == 0:
+                    refusals.append(y)
+                    raise DomainError("refused stage")
+                return field(t, y)
+            return f
 
         v0 = sign * math.sqrt(2.0 * (invariant - 2.0))
         grid = sample_grid(0.0, 3.0, 0.01)
         assert_matches_reference(make_field, 0.0, [math.pi / 4.0, v0], grid,
-                                 rel_tol=1e-12, abs_tol=1e-12, guard=guard)
+                                 rel_tol=1e-12, abs_tol=1e-12)
         assert refusals
 
+    def test_angular_field_refuses_out_of_range_stages(self):
+        # at this invariant some elliptic stages step phi out of (0, pi/2)
+        kind = ModelKind.ELLIPTIC_3D
+        phi0, invariant = math.atan(1.0 / math.sqrt(2.0)), 1e4
+        v0 = math.sqrt(2.0 * (invariant - float(angular_potential(phi0, kind))))
+        refusals = []
+
+        def make_field():
+            field = _angular_field(kind)
+
+            def f(t, y):
+                try:
+                    return field(t, y)
+                except DomainError:
+                    refusals.append(y)
+                    raise
+            return f
+
+        got = assert_matches_reference(make_field, 0.0, [phi0, v0], np.linspace(0.0, 2.0, 11),
+                                       rel_tol=1e-8, abs_tol=1e-8)
+        assert isinstance(got, np.ndarray) and refusals
+        assert all(not 0.0 < y[0] < math.pi / 2.0 for y in refusals)
+
     def test_guard_singularity_is_the_same(self):
-        got = assert_matches_reference(lambda: lambda _t, y: (y[1], -1.0), 0.0,
-                                       [1.0, 0.0], np.array([0.0, 3.0]),
-                                       guard=lambda y: y[0] > 0.0)
+        # a field that refuses y[0] <= 0 while y[0] falls towards 0
+        def make_field():
+            def f(_t, y):
+                if not y[0] > 0.0:
+                    raise DomainError("refused stage")
+                return y[1], -1.0
+            return f
+
+        got = assert_matches_reference(make_field, 0.0, [1.0, 0.0], np.array([0.0, 3.0]))
         assert got[0] is SingularityError
 
     def test_domain_error_mid_step(self):

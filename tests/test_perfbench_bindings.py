@@ -3,6 +3,7 @@ name.  A rename must fail here, not in the middle of a traced benchmark run."""
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -28,3 +29,12 @@ def test_traced_layer_resolves(layer, module, attr):
 
 def test_workloads_import():
     assert load("workloads").KINDS
+
+
+def test_solve_ode_leads_with_the_arguments_the_trace_reads():
+    # spans._count_rhs wraps args[0] as the field and takes len(args[3])
+    # as the sample count
+    from fireball.integrate import solve_ode
+
+    params = list(inspect.signature(solve_ode).parameters)
+    assert params[:4] == ["f", "t0", "y0", "sample_times"]
