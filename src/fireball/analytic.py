@@ -1,18 +1,24 @@
 """Closed-form solutions and quadrature procedures.
 
-The radial motion of the planar models decouples:
+In every model V is homogeneous of degree -2 in q, so r^2 = sum(M q^2)
+obeys the Lagrange-Jacobi identity d^2(r^2)/dt^2 = 4 H, and the radial law
+of all four models is
 
-    r(t)      = sqrt(2 H (t - t0)^2 + I / H)
-    ttilde(t) = int dt'/r^2 = arctan(sqrt(2/I) H (t - t0)) / sqrt(2 I)
+    r(t)      = sqrt(2 H (t - t0)^2 + C / H),   C = r^2 H - (r rdot)^2 / 2,
+    ttilde(t) = int dt'/r^2 = arctan(sqrt(2/C) H (t - t0)) / sqrt(2 C).
 
-and the angle obeys the 1-DOF energy law  I = (dphi/dttilde)^2 / 2 + U(phi).
+C is I for 2d, Itilde for elliptic, 1/2 for 1d (where r = X) and
+H r0^2 - J^2/2 for 3d.  For the planar models the angle of the stretched
+polar coordinates obeys the 1-DOF energy law C = (dphi/dttilde)^2 / 2 + U(phi),
+with U(phi) = V at the point of angle phi on the unit circle r = 1, and
+minimum U = D^2/2 at tan(phi) = sqrt(M_Y/M_X).
 The closed form of phi involves elliptic functions; here it is obtained by
 adaptive integration of the equivalent second-order equation
-phi'' = -U'(phi), which conserves I and reverses branch automatically at the
-turning points U(phi) = I.
+phi'' = -U'(phi), which conserves C and reverses branch automatically at the
+turning points U(phi) = C.
 
-The 1-d model is solved exactly, and its degenerate Ermakov pairing with free
-motion gives the nonlinear superposition law implemented at the bottom.
+The degenerate Ermakov pairing of the 1-d model with free motion gives the
+nonlinear superposition law implemented at the bottom.
 """
 
 from __future__ import annotations
@@ -22,18 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoMotionError, UnsupportedModelError
-from .models import ModelKind, State, radius, to_polar
+from .errors import DomainError, NoMotionError
+from .models import ModelKind, State, _require_planar, radius, to_polar
 from .integrate import solve_ode
-from .invariants import (ELLIPTIC_POLAR_COEFF, ermakov_invariant,
-                         itilde_invariant)
 from .dynamics import energies
 
 
 @dataclass(frozen=True)
 class RadialSolution:
-    """Parameters of the radial closed form: energy, invariant (I for 2d,
-    Itilde for elliptic), and the time offset t0 of closest approach."""
+    """Parameters of the radial law r^2 = 2 H (t - t0)^2 + C / H: the energy
+    H, the invariant C (I for 2d, Itilde for elliptic, 1/2 for 1d,
+    H r0^2 - J^2/2 for 3d), and the time t0 of closest approach."""
 
     energy: float
     invariant: float
@@ -47,20 +52,12 @@ class RadialSolution:
 
     @classmethod
     def from_state(cls, state: State, kind: ModelKind) -> "RadialSolution":
-        inv = _law_invariant(state, kind)
+        """The law through ``state``, with C = r^2 H - (r rdot)^2 / 2."""
         H = energies(state, kind).hamiltonian
-        _, r_rdot = radius(state.q, state.qdot, kind)
-        return cls(energy=H, invariant=inv, t0=state.t - float(r_rdot) / (2.0 * H))
-
-
-def _law_invariant(state: State, kind: ModelKind) -> float:
-    """Invariant of the radial and angular laws: I for 2d, Itilde for elliptic."""
-    if not kind.has_ermakov_invariant:
-        raise UnsupportedModelError(
-            f"radial solutions exist for 2d/elliptic models, not {kind.value!r}")
-    if kind is ModelKind.ELLIPTIC_3D:
-        return itilde_invariant(state)
-    return ermakov_invariant(state, kind)
+        r, r_rdot = radius(state.q, state.qdot, kind)
+        r, r_rdot = float(r), float(r_rdot)
+        return cls(energy=H, invariant=r * r * H - 0.5 * r_rdot * r_rdot,
+                   t0=state.t - r_rdot / (2.0 * H))
 
 
 def radial(sol: RadialSolution, t):
@@ -73,15 +70,11 @@ def radial(sol: RadialSolution, t):
 
 
 def radial_3d(H: float, J: float, r0: float, t):
-    """(r, rdot) of the 3-d law r^2 = 2 H t^2 - 2 J t + r0^2."""
+    """(r, rdot) of the 3-d law r^2 = 2 H t^2 - 2 J t + r0^2: the radial law
+    with C = H r0^2 - J^2/2 and t0 = J / (2 H)."""
     if H <= 0.0 or r0 <= 0.0:
         raise DomainError("3d radial law needs H > 0 and r0 > 0")
-    t = np.asarray(t, dtype=float)
-    r_sq = 2.0 * H * t ** 2 - 2.0 * J * t + r0 ** 2
-    if np.any(r_sq <= 0.0):
-        raise DomainError("r^2 <= 0 at a requested time; parameters unphysical")
-    r = np.sqrt(r_sq)
-    return r, (2.0 * H * t - J) / r
+    return radial(RadialSolution(H, H * r0 * r0 - 0.5 * J * J, J / (2.0 * H)), t)
 
 
 def time_reparam(sol: RadialSolution, t):
@@ -91,50 +84,51 @@ def time_reparam(sol: RadialSolution, t):
     return np.arctan(math.sqrt(2.0 / inv) * H * (t - sol.t0)) / math.sqrt(2.0 * inv)
 
 
+def _angular_law(kind: ModelKind) -> tuple[float, float, float, float]:
+    """(M_X, M_Y, K, p) with U(phi) = K (cos^M_X(phi) sin^M_Y(phi))^p:
+    p = -2/D and K = (D/2) (M_X^(M_X/2) M_Y^(M_Y/2))^(2/D)."""
+    _require_planar(kind)
+    Mx, My = kind.weights.tolist()
+    D = kind.spatial_dim
+    return Mx, My, D / 2 * (Mx ** (Mx / 2) * My ** (My / 2)) ** (2.0 / D), -2.0 / D
+
+
 def angular_potential(phi, kind: ModelKind):
-    """Effective angular potential U(phi) on (0, pi/2)."""
+    """Angular potential U(phi) on (0, pi/2): the potential V at
+    q = (cos(phi)/sqrt(M_X), sin(phi)/sqrt(M_Y)), the point of angle phi on
+    the unit circle r = 1.  It is 1/(sin(phi) cos(phi)) for 2d and
+    3 2^(-1/3) (cos^2(phi) sin(phi))^(-2/3) for elliptic."""
+    Mx, My, K, p = _angular_law(kind)
     phi = np.asarray(phi, dtype=float)
     if np.any((phi <= 0.0) | (phi >= math.pi / 2.0)):
         raise DomainError("phi must lie strictly inside (0, pi/2)")
-    if kind is ModelKind.TWO_D:
-        return 1.0 / (np.sin(phi) * np.cos(phi))
-    if kind is ModelKind.ELLIPTIC_3D:
-        return ELLIPTIC_POLAR_COEFF * (np.cos(phi) ** 2 * np.sin(phi)) ** (-2.0 / 3.0)
-    raise UnsupportedModelError(
-        f"angular motion is defined for 2d/elliptic models, not {kind.value!r}")
-
-
-def _angular_potential_slope(phi: float, kind: ModelKind) -> float:
-    if kind is ModelKind.TWO_D:
-        s2 = math.sin(2.0 * phi)
-        return -4.0 * math.cos(2.0 * phi) / (s2 * s2)
-    c, s = math.cos(phi), math.sin(phi)
-    w = c * c * s
-    wprime = c * (c * c - 2.0 * s * s)
-    return -(2.0 / 3.0) * ELLIPTIC_POLAR_COEFF * w ** (-5.0 / 3.0) * wprime
+    return K * (np.cos(phi) ** Mx * np.sin(phi) ** My) ** p
 
 
 def _angular_field(kind: ModelKind):
-    """Scalar field of (phi, dphi/dttilde) for :func:`solve_ode`.  It raises
+    """Scalar field of (phi, dphi/dttilde) for :func:`solve_ode`, with
+    -U'(phi) = (2 U / D) (M_Y cot(phi) - M_X tan(phi)).  It raises
     DomainError for a stage outside (0, pi/2), so the solver rejects that
     step, as it does at a variance floor."""
+    Mx, My, K, p = _angular_law(kind)
+    g = -p * K
     half_pi = math.pi / 2.0
+    cos, sin = math.cos, math.sin
 
     def f(_t, y):
         phi = y[0]
         if not 0.0 < phi < half_pi:
             raise DomainError(f"phi={phi!r} left (0, pi/2)")
-        return y[1], -_angular_potential_slope(phi, kind)
+        c, s = cos(phi), sin(phi)
+        return y[1], g * (c ** Mx * s ** My) ** p * (My * c / s - Mx * s / c)
     return f
 
 
 def angular_minimum(kind: ModelKind) -> tuple[float, float]:
-    """(phi*, U(phi*)): location and value of the potential minimum."""
-    if kind is ModelKind.TWO_D:
-        return math.pi / 4.0, 2.0
-    if kind is ModelKind.ELLIPTIC_3D:
-        return math.atan(1.0 / math.sqrt(2.0)), 4.5
-    raise UnsupportedModelError(str(kind))
+    """(phi*, U(phi*)) = (atan(sqrt(M_Y/M_X)), D^2/2): location and value of
+    the potential minimum."""
+    Mx, My, _, _ = _angular_law(kind)
+    return math.atan(math.sqrt(My / Mx)), kind.spatial_dim ** 2 / 2
 
 
 @dataclass(frozen=True)
@@ -155,7 +149,7 @@ class AngularSolution:
     @classmethod
     def from_state(cls, state: State, kind: ModelKind) -> "AngularSolution":
         polar = to_polar(state, kind)
-        inv = _law_invariant(state, kind)
+        inv = RadialSolution.from_state(state, kind).invariant
         speed = polar.r ** 2 * polar.phidot
         return cls(invariant=inv, phi0=polar.phi, sign0=-1 if speed < 0.0 else 1)
 
@@ -192,13 +186,9 @@ def angular_quadrature(sol: AngularSolution, kind: ModelKind, ttilde_grid,
 
 
 def one_d_solution(H: float, t0: float, t):
-    """Exact solution (X, Xdot) of Xdd = 1/X^3 at energy H > 0."""
-    if H <= 0.0:
-        raise DomainError(f"H must be positive, got {H}")
-    t = np.asarray(t, dtype=float)
-    dt = t - t0
-    X = np.sqrt(2.0 * H * dt ** 2 + 0.5 / H)
-    return X, 2.0 * H * dt / X
+    """Exact solution (X, Xdot) of Xdd = 1/X^3 at energy H > 0: the radial
+    law with C = 1/2, since r = X."""
+    return radial(RadialSolution(H, 0.5, t0), t)
 
 
 def superposition_1d(invariant: float, t0: float, t):

@@ -285,7 +285,8 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     grid = sample_grid(grid_start, cfg.t_end, cfg.sample_interval)
     r, rdot = analytic.radial(radial_sol, grid)
     ttilde = analytic.time_reparam(radial_sol, grid)
-    phi, _ = analytic.angular_quadrature(angular_sol, kind, _relative(ttilde))
+    # The angular motion is autonomous: its clock starts at 0.
+    phi, _ = analytic.angular_quadrature(angular_sol, kind, ttilde - ttilde[0])
 
     extra = []
     if settings["compare"]:
@@ -293,8 +294,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
             raise ConfigError("--compare requires an initial state (--X ...)")
         traj = integrate(initial, kind, cfg)
         r_num, _ = radius(traj.qs, traj.qdots, kind)
-        n = min(len(r_num), len(r))
-        extra.append(f"max_delta_r={np.max(np.abs(r_num[:n] - r[:n])):.17g}")
+        extra.append(f"max_delta_r={np.max(np.abs(r_num - r)):.17g}")
 
     meta = ["model", "H", "I", "t0", "t_end", "sample_interval"]
     settings["H"] = radial_sol.energy
@@ -304,11 +304,6 @@ def cmd_analytic(args: argparse.Namespace) -> int:
                 {"t": grid, "r": r, "rdot": rdot, "ttilde": ttilde, "phi": phi},
                 extra_comments=extra)
     return 0
-
-
-def _relative(ttilde: np.ndarray) -> np.ndarray:
-    """Shift a reparametrized-time grid to start at zero (autonomous motion)."""
-    return ttilde - ttilde[0]
 
 
 def build_parser() -> argparse.ArgumentParser:

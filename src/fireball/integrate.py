@@ -208,9 +208,10 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     floats (a tuple, list or 1-d array) of the same length, else ValueError
     is raised; it raises :class:`DomainError` to reject a stage outside its
     domain, e.g. at a variance floor.
-    ``sample_times`` must be non-decreasing, else DomainError is raised;
-    samples at or before t0 get y0, and integration runs to the last entry.
-    Every later sample is the end of a step, since steps land on them.
+    ``sample_times`` must be non-decreasing and start no earlier than t0
+    (within 1e-14 relative), else DomainError is raised; samples at t0 get
+    y0, and integration runs to the last entry.  Every later sample is the
+    end of a step, since steps land on them.
     Returns a (len(sample_times), len(y0)) array.
     """
     y = [float(v) for v in y0]
@@ -220,20 +221,21 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     if np.any(np.diff(times) < 0.0):
         raise DomainError("sample times must be non-decreasing")
     times = times.tolist()
+    t_tol = 1e-14 * max(1.0, abs(t))
+    if times[0] < t - t_tol:
+        raise DomainError(f"sample times start at {times[0]} before t0={t}")
     t_end = times[-1]
-    if t_end < t:
-        raise DomainError(f"sample times end at {t_end} before start {t}")
     span = t_end - t
 
     out = array("d")  # samples, row after row
     n_samples = len(times)
     next_idx = 0
-    # Emit any samples at (or numerically before) the start.
-    while next_idx < n_samples and times[next_idx] <= t + 1e-14 * max(1.0, abs(t)):
+    # Emit the samples at the start.
+    while next_idx < n_samples and times[next_idx] <= t + t_tol:
         out.extend(y)
         next_idx += 1
 
-    if span == 0.0:
+    if span <= 0.0:  # every sample is at the start
         return np.frombuffer(out).reshape(-1, n)
 
     h = initial_step if initial_step is not None else min(max_step, span / 100.0, 0.1)

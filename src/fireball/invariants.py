@@ -12,7 +12,6 @@ model (AM-GM on Y/X + X/Y) and I >= 9/4 for the elliptic one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,14 +20,8 @@ import numpy as np
 from .errors import DomainError, UnsupportedModelError
 from .models import ModelKind, PolarState, State, check_state
 from .integrate import Trajectory
+from .analytic import angular_potential
 from . import dynamics
-
-ERMAKOV_MIN_2D = 2.0
-ERMAKOV_MIN_ELLIPTIC = 2.25
-# Constant of the elliptic stretched-polar potential, fixed by direct
-# substitution of X = r cos(phi)/sqrt(2), Y = r sin(phi) into the cartesian
-# invariant (the naive coefficient 3/2 fails that substitution check).
-ELLIPTIC_POLAR_COEFF = 3.0 * 2.0 ** (-1.0 / 3.0)
 
 
 def hamiltonian_values(qs, qdots, kind: ModelKind) -> np.ndarray:
@@ -122,23 +115,15 @@ def general_ermakov_invariant(spec: GeneralErmakovSpec, X: float, Y: float,
 
 
 def polar_invariants(polar: PolarState, kind: ModelKind) -> tuple[float, float]:
-    """(H, invariant) in polar variables.
+    """(H, invariant) in polar variables: the invariant is
+    (r^2 phidot)^2 / 2 + U(phi) and H = rdot^2 / 2 + invariant / r^2.
 
     Returns (H, I) for the 2-d model and (H, Itilde) for the elliptic one;
     both match the cartesian evaluations after coordinate conversion.
     """
-    r, phi, rdot, phidot = polar.r, polar.phi, polar.rdot, polar.phidot
-    angular = r * r * phidot
-    if kind is ModelKind.TWO_D:
-        inv = 0.5 * angular ** 2 + 1.0 / (math.sin(phi) * math.cos(phi))
-    elif kind is ModelKind.ELLIPTIC_3D:
-        inv = 0.5 * angular ** 2 + ELLIPTIC_POLAR_COEFF \
-            * (math.cos(phi) ** 2 * math.sin(phi)) ** (-2.0 / 3.0)
-    else:
-        raise UnsupportedModelError(
-            f"polar invariants are defined for 2d/elliptic models, not {kind.value!r}")
-    H = 0.5 * rdot ** 2 + inv / r ** 2
-    return H, inv
+    inv = 0.5 * (polar.r * polar.r * polar.phidot) ** 2 \
+        + float(angular_potential(polar.phi, kind))
+    return 0.5 * polar.rdot ** 2 + inv / polar.r ** 2, inv
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,12 @@ from fireball import (AngularSolution, DomainError, IntegratorConfig,
                       ModelKind, NoMotionError, RadialSolution, State,
                       UnsupportedModelError, angular_quadrature, energies,
                       ermakov_invariant, general_ermakov_invariant, integrate,
+                      itilde_invariant,
                       noether_invariant, one_d_solution, pinney_coupling,
                       radial, radial_3d, superposition_1d, time_reparam,
                       to_polar)
-from fireball.analytic import angular_minimum, angular_potential
+from fireball.analytic import _angular_field, angular_minimum, angular_potential
+from fireball.dynamics import potential
 from fireball.models import radius
 
 
@@ -52,9 +54,35 @@ class TestRadial:
         assert float(rdot) == pytest.approx(
             float(s.q @ s.qdot) / float(np.linalg.norm(s.q)), rel=1e-10, abs=1e-12)
 
-    def test_from_state_rejects_1d(self):
-        with pytest.raises(UnsupportedModelError):
-            RadialSolution.from_state(State(t=0, q=[1], qdot=[0]), ModelKind.ONE_D)
+    def test_from_state_reproduces_the_1d_and_3d_laws(self):
+        times = np.linspace(0.0, 12.0, 49)
+        s = State(t=0.0, q=[0.9], qdot=[0.6])
+        sol = RadialSolution.from_state(s, ModelKind.ONE_D)
+        assert sol.invariant == pytest.approx(0.5, rel=1e-15)
+        X, Xd = one_d_solution(sol.energy, -0.9 * 0.6 / (2.0 * sol.energy), times)
+        r, rdot = radial(sol, times)
+        assert np.allclose(r, X, rtol=1e-15, atol=0.0)
+        assert np.allclose(rdot, Xd, rtol=1e-14, atol=1e-15)
+
+        kind = ModelKind.THREE_D
+        s = State(t=0.0, q=[1.0, 1.3, 0.9], qdot=[-0.2, 0.35, 0.15])
+        H = energies(s, kind).hamiltonian
+        r3, rdot3 = radial_3d(H, noether_invariant(s, kind), float(np.linalg.norm(s.q)),
+                              times)
+        r, rdot = radial(RadialSolution.from_state(s, kind), times)
+        assert np.allclose(r, r3, rtol=1e-14, atol=0.0)
+        assert np.allclose(rdot, rdot3, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", [ModelKind.TWO_D, ModelKind.ELLIPTIC_3D])
+    def test_from_state_invariant_is_the_ermakov_one(self, kind):
+        # C = r^2 H - (r rdot)^2 / 2 is I for 2d and Itilde = 2 I for elliptic
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            s = State(t=0.0, q=rng.uniform(0.3, 3.0, 2), qdot=rng.uniform(-1.5, 1.5, 2))
+            expected = (itilde_invariant(s) if kind is ModelKind.ELLIPTIC_3D
+                        else ermakov_invariant(s, kind))
+            assert RadialSolution.from_state(s, kind).invariant == pytest.approx(
+                expected, rel=1e-13)
 
 
 class TestRadial3d:
@@ -155,6 +183,34 @@ class TestAngular:
         with pytest.raises(DomainError):
             AngularSolution(invariant=3.0, phi0=math.pi / 2.0)
 
+    @pytest.mark.parametrize("kind", [ModelKind.TWO_D, ModelKind.ELLIPTIC_3D])
+    def test_potential_is_v_on_the_unit_circle(self, kind):
+        phi = np.linspace(0.05, 1.5, 30)
+        q = np.stack([np.cos(phi), np.sin(phi)], axis=-1) / np.sqrt(kind.weights)
+        assert np.allclose(angular_potential(phi, kind), potential(q, kind),
+                           rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("kind", [ModelKind.TWO_D, ModelKind.ELLIPTIC_3D])
+    @settings(max_examples=50, deadline=None)
+    @given(phi=st.floats(0.05, 1.5))
+    def test_field_slope_is_minus_the_potential_slope(self, kind, phi):
+        h = 1e-6
+        u = float(angular_potential(phi, kind))
+        slope = float(angular_potential(phi + h, kind)
+                      - angular_potential(phi - h, kind)) / (2.0 * h)
+        _, accel = _angular_field(kind)(0.0, [phi, 0.0])
+        assert abs(accel + slope) <= 1e-6 * u
+
+    @pytest.mark.parametrize("kind", [ModelKind.ONE_D, ModelKind.THREE_D])
+    def test_non_planar_models_are_unsupported(self, kind):
+        with pytest.raises(UnsupportedModelError):
+            angular_potential(0.5, kind)
+        with pytest.raises(UnsupportedModelError):
+            angular_minimum(kind)
+
+    def test_2d_minimum_is_exact(self):
+        assert angular_minimum(ModelKind.TWO_D) == (math.pi / 4.0, 2.0)
+
     def test_elliptic_minimum_value(self):
         phi_star, u_min = angular_minimum(ModelKind.ELLIPTIC_3D)
         assert u_min == pytest.approx(4.5, rel=1e-15)
@@ -202,14 +258,20 @@ class TestComposedPipeline:
                          IntegratorConfig(t_end=50.0, sample_interval=0.5))
         H = energies(initial, kind).hamiltonian
         r, r_rdot = radius(traj.qs, traj.qdots, kind)
+        t0 = -r_rdot[0] / (2.0 * H)
         if kind is ModelKind.ONE_D:
-            exact, _ = one_d_solution(H, -r_rdot[0] / (2.0 * H), traj.times)
+            exact, _ = one_d_solution(H, t0, traj.times)
         elif kind is ModelKind.THREE_D:
             exact, _ = radial_3d(H, noether_invariant(initial, kind), r[0],
                                  traj.times)
         else:
-            exact, _ = radial(RadialSolution.from_state(initial, kind), traj.times)
+            inv = (itilde_invariant(initial) if kind is ModelKind.ELLIPTIC_3D
+                   else ermakov_invariant(initial, kind))
+            exact, _ = radial(RadialSolution(H, inv, t0), traj.times)
         assert np.max(np.abs(r - exact) / exact) <= 1e-8
+        # the one law of every model, C = r^2 H - (r rdot)^2 / 2
+        generic, _ = radial(RadialSolution.from_state(initial, kind), traj.times)
+        assert np.max(np.abs(r - generic) / generic) <= 1e-8
 
     def test_1d_closed_form_vs_integrator(self):
         initial = State(t=0.0, q=[0.9], qdot=[0.6])

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import fireball
 from fireball.cli import CSV_COLUMNS, main, parse_config_file
 
 
@@ -335,7 +336,8 @@ class TestEntryPoint:
             [sys.executable, "-m", "fireball.cli", "simulate", "--model", "1d",
              "--X", "1", "--t-end", "0.5", "--out", "-"],
             capture_output=True, text=True, timeout=60,
+            # the package under test, wherever pytest found it
             env={"PATH": "/usr/bin:/bin", "FIREBALL_LOG": "debug",
-                 "PYTHONPATH": os.environ.get("PYTHONPATH", "")})
+                 "PYTHONPATH": os.path.dirname(os.path.dirname(fireball.__file__))})
         assert proc.returncode == 0
         assert proc.stdout.startswith("# schema=1")

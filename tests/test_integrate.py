@@ -177,6 +177,13 @@ class TestGuards:
         with pytest.raises(DomainError):
             solve_ode(lambda t, y: (-y[0],), 0.0, [1.0], np.array(times))
 
+    def test_sample_times_before_t0_raise(self):
+        with pytest.raises(DomainError):
+            solve_ode(lambda t, y: (1.0,), 1.0, [1.0], np.array([0.0, 0.5, 2.0]))
+        # within the 1e-14 tolerance of t0 a sample is the start
+        ys = solve_ode(lambda t, y: (1.0,), 1.0, [1.0], np.array([1.0 - 1e-16, 2.0]))
+        assert ys[:, 0].tolist() == [1.0, pytest.approx(2.0, rel=1e-14)]
+
     def test_repeated_sample_times_are_the_same_sample(self):
         ys = solve_ode(lambda t, y: (-y[0],), 0.0, [1.0], np.array([0.0, 0.5, 0.5, 1.0]))
         assert ys[1].tobytes() == ys[2].tobytes()

@@ -10,9 +10,8 @@ from fireball import (DomainError, IntegratorConfig, ModelKind, State,
                       invariant_report, itilde_invariant, noether_invariant,
                       one_d_solution, pinney_coupling, polar_invariants,
                       to_polar, two_d_coupling)
-from fireball.invariants import (ELLIPTIC_POLAR_COEFF, ERMAKOV_MIN_2D,
-                                 ERMAKOV_MIN_ELLIPTIC, hamiltonian_values,
-                                 noether_values)
+from fireball.analytic import angular_potential
+from fireball.invariants import hamiltonian_values, noether_values
 
 positive = st.floats(min_value=0.1, max_value=8.0)
 rate = st.floats(min_value=-3.0, max_value=3.0)
@@ -42,14 +41,14 @@ class TestErmakov:
     def test_2d_lower_bound(self, X, Y, Xd, Yd):
         value = ermakov_invariant(State(t=0, q=[X, Y], qdot=[Xd, Yd]),
                                   ModelKind.TWO_D)
-        assert value >= ERMAKOV_MIN_2D - 1e-12  # fp slack at the AM-GM minimum
+        assert value >= 2.0 - 1e-12  # fp slack at the AM-GM minimum
 
     @settings(max_examples=300, deadline=None)
     @given(X=positive, Y=positive, Xd=rate, Yd=rate)
     def test_elliptic_lower_bound(self, X, Y, Xd, Yd):
         value = ermakov_invariant(State(t=0, q=[X, Y], qdot=[Xd, Yd]),
                                   ModelKind.ELLIPTIC_3D)
-        assert value >= ERMAKOV_MIN_ELLIPTIC - 1e-12
+        assert value >= 9.0 / 4.0 - 1e-12
 
 
 class TestGeneralErmakov:
@@ -157,7 +156,11 @@ class TestPolarInvariants:
         naive = 1.5 * (math.cos(p.phi) ** 2 * math.sin(p.phi)) ** (-2.0 / 3.0)
         assert naive == pytest.approx(9.0 * 2.0 ** (-5.0 / 3.0), rel=1e-12)
         assert abs(naive - itilde_invariant(s)) > 1.0
-        assert ELLIPTIC_POLAR_COEFF == pytest.approx(3.0 * 2 ** (-1.0 / 3.0))
+        phi = np.linspace(0.05, 1.5, 30)
+        assert np.allclose(
+            angular_potential(phi, ModelKind.ELLIPTIC_3D),
+            3.0 * 2 ** (-1.0 / 3.0) * (np.cos(phi) ** 2 * np.sin(phi)) ** (-2.0 / 3.0),
+            rtol=1e-14, atol=0.0)
 
 
 class TestReport:
@@ -191,7 +194,7 @@ class TestReport:
         s = State(t=0.0, q=[0.7, 1.6], qdot=[0.5, -0.6])
         cfg = IntegratorConfig(t_end=50.0, sample_interval=0.1)
         report = invariant_report(integrate(s, ModelKind.TWO_D, cfg))
-        assert np.all(report.values["I"] >= ERMAKOV_MIN_2D)
+        assert np.all(report.values["I"] >= 2.0)
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_values_equal_the_batch_functions(self, kind):

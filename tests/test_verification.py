@@ -1,7 +1,8 @@
 import pytest
 
-from fireball.models import ModelKind
-from fireball.verification import default_initial_state, run_verification
+from fireball.models import ModelKind, State
+from fireball.verification import (analytic_checks, default_initial_state,
+                                   run_verification)
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
@@ -29,3 +30,13 @@ def test_drift_tolerance_is_enforced():
                                do_symmetry=False, do_hydro=False)
     assert any(r.name.startswith("invariant_drift") and not r.passed
                for r in results)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("t", [0.0, 2.0])
+def test_analytic_checks_pass_at_any_start_time(kind, t):
+    s = default_initial_state(kind)
+    results = analytic_checks(State(t=t, q=s.q, qdot=s.qdot), kind,
+                              rel_tol=1e-10, abs_tol=1e-12)
+    assert len(results) == 1
+    assert all(r.passed and r.value <= 1e-10 for r in results), results
