@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (ConfigError, DomainError, FireballError, IntegrationError,
                      QuadratureError, UnsupportedModelError)
 from .models import ModelKind, State, radius, state_from_components
+from .dynamics import energies
 from .integrate import IntegratorConfig, integrate, sample_grid
 from . import analytic, invariants, verification
 
@@ -125,7 +126,12 @@ def _initial_state(settings: dict, kind: ModelKind) -> State:
         rate = settings.get(label + "dot")
         if rate is not None:
             kwargs[label + "dot"] = rate
-    return state_from_components(kind, **kwargs)
+    state = state_from_components(kind, **kwargs)
+    with np.errstate(over="ignore"):
+        energy = energies(state, kind).hamiltonian
+    if not math.isfinite(energy):
+        raise DomainError(f"the initial state's energy is not finite (H={energy})")
+    return state
 
 
 def _integrator_config(settings: dict) -> IntegratorConfig:
@@ -231,6 +237,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     keys = _STATE_KEYS + _INTEGRATOR_KEYS + \
         ["out", "format", "seed", "drift_tol", "analytic", "symmetry", "hydro"]
     settings = _merge_settings(args, keys, _VERIFY_DEFAULTS)
+    if settings["seed"] < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {settings['seed']}")
+    if not 0.0 < settings["drift_tol"] < math.inf:
+        raise ConfigError(
+            f"drift_tol must be a positive finite number, got {settings['drift_tol']}")
     kind = _model_kind(settings)
     initial = None
     if settings.get("X") is not None:

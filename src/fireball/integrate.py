@@ -1,10 +1,19 @@
 """Adaptive Dormand-Prince 5(4) integration.
 
 The embedded pair gives a 5th-order propagated solution with a 4th-order
-error estimate.  Steps land exactly on the sampling grid, so every sample is
-a step's end state and carries no interpolation error (once steps outgrow
-the grid spacing, interpolation error would dominate the drift of the
-conserved quantities).
+error estimate.  By default steps land exactly on the sampling grid, so
+every sample is a step's end state and carries no interpolation error: once
+steps outgrow the grid spacing, as they do at long horizons, interpolation
+error would dominate the drift of the conserved quantities.  With
+``dense=True`` the tolerance alone sets the steps, and a sample inside a
+step is the DOPRI5 continuous extension (Hairer, Norsett & Wanner, *Solving
+ODEs I*, section II.6), a quartic in the step fraction built from the
+step's stages; a sample within 1e-14 relative of a step's end is still that
+end state.  That is for fine grids over short spans, where landing would
+spend a step on every sample: the verification suite's scaling
+form-invariance and hydrodynamic runs (1e-3 grids) use it at rel_tol 1e-12,
+because at 1e-10 the interpolation error breaks the 1e-5 scaling bound.  Its
+drift and analytic runs, and ``simulate``, keep landing.
 
 The stepper works on Python floats: the state is a list, and the right-hand
 side ``f(t, y)`` receives a list of floats and returns a sequence of floats
@@ -34,6 +43,7 @@ signals a bug or invalid input rather than physics.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import logging
 import math
@@ -64,18 +74,25 @@ _A = (
 )
 # b5 - b4: weights of the local error estimate.
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# Weights of the continuous extension's 5th coefficient (DOPRI5's d1..d7;
+# d2 is 0).
+_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+      -10690763975 / 1880347072, 701980252875 / 199316789632,
+      -1453857185 / 822651844, 69997945 / 29380423)
 
 _MAX_REFUSALS = 50
 
 
-def _step_source(n: int) -> str:
+def _step_source(n: int, dense: bool = False) -> str:
     """Source of one Dormand-Prince step unrolled for an n-component state.
 
     The generated ``_step(f, t, h, y, k1, abs_tol, rel_tol)`` calls ``f`` for
-    stages 2-7 and returns ``(y_new, k7, error_sum_of_squares)``.  Each
-    component is the plain sum ``y_i + h * (a_s1 * k1_i + ...)`` over the
-    nonzero tableau entries in tableau order, the coefficients written as
-    exact float literals, so every value rounds as the hand-written sum does.
+    stages 2-7 and returns ``(y_new, k7, error_sum_of_squares)``, followed
+    for ``dense`` by the stages k3..k6 the continuous extension needs (the
+    landing step does not pay for keeping them).  Each component is the
+    plain sum ``y_i + h * (a_s1 * k1_i + ...)`` over the nonzero tableau
+    entries in tableau order, the coefficients written as exact float
+    literals, so every value rounds as the hand-written sum does.
     """
     comps = range(n)
 
@@ -91,7 +108,11 @@ def _step_source(n: int) -> str:
     lines = ["def _step(f, t, h, y, k1, abs_tol, rel_tol):", unpack("y", "y"), unpack("k1", "k1")]
     for s in range(2, 7):
         stage = ", ".join(f"y_{i} + h * ({combo(_A[s - 1], i)})" for i in comps)
-        lines.append(unpack(f"k{s}", f"f({at(_C[s - 1])}, [{stage}])"))
+        call = f"f({at(_C[s - 1])}, [{stage}])"
+        if dense and s > 2:
+            lines += [f"    k{s} = {call}", unpack(f"k{s}", f"k{s}")]
+        else:
+            lines.append(unpack(f"k{s}", call))
     lines += [f"    v_{i} = y_{i} + h * ({combo(_A[6], i)})" for i in comps]
     lines += [f"    y_new = [{', '.join(f'v_{i}' for i in comps)}]",
               f"    k7 = f({at(_C[6])}, y_new)",
@@ -99,15 +120,17 @@ def _step_source(n: int) -> str:
     for i in comps:
         lines += [f"    u, v = abs(y_{i}), abs(v_{i})",
                   f"    e_{i} = h * ({combo(_E, i)}) / (abs_tol + rel_tol * (u if u > v else v))"]
-    lines.append(f"    return y_new, k7, {' + '.join(f'e_{i} * e_{i}' for i in comps)}")
+    stages = ", k3, k4, k5, k6" if dense else ""
+    lines.append(f"    return y_new, k7, {' + '.join(f'e_{i} * e_{i}' for i in comps)}{stages}")
     return "\n".join(lines) + "\n"
 
 
 @functools.cache
-def _step_kernel(n: int):
+def _step_kernel(n: int, dense: bool = False):
     """The step of :func:`_step_source` for n components, compiled once."""
     namespace = {}
-    exec(compile(_step_source(n), f"<dormand-prince step, n={n}>", "exec"), namespace)
+    name = f"<dormand-prince {'dense ' if dense else ''}step, n={n}>"
+    exec(compile(_step_source(n, dense), name, "exec"), namespace)
     return namespace["_step"]
 
 
@@ -201,7 +224,8 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
               rel_tol: float = 1e-10,
               abs_tol: float = 1e-12,
               max_step: float = math.inf,
-              initial_step: float | None = None) -> np.ndarray:
+              initial_step: float | None = None,
+              dense: bool = False) -> np.ndarray:
     """Integrate y' = f(t, y) and return y at the requested sample times.
 
     ``f`` receives the state as a list of floats and returns a sequence of
@@ -211,16 +235,19 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     ``sample_times`` must be non-decreasing and start no earlier than t0
     (within 1e-14 relative), else DomainError is raised; samples at t0 get
     y0, and integration runs to the last entry.  Every later sample is the
-    end of a step, since steps land on them.
+    end of a step, since steps land on them, unless ``dense`` is set: then
+    the steps ignore the samples, and a sample inside a step is the
+    continuous extension of that step (one within 1e-14 relative of the
+    step's end is the end state).
     Returns a (len(sample_times), len(y0)) array.
     """
     y = [float(v) for v in y0]
     n = len(y)
     t = float(t0)
-    times = np.asarray(sample_times, dtype=float)
-    if np.any(np.diff(times) < 0.0):
+    grid = np.asarray(sample_times, dtype=float)
+    if np.any(np.diff(grid) < 0.0):
         raise DomainError("sample times must be non-decreasing")
-    times = times.tolist()
+    times = grid.tolist()
     t_tol = 1e-14 * max(1.0, abs(t))
     if times[0] < t - t_tol:
         raise DomainError(f"sample times start at {times[0]} before t0={t}")
@@ -240,10 +267,13 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
 
     h = initial_step if initial_step is not None else min(max_step, span / 100.0, 0.1)
     h = min(h, span)
-    step = _step_kernel(n)
+    step = _step_kernel(n, dense)
     k1 = f(t, y)
     refusals = 0  # consecutive steps rejected by a DomainError from f
     n_steps = n_rejects = 0
+    # dense: (first row, stop row, t, h) of each step with samples inside it,
+    # and that step's y, y_new, k1, k3..k7 in a row of `stages`.
+    inside, stages = [], array("d")
 
     t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
     while t < t_stop:
@@ -253,7 +283,7 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
             h = max_step
         if t_end - t < h:
             h = t_end - t
-        if next_idx < n_samples and times[next_idx] - t < h:
+        if not dense and next_idx < n_samples and times[next_idx] - t < h:
             # Land exactly on the next sample: interpolation error would
             # otherwise dominate invariant drift once steps outgrow the grid.
             h = times[next_idx] - t
@@ -267,7 +297,10 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
                 f"step size underflow at t={t!r} (h={h!r})", last_t=t, last_y=np.array(y))
 
         try:
-            y_new, k7, sq = step(f, t, h, y, k1, abs_tol, rel_tol)
+            if dense:
+                y_new, k7, sq, k3, k4, k5, k6 = step(f, t, h, y, k1, abs_tol, rel_tol)
+            else:
+                y_new, k7, sq = step(f, t, h, y, k1, abs_tol, rel_tol)
         except DomainError:
             refusals += 1
             if refusals > _MAX_REFUSALS:
@@ -285,12 +318,26 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
             t_new = t + h
             at = abs(t_new)
             tol = 1e-14 * (at if at > 1.0 else 1.0)
-            # The step landed on (or stopped short of) the next sample, and
-            # the samples do not decrease, so each one emitted here lies
-            # within tol of t_new.
-            while next_idx < n_samples and times[next_idx] <= t_new + tol:
-                out.extend(y_new)
-                next_idx += 1
+            if dense:
+                # Rows next_idx..stop-1 lie in (t, t_new + tol]; those from
+                # end on are at t_new and get y_new, the rest are
+                # interpolated after the loop (y_new holds their place).
+                stop = bisect.bisect_right(times, t_new + tol, next_idx)
+                if stop > next_idx:
+                    end = bisect.bisect_left(times, t_new - tol, next_idx, stop)
+                    if end > next_idx:
+                        inside.append((next_idx, end, t, h))
+                        for v in (y, y_new, k1, k3, k4, k5, k6, k7):
+                            stages.extend(v)
+                    out.extend(y_new * (stop - next_idx))
+                    next_idx = stop
+            else:
+                # The step landed on (or stopped short of) the next sample,
+                # and the samples do not decrease, so each one emitted here
+                # lies within tol of t_new.
+                while next_idx < n_samples and times[next_idx] <= t_new + tol:
+                    out.extend(y_new)
+                    next_idx += 1
             t, y, k1 = t_new, y_new, k7  # FSAL: k7 = f(t_new, y_new)
             n_steps += 1
             # 0 <= err <= 1: the factor is at least 0.9, so only the cap at
@@ -312,12 +359,45 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
         next_idx += 1
     log.debug("solve_ode: %d accepted, %d rejected steps over [%g, %g]",
               n_steps, n_rejects, t0, t_end)
-    return np.frombuffer(out).reshape(-1, n)
+    ys = np.frombuffer(out).reshape(-1, n)
+    if inside:
+        _interpolate(ys, grid, inside, stages)
+    return ys
 
 
-def integrate(initial: State, kind: ModelKind, config: IntegratorConfig) -> Trajectory:
+def _interpolate(ys: np.ndarray, grid: np.ndarray, inside: list, stages: array) -> None:
+    """Write the DOPRI5 continuous extension into the rows of ``ys`` that
+    lie inside a step, all steps in one pass.
+
+    ``inside`` holds (first row, stop row, t, h) per step and ``stages`` the
+    step's y, y_new, k1, k3..k7, as :func:`solve_ode` records them.  A
+    sample at t + theta h is
+    ``r1 + theta (r2 + (1 - theta) (r3 + theta (r4 + (1 - theta) r5)))``.
+    """
+    first, stop, t, h = np.array(inside).T
+    y, y_new, k1, k3, k4, k5, k6, k7 = \
+        np.frombuffer(stages).reshape(len(inside), 8, -1).transpose(1, 0, 2)
+    d1, _, d3, d4, d5, d6, d7 = _D
+    hc = h[:, None]
+    r2 = y_new - y
+    r3 = hc * k1 - r2
+    r4 = r2 - hc * k7 - r3
+    r5 = hc * (d1 * k1 + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * k7)
+    first, counts = first.astype(np.intp), (stop - first).astype(np.intp)
+    step = np.repeat(np.arange(len(inside)), counts)  # the step of each row
+    # a row is its step's first row plus its place among that step's rows
+    rows = first[step] + np.arange(step.size) - (np.cumsum(counts) - counts)[step]
+    theta = ((grid[rows] - t[step]) / h[step])[:, None]
+    ys[rows] = y[step] + theta * (r2[step] + (1.0 - theta) * (
+        r3[step] + theta * (r4[step] + (1.0 - theta) * r5[step])))
+
+
+def integrate(initial: State, kind: ModelKind, config: IntegratorConfig, *,
+              dense: bool = False) -> Trajectory:
     """Integrate the model from ``initial`` up to ``config.t_end``.
 
+    ``dense`` is :func:`solve_ode`'s: the tolerance alone sets the steps,
+    and samples inside a step are interpolated.
     Raises :class:`SingularityError` if the positivity floor keeps rejecting
     steps and :class:`IntegrationError` on step-size underflow; both carry the
     last good state.
@@ -332,7 +412,8 @@ def integrate(initial: State, kind: ModelKind, config: IntegratorConfig) -> Traj
     try:
         ys = solve_ode(vector_field(kind), initial.t, y0, grid,
                        rel_tol=config.rel_tol, abs_tol=config.abs_tol,
-                       max_step=config.max_step, initial_step=config.initial_step)
+                       max_step=config.max_step, initial_step=config.initial_step,
+                       dense=dense)
     except IntegrationError as exc:
         if exc.last_y is not None:
             exc.last_state = State(t=exc.last_t, q=exc.last_y[:d], qdot=exc.last_y[d:])

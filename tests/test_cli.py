@@ -104,6 +104,16 @@ class TestSimulate:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("state", [
+        ["--model", "2d", "--X", "1", "--Y", "1.3", "--Xdot", "1e200", "--Ydot", "0"],
+        ["--model", "1d", "--X", "1", "--Xdot", "1e155"],
+    ], ids=["2d", "1d"])
+    def test_overflowing_energy_is_config_error(self, state, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", *state, "--t-end", "0.02", "--out", str(out)]) == 2
+        assert "energy is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "run.json"
         assert main(["simulate", "--model", "elliptic", "--X", "1", "--Y", "1.2",
@@ -280,6 +290,26 @@ class TestVerify:
         assert main(["verify", "--model", "1d", "--t-end", "1", flag, "nan",
                      "--out", str(tmp_path / "report.json")]) == 2
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--model", "2d", "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+    def test_drift_tol_must_be_positive_and_finite(self, value, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--model", "1d", "--t-end", "1", "--drift-tol", value,
+                     "--no-symmetry", "--no-hydro", "--no-analytic",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_overflowing_energy_is_config_error(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--model", "2d", "--X", "1", "--Y", "1.3",
+                     "--Xdot", "1e200", "--Ydot", "0", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_drift_run_takes_sample_interval_and_max_step(self, tmp_path):
         out = tmp_path / "report.json"
 
@@ -328,6 +358,12 @@ class TestAnalytic:
     def test_rejects_1d(self, tmp_path):
         assert main(["analytic", "--model", "1d", "--H", "1", "--I", "2",
                      "--out", str(tmp_path / "a.csv")]) == 2
+
+    def test_overflowing_energy_is_config_error(self, tmp_path):
+        out = tmp_path / "a.csv"
+        assert main(["analytic", "--model", "2d", "--X", "1", "--Y", "1.3",
+                     "--Xdot", "1e200", "--Ydot", "0", "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestEntryPoint:

@@ -434,6 +434,100 @@ class TestReferenceStepper:
             solve_ode(f, 0.0, [1.0, 0.0], np.array([0.0, 1.0]))
 
 
+def model_start(kind):
+    """A generic start state of the model as a flat list, q then qdot."""
+    return [1.0, 1.3, 0.9][:kind.dim] + [-0.2, 0.35, 0.15][:kind.dim]
+
+
+class TestDenseOutput:
+    def test_quartic_is_reproduced_quintic_is_not(self):
+        # the continuous extension is 4th order: exact for t^4 (up to
+        # rounding) whatever steps the loose tolerance takes, not for t^5
+        grid = np.linspace(0.0, 3.0, 301)
+        errors = []
+        for p in (4, 5):
+            ys = solve_ode(lambda t, y: (p * t ** (p - 1),), 0.0, [0.0], grid,
+                           rel_tol=1e-3, abs_tol=1e-3, dense=True)
+            errors.append(np.max(np.abs(ys[:, 0] - grid ** p)) / grid[-1] ** p)
+        assert errors[0] <= 1e-14
+        assert errors[1] >= 1e-6
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_samples_do_not_move_the_steps(self, kind):
+        # the end state and the RHS calls are those of a run with no samples
+        # between t0 and t_end, bit for bit
+        grid = sample_grid(0.0, 3.0, 1e-3)
+        f, g = counted(vector_field(kind)), counted(vector_field(kind))
+        dense = solve_ode(f, 0.0, model_start(kind), grid, dense=True)
+        bare = solve_ode(g, 0.0, model_start(kind), np.array([0.0, 3.0]))
+        assert dense.shape == (grid.size, 2 * kind.dim)
+        assert dense[-1].tobytes() == bare[-1].tobytes()
+        assert dense[0].tolist() == model_start(kind)
+        assert f.calls == g.calls
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_landing(self, kind, data):
+        # measured on 200 random states per model over these ranges, on this
+        # grid and a coarse one: at most 9.4e-12 of the column's largest value
+        d = kind.dim
+        q = [data.draw(st.floats(0.6, 1.8)) for _ in range(d)]
+        qdot = [data.draw(st.floats(-0.8, 0.8)) for _ in range(d)]
+        t0 = data.draw(st.floats(0.0, 3.0))
+        grid = sample_grid(t0, t0 + 2.0, 1e-3)
+        landed, dense = (solve_ode(vector_field(kind), t0, q + qdot, grid, rel_tol=1e-12,
+                                   abs_tol=1e-12, dense=flag) for flag in (False, True))
+        scale = np.max(np.abs(landed), axis=0)
+        assert np.max(np.abs(dense - landed) / scale) <= 5e-11
+
+    def test_samples_at_step_ends_are_the_end_states(self, caplog):
+        # the last stage of each step evaluates f at the step's end state
+        calls = []
+
+        def f(t, y):
+            calls.append((t, list(y)))
+            return (-y[0],)
+
+        with caplog.at_level(logging.DEBUG, logger="fireball.integrate"):
+            solve_ode(f, 0.0, [1.0], np.array([0.0, 4.0]), rel_tol=1e-8, dense=True)
+        accepted, rejected = [r.args for r in caplog.records
+                              if str(r.msg).startswith("solve_ode:")][0][:2]
+        assert rejected == 0 and len(calls) == 1 + 6 * accepted and accepted > 3
+        ends = calls[6::6]
+        # each step's end, and a sample 1e-3 before it
+        grid = [0.0] + [u for t, _ in ends for u in (t - 1e-3, t)]
+        ys = solve_ode(lambda t, y: (-y[0],), 0.0, [1.0], np.array(grid),
+                       rel_tol=1e-8, dense=True)[:, 0]
+        assert ys[2::2].tolist() == [y[0] for _, y in ends]
+        assert np.max(np.abs(ys - np.exp(-np.array(grid)))) <= 1e-8
+
+    def test_refusing_field_raises_singularity_error(self):
+        def f(t, y):
+            if not y[0] > 1e-12:
+                raise DomainError("below the floor")
+            return (-1.0,)
+
+        with pytest.raises(SingularityError) as err:
+            solve_ode(f, 0.0, [1.0], sample_grid(0.0, 2.0, 0.01), dense=True)
+        assert err.value.last_y[0] > 1e-12
+        assert err.value.last_t == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 0.5, 2.0], [0.0, 1.0, 1.0 - 1e-9, 2.0]],
+                             ids=["back-a-step", "back-by-1e-9"])
+    def test_decreasing_sample_times_raise(self, times):
+        with pytest.raises(DomainError):
+            solve_ode(lambda t, y: (-y[0],), 0.0, [1.0], np.array(times), dense=True)
+
+    def test_sample_times_before_t0_raise(self):
+        with pytest.raises(DomainError):
+            solve_ode(lambda t, y: (1.0,), 1.0, [1.0], np.array([0.0, 0.5, 2.0]), dense=True)
+        ys = solve_ode(lambda t, y: (1.0,), 1.0, [1.0], np.array([1.0 - 1e-16, 1.5, 2.0]),
+                       dense=True)
+        assert ys[:, 0].tolist() == [1.0, pytest.approx(1.5, rel=1e-14),
+                                     pytest.approx(2.0, rel=1e-14)]
+
+
 class TestBenchmarkContract:
     """perfbench/spans.py reads solve_ode's step record and wraps the ``f``
     it is given to count RHS evaluations."""
@@ -449,4 +543,16 @@ class TestBenchmarkContract:
         assert type(accepted) is int and type(rejected) is int
         assert accepted > 0 and rejected > 0
         # no stage raises here: one call to start, six per attempted step
+        assert f.calls == 1 + 6 * (accepted + rejected)
+
+    def test_step_record_in_dense_mode(self, caplog):
+        f = counted(vector_field(ModelKind.TWO_D))
+        with caplog.at_level(logging.DEBUG, logger="fireball.integrate"):
+            solve_ode(f, 0.0, [1.0, 1.3, -0.2, 0.35], sample_grid(0.0, 20.0, 1e-3),
+                      dense=True)
+        records = [r for r in caplog.records if str(r.msg).startswith("solve_ode:")]
+        assert len(records) == 1
+        accepted, rejected = records[0].args[0:2]
+        assert type(accepted) is int and type(rejected) is int
+        assert 0 < accepted < 1000  # far fewer steps than the 20,000 samples
         assert f.calls == 1 + 6 * (accepted + rejected)

@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from fireball.models import ModelKind, State
@@ -40,3 +42,14 @@ def test_analytic_checks_pass_at_any_start_time(kind, t):
                               rel_tol=1e-10, abs_tol=1e-12)
     assert len(results) == 1
     assert all(r.passed and r.value <= 1e-10 for r in results), results
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_step_budget(kind, caplog):
+    # The 1e-3 grids of the scaling and hydro checks use dense output; on
+    # landing steps the suite takes about 39,300 accepted steps per model,
+    # with dense output 1,697-1,978.
+    with caplog.at_level(logging.DEBUG, logger="fireball.integrate"):
+        run_verification(kind)
+    accepted = [r.args[0] for r in caplog.records if str(r.msg).startswith("solve_ode:")]
+    assert accepted and sum(accepted) <= 2500
