@@ -18,10 +18,22 @@ exact trajectory is pure time-discretization error.  Only the momentum
 equation actually tests the equation of motion; continuity and the energy
 law hold identically for any variance history, which the tests exploit as a
 negative control.
+
+Each probe sits at x = p Q_c, a fixed multiple p of the stencil centre's
+widths, so every term of the residuals is a product of a per-sample and a
+per-probe factor, or a sum of D of them: the density exponent at a
+neighbouring sample s is (Q_c/Q_s)^2 . p^2, div(n v) = n_c (sum rate - rate
+. p^2), and the momentum residual on axis a is p_a g_a.  They are built as
+(rows, probes) arrays with no (rows, probes, D) intermediate, over blocks of
+RESIDUAL_BLOCK_ROWS stencil rows that bound the memory they take.
+:func:`total_energy` integrates by a Gauss-Hermite rule whose tensor-product
+sum factorises exactly into the rule's zeroth and second moments (see
+:func:`_quadrature_pass`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +46,7 @@ from .models import (ModelKind, PhysicalParams, State, axis_product,
 from .integrate import Trajectory
 
 PROBE_LIMIT_SIGMA = 5.0
-# Stencil rows per block in pde_residuals: bounds its (rows, probes, D)
+# Stencil rows per block in pde_residuals: bounds its (rows, probes)
 # temporaries, which have 125 probes per row for the 3-axis models.
 RESIDUAL_BLOCK_ROWS = 128
 _SQRT2 = math.sqrt(2.0)
@@ -139,55 +151,67 @@ def pde_residuals(params: PhysicalParams, traj: Trajectory,
     continuity = np.empty((rows, len(probes)))
     momentum = np.empty_like(continuity)
     energy = np.empty_like(continuity)
+    # Per-probe and per-row factors of the terms (module docstring).
+    p2 = (probes ** 2).T  # (D, probes)
+    gauss_c = np.exp(-0.5 * np.sum(p2, axis=0))  # n / n_pref at the centre
+    abs_p = np.abs(probes)
+    rate_sum = np.sum(rate, axis=1)
+    # Momentum residual on axis a: p_a g_a, with g_a the per-row factor of x_a.
+    g = np.abs(((rate[2:] - rate[:-2]) / (2 * dt) + rate[1:-1] ** 2
+                - T[1:-1, None] / (m * Q[1:-1] ** 2)) * Q[1:-1])
     # Stencil center c = lo..hi-1 with neighbours c-1 / c+1; output row c-1.
     for lo in range(1, rows + 1, RESIDUAL_BLOCK_ROWS):
         hi = min(lo + RESIDUAL_BLOCK_ROWS, rows + 1)
         c, before, after = slice(lo, hi), slice(lo - 1, hi - 1), slice(lo + 1, hi + 1)
-        x = probes[None, :, :] * Q[c, None, :]  # (rows, probes, D), fixed per stencil
-
-        def density(s):
-            return n_pref[s, None] * np.exp(-np.sum(x ** 2 / (2 * Q[s, None, :] ** 2), axis=-1))
-
-        n_m, n_c, n_p = density(before), density(c), density(after)
+        n_m = n_pref[before, None] * np.exp(-0.5 * ((Q[c] / Q[before]) ** 2 @ p2))
+        n_p = n_pref[after, None] * np.exp(-0.5 * ((Q[c] / Q[after]) ** 2 @ p2))
+        n_c = n_pref[c, None] * gauss_c
         T_c = T[c, None]
-        rate_c, Q_c = rate[c, None, :], Q[c, None, :]
-        dn_dt = (n_p - n_m) / (2 * dt)
-        deps_dt = D / 2 * (n_p * T[after, None] - n_m * T[before, None]) / (2 * dt)
-        dv_dt = (rate[after] - rate[before])[:, None, :] / (2 * dt) * x
-
-        div_nv = n_c * np.sum(rate_c * (1 - x ** 2 / Q_c ** 2), axis=-1)
-        continuity[before] = dn_dt + div_nv
-        res_m = dv_dt + rate_c ** 2 * x - T_c[..., None] / m * x / Q_c ** 2
-        momentum[before] = np.max(np.abs(res_m), axis=-1)
-        energy[before] = deps_dt + D / 2 * T_c * div_nv \
-            + n_c * T_c * np.sum(rate[c], axis=-1)[:, None]
+        div_nv = n_c * (rate_sum[c, None] - rate[c] @ p2)
+        continuity[before] = (n_p - n_m) / (2 * dt) + div_nv
+        energy[before] = D / 2 * (n_p * T[after, None] - n_m * T[before, None]) / (2 * dt) \
+            + D / 2 * T_c * div_nv + n_c * T_c * rate_sum[c, None]
+        block = momentum[before]
+        np.multiply(g[before, 0, None], abs_p[:, 0], out=block)
+        for a in range(1, D):
+            np.maximum(block, g[before, a, None] * abs_p[:, a], out=block)
 
     return PdeResidualReport(times=traj.times[1:-1] * time_scale, probes=probes,
                              continuity=continuity, momentum=momentum,
                              energy=energy)
 
 
+@functools.cache
+def _rule(nodes: int) -> tuple[float, float]:
+    """Zeroth and second moments (sum w, sum w u^2) of the Gauss-Hermite
+    rule with ``nodes`` nodes."""
+    u, w = hermgauss(nodes)
+    return float(np.sum(w)), float(np.sum(w * u ** 2))
+
+
 def _quadrature_pass(params: PhysicalParams, state: State, kind: ModelKind,
                      nodes: int, density_only: bool) -> float:
     """Gauss-Hermite integral of n m v^2/2 + eps (or just the density) over
-    space, with nodes placed on the instantaneous Gaussian."""
-    u, w = hermgauss(nodes)
+    space, with nodes placed on the instantaneous Gaussian.
+
+    Nodes x_a = sqrt(2) Q_a u_a absorb the Gaussian into the weights; per
+    particle, eps / n = T D/2 and m v_a^2 / 2 = m Qd_a^2 u_a^2.  That
+    integrand, c + sum_a m Qd_a^2 u_a^2, separates by axis, so its
+    tensor-product sum over the (nodes,)^D grid factorises into the rule's
+    moments: c (sum w)^D + m sum_a Qd_a^2 (sum w u^2) (sum w)^(D-1).  This is
+    the tensor-product rule exactly, not an approximation to it, at the cost
+    of D terms instead of nodes^D.
+    """
+    w0, w2 = _rule(nodes)
     D = kind.spatial_dim
     Q = state.q[list(kind.axes)]
-    Qd = state.qdot[list(kind.axes)]
     ratio = float(_variance_ratio(params, state.q, kind))
-    # Nodes x_a = sqrt(2) Q_a u_a absorb the Gaussian into the weights; per
-    # particle, eps / n = T D/2 and m v_a^2 / 2 = m Qd_a^2 u_a^2.
-    integrand = np.full((nodes,) * D, 1.0 if density_only
-                        else D / 2 * params.T0 * ratio ** (2.0 / D))
+    moment = w0 ** D
     if not density_only:
-        for a in range(D):
-            shape = [1] * D
-            shape[a] = nodes
-            integrand = integrand + (params.m * (Qd[a] * u) ** 2).reshape(shape)
-    for _ in range(D):
-        integrand = integrand @ w
-    return params.n0 * ratio * float(np.prod(_SQRT2 * Q)) * float(integrand)
+        kinetic = params.m * float(np.sum(state.qdot[list(kind.axes)] ** 2))
+        moment = D / 2 * params.T0 * ratio ** (2.0 / D) * moment \
+            + kinetic * w2 * w0 ** (D - 1)
+    return params.n0 * ratio * float(np.prod(_SQRT2 * Q)) * moment
 
 
 def _converged_quadrature(params, state, kind, nodes, density_only) -> float:

@@ -206,9 +206,17 @@ class Trajectory:
 
 
 def sample_grid(t0: float, t_end: float, interval: float) -> np.ndarray:
-    """Uniform grid from t0 at the given spacing, always ending at t_end."""
+    """Uniform grid from t0 at the given spacing, always ending at t_end.
+
+    Raises :class:`DomainError`, naming the sample count, for a grid too
+    large to allocate.
+    """
     n = int(math.floor((t_end - t0) / interval + 1e-9))
-    grid = t0 + interval * np.arange(n + 1)
+    try:
+        grid = t0 + interval * np.arange(n + 1)
+    except (ValueError, MemoryError):
+        raise DomainError(f"a grid of {float(n + 1):.6g} samples from {t0!r} to "
+                          f"{t_end!r} cannot be allocated") from None
     if grid[-1] < t_end - 1e-9 * max(1.0, abs(t_end)):
         grid = np.append(grid, t_end)
     else:
@@ -321,7 +329,7 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
             if dense:
                 # Rows next_idx..stop-1 lie in (t, t_new + tol]; those from
                 # end on are at t_new and get y_new, the rest are
-                # interpolated after the loop (y_new holds their place).
+                # interpolated after the loop (zero bytes hold their place).
                 stop = bisect.bisect_right(times, t_new + tol, next_idx)
                 if stop > next_idx:
                     end = bisect.bisect_left(times, t_new - tol, next_idx, stop)
@@ -329,7 +337,8 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
                         inside.append((next_idx, end, t, h))
                         for v in (y, y_new, k1, k3, k4, k5, k6, k7):
                             stages.extend(v)
-                    out.extend(y_new * (stop - next_idx))
+                        out.frombytes(bytes(out.itemsize * n * (end - next_idx)))
+                    out.extend(y_new * (stop - end))
                     next_idx = stop
             else:
                 # The step landed on (or stopped short of) the next sample,

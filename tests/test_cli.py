@@ -114,6 +114,15 @@ class TestSimulate:
         assert "energy is not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unallocatable_grid_is_config_error(self, tmp_path, capsys):
+        # 1e300 samples: refused at once, before any allocation
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--model", "2d", "--X", "1", "--Y", "1.3",
+                     "--Xdot", "0.1", "--Ydot", "0.2", "--sample-interval", "1e-300",
+                     "--t-end", "1", "--out", str(out)]) == 2
+        assert "1e+300 samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "run.json"
         assert main(["simulate", "--model", "elliptic", "--X", "1", "--Y", "1.2",
@@ -310,6 +319,15 @@ class TestVerify:
                      "--Xdot", "1e200", "--Ydot", "0", "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_unallocatable_grid_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--model", "2d", "--X", "1", "--Y", "1.3",
+                     "--Xdot", "0.1", "--Ydot", "0.2", "--t-end", "1e300",
+                     "--no-symmetry", "--no-hydro", "--no-analytic",
+                     "--out", str(out)]) == 2
+        assert "2e+300 samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_drift_run_takes_sample_interval_and_max_step(self, tmp_path):
         out = tmp_path / "report.json"
 
@@ -365,6 +383,13 @@ class TestAnalytic:
                      "--Xdot", "1e200", "--Ydot", "0", "--out", str(out)]) == 2
         assert not out.exists()
 
+
+    def test_unallocatable_grid_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        assert main(["analytic", "--model", "2d", "--H", "1", "--I", "5",
+                     "--t-end", "1e300", "--out", str(out)]) == 2
+        assert "1e+302 samples" in capsys.readouterr().err
+        assert not out.exists()
 
 class TestEntryPoint:
     def test_module_invocation(self):

@@ -2,17 +2,45 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 
+import fireball.hydro as hydro
 from fireball import (DomainError, InsufficientDataError, IntegratorConfig,
                       ModelKind, PhysicalParams, QuadratureError, State,
                       Trajectory, dimensionalize, energies, fields_at,
                       integrate, one_d_solution, particle_number,
                       pde_residuals, total_energy)
-from fireball.verification import default_initial_state
+from fireball.verification import DENSE_REL_TOL, default_initial_state
 
 UNIT = PhysicalParams(n0=1.0, T0=1.0, X0=1.0, Y0=1.0, m=1.0)
 UNIT3 = PhysicalParams(n0=1.0, T0=1.0, X0=1.0, Y0=1.0, Z0=1.0, m=1.0)
 PARAMS3 = PhysicalParams(n0=1.3, T0=2.0, X0=0.8, Y0=1.2, Z0=0.7, m=1.5)
+
+
+def hydro_checks_trajectory(kind):
+    """The dense 1e-3 run behind verify's ``pde_residual_max``."""
+    cfg = IntegratorConfig(t_end=2.0, sample_interval=1e-3, rel_tol=DENSE_REL_TOL)
+    return integrate(default_initial_state(kind), kind, cfg, dense=True)
+
+
+def tensor_product_sum(params, state, kind, nodes, density_only):
+    """Gauss-Hermite sum of n m v^2/2 + eps (or n) over the full (nodes,)^D
+    grid of nodes x_a = sqrt(2) Q_a u_a, one axis contracted at a time."""
+    u, w = hermgauss(nodes)
+    D = kind.spatial_dim
+    axes = list(kind.axes)
+    Q, Qd = state.q[axes], state.qdot[axes]
+    ratio = np.prod(params.variances(kind)[axes]) / np.prod(Q)
+    integrand = np.full((nodes,) * D, 1.0 if density_only
+                        else D / 2 * params.T0 * ratio ** (2.0 / D))
+    if not density_only:
+        for a in range(D):
+            shape = [1] * D
+            shape[a] = nodes
+            integrand = integrand + (params.m * (Qd[a] * u) ** 2).reshape(shape)
+    for _ in range(D):
+        integrand = integrand @ w
+    return params.n0 * ratio * np.prod(math.sqrt(2.0) * Q) * float(integrand)
 
 
 def exact_1d_trajectory(t_end=2.0, dt=1e-3):
@@ -145,7 +173,71 @@ class TestPdeResiduals:
         assert np.max(pde_residuals(params, warped).momentum) > 1e-3
 
 
+    @pytest.mark.parametrize("params", [UNIT3, PARAMS3], ids=["unit", "scaled"])
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    def test_matches_a_rebuild_from_fields_at(self, kind, params):
+        # At x = p Q_c, the continuity, momentum and energy residuals from the
+        # fields at samples c-1, c, c+1: centred time differences, and the
+        # Gaussian's spatial derivatives grad n = -n x / Q^2, d_a v_a = rate_a.
+        traj = hydro_checks_trajectory(kind)
+        report = pde_residuals(params, traj)
+        axes = list(kind.axes)
+        probes = report.probes
+        picks = sorted({0, 1, len(probes) // 2, len(probes) // 3, len(probes) - 1})
+        for c in (1, 2, len(traj) // 3, len(traj) - 2):
+            before, centre, after = (dimensionalize(params, traj.state(i), kind)
+                                     for i in (c - 1, c, c + 1))
+            span = after.t - before.t
+            Q = centre.q[axes]
+            rate = centre.qdot[axes] / Q
+            for k in picks:
+                x = probes[k] * Q
+                f_m, f_c, f_p = (fields_at(params, s, x, kind)
+                                 for s in (before, centre, after))
+                grad_n = -f_c.n * x / Q ** 2
+                div_nv = float(grad_n @ f_c.v) + f_c.n * np.sum(rate)
+                continuity = (f_p.n - f_m.n) / span + div_nv
+                momentum = np.max(np.abs((f_p.v - f_m.v) / span + rate * f_c.v
+                                         + f_c.T * grad_n / (params.m * f_c.n)))
+                energy = (f_p.eps - f_m.eps) / span + f_c.eps / f_c.n * div_nv \
+                    + f_c.p * np.sum(rate)
+                assert report.continuity[c - 1, k] == pytest.approx(continuity, rel=0, abs=1e-10)
+                assert report.momentum[c - 1, k] == pytest.approx(momentum, rel=0, abs=1e-10)
+                assert report.energy[c - 1, k] == pytest.approx(energy, rel=0, abs=1e-10)
+
+
 class TestTotalEnergy:
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    def test_matches_the_tensor_product_sum(self, kind):
+        # total_energy and particle_number return their finer pass, 24 + 8 nodes
+        params = PhysicalParams(n0=1.4, T0=2.2, X0=0.9, Y0=1.6, Z0=1.3, m=0.8)
+        rng = np.random.default_rng(19)
+        for _ in range(5):
+            s = State(t=0.0, q=rng.uniform(0.3, 3.0, kind.dim),
+                      qdot=rng.uniform(-2.0, 2.0, kind.dim))
+            assert total_energy(params, s, kind) == pytest.approx(
+                tensor_product_sum(params, s, kind, 32, density_only=False), rel=1e-14)
+            assert particle_number(params, s, kind) == pytest.approx(
+                tensor_product_sum(params, s, kind, 32, density_only=True), rel=1e-14)
+
+    def test_rule_is_computed_once_per_node_count(self, monkeypatch):
+        calls = []
+
+        def counting_hermgauss(nodes):
+            calls.append(nodes)
+            return hermgauss(nodes)
+
+        monkeypatch.setattr(hydro, "hermgauss", counting_hermgauss)
+        hydro._rule.cache_clear()
+        try:
+            kind = ModelKind.THREE_D
+            s = default_initial_state(kind)
+            for _ in range(19):  # the total_energy calls of one hydro_checks
+                total_energy(UNIT3, s, kind)
+        finally:
+            hydro._rule.cache_clear()
+        assert len(calls) <= 2
+
     def test_2d_thermal_reference_value(self):
         params = PhysicalParams(n0=2.0, T0=3.0, X0=1.5, Y0=0.7, m=1.1)
         s = State(t=0.0, q=[1.5, 0.7], qdot=[0.0, 0.0])
