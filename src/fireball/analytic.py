@@ -15,7 +15,8 @@ minimum U = D^2/2 at tan(phi) = sqrt(M_Y/M_X).
 The closed form of phi involves elliptic functions; here it is obtained by
 adaptive integration of the equivalent second-order equation
 phi'' = -U'(phi), which conserves C and reverses branch automatically at the
-turning points U(phi) = C.
+turning points U(phi) = C.  Its field is declared as source, which the
+integrator inlines into its step, as it does the models' fields.
 
 The degenerate Ermakov pairing of the 1-d model with free motion gives the
 nonlinear superposition law implemented at the bottom.
@@ -23,6 +24,7 @@ nonlinear superposition law implemented at the bottom.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +33,7 @@ import numpy as np
 from .errors import DomainError, NoMotionError
 from .models import ModelKind, State, _require_planar, radius, to_polar
 from .integrate import solve_ode
-from .dynamics import energies
+from .dynamics import FieldSource, energies
 
 
 @dataclass(frozen=True)
@@ -105,23 +107,23 @@ def angular_potential(phi, kind: ModelKind):
     return K * (np.cos(phi) ** Mx * np.sin(phi) ** My) ** p
 
 
+@functools.cache
 def _angular_field(kind: ModelKind):
     """Scalar field of (phi, dphi/dttilde) for :func:`solve_ode`, with
     -U'(phi) = (2 U / D) (M_Y cot(phi) - M_X tan(phi)).  It raises
     DomainError for a stage outside (0, pi/2), so the solver rejects that
-    step, as it does at a variance floor."""
+    step, as it does at a variance floor.  It is a :class:`FieldSource`,
+    which the solver inlines into its step; built once per kind, so that
+    every quadrature reuses its compiled step."""
     Mx, My, K, p = _angular_law(kind)
-    g = -p * K
-    half_pi = math.pi / 2.0
-    cos, sin = math.cos, math.sin
-
-    def f(_t, y):
-        phi = y[0]
-        if not 0.0 < phi < half_pi:
-            raise DomainError(f"phi={phi!r} left (0, pi/2)")
-        c, s = cos(phi), sin(phi)
-        return y[1], g * (c ** Mx * s ** My) ** p * (My * c / s - Mx * s / c)
-    return f
+    return FieldSource(
+        args=("phi", "w"),
+        positive=f"0.0 < phi < {math.pi / 2.0!r}",
+        refusal='f"phi={phi!r} left (0, pi/2)"',
+        prelude=("c, s = cos(phi), sin(phi)",),
+        outputs=("w", "g * (c ** Mx * s ** My) ** p * (My * c / s - Mx * s / c)"),
+        constants=(("Mx", Mx), ("My", My), ("g", -p * K), ("p", p),
+                   ("cos", math.cos), ("sin", math.sin))).function
 
 
 def angular_minimum(kind: ModelKind) -> tuple[float, float]:

@@ -14,10 +14,16 @@ variances over the D spatial axes (elliptic: Z = X, so P = X^2 Y), and
 V = (D/2) P^{-2/D}.  The kinetic weights M count the spatial axes each
 coordinate carries (elliptic: M = (2, 1), so its kinetic term is
 Xd^2 + Yd^2/2); the Euler-Lagrange equations read  M qdd = -grad V.
+
+The integrator's right-hand side, :func:`vector_field`, is declared once as
+source (:class:`FieldSource`) and derived from the axes; the integrator
+inlines that source into its step, and the same source compiles to a plain
+``f(t, y)`` for every other caller.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -47,57 +53,90 @@ def accel(q: np.ndarray, kind: ModelKind) -> np.ndarray:
     return 1.0 / (q * np.expand_dims(axis_product(q, kind), -1) ** (2.0 / kind.spatial_dim))
 
 
-# Scalar vector fields y' = f(t, y) with y = (q, qdot) as a list of floats:
-# the integrator's hot path, and its only positivity check.  X * X * X, not
-# X ** 3: a float power raises OverflowError where numpy returned inf (the
-# 2/3 powers below cannot overflow).
-def _below_floor(y) -> DomainError:
-    return DomainError(
-        f"variance at or below the positivity floor {POSITIVITY_FLOOR} in {y}")
+class FieldSource:
+    """An autonomous scalar field y' = f(y), declared once as Python source.
+
+    ``args`` names the state components; ``positive`` is the condition the
+    state must meet, and ``refusal`` the f-string source of the
+    :class:`DomainError` message raised when it does not; ``prelude`` holds
+    statements whose names the ``outputs`` (one expression per component)
+    may use; ``constants`` binds further names, e.g. ``("cos", math.cos)``.
+    All of them are Python source over these names on floats.  No name may
+    start with an underscore: those are left to the code built from it.
+
+    ``function`` is the declaration compiled as a plain ``f(t, y)``
+    returning a tuple, which carries the declaration as ``f.source``.
+    :func:`fireball.integrate.solve_ode` recognises that function and
+    inlines this source into each stage of its step, so the field is
+    written once and never called per stage; any other callable is called.
+    Declarations compare by identity, and the solver compiles a step for
+    each one it meets, so build each once.
+    """
+
+    def __init__(self, args: tuple[str, ...], positive: str, refusal: str,
+                 outputs: tuple[str, ...], prelude: tuple[str, ...] = (),
+                 constants: tuple[tuple[str, object], ...] = ()):
+        names = args + tuple(name for name, _ in constants)
+        if len(outputs) != len(args) or not all(
+                name.isidentifier() and not name.startswith("_") for name in names):
+            raise ValueError(f"malformed field declaration over {args}")
+        self.args, self.positive, self.refusal = args, positive, refusal
+        self.outputs, self.prelude, self.constants = outputs, prelude, constants
+        lines = ["def field(_t, _y):",
+                 f"    {', '.join(args)}, = _y",
+                 *self.body("    "),
+                 f"    return {', '.join(outputs)},"]
+        namespace = self.namespace()
+        exec(compile("\n".join(lines) + "\n", "<declared field>", "exec"), namespace)
+        self.function = namespace["field"]
+        self.function.source = self
+
+    def body(self, indent: str) -> list[str]:
+        """The check and the prelude over the names in ``args``."""
+        return [f"{indent}if not ({self.positive}):",
+                f"{indent}    raise _DomainError({self.refusal})",
+                *(indent + line for line in self.prelude)]
+
+    def namespace(self) -> dict:
+        """Fresh globals for code built from this source."""
+        return {"_DomainError": DomainError, **dict(self.constants)}
 
 
-def _field_1d(t, y):
-    X, Xd = y
-    if not X > POSITIVITY_FLOOR:
-        raise _below_floor(y)
-    return Xd, 1.0 / (X * X * X)
-
-
-def _field_2d(t, y):
-    X, Y, Xd, Yd = y
-    if not (X > POSITIVITY_FLOOR and Y > POSITIVITY_FLOOR):
-        raise _below_floor(y)
-    return Xd, Yd, 1.0 / (X * X * Y), 1.0 / (X * Y * Y)
-
-
-def _field_3d(t, y):
-    X, Y, Z, Xd, Yd, Zd = y
-    if not (X > POSITIVITY_FLOOR and Y > POSITIVITY_FLOOR and Z > POSITIVITY_FLOOR):
-        raise _below_floor(y)
-    s = (X * Y * Z) ** (2.0 / 3.0)
-    return Xd, Yd, Zd, 1.0 / (X * s), 1.0 / (Y * s), 1.0 / (Z * s)
-
-
-def _field_elliptic(t, y):
-    X, Y, Xd, Yd = y
-    if not (X > POSITIVITY_FLOOR and Y > POSITIVITY_FLOOR):
-        raise _below_floor(y)
-    s = (X * X * Y) ** (2.0 / 3.0)
-    return Xd, Yd, 1.0 / (X * s), 1.0 / (Y * s)
-
-
-_FIELDS = {ModelKind.ONE_D: _field_1d, ModelKind.TWO_D: _field_2d,
-           ModelKind.THREE_D: _field_3d, ModelKind.ELLIPTIC_3D: _field_elliptic}
-
-
+@functools.cache
 def vector_field(kind: ModelKind) -> Callable[[float, list], Sequence[float]]:
     """First-order form f(t, [q..., qdot...]) = (qdot..., accel(q)...) of
-    the model, on Python floats.
+    the model, on Python floats: the integrator's hot path, and its only
+    positivity check.
 
     Raises :class:`DomainError` when any variance is <= POSITIVITY_FLOOR
-    (NaN included), which the integrator treats as a rejected step.
+    (NaN included), which the integrator treats as a rejected step.  The
+    field is a :class:`FieldSource` derived from the axes, which
+    :func:`fireball.integrate.solve_ode` inlines into its step.  Each
+    acceleration 1/(q_i P^(2/D)) is written as a product of variances in
+    index order when 2/D is an integer (``1.0 / (X * X * Y)`` for 2d:
+    X * X * X, not X ** 3, since a float power raises OverflowError where
+    numpy returned inf) and as ``1.0 / (X * s)`` with
+    ``s = (X * Y * Z) ** (2.0 / 3.0)`` for the 3d and elliptic models.
     """
-    return _FIELDS[kind]
+    q = kind.labels
+    qdot = tuple(f"{x}d" for x in q)
+    axes = sorted(kind.axes)
+    D = kind.spatial_dim
+    if 2 % D == 0:  # P^(2/D) is P or P^2
+        prelude = ()
+        accels = tuple(
+            "1.0 / ({})".format(" * ".join(q[a] for a in sorted([i] + axes * (2 // D))))
+            for i in range(kind.dim))
+    else:
+        prelude = (f"s = ({' * '.join(q[a] for a in axes)}) ** (2.0 / {float(D)!r})",)
+        accels = tuple(f"1.0 / ({x} * s)" for x in q)
+    source = FieldSource(
+        args=q + qdot,
+        positive=" and ".join(f"{x} > {POSITIVITY_FLOOR!r}" for x in q),
+        refusal=(f'f"variance at or below the positivity floor {POSITIVITY_FLOOR} '
+                 f'in {{[{", ".join(q + qdot)}]}}"'),
+        outputs=qdot + accels, prelude=prelude)
+    return source.function
 
 
 def rhs(state: State, kind: ModelKind) -> np.ndarray:

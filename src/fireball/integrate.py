@@ -18,16 +18,24 @@ drift and analytic runs, and ``simulate``, keep landing.
 The stepper works on Python floats: the state is a list, and the right-hand
 side ``f(t, y)`` receives a list of floats and returns a sequence of floats
 of the same length, which for the 1-6 component systems here is far cheaper
-than numpy calls on tiny arrays.  One step is a kernel generated for the
-state length n from the tableau (``_step_source``), compiled once per n and
-cached.  It unpacks the state and the stage derivatives into locals and
-writes each stage component out as a scalar sum.  Once the model's field is a
-few scalar operations, interpreter overhead (a list comprehension over zip
-per stage, a loop for the error norm) costs several times more per step than
-the field; the unrolled kernel removes most of it.  Its expressions are those
-of the hand-written stepper, term for term in tableau order, so every sample
-and every step decision is bit-identical to it; the tests keep that stepper
-as the reference.
+than numpy calls on tiny arrays.  One step is a kernel generated from the
+tableau (``_step_source``) and compiled on first use, once per state length
+n, mode and declared field.  It unpacks the state and the stage derivatives
+into locals and writes each stage component out as a scalar sum.  Once the
+model's field is a few scalar operations, interpreter overhead (a list
+comprehension over zip per stage, a loop for the error norm) costs several
+times more per step than the field; the unrolled kernel removes most of it.
+The fields of the models and of the angular quadrature are declared as
+source (:class:`fireball.dynamics.FieldSource`), and the kernel inlines
+them: each stage assigns its components to the field's argument names and
+runs the field's check and expressions in place, with no call, no stage
+list and no unpacking.  Any other callable, a wrapper of a declared field
+included, is called once per stage, so a counting wrapper (as in the
+benchmark's traced run) sees every evaluation but times the called kernel,
+not the inlined one.  Either way its expressions are those of the
+hand-written stepper, term for term in tableau order, so every sample and
+every step decision is bit-identical to it; the tests keep that stepper as
+the reference.
 
 The field is the only check on the state: it raises :class:`DomainError`
 for a stage outside its domain.  The models' fields
@@ -55,7 +63,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError, SingularityError
 from .models import ModelKind, State, check_state
-from .dynamics import vector_field
+from .dynamics import FieldSource, vector_field
 
 log = logging.getLogger("fireball.integrate")
 
@@ -83,54 +91,73 @@ _D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
 _MAX_REFUSALS = 50
 
 
-def _step_source(n: int, dense: bool = False) -> str:
+def _step_source(n: int, dense: bool = False, source: FieldSource | None = None) -> str:
     """Source of one Dormand-Prince step unrolled for an n-component state.
 
-    The generated ``_step(f, t, h, y, k1, abs_tol, rel_tol)`` calls ``f`` for
-    stages 2-7 and returns ``(y_new, k7, error_sum_of_squares)``, followed
+    The generated ``_step(_f, _t, _h, _y, _k1, _abs_tol, _rel_tol)``
+    evaluates stages 2-7 and returns ``(y_new, k7, error_sum_of_squares)``
+    with k7 a tuple, followed
     for ``dense`` by the stages k3..k6 the continuous extension needs (the
     landing step does not pay for keeping them).  Each component is the
     plain sum ``y_i + h * (a_s1 * k1_i + ...)`` over the nonzero tableau
     entries in tableau order, the coefficients written as exact float
     literals, so every value rounds as the hand-written sum does.
+
+    Without a ``source`` each stage calls ``_f(t + c * h, [...])``.  With
+    one, _f is that declared field and goes unused: each stage assigns its
+    components to the field's argument names and runs the field's check,
+    prelude and outputs inline, which computes the same floats and raises
+    the same :class:`DomainError` as the call would.  The kernel's own
+    names all start with an underscore, which no declared name may.
     """
     comps = range(n)
 
     def combo(weights, i):
-        return " + ".join(f"{w!r} * k{j}_{i}" for j, w in enumerate(weights, 1) if w != 0.0)
+        return " + ".join(f"{w!r} * _k{j}_{i}" for j, w in enumerate(weights, 1) if w != 0.0)
 
     def at(c):
-        return "t + h" if c == 1.0 else f"t + {c!r} * h"
+        return "_t + _h" if c == 1.0 else f"_t + {c!r} * _h"
 
-    def unpack(name, value):
-        return f"    {', '.join(f'{name}_{i}' for i in comps)}, = {value}"
+    def names(stem):
+        return ", ".join(f"{stem}_{i}" for i in comps)
 
-    lines = ["def _step(f, t, h, y, k1, abs_tol, rel_tol):", unpack("y", "y"), unpack("k1", "k1")]
+    def stage(s, inputs):
+        """Lines that set _k{s}_0.. from the stage's input expressions."""
+        if source is not None:
+            return ([f"    {a} = {x}" for a, x in zip(source.args, inputs)]
+                    + source.body("    ")
+                    + [f"    _k{s}_{i} = {out}" for i, out in enumerate(source.outputs)])
+        call = f"_f({at(_C[s - 1])}, [{', '.join(inputs)}])"
+        if s == 7:
+            call = f"_f({at(_C[s - 1])}, _y_new)"
+        return [f"    {names(f'_k{s}')}, = {call}"]
+
+    lines = ["def _step(_f, _t, _h, _y, _k1, _abs_tol, _rel_tol):",
+             f"    {names('_y')}, = _y", f"    {names('_k1')}, = _k1"]
     for s in range(2, 7):
-        stage = ", ".join(f"y_{i} + h * ({combo(_A[s - 1], i)})" for i in comps)
-        call = f"f({at(_C[s - 1])}, [{stage}])"
-        if dense and s > 2:
-            lines += [f"    k{s} = {call}", unpack(f"k{s}", f"k{s}")]
-        else:
-            lines.append(unpack(f"k{s}", call))
-    lines += [f"    v_{i} = y_{i} + h * ({combo(_A[6], i)})" for i in comps]
-    lines += [f"    y_new = [{', '.join(f'v_{i}' for i in comps)}]",
-              f"    k7 = f({at(_C[6])}, y_new)",
-              unpack("k7", "k7")]
+        lines += stage(s, [f"_y_{i} + _h * ({combo(_A[s - 1], i)})" for i in comps])
+    lines += [f"    _v_{i} = _y_{i} + _h * ({combo(_A[6], i)})" for i in comps]
+    lines.append(f"    _y_new = [{names('_v')}]")
+    lines += stage(7, [f"_v_{i}" for i in comps])
     for i in comps:
-        lines += [f"    u, v = abs(y_{i}), abs(v_{i})",
-                  f"    e_{i} = h * ({combo(_E, i)}) / (abs_tol + rel_tol * (u if u > v else v))"]
-    stages = ", k3, k4, k5, k6" if dense else ""
-    lines.append(f"    return y_new, k7, {' + '.join(f'e_{i} * e_{i}' for i in comps)}{stages}")
+        lines += [f"    _u, _v = abs(_y_{i}), abs(_v_{i})",
+                  f"    _e_{i} = _h * ({combo(_E, i)})"
+                  " / (_abs_tol + _rel_tol * (_u if _u > _v else _v))"]
+    k3, k4, k5, k6, k7 = (f"({names(f'_k{s}')},)" for s in range(3, 8))
+    sq = " + ".join(f"_e_{i} * _e_{i}" for i in comps)
+    stages = f", {k3}, {k4}, {k5}, {k6}" if dense else ""
+    lines.append(f"    return _y_new, {k7}, {sq}{stages}")
     return "\n".join(lines) + "\n"
 
 
 @functools.cache
-def _step_kernel(n: int, dense: bool = False):
-    """The step of :func:`_step_source` for n components, compiled once."""
-    namespace = {}
-    name = f"<dormand-prince {'dense ' if dense else ''}step, n={n}>"
-    exec(compile(_step_source(n, dense), name, "exec"), namespace)
+def _step_kernel(n: int, dense: bool = False, source: FieldSource | None = None):
+    """The step of :func:`_step_source`, compiled on first use for each n,
+    mode and declared field."""
+    namespace = source.namespace() if source is not None else {}
+    name = (f"<dormand-prince {'dense ' if dense else ''}step, n={n}"
+            f"{', declared field' if source is not None else ''}>")
+    exec(compile(_step_source(n, dense, source), name, "exec"), namespace)
     return namespace["_step"]
 
 
@@ -172,7 +199,8 @@ _CONFIG_FIELDS = tuple(f.name for f in fields(IntegratorConfig))
 class Trajectory:
     """Sampled solution of one model run.
 
-    ``times`` is strictly increasing; ``qs``/``qdots`` are (n, d) arrays.
+    ``times`` is strictly increasing; ``qs``/``qdots`` are (n, d) arrays of
+    positive variances and finite rates.
     ``config`` echoes the integrator settings (None for hand-built data).
     """
 
@@ -190,10 +218,13 @@ class Trajectory:
             raise DomainError(
                 f"trajectory arrays inconsistent: times {times.shape}, "
                 f"qs {qs.shape}, qdots {qdots.shape}, model dim {self.kind.dim}")
-        if times.size and np.any(np.diff(times) <= 0.0):
+        # Written so that NaN fails each test.
+        if not (times[1:] > times[:-1]).all():
             raise DomainError("sample times must be strictly increasing")
-        if np.any(qs <= 0.0):
+        if not (qs > 0.0).all():
             raise DomainError("trajectory contains non-positive variances")
+        if not np.isfinite(qdots).all():
+            raise DomainError("trajectory contains non-finite rates")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "qs", qs)
         object.__setattr__(self, "qdots", qdots)
@@ -208,9 +239,12 @@ class Trajectory:
 def sample_grid(t0: float, t_end: float, interval: float) -> np.ndarray:
     """Uniform grid from t0 at the given spacing, always ending at t_end.
 
-    Raises :class:`DomainError`, naming the sample count, for a grid too
-    large to allocate.
+    Raises :class:`DomainError` for a t_end before t0 (t_end = t0 gives the
+    single sample t0), and, naming the sample count, for a grid too large
+    to allocate.
     """
+    if not t_end >= t0:
+        raise DomainError(f"t_end={t_end!r} lies before t0={t0!r}")
     n = int(math.floor((t_end - t0) / interval + 1e-9))
     try:
         grid = t0 + interval * np.arange(n + 1)
@@ -239,7 +273,9 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     ``f`` receives the state as a list of floats and returns a sequence of
     floats (a tuple, list or 1-d array) of the same length, else ValueError
     is raised; it raises :class:`DomainError` to reject a stage outside its
-    domain, e.g. at a variance floor.
+    domain, e.g. at a variance floor.  A field declared as source
+    (:class:`fireball.dynamics.FieldSource`) is inlined into the step; any
+    other callable is called once per stage, with the same results.
     ``sample_times`` must be non-decreasing and start no earlier than t0
     (within 1e-14 relative), else DomainError is raised; samples at t0 get
     y0, and integration runs to the last entry.  Every later sample is the
@@ -275,7 +311,13 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
 
     h = initial_step if initial_step is not None else min(max_step, span / 100.0, 0.1)
     h = min(h, span)
-    step = _step_kernel(n, dense)
+    # A field declared as source is inlined into the step, unless f only
+    # carries the declaration of another function (a wrapper that copied
+    # its attributes), which must be called.
+    source = getattr(f, "source", None)
+    if source is not None and source.function is not f:
+        source = None
+    step = _step_kernel(n, dense, source)
     k1 = f(t, y)
     refusals = 0  # consecutive steps rejected by a DomainError from f
     n_steps = n_rejects = 0

@@ -383,6 +383,16 @@ class TestAnalytic:
                      "--Xdot", "1e200", "--Ydot", "0", "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_t_end_before_start_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        assert main(["analytic", "--model", "2d", "--H", "1", "--I", "5",
+                     "--t-end", "-1", "--out", str(out)]) == 2
+        assert "before t0" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["analytic", "--model", "2d", "--H", "1", "--I", "5",
+                     "--t-end", "0", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert len(rows) == 1
 
     def test_unallocatable_grid_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "a.csv"

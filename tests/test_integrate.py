@@ -1,17 +1,23 @@
+import functools
 import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fireball import (DomainError, IntegrationError, IntegratorConfig,
+import fireball
+from fireball import (AngularSolution, DomainError, IntegrationError, IntegratorConfig,
                       ModelKind, SingularityError, State, Trajectory,
-                      energies, integrate, one_d_solution)
+                      angular_quadrature, energies, integrate, one_d_solution)
 from fireball.analytic import _angular_field, angular_potential
 from fireball.dynamics import vector_field
-from fireball.integrate import sample_grid, solve_ode
+from fireball.integrate import _step_kernel, sample_grid, solve_ode
 from fireball.invariants import hamiltonian_values
+from fireball.verification import default_initial_state
 
 
 def tight(t_end, interval=0.01, **kw):
@@ -44,6 +50,13 @@ class TestSampleGrid:
         grid = sample_grid(0.0, 1.0, 0.3)
         assert grid[-1] == 1.0 and grid[-2] == pytest.approx(0.9)
         assert np.all(np.diff(grid) > 0)
+
+    def test_t_end_before_t0_raises(self):
+        with pytest.raises(DomainError):
+            sample_grid(1.0, 0.0, 0.01)
+        with pytest.raises(DomainError):
+            sample_grid(0.0, math.nan, 0.01)
+        assert sample_grid(1.0, 1.0, 0.01).tolist() == [1.0]
 
 
 class TestAccuracy:
@@ -123,6 +136,22 @@ class TestTrajectory:
         with pytest.raises(DomainError):
             Trajectory(kind=ModelKind.ONE_D, times=[0.0, 1.0],
                        qs=[[1.0], [-1.0]], qdots=[[0.0], [0.0]])
+
+    def test_nan_variance_rejected(self):
+        with pytest.raises(DomainError):
+            Trajectory(kind=ModelKind.ONE_D, times=[0.0, 1.0],
+                       qs=[[1.0], [math.nan]], qdots=[[0.0], [0.0]])
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(DomainError):
+            Trajectory(kind=ModelKind.ONE_D, times=[0.0, math.nan, 2.0],
+                       qs=[[1.0]] * 3, qdots=[[0.0]] * 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_finite_rates_required(self, bad):
+        with pytest.raises(DomainError):
+            Trajectory(kind=ModelKind.ONE_D, times=[0.0, 1.0],
+                       qs=[[1.0], [1.0]], qdots=[[0.0], [bad]])
 
 
 class TestGuards:
@@ -298,27 +327,39 @@ def counted(f):
     return wrapper
 
 
-def outcome(solver, make_field, *args, **kwargs):
-    """(samples or the raised error's type and last state, RHS calls)."""
-    f = counted(make_field())
+def outcome(solver, f, *args, **kwargs):
+    """The samples, or the raised error's type and last state."""
     try:
-        result = solver(f, *args, **kwargs)
+        return solver(f, *args, **kwargs)
     except IntegrationError as exc:  # SingularityError included
-        result = (type(exc), exc.last_t, exc.last_y.tolist())
-    return result, f.calls
+        return type(exc), exc.last_t, exc.last_y.tolist()
 
 
-def assert_matches_reference(make_field, *args, **kwargs):
-    """solve_ode and the reference give the same samples (or the same error
-    at the same state) bit for bit, with the same number of RHS calls."""
-    got, got_calls = outcome(solve_ode, make_field, *args, **kwargs)
-    want, want_calls = outcome(reference_solve_ode, make_field, *args, **kwargs)
+def assert_same(got, want):
     if isinstance(want, np.ndarray):
         assert isinstance(got, np.ndarray) and np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()
     else:
         assert got == want
-    assert got_calls == want_calls
+
+
+def assert_matches_reference(make_field, *args, **kwargs):
+    """solve_ode and the reference give the same samples (or the same error
+    at the same state) bit for bit, with the same number of RHS calls.  The
+    counting wrapper is not a declared field, so the step calls it."""
+    f, g = counted(make_field()), counted(make_field())
+    got = outcome(solve_ode, f, *args, **kwargs)
+    assert_same(got, outcome(reference_solve_ode, g, *args, **kwargs))
+    assert f.calls == g.calls
+    return got
+
+
+def assert_fused_matches_reference(field, *args, **kwargs):
+    """As :func:`assert_matches_reference` for a declared field passed
+    itself, which solve_ode's step inlines rather than calls."""
+    assert field.source.function is field
+    got = outcome(solve_ode, field, *args, **kwargs)
+    assert_same(got, outcome(reference_solve_ode, field, *args, **kwargs))
     return got
 
 
@@ -335,6 +376,17 @@ class TestReferenceStepper:
         tolerance_bound = sample_grid(t0, 1e4, 1e3)
         for grid in (landing, tolerance_bound):
             assert_matches_reference(lambda: vector_field(kind), t0, q + qdot, grid)
+            assert_fused_matches_reference(vector_field(kind), t0, q + qdot, grid)
+
+    @pytest.mark.parametrize("kind", [ModelKind.TWO_D, ModelKind.ELLIPTIC_3D])
+    @settings(max_examples=6, deadline=None)
+    @given(excess=st.floats(0.0, 40.0), sign=st.sampled_from([-1.0, 1.0]))
+    def test_fused_angular_fields(self, kind, excess, sign):
+        # invariant = U(pi/4) + excess
+        v0 = sign * math.sqrt(2.0 * excess)
+        assert_fused_matches_reference(_angular_field(kind), 0.0, [math.pi / 4.0, v0],
+                                       sample_grid(0.0, 3.0, 0.01),
+                                       rel_tol=1e-12, abs_tol=1e-12)
 
     @settings(max_examples=6, deadline=None)
     @given(invariant=st.floats(2.5, 40.0), sign=st.sampled_from([-1.0, 1.0]))
@@ -383,6 +435,17 @@ class TestReferenceStepper:
                                        rel_tol=1e-8, abs_tol=1e-8)
         assert isinstance(got, np.ndarray) and refusals
         assert all(not 0.0 < y[0] < math.pi / 2.0 for y in refusals)
+        # the inlined field refuses the same stages
+        got = assert_fused_matches_reference(_angular_field(kind), 0.0, [phi0, v0],
+                                             np.linspace(0.0, 2.0, 11),
+                                             rel_tol=1e-8, abs_tol=1e-8)
+        assert isinstance(got, np.ndarray)
+        # at a loose tolerance a step is accepted where every next step
+        # refuses: the same error at the same state
+        got = assert_fused_matches_reference(_angular_field(kind), 0.0, [phi0, v0],
+                                             np.linspace(0.0, 2.0, 11),
+                                             rel_tol=1e-2, abs_tol=1e-2)
+        assert got[0] is SingularityError
 
     def test_guard_singularity_is_the_same(self):
         # a field that refuses y[0] <= 0 while y[0] falls towards 0
@@ -464,6 +527,18 @@ class TestDenseOutput:
         assert dense[-1].tobytes() == bare[-1].tobytes()
         assert dense[0].tolist() == model_start(kind)
         assert f.calls == g.calls
+
+    @pytest.mark.parametrize("field,y0", [
+        *((vector_field(kind), model_start(kind)) for kind in ModelKind),
+        (_angular_field(ModelKind.ELLIPTIC_3D), [0.7, 3.0]),
+    ], ids=[kind.value for kind in ModelKind] + ["angular"])
+    def test_fused_matches_called(self, field, y0):
+        # the step that inlines a declared field and the step that calls it
+        # (through a wrapper) interpolate the same samples, bit for bit
+        grid = sample_grid(0.0, 3.0, 1e-3)
+        fused = solve_ode(field, 0.0, y0, grid, rel_tol=1e-12, dense=True)
+        called = solve_ode(counted(field), 0.0, y0, grid, rel_tol=1e-12, dense=True)
+        assert fused.tobytes() == called.tobytes()
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     @settings(max_examples=6, deadline=None)
@@ -556,3 +631,58 @@ class TestBenchmarkContract:
         assert type(accepted) is int and type(rejected) is int
         assert 0 < accepted < 1000  # far fewer steps than the 20,000 samples
         assert f.calls == 1 + 6 * (accepted + rejected)
+
+
+class TestDeclaredFields:
+    """The model and angular fields are declared as source: solve_ode
+    inlines them into a step compiled on first use, and calls any other
+    callable, wrappers of a declared field included."""
+
+    def test_import_compiles_no_kernel(self):
+        code = ("import fireball, fireball.cli\n"
+                "from fireball.integrate import _step_kernel\n"
+                "print(_step_kernel.cache_info().misses)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={"PATH": "/usr/bin:/bin",
+                 "PYTHONPATH": os.path.dirname(os.path.dirname(fireball.__file__))})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
+    @pytest.mark.parametrize("kind", [ModelKind.TWO_D, ModelKind.ELLIPTIC_3D])
+    def test_angular_quadrature_reuses_its_kernel(self, kind):
+        sol = AngularSolution(invariant=5.0, phi0=0.7)
+        grid = np.linspace(0.0, 1.0, 11)
+        angular_quadrature(sol, kind, grid)
+        misses = _step_kernel.cache_info().misses
+        angular_quadrature(sol, kind, grid)
+        assert _step_kernel.cache_info().misses == misses
+
+    @pytest.mark.parametrize("interval,calls", [(0.01, 60001), (0.5, 1711)])
+    def test_wrapped_field_is_called_per_stage(self, interval, calls):
+        # perfbench's count anchors: a counting wrapper (a closure, as in
+        # perfbench/spans.py) sees every stage, and changes no sample
+        kind = ModelKind.TWO_D
+        state = default_initial_state(kind)
+        y0 = state.q.tolist() + state.qdot.tolist()
+        grid = sample_grid(state.t, 100.0, interval)
+        f = counted(vector_field(kind))
+        wrapped = solve_ode(f, state.t, y0, grid)
+        assert f.calls == calls
+        assert wrapped.tobytes() == solve_ode(vector_field(kind), state.t, y0, grid).tobytes()
+
+    def test_wrapper_copying_the_declaration_is_called(self):
+        # functools.wraps copies the field's ``source`` attribute; the step
+        # must still call the wrapper, not inline the field it wraps
+        field = vector_field(ModelKind.ONE_D)
+        calls = []
+
+        @functools.wraps(field)
+        def f(t, y):
+            calls.append(t)
+            return field(t, y)
+
+        assert f.source is field.source
+        ys = solve_ode(f, 0.0, [1.0, 0.0], np.array([0.0, 1.0]))
+        assert len(calls) > 1
+        assert ys.tobytes() == solve_ode(field, 0.0, [1.0, 0.0], np.array([0.0, 1.0])).tobytes()
