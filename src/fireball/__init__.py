@@ -10,7 +10,7 @@ equations.
 
 from .errors import (ConfigError, DomainError, FireballError,
                      InsufficientDataError, IntegrationError, NoMotionError,
-                     QuadratureError, SingularityError, UnsupportedModelError)
+                     SingularityError, UnsupportedModelError)
 from .models import (ModelKind, PhysicalParams, PolarState, State,
                      dimensionalize, nondimensionalize, reference_scales,
                      state_from_components, to_cartesian, to_polar)

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .errors import (ConfigError, DomainError, FireballError, IntegrationError,
-                     QuadratureError, UnsupportedModelError)
+                     UnsupportedModelError)
 from .models import ModelKind, State, radius, state_from_components
 from .dynamics import energies
 from .integrate import IntegratorConfig, integrate, sample_grid
@@ -72,7 +72,7 @@ def parse_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -211,6 +211,8 @@ def _run_simulate(settings: dict) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     keys = _STATE_KEYS + _INTEGRATOR_KEYS + ["out", "format"]
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     if not args.configs:
         return _run_simulate(_merge_settings(args, keys))
     # A sweep: each config file in turn, with the flags overriding it.
@@ -390,7 +392,7 @@ def main(argv=None) -> int:
     except IntegrationError as exc:
         print(f"error: integration failed: {exc}", file=sys.stderr)
         return 3
-    except (QuadratureError, FireballError) as exc:
+    except FireballError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # exit 1 means only "a check failed"

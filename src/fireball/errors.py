@@ -21,10 +21,6 @@ class InsufficientDataError(FireballError, ValueError):
     """Not enough trajectory samples for the requested finite-difference stencil."""
 
 
-class QuadratureError(FireballError, RuntimeError):
-    """Numerical quadrature failed to converge between node counts."""
-
-
 class ConfigError(FireballError, ValueError):
     """Invalid run configuration (CLI flags or config file)."""
 

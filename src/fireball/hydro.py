@@ -26,21 +26,18 @@ neighbouring sample s is (Q_c/Q_s)^2 . p^2, div(n v) = n_c (sum rate - rate
 . p^2), and the momentum residual on axis a is p_a g_a.  They are built as
 (rows, probes) arrays with no (rows, probes, D) intermediate, over blocks of
 RESIDUAL_BLOCK_ROWS stencil rows that bound the memory they take.
-:func:`total_energy` integrates by a Gauss-Hermite rule whose tensor-product
-sum factorises exactly into the rule's zeroth and second moments (see
-:func:`_quadrature_pass`).
+:func:`total_energy` and :func:`particle_number` are the profile's
+closed-form Gaussian moments (see :func:`_gaussian_moments`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
-from .errors import DomainError, InsufficientDataError, QuadratureError
+from .errors import DomainError, InsufficientDataError
 from .models import (ModelKind, PhysicalParams, State, axis_product,
                      check_state, reference_scales)
 from .integrate import Trajectory
@@ -49,7 +46,7 @@ PROBE_LIMIT_SIGMA = 5.0
 # Stencil rows per block in pde_residuals: bounds its (rows, probes)
 # temporaries, which have 125 probes per row for the 3-axis models.
 RESIDUAL_BLOCK_ROWS = 128
-_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -181,66 +178,37 @@ def pde_residuals(params: PhysicalParams, traj: Trajectory,
                              energy=energy)
 
 
-@functools.cache
-def _rule(nodes: int) -> tuple[float, float]:
-    """Zeroth and second moments (sum w, sum w u^2) of the Gauss-Hermite
-    rule with ``nodes`` nodes."""
-    u, w = hermgauss(nodes)
-    return float(np.sum(w)), float(np.sum(w * u ** 2))
+def _gaussian_moments(params: PhysicalParams, state: State,
+                      kind: ModelKind) -> tuple[float, float]:
+    """Particle number N and total energy E of the dimensional state.
 
-
-def _quadrature_pass(params: PhysicalParams, state: State, kind: ModelKind,
-                     nodes: int, density_only: bool) -> float:
-    """Gauss-Hermite integral of n m v^2/2 + eps (or just the density) over
-    space, with nodes placed on the instantaneous Gaussian.
-
-    Nodes x_a = sqrt(2) Q_a u_a absorb the Gaussian into the weights; per
-    particle, eps / n = T D/2 and m v_a^2 / 2 = m Qd_a^2 u_a^2.  That
-    integrand, c + sum_a m Qd_a^2 u_a^2, separates by axis, so its
-    tensor-product sum over the (nodes,)^D grid factorises into the rule's
-    moments: c (sum w)^D + m sum_a Qd_a^2 (sum w u^2) (sum w)^(D-1).  This is
-    the tensor-product rule exactly, not an approximation to it, at the cost
-    of D terms instead of nodes^D.
+    Both are elementary Gaussian moments of the profile: over each axis the
+    density integrates to sqrt(2 pi) Q_a, so N = n0 ratio prod_a(sqrt(2 pi)
+    Q_a) with ratio = prod_a(Q0_a / Q_a).  Per particle, eps / n = D T / 2
+    and m v_a^2 / 2 averages to m Qd_a^2 / 2, so
+    E = N (D/2 T0 ratio^(2/D) + m/2 sum_a Qd_a^2).
     """
-    w0, w2 = _rule(nodes)
+    check_state(state, kind)
     D = kind.spatial_dim
-    Q = state.q[list(kind.axes)]
+    axes = list(kind.axes)
     ratio = float(_variance_ratio(params, state.q, kind))
-    moment = w0 ** D
-    if not density_only:
-        kinetic = params.m * float(np.sum(state.qdot[list(kind.axes)] ** 2))
-        moment = D / 2 * params.T0 * ratio ** (2.0 / D) * moment \
-            + kinetic * w2 * w0 ** (D - 1)
-    return params.n0 * ratio * float(np.prod(_SQRT2 * Q)) * moment
+    number = params.n0 * ratio * float(np.prod(_SQRT_2PI * state.q[axes]))
+    per_particle = D / 2 * params.T0 * ratio ** (2.0 / D) \
+        + params.m / 2 * float(np.sum(state.qdot[axes] ** 2))
+    return number, number * per_particle
 
 
-def _converged_quadrature(params, state, kind, nodes, density_only) -> float:
-    if nodes < 20:
-        raise DomainError(f"at least 20 quadrature nodes per axis required, got {nodes}")
-    coarse = _quadrature_pass(params, state, kind, nodes, density_only)
-    fine = _quadrature_pass(params, state, kind, nodes + 8, density_only)
-    if abs(fine - coarse) > 1e-10 * max(abs(fine), 1e-300):
-        raise QuadratureError(
-            f"quadrature not converged: {coarse!r} vs {fine!r} at {nodes}/{nodes + 8} nodes")
-    return fine
-
-
-def total_energy(params: PhysicalParams, state: State, kind: ModelKind,
-                 nodes: int = 24) -> float:
+def total_energy(params: PhysicalParams, state: State, kind: ModelKind) -> float:
     """Total fluid energy (kinetic + internal) of the dimensional state.
 
     Constant along trajectories and proportional to the dimensionless energy
-    of the reduced system, with a state-independent constant fixed by the
-    Gaussian moments: (2 pi)^(D/2) n0 T0 prod_a Q0_a (2 pi n0 X0 Y0 T0 in
-    2d, (2 pi)^(3/2) n0 X0^2 Y0 T0 for elliptic; the tests verify this
-    against the quadrature rather than assuming it).
+    of the reduced system, with the state-independent constant
+    (2 pi)^(D/2) n0 T0 prod_a Q0_a (2 pi n0 X0 Y0 T0 in 2d, (2 pi)^(3/2) n0
+    X0^2 Y0 T0 for elliptic).
     """
-    check_state(state, kind)
-    return _converged_quadrature(params, state, kind, nodes, density_only=False)
+    return _gaussian_moments(params, state, kind)[1]
 
 
-def particle_number(params: PhysicalParams, state: State, kind: ModelKind,
-                    nodes: int = 24) -> float:
+def particle_number(params: PhysicalParams, state: State, kind: ModelKind) -> float:
     """Spatial integral of the number density (time-independent by continuity)."""
-    check_state(state, kind)
-    return _converged_quadrature(params, state, kind, nodes, density_only=True)
+    return _gaussian_moments(params, state, kind)[0]

@@ -199,8 +199,8 @@ _CONFIG_FIELDS = tuple(f.name for f in fields(IntegratorConfig))
 class Trajectory:
     """Sampled solution of one model run.
 
-    ``times`` is strictly increasing; ``qs``/``qdots`` are (n, d) arrays of
-    positive variances and finite rates.
+    ``times`` is finite and strictly increasing; ``qs``/``qdots`` are (n, d)
+    arrays of positive finite variances and finite rates.
     ``config`` echoes the integrator settings (None for hand-built data).
     """
 
@@ -219,10 +219,12 @@ class Trajectory:
                 f"trajectory arrays inconsistent: times {times.shape}, "
                 f"qs {qs.shape}, qdots {qdots.shape}, model dim {self.kind.dim}")
         # Written so that NaN fails each test.
+        if not np.isfinite(times).all():
+            raise DomainError("sample times must be finite")
         if not (times[1:] > times[:-1]).all():
             raise DomainError("sample times must be strictly increasing")
-        if not (qs > 0.0).all():
-            raise DomainError("trajectory contains non-positive variances")
+        if not ((qs > 0.0) & (qs < math.inf)).all():
+            raise DomainError("trajectory contains non-positive or infinite variances")
         if not np.isfinite(qdots).all():
             raise DomainError("trajectory contains non-finite rates")
         object.__setattr__(self, "times", times)

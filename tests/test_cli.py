@@ -201,6 +201,20 @@ class TestConfigFile:
     def test_missing_file(self):
         assert main(["simulate", "--config", "/nonexistent/run.cfg"]) == 2
 
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"model = 1d\nX = 1.0\xff\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one(self, tmp_path, jobs):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model = 1d\nX = 1.0\nt_end = 0.1\nout = {tmp_path / 'out.csv'}\n")
+        assert main(["simulate", str(cfg), "--jobs", jobs]) == 2
+        assert main(["simulate", "--model", "1d", "--X", "1", "--jobs", jobs]) == 2
+        assert not (tmp_path / "out.csv").exists()
+
     def test_sweep_with_jobs(self, tmp_path):
         paths = []
         for i, x in enumerate(("1.0", "1.5")):

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 
-import fireball.hydro as hydro
 from fireball import (DomainError, InsufficientDataError, IntegratorConfig,
-                      ModelKind, PhysicalParams, QuadratureError, State,
-                      Trajectory, dimensionalize, energies, fields_at,
-                      integrate, one_d_solution, particle_number,
-                      pde_residuals, total_energy)
+                      ModelKind, PhysicalParams, State, Trajectory,
+                      dimensionalize, energies, fields_at, integrate,
+                      one_d_solution, particle_number, pde_residuals,
+                      total_energy)
 from fireball.verification import DENSE_REL_TOL, default_initial_state
 
 UNIT = PhysicalParams(n0=1.0, T0=1.0, X0=1.0, Y0=1.0, m=1.0)
@@ -209,7 +208,7 @@ class TestPdeResiduals:
 class TestTotalEnergy:
     @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
     def test_matches_the_tensor_product_sum(self, kind):
-        # total_energy and particle_number return their finer pass, 24 + 8 nodes
+        # the closed-form moments against a brute-force 32-node rule
         params = PhysicalParams(n0=1.4, T0=2.2, X0=0.9, Y0=1.6, Z0=1.3, m=0.8)
         rng = np.random.default_rng(19)
         for _ in range(5):
@@ -219,24 +218,6 @@ class TestTotalEnergy:
                 tensor_product_sum(params, s, kind, 32, density_only=False), rel=1e-14)
             assert particle_number(params, s, kind) == pytest.approx(
                 tensor_product_sum(params, s, kind, 32, density_only=True), rel=1e-14)
-
-    def test_rule_is_computed_once_per_node_count(self, monkeypatch):
-        calls = []
-
-        def counting_hermgauss(nodes):
-            calls.append(nodes)
-            return hermgauss(nodes)
-
-        monkeypatch.setattr(hydro, "hermgauss", counting_hermgauss)
-        hydro._rule.cache_clear()
-        try:
-            kind = ModelKind.THREE_D
-            s = default_initial_state(kind)
-            for _ in range(19):  # the total_energy calls of one hydro_checks
-                total_energy(UNIT3, s, kind)
-        finally:
-            hydro._rule.cache_clear()
-        assert len(calls) <= 2
 
     def test_2d_thermal_reference_value(self):
         params = PhysicalParams(n0=2.0, T0=3.0, X0=1.5, Y0=0.7, m=1.1)
@@ -278,11 +259,6 @@ class TestTotalEnergy:
         ratios = np.array(ratios)
         assert np.std(ratios) / np.mean(ratios) <= 1e-8
         assert np.mean(ratios) == pytest.approx(closed_form(params), rel=1e-10)
-
-    def test_minimum_node_count(self):
-        s = State(t=0.0, q=[1.0], qdot=[0.0])
-        with pytest.raises(DomainError):
-            total_energy(UNIT, s, ModelKind.ONE_D, nodes=8)
 
     @pytest.mark.parametrize("kind", [ModelKind.THREE_D, ModelKind.ELLIPTIC_3D])
     def test_three_axis_unit_ratio(self, kind):

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 import fireball
 from fireball import (AngularSolution, DomainError, IntegrationError, IntegratorConfig,
@@ -138,14 +138,17 @@ class TestTrajectory:
                        qs=[[1.0], [-1.0]], qdots=[[0.0], [0.0]])
 
     def test_nan_variance_rejected(self):
-        with pytest.raises(DomainError):
-            Trajectory(kind=ModelKind.ONE_D, times=[0.0, 1.0],
-                       qs=[[1.0], [math.nan]], qdots=[[0.0], [0.0]])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                Trajectory(kind=ModelKind.ONE_D, times=[0.0, 1.0],
+                           qs=[[1.0], [bad]], qdots=[[0.0], [0.0]])
 
     def test_nan_time_rejected(self):
-        with pytest.raises(DomainError):
-            Trajectory(kind=ModelKind.ONE_D, times=[0.0, math.nan, 2.0],
-                       qs=[[1.0]] * 3, qdots=[[0.0]] * 3)
+        # a lone NaN sample has no neighbour to fail the ordering test
+        for times in ([0.0, math.nan, 2.0], [math.nan], [0.0, math.inf]):
+            with pytest.raises(DomainError):
+                Trajectory(kind=ModelKind.ONE_D, times=times,
+                           qs=[[1.0]] * len(times), qdots=[[0.0]] * len(times))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_finite_rates_required(self, bad):
@@ -363,9 +366,14 @@ def assert_fused_matches_reference(field, *args, **kwargs):
     return got
 
 
+# A failing example of these bit-exactness tests integrates long grids, and
+# shrinking it took minutes; the first failure says enough.
+NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
+
+
 class TestReferenceStepper:
     @pytest.mark.parametrize("kind", list(ModelKind))
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=6, deadline=None, phases=NO_SHRINK)
     @given(data=st.data())
     def test_model_fields(self, kind, data):
         d = kind.dim
@@ -379,7 +387,7 @@ class TestReferenceStepper:
             assert_fused_matches_reference(vector_field(kind), t0, q + qdot, grid)
 
     @pytest.mark.parametrize("kind", [ModelKind.TWO_D, ModelKind.ELLIPTIC_3D])
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=6, deadline=None, phases=NO_SHRINK)
     @given(excess=st.floats(0.0, 40.0), sign=st.sampled_from([-1.0, 1.0]))
     def test_fused_angular_fields(self, kind, excess, sign):
         # invariant = U(pi/4) + excess
@@ -388,7 +396,7 @@ class TestReferenceStepper:
                                        sample_grid(0.0, 3.0, 0.01),
                                        rel_tol=1e-12, abs_tol=1e-12)
 
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=6, deadline=None, phases=NO_SHRINK)
     @given(invariant=st.floats(2.5, 40.0), sign=st.sampled_from([-1.0, 1.0]))
     def test_guarded_angular_field(self, invariant, sign):
         # angular_quadrature's field, made to refuse every 19th call too, so

@@ -2,9 +2,12 @@ import logging
 
 import pytest
 
+import numpy as np
+
+from fireball import invariants
 from fireball.models import ModelKind, State
 from fireball.verification import (analytic_checks, default_initial_state,
-                                   run_verification)
+                                   elliptic_checks, run_verification)
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
@@ -32,6 +35,24 @@ def test_drift_tolerance_is_enforced():
                                do_symmetry=False, do_hydro=False)
     assert any(r.name.startswith("invariant_drift") and not r.passed
                for r in results)
+
+
+def itilde_check():
+    results = elliptic_checks(np.random.default_rng(0), rel_tol=1e-10,
+                              abs_tol=1e-12)
+    return next(r for r in results if r.name == "itilde_twice_ermakov")
+
+
+def test_itilde_check_compares_against_the_polar_form(monkeypatch):
+    # Itilde is 2 I by definition; the check evaluates the polar form
+    # independently, so it sees rounding but not zero, and a 1e-9 relative
+    # error in the cartesian invariant fails it
+    check = itilde_check()
+    assert check.passed and 0.0 < check.value <= 1e-12
+    exact = invariants.ermakov_values
+    monkeypatch.setattr(invariants, "ermakov_values",
+                        lambda *args: exact(*args) * (1.0 + 1e-9))
+    assert not itilde_check().passed
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
