@@ -14,16 +14,14 @@ from .errors import (ConfigError, DomainError, FireballError,
 from .models import (ModelKind, PhysicalParams, PolarState, State,
                      dimensionalize, nondimensionalize, reference_scales,
                      state_from_components, to_cartesian, to_polar)
-from .dynamics import EnergyPair, energies, pseudo_potential, rhs
+from .dynamics import EnergyPair, energies
 from .integrate import IntegratorConfig, Trajectory, integrate
-from .invariants import (GeneralErmakovSpec, InvariantReport,
-                         elliptic_coupling, ermakov_invariant,
+from .invariants import (GeneralErmakovSpec, InvariantReport, ermakov_invariant,
                          general_ermakov_invariant, invariant_report,
-                         itilde_invariant, noether_invariant, pinney_coupling,
-                         polar_invariants, two_d_coupling)
+                         itilde_invariant, noether_invariant, pinney_coupling)
 from .analytic import (AngularSolution, RadialSolution, angular_quadrature,
-                       one_d_solution, radial, radial_3d, superposition_1d,
-                       time_reparam)
+                       one_d_solution, polar_invariants, radial, radial_3d,
+                       superposition_1d, time_reparam)
 from .symmetry import (DynamicalSymmetry, PointSymmetry,
                        dynamical_symmetry_check, extended_generator_apply,
                        noether_condition_residual, noether_invariant_from,

@@ -7,6 +7,9 @@ of all four models is
     r(t)      = sqrt(2 H (t - t0)^2 + C / H),   C = r^2 H - (r rdot)^2 / 2,
     ttilde(t) = int dt'/r^2 = arctan(sqrt(2/C) H (t - t0)) / sqrt(2 C).
 
+C is read from :mod:`fireball.invariants`, in Lagrange's-identity form
+1/2 sum_{i<j} (u_i udot_j - u_j udot_i)^2 + r^2 V(q) on u = sqrt(M) q, whose
+terms, unlike r^2 H and (r rdot)^2 / 2, do not grow and cancel as t grows.
 C is I for 2d, Itilde for elliptic, 1/2 for 1d (where r = X) and
 H r0^2 - J^2/2 for 3d.  For the planar models the angle of the stretched
 polar coordinates obeys the 1-DOF energy law C = (dphi/dttilde)^2 / 2 + U(phi),
@@ -31,35 +34,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoMotionError
-from .models import ModelKind, State, _require_planar, radius, to_polar
+from .models import (ModelKind, PolarState, State, _require_planar, check_state,
+                     radius, to_polar)
 from .integrate import solve_ode
-from .dynamics import FieldSource, energies
+from .dynamics import FieldSource
+from .invariants import hamiltonian_values, radial_invariant_values
 
 
 @dataclass(frozen=True)
 class RadialSolution:
     """Parameters of the radial law r^2 = 2 H (t - t0)^2 + C / H: the energy
-    H, the invariant C (I for 2d, Itilde for elliptic, 1/2 for 1d,
-    H r0^2 - J^2/2 for 3d), and the time t0 of closest approach."""
+    H, the radial invariant C, and the time t0 of closest approach."""
 
     energy: float
     invariant: float
     t0: float = 0.0
 
     def __post_init__(self):
-        if self.energy <= 0.0:
-            raise DomainError(f"energy must be positive, got {self.energy}")
-        if self.invariant <= 0.0:
-            raise DomainError(f"invariant must be positive, got {self.invariant}")
+        H, C = self.energy, self.invariant
+        if not (0.0 < H < math.inf and 0.0 < C < math.inf and C / H < math.inf):
+            raise DomainError("the radial law needs finite positive H, C and C/H, "
+                              f"got H={H!r}, C={C!r}")
 
     @classmethod
     def from_state(cls, state: State, kind: ModelKind) -> "RadialSolution":
-        """The law through ``state``, with C = r^2 H - (r rdot)^2 / 2."""
-        H = energies(state, kind).hamiltonian
-        r, r_rdot = radius(state.q, state.qdot, kind)
-        r, r_rdot = float(r), float(r_rdot)
-        return cls(energy=H, invariant=r * r * H - 0.5 * r_rdot * r_rdot,
-                   t0=state.t - r_rdot / (2.0 * H))
+        """The law through ``state``; DomainError if H, C or C/H over- or underflows."""
+        check_state(state, kind)
+        with np.errstate(all="ignore"):  # what over- or underflows is refused
+            H = hamiltonian_values(state.q, state.qdot, kind)
+            C = radial_invariant_values(state.q, state.qdot, kind)
+            t0 = state.t - radius(state.q, state.qdot, kind)[1] / (2.0 * H)
+        return cls(energy=float(H), invariant=float(C), t0=float(t0))
 
 
 def radial(sol: RadialSolution, t):
@@ -131,6 +136,14 @@ def angular_minimum(kind: ModelKind) -> tuple[float, float]:
     the potential minimum."""
     Mx, My, _, _ = _angular_law(kind)
     return math.atan(math.sqrt(My / Mx)), kind.spatial_dim ** 2 / 2
+
+
+def polar_invariants(polar: PolarState, kind: ModelKind) -> tuple[float, float]:
+    """(H, C) in polar variables: C = (r^2 phidot)^2 / 2 + U(phi) (I for
+    2d, Itilde for elliptic) and H = rdot^2 / 2 + C / r^2."""
+    inv = 0.5 * (polar.r * polar.r * polar.phidot) ** 2 \
+        + float(angular_potential(polar.phi, kind))
+    return 0.5 * polar.rdot ** 2 + inv / polar.r ** 2, inv
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import (ConfigError, DomainError, FireballError, IntegrationError,
                      UnsupportedModelError)
 from .models import ModelKind, State, radius, state_from_components
-from .dynamics import energies
 from .integrate import IntegratorConfig, integrate, sample_grid
 from . import analytic, invariants, verification
 
@@ -127,10 +126,12 @@ def _initial_state(settings: dict, kind: ModelKind) -> State:
         if rate is not None:
             kwargs[label + "dot"] = rate
     state = state_from_components(kind, **kwargs)
-    with np.errstate(over="ignore"):
-        energy = energies(state, kind).hamiltonian
-    if not math.isfinite(energy):
-        raise DomainError(f"the initial state's energy is not finite (H={energy})")
+    with np.errstate(all="ignore"):
+        H = float(invariants.hamiltonian_values(state.q, state.qdot, kind))
+        C = float(invariants.radial_invariant_values(state.q, state.qdot, kind))
+    for name, symbol, value in (("energy", "H", H), ("radial invariant", "C", C)):
+        if not math.isfinite(value):
+            raise DomainError(f"the initial state's {name} is not finite ({symbol}={value})")
     return state
 
 

@@ -139,12 +139,6 @@ def vector_field(kind: ModelKind) -> Callable[[float, list], Sequence[float]]:
     return source.function
 
 
-def rhs(state: State, kind: ModelKind) -> np.ndarray:
-    """Acceleration of the variances for the given model."""
-    check_state(state, kind)
-    return accel(state.q, kind)
-
-
 def potential(q: np.ndarray, kind: ModelKind):
     """Pseudo-potential V = (D/2) P^(-2/D), with P the product of the
     variances over the D spatial axes.
@@ -155,11 +149,6 @@ def potential(q: np.ndarray, kind: ModelKind):
     _positive(q)
     D = kind.spatial_dim
     return D / 2 * axis_product(q, kind) ** (-2.0 / D)
-
-
-def pseudo_potential(state: State, kind: ModelKind) -> float:
-    check_state(state, kind)
-    return float(potential(state.q, kind))
 
 
 def kinetic(qdot: np.ndarray, kind: ModelKind):

@@ -247,11 +247,11 @@ def sample_grid(t0: float, t_end: float, interval: float) -> np.ndarray:
     """
     if not t_end >= t0:
         raise DomainError(f"t_end={t_end!r} lies before t0={t0!r}")
-    n = int(math.floor((t_end - t0) / interval + 1e-9))
+    count = (t_end - t0) / interval + 1e-9
     try:
-        grid = t0 + interval * np.arange(n + 1)
-    except (ValueError, MemoryError):
-        raise DomainError(f"a grid of {float(n + 1):.6g} samples from {t0!r} to "
+        grid = t0 + interval * np.arange(math.floor(count) + 1)
+    except (OverflowError, ValueError, MemoryError):
+        raise DomainError(f"a grid of {count + 1.0:.6g} samples from {t0!r} to "
                           f"{t_end!r} cannot be allocated") from None
     if grid[-1] < t_end - 1e-9 * max(1.0, abs(t_end)):
         grid = np.append(grid, t_end)

@@ -1,13 +1,17 @@
 """First integrals of the reduced systems and drift reporting.
 
-Besides the energy H, the planar models carry the Ermakov invariant
+Every model carries the energy H, the scaling invariant J = 2 t H - q . p
+and, V being homogeneous of degree -2, the radial invariant of the
+Lagrange-Jacobi identity, C = r^2 H - (r rdot)^2 / 2 with r^2 = sum(M q^2).
+Its one implementation is the form Lagrange's identity gives on
+u = sqrt(M) q, free of the cancellation of those two terms on late states:
 
-    I = (X Yd - Y Xd)^2 / 2 + F(Y/X) + G(X/Y)
+    C = 1/2 sum_{i<j} M_i M_j (q_i qdot_j - q_j qdot_i)^2 + r^2 V(q).
 
-with coupling antiderivatives F, G fixed by the model (F(s) = G(s) = s for
-the true 2-d system), and every model carries the time-dependent scaling
-invariant J = 2 t H - q . p.  Structural lower bounds: I >= 2 for the 2-d
-model (AM-GM on Y/X + X/Y) and I >= 9/4 for the elliptic one.
+C is 1/2 in 1d, H r0^2 - J^2/2 in 3d, the Ermakov invariant
+I = (X Yd - Y Xd)^2 / 2 + Y/X + X/Y in 2d and Itilde = 2 I in the elliptic
+model.  Structural lower bounds: I >= 2 for the 2-d model (AM-GM on
+Y/X + X/Y) and I >= 9/4 for the elliptic one.
 """
 
 from __future__ import annotations
@@ -18,9 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, UnsupportedModelError
-from .models import ModelKind, PolarState, State, check_state
+from .models import ModelKind, State, check_state
 from .integrate import Trajectory
-from .analytic import angular_potential
 from . import dynamics
 
 
@@ -29,15 +32,29 @@ def hamiltonian_values(qs, qdots, kind: ModelKind) -> np.ndarray:
     return dynamics.kinetic(qdots, kind) + dynamics.potential(qs, kind)
 
 
+def radial_invariant_values(qs, qdots, kind: ModelKind) -> np.ndarray:
+    """Radial invariant C on a batch of states; qs/qdots are (n, d) or (d,)."""
+    qs, qdots = np.asarray(qs, dtype=float), np.asarray(qdots, dtype=float)
+    return _radial_invariant(qs, qdots, kind, dynamics.potential(qs, kind))
+
+
+def _radial_invariant(qs, qdots, kind: ModelKind, V) -> np.ndarray:
+    """C from V at ``qs``: the sum over all i, j counts each pair i < j twice,
+    and r^2 V is summed as M q (q V), finite where r^2 overflows (q > 1e154)."""
+    M = kind.weights
+    qqd = qs[..., :, None] * qdots[..., None, :]
+    cross = qqd - np.swapaxes(qqd, -1, -2)
+    return (0.25 * np.sum(M[:, None] * M * cross * cross, axis=(-2, -1))
+            + np.sum(M * qs * (qs * V[..., None]), axis=-1))
+
+
 def ermakov_values(qs, qdots, kind: ModelKind) -> np.ndarray:
     """Ermakov invariant I on a batch of planar states; qs/qdots are (n, 2)."""
     if not kind.has_ermakov_invariant:
         raise UnsupportedModelError(
             f"the Ermakov invariant is defined for 2d/elliptic models, not {kind.value!r}")
-    qs = np.asarray(qs, dtype=float)
-    qdots = np.asarray(qdots, dtype=float)
-    spec = two_d_coupling() if kind is ModelKind.TWO_D else elliptic_coupling()
-    return _ermakov(spec, qs[..., 0], qs[..., 1], qdots[..., 0], qdots[..., 1])
+    C = radial_invariant_values(qs, qdots, kind)
+    return C if kind is ModelKind.TWO_D else 0.5 * C
 
 
 def noether_values(ts, qs, qdots, kind: ModelKind) -> np.ndarray:
@@ -60,7 +77,7 @@ def ermakov_invariant(state: State, kind: ModelKind) -> float:
 
 
 def itilde_invariant(state: State) -> float:
-    """Doubled Ermakov invariant of the elliptic model (its natural polar form)."""
+    """Doubled Ermakov invariant of the elliptic model: its radial invariant C."""
     return 2.0 * ermakov_invariant(state, ModelKind.ELLIPTIC_3D)
 
 
@@ -83,25 +100,10 @@ class GeneralErmakovSpec:
     G: Callable[[float], float] | None
 
 
-def two_d_coupling() -> GeneralErmakovSpec:
-    return GeneralErmakovSpec(F=lambda s: s, G=lambda s: s)
-
-
-def elliptic_coupling() -> GeneralErmakovSpec:
-    return GeneralErmakovSpec(F=lambda s: 0.75 * s ** (4.0 / 3.0),
-                              G=lambda s: 1.5 * s ** (2.0 / 3.0))
-
-
 def pinney_coupling() -> GeneralErmakovSpec:
     """Pair whose first member is the zero-frequency Pinney equation and whose
     second member is free motion (no X/Y coupling)."""
     return GeneralErmakovSpec(F=lambda s: 0.5 * s * s, G=None)
-
-
-def _ermakov(spec: GeneralErmakovSpec, X, Y, Xdot, Ydot):
-    w = X * Ydot - Y * Xdot
-    value = 0.5 * w ** 2 + spec.F(Y / X)
-    return value if spec.G is None else value + spec.G(X / Y)
 
 
 def general_ermakov_invariant(spec: GeneralErmakovSpec, X: float, Y: float,
@@ -111,19 +113,8 @@ def general_ermakov_invariant(spec: GeneralErmakovSpec, X: float, Y: float,
         raise DomainError(f"X must be strictly positive, got {X}")
     if spec.G is not None and Y <= 0.0:
         raise DomainError(f"Y must be strictly positive for this pair, got {Y}")
-    return float(_ermakov(spec, X, Y, Xdot, Ydot))
-
-
-def polar_invariants(polar: PolarState, kind: ModelKind) -> tuple[float, float]:
-    """(H, invariant) in polar variables: the invariant is
-    (r^2 phidot)^2 / 2 + U(phi) and H = rdot^2 / 2 + invariant / r^2.
-
-    Returns (H, I) for the 2-d model and (H, Itilde) for the elliptic one;
-    both match the cartesian evaluations after coordinate conversion.
-    """
-    inv = 0.5 * (polar.r * polar.r * polar.phidot) ** 2 \
-        + float(angular_potential(polar.phi, kind))
-    return 0.5 * polar.rdot ** 2 + inv / polar.r ** 2, inv
+    value = 0.5 * (X * Ydot - Y * Xdot) ** 2 + spec.F(Y / X)
+    return float(value if spec.G is None else value + spec.G(X / Y))
 
 
 @dataclass(frozen=True)
@@ -151,13 +142,19 @@ def invariant_report(traj: Trajectory) -> InvariantReport:
     if len(traj) == 0:
         raise DomainError("cannot report invariants of an empty trajectory")
     kind = traj.kind
-    H = hamiltonian_values(traj.qs, traj.qdots, kind)
+    with np.errstate(over="ignore"):  # P = inf gives V = 0, V's own underflow
+        V = dynamics.potential(traj.qs, kind)
+    H = dynamics.kinetic(traj.qdots, kind) + V
     values: dict[str, np.ndarray] = {
         "H": H, "J": _noether(traj.times, traj.qs, traj.qdots, kind, H)}
-    if kind.has_ermakov_invariant:
-        values["I"] = ermakov_values(traj.qs, traj.qdots, kind)
-    if kind is ModelKind.ELLIPTIC_3D:
-        values["Itilde"] = 2.0 * values["I"]
+    if kind is not ModelKind.ONE_D:  # C is 1/2 identically in 1d
+        C = _radial_invariant(traj.qs, traj.qdots, kind, V)
+        if kind is ModelKind.TWO_D:
+            values["I"] = C
+        elif kind is ModelKind.THREE_D:
+            values["C"] = C
+        else:
+            values["I"], values["Itilde"] = 0.5 * C, C
     drift = {name: _drift(series, floor=1.0 if name == "J" else 1e-300)
              for name, series in values.items()}
     return InvariantReport(kind=kind, times=traj.times, values=values, drift=drift)

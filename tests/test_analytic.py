@@ -16,6 +16,7 @@ from fireball import (AngularSolution, DomainError, IntegratorConfig,
 from fireball.analytic import _angular_field, angular_minimum, angular_potential
 from fireball.dynamics import potential
 from fireball.models import radius
+from fireball.verification import default_initial_state
 
 
 class TestRadial:
@@ -45,6 +46,9 @@ class TestRadial:
             RadialSolution(energy=-1.0, invariant=2.0)
         with pytest.raises(DomainError):
             RadialSolution(energy=1.0, invariant=0.0)
+        for H, C in ((math.nan, 2.0), (1.0, math.inf), (1e-300, 1e300)):
+            with pytest.raises(DomainError):  # not finite, or C/H overflows
+                RadialSolution(energy=H, invariant=C)
 
     def test_from_state_matches_the_state(self):
         s = State(t=0.7, q=[1.1, 0.9], qdot=[0.4, -0.2])
@@ -84,6 +88,16 @@ class TestRadial:
             assert RadialSolution.from_state(s, kind).invariant == pytest.approx(
                 expected, rel=1e-13)
 
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_from_state_keeps_c_at_long_horizons(self, kind):
+        # r^2 H - (r rdot)^2 / 2 loses 1.5e-9 to 1.7e-8 relative to
+        # cancellation on the t = 1e4 sample of these runs
+        traj = integrate(default_initial_state(kind), kind,
+                         IntegratorConfig(t_end=1e4, sample_interval=0.5))
+        c0 = RadialSolution.from_state(traj.state(0), kind).invariant
+        late = RadialSolution.from_state(traj.state(len(traj) - 1), kind).invariant
+        assert abs(late - c0) <= 1e-10 * c0
 
 class TestRadial3d:
     def test_matches_quadratic_law(self):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -414,6 +415,43 @@ class TestAnalytic:
                      "--t-end", "1e300", "--out", str(out)]) == 2
         assert "1e+302 samples" in capsys.readouterr().err
         assert not out.exists()
+
+class TestRefusals:
+    # Each argv is refused with exit 2 and one error line, and no numpy
+    # warning gets out: warnings are errors here, which main would report
+    # as an unexpected failure.
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "--model", "1d", "--X", "1e300", "--no-symmetry", "--no-hydro"],
+         "radial law"),
+        (["verify", "--model", "elliptic", "--X", "1e300", "--Y", "1.3",
+          "--no-symmetry", "--no-hydro"], "radial law"),
+        (["analytic", "--model", "elliptic", "--X", "1e300", "--Y", "1.3"],
+         "radial law"),
+        (["verify", "--model", "2d", "--X", "1e300", "--Y", "1.3",
+          "--no-symmetry", "--no-hydro"], "radial law"),
+        (["verify", "--model", "3d", "--X", "1e300", "--Y", "1.3", "--Z", "1",
+          "--no-symmetry", "--no-hydro", "--no-analytic"],
+         "radial invariant is not finite"),
+        (["simulate", "--model", "2d", "--X", "1", "--Y", "1",
+          "--sample-interval", "5e-324"], "inf samples"),
+        (["verify", "--model", "2d", "--sample-interval", "5e-324",
+          "--no-symmetry", "--no-hydro", "--no-analytic"], "inf samples"),
+        (["analytic", "--model", "2d", "--H", "1", "--I", "5",
+          "--sample-interval", "5e-324"], "inf samples"),
+    ], ids=["verify_1d_huge_X", "verify_elliptic_huge_X", "analytic_elliptic_huge_X",
+            "verify_2d_huge_X", "verify_3d_huge_X", "simulate_infinite_grid",
+            "verify_infinite_grid", "analytic_infinite_grid"])
+    def test_exits_2_with_one_error_line(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "x.out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and message in errors[0]
+        assert "unexpected" not in err and "Warning" not in err
+        assert not out.exists()
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fireball import DomainError, ModelKind, State, energies, pseudo_potential, rhs
+from fireball import DomainError, ModelKind, State, energies
 from fireball.dynamics import (POSITIVITY_FLOOR, accel, canonical_momenta, kinetic,
                                potential, vector_field)
 
@@ -14,21 +14,17 @@ rate = st.floats(min_value=-2.0, max_value=2.0)
 
 class TestRhs:
     def test_2d_unit_point(self):
-        s = State(t=0, q=[1.0, 1.0], qdot=[0.0, 0.0])
-        assert rhs(s, ModelKind.TWO_D).tolist() == [1.0, 1.0]
+        assert accel([1.0, 1.0], ModelKind.TWO_D).tolist() == [1.0, 1.0]
 
     def test_2d_values(self):
-        s = State(t=0, q=[2.0, 1.0], qdot=[0.0, 0.0])
-        assert rhs(s, ModelKind.TWO_D) == pytest.approx([0.25, 0.5], rel=1e-15)
+        assert accel([2.0, 1.0], ModelKind.TWO_D) == pytest.approx([0.25, 0.5], rel=1e-15)
 
     def test_elliptic_values(self):
-        s = State(t=0, q=[1.0, 8.0], qdot=[0.0, 0.0])
-        assert rhs(s, ModelKind.ELLIPTIC_3D) == pytest.approx([0.25, 1.0 / 32.0],
-                                                              rel=1e-14)
+        assert accel([1.0, 8.0], ModelKind.ELLIPTIC_3D) == pytest.approx(
+            [0.25, 1.0 / 32.0], rel=1e-14)
 
     def test_1d_value(self):
-        s = State(t=0, q=[2.0], qdot=[0.0])
-        assert rhs(s, ModelKind.ONE_D) == pytest.approx([0.125], rel=1e-15)
+        assert accel([2.0], ModelKind.ONE_D) == pytest.approx([0.125], rel=1e-15)
 
     def test_singular_force_raises(self):
         with pytest.raises(DomainError):
@@ -38,16 +34,16 @@ class TestRhs:
         rng = np.random.default_rng(0)
         for _ in range(10):
             x, v = rng.uniform(0.3, 3.0), rng.uniform(-1, 1)
-            a2 = rhs(State(t=0, q=[x, x], qdot=[v, v]), ModelKind.TWO_D)
-            a1 = rhs(State(t=0, q=[x], qdot=[v]), ModelKind.ONE_D)
+            a2 = accel([x, x], ModelKind.TWO_D)
+            a1 = accel([x], ModelKind.ONE_D)
             assert a2 == pytest.approx([a1[0], a1[0]], rel=1e-14)
 
     def test_elliptic_equals_3d_at_z_equals_x(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             x, y = rng.uniform(0.3, 3.0, 2)
-            ae = rhs(State(t=0, q=[x, y], qdot=[0, 0]), ModelKind.ELLIPTIC_3D)
-            a3 = rhs(State(t=0, q=[x, y, x], qdot=[0, 0, 0]), ModelKind.THREE_D)
+            ae = accel([x, y], ModelKind.ELLIPTIC_3D)
+            a3 = accel([x, y, x], ModelKind.THREE_D)
             assert ae == pytest.approx([a3[0], a3[1]], rel=1e-14)
 
 
@@ -84,12 +80,9 @@ class TestVectorField:
 
 class TestPotential:
     def test_values(self):
-        assert pseudo_potential(State(t=0, q=[1, 1], qdot=[0, 0]),
-                                ModelKind.TWO_D) == 1.0
-        assert pseudo_potential(State(t=0, q=[1, 1, 1], qdot=[0, 0, 0]),
-                                ModelKind.THREE_D) == 1.5
-        assert pseudo_potential(State(t=0, q=[2], qdot=[0]),
-                                ModelKind.ONE_D) == 0.125
+        assert potential([1, 1], ModelKind.TWO_D) == 1.0
+        assert potential([1, 1, 1], ModelKind.THREE_D) == 1.5
+        assert potential([2], ModelKind.ONE_D) == 0.125
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     @settings(max_examples=50, deadline=None)

@@ -2,19 +2,28 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
-from fireball import (DomainError, IntegratorConfig, ModelKind, State,
-                      Trajectory, UnsupportedModelError, elliptic_coupling,
-                      ermakov_invariant, general_ermakov_invariant, integrate,
+from fireball import (DomainError, GeneralErmakovSpec, IntegratorConfig,
+                      ModelKind, State, Trajectory, UnsupportedModelError,
+                      energies, ermakov_invariant, general_ermakov_invariant, integrate,
                       invariant_report, itilde_invariant, noether_invariant,
                       one_d_solution, pinney_coupling, polar_invariants,
-                      to_polar, two_d_coupling)
+                      to_polar)
 from fireball.analytic import angular_potential
-from fireball.invariants import hamiltonian_values, noether_values
+from fireball.invariants import (ermakov_values, hamiltonian_values,
+                                 noether_values, radial_invariant_values)
 
 positive = st.floats(min_value=0.1, max_value=8.0)
 rate = st.floats(min_value=-3.0, max_value=3.0)
+
+NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
+
+# The paper's coupling antiderivatives F(Y/X), G(X/Y) of the planar models'
+# Ermakov pairs: a reference independent of the radial invariant C.
+TWO_D_PAIR = GeneralErmakovSpec(F=lambda s: s, G=lambda s: s)
+ELLIPTIC_PAIR = GeneralErmakovSpec(F=lambda s: 0.75 * s ** (4.0 / 3.0),
+                                   G=lambda s: 1.5 * s ** (2.0 / 3.0))
 
 
 class TestErmakov:
@@ -53,7 +62,7 @@ class TestErmakov:
 
 class TestGeneralErmakov:
     def test_unit_couplings_reduce_to_2d(self):
-        spec = two_d_coupling()
+        spec = TWO_D_PAIR
         assert general_ermakov_invariant(spec, 1.0, 2.0, 0.0, 0.0) == \
             pytest.approx(2.5, rel=1e-15)
         rng = np.random.default_rng(5)
@@ -73,7 +82,7 @@ class TestGeneralErmakov:
             assert got == pytest.approx(i0, rel=1e-15)
 
     def test_elliptic_couplings_match_closed_form(self):
-        spec = elliptic_coupling()
+        spec = ELLIPTIC_PAIR
         assert general_ermakov_invariant(spec, 1.0, 1.0, 0.0, 0.0) == \
             pytest.approx(2.25, rel=1e-15)
         rng = np.random.default_rng(6)
@@ -87,9 +96,61 @@ class TestGeneralErmakov:
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            general_ermakov_invariant(two_d_coupling(), -1.0, 1.0, 0.0, 0.0)
+            general_ermakov_invariant(TWO_D_PAIR, -1.0, 1.0, 0.0, 0.0)
         with pytest.raises(DomainError):
-            general_ermakov_invariant(two_d_coupling(), 1.0, 0.0, 0.0, 0.0)
+            general_ermakov_invariant(TWO_D_PAIR, 1.0, 0.0, 0.0, 0.0)
+
+
+class TestRadialInvariant:
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+    @given(data=st.data())
+    def test_is_each_models_invariant(self, kind, data):
+        # C against each model's own form: the paper's Ermakov pairs (I for
+        # 2d, Itilde = 2 I for elliptic), 1/2 in 1d, H r0^2 - J^2/2 in 3d
+        q = [data.draw(st.floats(0.2, 4.0)) for _ in range(kind.dim)]
+        qdot = [data.draw(st.floats(-2.0, 2.0)) for _ in range(kind.dim)]
+        C = float(radial_invariant_values(q, qdot, kind))
+        if kind is ModelKind.ONE_D:
+            assert C == pytest.approx(0.5, rel=1e-15)
+        elif kind is ModelKind.THREE_D:
+            s = State(t=0.0, q=q, qdot=qdot)
+            H, J = energies(s, kind).hamiltonian, noether_invariant(s, kind)
+            assert C == pytest.approx(H * float(s.q @ s.q) - 0.5 * J * J, rel=1e-13)
+        elif kind is ModelKind.TWO_D:
+            assert C == pytest.approx(
+                general_ermakov_invariant(TWO_D_PAIR, *q, *qdot), rel=1e-14)
+        else:
+            assert C == pytest.approx(
+                2.0 * general_ermakov_invariant(ELLIPTIC_PAIR, *q, *qdot), rel=1e-13)
+
+    def test_batch_matches_rows(self):
+        kind = ModelKind.THREE_D
+        rng = np.random.default_rng(3)
+        qs, qdots = rng.uniform(0.3, 3.0, (20, 3)), rng.uniform(-1.0, 1.0, (20, 3))
+        rows = [float(radial_invariant_values(q, qd, kind)) for q, qd in zip(qs, qdots)]
+        assert radial_invariant_values(qs, qdots, kind).tolist() == rows
+
+
+class TestEllipticReduction:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_3d_with_z_equal_to_x_is_the_elliptic_model(self, seed):
+        # The elliptic model is the 3-d one on Z = X.  The two runs take
+        # different steps; over seeds 0-9 their (X, Y) differ by at most
+        # 1.0e-11 relative and their C by 2.6e-12.
+        rng = np.random.default_rng(seed)
+        (X, Y), (Xd, Yd) = rng.uniform(0.6, 1.8, 2), rng.uniform(-0.8, 0.8, 2)
+        cfg = IntegratorConfig(t_end=50.0, sample_interval=0.5)
+        full = integrate(State(t=0.0, q=[X, Y, X], qdot=[Xd, Yd, Xd]),
+                         ModelKind.THREE_D, cfg)
+        reduced = integrate(State(t=0.0, q=[X, Y], qdot=[Xd, Yd]),
+                            ModelKind.ELLIPTIC_3D, cfg)
+        assert np.array_equal(full.qs[:, 2], full.qs[:, 0])
+        assert np.array_equal(full.times, reduced.times)
+        assert np.max(np.abs(full.qs[:, :2] - reduced.qs) / reduced.qs) <= 1e-10
+        c_full = invariant_report(full).values["C"]
+        itilde = invariant_report(reduced).values["Itilde"]
+        assert np.max(np.abs(c_full - itilde) / itilde) <= 1e-10
 
 
 class TestNoether:
@@ -198,7 +259,8 @@ class TestReport:
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_values_equal_the_batch_functions(self, kind):
-        # the report evaluates H once and derives J from it: same bits
+        # the report evaluates V and H once and derives J and C from them:
+        # same bits
         traj = integrate(State(t=0.5, q=[1.1, 0.8, 1.4][:kind.dim],
                                qdot=[0.3, -0.2, 0.1][:kind.dim]),
                          kind, IntegratorConfig(t_end=3.0, sample_interval=0.25))
@@ -207,3 +269,11 @@ class TestReport:
                               hamiltonian_values(traj.qs, traj.qdots, kind))
         assert np.array_equal(report.values["J"],
                               noether_values(traj.times, traj.qs, traj.qdots, kind))
+        # and C, under each name it carries, from the one formula
+        if kind.has_ermakov_invariant:
+            assert np.array_equal(report.values["I"],
+                                  ermakov_values(traj.qs, traj.qdots, kind))
+        C = {ModelKind.THREE_D: "C", ModelKind.ELLIPTIC_3D: "Itilde"}.get(kind)
+        if C is not None:
+            assert np.array_equal(report.values[C],
+                                  radial_invariant_values(traj.qs, traj.qdots, kind))

@@ -23,6 +23,7 @@ def test_three_d_suite_passes():
     names = {r.name for r in results}
     assert "analytic_radial_match" in names
     assert "scaling_form_invariance" in names
+    assert {"invariant_drift_H", "invariant_drift_C", "invariant_drift_J"} <= names
     # no planar-only checks for 3d; the hydro closure covers every model
     assert not any("ermakov" in n for n in names)
     assert {"pde_residual_max", "total_energy_drift",
@@ -44,13 +45,13 @@ def itilde_check():
 
 
 def test_itilde_check_compares_against_the_polar_form(monkeypatch):
-    # Itilde is 2 I by definition; the check evaluates the polar form
-    # independently, so it sees rounding but not zero, and a 1e-9 relative
-    # error in the cartesian invariant fails it
+    # Itilde is the radial invariant C = 2 I; the check evaluates the polar
+    # form independently, so it sees rounding but not zero, and a 1e-9
+    # relative error in the cartesian C fails it
     check = itilde_check()
     assert check.passed and 0.0 < check.value <= 1e-12
-    exact = invariants.ermakov_values
-    monkeypatch.setattr(invariants, "ermakov_values",
+    exact = invariants._radial_invariant
+    monkeypatch.setattr(invariants, "_radial_invariant",
                         lambda *args: exact(*args) * (1.0 + 1e-9))
     assert not itilde_check().passed
 
