@@ -19,7 +19,14 @@ The closed form of phi involves elliptic functions; here it is obtained by
 adaptive integration of the equivalent second-order equation
 phi'' = -U'(phi), which conserves C and reverses branch automatically at the
 turning points U(phi) = C.  Its field is declared as source, which the
-integrator inlines into its step, as it does the models' fields.
+integrator inlines into its step, as it does the models' fields.  The
+tolerance alone sets the steps, and the ttilde grid is read from the DOPRI5
+continuous extension (``solve_ode(..., dense=True)``): on the 2501 samples
+of a t = 0..25 grid that is about 360 steps instead of one per sample.  It
+runs at rel/abs tolerance 1e-14: on random states (q in [0.6, 1.8], qdot in
+[-0.8, 0.8]) phi then stays within 4e-14 of a 1e-14 run that lands on every
+sample, as close as landing at 1e-12 came (8e-14), while dense output at
+1e-12 strays by up to 5e-12.
 
 The degenerate Ermakov pairing of the 1-d model with free motion gives the
 nonlinear superposition law implemented at the bottom.
@@ -37,7 +44,7 @@ from .errors import DomainError, NoMotionError
 from .models import (ModelKind, PolarState, State, _require_planar, check_state,
                      radius, to_polar)
 from .integrate import solve_ode
-from .dynamics import FieldSource
+from .dynamics import POSITIVITY_FLOOR, FieldSource
 from .invariants import hamiltonian_values, radial_invariant_values
 
 
@@ -58,8 +65,13 @@ class RadialSolution:
 
     @classmethod
     def from_state(cls, state: State, kind: ModelKind) -> "RadialSolution":
-        """The law through ``state``; DomainError if H, C or C/H over- or underflows."""
+        """The law through ``state``; DomainError if a variance lies at or
+        below POSITIVITY_FLOOR, where the integrator refuses every state, or
+        if H, C or C/H over- or underflows."""
         check_state(state, kind)
+        if min(state.q.tolist()) <= POSITIVITY_FLOOR:
+            raise DomainError(f"variance at or below the positivity floor "
+                              f"{POSITIVITY_FLOOR} in {state.q.tolist()}")
         with np.errstate(all="ignore"):  # what over- or underflows is refused
             H = hamiltonian_values(state.q, state.qdot, kind)
             C = radial_invariant_values(state.q, state.qdot, kind)
@@ -170,12 +182,16 @@ class AngularSolution:
 
 
 def angular_quadrature(sol: AngularSolution, kind: ModelKind, ttilde_grid,
-                       *, rel_tol: float = 1e-12, abs_tol: float = 1e-12):
+                       *, rel_tol: float = 1e-14, abs_tol: float = 1e-14):
     """Integrate the angular motion over a ttilde grid.
 
     Returns (phi, dphi/dttilde) arrays on the grid.  The pair conserves the
     invariant, and the branch sign reverses at each turning point
-    U(phi) = invariant without leaving (0, pi/2).
+    U(phi) = invariant without leaving (0, pi/2).  The tolerances set the
+    steps; samples inside a step are the step's continuous extension.
+    Raises NoMotionError when the invariant lies below the potential
+    minimum or phi0 is classically forbidden, and DomainError for a grid
+    that is empty, not increasing, or starts before 0.
     """
     grid = np.asarray(ttilde_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -196,7 +212,7 @@ def angular_quadrature(sol: AngularSolution, kind: ModelKind, ttilde_grid,
     v0 = sol.sign0 * math.sqrt(max(v_sq, 0.0))
 
     ys = solve_ode(_angular_field(kind), 0.0, [sol.phi0, v0], grid,
-                   rel_tol=rel_tol, abs_tol=abs_tol)
+                   rel_tol=rel_tol, abs_tol=abs_tol, dense=True)
     return ys[:, 0], ys[:, 1]
 
 

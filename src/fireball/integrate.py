@@ -12,8 +12,10 @@ step's stages; a sample within 1e-14 relative of a step's end is still that
 end state.  That is for fine grids over short spans, where landing would
 spend a step on every sample: the verification suite's scaling
 form-invariance and hydrodynamic runs (1e-3 grids) use it at rel_tol 1e-12,
-because at 1e-10 the interpolation error breaks the 1e-5 scaling bound.  Its
-drift and analytic runs, and ``simulate``, keep landing.
+because at 1e-10 the interpolation error breaks the 1e-5 scaling bound, and
+the angular quadrature of :mod:`fireball.analytic` at 1e-14.  Verify's drift
+and analytic runs, ``simulate``, and the numeric ``r`` of ``analytic
+--compare`` keep landing.
 
 The stepper works on Python floats: the state is a list, and the right-hand
 side ``f(t, y)`` receives a list of floats and returns a sequence of floats
@@ -284,7 +286,9 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     end of a step, since steps land on them, unless ``dense`` is set: then
     the steps ignore the samples, and a sample inside a step is the
     continuous extension of that step (one within 1e-14 relative of the
-    step's end is the end state).
+    step's end is the end state).  A ``max_step`` below the step floor,
+    1e-14 times the largest of 1, |t0| and |t_end|, raises DomainError
+    before the first step: such a run could not reach t_end.
     Returns a (len(sample_times), len(y0)) array.
     """
     y = [float(v) for v in y0]
@@ -298,6 +302,9 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     if times[0] < t - t_tol:
         raise DomainError(f"sample times start at {times[0]} before t0={t}")
     t_end = times[-1]
+    if max_step < 1e-14 * max(1.0, abs(t), abs(t_end)):
+        raise DomainError(f"max_step={max_step!r} lies below the step floor of 1e-14 "
+                          f"relative over [{t!r}, {t_end!r}]")
     span = t_end - t
 
     out = array("d")  # samples, row after row
@@ -425,7 +432,9 @@ def _interpolate(ys: np.ndarray, grid: np.ndarray, inside: list, stages: array) 
     ``inside`` holds (first row, stop row, t, h) per step and ``stages`` the
     step's y, y_new, k1, k3..k7, as :func:`solve_ode` records them.  A
     sample at t + theta h is
-    ``r1 + theta (r2 + (1 - theta) (r3 + theta (r4 + (1 - theta) r5)))``.
+    ``r1 + theta (r2 + (1 - theta) (r3 + theta (r4 + (1 - theta) r5)))``,
+    evaluated by Horner's rule over a (5, n, rows) block of the step
+    coefficients repeated per row, so each operation runs along the rows.
     """
     first, stop, t, h = np.array(inside).T
     y, y_new, k1, k3, k4, k5, k6, k7 = \
@@ -436,13 +445,18 @@ def _interpolate(ys: np.ndarray, grid: np.ndarray, inside: list, stages: array) 
     r3 = hc * k1 - r2
     r4 = r2 - hc * k7 - r3
     r5 = hc * (d1 * k1 + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * k7)
-    first, counts = first.astype(np.intp), (stop - first).astype(np.intp)
-    step = np.repeat(np.arange(len(inside)), counts)  # the step of each row
+    counts = (stop - first).astype(np.intp)
     # a row is its step's first row plus its place among that step's rows
-    rows = first[step] + np.arange(step.size) - (np.cumsum(counts) - counts)[step]
-    theta = ((grid[rows] - t[step]) / h[step])[:, None]
-    ys[rows] = y[step] + theta * (r2[step] + (1.0 - theta) * (
-        r3[step] + theta * (r4[step] + (1.0 - theta) * r5[step])))
+    rows = np.arange(counts.sum()) + np.repeat(first.astype(np.intp) - np.cumsum(counts)
+                                               + counts, counts)
+    theta = (grid[rows] - np.repeat(t, counts)) / np.repeat(h, counts)
+    rest = 1.0 - theta
+    r1, r2, r3, r4, p = np.repeat(np.stack([y, r2, r3, r4, r5]).transpose(0, 2, 1),
+                                  counts, axis=-1)
+    for w, r in ((rest, r4), (theta, r3), (rest, r2), (theta, r1)):
+        p *= w
+        p += r
+    ys[rows] = p.T
 
 
 def integrate(initial: State, kind: ModelKind, config: IntegratorConfig, *,

