@@ -59,9 +59,10 @@ class RadialSolution:
 
     def __post_init__(self):
         H, C = self.energy, self.invariant
-        if not (0.0 < H < math.inf and 0.0 < C < math.inf and C / H < math.inf):
-            raise DomainError("the radial law needs finite positive H, C and C/H, "
-                              f"got H={H!r}, C={C!r}")
+        if not (0.0 < H < math.inf and 0.0 < C < math.inf and C / H < math.inf
+                and math.sqrt(2.0 / C) * H < math.inf):
+            raise DomainError("the radial law needs finite positive H, C, C/H and "
+                              f"sqrt(2/C) H, got H={H!r}, C={C!r}")
 
     @classmethod
     def from_state(cls, state: State, kind: ModelKind) -> "RadialSolution":
@@ -121,7 +122,8 @@ def angular_potential(phi, kind: ModelKind):
     phi = np.asarray(phi, dtype=float)
     if np.any((phi <= 0.0) | (phi >= math.pi / 2.0)):
         raise DomainError("phi must lie strictly inside (0, pi/2)")
-    return K * (np.cos(phi) ** Mx * np.sin(phi) ** My) ** p
+    with np.errstate(over="ignore"):  # U -> inf at the ends, as the overflow gives
+        return K * (np.cos(phi) ** Mx * np.sin(phi) ** My) ** p
 
 
 @functools.cache

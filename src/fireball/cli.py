@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import logging
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,26 +36,49 @@ CSV_COLUMNS = ("t", "X", "Y", "Z", "Xdot", "Ydot", "Zdot", "H", "I", "Itilde", "
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
 
-# Keys accepted in config files, with their coercions.
-_CONFIG_TYPES = {
-    "model": str, "X": float, "Y": float, "Z": float,
-    "Xdot": float, "Ydot": float, "Zdot": float,
-    "t_end": float, "rel_tol": float, "abs_tol": float, "max_step": float,
-    "sample_interval": float, "out": str, "format": str, "seed": int,
-    "drift_tol": float, "analytic": bool, "symmetry": bool,
-    "hydro": bool, "H": float, "I": float, "t0": float, "phi0": float,
-    "sign0": int, "compare": bool,
-}
 
-_DEFAULTS = {
-    "t_end": 10.0, "rel_tol": 1e-10, "abs_tol": 1e-12, "max_step": math.inf,
-    "sample_interval": 0.01, "format": "csv", "seed": 0,
-    "drift_tol": 1e-8, "analytic": True, "symmetry": True, "hydro": True,
-    "t0": 0.0, "phi0": math.pi / 4.0, "sign0": 1, "compare": False,
-}
+class Setting(NamedTuple):
+    """One setting: its config key, which is also its flag (``--`` + key,
+    ``_`` written ``-``), its type, its default, the commands that take it,
+    and further :meth:`argparse.ArgumentParser.add_argument` keywords."""
+
+    name: str
+    type: type
+    default: object
+    commands: tuple[str, ...]
+    flag: dict = {}
+
+
+_ALL = ("simulate", "verify", "analytic")
+# One row per setting, in the order the flags appear in --help.  Every key
+# is accepted in any command's config file, since one file may serve all
+# three commands; a command reads only the keys that name it.
+_SETTINGS = (
+    Setting("model", str, None, _ALL, {"choices": [k.value for k in ModelKind]}),
+    *(Setting(label + rate, float, None, _ALL) for label in "XYZ" for rate in ("", "dot")),
+    Setting("t_end", float, 10.0, _ALL),
+    Setting("rel_tol", float, 1e-10, _ALL),
+    Setting("abs_tol", float, 1e-12, _ALL),
+    Setting("max_step", float, math.inf, _ALL),
+    Setting("sample_interval", float, 0.01, _ALL),
+    Setting("out", str, None, _ALL, {"help": "output path ('-' for stdout)"}),
+    Setting("format", str, "csv", _ALL, {"choices": ["csv", "json"]}),
+    Setting("seed", int, 0, ("verify",)),
+    Setting("drift_tol", float, 1e-8, ("verify",)),
+    Setting("analytic", bool, True, ("verify",)),
+    Setting("symmetry", bool, True, ("verify",)),
+    Setting("hydro", bool, True, ("verify",)),
+    Setting("H", float, None, ("analytic",), {"help": "energy of the radial law"}),
+    Setting("I", float, None, ("analytic",), {"help": "invariant of the radial/angular law"}),
+    Setting("t0", float, 0.0, ("analytic",)),
+    Setting("phi0", float, math.pi / 4.0, ("analytic",)),
+    Setting("sign0", int, 1, ("analytic",), {"choices": [-1, 1]}),
+    Setting("compare", bool, False, ("analytic",),
+            {"action": "store_true",
+             "help": "also integrate numerically and report max |delta r|"}),
+)
 # verify samples its drift check more coarsely than simulate writes rows.
-_VERIFY_DEFAULTS = {**_DEFAULTS,
-                    "sample_interval": verification.DRIFT_SAMPLE_INTERVAL}
+_COMMAND_DEFAULTS = {"verify": {"sample_interval": verification.DRIFT_SAMPLE_INTERVAL}}
 
 
 def _parse_bool(text: str) -> bool:
@@ -67,6 +92,7 @@ def _parse_bool(text: str) -> bool:
 
 def parse_config_file(path: str) -> dict:
     """Read a UTF-8 ``key = value`` file into a typed dict."""
+    types = {s.name: s.type for s in _SETTINGS}
     values = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -81,34 +107,30 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, text = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_TYPES:
+        if key not in types:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        caster = _CONFIG_TYPES[key]
         try:
-            values[key] = _parse_bool(text) if caster is bool else caster(text.strip())
+            values[key] = _parse_bool(text) if types[key] is bool else types[key](text.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
-def _merge_settings(args: argparse.Namespace, keys: list[str],
-                    defaults: dict = _DEFAULTS) -> dict:
-    """defaults < config file < explicit flags."""
-    merged = {k: defaults.get(k) for k in keys}
+def _merge_settings(args: argparse.Namespace, command: str) -> dict:
+    """The settings ``command`` takes: defaults < config file < explicit flags."""
+    merged = {s.name: s.default for s in _SETTINGS if command in s.commands}
+    merged.update(_COMMAND_DEFAULTS.get(command, {}))
     if getattr(args, "config", None):
         file_values = parse_config_file(args.config)
-        for key, value in file_values.items():
-            if key in keys:
-                merged[key] = value
-    for key in keys:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
+        merged.update({k: v for k, v in file_values.items() if k in merged})
+    merged.update({k: v for k in merged if (v := getattr(args, k, None)) is not None})
     return merged
 
 
-_STATE_KEYS = ["model", "X", "Y", "Z", "Xdot", "Ydot", "Zdot"]
-_INTEGRATOR_KEYS = ["t_end", "rel_tol", "abs_tol", "max_step", "sample_interval"]
+# In a trajectory file's header order; also the keywords of
+# state_from_components and IntegratorConfig.
+_STATE_KEYS = ("X", "Y", "Z", "Xdot", "Ydot", "Zdot")
+_INTEGRATOR_KEYS = ("t_end", "rel_tol", "abs_tol", "max_step", "sample_interval")
 
 
 def _model_kind(settings: dict) -> ModelKind:
@@ -118,14 +140,8 @@ def _model_kind(settings: dict) -> ModelKind:
 
 
 def _initial_state(settings: dict, kind: ModelKind) -> State:
-    kwargs = {}
-    for label in ("X", "Y", "Z"):
-        if settings.get(label) is not None:
-            kwargs[label] = settings[label]
-        rate = settings.get(label + "dot")
-        if rate is not None:
-            kwargs[label + "dot"] = rate
-    state = state_from_components(kind, **kwargs)
+    state = state_from_components(
+        kind, **{k: v for k in _STATE_KEYS if (v := settings.get(k)) is not None})
     with np.errstate(all="ignore"):
         H = float(invariants.hamiltonian_values(state.q, state.qdot, kind))
         C = float(invariants.radial_invariant_values(state.q, state.qdot, kind))
@@ -136,19 +152,18 @@ def _initial_state(settings: dict, kind: ModelKind) -> State:
 
 
 def _integrator_config(settings: dict) -> IntegratorConfig:
-    return IntegratorConfig(t_end=settings["t_end"],
-                            sample_interval=settings["sample_interval"],
-                            rel_tol=settings["rel_tol"],
-                            abs_tol=settings["abs_tol"],
-                            max_step=settings["max_step"])
+    return IntegratorConfig(**{k: settings[k] for k in _INTEGRATOR_KEYS})
 
 
 def _write_text(out: str | None, text: str) -> None:
     if out in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {out!r}: {exc}") from exc
 
 
 def _trajectory_columns(traj, kind: ModelKind) -> dict[str, np.ndarray]:
@@ -160,17 +175,13 @@ def _trajectory_columns(traj, kind: ModelKind) -> dict[str, np.ndarray]:
     return columns
 
 
-def _meta_lines(command: str, settings: dict, keys: list[str]) -> list[str]:
-    pairs = " ".join(f"{k}={settings[k]}" for k in keys if settings.get(k) is not None)
-    return [f"# schema={SCHEMA_VERSION}", f"# command={command}", f"# {pairs}"]
-
-
 def _emit_table(settings: dict, command: str, meta_keys: list[str],
                 columns, data: dict, extra_comments=()) -> None:
     """Write the ``columns`` of ``data`` (name -> 1-d array) as one table.
 
     A column missing from ``data`` is an empty CSV field and a JSON null.
     """
+    meta = {k: settings[k] for k in meta_keys if settings.get(k) is not None}
     present = [c for c in columns if c in data]
     table = np.column_stack([data[c] for c in present]).tolist()
     if settings["format"] == "json":
@@ -180,7 +191,7 @@ def _emit_table(settings: dict, command: str, meta_keys: list[str],
         doc = {
             "schema": SCHEMA_VERSION,
             "command": command,
-            "settings": {k: settings[k] for k in meta_keys if settings.get(k) is not None},
+            "settings": meta,
             "columns": list(columns),
             "rows": table,
         }
@@ -189,7 +200,8 @@ def _emit_table(settings: dict, command: str, meta_keys: list[str],
             doc[key] = float(value)
         _write_text(settings.get("out"), json.dumps(doc, indent=2) + "\n")
     elif settings["format"] == "csv":
-        lines = _meta_lines(command, settings, meta_keys)
+        pairs = " ".join(f"{k}={v}" for k, v in meta.items())
+        lines = [f"# schema={SCHEMA_VERSION}", f"# command={command}", f"# {pairs}"]
         lines += [f"# {c}" for c in extra_comments]
         lines.append(",".join(columns))
         # 17 significant digits round-trip every float.
@@ -204,21 +216,20 @@ def _run_simulate(settings: dict) -> int:
     kind = _model_kind(settings)
     initial = _initial_state(settings, kind)
     traj = integrate(initial, kind, _integrator_config(settings))
-    meta = _STATE_KEYS + _INTEGRATOR_KEYS
+    meta = ("model", *_STATE_KEYS, *_INTEGRATOR_KEYS)
     _emit_table(settings, "simulate", meta, CSV_COLUMNS,
                 _trajectory_columns(traj, kind))
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    keys = _STATE_KEYS + _INTEGRATOR_KEYS + ["out", "format"]
     if args.jobs is not None and args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     if not args.configs:
-        return _run_simulate(_merge_settings(args, keys))
+        return _run_simulate(_merge_settings(args, "simulate"))
     # A sweep: each config file in turn, with the flags overriding it.
-    runs = [_merge_settings(argparse.Namespace(**{**vars(args), "config": path}), keys)
-            for path in args.configs]
+    runs = [_merge_settings(argparse.Namespace(**{**vars(args), "config": path}),
+                            "simulate") for path in args.configs]
     outs = set()
     for path, settings in zip(args.configs, runs):
         out = settings.get("out")
@@ -237,32 +248,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    keys = _STATE_KEYS + _INTEGRATOR_KEYS + \
-        ["out", "format", "seed", "drift_tol", "analytic", "symmetry", "hydro"]
-    settings = _merge_settings(args, keys, _VERIFY_DEFAULTS)
+    settings = _merge_settings(args, "verify")
     if settings["seed"] < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {settings['seed']}")
     if not 0.0 < settings["drift_tol"] < math.inf:
         raise ConfigError(
             f"drift_tol must be a positive finite number, got {settings['drift_tol']}")
     kind = _model_kind(settings)
-    initial = None
-    if settings.get("X") is not None:
-        initial = _initial_state(settings, kind)
+    initial = _initial_state(settings, kind) if settings.get("X") is not None else None
     results = verification.run_verification(
-        kind, initial, t_end=settings["t_end"], rel_tol=settings["rel_tol"],
-        abs_tol=settings["abs_tol"], sample_interval=settings["sample_interval"],
-        max_step=settings["max_step"], drift_tol=settings["drift_tol"],
-        seed=settings["seed"], do_analytic=settings["analytic"],
-        do_symmetry=settings["symmetry"], do_hydro=settings["hydro"])
+        kind, initial, **{k: settings[k] for k in _INTEGRATOR_KEYS},
+        drift_tol=settings["drift_tol"], seed=settings["seed"],
+        do_analytic=settings["analytic"], do_symmetry=settings["symmetry"],
+        do_hydro=settings["hydro"])
     passed = all(r.passed for r in results)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "verify",
-        "model": kind.value,
-        "checks": [r.as_dict() for r in results],
-        "passed": passed,
-    }
+    doc = {"schema": SCHEMA_VERSION, "command": "verify", "model": kind.value,
+           "checks": [r.as_dict() for r in results], "passed": passed}
     _write_text(settings.get("out"), json.dumps(doc, indent=2) + "\n")
     for r in results:
         log.info("%-42s %s  value=%.3e threshold=%.3e",
@@ -271,9 +272,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
-    keys = _STATE_KEYS + _INTEGRATOR_KEYS + \
-        ["out", "format", "H", "I", "t0", "phi0", "sign0", "compare"]
-    settings = _merge_settings(args, keys)
+    settings = _merge_settings(args, "analytic")
     kind = _model_kind(settings)
     if not kind.has_ermakov_invariant:
         raise ConfigError("the analytic command supports the 2d and elliptic models")
@@ -285,12 +284,9 @@ def cmd_analytic(args: argparse.Namespace) -> int:
         angular_sol = analytic.AngularSolution.from_state(initial, kind)
         grid_start = initial.t
     elif settings.get("H") is not None and settings.get("I") is not None:
-        radial_sol = analytic.RadialSolution(energy=settings["H"],
-                                             invariant=settings["I"],
-                                             t0=settings["t0"])
-        angular_sol = analytic.AngularSolution(invariant=settings["I"],
-                                               phi0=settings["phi0"],
-                                               sign0=settings["sign0"])
+        radial_sol = analytic.RadialSolution(settings["H"], settings["I"], settings["t0"])
+        angular_sol = analytic.AngularSolution(settings["I"], settings["phi0"],
+                                               settings["sign0"])
         grid_start = settings["t0"]
     else:
         raise ConfigError("analytic needs either an initial state (--X ...) or --H and --I")
@@ -311,61 +307,36 @@ def cmd_analytic(args: argparse.Namespace) -> int:
         extra.append(f"max_delta_r={np.max(np.abs(r_num - r)):.17g}")
 
     meta = ["model", "H", "I", "t0", "t_end", "sample_interval"]
-    settings["H"] = radial_sol.energy
-    settings["I"] = radial_sol.invariant
-    settings["t0"] = radial_sol.t0
+    settings.update(H=radial_sol.energy, I=radial_sol.invariant, t0=radial_sol.t0)
     _emit_table(settings, "analytic", meta, ("t", "r", "rdot", "ttilde", "phi"),
                 {"t": grid, "r": r, "rdot": rdot, "ttilde": ttilde, "phi": phi},
                 extra_comments=extra)
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fireball",
         description="Reduced fireball variance dynamics: simulation and verification.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, func, text in (
+            ("simulate", cmd_simulate, "integrate a model and write the trajectory"),
+            ("verify", cmd_verify, "run the verification suite, emit a JSON report"),
+            ("analytic", cmd_analytic, "evaluate the closed-form radial/angular solution")):
+        p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--model", choices=[k.value for k in ModelKind])
-        for label in ("X", "Y", "Z"):
-            p.add_argument(f"--{label}", type=float)
-            p.add_argument(f"--{label}dot", type=float)
-        p.add_argument("--t-end", dest="t_end", type=float)
-        p.add_argument("--rel-tol", dest="rel_tol", type=float)
-        p.add_argument("--abs-tol", dest="abs_tol", type=float)
-        p.add_argument("--max-step", dest="max_step", type=float)
-        p.add_argument("--sample-interval", dest="sample_interval", type=float)
-        p.add_argument("--out", help="output path ('-' for stdout)")
-        p.add_argument("--format", choices=["csv", "json"])
-
-    sim = sub.add_parser("simulate", help="integrate a model and write the trajectory")
-    add_common(sim)
+        for s in _SETTINGS:
+            if command in s.commands:
+                typed = {str: {}, bool: {"action": argparse.BooleanOptionalAction}}.get(
+                    s.type, {"type": s.type})
+                p.add_argument("--" + s.name.replace("_", "-"), default=None,
+                               **{**typed, **s.flag})
+        p.set_defaults(func=func)
+    sim = sub.choices["simulate"]
     sim.add_argument("configs", nargs="*",
                      help="config files for a parameter sweep (each sets its own out)")
     sim.add_argument("--jobs", type=int, help="concurrent sweep runs")
-    sim.set_defaults(func=cmd_simulate)
-
-    ver = sub.add_parser("verify", help="run the verification suite, emit a JSON report")
-    add_common(ver)
-    ver.add_argument("--seed", type=int)
-    ver.add_argument("--drift-tol", dest="drift_tol", type=float)
-    ver.add_argument("--analytic", action=argparse.BooleanOptionalAction)
-    ver.add_argument("--symmetry", action=argparse.BooleanOptionalAction)
-    ver.add_argument("--hydro", action=argparse.BooleanOptionalAction)
-    ver.set_defaults(func=cmd_verify)
-
-    ana = sub.add_parser("analytic", help="evaluate the closed-form radial/angular solution")
-    add_common(ana)
-    ana.add_argument("--H", type=float, help="energy of the radial law")
-    ana.add_argument("--I", type=float, help="invariant of the radial/angular law")
-    ana.add_argument("--t0", type=float)
-    ana.add_argument("--phi0", type=float)
-    ana.add_argument("--sign0", type=int, choices=[-1, 1])
-    ana.add_argument("--compare", action="store_true", default=None,
-                     help="also integrate numerically and report max |delta r|")
-    ana.set_defaults(func=cmd_analytic)
     return parser
 
 

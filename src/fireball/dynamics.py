@@ -120,7 +120,7 @@ def vector_field(kind: ModelKind) -> Callable[[float, list], Sequence[float]]:
     """
     q = kind.labels
     qdot = tuple(f"{x}d" for x in q)
-    axes = sorted(kind.axes)
+    axes = list(kind.sorted_axes)
     D = kind.spatial_dim
     if 2 % D == 0:  # P^(2/D) is P or P^2
         prelude = ()

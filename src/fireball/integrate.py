@@ -280,15 +280,18 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     domain, e.g. at a variance floor.  A field declared as source
     (:class:`fireball.dynamics.FieldSource`) is inlined into the step; any
     other callable is called once per stage, with the same results.
+    Times are compared within 1e-14 relative to the larger of |t| and a
+    unit, min(1, t_end - t0): a short span, such as an angular quadrature's
+    ttilde grid, scales its own tolerances and step floor.
     ``sample_times`` must be non-decreasing and start no earlier than t0
-    (within 1e-14 relative), else DomainError is raised; samples at t0 get
+    (within that tolerance), else DomainError is raised; samples at t0 get
     y0, and integration runs to the last entry.  Every later sample is the
     end of a step, since steps land on them, unless ``dense`` is set: then
     the steps ignore the samples, and a sample inside a step is the
-    continuous extension of that step (one within 1e-14 relative of the
+    continuous extension of that step (one within the tolerance of the
     step's end is the end state).  A ``max_step`` below the step floor,
-    1e-14 times the largest of 1, |t0| and |t_end|, raises DomainError
-    before the first step: such a run could not reach t_end.
+    1e-14 times the largest of the unit, |t0| and |t_end|, raises
+    DomainError before the first step: such a run could not reach t_end.
     Returns a (len(sample_times), len(y0)) array.
     """
     y = [float(v) for v in y0]
@@ -298,14 +301,16 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     if np.any(np.diff(grid) < 0.0):
         raise DomainError("sample times must be non-decreasing")
     times = grid.tolist()
-    t_tol = 1e-14 * max(1.0, abs(t))
+    t_end = times[-1]
+    span = t_end - t
+    # A span too short for a nonzero floor (or not positive) keeps unit 1.
+    unit = min(1.0, span) if 1e-14 * span > 0.0 else 1.0
+    t_tol = 1e-14 * max(unit, abs(t))
     if times[0] < t - t_tol:
         raise DomainError(f"sample times start at {times[0]} before t0={t}")
-    t_end = times[-1]
-    if max_step < 1e-14 * max(1.0, abs(t), abs(t_end)):
+    if max_step < 1e-14 * max(unit, abs(t), abs(t_end)):
         raise DomainError(f"max_step={max_step!r} lies below the step floor of 1e-14 "
                           f"relative over [{t!r}, {t_end!r}]")
-    span = t_end - t
 
     out = array("d")  # samples, row after row
     n_samples = len(times)
@@ -334,7 +339,7 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     # and that step's y, y_new, k1, k3..k7 in a row of `stages`.
     inside, stages = [], array("d")
 
-    t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
+    t_stop = t_end - 1e-14 * max(unit, abs(t_end))
     while t < t_stop:
         # Comparisons stand in for min() and max() in this loop, with the
         # same ties and NaN handling, at less cost per step than the calls.
@@ -347,7 +352,7 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
             # otherwise dominate invariant drift once steps outgrow the grid.
             h = times[next_idx] - t
         at = abs(t)
-        if h < 1e-14 * (at if at > 1.0 else 1.0):
+        if h < 1e-14 * (at if at > unit else unit):
             if refusals > 0:
                 raise SingularityError(
                     f"domain refusals forced the step below the floor at t={t!r}",
@@ -376,7 +381,7 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
         if err <= 1.0:
             t_new = t + h
             at = abs(t_new)
-            tol = 1e-14 * (at if at > 1.0 else 1.0)
+            tol = 1e-14 * (at if at > unit else unit)
             if dense:
                 # Rows next_idx..stop-1 lie in (t, t_new + tol]; those from
                 # end on are at t_new and get y_new, the rest are

@@ -23,47 +23,39 @@ class ModelKind(Enum):
     ``ELLIPTIC_3D`` is the three-dimensional system restricted to states whose
     two transverse variances coincide; only the two independent variances
     (X, Y) are stored, so the constraint holds by construction.
+
+    Each member's facts derive from ``axes``, the stored coordinate carried
+    by each spatial axis of the Gaussian (the elliptic model's third axis, Z,
+    carries X), and are set once, when the member is made:
+
+    - ``dim``: the number of independent variance coordinates;
+    - ``spatial_dim``: the number D of spatial axes of the Gaussian profile;
+    - ``labels``: the coordinate names, X, Y, Z in turn;
+    - ``weights``: the kinetic weights M, the number of spatial axes each
+      coordinate carries, so the kinetic energy is sum(M qdot^2) / 2
+      (a read-only array);
+    - ``has_ermakov_invariant``: True for the planar models (2d, elliptic);
+    - ``sorted_axes``: ``axes`` with repeated axes together (X X Y), so a
+      product over them rounds as X**2 * Y does.
     """
 
-    ONE_D = "1d"
-    TWO_D = "2d"
-    THREE_D = "3d"
-    ELLIPTIC_3D = "elliptic"
+    ONE_D = "1d", (0,)
+    TWO_D = "2d", (0, 1)
+    THREE_D = "3d", (0, 1, 2)
+    ELLIPTIC_3D = "elliptic", (0, 1, 0)
 
-    @property
-    def axes(self) -> tuple[int, ...]:
-        """Stored coordinate carried by each spatial axis of the Gaussian.
-
-        Every other per-model fact derives from this map; the elliptic
-        model's third axis (Z) carries X.
-        """
-        return {ModelKind.ONE_D: (0,), ModelKind.TWO_D: (0, 1),
-                ModelKind.THREE_D: (0, 1, 2), ModelKind.ELLIPTIC_3D: (0, 1, 0)}[self]
-
-    @property
-    def dim(self) -> int:
-        """Number of independent variance coordinates."""
-        return max(self.axes) + 1
-
-    @property
-    def spatial_dim(self) -> int:
-        """Number D of spatial axes of the Gaussian profile."""
-        return len(self.axes)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return ("X", "Y", "Z")[:self.dim]
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Kinetic weights M: the number of spatial axes each coordinate
-        carries, so the kinetic energy is sum(M qdot^2) / 2."""
-        return np.bincount(self.axes).astype(float)
-
-    @property
-    def has_ermakov_invariant(self) -> bool:
-        """True for the planar models (2d, elliptic)."""
-        return self.dim == 2
+    def __new__(cls, value: str, axes: tuple[int, ...]):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.axes = axes
+        kind.dim = max(axes) + 1
+        kind.spatial_dim = len(axes)
+        kind.labels = ("X", "Y", "Z")[:kind.dim]
+        kind.weights = np.bincount(axes).astype(float)
+        kind.weights.setflags(write=False)
+        kind.has_ermakov_invariant = kind.dim == 2
+        kind.sorted_axes = tuple(sorted(axes))
+        return kind
 
     @classmethod
     def from_name(cls, name: str) -> "ModelKind":
@@ -177,8 +169,7 @@ class PhysicalParams:
 def axis_product(values, kind: ModelKind):
     """Product of per-coordinate ``values`` (..., dim) over the spatial axes
     of ``kind``: X Y Z for 3d, X^2 Y for elliptic."""
-    # Repeated axes are multiplied first (X X Y), the rounding of X**2 * Y.
-    return np.prod(np.asarray(values, dtype=float)[..., sorted(kind.axes)], axis=-1)
+    return np.prod(np.asarray(values, dtype=float)[..., kind.sorted_axes], axis=-1)
 
 
 def reference_scales(params: PhysicalParams, kind: ModelKind) -> tuple[float, float]:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import fireball
-from fireball.cli import CSV_COLUMNS, main, parse_config_file
+from fireball.cli import _SETTINGS, CSV_COLUMNS, main, parse_config_file
+from fireball.models import ModelKind
 
 
 def read_csv(path):
@@ -384,6 +385,21 @@ class TestAnalytic:
         delta = [c for c in comments if "max_delta_r" in c]
         assert delta and float(delta[0].split("=")[1]) <= 1e-6
 
+    @pytest.mark.parametrize("model,Y", [("2d", "1e-8"), ("elliptic", "1e-9")])
+    def test_small_variance_angle_matches_simulate(self, model, Y, tmp_path):
+        # ttilde spans only pi/sqrt(2C), about 1e-4 here, so the quadrature
+        # needs steps near 1e-13: the step floor must scale with that span.
+        state = ["--model", model, "--X", "1", "--Y", Y, "--Xdot", "0.1",
+                 "--Ydot", "0.2", "--t-end", "25"]
+        assert main(["analytic", *state, "--out", str(tmp_path / "a.csv")]) == 0
+        assert main(["simulate", *state, "--out", str(tmp_path / "s.csv")]) == 0
+        _, header, rows = read_csv(tmp_path / "a.csv")
+        _, sim_header, sim_rows = read_csv(tmp_path / "s.csv")
+        Mx, My = ModelKind(model).weights
+        stretched = np.arctan2(np.sqrt(My) * column(sim_rows, sim_header, "Y"),
+                               np.sqrt(Mx) * column(sim_rows, sim_header, "X"))
+        assert np.max(np.abs(column(rows, header, "phi") - stretched)) <= 1e-9
+
     def test_needs_state_or_parameters(self, tmp_path):
         assert main(["analytic", "--model", "2d",
                      "--out", str(tmp_path / "a.csv")]) == 2
@@ -444,10 +460,16 @@ class TestRefusals:
           "--t-end", "1"], "step floor"),
         (["verify", "--model", "2d", "--max-step", "1e-17", "--t-end", "1",
           "--no-symmetry", "--no-hydro", "--no-analytic"], "step floor"),
+        (["analytic", "--model", "2d", "--H", "1", "--I", "5e-324"], "sqrt(2/C) H"),
+        (["analytic", "--model", "elliptic", "--H", "1", "--I", "5e-324"], "sqrt(2/C) H"),
+        (["analytic", "--model", "2d", "--H", "1", "--I", "5", "--phi0", "5e-324"],
+         "classically forbidden"),
     ], ids=["verify_1d_huge_X", "verify_elliptic_huge_X", "analytic_elliptic_huge_X",
             "verify_2d_huge_X", "verify_3d_huge_X", "simulate_infinite_grid",
             "verify_infinite_grid", "analytic_infinite_grid", "analytic_variance_below_floor",
-            "simulate_max_step_below_floor", "verify_max_step_below_floor"])
+            "simulate_max_step_below_floor", "verify_max_step_below_floor",
+            "analytic_2d_tiny_invariant", "analytic_elliptic_tiny_invariant",
+            "analytic_phi0_at_underflow"])
     def test_exits_2_with_one_error_line(self, argv, message, tmp_path, capsys):
         out = tmp_path / "x.out"
         with warnings.catch_warnings():
@@ -458,6 +480,56 @@ class TestRefusals:
         assert len(errors) == 1 and message in errors[0]
         assert "unexpected" not in err and "Warning" not in err
         assert not out.exists()
+
+
+class TestFlagSweep:
+    # Every flag of every command, read from the settings table, with values
+    # at and past the ends of the float range and some that are no number.
+    VALUES = ("0", "-1", "1e-300", "1e300", "nan", "inf", "1e-17", "5e-324",
+              "0.5", "abc", "")
+    STATES = {"1d": ["--X", "1", "--Xdot", "0.1"],
+              "2d": ["--X", "1", "--Y", "1.3", "--Xdot", "0.1", "--Ydot", "-0.2"],
+              "3d": ["--X", "1", "--Y", "1.3", "--Z", "0.8", "--Zdot", "0.05"],
+              "elliptic": ["--X", "1", "--Y", "1.3", "--Xdot", "0.1", "--Ydot", "-0.2"]}
+
+    def test_every_flag_exits_with_a_documented_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # --out values become file names here
+        short = ["--t-end", "2", "--sample-interval", "0.1", "--out", "x.out"]
+        # Each value runs on one group of bases, the groups in turn: simulate
+        # on every model at once; verify, 3-10 times dearer, on one model; and
+        # analytic on one planar model, from a state and from --H/--I.
+        groups = {
+            "simulate": [[["--model", m, *state, *short] for m, state in self.STATES.items()]],
+            "verify": [[["--model", m, *state, "--t-end", "2", "--no-symmetry",
+                         "--no-hydro", "--out", "x.out"]] for m, state in self.STATES.items()],
+            "analytic": [[["--model", m, *self.STATES[m], *short],
+                          ["--model", m, "--H", "1", "--I", I, *short]]
+                         for m, I in (("2d", "5"), ("elliptic", "6"))],
+        }
+        failures, runs = [], 0
+        for command, bases in groups.items():
+            codes = {0, 1, 2, 3} if command == "verify" else {0, 2, 3}
+            for k, setting in enumerate(_SETTINGS):
+                if command not in setting.commands:
+                    continue
+                flag = "--" + setting.name.replace("_", "-")
+                tails = [[flag, value] for value in self.VALUES]
+                if setting.type is bool:
+                    tails += [[flag], ["--no-" + setting.name]]
+                for i, tail in enumerate(tails):
+                    for base in bases[(i + k) % len(bases)]:
+                        argv = [command, *base, *tail]
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("error")
+                            code = main(argv)
+                        err = capsys.readouterr().err
+                        runs += 1
+                        if (code not in codes
+                                or sum("error:" in line for line in err.splitlines()) > 1
+                                or any(w in err for w in ("unexpected", "Traceback",
+                                                          "Warning"))):
+                            failures.append((argv, code, err))
+        assert runs > 1200 and not failures, failures[:5]
 
 
 class TestEntryPoint:

@@ -54,6 +54,14 @@ class TestModelKind:
     def test_dims(self):
         assert [k.dim for k in ModelKind] == [1, 2, 3, 2]
 
+    def test_facts_are_set_once_per_member(self):
+        kind = ModelKind("elliptic")
+        assert kind is ModelKind.ELLIPTIC_3D and kind.axes == (0, 1, 0)
+        assert (kind.dim, kind.spatial_dim, kind.labels) == (2, 3, ("X", "Y"))
+        assert kind.weights is kind.weights and kind.weights.tolist() == [2.0, 1.0]
+        with pytest.raises(ValueError):  # shared by every caller: read-only
+            kind.weights[0] = 5.0
+
     def test_from_name(self):
         assert ModelKind.from_name("elliptic") is ModelKind.ELLIPTIC_3D
         with pytest.raises(UnsupportedModelError):
