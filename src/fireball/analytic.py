@@ -63,6 +63,8 @@ class RadialSolution:
                 and math.sqrt(2.0 / C) * H < math.inf):
             raise DomainError("the radial law needs finite positive H, C, C/H and "
                               f"sqrt(2/C) H, got H={H!r}, C={C!r}")
+        if not math.isfinite(self.t0):
+            raise DomainError(f"the radial law needs a finite t0, got {self.t0!r}")
 
     @classmethod
     def from_state(cls, state: State, kind: ModelKind) -> "RadialSolution":

@@ -62,7 +62,7 @@ _SETTINGS = (
     Setting("max_step", float, math.inf, _ALL),
     Setting("sample_interval", float, 0.01, _ALL),
     Setting("out", str, None, _ALL, {"help": "output path ('-' for stdout)"}),
-    Setting("format", str, "csv", _ALL, {"choices": ["csv", "json"]}),
+    Setting("format", str, "csv", ("simulate", "analytic"), {"choices": ["csv", "json"]}),
     Setting("seed", int, 0, ("verify",)),
     Setting("drift_tol", float, 1e-8, ("verify",)),
     Setting("analytic", bool, True, ("verify",)),
@@ -176,10 +176,12 @@ def _trajectory_columns(traj, kind: ModelKind) -> dict[str, np.ndarray]:
 
 
 def _emit_table(settings: dict, command: str, meta_keys: list[str],
-                columns, data: dict, extra_comments=()) -> None:
+                columns, data: dict, extra: dict[str, float] = {}) -> None:
     """Write the ``columns`` of ``data`` (name -> 1-d array) as one table.
 
     A column missing from ``data`` is an empty CSV field and a JSON null.
+    Each ``extra`` value is a top-level JSON entry, or a ``# name=value``
+    CSV comment line.
     """
     meta = {k: settings[k] for k in meta_keys if settings.get(k) is not None}
     present = [c for c in columns if c in data]
@@ -195,14 +197,12 @@ def _emit_table(settings: dict, command: str, meta_keys: list[str],
             "columns": list(columns),
             "rows": table,
         }
-        for comment in extra_comments:
-            key, _, value = comment.partition("=")
-            doc[key] = float(value)
+        doc.update(extra)
         _write_text(settings.get("out"), json.dumps(doc, indent=2) + "\n")
     elif settings["format"] == "csv":
         pairs = " ".join(f"{k}={v}" for k, v in meta.items())
         lines = [f"# schema={SCHEMA_VERSION}", f"# command={command}", f"# {pairs}"]
-        lines += [f"# {c}" for c in extra_comments]
+        lines += [f"# {k}={v:.17g}" for k, v in extra.items()]
         lines.append(",".join(columns))
         # 17 significant digits round-trip every float.
         row_format = ",".join("%.17g" if c in data else "" for c in columns)
@@ -298,19 +298,19 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     # The angular motion is autonomous: its clock starts at 0.
     phi, _ = analytic.angular_quadrature(angular_sol, kind, ttilde - ttilde[0])
 
-    extra = []
+    extra = {}
     if settings["compare"]:
         if initial is None:
             raise ConfigError("--compare requires an initial state (--X ...)")
         traj = integrate(initial, kind, cfg)
         r_num, _ = radius(traj.qs, traj.qdots, kind)
-        extra.append(f"max_delta_r={np.max(np.abs(r_num - r)):.17g}")
+        extra["max_delta_r"] = float(np.max(np.abs(r_num - r)))
 
     meta = ["model", "H", "I", "t0", "t_end", "sample_interval"]
     settings.update(H=radial_sol.energy, I=radial_sol.invariant, t0=radial_sol.t0)
     _emit_table(settings, "analytic", meta, ("t", "r", "rdot", "ttilde", "phi"),
                 {"t": grid, "r": r, "rdot": rdot, "ttilde": ttilde, "phi": phi},
-                extra_comments=extra)
+                extra=extra)
     return 0
 
 

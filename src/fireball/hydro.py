@@ -60,9 +60,14 @@ class FluidFields:
     eps: float
 
 
-def _variance_ratio(params: PhysicalParams, qs, kind: ModelKind):
-    """prod_a(Q0_a / Q_a) for dimensional variances ``qs`` (..., dim)."""
-    return axis_product(params.variances(kind), kind) / axis_product(qs, kind)
+def _profile(params: PhysicalParams, qs, qdots, kind: ModelKind):
+    """The Gaussian profile of dimensional states ``qs``, ``qdots`` (..., dim):
+    per-axis variances Q and rates Qd (..., D), the density prefactor
+    n0 prod_a(Q0_a / Q_a) and the temperature T0 prod_a(Q0_a / Q_a)^(2/D)."""
+    ratio = axis_product(params.variances(kind), kind) / axis_product(qs, kind)
+    axes = list(kind.axes)
+    return (qs[..., axes], qdots[..., axes], params.n0 * ratio,
+            params.T0 * ratio ** (2.0 / kind.spatial_dim))
 
 
 def fields_at(params: PhysicalParams, state: State, point,
@@ -76,12 +81,10 @@ def fields_at(params: PhysicalParams, state: State, point,
     point = np.atleast_1d(np.asarray(point, dtype=float))
     if point.shape != (D,):
         raise DomainError(f"point must have {D} coordinates, got {point.shape}")
-    Q = state.q[list(kind.axes)]
-    rate = state.qdot[list(kind.axes)] / Q
-    ratio = float(_variance_ratio(params, state.q, kind))
-    n = params.n0 * ratio * math.exp(-float(np.sum(point ** 2 / (2 * Q ** 2))))
-    T = params.T0 * ratio ** (2.0 / D)
-    return FluidFields(n=n, v=rate * point, T=T, p=n * T, eps=D / 2 * n * T)
+    Q, Qd, n_pref, T = _profile(params, state.q, state.qdot, kind)
+    n = float(n_pref) * math.exp(-float(np.sum(point ** 2 / (2 * Q ** 2))))
+    T = float(T)
+    return FluidFields(n=n, v=Qd / Q * point, T=T, p=n * T, eps=D / 2 * n * T)
 
 
 def default_probe_points(kind: ModelKind) -> np.ndarray:
@@ -135,12 +138,9 @@ def pde_residuals(params: PhysicalParams, traj: Trajectory,
         raise DomainError("pde_residuals requires a uniform sample grid")
 
     length, time_scale = reference_scales(params, kind)
-    qs = traj.qs * length
-    Q = qs[:, list(kind.axes)]
-    rate = traj.qdots[:, list(kind.axes)] * (length / time_scale) / Q
-    ratio = _variance_ratio(params, qs, kind)
-    n_pref = params.n0 * ratio
-    T = params.T0 * ratio ** (2.0 / D)
+    Q, Qd, n_pref, T = _profile(params, traj.qs * length,
+                                traj.qdots * (length / time_scale), kind)
+    rate = Qd / Q
     dt = dt_grid[0] * time_scale
     m = params.m
 
@@ -186,15 +186,12 @@ def _gaussian_moments(params: PhysicalParams, state: State,
     density integrates to sqrt(2 pi) Q_a, so N = n0 ratio prod_a(sqrt(2 pi)
     Q_a) with ratio = prod_a(Q0_a / Q_a).  Per particle, eps / n = D T / 2
     and m v_a^2 / 2 averages to m Qd_a^2 / 2, so
-    E = N (D/2 T0 ratio^(2/D) + m/2 sum_a Qd_a^2).
+    E = N (D/2 T + m/2 sum_a Qd_a^2).
     """
     check_state(state, kind)
-    D = kind.spatial_dim
-    axes = list(kind.axes)
-    ratio = float(_variance_ratio(params, state.q, kind))
-    number = params.n0 * ratio * float(np.prod(_SQRT_2PI * state.q[axes]))
-    per_particle = D / 2 * params.T0 * ratio ** (2.0 / D) \
-        + params.m / 2 * float(np.sum(state.qdot[axes] ** 2))
+    Q, Qd, n_pref, T = _profile(params, state.q, state.qdot, kind)
+    number = float(n_pref) * float(np.prod(_SQRT_2PI * Q))
+    per_particle = kind.spatial_dim / 2 * float(T) + params.m / 2 * float(np.sum(Qd ** 2))
     return number, number * per_particle
 
 

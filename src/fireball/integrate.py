@@ -172,12 +172,10 @@ class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_step: float = math.inf
-    initial_step: float | None = None
 
     def __post_init__(self):
         for name in _CONFIG_FIELDS:
-            v = getattr(self, name)
-            if v is not None and math.isnan(v):
+            if math.isnan(getattr(self, name)):
                 raise DomainError(f"{name} must not be NaN")
         for name in ("t_end", "sample_interval"):
             if math.isinf(getattr(self, name)):
@@ -190,8 +188,6 @@ class IntegratorConfig:
             raise DomainError("sample_interval must be positive")
         if self.max_step <= 0.0:
             raise DomainError("max_step must be positive")
-        if self.initial_step is not None and self.initial_step <= 0.0:
-            raise DomainError("initial_step must be positive when given")
 
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(IntegratorConfig))
@@ -203,14 +199,12 @@ class Trajectory:
 
     ``times`` is finite and strictly increasing; ``qs``/``qdots`` are (n, d)
     arrays of positive finite variances and finite rates.
-    ``config`` echoes the integrator settings (None for hand-built data).
     """
 
     kind: ModelKind
     times: np.ndarray
     qs: np.ndarray
     qdots: np.ndarray
-    config: IntegratorConfig | None = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -484,11 +478,9 @@ def integrate(initial: State, kind: ModelKind, config: IntegratorConfig, *,
     try:
         ys = solve_ode(vector_field(kind), initial.t, y0, grid,
                        rel_tol=config.rel_tol, abs_tol=config.abs_tol,
-                       max_step=config.max_step, initial_step=config.initial_step,
-                       dense=dense)
+                       max_step=config.max_step, dense=dense)
     except IntegrationError as exc:
         if exc.last_y is not None:
             exc.last_state = State(t=exc.last_t, q=exc.last_y[:d], qdot=exc.last_y[d:])
         raise
-    return Trajectory(kind=kind, times=grid, qs=ys[:, :d], qdots=ys[:, d:],
-                      config=config)
+    return Trajectory(kind=kind, times=grid, qs=ys[:, :d], qdots=ys[:, d:])

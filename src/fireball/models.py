@@ -82,9 +82,9 @@ def _as_vector(values, name: str) -> np.ndarray:
 class State:
     """Variances and their rates at a single time.
 
-    ``q`` holds the variances (strictly positive), ``qdot`` their time
-    derivatives.  Units are whatever the caller is working in; the ODE layer
-    uses the dimensionless form throughout.
+    ``t`` is finite, ``q`` holds the variances (strictly positive), ``qdot``
+    their time derivatives.  Units are whatever the caller is working in; the
+    ODE layer uses the dimensionless form throughout.
     """
 
     t: float
@@ -98,9 +98,12 @@ class State:
             raise DomainError(f"q and qdot lengths differ: {q.shape} vs {qdot.shape}")
         if min(q.tolist(), default=1.0) <= 0.0:
             raise DomainError(f"variances must be strictly positive, got {q}")
+        t = float(self.t)
+        if not math.isfinite(t):
+            raise DomainError(f"t must be finite, got {t}")
         q.setflags(write=False)
         qdot.setflags(write=False)
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", t)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "qdot", qdot)
 
@@ -149,13 +152,10 @@ class PhysicalParams:
     m: float = 1.0
 
     def __post_init__(self):
-        for name in ("n0", "T0", "X0", "m"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"{name} must be strictly positive")
-        for name in ("Y0", "Z0"):
+        for name in ("n0", "T0", "X0", "Y0", "Z0", "m"):
             val = getattr(self, name)
-            if val is not None and val <= 0.0:
-                raise DomainError(f"{name} must be strictly positive when given")
+            if not (val is None and name in ("Y0", "Z0") or 0.0 < val < math.inf):
+                raise DomainError(f"{name} must be finite and strictly positive, got {val!r}")
 
     def variances(self, kind: ModelKind) -> np.ndarray:
         """Reference variances of the coordinates of ``kind`` (X0, Y0, Z0 in turn)."""

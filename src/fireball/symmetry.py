@@ -2,12 +2,14 @@
 
 A point symmetry is a vector field tau d/dt + eta . d/dq on (t, q) space;
 its first extension acts on velocities with coefficient (etadot - taudot qd).
-The Noether condition  G1[L] + taudot L = gauge-dot  is evaluated with exact
-partial derivatives of L (they are elementary), so the residual of a genuine
-symmetry sits at rounding level.  Finite differences are used only where the
-object being differentiated is caller-supplied: arbitrary scalar fields in
-:func:`extended_generator_apply`, and the free function tau of the dynamical
-symmetry behind the Ermakov invariant.
+The Noether condition  G1[L] + taudot L = gauge-dot  and its invariant are
+written once (:func:`_noether`), for point symmetries and the 2d model's
+velocity-dependent symmetry alike, with exact partial derivatives of L (they
+are elementary), so the residual of a genuine symmetry sits at rounding
+level.  One central difference along a line in (t, q, qdot) space is used
+only where the object being differentiated is caller-supplied: scalar fields
+in :func:`extended_generator_apply`, and the free function tau (and a given
+gauge) of the dynamical symmetry behind the Ermakov invariant.
 
 All models admit the scaling symmetry tau = 2 t, eta = q (gauge 0), whose
 finite form t -> beta^2 t, q -> beta q maps solutions to solutions; see
@@ -21,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedModelError
+from .errors import DomainError
 from .models import ModelKind, State, check_state
 from .integrate import Trajectory
 from .dynamics import accel, canonical_momenta, energies
@@ -86,66 +88,69 @@ def _prolongation(sym: PointSymmetry, state: State):
     return tau, eta, taudot, etadot, gauge, gaugedot
 
 
+def _noether(state: State, kind: ModelKind, tau, eta, taudot, etadot,
+             gauge, gaugedot) -> tuple[float, float]:
+    """``(residual, invariant)`` of a symmetry with the given prolongation.
+
+    The residual is G1[L] + taudot L - gauge-dot, with dL/dq = M qdd on
+    shell (-grad V) and p = M qdot; the invariant is
+    J = tau (qd.p - L) - eta.p + gauge.
+    """
+    qd = state.qdot
+    L = energies(state, kind).lagrangian
+    dL_dq = kind.weights * accel(state.q, kind)
+    p = canonical_momenta(state, kind)
+    g1_L = float(eta @ dL_dq + (etadot - taudot * qd) @ p)  # dL/dt = 0
+    return (g1_L + taudot * L - gaugedot,
+            tau * (float(qd @ p) - L) - float(eta @ p) + gauge)
+
+
 def noether_condition_residual(sym: PointSymmetry, kind: ModelKind,
                                state: State) -> float:
     """Residual of G1[L] + taudot L - gauge-dot at the given phase point.
 
     Vanishes (to rounding) for a Noether symmetry of the model's Lagrangian.
     """
-    check_state(state, kind)
-    _, eta, taudot, etadot, _, gaugedot = _prolongation(sym, state)
-    qd = state.qdot
-    L = energies(state, kind).lagrangian
-    dL_dq = kind.weights * accel(state.q, kind)  # -grad V = M qdd
-    p = canonical_momenta(state, kind)
-    g1_L = float(eta @ dL_dq + (etadot - taudot * qd) @ p)  # dL/dt = 0
-    return g1_L + taudot * L - gaugedot
+    return _noether(state, kind, *_prolongation(sym, check_state(state, kind)))[0]
 
 
 def noether_invariant_from(sym: PointSymmetry, kind: ModelKind,
                            state: State) -> float:
     """Conserved quantity J = tau (qd.p - L) - eta.p + gauge of the symmetry."""
-    check_state(state, kind)
-    tau, eta, _, _, gauge, _ = _prolongation(sym, state)
-    qd = state.qdot
-    L = energies(state, kind).lagrangian
-    p = canonical_momenta(state, kind)
-    return tau * (float(qd @ p) - L) - float(eta @ p) + gauge
+    return _noether(state, kind, *_prolongation(sym, check_state(state, kind)))[1]
+
+
+def _derivative_along(fn: FieldFn, state: State, dt: float, dq, dqd) -> float:
+    """Derivative of fn(t, q, qdot) at the state along the vector
+    (dt, dq, dqd), by one central difference.
+
+    The step is 1e-6 of the state's scale over the vector's, and at most
+    half the step that would bring a variance to zero.
+    """
+    t, q, qd = state.t, state.q, state.qdot
+    size = max(abs(dt), abs(dq).max(), abs(dqd).max())
+    if size == 0.0:
+        return 0.0
+    scale = max(1.0, abs(t), q.max(), abs(qd).max())
+    h = 1.0 / max(size / (1e-6 * scale), 2.0 * (abs(dq) / q).max())
+
+    def at(s):
+        return fn(t + s * dt, q + s * dq, qd + s * dqd)
+
+    return float((at(h) - at(-h)) / (2.0 * h))
 
 
 def extended_generator_apply(sym: PointSymmetry, field: FieldFn,
                              state: State) -> float:
     """Apply the first extended generator to a scalar field of (t, q, qdot).
 
-    The field's partial derivatives are taken by central differences with a
-    relative step of 1e-6, so results are reliable to about that level.
+    By the chain rule this is the field's derivative along the prolonged
+    generator (tau, eta, etadot - taudot qd), taken by one central
+    difference with a relative step of 1e-6, so results are reliable to
+    about that level.
     """
-    t, q, qd = state.t, state.q, state.qdot
     tau, eta, taudot, etadot, _, _ = _prolongation(sym, state)
-
-    def d_dt():
-        h = 1e-6 * max(1.0, abs(t))
-        return (field(t + h, q, qd) - field(t - h, q, qd)) / (2.0 * h)
-
-    def d_dq(i):
-        h = min(1e-6 * max(1.0, abs(q[i])), 0.5 * q[i])
-        qp, qm = q.copy(), q.copy()
-        qp[i] += h
-        qm[i] -= h
-        return (field(t, qp, qd) - field(t, qm, qd)) / (2.0 * h)
-
-    def d_dqd(i):
-        h = 1e-6 * max(1.0, abs(qd[i]))
-        vp, vm = qd.copy(), qd.copy()
-        vp[i] += h
-        vm[i] -= h
-        return (field(t, q, vp) - field(t, q, vm)) / (2.0 * h)
-
-    vel_coeff = etadot - taudot * qd
-    total = tau * d_dt()
-    for i in range(len(q)):
-        total += eta[i] * d_dq(i) + vel_coeff[i] * d_dqd(i)
-    return float(total)
+    return _derivative_along(field, state, tau, eta, etadot - taudot * state.qdot)
 
 
 def scaled_trajectory(traj: Trajectory, beta: float) -> Trajectory:
@@ -157,8 +162,7 @@ def scaled_trajectory(traj: Trajectory, beta: float) -> Trajectory:
     if beta <= 0.0:
         raise DomainError(f"beta must be strictly positive, got {beta}")
     return Trajectory(kind=traj.kind, times=beta ** 2 * traj.times,
-                      qs=beta * traj.qs, qdots=traj.qdots / beta,
-                      config=traj.config)
+                      qs=beta * traj.qs, qdots=traj.qdots / beta)
 
 
 def ode_residual(traj: Trajectory) -> float:
@@ -174,49 +178,24 @@ def ode_residual(traj: Trajectory) -> float:
     return float(np.max(np.abs(fd_acc - accel(traj.qs[1:-1], traj.kind))))
 
 
-@dataclass(frozen=True)
-class DynamicalSymmetry:
-    """Velocity-dependent symmetry of the 2-d model behind the Ermakov
-    invariant: coordinates shift by tau qd plus a rotation-like term with
-    parameter w = X Yd - Y Xd, time shifts by the free function tau.
+def dynamical_symmetry_check(tau: FieldFn, state: State, *,
+                             gauge: FieldFn | None = None) -> tuple[float, float]:
+    """Evaluate the Noether condition for the 2d model's dynamical symmetry.
 
-    ``gauge`` is a callable of (t, q, qdot); None selects the standard gauge
-    tau L - w^2/2 + X/Y + Y/X.
-    """
-
-    tau: FieldFn
-    gauge: FieldFn | None = None
-
-
-def _flow_derivative(fn: FieldFn, state: State, qdd: np.ndarray,
-                     delta: float = 1e-6) -> float:
-    """Total time derivative of fn along the flow, by central differencing
-    the trajectory germ t -> (t + s, q + s qd + s^2 qdd / 2, qd + s qdd)."""
-    t, q, qd = state.t, state.q, state.qdot
-
-    def at(s):
-        return fn(t + s, q + s * qd + 0.5 * s * s * qdd, qd + s * qdd)
-
-    return (at(delta) - at(-delta)) / (2.0 * delta)
-
-
-def dynamical_symmetry_check(sym: DynamicalSymmetry | FieldFn,
-                             state: State,
-                             kind: ModelKind = ModelKind.TWO_D) -> tuple[float, float]:
-    """Evaluate the Noether condition for the dynamical symmetry on shell.
+    The symmetry is velocity-dependent: coordinates shift by tau qd plus a
+    rotation-like term with parameter w = X Yd - Y Xd, time shifts by the
+    free function ``tau`` of (t, q, qdot).  ``gauge``, a function of
+    (t, q, qdot), defaults to the standard gauge tau L - w^2/2 + X/Y + Y/X.
+    The total time derivatives of tau and of a given gauge are taken along
+    the flow (1, qd, qdd).
 
     Returns ``(residual, invariant)``: the residual of the gauged Noether
     condition (accelerations substituted from the equations of motion) and
     the Noether invariant of the transformation, which equals the Ermakov
     invariant for every choice of tau when the standard gauge is used.
     """
-    if kind is not ModelKind.TWO_D:
-        raise UnsupportedModelError(
-            "the dynamical Ermakov symmetry is implemented for the 2d model")
+    kind = ModelKind.TWO_D
     check_state(state, kind)
-    if not isinstance(sym, DynamicalSymmetry):
-        sym = DynamicalSymmetry(tau=sym)
-
     t, q, qd = state.t, state.q, state.qdot
     X, Y = q
     Xd, Yd = qd
@@ -225,27 +204,18 @@ def dynamical_symmetry_check(sym: DynamicalSymmetry | FieldFn,
     w = X * Yd - Y * Xd
     wdot = X * Ydd - Y * Xdd
 
-    tau = float(sym.tau(t, q, qd))
-    taudot = _flow_derivative(sym.tau, state, qdd)
+    tau_value = float(tau(t, q, qd))
+    taudot = _derivative_along(tau, state, 1.0, qd, qdd)
+    eta = np.array([tau_value * Xd + Y * w, tau_value * Yd - X * w])
+    etadot = np.array([taudot * Xd + tau_value * Xdd + Yd * w + Y * wdot,
+                       taudot * Yd + tau_value * Ydd - Xd * w - X * wdot])
 
-    eta = np.array([tau * Xd + Y * w, tau * Yd - X * w])
-    etadot = np.array([taudot * Xd + tau * Xdd + Yd * w + Y * wdot,
-                       taudot * Yd + tau * Ydd - Xd * w - X * wdot])
-
-    pair = energies(state, kind)
-    L = pair.lagrangian
-    dL_dq = qdd  # -grad V (unit kinetic weights)
-    p = qd  # canonical momenta of the 2d model
-    Ldot = float(qd @ dL_dq + qdd @ p)
-
-    if sym.gauge is None:
-        gauge = tau * L - 0.5 * w ** 2 + X / Y + Y / X
-        gaugedot = taudot * L + tau * Ldot - w * wdot - w / Y ** 2 + w / X ** 2
+    if gauge is None:
+        L = energies(state, kind).lagrangian
+        Ldot = 2.0 * float(qd @ qdd)  # qd.dL/dq + qdd.p, with dL/dq = qdd, p = qd
+        g = tau_value * L - 0.5 * w ** 2 + X / Y + Y / X
+        gdot = taudot * L + tau_value * Ldot - w * wdot - w / Y ** 2 + w / X ** 2
     else:
-        gauge = float(sym.gauge(t, q, qd))
-        gaugedot = _flow_derivative(sym.gauge, state, qdd)
-
-    g1_L = float(eta @ dL_dq + (etadot - taudot * qd) @ p)
-    residual = g1_L + taudot * L - gaugedot
-    invariant = tau * (float(qd @ p) - L) - float(eta @ p) + gauge
-    return residual, invariant
+        g = float(gauge(t, q, qd))
+        gdot = _derivative_along(gauge, state, 1.0, qd, qdd)
+    return _noether(state, kind, tau_value, eta, taudot, etadot, g, gdot)

@@ -9,9 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from fireball import (AngularSolution, DynamicalSymmetry, IntegratorConfig,
-                      ModelKind, PhysicalParams, RadialSolution, State,
-                      Trajectory, dimensionalize, dynamical_symmetry_check,
+from fireball import (AngularSolution, IntegratorConfig, ModelKind,
+                      PhysicalParams, RadialSolution, State, Trajectory,
+                      dimensionalize, dynamical_symmetry_check,
                       energies, ermakov_invariant, extended_generator_apply,
                       general_ermakov_invariant, integrate, invariant_report,
                       itilde_invariant, noether_condition_residual,

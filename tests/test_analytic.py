@@ -54,6 +54,11 @@ class TestRadial:
             with pytest.raises(DomainError):  # not finite, or C/H overflows
                 RadialSolution(energy=H, invariant=C)
 
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_t0(self, t0):
+        with pytest.raises(DomainError):
+            RadialSolution(1.0, 2.0, t0=t0)
+
     def test_from_state_matches_the_state(self):
         s = State(t=0.7, q=[1.1, 0.9], qdot=[0.4, -0.2])
         sol = RadialSolution.from_state(s, ModelKind.TWO_D)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import fireball
-from fireball.cli import _SETTINGS, CSV_COLUMNS, main, parse_config_file
+from fireball.cli import (_SETTINGS, CSV_COLUMNS, _merge_settings, main,
+                          parse_config_file)
 from fireball.models import ModelKind
 
 
@@ -310,6 +311,14 @@ class TestVerify:
         names = {c["name"] for c in json.loads(out.read_text())["checks"]}
         assert all(n.startswith("invariant_drift") for n in names)
 
+    def test_format_is_not_a_verify_setting(self, tmp_path):
+        out = ["--model", "1d", "--t-end", "1", "--out", str(tmp_path / "r.json")]
+        assert main(["verify", "--format", "csv", *out]) == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = csv\n")  # one file may serve every command
+        assert main(["verify", "--config", str(cfg), *out]) == 0
+        json.loads((tmp_path / "r.json").read_text())
+
     @pytest.mark.parametrize("flag", ["--sample-interval", "--max-step"])
     def test_nan_drift_run_setting_is_config_error(self, flag, tmp_path):
         assert main(["verify", "--model", "1d", "--t-end", "1", flag, "nan",
@@ -530,6 +539,45 @@ class TestFlagSweep:
                                                           "Warning"))):
                             failures.append((argv, code, err))
         assert runs > 1200 and not failures, failures[:5]
+
+
+class TestSettingsRead:
+    # A setting a command takes but never reads is a flag it accepts and
+    # ignores.  The runs reach every branch that reads a setting.
+    STATE = ["--model", "2d", "--X", "1", "--Y", "1.3", "--Xdot", "0.1", "--Ydot", "-0.2"]
+
+    def test_each_command_reads_every_setting_it_takes(self, tmp_path, monkeypatch):
+        read = {command: set() for command in ("simulate", "verify", "analytic")}
+
+        class Recording(dict):
+            """Records the keys read; __iter__ makes {**settings} copies count."""
+
+            def __getitem__(self, key):
+                self.seen.add(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                self.seen.add(key)
+                return super().get(key, default)
+
+            def __iter__(self):
+                self.seen.update(self.keys())
+                return super().__iter__()
+
+        def recording_merge(args, command):
+            settings = Recording(_merge_settings(args, command))
+            settings.seen = read[command]
+            return settings
+
+        monkeypatch.setattr("fireball.cli._merge_settings", recording_merge)
+        out = ["--out", str(tmp_path / "x.out")]
+        for argv in (["simulate", *self.STATE, "--t-end", "1"],
+                     ["verify", *self.STATE, "--t-end", "2", "--no-symmetry", "--no-hydro"],
+                     ["analytic", *self.STATE, "--t-end", "1", "--compare"],
+                     ["analytic", "--model", "2d", "--H", "1", "--I", "5", "--t-end", "1"]):
+            assert main(argv + out) == 0, argv
+        for command, keys in read.items():
+            assert keys == {s.name for s in _SETTINGS if command in s.commands}, command
 
 
 class TestEntryPoint:

@@ -28,6 +28,11 @@ class TestState:
         with pytest.raises(DomainError):
             State(t=0.0, q=[np.nan], qdot=[0.0])
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_time(self, t):
+        with pytest.raises(DomainError):
+            State(t=t, q=[1.0], qdot=[0.0])
+
     def test_immutable_arrays(self):
         s = State(t=0.0, q=[1.0], qdot=[0.0])
         with pytest.raises(ValueError):
@@ -97,6 +102,12 @@ class TestRescaling:
     def test_nonpositive_reference_value(self):
         with pytest.raises(DomainError):
             PhysicalParams(T0=-1.0)
+
+    @pytest.mark.parametrize("name", ["n0", "T0", "X0", "Y0", "Z0", "m"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_reference_value(self, name, value):
+        with pytest.raises(DomainError):
+            PhysicalParams(**{name: value})
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_round_trip(self, kind):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fireball import (DomainError, DynamicalSymmetry, IntegratorConfig,
-                      ModelKind, PointSymmetry, State, Trajectory,
-                      UnsupportedModelError, dynamical_symmetry_check,
+from fireball import (DomainError, IntegratorConfig, ModelKind,
+                      PointSymmetry, State, Trajectory, dynamical_symmetry_check,
                       energies, ermakov_invariant, extended_generator_apply,
                       integrate, noether_condition_residual, noether_invariant,
                       noether_invariant_from, ode_residual, one_d_solution,
@@ -230,12 +229,12 @@ class TestDynamicalSymmetry:
             L = energies(State(t=t, q=q, qdot=qd), ModelKind.TWO_D).lagrangian
             return -0.5 * w ** 2 + q[1] / q[0]
 
-        sym = DynamicalSymmetry(tau=lambda t, q, qd: 0.0, gauge=broken_gauge)
-        detected = [abs(dynamical_symmetry_check(sym, s)[0]) > 1e-3
+        detected = [abs(dynamical_symmetry_check(lambda t, q, qd: 0.0, s,
+                                                 gauge=broken_gauge)[0]) > 1e-3
                     for s in random_states(ModelKind.TWO_D, n=8, seed=15)]
         assert all(detected)
 
     def test_unsupported_kind(self):
         s = State(t=0.0, q=[1.0], qdot=[0.0])
-        with pytest.raises(UnsupportedModelError):
-            dynamical_symmetry_check(lambda t, q, qd: 0.0, s, ModelKind.ONE_D)
+        with pytest.raises(DomainError):
+            dynamical_symmetry_check(lambda t, q, qd: 0.0, s)
