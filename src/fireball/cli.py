@@ -18,6 +18,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import fields
 from typing import NamedTuple
 
 import numpy as np
@@ -50,6 +51,9 @@ class Setting(NamedTuple):
 
 
 _ALL = ("simulate", "verify", "analytic")
+# Trajectory header order; the keywords of state_from_components and IntegratorConfig.
+_STATE_KEYS = ("X", "Y", "Z", "Xdot", "Ydot", "Zdot")
+_INTEGRATOR_KEYS = tuple(f.name for f in fields(IntegratorConfig))
 # One row per setting, in the order the flags appear in --help.  Every key
 # is accepted in any command's config file, since one file may serve all
 # three commands; a command reads only the keys that name it.
@@ -57,10 +61,8 @@ _SETTINGS = (
     Setting("model", str, None, _ALL, {"choices": [k.value for k in ModelKind]}),
     *(Setting(label + rate, float, None, _ALL) for label in "XYZ" for rate in ("", "dot")),
     Setting("t_end", float, 10.0, _ALL),
-    Setting("rel_tol", float, 1e-10, _ALL),
-    Setting("abs_tol", float, 1e-12, _ALL),
-    Setting("max_step", float, math.inf, _ALL),
-    Setting("sample_interval", float, 0.01, _ALL),
+    *(Setting(f.name, float, f.default, _ALL)
+      for f in fields(IntegratorConfig) if f.name != "t_end"),
     Setting("out", str, None, _ALL, {"help": "output path ('-' for stdout)"}),
     Setting("format", str, "csv", ("simulate", "analytic"), {"choices": ["csv", "json"]}),
     Setting("seed", int, 0, ("verify",)),
@@ -78,7 +80,7 @@ _SETTINGS = (
              "help": "also integrate numerically and report max |delta r|"}),
 )
 # verify samples its drift check more coarsely than simulate writes rows.
-_COMMAND_DEFAULTS = {"verify": {"sample_interval": verification.DRIFT_SAMPLE_INTERVAL}}
+_COMMAND_DEFAULTS = {"verify": {"sample_interval": 0.5}}
 
 
 def _parse_bool(text: str) -> bool:
@@ -91,8 +93,9 @@ def _parse_bool(text: str) -> bool:
 
 
 def parse_config_file(path: str) -> dict:
-    """Read a UTF-8 ``key = value`` file into a typed dict."""
-    types = {s.name: s.type for s in _SETTINGS}
+    """Read a UTF-8 ``key = value`` file into a typed dict, each value
+    checked against its setting's choices as its flag is."""
+    settings = {s.name: s for s in _SETTINGS}
     values = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -107,12 +110,17 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, text = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in types:
+        if key not in settings:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        typ, choices = settings[key].type, settings[key].flag.get("choices")
         try:
-            values[key] = _parse_bool(text) if types[key] is bool else types[key](text.strip())
+            value = _parse_bool(text) if typ is bool else typ(text.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        if choices is not None and value not in choices:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}, "
+                              f"expected one of {choices}")
+        values[key] = value
     return values
 
 
@@ -125,12 +133,6 @@ def _merge_settings(args: argparse.Namespace, command: str) -> dict:
         merged.update({k: v for k, v in file_values.items() if k in merged})
     merged.update({k: v for k in merged if (v := getattr(args, k, None)) is not None})
     return merged
-
-
-# In a trajectory file's header order; also the keywords of
-# state_from_components and IntegratorConfig.
-_STATE_KEYS = ("X", "Y", "Z", "Xdot", "Ydot", "Zdot")
-_INTEGRATOR_KEYS = ("t_end", "rel_tol", "abs_tol", "max_step", "sample_interval")
 
 
 def _model_kind(settings: dict) -> ModelKind:
@@ -199,7 +201,7 @@ def _emit_table(settings: dict, command: str, meta_keys: list[str],
         }
         doc.update(extra)
         _write_text(settings.get("out"), json.dumps(doc, indent=2) + "\n")
-    elif settings["format"] == "csv":
+    else:
         pairs = " ".join(f"{k}={v}" for k, v in meta.items())
         lines = [f"# schema={SCHEMA_VERSION}", f"# command={command}", f"# {pairs}"]
         lines += [f"# {k}={v:.17g}" for k, v in extra.items()]
@@ -208,8 +210,6 @@ def _emit_table(settings: dict, command: str, meta_keys: list[str],
         row_format = ",".join("%.17g" if c in data else "" for c in columns)
         lines += [row_format % tuple(row) for row in table]
         _write_text(settings.get("out"), "\n".join(lines) + "\n")
-    else:
-        raise ConfigError(f"unknown output format {settings['format']!r}")
 
 
 def _run_simulate(settings: dict) -> int:
@@ -227,6 +227,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     if not args.configs:
         return _run_simulate(_merge_settings(args, "simulate"))
+    if args.config:
+        raise ConfigError("--config cannot be combined with sweep config files")
     # A sweep: each config file in turn, with the flags overriding it.
     runs = [_merge_settings(argparse.Namespace(**{**vars(args), "config": path}),
                             "simulate") for path in args.configs]
@@ -249,15 +251,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     settings = _merge_settings(args, "verify")
-    if settings["seed"] < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {settings['seed']}")
-    if not 0.0 < settings["drift_tol"] < math.inf:
-        raise ConfigError(
-            f"drift_tol must be a positive finite number, got {settings['drift_tol']}")
     kind = _model_kind(settings)
     initial = _initial_state(settings, kind) if settings.get("X") is not None else None
     results = verification.run_verification(
-        kind, initial, **{k: settings[k] for k in _INTEGRATOR_KEYS},
+        kind, _integrator_config(settings), initial,
         drift_tol=settings["drift_tol"], seed=settings["seed"],
         do_analytic=settings["analytic"], do_symmetry=settings["symmetry"],
         do_hydro=settings["hydro"])

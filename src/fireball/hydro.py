@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError
 from .models import (ModelKind, PhysicalParams, State, axis_product,
                      check_state, reference_scales)
 from .integrate import Trajectory
@@ -121,9 +121,6 @@ def pde_residuals(params: PhysicalParams, traj: Trajectory,
     fixed physical location selected by the stencil's center sample.
     """
     kind = traj.kind
-    if len(traj) < 3:
-        raise InsufficientDataError(
-            f"need at least 3 samples for time differencing, got {len(traj)}")
     D = kind.spatial_dim
 
     probes = default_probe_points(kind) if probe_points is None \
@@ -133,15 +130,11 @@ def pde_residuals(params: PhysicalParams, traj: Trajectory,
     if np.any(np.abs(probes) > PROBE_LIMIT_SIGMA):
         raise DomainError(f"probe points must lie within +-{PROBE_LIMIT_SIGMA} sigma")
 
-    dt_grid = np.diff(traj.times)
-    if np.max(np.abs(dt_grid - dt_grid[0])) > 1e-9 * dt_grid[0]:
-        raise DomainError("pde_residuals requires a uniform sample grid")
-
     length, time_scale = reference_scales(params, kind)
     Q, Qd, n_pref, T = _profile(params, traj.qs * length,
                                 traj.qdots * (length / time_scale), kind)
     rate = Qd / Q
-    dt = dt_grid[0] * time_scale
+    dt = traj.stencil_step() * time_scale
     m = params.m
 
     rows = len(traj) - 2

@@ -63,7 +63,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, SingularityError
+from .errors import (DomainError, InsufficientDataError, IntegrationError,
+                     SingularityError)
 from .models import ModelKind, State, check_state
 from .dynamics import FieldSource, vector_field
 
@@ -165,18 +166,18 @@ def _step_kernel(n: int, dense: bool = False, source: FieldSource | None = None)
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Error control and sampling settings for one integration run."""
+    """Error control and sampling of one integration run, in CSV header order."""
 
     t_end: float
-    sample_interval: float = 0.01
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_step: float = math.inf
+    sample_interval: float = 0.01
 
     def __post_init__(self):
-        for name in _CONFIG_FIELDS:
-            if math.isnan(getattr(self, name)):
-                raise DomainError(f"{name} must not be NaN")
+        for f in fields(self):
+            if math.isnan(getattr(self, f.name)):
+                raise DomainError(f"{f.name} must not be NaN")
         for name in ("t_end", "sample_interval"):
             if math.isinf(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
@@ -188,9 +189,6 @@ class IntegratorConfig:
             raise DomainError("sample_interval must be positive")
         if self.max_step <= 0.0:
             raise DomainError("max_step must be positive")
-
-
-_CONFIG_FIELDS = tuple(f.name for f in fields(IntegratorConfig))
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,6 +230,18 @@ class Trajectory:
 
     def state(self, i: int) -> State:
         return State(t=float(self.times[i]), q=self.qs[i], qdot=self.qdots[i])
+
+    def stencil_step(self) -> float:
+        """The sample spacing for a finite-difference stencil in time: raises
+        :class:`InsufficientDataError` below 3 samples and :class:`DomainError`
+        for a grid not uniform to 1e-9 relative."""
+        if len(self) < 3:
+            raise InsufficientDataError(
+                f"need at least 3 samples for a finite-difference stencil, got {len(self)}")
+        dt = np.diff(self.times)
+        if np.max(np.abs(dt - dt[0])) > 1e-9 * dt[0]:
+            raise DomainError("a finite-difference stencil requires a uniform sample grid")
+        return dt[0]
 
 
 def sample_grid(t0: float, t_end: float, interval: float) -> np.ndarray:
@@ -466,7 +476,7 @@ def integrate(initial: State, kind: ModelKind, config: IntegratorConfig, *,
     and samples inside a step are interpolated.
     Raises :class:`SingularityError` if the positivity floor keeps rejecting
     steps and :class:`IntegrationError` on step-size underflow; both carry the
-    last good state.
+    last good time and state vector as ``last_t`` and ``last_y``.
     """
     check_state(initial, kind)
     if config.t_end <= initial.t:
@@ -475,12 +485,7 @@ def integrate(initial: State, kind: ModelKind, config: IntegratorConfig, *,
     d = kind.dim
     grid = sample_grid(initial.t, config.t_end, config.sample_interval)
     y0 = initial.q.tolist() + initial.qdot.tolist()
-    try:
-        ys = solve_ode(vector_field(kind), initial.t, y0, grid,
-                       rel_tol=config.rel_tol, abs_tol=config.abs_tol,
-                       max_step=config.max_step, dense=dense)
-    except IntegrationError as exc:
-        if exc.last_y is not None:
-            exc.last_state = State(t=exc.last_t, q=exc.last_y[:d], qdot=exc.last_y[d:])
-        raise
+    ys = solve_ode(vector_field(kind), initial.t, y0, grid,
+                   rel_tol=config.rel_tol, abs_tol=config.abs_tol,
+                   max_step=config.max_step, dense=dense)
     return Trajectory(kind=kind, times=grid, qs=ys[:, :d], qdots=ys[:, d:])

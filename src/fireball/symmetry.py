@@ -168,12 +168,7 @@ def scaled_trajectory(traj: Trajectory, beta: float) -> Trajectory:
 def ode_residual(traj: Trajectory) -> float:
     """Max deviation between finite-difference accelerations of the samples
     and the model right-hand side (uniform sample grid required)."""
-    if len(traj) < 3:
-        raise DomainError("need at least 3 samples for an acceleration stencil")
-    dt = np.diff(traj.times)
-    if np.max(np.abs(dt - dt[0])) > 1e-9 * dt[0]:
-        raise DomainError("ode_residual requires a uniform sample grid")
-    h = dt[0]
+    h = traj.stencil_step()
     fd_acc = (traj.qs[2:] - 2.0 * traj.qs[1:-1] + traj.qs[:-2]) / h ** 2
     return float(np.max(np.abs(fd_acc - accel(traj.qs[1:-1], traj.kind))))
 

@@ -21,14 +21,12 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .errors import DomainError
 from .models import (ModelKind, PhysicalParams, State, dimensionalize,
                      radius, state_from_components, to_polar)
 from .integrate import IntegratorConfig, integrate
 from .dynamics import energies
 from . import analytic, hydro, invariants, symmetry
-
-# Sample spacing of the drift check unless the caller sets one.
-DRIFT_SAMPLE_INTERVAL = 0.5
 
 # The fine-grid runs (scaling form invariance, hydro closure) use dense
 # output, and so let the tolerance set their steps: at rel_tol 1e-10 the
@@ -75,11 +73,9 @@ def _random_states(kind: ModelKind, rng, n, t_max=3.0) -> list[State]:
     return states
 
 
-def drift_checks(initial: State, kind: ModelKind, *, t_end, rel_tol, abs_tol,
-                 sample_interval, max_step, drift_tol) -> list[CheckResult]:
-    cfg = IntegratorConfig(t_end=t_end, sample_interval=sample_interval,
-                           rel_tol=rel_tol, abs_tol=abs_tol, max_step=max_step)
-    report = invariants.invariant_report(integrate(initial, kind, cfg))
+def drift_checks(initial: State, kind: ModelKind, config: IntegratorConfig,
+                 drift_tol: float) -> list[CheckResult]:
+    report = invariants.invariant_report(integrate(initial, kind, config))
     return [_result(f"invariant_drift_{name}", drift, drift_tol)
             for name, drift in sorted(report.drift.items())]
 
@@ -224,24 +220,26 @@ def hydro_checks(kind: ModelKind, rng, *, rel_tol, abs_tol) -> list[CheckResult]
     return out
 
 
-def run_verification(kind: ModelKind, initial: State | None = None, *,
-                     t_end: float = 50.0, rel_tol: float = 1e-10,
-                     abs_tol: float = 1e-12,
-                     sample_interval: float = DRIFT_SAMPLE_INTERVAL,
-                     max_step: float = math.inf,
-                     drift_tol: float = 1e-8, seed: int = 0,
-                     do_analytic: bool = True, do_symmetry: bool = True,
+def run_verification(kind: ModelKind, config: IntegratorConfig,
+                     initial: State | None = None, *, drift_tol: float = 1e-8,
+                     seed: int = 0, do_analytic: bool = True, do_symmetry: bool = True,
                      do_hydro: bool = True) -> list[CheckResult]:
     """Run every check applicable to ``kind`` and return the results.
 
-    ``sample_interval`` and ``max_step`` apply to the drift check, the run
-    from ``initial`` to ``t_end``; the other checks fix their own grids.
+    ``config`` is the drift check's run from ``initial`` (by default
+    :func:`default_initial_state`); its ``rel_tol`` and ``abs_tol`` apply
+    to every check, while the other checks fix their own grids.  Raises
+    :class:`DomainError` for a negative ``seed`` or a ``drift_tol`` that is
+    not positive and finite.
     """
+    if seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
+    if not 0.0 < drift_tol < math.inf:
+        raise DomainError(f"drift_tol must be a positive finite number, got {drift_tol}")
     rng = np.random.default_rng(seed)
     initial = default_initial_state(kind) if initial is None else initial
-    results = drift_checks(initial, kind, t_end=t_end, rel_tol=rel_tol,
-                           abs_tol=abs_tol, sample_interval=sample_interval,
-                           max_step=max_step, drift_tol=drift_tol)
+    rel_tol, abs_tol = config.rel_tol, config.abs_tol
+    results = drift_checks(initial, kind, config, drift_tol)
     if do_analytic:
         results += analytic_checks(initial, kind, rel_tol=rel_tol, abs_tol=abs_tol)
     if do_symmetry:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -9,9 +10,12 @@ import numpy as np
 import pytest
 
 import fireball
+from fireball import IntegratorConfig
 from fireball.cli import (_SETTINGS, CSV_COLUMNS, _merge_settings, main,
                           parse_config_file)
+from fireball.errors import ConfigError
 from fireball.models import ModelKind
+from fireball.verification import run_verification
 
 
 def read_csv(path):
@@ -43,6 +47,15 @@ class TestSimulate:
         assert any(c.startswith("# schema=1") for c in comments)
         H = column(rows, header, "H")
         assert np.max(np.abs(H - H[0])) / H[0] <= 1e-8
+
+    def test_default_settings_header(self, capsys):
+        # the integrator settings unset by flags are IntegratorConfig's
+        # defaults, written in its field order
+        assert main(["simulate", "--model", "2d", "--X", "1", "--Y", "1",
+                     "--t-end", "0.02", "--out", "-"]) == 0
+        assert capsys.readouterr().out.splitlines()[2] == (
+            "# model=2d X=1.0 Y=1.0 t_end=0.02 rel_tol=1e-10 abs_tol=1e-12 "
+            "max_step=inf sample_interval=0.01")
 
     def test_1d_final_value(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -201,6 +214,30 @@ class TestConfigFile:
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("line", ["format = xml", "model = 2D"])
+    def test_value_outside_choices_rejected(self, line, tmp_path):
+        # as --format xml and --model 2D are, and before any integration
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model = 2d\nX = 1.0\nY = 1.0\nt_end = 0.1\n{line}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{cfg}:5: bad value")):
+            parse_config_file(str(cfg))
+        out = tmp_path / "run.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_sweep_refuses_config(self, tmp_path, capsys):
+        # each sweep file is its run's whole config file, so base.cfg
+        # would go unread
+        base = tmp_path / "base.cfg"
+        base.write_text("model = 1d\nX = 1.0\n")
+        run = tmp_path / "run.cfg"
+        run.write_text(f"t_end = 0.1\nout = {tmp_path / 'run.csv'}\n")
+        assert main(["simulate", "--config", str(base), str(run)]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "--config" in errors[0]
+        assert not (tmp_path / "run.csv").exists()
+
     def test_missing_file(self):
         assert main(["simulate", "--config", "/nonexistent/run.cfg"]) == 2
 
@@ -281,6 +318,15 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert doc["passed"] is True
         assert all(c["passed"] for c in doc["checks"])
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_default_report_is_the_library_run(self, kind, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--model", kind.value, "--out", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        results = run_verification(kind, IntegratorConfig(t_end=10.0, sample_interval=0.5))
+        assert [(c["name"], c["value"]) for c in checks] == \
+            [(r.name, r.value) for r in results]
 
     def test_loose_integrator_fails_strict_drift_bound(self, tmp_path):
         out = tmp_path / "report.json"

@@ -153,6 +153,14 @@ class TestPdeResiduals:
         with pytest.raises(InsufficientDataError):
             pde_residuals(UNIT, short)
 
+    def test_requires_uniform_grid(self):
+        t = exact_1d_trajectory(t_end=1e-2)
+        times = t.times.copy()
+        times[1] += 1e-4 * (times[1] - times[0])
+        warped = Trajectory(kind=t.kind, times=times, qs=t.qs, qdots=t.qdots)
+        with pytest.raises(DomainError):
+            pde_residuals(UNIT, warped)
+
     def test_probe_limit(self):
         with pytest.raises(DomainError):
             pde_residuals(UNIT, exact_1d_trajectory(), probe_points=[[6.0]])

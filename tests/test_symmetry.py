@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fireball import (DomainError, IntegratorConfig, ModelKind,
-                      PointSymmetry, State, Trajectory, dynamical_symmetry_check,
+from fireball import (DomainError, InsufficientDataError, IntegratorConfig,
+                      ModelKind, PointSymmetry, State, Trajectory, dynamical_symmetry_check,
                       energies, ermakov_invariant, extended_generator_apply,
                       integrate, noether_condition_residual, noether_invariant,
                       noether_invariant_from, ode_residual, one_d_solution,
@@ -194,7 +194,7 @@ class TestOdeResidual:
     def test_requires_three_samples(self):
         traj = Trajectory(kind=ModelKind.ONE_D, times=[0.0, 0.1],
                           qs=[[1.0]] * 2, qdots=[[0.0]] * 2)
-        with pytest.raises(DomainError):
+        with pytest.raises(InsufficientDataError):
             ode_residual(traj)
 
     def test_detects_a_non_solution(self):

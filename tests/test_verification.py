@@ -1,10 +1,11 @@
 import logging
+import math
 
 import pytest
 
 import numpy as np
 
-from fireball import invariants
+from fireball import DomainError, IntegratorConfig, invariants
 from fireball.models import ModelKind, State
 from fireball.verification import (analytic_checks, default_initial_state,
                                    elliptic_checks, run_verification)
@@ -17,7 +18,8 @@ def test_default_initial_state_matches_model(kind):
 
 
 def test_three_d_suite_passes():
-    results = run_verification(ModelKind.THREE_D, t_end=20.0)
+    results = run_verification(ModelKind.THREE_D,
+                               IntegratorConfig(t_end=20.0, sample_interval=0.5))
     failed = [r for r in results if not r.passed]
     assert not failed, failed
     names = {r.name for r in results}
@@ -31,11 +33,20 @@ def test_three_d_suite_passes():
 
 
 def test_drift_tolerance_is_enforced():
-    results = run_verification(ModelKind.ONE_D, t_end=10.0, rel_tol=1e-2,
+    results = run_verification(ModelKind.ONE_D,
+                               IntegratorConfig(t_end=10.0, rel_tol=1e-2, sample_interval=0.5),
                                drift_tol=1e-10, do_analytic=False,
                                do_symmetry=False, do_hydro=False)
     assert any(r.name.startswith("invariant_drift") and not r.passed
                for r in results)
+
+
+@pytest.mark.parametrize("bad", [{"seed": -1}, {"drift_tol": math.nan},
+                                 {"drift_tol": 0.0}, {"drift_tol": math.inf}],
+                         ids=["seed", "drift_tol_nan", "drift_tol_zero", "drift_tol_inf"])
+def test_rejects_bad_seed_and_drift_tol(bad):
+    with pytest.raises(DomainError):
+        run_verification(ModelKind.ONE_D, IntegratorConfig(t_end=1.0), **bad)
 
 
 def itilde_check():
@@ -72,6 +83,6 @@ def test_step_budget(kind, caplog):
     # landing steps the suite takes about 39,300 accepted steps per model,
     # with dense output 1,697-1,978.
     with caplog.at_level(logging.DEBUG, logger="fireball.integrate"):
-        run_verification(kind)
+        run_verification(kind, IntegratorConfig(t_end=50.0, sample_interval=0.5))
     accepted = [r.args[0] for r in caplog.records if str(r.msg).startswith("solve_ode:")]
     assert accepted and sum(accepted) <= 2500
