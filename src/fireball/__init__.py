@@ -8,9 +8,8 @@ conservation laws, and checks the reduction against the original fluid
 equations.
 """
 
-from .errors import (ConfigError, DomainError, FireballError,
-                     InsufficientDataError, IntegrationError, NoMotionError,
-                     SingularityError, UnsupportedModelError)
+from .errors import (ConfigError, DomainError, FireballError, IntegrationError,
+                     NoMotionError, SingularityError, UnsupportedModelError)
 from .models import (ModelKind, PhysicalParams, PolarState, State,
                      dimensionalize, nondimensionalize, reference_scales,
                      state_from_components, to_cartesian, to_polar)

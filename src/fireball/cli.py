@@ -80,6 +80,8 @@ _SETTINGS = (
              "help": "also integrate numerically and report max |delta r|"}),
 )
 # verify samples its drift check more coarsely than simulate writes rows.
+# A command's own default outranks a config file, which may be shared with
+# the other commands, and yields only to an explicit flag.
 _COMMAND_DEFAULTS = {"verify": {"sample_interval": 0.5}}
 
 
@@ -125,12 +127,13 @@ def parse_config_file(path: str) -> dict:
 
 
 def _merge_settings(args: argparse.Namespace, command: str) -> dict:
-    """The settings ``command`` takes: defaults < config file < explicit flags."""
+    """The settings ``command`` takes: defaults < config file < the command's
+    own defaults < explicit flags."""
     merged = {s.name: s.default for s in _SETTINGS if command in s.commands}
-    merged.update(_COMMAND_DEFAULTS.get(command, {}))
     if getattr(args, "config", None):
         file_values = parse_config_file(args.config)
         merged.update({k: v for k, v in file_values.items() if k in merged})
+    merged.update(_COMMAND_DEFAULTS.get(command, {}))
     merged.update({k: v for k in merged if (v := getattr(args, k, None)) is not None})
     return merged
 

@@ -17,10 +17,6 @@ class NoMotionError(DomainError):
     """Angular invariant below the potential minimum: no real motion exists."""
 
 
-class InsufficientDataError(FireballError, ValueError):
-    """Not enough trajectory samples for the requested finite-difference stencil."""
-
-
 class ConfigError(FireballError, ValueError):
     """Invalid run configuration (CLI flags or config file)."""
 

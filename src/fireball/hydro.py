@@ -10,22 +10,17 @@ Z; the elliptic model's third axis carries X) and reference variance Q0_a:
     T   = T0 prod_a(Q0_a / Q_a)^(2/D),   p = n T,   eps = (D/2) n T.
 
 So 1d has T = T0 (X0/X)^2 and eps = n T / 2, and 2d has T = T0 X0 Y0/(X Y)
-and eps = n T.  :func:`pde_residuals` substitutes these fields back into the
-continuity, momentum and energy equations: spatial derivatives are analytic
-(elementary Gaussians) and only the time derivatives use centered
-differences across adjacent trajectory samples, so the residual along an
-exact trajectory is pure time-discretization error.  Only the momentum
-equation actually tests the equation of motion; continuity and the energy
-law hold identically for any variance history, which the tests exploit as a
-negative control.
-
-Each probe sits at x = p Q_c, a fixed multiple p of the stencil centre's
-widths, so every term of the residuals is a product of a per-sample and a
-per-probe factor, or a sum of D of them: the density exponent at a
-neighbouring sample s is (Q_c/Q_s)^2 . p^2, div(n v) = n_c (sum rate - rate
-. p^2), and the momentum residual on axis a is p_a g_a.  They are built as
-(rows, probes) arrays with no (rows, probes, D) intermediate, over blocks of
-RESIDUAL_BLOCK_ROWS stencil rows that bound the memory they take.
+and eps = n T.  :func:`pde_residuals` substitutes these fields into the
+continuity, momentum and energy equations at given states with given
+accelerations.  Every derivative is exact: the spatial ones are those of
+elementary Gaussians, and the time derivatives follow from Qd and Qdd by the
+chain rule.  Continuity and the energy law then hold identically for any
+variance history; the momentum equation on axis a reduces to
+x_a (Qdd_a - T / (m Q_a)) / Q_a = 0, which is the model's equation of motion
+in dimensional units.  So along the model's own accelerations every
+residual is rounding, and accelerations off by a relative delta move the
+momentum residual to delta Qdd over the sum of its terms' magnitudes, at
+most about delta / 2.
 :func:`total_energy` and :func:`particle_number` are the profile's
 closed-form Gaussian moments (see :func:`_gaussian_moments`).
 """
@@ -40,12 +35,8 @@ import numpy as np
 from .errors import DomainError
 from .models import (ModelKind, PhysicalParams, State, axis_product,
                      check_state, reference_scales)
-from .integrate import Trajectory
 
 PROBE_LIMIT_SIGMA = 5.0
-# Stencil rows per block in pde_residuals: bounds its (rows, probes)
-# temporaries, which have 125 probes per row for the 3-axis models.
-RESIDUAL_BLOCK_ROWS = 128
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -96,9 +87,8 @@ def default_probe_points(kind: ModelKind) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PdeResidualReport:
-    """Residuals of the three conservation laws, per (interior sample, probe)."""
+    """Relative residuals of the three conservation laws, per (state, probe)."""
 
-    times: np.ndarray
     probes: np.ndarray
     continuity: np.ndarray
     momentum: np.ndarray
@@ -106,69 +96,70 @@ class PdeResidualReport:
 
     @property
     def max_abs(self) -> float:
-        return float(max(np.max(np.abs(self.continuity)),
-                         np.max(np.abs(self.momentum)),
-                         np.max(np.abs(self.energy))))
+        return float(max(np.max(self.continuity), np.max(self.momentum),
+                         np.max(self.energy)))
 
 
-def pde_residuals(params: PhysicalParams, traj: Trajectory,
+def _relative(terms) -> np.ndarray:
+    """|sum of the terms| over the sum of their magnitudes; 0 where every
+    term vanishes."""
+    total, size = sum(terms), sum(np.abs(term) for term in terms)
+    return np.divide(np.abs(total), size, out=np.zeros_like(size), where=size > 0.0)
+
+
+def pde_residuals(params: PhysicalParams, qs, qdots, qdds, kind: ModelKind,
                   probe_points=None) -> PdeResidualReport:
-    """Substitute the profile built on a (dimensionless) trajectory into the
-    hydrodynamic equations.
+    """Substitute the profile of dimensionless states ``qs``, ``qdots`` with
+    accelerations ``qdds`` (each (states, dim)) into the hydrodynamic
+    equations.
 
-    Probe points are given in units of the instantaneous standard deviation
-    per spatial axis (must lie within +-5); each residual is evaluated at the
-    fixed physical location selected by the stencil's center sample.
+    Probe points are given in units of each state's standard deviation per
+    spatial axis (must lie within +-5).  Each residual is the sum of its
+    equation's terms relative to the sum of their magnitudes, so it does not
+    depend on the units of ``params``; the momentum residual is the largest
+    over the axes.
     """
-    kind = traj.kind
-    D = kind.spatial_dim
-
     probes = default_probe_points(kind) if probe_points is None \
         else np.atleast_2d(np.asarray(probe_points, dtype=float))
-    if probes.shape[1] != D:
-        raise DomainError(f"probe points must have {D} coordinates")
+    if probes.shape[1] != kind.spatial_dim:
+        raise DomainError(f"probe points must have {kind.spatial_dim} coordinates")
     if np.any(np.abs(probes) > PROBE_LIMIT_SIGMA):
         raise DomainError(f"probe points must lie within +-{PROBE_LIMIT_SIGMA} sigma")
+    qs, qdots, qdds = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (qs, qdots, qdds))
+    if not qs.shape == qdots.shape == qdds.shape or qs.shape[1] != kind.dim:
+        raise DomainError(f"states and accelerations must be (n, {kind.dim}) arrays, got "
+                          f"{qs.shape}, {qdots.shape}, {qdds.shape}")
+    if not (qs > 0.0).all():
+        raise DomainError("variances must be strictly positive")
 
     length, time_scale = reference_scales(params, kind)
-    Q, Qd, n_pref, T = _profile(params, traj.qs * length,
-                                traj.qdots * (length / time_scale), kind)
+    Q, Qd, n_pref, T = _profile(params, qs * length, qdots * (length / time_scale), kind)
+    Qdd = qdds[:, list(kind.axes)] * (length / time_scale ** 2)
     rate = Qd / Q
-    dt = traj.stencil_step() * time_scale
-    m = params.m
-
-    rows = len(traj) - 2
-    continuity = np.empty((rows, len(probes)))
-    momentum = np.empty_like(continuity)
-    energy = np.empty_like(continuity)
-    # Per-probe and per-row factors of the terms (module docstring).
-    p2 = (probes ** 2).T  # (D, probes)
-    gauss_c = np.exp(-0.5 * np.sum(p2, axis=0))  # n / n_pref at the centre
-    abs_p = np.abs(probes)
-    rate_sum = np.sum(rate, axis=1)
-    # Momentum residual on axis a: p_a g_a, with g_a the per-row factor of x_a.
-    g = np.abs(((rate[2:] - rate[:-2]) / (2 * dt) + rate[1:-1] ** 2
-                - T[1:-1, None] / (m * Q[1:-1] ** 2)) * Q[1:-1])
-    # Stencil center c = lo..hi-1 with neighbours c-1 / c+1; output row c-1.
-    for lo in range(1, rows + 1, RESIDUAL_BLOCK_ROWS):
-        hi = min(lo + RESIDUAL_BLOCK_ROWS, rows + 1)
-        c, before, after = slice(lo, hi), slice(lo - 1, hi - 1), slice(lo + 1, hi + 1)
-        n_m = n_pref[before, None] * np.exp(-0.5 * ((Q[c] / Q[before]) ** 2 @ p2))
-        n_p = n_pref[after, None] * np.exp(-0.5 * ((Q[c] / Q[after]) ** 2 @ p2))
-        n_c = n_pref[c, None] * gauss_c
-        T_c = T[c, None]
-        div_nv = n_c * (rate_sum[c, None] - rate[c] @ p2)
-        continuity[before] = (n_p - n_m) / (2 * dt) + div_nv
-        energy[before] = D / 2 * (n_p * T[after, None] - n_m * T[before, None]) / (2 * dt) \
-            + D / 2 * T_c * div_nv + n_c * T_c * rate_sum[c, None]
-        block = momentum[before]
-        np.multiply(g[before, 0, None], abs_p[:, 0], out=block)
-        for a in range(1, D):
-            np.maximum(block, g[before, a, None] * abs_p[:, a], out=block)
-
-    return PdeResidualReport(times=traj.times[1:-1] * time_scale, probes=probes,
-                             continuity=continuity, momentum=momentum,
-                             energy=energy)
+    div_v = np.sum(rate, axis=1)
+    # At x_a = p_a Q_a every term is a per-state factor times a per-probe one
+    # (states, probes): n = n_pref exp(-|p|^2 / 2), the exponent changes at
+    # rate . p^2, and v . grad n = -n rate . p^2.
+    gauss = np.exp(-0.5 * np.sum(probes ** 2, axis=1))
+    n = n_pref[:, None] * gauss
+    exponent_dt = n * (rate @ (probes ** 2).T)
+    # dn/dt from the exponent and from the prefactor prod(Q0/Q);
+    # div(n v) = v . grad n + n div v
+    continuity = [exponent_dt, (-n_pref * div_v)[:, None] * gauss,
+                  -exponent_dt, n * div_v[:, None]]
+    # eps = D/2 n T: d eps/dt = D/2 (T dn/dt + n dT/dt) with
+    # dT/dt = -(2/D) T div v, div(eps v) = D/2 T div(n v), and p div v
+    half_D = kind.spatial_dim / 2
+    dT_dt = -T * div_v / half_D
+    energy = [half_D * T[:, None] * term for term in continuity] \
+        + [half_D * n * dT_dt[:, None], n * (T * div_v)[:, None]]
+    # On axis a each term carries x_a, so the momentum residual vanishes
+    # where p_a = 0; per unit x_a: dv/dt = Qdd/Q - rate^2,
+    # (v . grad) v = rate^2 and grad p / (m n) = -T / (m Q^2).
+    per_axis = _relative([Qdd / Q, -rate ** 2, rate ** 2, -T[:, None] / (params.m * Q ** 2)])
+    momentum = np.max(per_axis[:, None, :] * (probes != 0.0), axis=-1)
+    return PdeResidualReport(probes=probes, continuity=_relative(continuity),
+                             momentum=momentum, energy=_relative(energy))
 
 
 def _gaussian_moments(params: PhysicalParams, state: State,

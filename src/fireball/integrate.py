@@ -10,12 +10,10 @@ step is the DOPRI5 continuous extension (Hairer, Norsett & Wanner, *Solving
 ODEs I*, section II.6), a quartic in the step fraction built from the
 step's stages; a sample within 1e-14 relative of a step's end is still that
 end state.  That is for fine grids over short spans, where landing would
-spend a step on every sample: the verification suite's scaling
-form-invariance and hydrodynamic runs (1e-3 grids) use it at rel_tol 1e-12,
-because at 1e-10 the interpolation error breaks the 1e-5 scaling bound, and
-the angular quadrature of :mod:`fireball.analytic` at 1e-14.  Verify's drift
-and analytic runs, ``simulate``, and the numeric ``r`` of ``analytic
---compare`` keep landing.
+spend a step on every sample: the angular quadrature of
+:mod:`fireball.analytic` uses it at rel_tol 1e-14.  Every run of
+``verify``, ``simulate``, and the numeric ``r`` of ``analytic --compare``
+keep landing.
 
 The stepper works on Python floats: the state is a list, and the right-hand
 side ``f(t, y)`` receives a list of floats and returns a sequence of floats
@@ -63,8 +61,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (DomainError, InsufficientDataError, IntegrationError,
-                     SingularityError)
+from .errors import DomainError, IntegrationError, SingularityError
 from .models import ModelKind, State, check_state
 from .dynamics import FieldSource, vector_field
 
@@ -230,18 +227,6 @@ class Trajectory:
 
     def state(self, i: int) -> State:
         return State(t=float(self.times[i]), q=self.qs[i], qdot=self.qdots[i])
-
-    def stencil_step(self) -> float:
-        """The sample spacing for a finite-difference stencil in time: raises
-        :class:`InsufficientDataError` below 3 samples and :class:`DomainError`
-        for a grid not uniform to 1e-9 relative."""
-        if len(self) < 3:
-            raise InsufficientDataError(
-                f"need at least 3 samples for a finite-difference stencil, got {len(self)}")
-        dt = np.diff(self.times)
-        if np.max(np.abs(dt - dt[0])) > 1e-9 * dt[0]:
-            raise DomainError("a finite-difference stencil requires a uniform sample grid")
-        return dt[0]
 
 
 def sample_grid(t0: float, t_end: float, interval: float) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 A point symmetry is a vector field tau d/dt + eta . d/dq on (t, q) space;
 its first extension acts on velocities with coefficient (etadot - taudot qd).
-The Noether condition  G1[L] + taudot L = gauge-dot  and its invariant are
-written once (:func:`_noether`), for point symmetries and the 2d model's
+The residual of the Noether condition  G1[L] + taudot L = gauge-dot  and
+the Noether invariant are each written once (:func:`_noether_residual`,
+:func:`_noether_invariant`), for point symmetries and the 2d model's
 velocity-dependent symmetry alike, with exact partial derivatives of L (they
 are elementary), so the residual of a genuine symmetry sits at rounding
 level.  One central difference along a line in (t, q, qdot) space is used
@@ -11,9 +12,11 @@ only where the object being differentiated is caller-supplied: scalar fields
 in :func:`extended_generator_apply`, and the free function tau (and a given
 gauge) of the dynamical symmetry behind the Ermakov invariant.
 
-All models admit the scaling symmetry tau = 2 t, eta = q (gauge 0), whose
-finite form t -> beta^2 t, q -> beta q maps solutions to solutions; see
-:func:`scaled_trajectory`.
+All models admit the scaling symmetry tau = 2 t, eta = q (gauge 0).  Its
+finite form t -> beta^2 t, q -> beta q (:func:`scaled_trajectory`) maps
+solutions to solutions because the force is homogeneous of degree -3: by
+the chain rule the image's accelerations are accel(q) / beta^3, which
+:func:`ode_residual` compares with the force at the image's samples.
 """
 
 from __future__ import annotations
@@ -88,21 +91,17 @@ def _prolongation(sym: PointSymmetry, state: State):
     return tau, eta, taudot, etadot, gauge, gaugedot
 
 
-def _noether(state: State, kind: ModelKind, tau, eta, taudot, etadot,
-             gauge, gaugedot) -> tuple[float, float]:
-    """``(residual, invariant)`` of a symmetry with the given prolongation.
+def _noether_residual(state: State, kind: ModelKind, L: float, p, qdd, eta,
+                      taudot, etadot, gaugedot) -> float:
+    """G1[L] + taudot L - gauge-dot of a symmetry with the given prolongation,
+    with dL/dq = M qdd on shell (-grad V), p = M qdot and dL/dt = 0."""
+    g1_L = float(eta @ (kind.weights * qdd) + (etadot - taudot * state.qdot) @ p)
+    return g1_L + taudot * L - gaugedot
 
-    The residual is G1[L] + taudot L - gauge-dot, with dL/dq = M qdd on
-    shell (-grad V) and p = M qdot; the invariant is
-    J = tau (qd.p - L) - eta.p + gauge.
-    """
-    qd = state.qdot
-    L = energies(state, kind).lagrangian
-    dL_dq = kind.weights * accel(state.q, kind)
-    p = canonical_momenta(state, kind)
-    g1_L = float(eta @ dL_dq + (etadot - taudot * qd) @ p)  # dL/dt = 0
-    return (g1_L + taudot * L - gaugedot,
-            tau * (float(qd @ p) - L) - float(eta @ p) + gauge)
+
+def _noether_invariant(state: State, L: float, p, tau, eta, gauge) -> float:
+    """J = tau (qd.p - L) - eta.p + gauge."""
+    return tau * (float(state.qdot @ p) - L) - float(eta @ p) + gauge
 
 
 def noether_condition_residual(sym: PointSymmetry, kind: ModelKind,
@@ -111,13 +110,21 @@ def noether_condition_residual(sym: PointSymmetry, kind: ModelKind,
 
     Vanishes (to rounding) for a Noether symmetry of the model's Lagrangian.
     """
-    return _noether(state, kind, *_prolongation(sym, check_state(state, kind)))[0]
+    check_state(state, kind)
+    _, eta, taudot, etadot, _, gaugedot = _prolongation(sym, state)
+    return _noether_residual(state, kind, energies(state, kind).lagrangian,
+                             canonical_momenta(state, kind), accel(state.q, kind),
+                             eta, taudot, etadot, gaugedot)
 
 
 def noether_invariant_from(sym: PointSymmetry, kind: ModelKind,
                            state: State) -> float:
     """Conserved quantity J = tau (qd.p - L) - eta.p + gauge of the symmetry."""
-    return _noether(state, kind, *_prolongation(sym, check_state(state, kind)))[1]
+    check_state(state, kind)
+    t, q = state.t, state.q
+    return _noether_invariant(state, energies(state, kind).lagrangian,
+                              canonical_momenta(state, kind), sym.tau(t, q),
+                              np.asarray(sym.eta(t, q), dtype=float), sym.gauge(t, q))
 
 
 def _derivative_along(fn: FieldFn, state: State, dt: float, dq, dqd) -> float:
@@ -165,12 +172,11 @@ def scaled_trajectory(traj: Trajectory, beta: float) -> Trajectory:
                       qs=beta * traj.qs, qdots=traj.qdots / beta)
 
 
-def ode_residual(traj: Trajectory) -> float:
-    """Max deviation between finite-difference accelerations of the samples
-    and the model right-hand side (uniform sample grid required)."""
-    h = traj.stencil_step()
-    fd_acc = (traj.qs[2:] - 2.0 * traj.qs[1:-1] + traj.qs[:-2]) / h ** 2
-    return float(np.max(np.abs(fd_acc - accel(traj.qs[1:-1], traj.kind))))
+def ode_residual(traj: Trajectory, qdds) -> float:
+    """Largest deviation of given accelerations ``qdds`` of the samples from
+    the model's force at them, relative to the force's largest component."""
+    force = accel(traj.qs, traj.kind)
+    return float(np.max(np.abs(qdds - force)) / np.max(np.abs(force)))
 
 
 def dynamical_symmetry_check(tau: FieldFn, state: State, *,
@@ -205,12 +211,14 @@ def dynamical_symmetry_check(tau: FieldFn, state: State, *,
     etadot = np.array([taudot * Xd + tau_value * Xdd + Yd * w + Y * wdot,
                        taudot * Yd + tau_value * Ydd - Xd * w - X * wdot])
 
+    L = energies(state, kind).lagrangian
     if gauge is None:
-        L = energies(state, kind).lagrangian
         Ldot = 2.0 * float(qd @ qdd)  # qd.dL/dq + qdd.p, with dL/dq = qdd, p = qd
         g = tau_value * L - 0.5 * w ** 2 + X / Y + Y / X
         gdot = taudot * L + tau_value * Ldot - w * wdot - w / Y ** 2 + w / X ** 2
     else:
         g = float(gauge(t, q, qd))
         gdot = _derivative_along(gauge, state, 1.0, qd, qdd)
-    return _noether(state, kind, tau_value, eta, taudot, etadot, g, gdot)
+    p = canonical_momenta(state, kind)
+    return (_noether_residual(state, kind, L, p, qdd, eta, taudot, etadot, gdot),
+            _noether_invariant(state, L, p, tau_value, eta, g))

@@ -414,6 +414,26 @@ class TestVerify:
         assert drift_values("--sample-interval", "0.1") != default
         assert drift_values("--max-step", "0.05") != default
 
+    def test_config_file_leaves_the_drift_grid_to_flags(self, tmp_path):
+        # the README's run.cfg, written for simulate: its sample_interval
+        # does not replace verify's own 0.5 grid, which yields to a flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = 2d\nX = 1.0\nY = 1.3\nt_end = 10.0\n"
+                       "sample_interval = 0.01\nout = run.csv\n")
+        out = tmp_path / "report.json"
+
+        def drift_h(*flags):
+            assert main(["verify", *flags, "--no-symmetry", "--no-hydro",
+                         "--no-analytic", "--out", str(out)]) == 0
+            checks = json.loads(out.read_text())["checks"]
+            return next(c["value"] for c in checks if c["name"] == "invariant_drift_H")
+
+        by_flags = ["--model", "2d", "--X", "1.0", "--Y", "1.3", "--t-end", "10"]
+        assert drift_h("--config", str(cfg)) == drift_h(*by_flags)
+        fine = ["--sample-interval", "0.01"]
+        assert drift_h("--config", str(cfg), *fine) == drift_h(*by_flags, *fine)
+        assert drift_h(*by_flags, *fine) != drift_h(*by_flags)
+
 
 class TestAnalytic:
     def test_reference_grid(self, tmp_path):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 
-from fireball import (DomainError, InsufficientDataError, IntegratorConfig,
-                      ModelKind, PhysicalParams, State, Trajectory,
-                      dimensionalize, energies, fields_at, integrate,
-                      one_d_solution, particle_number, pde_residuals,
-                      total_energy)
-from fireball.verification import DENSE_REL_TOL, default_initial_state
+from fireball import (DomainError, IntegratorConfig, ModelKind, PhysicalParams,
+                      State, Trajectory, dimensionalize, energies, fields_at,
+                      integrate, one_d_solution, particle_number, pde_residuals,
+                      reference_scales, total_energy)
+from fireball.dynamics import accel
+from fireball.verification import default_initial_state
+from stencil import stencil_accelerations
 
 UNIT = PhysicalParams(n0=1.0, T0=1.0, X0=1.0, Y0=1.0, m=1.0)
 UNIT3 = PhysicalParams(n0=1.0, T0=1.0, X0=1.0, Y0=1.0, Z0=1.0, m=1.0)
@@ -17,9 +18,17 @@ PARAMS3 = PhysicalParams(n0=1.3, T0=2.0, X0=0.8, Y0=1.2, Z0=0.7, m=1.5)
 
 
 def hydro_checks_trajectory(kind):
-    """The dense 1e-3 run behind verify's ``pde_residual_max``."""
-    cfg = IntegratorConfig(t_end=2.0, sample_interval=1e-3, rel_tol=DENSE_REL_TOL)
-    return integrate(default_initial_state(kind), kind, cfg, dense=True)
+    """The run whose samples verify's ``pde_residual_max`` reads."""
+    cfg = IntegratorConfig(t_end=2.0, sample_interval=0.25)
+    return integrate(default_initial_state(kind), kind, cfg)
+
+
+def stencil_residuals(params, traj, probe_points=None):
+    """pde_residuals at the interior samples of a fine uniform-grid
+    trajectory, with their second-difference accelerations."""
+    inner, qdds = stencil_accelerations(traj)
+    return pde_residuals(params, inner.qs, inner.qdots, qdds, traj.kind,
+                         probe_points=probe_points)
 
 
 def tensor_product_sum(params, state, kind, nodes, density_only):
@@ -115,12 +124,12 @@ class TestFields:
 
 class TestPdeResiduals:
     def test_exact_1d_trajectory(self):
-        report = pde_residuals(UNIT, exact_1d_trajectory(dt=4e-4),
-                               probe_points=[[0.0], [1.0], [2.0]])
+        report = stencil_residuals(UNIT, exact_1d_trajectory(dt=4e-4),
+                                   probe_points=[[0.0], [1.0], [2.0]])
         assert report.max_abs <= 1e-6
 
     def test_exact_2d_trajectory(self):
-        report = pde_residuals(UNIT, exact_2d_trajectory())
+        report = stencil_residuals(UNIT, exact_2d_trajectory())
         assert report.max_abs <= 1e-5
 
     def test_perturbed_trajectory_breaks_momentum_only(self):
@@ -128,89 +137,104 @@ class TestPdeResiduals:
         warped = Trajectory(kind=traj.kind, times=traj.times,
                             qs=traj.qs * [1.01, 1.0],
                             qdots=traj.qdots * [1.01, 1.0])
-        report = pde_residuals(UNIT, warped)
+        report = stencil_residuals(UNIT, warped)
         # kinematically consistent rescaling: continuity/energy still hold
         assert np.max(np.abs(report.continuity)) <= 1e-5
         assert np.max(np.abs(report.energy)) <= 1e-5
         assert np.max(report.momentum) > 1e-3
 
     def test_origin_probe_momentum_vanishes(self):
-        report = pde_residuals(UNIT, exact_2d_trajectory(t_end=0.5),
-                               probe_points=[[0.0, 0.0]])
+        report = stencil_residuals(UNIT, exact_2d_trajectory(t_end=0.5),
+                                   probe_points=[[0.0, 0.0]])
         assert np.max(report.momentum) == 0.0
 
     def test_dimensional_parameters(self):
         # nontrivial length/time scalings: the dimensional fields must still
         # satisfy the dimensional equations
         params = PhysicalParams(n0=1.3, T0=2.0, X0=0.8, Y0=1.2, m=1.5)
-        report = pde_residuals(params, exact_2d_trajectory())
+        report = stencil_residuals(params, exact_2d_trajectory())
         assert report.max_abs <= 1e-5
 
-    def test_insufficient_samples(self):
-        t = exact_1d_trajectory(t_end=1e-3)
-        short = Trajectory(kind=t.kind, times=t.times[:2], qs=t.qs[:2],
-                           qdots=t.qdots[:2])
-        with pytest.raises(InsufficientDataError):
-            pde_residuals(UNIT, short)
+    @pytest.mark.parametrize("params", [UNIT3, PARAMS3], ids=["unit", "scaled"])
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    def test_sees_a_force_off_by_1e_9(self, kind, params):
+        # the bound of verify's pde_residual_max is 1e-12
+        traj = hydro_checks_trajectory(kind)
+        force = accel(traj.qs, kind)
+        exact = pde_residuals(params, traj.qs, traj.qdots, force, kind)
+        assert exact.max_abs <= 1e-15
+        off = pde_residuals(params, traj.qs, traj.qdots, force * (1.0 + 1e-9), kind)
+        assert np.max(off.momentum) > 1e-10
+        assert np.max(off.continuity) <= 1e-15 and np.max(off.energy) <= 1e-15
 
-    def test_requires_uniform_grid(self):
-        t = exact_1d_trajectory(t_end=1e-2)
-        times = t.times.copy()
-        times[1] += 1e-4 * (times[1] - times[0])
-        warped = Trajectory(kind=t.kind, times=times, qs=t.qs, qdots=t.qdots)
+    def test_rejects_mismatched_states(self):
+        traj = hydro_checks_trajectory(ModelKind.TWO_D)
         with pytest.raises(DomainError):
-            pde_residuals(UNIT, warped)
+            pde_residuals(UNIT, traj.qs, traj.qdots[1:], accel(traj.qs, traj.kind), traj.kind)
+        with pytest.raises(DomainError):
+            pde_residuals(UNIT, -traj.qs, traj.qdots, accel(traj.qs, traj.kind), traj.kind)
 
     def test_probe_limit(self):
         with pytest.raises(DomainError):
-            pde_residuals(UNIT, exact_1d_trajectory(), probe_points=[[6.0]])
+            stencil_residuals(UNIT, exact_1d_trajectory(), probe_points=[[6.0]])
 
     @pytest.mark.parametrize("params", [UNIT3, PARAMS3], ids=["unit", "scaled"])
     @pytest.mark.parametrize("kind", [ModelKind.THREE_D, ModelKind.ELLIPTIC_3D])
     def test_three_axis_models_close(self, kind, params):
         traj = integrate(default_initial_state(kind), kind,
                          IntegratorConfig(t_end=0.5, sample_interval=5e-4))
-        report = pde_residuals(params, traj)
+        report = stencil_residuals(params, traj)
         assert report.probes.shape == (125, 3)
         assert report.max_abs <= 1e-5
         stretch = np.ones(kind.dim)
         stretch[0] = 1.01
         warped = Trajectory(kind=kind, times=traj.times, qs=traj.qs * stretch,
                             qdots=traj.qdots * stretch)
-        assert np.max(pde_residuals(params, warped).momentum) > 1e-3
-
+        assert np.max(stencil_residuals(params, warped).momentum) > 1e-3
 
     @pytest.mark.parametrize("params", [UNIT3, PARAMS3], ids=["unit", "scaled"])
     @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
     def test_matches_a_rebuild_from_fields_at(self, kind, params):
-        # At x = p Q_c, the continuity, momentum and energy residuals from the
-        # fields at samples c-1, c, c+1: centred time differences, and the
-        # Gaussian's spatial derivatives grad n = -n x / Q^2, d_a v_a = rate_a.
+        # At x = p Q, each equation's terms from the fields at the state,
+        # the Gaussian's spatial derivatives grad n = -n x / Q^2 and
+        # d_a v_a = rate_a, and time derivatives by the chain rule:
+        # dn/dt = n (p^2 - 1) . rate, dT/dt = -(2/D) T sum(rate),
+        # dv/dt = x (Qdd/Q - rate^2).  A force off by 1e-3 makes the
+        # momentum residual non-zero.
         traj = hydro_checks_trajectory(kind)
-        report = pde_residuals(params, traj)
-        axes = list(kind.axes)
+        qdds = accel(traj.qs, kind) * (1.0 + 1e-3)
+        report = pde_residuals(params, traj.qs, traj.qdots, qdds, kind)
+        length, time_scale = reference_scales(params, kind)
+        D, axes, m = kind.spatial_dim, list(kind.axes), params.m
         probes = report.probes
         picks = sorted({0, 1, len(probes) // 2, len(probes) // 3, len(probes) - 1})
-        for c in (1, 2, len(traj) // 3, len(traj) - 2):
-            before, centre, after = (dimensionalize(params, traj.state(i), kind)
-                                     for i in (c - 1, c, c + 1))
-            span = after.t - before.t
-            Q = centre.q[axes]
-            rate = centre.qdot[axes] / Q
+
+        def relative(terms):
+            return abs(sum(np.sum(t) for t in terms)) / sum(np.sum(np.abs(t)) for t in terms)
+
+        for i in (0, 1, len(traj) // 2, len(traj) - 1):
+            s = dimensionalize(params, traj.state(i), kind)
+            Q, rate = s.q[axes], s.qdot[axes] / s.q[axes]
+            Qdd = qdds[i][axes] * length / time_scale ** 2
             for k in picks:
                 x = probes[k] * Q
-                f_m, f_c, f_p = (fields_at(params, s, x, kind)
-                                 for s in (before, centre, after))
-                grad_n = -f_c.n * x / Q ** 2
-                div_nv = float(grad_n @ f_c.v) + f_c.n * np.sum(rate)
-                continuity = (f_p.n - f_m.n) / span + div_nv
-                momentum = np.max(np.abs((f_p.v - f_m.v) / span + rate * f_c.v
-                                         + f_c.T * grad_n / (params.m * f_c.n)))
-                energy = (f_p.eps - f_m.eps) / span + f_c.eps / f_c.n * div_nv \
-                    + f_c.p * np.sum(rate)
-                assert report.continuity[c - 1, k] == pytest.approx(continuity, rel=0, abs=1e-10)
-                assert report.momentum[c - 1, k] == pytest.approx(momentum, rel=0, abs=1e-10)
-                assert report.energy[c - 1, k] == pytest.approx(energy, rel=0, abs=1e-10)
+                f = fields_at(params, s, x, kind)
+                grad_n = -f.n * x / Q ** 2
+                dn_dt = [f.n * probes[k] ** 2 * rate, -f.n * rate]
+                div_nv = [grad_n * f.v, f.n * rate]
+                deps_dt = [D / 2 * f.T * t for t in dn_dt] + [-f.eps * 2 / D * rate]
+                div_eps_v = [D / 2 * f.T * t for t in div_nv]
+                momentum = [np.array([x * Qdd / Q, -x * rate ** 2, rate * f.v,
+                                      f.T * grad_n / (m * f.n)])[:, a] for a in range(D)]
+                expected = max(relative(terms) if np.any(terms) else 0.0
+                               for terms in momentum)
+                assert report.continuity[i, k] == pytest.approx(
+                    relative(dn_dt + div_nv), rel=0, abs=1e-10)
+                assert report.energy[i, k] == pytest.approx(
+                    relative(deps_dt + div_eps_v + [f.p * rate]), rel=0, abs=1e-10)
+                assert report.momentum[i, k] == pytest.approx(expected, rel=1e-10, abs=1e-15)
+                assert report.continuity[i, k] <= 1e-14 and report.energy[i, k] <= 1e-14
+        assert report.max_abs >= 1e-4
 
 
 class TestTotalEnergy:

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fireball import (DomainError, InsufficientDataError, IntegratorConfig,
+from fireball import (DomainError, IntegratorConfig,
                       ModelKind, PointSymmetry, State, Trajectory, dynamical_symmetry_check,
                       energies, ermakov_invariant, extended_generator_apply,
                       integrate, noether_condition_residual, noether_invariant,
                       noether_invariant_from, ode_residual, one_d_solution,
                       scaled_trajectory, scaling_symmetry, time_translation)
+from fireball.dynamics import accel
 from fireball.invariants import ermakov_values
+from stencil import stencil_accelerations
 
 
 def random_states(kind, n=10, seed=11):
@@ -131,7 +133,7 @@ class TestScaledTrajectory:
         traj = Trajectory(kind=ModelKind.ONE_D, times=times,
                           qs=X[:, None], qdots=Xd[:, None])
         mapped = scaled_trajectory(traj, 2.0)
-        assert ode_residual(mapped) <= 1e-5
+        assert ode_residual(*stencil_accelerations(mapped)) <= 1e-5
 
     def test_ermakov_invariant_is_scaling_invariant(self):
         s = State(t=0.0, q=[1.0, 1.4], qdot=[-0.3, 0.2])
@@ -154,7 +156,7 @@ class TestScaledTrajectory:
         cfg = IntegratorConfig(t_end=span, sample_interval=mapped_dt / beta ** 2,
                                rel_tol=1e-11, abs_tol=1e-13)
         traj = integrate(initial, kind, cfg)
-        assert ode_residual(scaled_trajectory(traj, beta)) <= 1e-5
+        assert ode_residual(*stencil_accelerations(scaled_trajectory(traj, beta))) <= 1e-5
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     @settings(max_examples=4, deadline=None)
@@ -185,24 +187,22 @@ class TestScaledTrajectory:
 
 
 class TestOdeResidual:
-    def test_requires_uniform_grid(self):
-        traj = Trajectory(kind=ModelKind.ONE_D, times=[0.0, 0.1, 0.3],
-                          qs=[[1.0]] * 3, qdots=[[0.0]] * 3)
-        with pytest.raises(DomainError):
-            ode_residual(traj)
-
-    def test_requires_three_samples(self):
-        traj = Trajectory(kind=ModelKind.ONE_D, times=[0.0, 0.1],
-                          qs=[[1.0]] * 2, qdots=[[0.0]] * 2)
-        with pytest.raises(InsufficientDataError):
-            ode_residual(traj)
-
     def test_detects_a_non_solution(self):
         times = np.arange(0.0, 1.0 + 1e-12, 1e-3)
         qs = np.exp(times)[:, None]  # not a solution of Xdd = 1/X^3
         traj = Trajectory(kind=ModelKind.ONE_D, times=times, qs=qs,
                           qdots=qs.copy())
-        assert ode_residual(traj) > 1e-2
+        assert ode_residual(*stencil_accelerations(traj)) > 1e-2
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_sees_a_force_off_by_1e_9(self, kind):
+        # the bound of verify's scaling_form_invariance is 1e-12
+        traj = integrate(State(t=0.0, q=np.full(kind.dim, 1.1),
+                               qdot=np.linspace(-0.2, 0.3, kind.dim)),
+                         kind, IntegratorConfig(t_end=5.0, sample_interval=0.5))
+        force = accel(traj.qs, kind)
+        assert ode_residual(traj, force) == 0.0
+        assert ode_residual(traj, force * (1.0 + 1e-9)) == pytest.approx(1e-9, rel=1e-6)
 
 
 class TestDynamicalSymmetry:

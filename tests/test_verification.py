@@ -4,11 +4,36 @@ import math
 import pytest
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
-from fireball import DomainError, IntegratorConfig, invariants
+from fireball import (DomainError, IntegratorConfig, PhysicalParams, Trajectory,
+                      invariants, pde_residuals, verification)
+from fireball.dynamics import accel
 from fireball.models import ModelKind, State
+from fireball.symmetry import ode_residual, scaled_trajectory
 from fireball.verification import (analytic_checks, default_initial_state,
-                                   elliptic_checks, run_verification)
+                                   elliptic_checks, hydro_checks, run_verification,
+                                   symmetry_checks)
+
+_SHARED = ["noether_residual_scaling", "noether_residual_time_translation",
+           "noether_invariant_match", "energy_invariant_match"]
+_SCALING = ["scaling_form_invariance", "generator_near_identity"]
+_HYDRO = ["pde_residual_max", "total_energy_drift", "energy_ratio_spread"]
+# The checks `fireball verify` reports at default settings, in order.
+DEFAULT_CHECKS = {
+    ModelKind.ONE_D: ["invariant_drift_H", "invariant_drift_J", "analytic_solution_match",
+                      *_SHARED, *_SCALING, *_HYDRO],
+    ModelKind.TWO_D: ["invariant_drift_H", "invariant_drift_I", "invariant_drift_J",
+                      "analytic_radial_match", *_SHARED, "generator_annihilates_ermakov",
+                      "dynamical_symmetry_residual", "dynamical_symmetry_invariant_match",
+                      *_SCALING, *_HYDRO],
+    ModelKind.THREE_D: ["invariant_drift_C", "invariant_drift_H", "invariant_drift_J",
+                        "analytic_radial_match", *_SHARED, *_SCALING, *_HYDRO],
+    ModelKind.ELLIPTIC_3D: ["invariant_drift_H", "invariant_drift_I", "invariant_drift_Itilde",
+                            "invariant_drift_J", "analytic_radial_match", *_SHARED,
+                            *_SCALING, "itilde_twice_ermakov", "polar_cartesian_consistency",
+                            "elliptic_polar_naive_coeff_mismatch", *_HYDRO],
+}
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
@@ -79,10 +104,46 @@ def test_analytic_checks_pass_at_any_start_time(kind, t):
 
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_step_budget(kind, caplog):
-    # The 1e-3 grids of the scaling and hydro checks use dense output; on
-    # landing steps the suite takes about 39,300 accepted steps per model,
-    # with dense output 1,697-1,978.
+    # Every run lands on its grid: 1,332-1,594 accepted steps per model
     with caplog.at_level(logging.DEBUG, logger="fireball.integrate"):
         run_verification(kind, IntegratorConfig(t_end=50.0, sample_interval=0.5))
     accepted = [r.args[0] for r in caplog.records if str(r.msg).startswith("solve_ode:")]
     assert accepted and sum(accepted) <= 2500
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_default_report_keeps_every_check(kind):
+    results = run_verification(kind, IntegratorConfig(t_end=10.0, sample_interval=0.5))
+    assert [r.name for r in results] == DEFAULT_CHECKS[kind]
+    assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_exact_checks_see_a_force_off_by_1e_9(kind, monkeypatch):
+    # the accelerations both identities are given come from verification's
+    # accel; off by 1e-9 relative, exactly those two checks fail
+    exact = verification.accel
+    monkeypatch.setattr(verification, "accel",
+                        lambda q, kind: exact(q, kind) * (1.0 + 1e-9))
+    rng = np.random.default_rng(0)
+    results = symmetry_checks(kind, rng, rel_tol=1e-10, abs_tol=1e-12) \
+        + hydro_checks(kind, rng, rel_tol=1e-10, abs_tol=1e-12)
+    assert {r.name for r in results if not r.passed} == \
+        {"scaling_form_invariance", "pde_residual_max"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(list(ModelKind)), beta=st.floats(0.5, 5.0), data=st.data())
+def test_exact_identities_hold_on_random_states(kind, beta, data):
+    # the reduction and the scaling map at verify's 1e-12 bound, with
+    # non-unit physical parameters
+    def rows(lo, hi):
+        return np.array([data.draw(st.lists(st.floats(lo, hi), min_size=kind.dim,
+                                            max_size=kind.dim)) for _ in range(4)])
+
+    qs, qdots = rows(0.3, 3.0), rows(-2.0, 2.0)
+    params = PhysicalParams(n0=1.3, T0=2.0, X0=0.8, Y0=1.2, Z0=0.7, m=1.5)
+    force = accel(qs, kind)
+    assert pde_residuals(params, qs, qdots, force, kind).max_abs <= 1e-12
+    traj = Trajectory(kind=kind, times=np.arange(4.0), qs=qs, qdots=qdots)
+    assert ode_residual(scaled_trajectory(traj, beta), force / beta ** 3) <= 1e-12
