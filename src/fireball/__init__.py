@@ -22,9 +22,9 @@ from .analytic import (AngularSolution, RadialSolution, angular_quadrature,
                        one_d_solution, polar_invariants, radial, radial_3d,
                        superposition_1d, time_reparam)
 from .symmetry import (PointSymmetry, dynamical_symmetry_check,
-                       extended_generator_apply, noether_condition_residual,
-                       noether_invariant_from, ode_residual, scaled_trajectory,
-                       scaling_symmetry, time_translation)
+                       noether_condition_residual, noether_invariant_from,
+                       ode_residual, scaled_trajectory, scaling_symmetry,
+                       time_translation)
 from .hydro import (FluidFields, fields_at, particle_number, pde_residuals,
                     total_energy)
 

@@ -259,7 +259,6 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
               rel_tol: float = 1e-10,
               abs_tol: float = 1e-12,
               max_step: float = math.inf,
-              initial_step: float | None = None,
               dense: bool = False) -> np.ndarray:
     """Integrate y' = f(t, y) and return y at the requested sample times.
 
@@ -312,8 +311,7 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     if span <= 0.0:  # every sample is at the start
         return np.frombuffer(out).reshape(-1, n)
 
-    h = initial_step if initial_step is not None else min(max_step, span / 100.0, 0.1)
-    h = min(h, span)
+    h = min(max_step, span / 100.0, 0.1, span)
     # A field declared as source is inlined into the step, unless f only
     # carries the declaration of another function (a wrapper that copied
     # its attributes), which must be called.

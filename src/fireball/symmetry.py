@@ -1,4 +1,4 @@
-"""Numerical verification of the symmetry structure of the reduced models.
+"""Verification of the symmetry structure of the reduced models.
 
 A point symmetry is a vector field tau d/dt + eta . d/dq on (t, q) space;
 its first extension acts on velocities with coefficient (etadot - taudot qd).
@@ -7,16 +7,16 @@ the Noether invariant are each written once (:func:`_noether_residual`,
 :func:`_noether_invariant`), for point symmetries and the 2d model's
 velocity-dependent symmetry alike, with exact partial derivatives of L (they
 are elementary), so the residual of a genuine symmetry sits at rounding
-level.  One central difference along a line in (t, q, qdot) space is used
-only where the object being differentiated is caller-supplied: scalar fields
-in :func:`extended_generator_apply`, and the free function tau (and a given
-gauge) of the dynamical symmetry behind the Ermakov invariant.
+level.  Nothing here takes a numerical derivative: the dynamical symmetry's
+free function tau enters the condition through its value alone.
 
 All models admit the scaling symmetry tau = 2 t, eta = q (gauge 0).  Its
 finite form t -> beta^2 t, q -> beta q (:func:`scaled_trajectory`) maps
 solutions to solutions because the force is homogeneous of degree -3: by
 the chain rule the image's accelerations are accel(q) / beta^3, which
-:func:`ode_residual` compares with the force at the image's samples.
+:func:`ode_residual` compares with the force at the image's samples.  A
+function of the state is invariant under the map exactly when the
+generator annihilates it, so the finite map checks that too.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from .errors import DomainError
 from .models import ModelKind, State, check_state
 from .integrate import Trajectory
 from .dynamics import accel, canonical_momenta, energies
-
-FieldFn = Callable[[float, np.ndarray, np.ndarray], float]
 
 
 @dataclass(frozen=True)
@@ -127,39 +125,6 @@ def noether_invariant_from(sym: PointSymmetry, kind: ModelKind,
                               np.asarray(sym.eta(t, q), dtype=float), sym.gauge(t, q))
 
 
-def _derivative_along(fn: FieldFn, state: State, dt: float, dq, dqd) -> float:
-    """Derivative of fn(t, q, qdot) at the state along the vector
-    (dt, dq, dqd), by one central difference.
-
-    The step is 1e-6 of the state's scale over the vector's, and at most
-    half the step that would bring a variance to zero.
-    """
-    t, q, qd = state.t, state.q, state.qdot
-    size = max(abs(dt), abs(dq).max(), abs(dqd).max())
-    if size == 0.0:
-        return 0.0
-    scale = max(1.0, abs(t), q.max(), abs(qd).max())
-    h = 1.0 / max(size / (1e-6 * scale), 2.0 * (abs(dq) / q).max())
-
-    def at(s):
-        return fn(t + s * dt, q + s * dq, qd + s * dqd)
-
-    return float((at(h) - at(-h)) / (2.0 * h))
-
-
-def extended_generator_apply(sym: PointSymmetry, field: FieldFn,
-                             state: State) -> float:
-    """Apply the first extended generator to a scalar field of (t, q, qdot).
-
-    By the chain rule this is the field's derivative along the prolonged
-    generator (tau, eta, etadot - taudot qd), taken by one central
-    difference with a relative step of 1e-6, so results are reliable to
-    about that level.
-    """
-    tau, eta, taudot, etadot, _, _ = _prolongation(sym, state)
-    return _derivative_along(field, state, tau, eta, etadot - taudot * state.qdot)
-
-
 def scaled_trajectory(traj: Trajectory, beta: float) -> Trajectory:
     """Image of a trajectory under t -> beta^2 t, q -> beta q.
 
@@ -179,21 +144,22 @@ def ode_residual(traj: Trajectory, qdds) -> float:
     return float(np.max(np.abs(qdds - force)) / np.max(np.abs(force)))
 
 
-def dynamical_symmetry_check(tau: FieldFn, state: State, *,
-                             gauge: FieldFn | None = None) -> tuple[float, float]:
+def dynamical_symmetry_check(tau: Callable[[float, np.ndarray, np.ndarray], float],
+                             state: State) -> tuple[float, float]:
     """Evaluate the Noether condition for the 2d model's dynamical symmetry.
 
     The symmetry is velocity-dependent: coordinates shift by tau qd plus a
     rotation-like term with parameter w = X Yd - Y Xd, time shifts by the
-    free function ``tau`` of (t, q, qdot).  ``gauge``, a function of
-    (t, q, qdot), defaults to the standard gauge tau L - w^2/2 + X/Y + Y/X.
-    The total time derivatives of tau and of a given gauge are taken along
-    the flow (1, qd, qdd).
+    free function ``tau`` of (t, q, qdot), and the gauge is the standard
+    tau L - w^2/2 + X/Y + Y/X.  Only tau's value at the state enters: its
+    total derivative taudot enters etadot as taudot qd and gauge-dot as
+    taudot L, which the condition's etadot - taudot qd and taudot L -
+    gauge-dot cancel exactly, so both are written without taudot.
 
     Returns ``(residual, invariant)``: the residual of the gauged Noether
     condition (accelerations substituted from the equations of motion) and
     the Noether invariant of the transformation, which equals the Ermakov
-    invariant for every choice of tau when the standard gauge is used.
+    invariant for every choice of tau.
     """
     kind = ModelKind.TWO_D
     check_state(state, kind)
@@ -206,19 +172,14 @@ def dynamical_symmetry_check(tau: FieldFn, state: State, *,
     wdot = X * Ydd - Y * Xdd
 
     tau_value = float(tau(t, q, qd))
-    taudot = _derivative_along(tau, state, 1.0, qd, qdd)
     eta = np.array([tau_value * Xd + Y * w, tau_value * Yd - X * w])
-    etadot = np.array([taudot * Xd + tau_value * Xdd + Yd * w + Y * wdot,
-                       taudot * Yd + tau_value * Ydd - Xd * w - X * wdot])
+    etadot = np.array([tau_value * Xdd + Yd * w + Y * wdot,
+                       tau_value * Ydd - Xd * w - X * wdot])
 
     L = energies(state, kind).lagrangian
-    if gauge is None:
-        Ldot = 2.0 * float(qd @ qdd)  # qd.dL/dq + qdd.p, with dL/dq = qdd, p = qd
-        g = tau_value * L - 0.5 * w ** 2 + X / Y + Y / X
-        gdot = taudot * L + tau_value * Ldot - w * wdot - w / Y ** 2 + w / X ** 2
-    else:
-        g = float(gauge(t, q, qd))
-        gdot = _derivative_along(gauge, state, 1.0, qd, qdd)
+    Ldot = 2.0 * float(qd @ qdd)  # qd.dL/dq + qdd.p, with dL/dq = qdd, p = qd
+    g = tau_value * L - 0.5 * w ** 2 + X / Y + Y / X
+    gdot = tau_value * Ldot - w * wdot - w / Y ** 2 + w / X ** 2
     p = canonical_momenta(state, kind)
-    return (_noether_residual(state, kind, L, p, qdd, eta, taudot, etadot, gdot),
+    return (_noether_residual(state, kind, L, p, qdd, eta, 0.0, etadot, gdot),
             _noether_invariant(state, L, p, tau_value, eta, g))

@@ -12,8 +12,9 @@ the conserved quantities.  The reduction to the variance ODEs and the finite
 scaling map are checked as exact identities at states the checks already
 have, with the accelerations the model's force gives them: the Euler
 equations by :func:`fireball.hydro.pde_residuals`, the scaling map by
-:func:`fireball.symmetry.ode_residual` on the image of a run.  Both read
-rounding on a correct force, so their bounds sit at 1e-12.
+:func:`fireball.symmetry.ode_residual` on the image of a run and by the 2d
+model's Ermakov invariant I, unchanged on the image of a state.  No check
+takes a numerical derivative; these read rounding, so their bounds are 1e-12.
 """
 
 from __future__ import annotations
@@ -111,12 +112,14 @@ def symmetry_checks(kind: ModelKind, rng, *, rel_tol, abs_tol) -> list[CheckResu
     ]
 
     if kind is ModelKind.TWO_D:
-        def ermakov_field(t, q, qd):
-            return float(invariants.ermakov_values(q, qd, kind))
-
-        g1i = max(abs(symmetry.extended_generator_apply(scal, ermakov_field, s))
-                  for s in states)
-        out.append(_result("generator_annihilates_ermakov", g1i, 1e-6))
+        # The scaling generator annihilates I exactly when the finite map
+        # (q, qdot) -> (beta q, qdot / beta) leaves it unchanged.
+        qs = np.array([s.q for s in states])
+        qdots = np.array([s.qdot for s in states])
+        ermakov = invariants.ermakov_values(qs, qdots, kind)
+        g1i = max(np.max(np.abs(invariants.ermakov_values(beta * qs, qdots / beta, kind)
+                                - ermakov) / ermakov) for beta in (0.5, 2.0, 5.0))
+        out.append(_result("generator_annihilates_ermakov", g1i, 1e-12))
 
         taus = [lambda t, q, qd: 0.0, lambda t, q, qd: 1.0,
                 lambda t, q, qd: q[0] * qd[1]]
@@ -127,7 +130,7 @@ def symmetry_checks(kind: ModelKind, rng, *, rel_tol, abs_tol) -> list[CheckResu
                 res, inv = symmetry.dynamical_symmetry_check(tau, s)
                 worst_res = max(worst_res, abs(res))
                 worst_match = max(worst_match, abs(inv - expected))
-        out.append(_result("dynamical_symmetry_residual", worst_res, 1e-8))
+        out.append(_result("dynamical_symmetry_residual", worst_res, 1e-12))
         out.append(_result("dynamical_symmetry_invariant_match", worst_match, 1e-10))
 
     # Finite scaling map: the image of a run must solve the same ODE.  By the
@@ -144,11 +147,13 @@ def symmetry_checks(kind: ModelKind, rng, *, rel_tol, abs_tol) -> list[CheckResu
     out.append(_result("scaling_form_invariance", worst, 1e-12))
 
     # Near-identity form of the map against the generator coefficients
-    # (2t, q): the difference is second order in beta - 1.
+    # (tau, eta) = (2t, q), which act sample by sample on the whole run: the
+    # difference is second order in beta - 1.
     eps = 1e-6
     mapped = symmetry.scaled_trajectory(traj, 1.0 + eps)
-    dev_t = np.max(np.abs(mapped.times - (traj.times + eps * 2.0 * traj.times)))
-    dev_q = np.max(np.abs(mapped.qs - (traj.qs + eps * traj.qs)))
+    tau, eta = scal.tau(traj.times, traj.qs), scal.eta(traj.times, traj.qs)
+    dev_t = np.max(np.abs(mapped.times - (traj.times + eps * tau)))
+    dev_q = np.max(np.abs(mapped.qs - (traj.qs + eps * eta)))
     out.append(_result("generator_near_identity", max(dev_t, dev_q), 1e-10))
     return out
 

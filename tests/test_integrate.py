@@ -106,7 +106,7 @@ class TestAccuracy:
         errors = []
         for h in (0.1, 0.05, 0.025):
             ys = solve_ode(vector_field(ModelKind.ONE_D), 0.0, [1.0, 0.0], [0, 2],
-                           rel_tol=0.9, abs_tol=0.9, max_step=h, initial_step=h)
+                           rel_tol=0.9, abs_tol=0.9, max_step=h)
             X_exact, _ = one_d_solution(0.5, 0.0, 2.0)
             errors.append(abs(ys[-1, 0] - float(X_exact)))
         orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
@@ -239,7 +239,7 @@ _REF_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
 
 
 def reference_solve_ode(f, t0, y0, sample_times, *, rel_tol=1e-10, abs_tol=1e-12,
-                        max_step=math.inf, initial_step=None):
+                        max_step=math.inf):
     (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
      (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6)) = _REF_A
     _, c2, c3, c4, c5, _, _ = _REF_C
@@ -260,7 +260,7 @@ def reference_solve_ode(f, t0, y0, sample_times, *, rel_tol=1e-10, abs_tol=1e-12
     if span == 0.0:
         return np.array(out).reshape(-1, n)
 
-    h = initial_step if initial_step is not None else min(max_step, span / 100.0, 0.1)
+    h = min(max_step, span / 100.0, 0.1)
     h = min(h, span)
     k1 = f(t, y)
     refusals = 0
@@ -494,7 +494,7 @@ class TestReferenceStepper:
     def test_custom_sizes(self, make_field, y0):
         for grid, kw in ((sample_grid(0.0, 2.0, 1e-3), {}),
                          (np.array([0.0, 0.7, 2.0]), {"rel_tol": 1e-8}),
-                         (np.array([0.0, 2.0]), {"max_step": 0.3, "initial_step": 0.01})):
+                         (np.array([0.0, 2.0]), {"max_step": 0.3})):
             assert_matches_reference(make_field, 0.0, y0, grid, **kw)
 
     @pytest.mark.parametrize("reply", [(1.0,), (1.0, 2.0, 3.0)], ids=["short", "long"])

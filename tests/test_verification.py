@@ -132,6 +132,18 @@ def test_exact_checks_see_a_force_off_by_1e_9(kind, monkeypatch):
         {"scaling_form_invariance", "pde_residual_max"}
 
 
+def test_ermakov_check_sees_a_term_that_breaks_scaling(monkeypatch):
+    # I (1 + 1e-9 X) is not scale-invariant: X -> beta X moves it by about
+    # 1e-9 relative, far above the check's 1e-12
+    exact = invariants.ermakov_values
+    monkeypatch.setattr(invariants, "ermakov_values", lambda qs, qdots, kind:
+                        exact(qs, qdots, kind) * (1.0 + 1e-9 * np.asarray(qs)[..., 0]))
+    results = symmetry_checks(ModelKind.TWO_D, np.random.default_rng(0),
+                              rel_tol=1e-10, abs_tol=1e-12)
+    check = next(r for r in results if r.name == "generator_annihilates_ermakov")
+    assert not check.passed and check.value > 1e-10
+
+
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(list(ModelKind)), beta=st.floats(0.5, 5.0), data=st.data())
 def test_exact_identities_hold_on_random_states(kind, beta, data):
@@ -146,4 +158,13 @@ def test_exact_identities_hold_on_random_states(kind, beta, data):
     force = accel(qs, kind)
     assert pde_residuals(params, qs, qdots, force, kind).max_abs <= 1e-12
     traj = Trajectory(kind=kind, times=np.arange(4.0), qs=qs, qdots=qdots)
-    assert ode_residual(scaled_trajectory(traj, beta), force / beta ** 3) <= 1e-12
+    image = scaled_trajectory(traj, beta)
+    assert ode_residual(image, force / beta ** 3) <= 1e-12
+    # H has scaling degree -2 and J is invariant under (beta^2 t, beta q, qdot / beta)
+    H = invariants.hamiltonian_values(qs, qdots, kind)
+    assert np.max(np.abs(invariants.hamiltonian_values(image.qs, image.qdots, kind)
+                         * beta ** 2 - H) / H) <= 1e-12
+    J = invariants.noether_values(traj.times, qs, qdots, kind)
+    terms = 2.0 * traj.times * H + np.sum(np.abs(qs * kind.weights * qdots), axis=-1)
+    assert np.all(np.abs(invariants.noether_values(image.times, image.qs, image.qdots, kind)
+                         - J) <= 1e-12 * terms)
