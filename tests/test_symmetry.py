@@ -11,7 +11,9 @@ from fireball import (DomainError, IntegratorConfig,
                       noether_invariant_from, ode_residual, one_d_solution,
                       scaled_trajectory, scaling_symmetry, symmetry, time_translation)
 from fireball.dynamics import accel
+from fireball.dynamics import kinetic, potential
 from fireball.invariants import ermakov_values
+from fireball.symmetry import _prolongation
 from stencil import stencil_accelerations
 
 
@@ -80,6 +82,41 @@ class TestNoetherInvariant:
             expected = 2 * s.t * H - (2 * s.q[0] * s.qdot[0] + s.q[1] * s.qdot[1])
             got = noether_invariant_from(sym, ModelKind.ELLIPTIC_3D, s)
             assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def generator_apply(sym, field, state, h=1e-6):
+    """The prolonged generator (tau, eta, etadot - taudot qdot) applied to a
+    scalar field of (t, q, qdot): the field's derivative along that vector,
+    by one central difference of step h."""
+    tau, eta, taudot, etadot, _, _ = _prolongation(sym, state)
+    zeta = etadot - taudot * state.qdot
+
+    def at(s):
+        return field(state.t + s * tau, state.q + s * eta, state.qdot + s * zeta)
+
+    return (at(h) - at(-h)) / (2.0 * h)
+
+
+class TestExtendedGenerator:
+    def test_annihilates_the_ermakov_invariant(self):
+        sym = scaling_symmetry()
+
+        def field(t, q, qd):
+            return float(ermakov_values(q, qd, ModelKind.TWO_D))
+
+        for s in random_states(ModelKind.TWO_D):
+            assert abs(generator_apply(sym, field, s)) <= 1e-6
+
+    def test_energy_has_scaling_degree_minus_two(self):
+        sym = scaling_symmetry()
+
+        def field(t, q, qd):
+            return float(kinetic(qd, ModelKind.TWO_D) + potential(q, ModelKind.TWO_D))
+
+        for s in random_states(ModelKind.TWO_D, n=5):
+            H = energies(s, ModelKind.TWO_D).hamiltonian
+            got = generator_apply(sym, field, s)
+            assert got == pytest.approx(-2.0 * H, rel=1e-6)
 
 
 class TestScaledTrajectory:
