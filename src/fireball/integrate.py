@@ -15,27 +15,28 @@ spend a step on every sample: the angular quadrature of
 ``verify``, ``simulate``, and the numeric ``r`` of ``analytic --compare``
 keep landing.
 
-The stepper works on Python floats: the state is a list, and the right-hand
-side ``f(t, y)`` receives a list of floats and returns a sequence of floats
-of the same length, which for the 1-6 component systems here is far cheaper
-than numpy calls on tiny arrays.  One step is a kernel generated from the
-tableau (``_step_source``) and compiled on first use, once per state length
-n, mode and declared field.  It unpacks the state and the stage derivatives
-into locals and writes each stage component out as a scalar sum.  Once the
-model's field is a few scalar operations, interpreter overhead (a list
-comprehension over zip per stage, a loop for the error norm) costs several
-times more per step than the field; the unrolled kernel removes most of it.
-The fields of the models and of the angular quadrature are declared as
-source (:class:`fireball.dynamics.FieldSource`), and the kernel inlines
-them: each stage assigns its components to the field's argument names and
-runs the field's check and expressions in place, with no call, no stage
-list and no unpacking.  Any other callable, a wrapper of a declared field
-included, is called once per stage, so a counting wrapper (as in the
-benchmark's traced run) sees every evaluation but times the called kernel,
-not the inlined one.  Either way its expressions are those of the
-hand-written stepper, term for term in tableau order, so every sample and
-every step decision is bit-identical to it; the tests keep that stepper as
-the reference.
+The stepper works on Python floats: the right-hand side ``f(t, y)``
+receives a list of floats and returns a sequence of floats of the same
+length, which for the 1-6 component systems here is far cheaper than numpy
+calls on tiny arrays.  The whole step loop is generated from the tableau
+(``_loop_source``) and compiled on first use, once per state length n, mode
+and declared field.  It keeps the state and the stage derivatives in locals
+across steps (accepting a step rebinds them), writes each stage component
+out as a scalar sum and runs the step control inline, with no call per
+step.  Once the model's field is a few scalar operations, interpreter
+overhead (a list comprehension over zip per stage, a loop for the error
+norm, a call and its packed results per step) costs several times more
+per step than the field; the unrolled loop removes most of it.  The
+fields of the models and of the angular quadrature are declared as source
+(:class:`fireball.dynamics.FieldSource`), and the loop inlines them: each
+stage assigns its components to the field's argument names and runs the
+field's check and expressions in place, with no call, no stage list and no
+unpacking.  Any other callable, a wrapper of a declared field included, is
+called once per stage, so a counting wrapper (as in the benchmark's traced
+run) sees every evaluation but times the called loop, not the inlined one.
+Either way its expressions are those of the hand-written stepper, term for
+term in tableau order, so every sample and every step decision is
+bit-identical to it; the tests keep that stepper as the reference.
 
 The field is the only check on the state: it raises :class:`DomainError`
 for a stage outside its domain.  The models' fields
@@ -88,35 +89,115 @@ _D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
       -10690763975 / 1880347072, 701980252875 / 199316789632,
       -1453857185 / 822651844, 69997945 / 29380423)
 
-_MAX_REFUSALS = 50
+# solve_ode's step loop, less what _loop_source fills in per n, mode and
+# field.  Its names start with an underscore, which no declared name may.
+_LOOP = '''\
+def _loop(_f, _t, _h, _y, _k1, _times, _next_idx, _out, _inside, _stages,
+          _abs_tol, _rel_tol, _max_step, _unit):
+    {y}, = _y
+    {k1}, = _k1
+    _n_samples, _t_end = len(_times), _times[-1]
+    _t_stop = _t_end - 1e-14 * max(_unit, abs(_t_end))
+    _accepted = _rejected = _refused = _refusals = 0
+    _extend = _out.extend
+    # 1e-14 * max(unit, |t|): the step floor and the sample tolerance at t
+    _tol = 1e-14 * max(_unit, abs(_t))
+    while _t < _t_stop:
+        # Comparisons stand in for min(), max() and abs() in this loop, with
+        # the same ties and NaN handling, at less cost than the calls.
+        if _max_step < _h:
+            _h = _max_step
+        if _t_end - _t < _h:
+            _h = _t_end - _t
+{land}
+        if _h < _tol:
+            if _refusals > 0:
+                raise _SingularityError(
+                    f"domain refusals forced the step below the floor at t={{_t!r}}",
+                    last_t=_t, last_y=_array([{y}]))
+            raise _IntegrationError(f"step size underflow at t={{_t!r}} (h={{_h!r}})",
+                                    last_t=_t, last_y=_array([{y}]))
+        try:
+{stages}
+        except _DomainError:
+            _refusals += 1
+            if _refusals > 50:
+                raise _SingularityError(
+                    f"the field refused 50 consecutive steps near t={{_t!r}}",
+                    last_t=_t, last_y=_array([{y}])) from None
+            _rejected += 1
+            _refused += 1
+            _h *= 0.5
+            continue
+        _refusals = 0
+{norm}
+        if _err <= 1.0:
+            _t_new = _t + _h
+            _at = _t_new if _t_new >= 0.0 else -_t_new
+            _tol = 1e-14 * (_at if _at > _unit else _unit)
+{emit}
+            _t = _t_new
+{accept}
+            _accepted += 1
+            # 0 <= err <= 1: the factor is at least 0.9, so only the cap at
+            # 5 can bind.
+            _factor = 0.9 * _err ** -0.2 if _err > 0.0 else 5.0
+            if _factor > 5.0:
+                _factor = 5.0
+        else:
+            # err > 1 or NaN: the factor is below 0.9 or NaN, so only the
+            # floor at 0.2 can bind (NaN takes it, as in max(0.2, nan)).
+            _rejected += 1
+            _factor = 0.9 * _err ** -0.2
+            if not _factor > 0.2:
+                _factor = 0.2
+        _h *= _factor
+    return [{y}], _next_idx, _accepted, _rejected, _refused
+'''
+
+# Steps land on the samples: interpolation error would dominate the drift.
+_LANDING = ('''\
+        if _next_idx < _n_samples and _times[_next_idx] - _t < _h:
+            _h = _times[_next_idx] - _t''', '''\
+            # The step landed on (or stopped short of) the next sample, so
+            # each sample emitted here lies within tol of t_new.
+            _t_hi = _t_new + _tol
+            while _next_idx < _n_samples and _times[_next_idx] <= _t_hi:
+                _extend(({v},))
+                _next_idx += 1''')
+# Rows next_idx..stop-1 lie in (t, t_new + tol]; those from end on get the
+# state at t_new, the rest (zero bytes hold their place) are interpolated.
+_DENSE = ('', '''\
+            _stop = _bisect_right(_times, _t_new + _tol, _next_idx)
+            if _stop > _next_idx:
+                _end = _bisect_left(_times, _t_new - _tol, _next_idx, _stop)
+                if _end > _next_idx:
+                    _inside.append((_next_idx, _end, _t, _h))
+                    _stages.extend(({y}, {v}, {k1}, {k3}, {k4}, {k5}, {k6}, {k7}))
+                    _out.frombytes(bytes({row_bytes} * (_end - _next_idx)))
+                _extend(({v},) * (_stop - _end))
+                _next_idx = _stop''')
 
 
-def _step_source(n: int, dense: bool = False, source: FieldSource | None = None) -> str:
-    """Source of one Dormand-Prince step unrolled for an n-component state.
+def _loop_source(n: int, dense: bool = False, source: FieldSource | None = None) -> str:
+    """Source of :func:`solve_ode`'s step loop for an n-component state.
 
-    The generated ``_step(_f, _t, _h, _y, _k1, _abs_tol, _rel_tol)``
-    evaluates stages 2-7 and returns ``(y_new, k7, error_sum_of_squares)``
-    with k7 a tuple, followed
-    for ``dense`` by the stages k3..k6 the continuous extension needs (the
-    landing step does not pay for keeping them).  Each component is the
-    plain sum ``y_i + h * (a_s1 * k1_i + ...)`` over the nonzero tableau
-    entries in tableau order, the coefficients written as exact float
-    literals, so every value rounds as the hand-written sum does.
-
-    Without a ``source`` each stage calls ``_f(t + c * h, [...])``.  With
-    one, _f is that declared field and goes unused: each stage assigns its
-    components to the field's argument names and runs the field's check,
-    prelude and outputs inline, which computes the same floats and raises
-    the same :class:`DomainError` as the call would.  The kernel's own
-    names all start with an underscore, which no declared name may.
+    The generated ``_loop`` steps from ``_t``, writes the samples from row
+    ``_next_idx`` on into ``_out`` (``dense`` records the steps to
+    interpolate in ``_inside`` and ``_stages``) and returns the end state,
+    the next row and the counts of accepted steps, rejected steps and
+    refused stages.
+    Each stage component is the plain sum ``y_i + h * (a_s1 * k1_i + ...)``
+    over the nonzero tableau entries in tableau order, with exact float
+    literals, so every value rounds as the hand-written sum does.  Without
+    a ``source`` each stage calls ``_f(t + c * h, [...])``; with one, each
+    stage assigns the field's argument names and runs its check, prelude
+    and outputs inline: the same floats and the same :class:`DomainError`.
     """
     comps = range(n)
 
     def combo(weights, i):
         return " + ".join(f"{w!r} * _k{j}_{i}" for j, w in enumerate(weights, 1) if w != 0.0)
-
-    def at(c):
-        return "_t + _h" if c == 1.0 else f"_t + {c!r} * _h"
 
     def names(stem):
         return ", ".join(f"{stem}_{i}" for i in comps)
@@ -124,41 +205,46 @@ def _step_source(n: int, dense: bool = False, source: FieldSource | None = None)
     def stage(s, inputs):
         """Lines that set _k{s}_0.. from the stage's input expressions."""
         if source is not None:
-            return ([f"    {a} = {x}" for a, x in zip(source.args, inputs)]
-                    + source.body("    ")
-                    + [f"    _k{s}_{i} = {out}" for i, out in enumerate(source.outputs)])
-        call = f"_f({at(_C[s - 1])}, [{', '.join(inputs)}])"
-        if s == 7:
-            call = f"_f({at(_C[s - 1])}, _y_new)"
-        return [f"    {names(f'_k{s}')}, = {call}"]
+            return ([f"{a} = {x}" for a, x in zip(source.args, inputs)] + source.body("")
+                    + [f"_k{s}_{i} = {out}" for i, out in enumerate(source.outputs)])
+        c = _C[s - 1]
+        return [f"{names(f'_k{s}')}, = _f(_t + {'' if c == 1.0 else f'{c!r} * '}_h, "
+                f"[{', '.join(inputs)}])"]
 
-    lines = ["def _step(_f, _t, _h, _y, _k1, _abs_tol, _rel_tol):",
-             f"    {names('_y')}, = _y", f"    {names('_k1')}, = _k1"]
+    stages = []
     for s in range(2, 7):
-        lines += stage(s, [f"_y_{i} + _h * ({combo(_A[s - 1], i)})" for i in comps])
-    lines += [f"    _v_{i} = _y_{i} + _h * ({combo(_A[6], i)})" for i in comps]
-    lines.append(f"    _y_new = [{names('_v')}]")
-    lines += stage(7, [f"_v_{i}" for i in comps])
+        stages += stage(s, [f"_y_{i} + _h * ({combo(_A[s - 1], i)})" for i in comps])
+    stages += [f"_v_{i} = _y_{i} + _h * ({combo(_A[6], i)})" for i in comps]
+    stages += stage(7, [f"_v_{i}" for i in comps])
+    norm = []
     for i in comps:
-        lines += [f"    _u, _v = abs(_y_{i}), abs(_v_{i})",
-                  f"    _e_{i} = _h * ({combo(_E, i)})"
-                  " / (_abs_tol + _rel_tol * (_u if _u > _v else _v))"]
-    k3, k4, k5, k6, k7 = (f"({names(f'_k{s}')},)" for s in range(3, 8))
-    sq = " + ".join(f"_e_{i} * _e_{i}" for i in comps)
-    stages = f", {k3}, {k4}, {k5}, {k6}" if dense else ""
-    lines.append(f"    return _y_new, {k7}, {sq}{stages}")
-    return "\n".join(lines) + "\n"
+        norm += [f"_a = _y_{i} if _y_{i} >= 0.0 else -_y_{i}",
+                 f"_b = _v_{i} if _v_{i} >= 0.0 else -_v_{i}",
+                 f"_e_{i} = _h * ({combo(_E, i)})"
+                 " / (_abs_tol + _rel_tol * (_a if _a > _b else _b))"]
+    norm.append(f"_err = _sqrt(({' + '.join(f'_e_{i} * _e_{i}' for i in comps)}) / {n})")
+    accept = [f"_y_{i} = _v_{i}" for i in comps] + [f"_k1_{i} = _k7_{i}" for i in comps]
+    kw = {f"k{s}": names(f"_k{s}") for s in range(1, 8)}
+    kw.update(y=names("_y"), v=names("_v"), row_bytes=8 * n)
+    land, emit = _DENSE if dense else _LANDING
+    return _LOOP.format(
+        land=land, emit=emit.format(**kw),
+        stages="\n".join(" " * 12 + line for line in stages),
+        norm="\n".join(" " * 8 + line for line in norm),
+        accept="\n".join(" " * 12 + line for line in accept), **kw)
 
 
 @functools.cache
-def _step_kernel(n: int, dense: bool = False, source: FieldSource | None = None):
-    """The step of :func:`_step_source`, compiled on first use for each n,
+def _loop_kernel(n: int, dense: bool = False, source: FieldSource | None = None):
+    """The loop of :func:`_loop_source`, compiled on first use for each n,
     mode and declared field."""
-    namespace = source.namespace() if source is not None else {}
-    name = (f"<dormand-prince {'dense ' if dense else ''}step, n={n}"
-            f"{', declared field' if source is not None else ''}>")
-    exec(compile(_step_source(n, dense, source), name, "exec"), namespace)
-    return namespace["_step"]
+    namespace = source.namespace() if source is not None else {"_DomainError": DomainError}
+    namespace.update(_SingularityError=SingularityError, _IntegrationError=IntegrationError,
+                     _array=np.array, _sqrt=math.sqrt, _bisect_left=bisect.bisect_left,
+                     _bisect_right=bisect.bisect_right)
+    name = f"<dormand-prince loop, n={n}, dense={dense}, declared={source is not None}>"
+    exec(compile(_loop_source(n, dense, source), name, "exec"), namespace)
+    return namespace["_loop"]
 
 
 @dataclass(frozen=True)
@@ -265,152 +351,66 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     ``f`` receives the state as a list of floats and returns a sequence of
     floats (a tuple, list or 1-d array) of the same length, else ValueError
     is raised; it raises :class:`DomainError` to reject a stage outside its
-    domain, e.g. at a variance floor.  A field declared as source
-    (:class:`fireball.dynamics.FieldSource`) is inlined into the step; any
-    other callable is called once per stage, with the same results.
-    Times are compared within 1e-14 relative to the larger of |t| and a
-    unit, min(1, t_end - t0): a short span, such as an angular quadrature's
-    ttilde grid, scales its own tolerances and step floor.
-    ``sample_times`` must be non-decreasing and start no earlier than t0
-    (within that tolerance), else DomainError is raised; samples at t0 get
-    y0, and integration runs to the last entry.  Every later sample is the
-    end of a step, since steps land on them, unless ``dense`` is set: then
-    the steps ignore the samples, and a sample inside a step is the
-    continuous extension of that step (one within the tolerance of the
-    step's end is the end state).  A ``max_step`` below the step floor,
-    1e-14 times the largest of the unit, |t0| and |t_end|, raises
-    DomainError before the first step: such a run could not reach t_end.
+    domain, e.g. at a variance floor.  The step loop is generated per state
+    length, mode and declared field; a field declared as source
+    (:class:`fireball.dynamics.FieldSource`) is inlined into it, and any
+    other callable is called once per stage, with the same results.  Times
+    are compared within 1e-14 relative to the larger of |t| and a unit,
+    min(1, t_end - t0): a short span, such as an angular quadrature's
+    ttilde grid, scales its own tolerances and step floor.  t0 and
+    ``sample_times`` must be finite, the samples non-decreasing from t0
+    (within that tolerance), and ``max_step`` at least the step floor, 1e-14
+    times the largest of the unit, |t0| and |t_end|, else DomainError is
+    raised.  Samples at t0 get y0, and integration runs to the last entry.
+    Every later sample is the end of a step, since steps land on them,
+    unless ``dense`` is set: then the steps ignore the samples, and a sample
+    inside a step is the continuous extension of that step (one within the
+    tolerance of the step's end is the end state).  The ``solve_ode:`` debug
+    record counts accepted steps, rejected steps and refused stages.
     Returns a (len(sample_times), len(y0)) array.
     """
     y = [float(v) for v in y0]
     n = len(y)
     t = float(t0)
     grid = np.asarray(sample_times, dtype=float)
-    if np.any(np.diff(grid) < 0.0):
-        raise DomainError("sample times must be non-decreasing")
     times = grid.tolist()
     t_end = times[-1]
+    # NaN fails every comparison, so a grid whose steps all pass holds none
+    # and is finite if its ends are.
+    if not ((np.diff(grid) >= 0.0).all() and math.isfinite(t)
+            and -math.inf < times[0] and t_end < math.inf):
+        raise DomainError("t0 and the sample times must be finite, "
+                          "and the sample times non-decreasing")
     span = t_end - t
     # A span too short for a nonzero floor (or not positive) keeps unit 1.
     unit = min(1.0, span) if 1e-14 * span > 0.0 else 1.0
     t_tol = 1e-14 * max(unit, abs(t))
     if times[0] < t - t_tol:
         raise DomainError(f"sample times start at {times[0]} before t0={t}")
-    if max_step < 1e-14 * max(unit, abs(t), abs(t_end)):
+    if not max_step >= 1e-14 * max(unit, abs(t), abs(t_end)):
         raise DomainError(f"max_step={max_step!r} lies below the step floor of 1e-14 "
                           f"relative over [{t!r}, {t_end!r}]")
 
-    out = array("d")  # samples, row after row
-    n_samples = len(times)
-    next_idx = 0
-    # Emit the samples at the start.
-    while next_idx < n_samples and times[next_idx] <= t + t_tol:
-        out.extend(y)
-        next_idx += 1
+    next_idx = bisect.bisect_right(times, t + t_tol)  # the samples at the start
+    out = array("d", y * next_idx)  # samples, row after row
 
     if span <= 0.0:  # every sample is at the start
         return np.frombuffer(out).reshape(-1, n)
 
     h = min(max_step, span / 100.0, 0.1, span)
-    # A field declared as source is inlined into the step, unless f only
+    # A field declared as source is inlined into the loop, unless f only
     # carries the declaration of another function (a wrapper that copied
     # its attributes), which must be called.
     source = getattr(f, "source", None)
     if source is not None and source.function is not f:
         source = None
-    step = _step_kernel(n, dense, source)
-    k1 = f(t, y)
-    refusals = 0  # consecutive steps rejected by a DomainError from f
-    n_steps = n_rejects = 0
-    # dense: (first row, stop row, t, h) of each step with samples inside it,
-    # and that step's y, y_new, k1, k3..k7 in a row of `stages`.
-    inside, stages = [], array("d")
-
-    t_stop = t_end - 1e-14 * max(unit, abs(t_end))
-    while t < t_stop:
-        # Comparisons stand in for min() and max() in this loop, with the
-        # same ties and NaN handling, at less cost per step than the calls.
-        if max_step < h:
-            h = max_step
-        if t_end - t < h:
-            h = t_end - t
-        if not dense and next_idx < n_samples and times[next_idx] - t < h:
-            # Land exactly on the next sample: interpolation error would
-            # otherwise dominate invariant drift once steps outgrow the grid.
-            h = times[next_idx] - t
-        at = abs(t)
-        if h < 1e-14 * (at if at > unit else unit):
-            if refusals > 0:
-                raise SingularityError(
-                    f"domain refusals forced the step below the floor at t={t!r}",
-                    last_t=t, last_y=np.array(y))
-            raise IntegrationError(
-                f"step size underflow at t={t!r} (h={h!r})", last_t=t, last_y=np.array(y))
-
-        try:
-            if dense:
-                y_new, k7, sq, k3, k4, k5, k6 = step(f, t, h, y, k1, abs_tol, rel_tol)
-            else:
-                y_new, k7, sq = step(f, t, h, y, k1, abs_tol, rel_tol)
-        except DomainError:
-            refusals += 1
-            if refusals > _MAX_REFUSALS:
-                raise SingularityError(
-                    f"the field refused {_MAX_REFUSALS} consecutive steps near t={t!r}",
-                    last_t=t, last_y=np.array(y)) from None
-            n_rejects += 1
-            h *= 0.5
-            continue
-        refusals = 0
-
-        err = math.sqrt(sq / n)
-
-        if err <= 1.0:
-            t_new = t + h
-            at = abs(t_new)
-            tol = 1e-14 * (at if at > unit else unit)
-            if dense:
-                # Rows next_idx..stop-1 lie in (t, t_new + tol]; those from
-                # end on are at t_new and get y_new, the rest are
-                # interpolated after the loop (zero bytes hold their place).
-                stop = bisect.bisect_right(times, t_new + tol, next_idx)
-                if stop > next_idx:
-                    end = bisect.bisect_left(times, t_new - tol, next_idx, stop)
-                    if end > next_idx:
-                        inside.append((next_idx, end, t, h))
-                        for v in (y, y_new, k1, k3, k4, k5, k6, k7):
-                            stages.extend(v)
-                        out.frombytes(bytes(out.itemsize * n * (end - next_idx)))
-                    out.extend(y_new * (stop - end))
-                    next_idx = stop
-            else:
-                # The step landed on (or stopped short of) the next sample,
-                # and the samples do not decrease, so each one emitted here
-                # lies within tol of t_new.
-                while next_idx < n_samples and times[next_idx] <= t_new + tol:
-                    out.extend(y_new)
-                    next_idx += 1
-            t, y, k1 = t_new, y_new, k7  # FSAL: k7 = f(t_new, y_new)
-            n_steps += 1
-            # 0 <= err <= 1: the factor is at least 0.9, so only the cap at
-            # 5 can bind.
-            factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
-            if factor > 5.0:
-                factor = 5.0
-        else:
-            # err > 1 or NaN: the factor is below 0.9 or NaN, so only the
-            # floor at 0.2 can bind (NaN takes it, as in max(0.2, nan)).
-            n_rejects += 1
-            factor = 0.9 * err ** -0.2
-            if not factor > 0.2:
-                factor = 0.2
-        h *= factor
-
-    while next_idx < n_samples:  # trailing samples at t_end
-        out.extend(y)
-        next_idx += 1
-    log.debug("solve_ode: %d accepted, %d rejected steps over [%g, %g]",
-              n_steps, n_rejects, t0, t_end)
+    inside, stages = [], array("d")  # dense: the steps _interpolate reads
+    y, next_idx, accepted, rejected, refused = _loop_kernel(n, dense, source)(
+        f, t, h, y, f(t, y), times, next_idx, out, inside, stages,
+        abs_tol, rel_tol, max_step, unit)
+    out.extend(y * (len(times) - next_idx))  # trailing samples at t_end
+    log.debug("solve_ode: %d accepted, %d rejected steps, %d refused stages over [%g, %g]",
+              accepted, rejected, refused, t0, t_end)
     ys = np.frombuffer(out).reshape(-1, n)
     if inside:
         _interpolate(ys, grid, inside, stages)

@@ -218,6 +218,12 @@ class TestAngular:
             angular_quadrature(AngularSolution(invariant=2.5, phi0=0.05),
                                ModelKind.TWO_D, np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_grid_time_is_refused(self, bad):
+        # unchecked, such a grid would give phi0 at every sample
+        with pytest.raises(DomainError):
+            angular_quadrature(AngularSolution(5.0, 0.7), ModelKind.TWO_D, [0.0, 0.5, bad])
+
     def test_phi0_validation(self):
         with pytest.raises(DomainError):
             AngularSolution(invariant=3.0, phi0=0.0)

@@ -16,7 +16,7 @@ from fireball import (AngularSolution, DomainError, IntegrationError, Integrator
                       time_reparam)
 from fireball.analytic import _angular_field, angular_potential
 from fireball.dynamics import vector_field
-from fireball.integrate import _step_kernel, sample_grid, solve_ode
+from fireball.integrate import _loop_kernel, sample_grid, solve_ode
 from fireball.invariants import hamiltonian_values
 from fireball.verification import default_initial_state
 
@@ -207,6 +207,31 @@ class TestGuards:
         with pytest.raises(DomainError):
             solve_ode(lambda t, y: (-y[0],), 0.0, [1.0], np.array(times))
 
+    @pytest.mark.parametrize("t0,times", [
+        (0.0, [0.0, 1.0, math.nan]), (0.0, [math.nan]), (0.0, [0.0, 1.0, math.inf]),
+        (0.0, [math.inf]), (math.nan, [0.0, 1.0])],
+        ids=["nan-sample", "nan", "inf-sample", "inf", "nan-t0"])
+    @pytest.mark.parametrize("dense", [False, True], ids=["landing", "dense"])
+    def test_non_finite_times_raise(self, t0, times, dense):
+        # NaN fails every comparison the loop makes: unchecked, these
+        # would return y0 for every sample
+        with pytest.raises(DomainError):
+            solve_ode(lambda t, y: (1.0,), t0, [0.0], np.array(times), dense=dense)
+
+    def test_nan_max_step_raises(self):
+        # a NaN max_step makes every step NaN: unchecked, a field that
+        # accepts NaN stages would be stepped without end
+        def f(t, y):
+            if len(calls) > 1000:
+                raise RuntimeError("runaway loop")
+            calls.append(t)
+            return (1.0,)
+
+        calls = []
+        with pytest.raises(DomainError):
+            solve_ode(f, 0.0, [0.0], np.array([0.0, 1.0]), max_step=math.nan)
+        assert not calls
+
     def test_sample_times_before_t0_raise(self):
         with pytest.raises(DomainError):
             solve_ode(lambda t, y: (1.0,), 1.0, [1.0], np.array([0.0, 0.5, 2.0]))
@@ -221,7 +246,7 @@ class TestGuards:
 
 # The stepper as written by hand, with its own copy of the Dormand & Prince
 # (1980) tableau: one list comprehension over zip per stage and a loop for
-# the error norm.  solve_ode's generated kernel must match it bit for bit.
+# the error norm.  solve_ode's generated loop must match it bit for bit.
 _REF_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _REF_A = (
     (),
@@ -360,7 +385,7 @@ def assert_matches_reference(make_field, *args, **kwargs):
 
 def assert_fused_matches_reference(field, *args, **kwargs):
     """As :func:`assert_matches_reference` for a declared field passed
-    itself, which solve_ode's step inlines rather than calls."""
+    itself, which solve_ode's loop inlines rather than calls."""
     assert field.source.function is field
     got = outcome(solve_ode, field, *args, **kwargs)
     assert_same(got, outcome(reference_solve_ode, field, *args, **kwargs))
@@ -483,6 +508,41 @@ class TestReferenceStepper:
 
         assert_matches_reference(make_field, 0.0, [1.0, 0.5, 0.0, 0.3],
                                  sample_grid(0.0, 5.0, 0.05))
+
+    def test_negative_zero_crossing_zero(self):
+        # the first component starts at -0.0 and then changes sign, so both
+        # branches of the error norm's |x| run, at -0.0 too
+        crossings = []
+
+        def make_field():
+            def f(_t, y):
+                crossings.append(y[0] > 0.0)
+                return y[1], -y[0]
+            return f
+
+        got = assert_matches_reference(make_field, 0.0, [-0.0, -1.0], sample_grid(0.0, 10.0, 0.1))
+        assert math.copysign(1.0, got[0, 0]) == -1.0
+        assert True in crossings and False in crossings
+
+    def test_nan_rate_rejects_the_step(self, caplog):
+        # the 40th call returns a NaN rate: err is NaN, and that step is
+        # rejected, not accepted
+        def make_field(nan_call=40):
+            calls = [0]
+
+            def f(_t, y):
+                calls[0] += 1
+                return y[1], math.nan if calls[0] == nan_call else -y[0]
+            return f
+
+        grid = sample_grid(0.0, 5.0, 0.5)
+        with caplog.at_level(logging.DEBUG, logger="fireball.integrate"):
+            got = assert_matches_reference(make_field, 0.0, [1.0, 0.0], grid)
+            solve_ode(make_field(nan_call=0), 0.0, [1.0, 0.0], grid)
+        assert np.isfinite(got).all()
+        nan_rejected, clean_rejected = [r.args[1] for r in caplog.records
+                                        if str(r.msg).startswith("solve_ode:")]
+        assert nan_rejected > clean_rejected
 
     @pytest.mark.parametrize("make_field,y0", [
         (lambda: lambda t, y: [-0.5 * y[0] + math.sin(t)], [1.3]),
@@ -664,9 +724,9 @@ class TestBenchmarkContract:
             solve_ode(f, 0.0, [1.0, 1.3, -0.2, 0.35], sample_grid(0.0, 20.0, 0.5))
         records = [r for r in caplog.records if str(r.msg).startswith("solve_ode:")]
         assert len(records) == 1
-        accepted, rejected = records[0].args[0:2]
+        accepted, rejected, refused = records[0].args[0:3]
         assert type(accepted) is int and type(rejected) is int
-        assert accepted > 0 and rejected > 0
+        assert accepted > 0 and rejected > 0 and refused == 0
         # no stage raises here: one call to start, six per attempted step
         assert f.calls == 1 + 6 * (accepted + rejected)
 
@@ -681,17 +741,41 @@ class TestBenchmarkContract:
         assert type(accepted) is int and type(rejected) is int
         assert 0 < accepted < 1000  # far fewer steps than the 20,000 samples
         assert f.calls == 1 + 6 * (accepted + rejected)
+        assert records[0].args[2] == 0
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["landing", "dense"])
+    def test_step_record_counts_refused_stages(self, dense, caplog):
+        # the third argument counts the stages whose DomainError refused
+        # their step; those steps are among the rejected ones
+        kind = ModelKind.TWO_D
+        field, refusals = vector_field(kind), []
+
+        def f(t, y):
+            if len(refusals) < 200 and (len(refusals) + f.calls) % 23 == 22:
+                refusals.append(t)
+                raise DomainError("refused stage")
+            f.calls += 1
+            return field(t, y)
+
+        f.calls = 0
+        with caplog.at_level(logging.DEBUG, logger="fireball.integrate"):
+            solve_ode(f, 0.0, [1.0, 1.3, -0.2, 0.35], sample_grid(0.0, 20.0, 0.5),
+                      dense=dense)
+        records = [r for r in caplog.records if str(r.msg).startswith("solve_ode:")]
+        accepted, rejected, refused = records[0].args[0:3]
+        assert type(refused) is int
+        assert refused == len(refusals) > 0 and rejected >= refused
 
 
 class TestDeclaredFields:
     """The model and angular fields are declared as source: solve_ode
-    inlines them into a step compiled on first use, and calls any other
+    inlines them into a loop compiled on first use, and calls any other
     callable, wrappers of a declared field included."""
 
     def test_import_compiles_no_kernel(self):
         code = ("import fireball, fireball.cli\n"
-                "from fireball.integrate import _step_kernel\n"
-                "print(_step_kernel.cache_info().misses)")
+                "from fireball.integrate import _loop_kernel\n"
+                "print(_loop_kernel.cache_info().misses)")
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
             env={"PATH": "/usr/bin:/bin",
@@ -704,9 +788,9 @@ class TestDeclaredFields:
         sol = AngularSolution(invariant=5.0, phi0=0.7)
         grid = np.linspace(0.0, 1.0, 11)
         angular_quadrature(sol, kind, grid)
-        misses = _step_kernel.cache_info().misses
+        misses = _loop_kernel.cache_info().misses
         angular_quadrature(sol, kind, grid)
-        assert _step_kernel.cache_info().misses == misses
+        assert _loop_kernel.cache_info().misses == misses
 
     @pytest.mark.parametrize("kind,calls", [(ModelKind.TWO_D, 1891),
                                             (ModelKind.ELLIPTIC_3D, 1969)])
