@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -157,9 +157,13 @@ def angular_minimum(kind: ModelKind) -> tuple[float, float]:
 def polar_invariants(polar: PolarState, kind: ModelKind) -> tuple[float, float]:
     """(H, C) in polar variables: C = (r^2 phidot)^2 / 2 + U(phi) (I for
     2d, Itilde for elliptic) and H = rdot^2 / 2 + C / r^2."""
-    inv = 0.5 * (polar.r * polar.r * polar.phidot) ** 2 \
-        + float(angular_potential(polar.phi, kind))
-    return 0.5 * polar.rdot ** 2 + inv / polar.r ** 2, inv
+    return tuple(map(float, polar_invariant_values(*astuple(polar), kind)))
+
+
+def polar_invariant_values(r, phi, rdot, phidot, kind: ModelKind):
+    """:func:`polar_invariants` on the arrays :func:`fireball.models.polar_values` gives."""
+    inv = 0.5 * (r * r * phidot) ** 2 + angular_potential(phi, kind)
+    return 0.5 * rdot ** 2 + inv / r ** 2, inv
 
 
 @dataclass(frozen=True)

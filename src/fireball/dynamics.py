@@ -158,12 +158,6 @@ def kinetic(qdot: np.ndarray, kind: ModelKind):
     return 0.5 * np.sum(kind.weights * qdot ** 2, axis=-1)
 
 
-def canonical_momenta(state: State, kind: ModelKind) -> np.ndarray:
-    """dL/d(qdot) = M qdot: qdot except for the elliptic model's (2 Xd, Yd)."""
-    check_state(state, kind)
-    return kind.weights * state.qdot
-
-
 @dataclass(frozen=True)
 class EnergyPair:
     lagrangian: float

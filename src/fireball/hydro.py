@@ -22,7 +22,7 @@ residual is rounding, and accelerations off by a relative delta move the
 momentum residual to delta Qdd over the sum of its terms' magnitudes, at
 most about delta / 2.
 :func:`total_energy` and :func:`particle_number` are the profile's
-closed-form Gaussian moments (see :func:`_gaussian_moments`).
+closed-form Gaussian moments, which :func:`moment_values` gives on batches.
 """
 
 from __future__ import annotations
@@ -163,9 +163,9 @@ def pde_residuals(params: PhysicalParams, qs, qdots, qdds, kind: ModelKind,
                              momentum=momentum, energy=_relative(energy))
 
 
-def _gaussian_moments(params: PhysicalParams, state: State,
-                      kind: ModelKind) -> tuple[float, float]:
-    """Particle number N and total energy E of the dimensional state.
+def moment_values(params: PhysicalParams, qs, qdots, kind: ModelKind):
+    """Particle number N and total energy E of dimensional states ``qs``,
+    ``qdots`` (..., dim), as floats or arrays; the variances, unchecked, must be positive.
 
     Both are elementary Gaussian moments of the profile: over each axis the
     density integrates to sqrt(2 pi) Q_a, so N = n0 ratio prod_a(sqrt(2 pi)
@@ -173,10 +173,9 @@ def _gaussian_moments(params: PhysicalParams, state: State,
     and m v_a^2 / 2 averages to m Qd_a^2 / 2, so
     E = N (D/2 T + m/2 sum_a Qd_a^2).
     """
-    check_state(state, kind)
-    Q, Qd, n_pref, T = _profile(params, state.q, state.qdot, kind)
-    number = float(n_pref) * float(np.prod(_SQRT_2PI * Q))
-    per_particle = kind.spatial_dim / 2 * float(T) + params.m / 2 * float(np.sum(Qd ** 2))
+    Q, Qd, n_pref, T = _profile(params, qs, qdots, kind)
+    number = n_pref * np.prod(_SQRT_2PI * Q, axis=-1)
+    per_particle = kind.spatial_dim / 2 * T + params.m / 2 * np.sum(Qd ** 2, axis=-1)
     return number, number * per_particle
 
 
@@ -188,9 +187,11 @@ def total_energy(params: PhysicalParams, state: State, kind: ModelKind) -> float
     (2 pi)^(D/2) n0 T0 prod_a Q0_a (2 pi n0 X0 Y0 T0 in 2d, (2 pi)^(3/2) n0
     X0^2 Y0 T0 for elliptic).
     """
-    return _gaussian_moments(params, state, kind)[1]
+    check_state(state, kind)
+    return float(moment_values(params, state.q, state.qdot, kind)[1])
 
 
 def particle_number(params: PhysicalParams, state: State, kind: ModelKind) -> float:
     """Spatial integral of the number density (time-independent by continuity)."""
-    return _gaussian_moments(params, state, kind)[0]
+    check_state(state, kind)
+    return float(moment_values(params, state.q, state.qdot, kind)[0])

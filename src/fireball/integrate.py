@@ -357,11 +357,11 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     other callable is called once per stage, with the same results.  Times
     are compared within 1e-14 relative to the larger of |t| and a unit,
     min(1, t_end - t0): a short span, such as an angular quadrature's
-    ttilde grid, scales its own tolerances and step floor.  t0 and
-    ``sample_times`` must be finite, the samples non-decreasing from t0
-    (within that tolerance), and ``max_step`` at least the step floor, 1e-14
-    times the largest of the unit, |t0| and |t_end|, else DomainError is
-    raised.  Samples at t0 get y0, and integration runs to the last entry.
+    ttilde grid, scales its own tolerances and step floor.  DomainError is
+    raised unless y0 and the samples are nonempty, the samples finite and
+    non-decreasing from a finite t0 (within that tolerance), and
+    ``max_step`` at least the step floor, 1e-14 times the largest of the
+    unit, |t0| and |t_end|.  Samples at t0 get y0; the run ends at the last.
     Every later sample is the end of a step, since steps land on them,
     unless ``dense`` is set: then the steps ignore the samples, and a sample
     inside a step is the continuous extension of that step (one within the
@@ -374,13 +374,13 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     t = float(t0)
     grid = np.asarray(sample_times, dtype=float)
     times = grid.tolist()
-    t_end = times[-1]
     # NaN fails every comparison, so a grid whose steps all pass holds none
     # and is finite if its ends are.
-    if not ((np.diff(grid) >= 0.0).all() and math.isfinite(t)
-            and -math.inf < times[0] and t_end < math.inf):
-        raise DomainError("t0 and the sample times must be finite, "
-                          "and the sample times non-decreasing")
+    if not (n and times and (np.diff(grid) >= 0.0).all() and math.isfinite(t)
+            and -math.inf < times[0] and times[-1] < math.inf):
+        raise DomainError("the state and the sample times must be nonempty, t0 and the "
+                          "sample times finite, and the sample times non-decreasing")
+    t_end = times[-1]
     span = t_end - t
     # A span too short for a nonzero floor (or not positive) keeps unit 1.
     unit = min(1.0, span) if 1e-14 * span > 0.0 else 1.0

@@ -242,13 +242,18 @@ def to_polar(state: State, kind: ModelKind) -> PolarState:
     elliptic model X = r cos(phi)/sqrt(2), Y = r sin(phi), so
     r**2 = 2 X**2 + Y**2.
     """
-    _require_planar(kind)
     check_state(state, kind)
+    return PolarState(*map(float, polar_values(state.q, state.qdot, kind)))
+
+
+def polar_values(qs, qdots, kind: ModelKind):
+    """``(r, phi, rdot, phidot)`` of :func:`to_polar` on a (2,) state or
+    (n, 2) batches of positive variances, as floats or (n,) arrays."""
+    _require_planar(kind)
     stretch = np.sqrt(kind.weights)
-    (u, v), (ud, vd) = stretch * state.q, stretch * state.qdot
-    r, r_rdot = radius(state.q, state.qdot, kind)
-    return PolarState(r=float(r), phi=math.atan2(v, u), rdot=float(r_rdot / r),
-                      phidot=float((u * vd - v * ud) / r ** 2))
+    (u, v), (ud, vd) = (stretch * qs).T, (stretch * qdots).T
+    r, r_rdot = radius(qs, qdots, kind)
+    return r, np.arctan2(v, u), r_rdot / r, (u * vd - v * ud) / r ** 2
 
 
 def to_cartesian(polar: PolarState, kind: ModelKind, t: float = 0.0) -> State:

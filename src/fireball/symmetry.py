@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DomainError
 from .models import ModelKind, State, check_state
 from .integrate import Trajectory
-from .dynamics import accel, canonical_momenta, energies
+from .dynamics import accel, kinetic, potential
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,8 @@ class PointSymmetry:
     ``tau``/``eta``/``gauge`` map (t, q) to the coefficient values;
     ``tau_grad`` returns (d tau/dt, d tau/dq), ``eta_grad`` returns
     (d eta/dt, d eta/dq) with the matrix indexed [i, j] = d eta_i / d q_j,
-    and ``gauge_grad`` mirrors ``tau_grad``.
+    and ``gauge_grad`` mirrors ``tau_grad``.  Each takes a state's t and (d,)
+    q or a batch's (n,) t and (n, d) q, and its values broadcast over the batch.
     """
 
     tau: Callable[[float, np.ndarray], float]
@@ -57,7 +58,7 @@ def scaling_symmetry() -> PointSymmetry:
         eta=lambda t, q: np.array(q, dtype=float),
         gauge=lambda t, q: 0.0,
         tau_grad=lambda t, q: (2.0, np.zeros_like(q)),
-        eta_grad=lambda t, q: (np.zeros_like(q), np.eye(len(q))),
+        eta_grad=lambda t, q: (np.zeros_like(q), np.eye(q.shape[-1])),
         gauge_grad=lambda t, q: (0.0, np.zeros_like(q)),
     )
 
@@ -69,37 +70,55 @@ def time_translation() -> PointSymmetry:
         eta=lambda t, q: np.zeros_like(q),
         gauge=lambda t, q: 0.0,
         tau_grad=lambda t, q: (0.0, np.zeros_like(q)),
-        eta_grad=lambda t, q: (np.zeros_like(q), np.zeros((len(q), len(q)))),
+        eta_grad=lambda t, q: (np.zeros_like(q), np.zeros((q.shape[-1],) * 2)),
         gauge_grad=lambda t, q: (0.0, np.zeros_like(q)),
     )
 
 
-def _prolongation(sym: PointSymmetry, state: State):
-    """tau, eta, taudot, etadot, gauge value and gauge-dot at the state."""
-    t, q, qd = state.t, state.q, state.qdot
+def _prolongation(sym: PointSymmetry, t, q, qd):
+    """tau, eta, taudot, etadot, gauge value and gauge-dot at states (t, q,
+    qd): one state, or a batch along the leading axis."""
     tau = sym.tau(t, q)
     eta = np.asarray(sym.eta(t, q), dtype=float)
     tau_t, tau_q = sym.tau_grad(t, q)
     eta_t, eta_q = sym.eta_grad(t, q)
     gauge = sym.gauge(t, q)
     gauge_t, gauge_q = sym.gauge_grad(t, q)
-    taudot = tau_t + float(np.dot(tau_q, qd))
-    etadot = np.asarray(eta_t, dtype=float) + np.asarray(eta_q, dtype=float) @ qd
-    gaugedot = gauge_t + float(np.dot(gauge_q, qd))
+    taudot = tau_t + np.sum(tau_q * qd, axis=-1)
+    etadot = eta_t + np.sum(eta_q * qd[..., None, :], axis=-1)
+    gaugedot = gauge_t + np.sum(gauge_q * qd, axis=-1)
     return tau, eta, taudot, etadot, gauge, gaugedot
 
 
-def _noether_residual(state: State, kind: ModelKind, L: float, p, qdd, eta,
-                      taudot, etadot, gaugedot) -> float:
+def _lagrangian(qs, qdots, kind: ModelKind):
+    return kinetic(qdots, kind) - potential(qs, kind)
+
+
+def _noether_residual(kind: ModelKind, qd, L, qdd, eta, taudot, etadot, gaugedot):
     """G1[L] + taudot L - gauge-dot of a symmetry with the given prolongation,
     with dL/dq = M qdd on shell (-grad V), p = M qdot and dL/dt = 0."""
-    g1_L = float(eta @ (kind.weights * qdd) + (etadot - taudot * state.qdot) @ p)
+    g1_L = np.sum(eta * (kind.weights * qdd), axis=-1) \
+        + np.sum((etadot - np.expand_dims(taudot, -1) * qd) * (kind.weights * qd), axis=-1)
     return g1_L + taudot * L - gaugedot
 
 
-def _noether_invariant(state: State, L: float, p, tau, eta, gauge) -> float:
-    """J = tau (qd.p - L) - eta.p + gauge."""
-    return tau * (float(state.qdot @ p) - L) - float(eta @ p) + gauge
+def _noether_invariant(kind: ModelKind, qd, L, tau, eta, gauge):
+    """J = tau (qd.p - L) - eta.p + gauge with p = M qdot."""
+    p = kind.weights * qd
+    return tau * (np.sum(qd * p, axis=-1) - L) - np.sum(eta * p, axis=-1) + gauge
+
+
+def noether_residual_values(sym: PointSymmetry, kind: ModelKind, ts, qs, qdots):
+    """:func:`noether_condition_residual` at (n,) ``ts``, (n, d) ``qs`` and ``qdots``."""
+    _, eta, taudot, etadot, _, gaugedot = _prolongation(sym, ts, qs, qdots)
+    return _noether_residual(kind, qdots, _lagrangian(qs, qdots, kind), accel(qs, kind),
+                             eta, taudot, etadot, gaugedot)
+
+
+def noether_invariant_values(sym: PointSymmetry, kind: ModelKind, ts, qs, qdots):
+    """:func:`noether_invariant_from` at (n,) ``ts``, (n, d) ``qs`` and ``qdots``."""
+    return _noether_invariant(kind, qdots, _lagrangian(qs, qdots, kind), sym.tau(ts, qs),
+                              np.asarray(sym.eta(ts, qs), dtype=float), sym.gauge(ts, qs))
 
 
 def noether_condition_residual(sym: PointSymmetry, kind: ModelKind,
@@ -109,20 +128,14 @@ def noether_condition_residual(sym: PointSymmetry, kind: ModelKind,
     Vanishes (to rounding) for a Noether symmetry of the model's Lagrangian.
     """
     check_state(state, kind)
-    _, eta, taudot, etadot, _, gaugedot = _prolongation(sym, state)
-    return _noether_residual(state, kind, energies(state, kind).lagrangian,
-                             canonical_momenta(state, kind), accel(state.q, kind),
-                             eta, taudot, etadot, gaugedot)
+    return float(noether_residual_values(sym, kind, state.t, state.q, state.qdot))
 
 
 def noether_invariant_from(sym: PointSymmetry, kind: ModelKind,
                            state: State) -> float:
     """Conserved quantity J = tau (qd.p - L) - eta.p + gauge of the symmetry."""
     check_state(state, kind)
-    t, q = state.t, state.q
-    return _noether_invariant(state, energies(state, kind).lagrangian,
-                              canonical_momenta(state, kind), sym.tau(t, q),
-                              np.asarray(sym.eta(t, q), dtype=float), sym.gauge(t, q))
+    return float(noether_invariant_values(sym, kind, state.t, state.q, state.qdot))
 
 
 def scaled_trajectory(traj: Trajectory, beta: float) -> Trajectory:
@@ -161,25 +174,28 @@ def dynamical_symmetry_check(tau: Callable[[float, np.ndarray, np.ndarray], floa
     the Noether invariant of the transformation, which equals the Ermakov
     invariant for every choice of tau.
     """
+    check_state(state, ModelKind.TWO_D)
+    return tuple(map(float, dynamical_symmetry_values(tau, state.t, state.q, state.qdot)))
+
+
+def dynamical_symmetry_values(tau, ts, qs, qdots):
+    """:func:`dynamical_symmetry_check` at (n,) ``ts``, (n, 2) ``qs`` and
+    ``qdots``; ``tau`` takes these and indexes the last axis, as q[..., 0]."""
     kind = ModelKind.TWO_D
-    check_state(state, kind)
-    t, q, qd = state.t, state.q, state.qdot
-    X, Y = q
-    Xd, Yd = qd
-    qdd = accel(q, kind)
-    Xdd, Ydd = qdd
+    (X, Y), (Xd, Yd) = qs.T, qdots.T
+    qdd = accel(qs, kind)
+    Xdd, Ydd = qdd.T
     w = X * Yd - Y * Xd
     wdot = X * Ydd - Y * Xdd
 
-    tau_value = float(tau(t, q, qd))
-    eta = np.array([tau_value * Xd + Y * w, tau_value * Yd - X * w])
-    etadot = np.array([tau_value * Xdd + Yd * w + Y * wdot,
-                       tau_value * Ydd - Xd * w - X * wdot])
+    tau_value = np.asarray(tau(ts, qs, qdots), dtype=float)
+    eta = np.stack([tau_value * Xd + Y * w, tau_value * Yd - X * w], axis=-1)
+    etadot = np.stack([tau_value * Xdd + Yd * w + Y * wdot,
+                       tau_value * Ydd - Xd * w - X * wdot], axis=-1)
 
-    L = energies(state, kind).lagrangian
-    Ldot = 2.0 * float(qd @ qdd)  # qd.dL/dq + qdd.p, with dL/dq = qdd, p = qd
+    L = _lagrangian(qs, qdots, kind)
+    Ldot = 2.0 * np.sum(qdots * qdd, axis=-1)  # qd.dL/dq + qdd.p, with dL/dq = qdd, p = qd
     g = tau_value * L - 0.5 * w ** 2 + X / Y + Y / X
     gdot = tau_value * Ldot - w * wdot - w / Y ** 2 + w / X ** 2
-    p = canonical_momenta(state, kind)
-    return (_noether_residual(state, kind, L, p, qdd, eta, 0.0, etadot, gdot),
-            _noether_invariant(state, L, p, tau_value, eta, g))
+    return (_noether_residual(kind, qdots, L, qdd, eta, 0.0, etadot, gdot),
+            _noether_invariant(kind, qdots, L, tau_value, eta, g))

@@ -1,10 +1,10 @@
 """Composable verification checks behind the ``verify`` CLI command.
 
-Each check integrates or evaluates something, compares against a bound and
-returns a :class:`CheckResult`.  The ``op`` field says which way the
-comparison goes: ``"<="`` for residual-style checks, ``">="`` for the
-negative-control check that documents the elliptic polar-coefficient
-mismatch (the measured discrepancy must be large).
+Each check evaluates its states as one batch of (n, dim) arrays, a run's
+samples or random states, compares against a bound and returns a
+:class:`CheckResult`.  Its ``op`` says which way the comparison goes:
+``"<="`` for residuals, ``">="`` for the negative control that documents
+the elliptic polar-coefficient mismatch (the discrepancy must be large).
 
 Every integration lands a step on each sample: at long horizons the steps
 outgrow the grid, and interpolation error would then dominate the drift of
@@ -20,15 +20,15 @@ takes a numerical derivative; these read rounding, so their bounds are 1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .models import (ModelKind, PhysicalParams, State, dimensionalize,
-                     radius, state_from_components, to_polar)
+from .models import (ModelKind, PhysicalParams, State, polar_values, radius,
+                     reference_scales, state_from_components, to_polar)
 from .integrate import IntegratorConfig, integrate
-from .dynamics import accel, energies
+from .dynamics import accel
 from . import analytic, hydro, invariants, symmetry
 
 
@@ -41,7 +41,7 @@ class CheckResult:
     op: str = "<="
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # every field is an immutable scalar
 
 
 def _result(name, value, threshold, op="<=") -> CheckResult:
@@ -61,13 +61,17 @@ def default_initial_state(kind: ModelKind) -> State:
     return state_from_components(kind, **kwargs)
 
 
-def _random_states(kind: ModelKind, rng, n, t_max=3.0) -> list[State]:
-    states = []
-    for _ in range(n):
-        q = rng.uniform(0.6, 1.8, size=kind.dim)
-        qdot = rng.uniform(-0.8, 0.8, size=kind.dim)
-        states.append(State(t=rng.uniform(0.0, t_max), q=q, qdot=qdot))
-    return states
+def _random_states(kind: ModelKind, rng, n, t_max=3.0):
+    """(n,) ``ts`` and (n, dim) ``qs``, ``qdots`` of random states, each drawn
+    as q in [0.6, 1.8) and qdot in [-0.8, 0.8) per axis, then t in [0, t_max)."""
+    d = kind.dim
+    draws = rng.uniform([0.6] * d + [-0.8] * d + [0.0], [1.8] * d + [0.8] * d + [t_max],
+                        size=(n, 2 * d + 1))
+    return draws[:, -1], draws[:, :d], draws[:, d:-1]
+
+
+def _worst(values) -> float:
+    return np.max(np.abs(values))
 
 
 def drift_checks(initial: State, kind: ModelKind, config: IntegratorConfig,
@@ -93,45 +97,36 @@ def analytic_checks(initial: State, kind: ModelKind, *, rel_tol,
 
 
 def symmetry_checks(kind: ModelKind, rng, *, rel_tol, abs_tol) -> list[CheckResult]:
-    states = _random_states(kind, rng, n=5)
+    ts, qs, qdots = _random_states(kind, rng, n=5)
     scal, ttrans = symmetry.scaling_symmetry(), symmetry.time_translation()
-
-    res_scaling = max(abs(symmetry.noether_condition_residual(scal, kind, s))
-                      for s in states)
-    res_time = max(abs(symmetry.noether_condition_residual(ttrans, kind, s))
-                   for s in states)
-    j_match = max(abs(symmetry.noether_invariant_from(scal, kind, s)
-                      - invariants.noether_invariant(s, kind)) for s in states)
-    h_match = max(abs(symmetry.noether_invariant_from(ttrans, kind, s)
-                      - energies(s, kind).hamiltonian) for s in states)
     out = [
-        _result("noether_residual_scaling", res_scaling, 1e-10),
-        _result("noether_residual_time_translation", res_time, 1e-10),
-        _result("noether_invariant_match", j_match, 1e-12),
-        _result("energy_invariant_match", h_match, 1e-12),
+        _result("noether_residual_scaling",
+                _worst(symmetry.noether_residual_values(scal, kind, ts, qs, qdots)), 1e-10),
+        _result("noether_residual_time_translation",
+                _worst(symmetry.noether_residual_values(ttrans, kind, ts, qs, qdots)), 1e-10),
+        _result("noether_invariant_match",
+                _worst(symmetry.noether_invariant_values(scal, kind, ts, qs, qdots)
+                       - invariants.noether_values(ts, qs, qdots, kind)), 1e-12),
+        _result("energy_invariant_match",
+                _worst(symmetry.noether_invariant_values(ttrans, kind, ts, qs, qdots)
+                       - invariants.hamiltonian_values(qs, qdots, kind)), 1e-12),
     ]
 
     if kind is ModelKind.TWO_D:
         # The scaling generator annihilates I exactly when the finite map
         # (q, qdot) -> (beta q, qdot / beta) leaves it unchanged.
-        qs = np.array([s.q for s in states])
-        qdots = np.array([s.qdot for s in states])
         ermakov = invariants.ermakov_values(qs, qdots, kind)
-        g1i = max(np.max(np.abs(invariants.ermakov_values(beta * qs, qdots / beta, kind)
-                                - ermakov) / ermakov) for beta in (0.5, 2.0, 5.0))
+        g1i = max(_worst((invariants.ermakov_values(beta * qs, qdots / beta, kind)
+                          - ermakov) / ermakov) for beta in (0.5, 2.0, 5.0))
         out.append(_result("generator_annihilates_ermakov", g1i, 1e-12))
 
         taus = [lambda t, q, qd: 0.0, lambda t, q, qd: 1.0,
-                lambda t, q, qd: q[0] * qd[1]]
-        worst_res, worst_match = 0.0, 0.0
-        for s in states:
-            expected = invariants.ermakov_invariant(s, kind)
-            for tau in taus:
-                res, inv = symmetry.dynamical_symmetry_check(tau, s)
-                worst_res = max(worst_res, abs(res))
-                worst_match = max(worst_match, abs(inv - expected))
-        out.append(_result("dynamical_symmetry_residual", worst_res, 1e-12))
-        out.append(_result("dynamical_symmetry_invariant_match", worst_match, 1e-10))
+                lambda t, q, qd: q[..., 0] * qd[..., 1]]
+        checks = [symmetry.dynamical_symmetry_values(tau, ts, qs, qdots) for tau in taus]
+        out.append(_result("dynamical_symmetry_residual",
+                           max(_worst(res) for res, _ in checks), 1e-12))
+        out.append(_result("dynamical_symmetry_invariant_match",
+                           max(_worst(inv - ermakov) for _, inv in checks), 1e-10))
 
     # Finite scaling map: the image of a run must solve the same ODE.  By the
     # chain rule its accelerations are accel(q) / beta^3, which equal the
@@ -163,22 +158,15 @@ def elliptic_checks(rng, *, rel_tol, abs_tol) -> list[CheckResult]:
     cfg = IntegratorConfig(t_end=20.0, sample_interval=0.1,
                            rel_tol=rel_tol, abs_tol=abs_tol)
     traj = integrate(default_initial_state(kind), kind, cfg)
-    report = invariants.invariant_report(traj)
     # The cartesian Itilde against its polar form (r^2 phidot)^2 / 2 + U(phi)
-    # in the stretched variables (u, v) = sqrt(M) q, sample by sample.
-    stretch = np.sqrt(kind.weights)
-    (u, v), (ud, vd) = (stretch * traj.qs).T, (stretch * traj.qdots).T
-    polar = 0.5 * (u * vd - v * ud) ** 2 \
-        + analytic.angular_potential(np.arctan2(v, u), kind)
+    # in the stretched variables, sample by sample and at random states.
+    polar = analytic.polar_invariant_values(*polar_values(traj.qs, traj.qdots, kind), kind)[1]
     out = [_result("itilde_twice_ermakov",
-                   np.max(np.abs(report.values["Itilde"] - polar)), 1e-12)]
-
-    states = _random_states(kind, rng, n=50)
-    worst = 0.0
-    for s in states:
-        _, inv_polar = analytic.polar_invariants(to_polar(s, kind), kind)
-        worst = max(worst, abs(inv_polar - invariants.itilde_invariant(s)))
-    out.append(_result("polar_cartesian_consistency", worst, 1e-10))
+                   _worst(invariants.invariant_report(traj).values["Itilde"] - polar), 1e-12)]
+    _, qs, qdots = _random_states(kind, rng, n=50)
+    polar = analytic.polar_invariant_values(*polar_values(qs, qdots, kind), kind)[1]
+    out.append(_result("polar_cartesian_consistency",
+                       _worst(polar - invariants.radial_invariant_values(qs, qdots, kind)), 1e-10))
 
     # The stretched-polar coefficient is 3*2^(-1/3); the naive 3/2 value
     # misses the substitution identity by order one (documented mismatch).
@@ -199,26 +187,18 @@ def hydro_checks(kind: ModelKind, rng, *, rel_tol, abs_tol) -> list[CheckResult]
     cfg = IntegratorConfig(t_end=2.0, sample_interval=0.25,
                            rel_tol=rel_tol, abs_tol=abs_tol)
     traj = integrate(default_initial_state(kind), kind, cfg)
-    states = _random_states(kind, rng, n=10)
-    qs = np.vstack([traj.qs] + [s.q for s in states])
-    qdots = np.vstack([traj.qdots] + [s.qdot for s in states])
+    _, random_qs, random_qdots = _random_states(kind, rng, n=10)
+    qs, qdots = np.vstack([traj.qs, random_qs]), np.vstack([traj.qdots, random_qdots])
     report = hydro.pde_residuals(params, qs, qdots, accel(qs, kind), kind)
     out = [_result("pde_residual_max", report.max_abs, 1e-12)]
 
-    energies_along = [hydro.total_energy(params, dimensionalize(params, traj.state(i), kind), kind)
-                      for i in range(len(traj))]
-    e0 = energies_along[0]
-    out.append(_result("total_energy_drift",
-                       max(abs(e - e0) for e in energies_along) / abs(e0), 1e-8))
-
-    ratios = []
-    for s in states:
-        h_dimless = energies(s, kind).hamiltonian
-        ratios.append(hydro.total_energy(params, dimensionalize(params, s, kind), kind)
-                      / h_dimless)
-    ratios = np.array(ratios)
-    out.append(_result("energy_ratio_spread",
-                       np.std(ratios) / np.mean(ratios), 1e-8))
+    # The fluid energy of every state, in the units of params
+    length, time_scale = reference_scales(params, kind)
+    _, energy = hydro.moment_values(params, qs * length, qdots * (length / time_scale), kind)
+    along = energy[:len(traj)]
+    out.append(_result("total_energy_drift", _worst(along - along[0]) / abs(along[0]), 1e-8))
+    ratios = energy[len(traj):] / invariants.hamiltonian_values(random_qs, random_qdots, kind)
+    out.append(_result("energy_ratio_spread", np.std(ratios) / np.mean(ratios), 1e-8))
     return out
 
 

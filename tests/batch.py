@@ -1,0 +1,23 @@
+"""Random batches of states for the tests that compare a batch form with
+its single-State function row by row."""
+
+import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from fireball import State
+
+# The single-State functions run numpy's scalar power (the C library's pow)
+# where a batch runs numpy's vector loops, and the two differ by up to an
+# ulp; 4 ulp of the terms' size bounds every difference seen on 60,000
+# states per model (at most 2.0).
+ULP_BOUND = 4 * np.finfo(float).eps
+
+
+def draw_states(data, kind, n=6):
+    """``(ts, qs, qdots, states)``: t in [0, 5], q in [0.3, 3], qdot in
+    [-2, 2], as (n,) and (n, dim) arrays and as ``State`` objects."""
+    ts = data.draw(hnp.arrays(float, n, elements=st.floats(0.0, 5.0)))
+    qs = data.draw(hnp.arrays(float, (n, kind.dim), elements=st.floats(0.3, 3.0)))
+    qdots = data.draw(hnp.arrays(float, (n, kind.dim), elements=st.floats(-2.0, 2.0)))
+    return ts, qs, qdots, [State(t=t, q=q, qdot=qd) for t, q, qd in zip(ts, qs, qdots)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fireball import DomainError, ModelKind, State, energies
-from fireball.dynamics import (POSITIVITY_FLOOR, accel, canonical_momenta, kinetic,
+from fireball.dynamics import (POSITIVITY_FLOOR, accel, kinetic,
                                potential, vector_field)
 
 positive = st.floats(min_value=0.2, max_value=5.0)
@@ -114,10 +114,6 @@ class TestEnergies:
     def test_3d_unit_velocities(self):
         pair = energies(State(t=0, q=[1, 1, 1], qdot=[1, 1, 1]), ModelKind.THREE_D)
         assert pair.hamiltonian == pytest.approx(3.0, rel=1e-15)
-
-    def test_elliptic_momenta(self):
-        s = State(t=0, q=[1.0, 1.0], qdot=[0.3, 0.5])
-        assert canonical_momenta(s, ModelKind.ELLIPTIC_3D).tolist() == [0.6, 0.5]
 
     @settings(max_examples=100, deadline=None)
     @given(kind=st.sampled_from(list(ModelKind)),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial.hermite import hermgauss
 
 from fireball import (DomainError, IntegratorConfig, ModelKind, PhysicalParams,
@@ -9,7 +10,9 @@ from fireball import (DomainError, IntegratorConfig, ModelKind, PhysicalParams,
                       integrate, one_d_solution, particle_number, pde_residuals,
                       reference_scales, total_energy)
 from fireball.dynamics import accel
+from fireball.hydro import moment_values
 from fireball.verification import default_initial_state
+from batch import ULP_BOUND, draw_states
 from stencil import stencil_accelerations
 
 UNIT = PhysicalParams(n0=1.0, T0=1.0, X0=1.0, Y0=1.0, m=1.0)
@@ -250,6 +253,16 @@ class TestTotalEnergy:
                 tensor_product_sum(params, s, kind, 32, density_only=False), rel=1e-14)
             assert particle_number(params, s, kind) == pytest.approx(
                 tensor_product_sum(params, s, kind, 32, density_only=True), rel=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(list(ModelKind)), data=st.data())
+    def test_batch_matches_each_state(self, kind, data):
+        # N is bit-equal, and E within ULP_BOUND: the temperature is a power
+        _, qs, qdots, states = draw_states(data, kind)
+        number, energy = moment_values(PARAMS3, qs, qdots, kind)
+        assert number.tolist() == [particle_number(PARAMS3, s, kind) for s in states]
+        single = np.array([total_energy(PARAMS3, s, kind) for s in states])
+        assert np.all(np.abs(energy - single) <= ULP_BOUND * single)
 
     def test_2d_thermal_reference_value(self):
         params = PhysicalParams(n0=2.0, T0=3.0, X0=1.5, Y0=0.7, m=1.1)

@@ -218,6 +218,14 @@ class TestGuards:
         with pytest.raises(DomainError):
             solve_ode(lambda t, y: (1.0,), t0, [0.0], np.array(times), dense=dense)
 
+    def test_empty_state_raises(self):
+        with pytest.raises(DomainError):
+            solve_ode(lambda t, y: (), 0.0, [], [0.0, 1.0])
+
+    def test_empty_grid_raises(self):
+        with pytest.raises(DomainError):
+            solve_ode(lambda t, y: (1.0,), 0.0, [1.0], [])
+
     def test_nan_max_step_raises(self):
         # a NaN max_step makes every step NaN: unchecked, a field that
         # accepts NaN stages would be stepped without end

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from fireball import (DomainError, GeneralErmakovSpec, IntegratorConfig,
                       invariant_report, itilde_invariant, noether_invariant,
                       one_d_solution, pinney_coupling, polar_invariants,
                       to_polar)
-from fireball.analytic import angular_potential
+from fireball.analytic import angular_potential, polar_invariant_values
 from fireball.invariants import (ermakov_values, hamiltonian_values,
                                  noether_values, radial_invariant_values)
+from batch import ULP_BOUND, draw_states
 
 positive = st.floats(min_value=0.1, max_value=8.0)
 rate = st.floats(min_value=-3.0, max_value=3.0)
@@ -208,6 +210,16 @@ class TestPolarInvariants:
                 inv *= 2.0
             assert abs(Hp - H) <= 1e-10 * max(1.0, abs(H))
             assert abs(inv_p - inv) <= 1e-10 * max(1.0, abs(inv))
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from([ModelKind.TWO_D, ModelKind.ELLIPTIC_3D]), data=st.data())
+    def test_batch_matches_each_state(self, kind, data):
+        # within ULP_BOUND: both read squares and U(phi), which are powers
+        polar = [to_polar(s, kind) for s in draw_states(data, kind)[3]]
+        H, inv = polar_invariant_values(*np.array([astuple(p) for p in polar]).T, kind)
+        single = np.array([polar_invariants(p, kind) for p in polar])
+        assert np.all(np.abs(H - single[:, 0]) <= ULP_BOUND * single[:, 0])
+        assert np.all(np.abs(inv - single[:, 1]) <= ULP_BOUND * single[:, 1])
 
     def test_naive_polar_coefficient_fails_the_substitution_oracle(self):
         # with the coefficient 3/2 instead of 3 * 2**(-1/3) the polar form

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from fireball import (DomainError, ModelKind, PhysicalParams, PolarState,
                       State, UnsupportedModelError, dimensionalize,
                       nondimensionalize, reference_scales,
                       state_from_components, to_cartesian, to_polar)
+from fireball.models import polar_values
+from batch import ULP_BOUND, draw_states
 
 positive = st.floats(min_value=0.05, max_value=10.0)
 rate = st.floats(min_value=-3.0, max_value=3.0)
@@ -160,6 +163,16 @@ class TestPolar:
             PolarState(r=-1.0, phi=0.5)
         with pytest.raises(DomainError):
             PolarState(r=1.0, phi=math.pi / 2.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from([ModelKind.TWO_D, ModelKind.ELLIPTIC_3D]), data=st.data())
+    def test_batch_matches_each_state(self, kind, data):
+        # r, phi and rdot are bit-equal; phidot divides by r ** 2, a power
+        _, qs, qdots, states = draw_states(data, kind)
+        r, phi, rdot, phidot = polar_values(qs, qdots, kind)
+        single = np.array([astuple(to_polar(s, kind)) for s in states])
+        assert np.array_equal(np.array([r, phi, rdot]), single[:, :3].T)
+        assert np.all(np.abs(phidot - single[:, 3]) <= ULP_BOUND * np.abs(single[:, 3]))
 
     @settings(max_examples=200, deadline=None)
     @given(X=positive, Y=positive, Xd=rate, Yd=rate,

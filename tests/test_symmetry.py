@@ -13,7 +13,9 @@ from fireball import (DomainError, IntegratorConfig,
 from fireball.dynamics import accel
 from fireball.dynamics import kinetic, potential
 from fireball.invariants import ermakov_values
-from fireball.symmetry import _prolongation
+from fireball.symmetry import (_prolongation, dynamical_symmetry_values,
+                               noether_invariant_values, noether_residual_values)
+from batch import ULP_BOUND, draw_states
 from stencil import stencil_accelerations
 
 
@@ -88,7 +90,7 @@ def generator_apply(sym, field, state, h=1e-6):
     """The prolonged generator (tau, eta, etadot - taudot qdot) applied to a
     scalar field of (t, q, qdot): the field's derivative along that vector,
     by one central difference of step h."""
-    tau, eta, taudot, etadot, _, _ = _prolongation(sym, state)
+    tau, eta, taudot, etadot, _, _ = _prolongation(sym, state.t, state.q, state.qdot)
     zeta = etadot - taudot * state.qdot
 
     def at(s):
@@ -247,3 +249,42 @@ class TestDynamicalSymmetry:
         s = State(t=0.0, q=[1.0], qdot=[0.0])
         with pytest.raises(DomainError):
             dynamical_symmetry_check(lambda t, q, qd: 0.0, s)
+
+
+class TestBatchForms:
+    """The batch forms against the single-State functions row by row, within
+    ULP_BOUND of the size of their terms: (1 + |tau|) times the sum of T, V
+    and |q M qdot| per axis, plus I for the dynamical symmetry."""
+
+    @staticmethod
+    def terms(qs, qdots, kind):
+        return kinetic(qdots, kind) + potential(qs, kind) \
+            + np.sum(np.abs(qs * kind.weights * qdots), axis=-1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(list(ModelKind)), data=st.data())
+    def test_point_symmetries(self, kind, data):
+        ts, qs, qdots, states = draw_states(data, kind)
+        bound = ULP_BOUND * (1.0 + 2.0 * ts) * self.terms(qs, qdots, kind)
+        for sym in (scaling_symmetry(), time_translation()):
+            residual = noether_residual_values(sym, kind, ts, qs, qdots)
+            single = [noether_condition_residual(sym, kind, s) for s in states]
+            assert np.all(np.abs(residual - single) <= bound)
+            invariant = noether_invariant_values(sym, kind, ts, qs, qdots)
+            single = [noether_invariant_from(sym, kind, s) for s in states]
+            assert np.all(np.abs(invariant - single) <= bound)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_dynamical_symmetry(self, data):
+        kind = ModelKind.TWO_D
+        ts, qs, qdots, states = draw_states(data, kind)
+        taus = [lambda t, q, qd: 0.0, lambda t, q, qd: 1.0,
+                lambda t, q, qd: q[..., 0] * qd[..., 1]]
+        for tau in taus:
+            size = (1.0 + np.abs(tau(ts, qs, qdots))) * self.terms(qs, qdots, kind) \
+                + ermakov_values(qs, qdots, kind)
+            residual, invariant = dynamical_symmetry_values(tau, ts, qs, qdots)
+            single = np.array([dynamical_symmetry_check(tau, s) for s in states])
+            assert np.all(np.abs(residual - single[:, 0]) <= ULP_BOUND * size)
+            assert np.all(np.abs(invariant - single[:, 1]) <= ULP_BOUND * size)

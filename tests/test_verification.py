@@ -112,6 +112,22 @@ def test_step_budget(kind, caplog):
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
+def test_state_budget(kind, monkeypatch):
+    # the checks evaluate batches of states: 3 States per run (5 for
+    # elliptic), where one State per random state made 46 (98)
+    built = []
+    post_init = State.__post_init__
+
+    def counting(state):
+        built.append(state)
+        post_init(state)
+
+    monkeypatch.setattr(State, "__post_init__", counting)
+    run_verification(kind, IntegratorConfig(t_end=10.0, sample_interval=0.5))
+    assert len(built) <= 5
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
 def test_default_report_keeps_every_check(kind):
     results = run_verification(kind, IntegratorConfig(t_end=10.0, sample_interval=0.5))
     assert [r.name for r in results] == DEFAULT_CHECKS[kind]
