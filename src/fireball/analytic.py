@@ -157,7 +157,9 @@ def angular_minimum(kind: ModelKind) -> tuple[float, float]:
 def polar_invariants(polar: PolarState, kind: ModelKind) -> tuple[float, float]:
     """(H, C) in polar variables: C = (r^2 phidot)^2 / 2 + U(phi) (I for
     2d, Itilde for elliptic) and H = rdot^2 / 2 + C / r^2."""
-    return tuple(map(float, polar_invariant_values(*astuple(polar), kind)))
+    # the batch form on a row of one, so that it rounds as the batch does
+    rows = (np.array([x]) for x in astuple(polar))
+    return tuple(float(v[0]) for v in polar_invariant_values(*rows, kind))
 
 
 def polar_invariant_values(r, phi, rdot, phidot, kind: ModelKind):

@@ -188,7 +188,8 @@ def total_energy(params: PhysicalParams, state: State, kind: ModelKind) -> float
     X0^2 Y0 T0 for elliptic).
     """
     check_state(state, kind)
-    return float(moment_values(params, state.q, state.qdot, kind)[1])
+    # the batch form on a row of one, so that it rounds as the batch does
+    return float(moment_values(params, state.q[None], state.qdot[None], kind)[1][0])
 
 
 def particle_number(params: PhysicalParams, state: State, kind: ModelKind) -> float:

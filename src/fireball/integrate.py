@@ -17,26 +17,36 @@ keep landing.
 
 The stepper works on Python floats: the right-hand side ``f(t, y)``
 receives a list of floats and returns a sequence of floats of the same
-length, which for the 1-6 component systems here is far cheaper than numpy
-calls on tiny arrays.  The whole step loop is generated from the tableau
-(``_loop_source``) and compiled on first use, once per state length n, mode
-and declared field.  It keeps the state and the stage derivatives in locals
-across steps (accepting a step rebinds them), writes each stage component
-out as a scalar sum and runs the step control inline, with no call per
-step.  Once the model's field is a few scalar operations, interpreter
-overhead (a list comprehension over zip per stage, a loop for the error
-norm, a call and its packed results per step) costs several times more
-per step than the field; the unrolled loop removes most of it.  The
-fields of the models and of the angular quadrature are declared as source
-(:class:`fireball.dynamics.FieldSource`), and the loop inlines them: each
-stage assigns its components to the field's argument names and runs the
-field's check and expressions in place, with no call, no stage list and no
-unpacking.  Any other callable, a wrapper of a declared field included, is
-called once per stage, so a counting wrapper (as in the benchmark's traced
-run) sees every evaluation but times the called loop, not the inlined one.
-Either way its expressions are those of the hand-written stepper, term for
-term in tableau order, so every sample and every step decision is
-bit-identical to it; the tests keep that stepper as the reference.
+length.  The whole step loop is generated from the tableau, once per state
+length n, mode and field.  It keeps the state and the stage derivatives in
+locals across steps (accepting a step rebinds them), writes each stage
+component out as a scalar sum and runs the step control inline, with no
+call per step.  Its arithmetic (the stage sums, the error norm and the step
+factor) comes from one helper, ``_step_parts``, from which both forms of
+the loop are written; either way every sample and every step decision is
+bit-identical to the hand-written stepper that the tests keep as the
+reference.  Which loop serves a field:
+
+- A field declared as source (:class:`fireball.dynamics.FieldSource`: the
+  models' fields and the angular quadrature's) runs as native code.
+  :mod:`fireball.native` translates the loop, with the field's check,
+  prelude and outputs inlined, into C, builds it with the system's ``cc``
+  and loads it with :mod:`ctypes`; the flags keep every operation rounding
+  as Python's does (that module says which and why).  The shared object is
+  cached in ``$XDG_CACHE_HOME/fireball``, else ``~/.cache/fireball``, so
+  only the first solve of a kernel on a machine pays its build, 0.1-0.6 s
+  (a per-process temporary directory serves when neither can be written).
+- A declaration the translator cannot take, or any declared field where no
+  compiler works, runs the generated Python loop with the field inlined:
+  the portable path, at CPython's floor of a few microseconds per step.
+- Any other callable, a wrapper of a declared field included, is called
+  once per stage from the generated Python loop, so a counting wrapper (as
+  in the benchmark's traced run) sees every evaluation but times the
+  called Python loop, not the native one.
+
+An info record of the ``fireball.integrate`` logger names the loop that
+serves each kernel: native from the cache, native built in N s, or Python
+and why.
 
 The field is the only check on the state: it raises :class:`DomainError`
 for a stage outside its domain.  The models' fields
@@ -89,6 +99,60 @@ _D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
       -10690763975 / 1880347072, 701980252875 / 199316789632,
       -1453857185 / 822651844, 69997945 / 29380423)
 
+# The Python syntax of the forms _step_parts writes; fireball.native has C's.
+_PYTHON_FORMS = {"select": "{yes} if {test} else {no}", "power": "{a} ** {b}",
+                 "divide": "{a} / {b}", "sqrt": "_sqrt({x})"}
+
+
+def _step_parts(n: int, forms: dict) -> tuple[list, list, str, str]:
+    """The arithmetic of one step over the tableau, in the syntax of
+    ``forms``: a conditional, a power, a quotient and a square root.
+
+    solve_ode's Python loop (:func:`_loop_source`) and its C translation
+    (:mod:`fireball.native`) are both written from these expressions, so
+    their values round alike.  Returns the inputs of stages 2-7 (n
+    expressions each; stage 7's is the new state ``_v_i``), the error norm
+    as (name, expression) assignments ending in ``_err``, and the step
+    factor after an accepted and after a rejected step, before its clamp.
+    Each stage component is the plain sum ``y_i + h * (a_s1 * k1_i + ...)``
+    over the nonzero tableau entries in tableau order, with exact float
+    literals, so every value rounds as the hand-written sum does.
+    """
+    comps = range(n)
+
+    def combo(weights, i):
+        return " + ".join(f"{w!r} * _k{j}_{i}" for j, w in enumerate(weights, 1) if w != 0.0)
+
+    def form(name, **parts):
+        return forms[name].format(**parts)
+
+    inputs = [[f"_y_{i} + _h * ({combo(_A[s - 1], i)})" for i in comps] for s in range(2, 8)]
+    norm = []
+    for i in comps:
+        larger = form("select", test="_a > _b", yes="_a", no="_b")
+        norm += [("_a", form("select", test=f"_y_{i} >= 0.0", yes=f"_y_{i}", no=f"-_y_{i}")),
+                 ("_b", form("select", test=f"_v_{i} >= 0.0", yes=f"_v_{i}", no=f"-_v_{i}")),
+                 (f"_e_{i}", form("divide", a=f"_h * ({combo(_E, i)})",
+                                  b=f"(_abs_tol + _rel_tol * ({larger}))"))]
+    squares = " + ".join(f"_e_{i} * _e_{i}" for i in comps)
+    norm.append(("_err", form("sqrt", x=f"({squares}) / {n}")))
+    shrink = f"0.9 * {form('power', a='_err', b='-0.2')}"
+    return inputs, norm, form("select", test="_err > 0.0", yes=shrink, no="5.0"), shrink
+
+
+def _failure(code: int, t: float, h: float, y: Sequence[float]) -> IntegrationError:
+    """The error that ends a run: 1 for a step forced below the floor by
+    domain refusals, 2 for step-size underflow, 3 for 50 consecutive
+    refusals.  Both loops raise it from their last good state."""
+    where = {"last_t": t, "last_y": np.array(y)}
+    if code == 1:
+        return SingularityError(f"domain refusals forced the step below the floor at t={t!r}",
+                                **where)
+    if code == 2:
+        return IntegrationError(f"step size underflow at t={t!r} (h={h!r})", **where)
+    return SingularityError(f"the field refused 50 consecutive steps near t={t!r}", **where)
+
+
 # solve_ode's step loop, less what _loop_source fills in per n, mode and
 # field.  Its names start with an underscore, which no declared name may.
 _LOOP = '''\
@@ -111,20 +175,13 @@ def _loop(_f, _t, _h, _y, _k1, _times, _next_idx, _out, _inside, _stages,
             _h = _t_end - _t
 {land}
         if _h < _tol:
-            if _refusals > 0:
-                raise _SingularityError(
-                    f"domain refusals forced the step below the floor at t={{_t!r}}",
-                    last_t=_t, last_y=_array([{y}]))
-            raise _IntegrationError(f"step size underflow at t={{_t!r}} (h={{_h!r}})",
-                                    last_t=_t, last_y=_array([{y}]))
+            raise _failure(1 if _refusals > 0 else 2, _t, _h, [{y}])
         try:
 {stages}
         except _DomainError:
             _refusals += 1
             if _refusals > 50:
-                raise _SingularityError(
-                    f"the field refused 50 consecutive steps near t={{_t!r}}",
-                    last_t=_t, last_y=_array([{y}])) from None
+                raise _failure(3, _t, _h, [{y}]) from None
             _rejected += 1
             _refused += 1
             _h *= 0.5
@@ -141,14 +198,14 @@ def _loop(_f, _t, _h, _y, _k1, _times, _next_idx, _out, _inside, _stages,
             _accepted += 1
             # 0 <= err <= 1: the factor is at least 0.9, so only the cap at
             # 5 can bind.
-            _factor = 0.9 * _err ** -0.2 if _err > 0.0 else 5.0
+            _factor = {grow}
             if _factor > 5.0:
                 _factor = 5.0
         else:
             # err > 1 or NaN: the factor is below 0.9 or NaN, so only the
             # floor at 0.2 can bind (NaN takes it, as in max(0.2, nan)).
             _rejected += 1
-            _factor = 0.9 * _err ** -0.2
+            _factor = {shrink}
             if not _factor > 0.2:
                 _factor = 0.2
         _h *= _factor
@@ -180,24 +237,18 @@ _DENSE = ('', '''\
 
 
 def _loop_source(n: int, dense: bool = False, source: FieldSource | None = None) -> str:
-    """Source of :func:`solve_ode`'s step loop for an n-component state.
+    """Source of :func:`solve_ode`'s Python step loop for an n-component state.
 
     The generated ``_loop`` steps from ``_t``, writes the samples from row
     ``_next_idx`` on into ``_out`` (``dense`` records the steps to
     interpolate in ``_inside`` and ``_stages``) and returns the end state,
     the next row and the counts of accepted steps, rejected steps and
-    refused stages.
-    Each stage component is the plain sum ``y_i + h * (a_s1 * k1_i + ...)``
-    over the nonzero tableau entries in tableau order, with exact float
-    literals, so every value rounds as the hand-written sum does.  Without
-    a ``source`` each stage calls ``_f(t + c * h, [...])``; with one, each
+    refused stages.  Its arithmetic is :func:`_step_parts`'.  Without a
+    ``source`` each stage calls ``_f(t + c * h, [...])``; with one, each
     stage assigns the field's argument names and runs its check, prelude
     and outputs inline: the same floats and the same :class:`DomainError`.
     """
     comps = range(n)
-
-    def combo(weights, i):
-        return " + ".join(f"{w!r} * _k{j}_{i}" for j, w in enumerate(weights, 1) if w != 0.0)
 
     def names(stem):
         return ", ".join(f"{stem}_{i}" for i in comps)
@@ -211,40 +262,69 @@ def _loop_source(n: int, dense: bool = False, source: FieldSource | None = None)
         return [f"{names(f'_k{s}')}, = _f(_t + {'' if c == 1.0 else f'{c!r} * '}_h, "
                 f"[{', '.join(inputs)}])"]
 
+    inputs, norm, grow, shrink = _step_parts(n, _PYTHON_FORMS)
     stages = []
-    for s in range(2, 7):
-        stages += stage(s, [f"_y_{i} + _h * ({combo(_A[s - 1], i)})" for i in comps])
-    stages += [f"_v_{i} = _y_{i} + _h * ({combo(_A[6], i)})" for i in comps]
+    for s, values in enumerate(inputs[:5], 2):
+        stages += stage(s, values)
+    stages += [f"_v_{i} = {x}" for i, x in enumerate(inputs[5])]
     stages += stage(7, [f"_v_{i}" for i in comps])
-    norm = []
-    for i in comps:
-        norm += [f"_a = _y_{i} if _y_{i} >= 0.0 else -_y_{i}",
-                 f"_b = _v_{i} if _v_{i} >= 0.0 else -_v_{i}",
-                 f"_e_{i} = _h * ({combo(_E, i)})"
-                 " / (_abs_tol + _rel_tol * (_a if _a > _b else _b))"]
-    norm.append(f"_err = _sqrt(({' + '.join(f'_e_{i} * _e_{i}' for i in comps)}) / {n})")
     accept = [f"_y_{i} = _v_{i}" for i in comps] + [f"_k1_{i} = _k7_{i}" for i in comps]
     kw = {f"k{s}": names(f"_k{s}") for s in range(1, 8)}
     kw.update(y=names("_y"), v=names("_v"), row_bytes=8 * n)
     land, emit = _DENSE if dense else _LANDING
     return _LOOP.format(
-        land=land, emit=emit.format(**kw),
+        land=land, emit=emit.format(**kw), grow=grow, shrink=shrink,
         stages="\n".join(" " * 12 + line for line in stages),
-        norm="\n".join(" " * 8 + line for line in norm),
+        norm="\n".join(f"        {name} = {value}" for name, value in norm),
         accept="\n".join(" " * 12 + line for line in accept), **kw)
 
 
 @functools.cache
-def _loop_kernel(n: int, dense: bool = False, source: FieldSource | None = None):
+def _python_loop(n: int, dense: bool, source: FieldSource | None):
     """The loop of :func:`_loop_source`, compiled on first use for each n,
-    mode and declared field."""
+    mode and field."""
     namespace = source.namespace() if source is not None else {"_DomainError": DomainError}
-    namespace.update(_SingularityError=SingularityError, _IntegrationError=IntegrationError,
-                     _array=np.array, _sqrt=math.sqrt, _bisect_left=bisect.bisect_left,
+    namespace.update(_failure=_failure, _sqrt=math.sqrt, _bisect_left=bisect.bisect_left,
                      _bisect_right=bisect.bisect_right)
     name = f"<dormand-prince loop, n={n}, dense={dense}, declared={source is not None}>"
     exec(compile(_loop_source(n, dense, source), name, "exec"), namespace)
     return namespace["_loop"]
+
+
+def _run_python(n, dense, source, f, t, h, y, grid, times, next_idx, abs_tol, rel_tol,
+                max_step, unit):
+    """Run the Python loop: the samples as an (len(times), n) array, the
+    counts of accepted steps, rejected steps and refused stages, and the
+    steps :func:`_interpolate` reads."""
+    out = array("d", y * next_idx)  # samples, row after row
+    inside, stages = [], array("d")
+    y, next_idx, accepted, rejected, refused = _python_loop(n, dense, source)(
+        f, t, h, y, f(t, y), times, next_idx, out, inside, stages,
+        abs_tol, rel_tol, max_step, unit)
+    out.extend(y * (len(times) - next_idx))  # trailing samples at t_end
+    return np.frombuffer(out).reshape(-1, n), accepted, rejected, refused, inside, stages
+
+
+@functools.cache
+def _loop_kernel(n: int, dense: bool = False, source: FieldSource | None = None):
+    """The runner of :func:`solve_ode`'s loop for each n, mode and field,
+    chosen on first use: the native loop of :mod:`fireball.native` for a
+    declared field it can translate and build, else the Python loop.  One
+    info record says which loop serves the kernel, and why."""
+    label = (f"n={n} {'dense' if dense else 'landing'} loop of "
+             + (f"the declared field ({', '.join(source.args)})" if source else "a called field"))
+    python = functools.partial(_run_python, n, dense, source)
+    if source is None:
+        log.info("%s: Python, the field is called", label)
+        return python
+    from . import native
+    try:
+        run, how = native.kernel(n, dense, source, python)
+    except native.Unavailable as exc:
+        log.info("%s: Python, %s", label, exc)
+        return python
+    log.info("%s: native, %s", label, how)
+    return run
 
 
 @dataclass(frozen=True)
@@ -392,10 +472,8 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
                           f"relative over [{t!r}, {t_end!r}]")
 
     next_idx = bisect.bisect_right(times, t + t_tol)  # the samples at the start
-    out = array("d", y * next_idx)  # samples, row after row
-
     if span <= 0.0:  # every sample is at the start
-        return np.frombuffer(out).reshape(-1, n)
+        return np.array(y * next_idx).reshape(-1, n)
 
     h = min(max_step, span / 100.0, 0.1, span)
     # A field declared as source is inlined into the loop, unless f only
@@ -404,15 +482,11 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     source = getattr(f, "source", None)
     if source is not None and source.function is not f:
         source = None
-    inside, stages = [], array("d")  # dense: the steps _interpolate reads
-    y, next_idx, accepted, rejected, refused = _loop_kernel(n, dense, source)(
-        f, t, h, y, f(t, y), times, next_idx, out, inside, stages,
-        abs_tol, rel_tol, max_step, unit)
-    out.extend(y * (len(times) - next_idx))  # trailing samples at t_end
+    ys, accepted, rejected, refused, inside, stages = _loop_kernel(n, dense, source)(
+        f, t, h, y, grid, times, next_idx, abs_tol, rel_tol, max_step, unit)
     log.debug("solve_ode: %d accepted, %d rejected steps, %d refused stages over [%g, %g]",
               accepted, rejected, refused, t0, t_end)
-    ys = np.frombuffer(out).reshape(-1, n)
-    if inside:
+    if len(inside):
         _interpolate(ys, grid, inside, stages)
     return ys
 

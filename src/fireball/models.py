@@ -243,7 +243,8 @@ def to_polar(state: State, kind: ModelKind) -> PolarState:
     r**2 = 2 X**2 + Y**2.
     """
     check_state(state, kind)
-    return PolarState(*map(float, polar_values(state.q, state.qdot, kind)))
+    # the batch form on a row of one, so that it rounds as the batch does
+    return PolarState(*(float(v[0]) for v in polar_values(state.q[None], state.qdot[None], kind)))
 
 
 def polar_values(qs, qdots, kind: ModelKind):

@@ -2,6 +2,8 @@ import functools
 import logging
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 
@@ -14,8 +16,10 @@ from fireball import (AngularSolution, DomainError, IntegrationError, Integrator
                       ModelKind, RadialSolution, SingularityError, State, Trajectory,
                       angular_quadrature, energies, integrate, one_d_solution,
                       time_reparam)
+from fireball import native
 from fireball.analytic import _angular_field, angular_potential
-from fireball.dynamics import vector_field
+from fireball.cli import main
+from fireball.dynamics import FieldSource, vector_field
 from fireball.integrate import _loop_kernel, sample_grid, solve_ode
 from fireball.invariants import hamiltonian_values
 from fireball.verification import default_initial_state
@@ -391,12 +395,25 @@ def assert_matches_reference(make_field, *args, **kwargs):
     return got
 
 
-def assert_fused_matches_reference(field, *args, **kwargs):
+# Where a C compiler is on PATH, the native loop must serve every declared
+# field of the package.
+HAVE_CC = shutil.which("cc") is not None
+
+
+def assert_native(field, n, dense=False):
+    """The native loop serves the declared field whenever cc is on PATH."""
+    if HAVE_CC:
+        assert hasattr(_loop_kernel(n, dense, field.source), "library")
+
+
+def assert_fused_matches_reference(field, t0, y0, *args, **kwargs):
     """As :func:`assert_matches_reference` for a declared field passed
-    itself, which solve_ode's loop inlines rather than calls."""
+    itself, which solve_ode's loop inlines rather than calls (natively
+    whenever cc is on PATH)."""
     assert field.source.function is field
-    got = outcome(solve_ode, field, *args, **kwargs)
-    assert_same(got, outcome(reference_solve_ode, field, *args, **kwargs))
+    got = outcome(solve_ode, field, t0, y0, *args, **kwargs)
+    assert_native(field, len(y0))
+    assert_same(got, outcome(reference_solve_ode, field, t0, y0, *args, **kwargs))
     return got
 
 
@@ -590,7 +607,7 @@ def reference_interpolate(grid, inside, stages):
         r3 = h * k1 - r2
         r4 = r2 - h * k7 - r3
         r5 = h * (d1 * k1 + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * k7)
-        for row in range(first, stop):
+        for row in range(int(first), int(stop)):
             theta = (grid[row] - t) / h
             out[row] = y + theta * (r2 + (1.0 - theta) * (
                 r3 + theta * (r4 + (1.0 - theta) * r5)))
@@ -600,7 +617,8 @@ def reference_interpolate(grid, inside, stages):
 DENSE_FIELDS = pytest.mark.parametrize("field,y0", [
     *((vector_field(kind), model_start(kind)) for kind in ModelKind),
     (_angular_field(ModelKind.ELLIPTIC_3D), [0.7, 3.0]),
-], ids=[kind.value for kind in ModelKind] + ["angular"])
+    (_angular_field(ModelKind.TWO_D), [0.7, 3.0]),
+], ids=[kind.value for kind in ModelKind] + ["angular", "angular-2d"])
 
 
 class TestDenseOutput:
@@ -631,10 +649,12 @@ class TestDenseOutput:
 
     @DENSE_FIELDS
     def test_fused_matches_called(self, field, y0):
-        # the step that inlines a declared field and the step that calls it
-        # (through a wrapper) interpolate the same samples, bit for bit
+        # the step that inlines a declared field (natively whenever cc is on
+        # PATH) and the Python step that calls it (through a wrapper)
+        # interpolate the same samples, bit for bit
         grid = sample_grid(0.0, 3.0, 1e-3)
         fused = solve_ode(field, 0.0, y0, grid, rel_tol=1e-12, dense=True)
+        assert_native(field, len(y0), dense=True)
         called = solve_ode(counted(field), 0.0, y0, grid, rel_tol=1e-12, dense=True)
         assert fused.tobytes() == called.tobytes()
 
@@ -781,15 +801,17 @@ class TestDeclaredFields:
     callable, wrappers of a declared field included."""
 
     def test_import_compiles_no_kernel(self):
-        code = ("import fireball, fireball.cli\n"
+        # nor loads the native loop's module or what it alone imports
+        code = ("import sys, fireball, fireball.cli\n"
                 "from fireball.integrate import _loop_kernel\n"
-                "print(_loop_kernel.cache_info().misses)")
+                "print(_loop_kernel.cache_info().misses, *(m in sys.modules for m in\n"
+                "      ('fireball.native', 'hashlib', 'subprocess')))")
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
             env={"PATH": "/usr/bin:/bin",
                  "PYTHONPATH": os.path.dirname(os.path.dirname(fireball.__file__))})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "0"
+        assert proc.stdout.split() == ["0", "False", "False", "False"]
 
     @pytest.mark.parametrize("kind", [ModelKind.TWO_D, ModelKind.ELLIPTIC_3D])
     def test_angular_quadrature_reuses_its_kernel(self, kind):
@@ -849,3 +871,155 @@ class TestDeclaredFields:
         ys = solve_ode(f, 0.0, [1.0, 0.0], np.array([0.0, 1.0]))
         assert len(calls) > 1
         assert ys.tobytes() == solve_ode(field, 0.0, [1.0, 0.0], np.array([0.0, 1.0])).tobytes()
+
+
+def failure(f, *args, **kwargs):
+    """The raised error's type, message and, if it has them, last state."""
+    try:
+        solve_ode(f, *args, **kwargs)
+    except Exception as exc:  # every error must match, whatever its type
+        last_y = getattr(exc, "last_y", None)
+        return (type(exc), str(exc), getattr(exc, "last_t", None),
+                None if last_y is None else last_y.tolist())
+    raise AssertionError("solve_ode returned")
+
+
+# Declared fields that end their runs in each way a run can fail.  ``wall``
+# lands at t=0 just short of its wall with a step of about 1e6, so halving
+# never gets back under it; ``root`` takes the square root of a negative
+# number, which makes a complex number in Python, and ``blowup`` overflows.
+WALL = FieldSource(args=("s",), positive="s < 0.0", refusal='f"s={s!r}"', outputs=("1.0",))
+ROOT = FieldSource(args=("x",), positive="x > -1.0", refusal='f"x={x!r}"',
+                   outputs=("-(x ** 0.5)",))
+BLOWUP = FieldSource(args=("x",), positive="x > 0.0", refusal='f"x={x!r}"',
+                     outputs=("x ** 2.0",))
+FALL = FieldSource(args=("x", "v"), positive="x > 0.0 and v < 1.0", refusal='f"x={x!r}"',
+                   outputs=("v", "-1.0"))
+
+
+class TestNativeLoop:
+    """The C translation of the loop (fireball.native) against the Python
+    loop, which serves called fields, and against its cache."""
+
+    @pytest.mark.parametrize("field,t0,y0,grid,kw,error,message", [
+        (_angular_field(ModelKind.ELLIPTIC_3D), 0.0, [math.atan(1.0 / math.sqrt(2.0)), 141.4],
+         np.linspace(0.0, 2.0, 11), {"rel_tol": 1e-2, "abs_tol": 1e-2}, SingularityError,
+         "domain refusals forced the step below the floor"),
+        (vector_field(ModelKind.TWO_D), 0.0, [1.0, 1e-10, 0.1, 0.2], sample_grid(0.0, 25.0, 0.01),
+         {}, IntegrationError, "step size underflow at t=0.0 (h=7.6"),
+        (WALL.function, -1e6, [-1e6 - 1e-9], np.array([-1e6, 0.0, 1e8]), {}, SingularityError,
+         "the field refused 50 consecutive steps near t=0.0"),
+        (FALL.function, 0.0, [1.0, 0.0], np.array([0.0, 3.0]), {}, SingularityError,
+         "domain refusals forced the step below the floor"),
+        (BLOWUP.function, 0.0, [1.0], np.array([0.0, 2.0]), {}, IntegrationError,
+         "step size underflow"),
+        (ROOT.function, 0.0, [1.0], np.array([0.0, 3.0]), {}, TypeError, "'>' not supported"),
+        (ROOT.function, 0.0, [-0.5], np.array([0.0, 3.0]), {}, TypeError, "'>' not supported"),
+    ], ids=["refusals-at-floor", "underflow", "fifty-refusals", "fall", "blowup", "complex",
+            "complex-start"])
+    @pytest.mark.parametrize("dense", [False, True], ids=["landing", "dense"])
+    def test_errors_match_the_python_loop(self, field, t0, y0, grid, kw, error, message, dense):
+        # the same error, message and last state as the Python loop gives
+        # when it calls the field, in every way a run can fail; in the last
+        # two cases a power is complex in Python (at a stage, or at the
+        # start), so the Python loop runs the solve again to raise
+        got = failure(field, t0, y0, grid, dense=dense, **kw)
+        assert_native(field, len(y0), dense)
+        assert got == failure(counted(field), t0, y0, grid, dense=dense, **kw)
+        assert got[0] is error
+        if not dense:  # dense steps do not land on the samples, so fail elsewhere
+            assert got[1].startswith(message)
+
+    def test_underflow_exit_and_message(self, capsys):
+        # a state that starts 1e-10 above the floor: exit 3, and the
+        # message of the Python loop
+        code = main(["simulate", "--model", "2d", "--X", "1", "--Y", "1e-10", "--Xdot", "0.1",
+                     "--Ydot", "0.2", "--t-end", "25", "--out", os.devnull])
+        assert code == 3
+        assert capsys.readouterr().err == ("error: integration failed: step size underflow at "
+                                           "t=0.0 (h=7.629394531250004e-15)\n")
+
+    @pytest.fixture
+    def fresh_kernels(self, monkeypatch, tmp_path):
+        """An empty cache and no kernel chosen yet, then the cache as before."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        _loop_kernel.cache_clear()
+        yield tmp_path / "fireball"
+        _loop_kernel.cache_clear()
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["landing", "dense"])
+    def test_without_a_compiler_the_python_loop_serves(self, dense, fresh_kernels,
+                                                       monkeypatch, caplog):
+        field = vector_field(ModelKind.TWO_D)
+        args = (0.0, model_start(ModelKind.TWO_D), sample_grid(0.0, 5.0, 0.01))
+        want = solve_ode(field, *args, dense=dense)
+        assert_native(field, 4, dense)
+        _loop_kernel.cache_clear()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(fresh_kernels / "empty"))
+        monkeypatch.setattr(native, "_compiler", lambda: None)
+        with caplog.at_level(logging.INFO, logger="fireball.integrate"):
+            got = solve_ode(field, *args, dense=dense)
+        assert not hasattr(_loop_kernel(4, dense, field.source), "library")
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
+            f"n=4 {'dense' if dense else 'landing'} loop of the declared field "
+            "(X, Y, Xd, Yd): Python, no C compiler (cc) on PATH"]
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+    def test_cache_is_reused_and_a_damaged_object_rebuilt(self, fresh_kernels, monkeypatch):
+        builds = []
+        run = subprocess.run
+
+        def spy(*args, **kwargs):
+            builds.append(args[0])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", spy)
+        source = vector_field(ModelKind.ONE_D).source
+        args = (source.function, 0.0, [1.0, 0.0], sample_grid(0.0, 1.0, 0.01))
+        want = solve_ode(*args)
+        assert len(builds) == 1
+        _, how = native.kernel(2, False, source, None)
+        assert how.startswith("from the cache") and len(builds) == 1
+        path, = fresh_kernels.glob("*.so")
+        data = path.read_bytes()
+        # a new file, not the loaded one cut short in place
+        path.unlink()
+        path.write_bytes(data[:len(data) // 2])
+        _loop_kernel.cache_clear()
+        got = solve_ode(*args)
+        assert len(builds) == 2 and path.stat().st_size == len(data)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+    def test_generated_c_compiles_without_warnings(self, tmp_path):
+        # every declared field of the package, in both modes: a warning
+        # from the emitter fails here rather than hide a mistranslation
+        fields = [vector_field(kind) for kind in ModelKind] + [
+            _angular_field(kind) for kind in (ModelKind.TWO_D, ModelKind.ELLIPTIC_3D)]
+        files = []
+        for i, field in enumerate(fields):
+            for dense in (False, True):
+                files.append(tmp_path / f"loop{i}{'d' if dense else 'l'}.c")
+                files[-1].write_text(native.c_source(len(field.source.args), dense,
+                                                     field.source))
+        proc = subprocess.run(["cc", *native.FLAGS, "-Wall", "-Wextra", "-Werror", "-c",
+                               *map(str, files)], cwd=tmp_path, capture_output=True,
+                              text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert len(list(tmp_path.glob("*.o"))) == 12
+
+    @pytest.mark.parametrize("declaration,reason", [
+        ({"positive": "abs(x) > 0.0"}, "cannot translate abs(x)"),
+        ({"outputs": ("x if x > 1.0 else 2.0",)}, "cannot translate x if x > 1.0 else 2.0"),
+        ({"outputs": ("2 * 3",)}, "integer arithmetic in 2 * 3"),
+        ({"prelude": ("x += 1.0",)}, "cannot translate the statement x += 1.0"),
+        ({"positive": "x"}, "cannot translate the condition x"),
+        ({"outputs": ("1",)}, "the output 1 is an integer"),
+    ], ids=["abs", "ifexp", "int-product", "augassign", "bare-name", "int"])
+    def test_translator_refuses_what_it_cannot_take(self, declaration, reason):
+        # such a declaration keeps the Python loop
+        source = FieldSource(**{"args": ("x",), "positive": "x > 0.0", "refusal": '"refused"',
+                                "outputs": ("-x",), **declaration})
+        with pytest.raises(native.Unavailable, match=re.escape(reason)):
+            native.c_source(1, False, source)

@@ -14,7 +14,7 @@ from fireball import (DomainError, GeneralErmakovSpec, IntegratorConfig,
 from fireball.analytic import angular_potential, polar_invariant_values
 from fireball.invariants import (ermakov_values, hamiltonian_values,
                                  noether_values, radial_invariant_values)
-from batch import ULP_BOUND, draw_states
+from batch import draw_states
 
 positive = st.floats(min_value=0.1, max_value=8.0)
 rate = st.floats(min_value=-3.0, max_value=3.0)
@@ -214,12 +214,11 @@ class TestPolarInvariants:
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from([ModelKind.TWO_D, ModelKind.ELLIPTIC_3D]), data=st.data())
     def test_batch_matches_each_state(self, kind, data):
-        # within ULP_BOUND: both read squares and U(phi), which are powers
+        # bit-equal: polar_invariants is the batch form on a row of one
         polar = [to_polar(s, kind) for s in draw_states(data, kind)[3]]
         H, inv = polar_invariant_values(*np.array([astuple(p) for p in polar]).T, kind)
         single = np.array([polar_invariants(p, kind) for p in polar])
-        assert np.all(np.abs(H - single[:, 0]) <= ULP_BOUND * single[:, 0])
-        assert np.all(np.abs(inv - single[:, 1]) <= ULP_BOUND * single[:, 1])
+        assert np.array_equal(H, single[:, 0]) and np.array_equal(inv, single[:, 1])
 
     def test_naive_polar_coefficient_fails_the_substitution_oracle(self):
         # with the coefficient 3/2 instead of 3 * 2**(-1/3) the polar form
