@@ -1,24 +1,16 @@
 """Adaptive Dormand-Prince 5(4) integration.
 
 The embedded pair gives a 5th-order propagated solution with a 4th-order
-error estimate.  By default steps land exactly on the sampling grid, so
-every sample is a step's end state and carries no interpolation error: once
-steps outgrow the grid spacing, as they do at long horizons, interpolation
-error would dominate the drift of the conserved quantities.  With
-``dense=True`` the tolerance alone sets the steps, and a sample inside a
-step is the DOPRI5 continuous extension (Hairer, Norsett & Wanner, *Solving
-ODEs I*, section II.6), a quartic in the step fraction built from the
-step's stages; a sample within 1e-14 relative of a step's end is still that
-end state.  That is for fine grids over short spans, where landing would
-spend a step on every sample: the angular quadrature of
-:mod:`fireball.analytic` uses it at rel_tol 1e-14.  Every run of
-``verify``, ``simulate``, and the numeric ``r`` of ``analytic --compare``
-keep landing.
+error estimate.  Steps land exactly on the sampling grid, so every sample
+is a step's end state and carries no interpolation error: once steps
+outgrow the grid spacing, as they do at long horizons, interpolation error
+would dominate the drift of the conserved quantities.  A fine grid thus
+costs a step per sample, which the native loop below makes cheap.
 
 The stepper works on Python floats: the right-hand side ``f(t, y)``
 receives a list of floats and returns a sequence of floats of the same
 length.  The whole step loop is generated from the tableau, once per state
-length n, mode and field.  It keeps the state and the stage derivatives in
+length n and field.  It keeps the state and the stage derivatives in
 locals across steps (accepting a step rebinds them), writes each stage
 component out as a scalar sum and runs the step control inline, with no
 call per step.  Its arithmetic (the stage sums, the error norm and the step
@@ -34,7 +26,7 @@ reference.  Which loop serves a field:
   and loads it with :mod:`ctypes`; the flags keep every operation rounding
   as Python's does (that module says which and why).  The shared object is
   cached in ``$XDG_CACHE_HOME/fireball``, else ``~/.cache/fireball``, so
-  only the first solve of a kernel on a machine pays its build, 0.1-0.6 s
+  only the first solve of a kernel on a machine pays its build, 0.12-0.34 s
   (a per-process temporary directory serves when neither can be written).
 - A declaration the translator cannot take, or any declared field where no
   compiler works, runs the generated Python loop with the field inlined:
@@ -93,11 +85,6 @@ _A = (
 )
 # b5 - b4: weights of the local error estimate.
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-# Weights of the continuous extension's 5th coefficient (DOPRI5's d1..d7;
-# d2 is 0).
-_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-      -10690763975 / 1880347072, 701980252875 / 199316789632,
-      -1453857185 / 822651844, 69997945 / 29380423)
 
 # The Python syntax of the forms _step_parts writes; fireball.native has C's.
 _PYTHON_FORMS = {"select": "{yes} if {test} else {no}", "power": "{a} ** {b}",
@@ -153,11 +140,11 @@ def _failure(code: int, t: float, h: float, y: Sequence[float]) -> IntegrationEr
     return SingularityError(f"the field refused 50 consecutive steps near t={t!r}", **where)
 
 
-# solve_ode's step loop, less what _loop_source fills in per n, mode and
-# field.  Its names start with an underscore, which no declared name may.
+# solve_ode's step loop, less what _loop_source fills in per n and field.
+# Its names start with an underscore, which no declared name may.
 _LOOP = '''\
-def _loop(_f, _t, _h, _y, _k1, _times, _next_idx, _out, _inside, _stages,
-          _abs_tol, _rel_tol, _max_step, _unit):
+def _loop(_f, _t, _h, _y, _k1, _times, _next_idx, _out, _abs_tol, _rel_tol, _max_step,
+          _unit):
     {y}, = _y
     {k1}, = _k1
     _n_samples, _t_end = len(_times), _times[-1]
@@ -173,7 +160,9 @@ def _loop(_f, _t, _h, _y, _k1, _times, _next_idx, _out, _inside, _stages,
             _h = _max_step
         if _t_end - _t < _h:
             _h = _t_end - _t
-{land}
+        # Steps land on the samples: interpolation error would dominate the drift.
+        if _next_idx < _n_samples and _times[_next_idx] - _t < _h:
+            _h = _times[_next_idx] - _t
         if _h < _tol:
             raise _failure(1 if _refusals > 0 else 2, _t, _h, [{y}])
         try:
@@ -192,7 +181,12 @@ def _loop(_f, _t, _h, _y, _k1, _times, _next_idx, _out, _inside, _stages,
             _t_new = _t + _h
             _at = _t_new if _t_new >= 0.0 else -_t_new
             _tol = 1e-14 * (_at if _at > _unit else _unit)
-{emit}
+            # The step landed on (or stopped short of) the next sample, so
+            # each sample emitted here lies within tol of t_new.
+            _t_hi = _t_new + _tol
+            while _next_idx < _n_samples and _times[_next_idx] <= _t_hi:
+                _extend(({v},))
+                _next_idx += 1
             _t = _t_new
 {accept}
             _accepted += 1
@@ -212,41 +206,17 @@ def _loop(_f, _t, _h, _y, _k1, _times, _next_idx, _out, _inside, _stages,
     return [{y}], _next_idx, _accepted, _rejected, _refused
 '''
 
-# Steps land on the samples: interpolation error would dominate the drift.
-_LANDING = ('''\
-        if _next_idx < _n_samples and _times[_next_idx] - _t < _h:
-            _h = _times[_next_idx] - _t''', '''\
-            # The step landed on (or stopped short of) the next sample, so
-            # each sample emitted here lies within tol of t_new.
-            _t_hi = _t_new + _tol
-            while _next_idx < _n_samples and _times[_next_idx] <= _t_hi:
-                _extend(({v},))
-                _next_idx += 1''')
-# Rows next_idx..stop-1 lie in (t, t_new + tol]; those from end on get the
-# state at t_new, the rest (zero bytes hold their place) are interpolated.
-_DENSE = ('', '''\
-            _stop = _bisect_right(_times, _t_new + _tol, _next_idx)
-            if _stop > _next_idx:
-                _end = _bisect_left(_times, _t_new - _tol, _next_idx, _stop)
-                if _end > _next_idx:
-                    _inside.append((_next_idx, _end, _t, _h))
-                    _stages.extend(({y}, {v}, {k1}, {k3}, {k4}, {k5}, {k6}, {k7}))
-                    _out.frombytes(bytes({row_bytes} * (_end - _next_idx)))
-                _extend(({v},) * (_stop - _end))
-                _next_idx = _stop''')
 
-
-def _loop_source(n: int, dense: bool = False, source: FieldSource | None = None) -> str:
+def _loop_source(n: int, source: FieldSource | None = None) -> str:
     """Source of :func:`solve_ode`'s Python step loop for an n-component state.
 
     The generated ``_loop`` steps from ``_t``, writes the samples from row
-    ``_next_idx`` on into ``_out`` (``dense`` records the steps to
-    interpolate in ``_inside`` and ``_stages``) and returns the end state,
-    the next row and the counts of accepted steps, rejected steps and
-    refused stages.  Its arithmetic is :func:`_step_parts`'.  Without a
-    ``source`` each stage calls ``_f(t + c * h, [...])``; with one, each
-    stage assigns the field's argument names and runs its check, prelude
-    and outputs inline: the same floats and the same :class:`DomainError`.
+    ``_next_idx`` on into ``_out`` and returns the end state, the next row
+    and the counts of accepted steps, rejected steps and refused stages.
+    Its arithmetic is :func:`_step_parts`'.  Without a ``source`` each stage
+    calls ``_f(t + c * h, [...])``; with one, each stage assigns the field's
+    argument names and runs its check, prelude and outputs inline: the same
+    floats and the same :class:`DomainError`.
     """
     comps = range(n)
 
@@ -269,57 +239,50 @@ def _loop_source(n: int, dense: bool = False, source: FieldSource | None = None)
     stages += [f"_v_{i} = {x}" for i, x in enumerate(inputs[5])]
     stages += stage(7, [f"_v_{i}" for i in comps])
     accept = [f"_y_{i} = _v_{i}" for i in comps] + [f"_k1_{i} = _k7_{i}" for i in comps]
-    kw = {f"k{s}": names(f"_k{s}") for s in range(1, 8)}
-    kw.update(y=names("_y"), v=names("_v"), row_bytes=8 * n)
-    land, emit = _DENSE if dense else _LANDING
     return _LOOP.format(
-        land=land, emit=emit.format(**kw), grow=grow, shrink=shrink,
+        y=names("_y"), v=names("_v"), k1=names("_k1"), grow=grow, shrink=shrink,
         stages="\n".join(" " * 12 + line for line in stages),
         norm="\n".join(f"        {name} = {value}" for name, value in norm),
-        accept="\n".join(" " * 12 + line for line in accept), **kw)
+        accept="\n".join(" " * 12 + line for line in accept))
 
 
 @functools.cache
-def _python_loop(n: int, dense: bool, source: FieldSource | None):
-    """The loop of :func:`_loop_source`, compiled on first use for each n,
-    mode and field."""
+def _python_loop(n: int, source: FieldSource | None):
+    """The loop of :func:`_loop_source`, compiled on first use for each n
+    and field."""
     namespace = source.namespace() if source is not None else {"_DomainError": DomainError}
-    namespace.update(_failure=_failure, _sqrt=math.sqrt, _bisect_left=bisect.bisect_left,
-                     _bisect_right=bisect.bisect_right)
-    name = f"<dormand-prince loop, n={n}, dense={dense}, declared={source is not None}>"
-    exec(compile(_loop_source(n, dense, source), name, "exec"), namespace)
+    namespace.update(_failure=_failure, _sqrt=math.sqrt)
+    name = f"<dormand-prince loop, n={n}, declared={source is not None}>"
+    exec(compile(_loop_source(n, source), name, "exec"), namespace)
     return namespace["_loop"]
 
 
-def _run_python(n, dense, source, f, t, h, y, grid, times, next_idx, abs_tol, rel_tol,
-                max_step, unit):
-    """Run the Python loop: the samples as an (len(times), n) array, the
-    counts of accepted steps, rejected steps and refused stages, and the
-    steps :func:`_interpolate` reads."""
+def _run_python(n, source, f, t, h, y, grid, times, next_idx, abs_tol, rel_tol, max_step,
+                unit):
+    """Run the Python loop: the samples as an (len(times), n) array and the
+    counts of accepted steps, rejected steps and refused stages."""
     out = array("d", y * next_idx)  # samples, row after row
-    inside, stages = [], array("d")
-    y, next_idx, accepted, rejected, refused = _python_loop(n, dense, source)(
-        f, t, h, y, f(t, y), times, next_idx, out, inside, stages,
-        abs_tol, rel_tol, max_step, unit)
+    y, next_idx, accepted, rejected, refused = _python_loop(n, source)(
+        f, t, h, y, f(t, y), times, next_idx, out, abs_tol, rel_tol, max_step, unit)
     out.extend(y * (len(times) - next_idx))  # trailing samples at t_end
-    return np.frombuffer(out).reshape(-1, n), accepted, rejected, refused, inside, stages
+    return np.frombuffer(out).reshape(-1, n), accepted, rejected, refused
 
 
 @functools.cache
-def _loop_kernel(n: int, dense: bool = False, source: FieldSource | None = None):
-    """The runner of :func:`solve_ode`'s loop for each n, mode and field,
-    chosen on first use: the native loop of :mod:`fireball.native` for a
-    declared field it can translate and build, else the Python loop.  One
-    info record says which loop serves the kernel, and why."""
-    label = (f"n={n} {'dense' if dense else 'landing'} loop of "
+def _loop_kernel(n: int, source: FieldSource | None = None):
+    """The runner of :func:`solve_ode`'s loop for each n and field, chosen
+    on first use: the native loop of :mod:`fireball.native` for a declared
+    field it can translate and build, else the Python loop.  One info
+    record says which loop serves the kernel, and why."""
+    label = (f"n={n} loop of "
              + (f"the declared field ({', '.join(source.args)})" if source else "a called field"))
-    python = functools.partial(_run_python, n, dense, source)
+    python = functools.partial(_run_python, n, source)
     if source is None:
         log.info("%s: Python, the field is called", label)
         return python
     from . import native
     try:
-        run, how = native.kernel(n, dense, source, python)
+        run, how = native.kernel(n, source, python)
     except native.Unavailable as exc:
         log.info("%s: Python, %s", label, exc)
         return python
@@ -424,15 +387,14 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
               *,
               rel_tol: float = 1e-10,
               abs_tol: float = 1e-12,
-              max_step: float = math.inf,
-              dense: bool = False) -> np.ndarray:
+              max_step: float = math.inf) -> np.ndarray:
     """Integrate y' = f(t, y) and return y at the requested sample times.
 
     ``f`` receives the state as a list of floats and returns a sequence of
     floats (a tuple, list or 1-d array) of the same length, else ValueError
     is raised; it raises :class:`DomainError` to reject a stage outside its
     domain, e.g. at a variance floor.  The step loop is generated per state
-    length, mode and declared field; a field declared as source
+    length and declared field; a field declared as source
     (:class:`fireball.dynamics.FieldSource`) is inlined into it, and any
     other callable is called once per stage, with the same results.  Times
     are compared within 1e-14 relative to the larger of |t| and a unit,
@@ -442,11 +404,10 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     non-decreasing from a finite t0 (within that tolerance), and
     ``max_step`` at least the step floor, 1e-14 times the largest of the
     unit, |t0| and |t_end|.  Samples at t0 get y0; the run ends at the last.
-    Every later sample is the end of a step, since steps land on them,
-    unless ``dense`` is set: then the steps ignore the samples, and a sample
-    inside a step is the continuous extension of that step (one within the
-    tolerance of the step's end is the end state).  The ``solve_ode:`` debug
-    record counts accepted steps, rejected steps and refused stages.
+    Every later sample is the end of a step, since steps land on them; a
+    sample within that tolerance of a step's end is the end state, so a
+    repeated time is the same sample.  The ``solve_ode:`` debug record
+    counts accepted steps, rejected steps and refused stages.
     Returns a (len(sample_times), len(y0)) array.
     """
     y = [float(v) for v in y0]
@@ -482,55 +443,16 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     source = getattr(f, "source", None)
     if source is not None and source.function is not f:
         source = None
-    ys, accepted, rejected, refused, inside, stages = _loop_kernel(n, dense, source)(
+    ys, accepted, rejected, refused = _loop_kernel(n, source)(
         f, t, h, y, grid, times, next_idx, abs_tol, rel_tol, max_step, unit)
     log.debug("solve_ode: %d accepted, %d rejected steps, %d refused stages over [%g, %g]",
               accepted, rejected, refused, t0, t_end)
-    if len(inside):
-        _interpolate(ys, grid, inside, stages)
     return ys
 
 
-def _interpolate(ys: np.ndarray, grid: np.ndarray, inside: list, stages: array) -> None:
-    """Write the DOPRI5 continuous extension into the rows of ``ys`` that
-    lie inside a step, all steps in one pass.
-
-    ``inside`` holds (first row, stop row, t, h) per step and ``stages`` the
-    step's y, y_new, k1, k3..k7, as :func:`solve_ode` records them.  A
-    sample at t + theta h is
-    ``r1 + theta (r2 + (1 - theta) (r3 + theta (r4 + (1 - theta) r5)))``,
-    evaluated by Horner's rule over a (5, n, rows) block of the step
-    coefficients repeated per row, so each operation runs along the rows.
-    """
-    first, stop, t, h = np.array(inside).T
-    y, y_new, k1, k3, k4, k5, k6, k7 = \
-        np.frombuffer(stages).reshape(len(inside), 8, -1).transpose(1, 0, 2)
-    d1, _, d3, d4, d5, d6, d7 = _D
-    hc = h[:, None]
-    r2 = y_new - y
-    r3 = hc * k1 - r2
-    r4 = r2 - hc * k7 - r3
-    r5 = hc * (d1 * k1 + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * k7)
-    counts = (stop - first).astype(np.intp)
-    # a row is its step's first row plus its place among that step's rows
-    rows = np.arange(counts.sum()) + np.repeat(first.astype(np.intp) - np.cumsum(counts)
-                                               + counts, counts)
-    theta = (grid[rows] - np.repeat(t, counts)) / np.repeat(h, counts)
-    rest = 1.0 - theta
-    r1, r2, r3, r4, p = np.repeat(np.stack([y, r2, r3, r4, r5]).transpose(0, 2, 1),
-                                  counts, axis=-1)
-    for w, r in ((rest, r4), (theta, r3), (rest, r2), (theta, r1)):
-        p *= w
-        p += r
-    ys[rows] = p.T
-
-
-def integrate(initial: State, kind: ModelKind, config: IntegratorConfig, *,
-              dense: bool = False) -> Trajectory:
+def integrate(initial: State, kind: ModelKind, config: IntegratorConfig) -> Trajectory:
     """Integrate the model from ``initial`` up to ``config.t_end``.
 
-    ``dense`` is :func:`solve_ode`'s: the tolerance alone sets the steps,
-    and samples inside a step are interpolated.
     Raises :class:`SingularityError` if the positivity floor keeps rejecting
     steps and :class:`IntegrationError` on step-size underflow; both carry the
     last good time and state vector as ``last_t`` and ``last_y``.
@@ -544,5 +466,5 @@ def integrate(initial: State, kind: ModelKind, config: IntegratorConfig, *,
     y0 = initial.q.tolist() + initial.qdot.tolist()
     ys = solve_ode(vector_field(kind), initial.t, y0, grid,
                    rel_tol=config.rel_tol, abs_tol=config.abs_tol,
-                   max_step=config.max_step, dense=dense)
+                   max_step=config.max_step)
     return Trajectory(kind=kind, times=grid, qs=ys[:, :d], qdots=ys[:, d:])

@@ -32,9 +32,10 @@ Shared objects are cached in ``$XDG_CACHE_HOME/fireball`` (else
 ``~/.cache/fireball``; a per-process temporary directory when neither can
 be written), named by a hash of the source, the flags and the platform,
 beside the SHA-256 of their bytes: a file that does not match is rebuilt,
-not loaded.  A build takes about 0.1-0.2 s per kernel; a cached kernel
-loads in well under a millisecond.  Without a C compiler, or when a build
-fails, :class:`Unavailable` says why and the Python loop serves.
+not loaded.  A build takes 0.12-0.34 s per kernel (gcc 12 on a 2-vCPU
+x86-64 machine); a cached kernel loads in well under a millisecond.
+Without a C compiler, or when a build fails, :class:`Unavailable` says why
+and the Python loop serves.
 """
 
 from __future__ import annotations
@@ -115,52 +116,21 @@ static inline double py_$name(int *py, double x)
 }
 """)
 
-# bisect_right and bisect_left as Python's bisect module runs them.
-_BISECT = """
-static long long bisect_right(const double *a, double x, long long lo, long long hi)
-{
-    while (lo < hi) {
-        long long mid = (lo + hi) / 2;
-        if (x < a[mid])
-            hi = mid;
-        else
-            lo = mid + 1;
-    }
-    return lo;
-}
-
-static long long bisect_left(const double *a, double x, long long lo, long long hi)
-{
-    while (lo < hi) {
-        long long mid = (lo + hi) / 2;
-        if (a[mid] < x)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return lo;
-}
-"""
-
 # The loop of fireball.integrate._LOOP.  Status 0: done; 1-3: the codes of
 # fireball.integrate._failure, with t, h and y left in scalars and state;
 # 4: run the Python loop instead.
 _LOOP = Template("""
 int fireball_loop(const double *_times, long long _n_samples, double *_out, double *_state,
-                  double *_scalars, long long *_counts, double *_inside, double *_stages)
+                  double *_scalars, long long *_counts)
 {
     double $locals;
     double _t = _scalars[0], _h = _scalars[1], _abs_tol = _scalars[2];
     double _rel_tol = _scalars[3], _max_step = _scalars[4], _unit = _scalars[5];
     double _t_end = _times[_n_samples - 1], _t_stop, _t_new, _at, _tol, _a, _b, _err, _factor;
     long long _next_idx = _counts[0], _accepted = 0, _rejected = 0, _refused = 0;
-    long long _refusals = 0, _records = 0, _row, _stop, _end;
+    long long _refusals = 0, _row;
     int _py = 0, _status = 0;
 
-    (void)_inside;
-    (void)_stages;
-    (void)_stop;
-    (void)_end;
 $load
     _at = _t_end >= 0.0 ? _t_end : -_t_end;
     _t_stop = _t_end - 1e-14 * (_at > _unit ? _at : _unit);
@@ -171,7 +141,8 @@ $load
             _h = _max_step;
         if (_t_end - _t < _h)
             _h = _t_end - _t;
-$land
+        if (_next_idx < _n_samples && _times[_next_idx] - _t < _h)
+            _h = _times[_next_idx] - _t;
         if (_h < _tol) {
             _status = _refusals > 0 ? 1 : 2;
             break;
@@ -187,7 +158,10 @@ $norm
             _t_new = _t + _h;
             _at = _t_new >= 0.0 ? _t_new : -_t_new;
             _tol = 1e-14 * (_at > _unit ? _at : _unit);
-$emit
+            while (_next_idx < _n_samples && _times[_next_idx] <= _t_new + _tol) {
+$row
+                _next_idx++;
+            }
             _t = _t_new;
 $accept
             _accepted++;
@@ -226,38 +200,9 @@ $store
     _counts[0] = _accepted;
     _counts[1] = _rejected;
     _counts[2] = _refused;
-    _counts[3] = _records;
     return _status;
 }
 """)
-
-_LANDING = ("""\
-        if (_next_idx < _n_samples && _times[_next_idx] - _t < _h)
-            _h = _times[_next_idx] - _t;""", """\
-            while (_next_idx < _n_samples && _times[_next_idx] <= _t_new + _tol) {
-$row
-                _next_idx++;
-            }""")
-
-# The rows from _next_idx to _end lie inside the step: _interpolate writes
-# them from the step recorded here.
-_DENSE = ("", """\
-            _stop = bisect_right(_times, _t_new + _tol, _next_idx, _n_samples);
-            if (_stop > _next_idx) {
-                _end = bisect_left(_times, _t_new - _tol, _next_idx, _stop);
-                if (_end > _next_idx) {
-                    _inside[4 * _records] = (double)_next_idx;
-                    _inside[4 * _records + 1] = (double)_end;
-                    _inside[4 * _records + 2] = _t;
-                    _inside[4 * _records + 3] = _h;
-$record
-                    _records++;
-                }
-                for (_next_idx = _end; _next_idx < _stop; _next_idx++) {
-$row
-                }
-            }""")
-
 
 class Unavailable(Exception):
     """The native loop cannot serve a kernel; the message says why."""
@@ -376,10 +321,10 @@ class _Translator:
         return check, prelude, outputs
 
 
-def c_source(n: int, dense: bool, source: FieldSource) -> str:
+def c_source(n: int, source: FieldSource) -> str:
     """C source of the Dormand-Prince loop for ``source``, an n-component
-    declared field, in landing or dense mode.  Raises :class:`Unavailable`
-    for a declaration the translator cannot take."""
+    declared field.  Raises :class:`Unavailable` for a declaration the
+    translator cannot take."""
     translator = _Translator(source)
     check, prelude, outputs = translator.field(source)
     comps = range(n)
@@ -392,11 +337,6 @@ def c_source(n: int, dense: bool, source: FieldSource) -> str:
         stages += [f"u_{a} = {x};" for a, x in zip(source.args, values)]
         stages += [f"if (!{check})", "    goto _refused;", *prelude]
         stages += [f"_k{s}_{i} = {out};" for i, out in enumerate(outputs)]
-    row = [f"_out[{n} * _next_idx + {i}] = _v_{i};" for i in comps]
-    record = [f"_stages[{8 * n} * _records + {n * j + i}] = _{stem}_{i};"
-              for j, stem in enumerate(("y", "v", "k1", "k3", "k4", "k5", "k6", "k7"))
-              for i in comps]
-    land, emit = _DENSE if dense else _LANDING
 
     def block(lines, indent):
         return "\n".join(" " * indent + line for line in lines)
@@ -404,18 +344,16 @@ def c_source(n: int, dense: bool, source: FieldSource) -> str:
     local = sorted({f"u_{name}" for name in translator.types}
                    | {f"_{stem}_{i}" for stem in ("y", "v", "e", "k1", "k2", "k3", "k4",
                                                    "k5", "k6", "k7") for i in comps})
-    helpers = [_PRELUDE, _BISECT if dense else ""]
-    helpers += [_POWER if name == "pow" else _FUNCTION.substitute(name=name)
-                for name in sorted(translator.functions)]
+    helpers = [_PRELUDE] + [_POWER if name == "pow" else _FUNCTION.substitute(name=name)
+                            for name in sorted(translator.functions)]
     loop = _LOOP.substitute(
         locals=", ".join(f"{name} = 0.0" for name in local),
         load=block([f"_y_{i} = _state[{i}];" for i in comps]
                    + [f"_k1_{i} = _state[{n + i}];" for i in comps], 4),
-        land=land, python=_STATUS_PYTHON,
+        python=_STATUS_PYTHON,
         stages=block(stages, 8),
         norm=block([f"{name} = {value};" for name, value in norm], 8),
-        emit=Template(emit).substitute(row=block(row, 20 if dense else 16),
-                                       record=block(record, 20)),
+        row=block([f"_out[{n} * _next_idx + {i}] = _v_{i};" for i in comps], 16),
         accept=block([f"_y_{i} = _v_{i};" for i in comps]
                      + [f"_k1_{i} = _k7_{i};" for i in comps], 12),
         grow=grow, shrink=shrink,
@@ -510,19 +448,19 @@ def _library(code: str) -> tuple[str, str]:
     raise Unavailable(f"no cache directory could be written: {error}")
 
 
-def kernel(n: int, dense: bool, source: FieldSource, python):
+def kernel(n: int, source: FieldSource, python):
     """A runner of the native loop for ``source``, as
     :func:`fireball.integrate._run_python` runs the Python one, and how its
     object was got.  ``python`` is that runner, for the solves the C loop
     hands back.  Raises :class:`Unavailable` with the reason when there is
     none."""
-    path, how = _library(c_source(n, dense, source))
+    path, how = _library(c_source(n, source))
     try:
         library = ctypes.CDLL(path)
     except OSError as exc:
         raise Unavailable(f"{path} could not be loaded: {exc}") from None
     loop = library.fireball_loop
-    loop.argtypes = [ctypes.c_void_p, ctypes.c_longlong] + [ctypes.c_void_p] * 6
+    loop.argtypes = [ctypes.c_void_p, ctypes.c_longlong] + [ctypes.c_void_p] * 4
     loop.restype = ctypes.c_int
 
     def run(f, t, h, y, grid, times, next_idx, abs_tol, rel_tol, max_step, unit):
@@ -535,20 +473,15 @@ def kernel(n: int, dense: bool, source: FieldSource, python):
             return python(f, t, h, y, grid, times, next_idx, abs_tol, rel_tol, max_step, unit)
         out = array("d", y) * count  # the rows before next_idx are y0
         scalars = array("d", (t, h, abs_tol, rel_tol, max_step, unit))
-        counts = array("q", (next_idx, 0, 0, 0))
-        # every record holds at least one sample, so count rows are enough
-        inside = np.empty((count if dense else 0, 4))
-        stages = np.empty((count if dense else 0, 8 * n))
+        counts = array("q", (next_idx, 0, 0))
         status = loop(grid.ctypes.data, count, out.buffer_info()[0], state.buffer_info()[0],
-                      scalars.buffer_info()[0], counts.buffer_info()[0], inside.ctypes.data,
-                      stages.ctypes.data)
+                      scalars.buffer_info()[0], counts.buffer_info()[0])
         if status == _STATUS_PYTHON:
             return python(f, t, h, y, grid, times, next_idx, abs_tol, rel_tol, max_step, unit)
         if status:
             raise _failure(status, scalars[0], scalars[1], state[:n])
-        accepted, rejected, refused, records = counts
-        return (np.frombuffer(out).reshape(-1, n), accepted, rejected, refused,
-                inside[:records], stages[:records])
+        accepted, rejected, refused = counts
+        return np.frombuffer(out).reshape(-1, n), accepted, rejected, refused
 
     run.library = library  # the loaded object, which also marks the runner native
     return run, how

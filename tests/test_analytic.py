@@ -183,17 +183,17 @@ class TestAngular:
     @settings(max_examples=6, deadline=None, phases=NO_SHRINK)
     @given(phi0=st.floats(0.2, 1.35), excess=st.floats(0.0, 40.0),
            sign=st.sampled_from([-1, 1]))
-    def test_dense_quadrature_on_random_invariants(self, kind, phi0, excess, sign):
-        # invariant = U(phi0) + excess.  Measured on 150 random draws per
-        # model over these ranges: phi within 2.9e-12 of a rel/abs 1e-14
-        # landing run, and the invariant held to 2.6e-12 relative.
+    def test_quadrature_on_random_invariants(self, kind, phi0, excess, sign):
+        # invariant = U(phi0) + excess.  phi is the rel/abs 1e-14 landing
+        # run's, bit for bit; measured on 150 random draws per model over
+        # these ranges, the invariant held to 2.1e-12 relative.
         invariant = float(angular_potential(phi0, kind)) + excess
         grid = np.linspace(0.0, 3.0, 301)
         phi, dphi = angular_quadrature(AngularSolution(invariant, phi0, sign), kind, grid)
         v0 = sign * math.sqrt(2.0 * (invariant - float(angular_potential(phi0, kind))))
         landed = solve_ode(_angular_field(kind), 0.0, [phi0, v0], grid,
                            rel_tol=1e-14, abs_tol=1e-14)
-        assert np.max(np.abs(phi - landed[:, 0])) <= 1e-11
+        assert phi.tobytes() == landed[:, 0].tobytes()
         along = 0.5 * dphi ** 2 + angular_potential(phi, kind)
         assert np.max(np.abs(along - invariant)) <= 1e-11 * invariant
 
@@ -223,6 +223,16 @@ class TestAngular:
         # unchecked, such a grid would give phi0 at every sample
         with pytest.raises(DomainError):
             angular_quadrature(AngularSolution(5.0, 0.7), ModelKind.TWO_D, [0.0, 0.5, bad])
+
+    def test_decreasing_grid_is_refused(self):
+        with pytest.raises(DomainError, match="non-decreasing"):
+            angular_quadrature(AngularSolution(5.0, 0.7), ModelKind.TWO_D, [0.0, 0.5, 0.4])
+
+    def test_repeated_grid_time_is_the_same_sample(self):
+        # at large H t successive ttilde round to the same double
+        phi, dphi = angular_quadrature(AngularSolution(5.0, 0.7), ModelKind.TWO_D,
+                                       [0.0, 0.5, 0.5, 1.0, 1.0])
+        assert phi[1] == phi[2] and phi[3] == phi[4] and dphi[3] == dphi[4]
 
     def test_phi0_validation(self):
         with pytest.raises(DomainError):

@@ -507,6 +507,18 @@ class TestAnalytic:
         assert "1e+302 samples" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("H", ["1e12", "1e300"])
+    def test_large_energy_repeats_ttilde(self, H, tmp_path):
+        # at large H t successive ttilde round to the same double, which
+        # the quadrature takes as the same sample
+        out = tmp_path / "a.csv"
+        assert main(["analytic", "--model", "2d", "--H", H, "--I", "3", "--t-end", "25",
+                     "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        ttilde, phi = column(rows, header, "ttilde"), column(rows, header, "phi")
+        assert (np.diff(ttilde) == 0.0).any()
+        assert phi.size == len(rows) and ((phi > 0.0) & (phi < math.pi / 2.0)).all()
+
 class TestRefusals:
     # Each argv is refused with exit 2 and one error line, and no numpy
     # warning gets out: warnings are errors here, which main would report

@@ -214,13 +214,13 @@ class TestGuards:
     @pytest.mark.parametrize("t0,times", [
         (0.0, [0.0, 1.0, math.nan]), (0.0, [math.nan]), (0.0, [0.0, 1.0, math.inf]),
         (0.0, [math.inf]), (math.nan, [0.0, 1.0])],
-        ids=["nan-sample", "nan", "inf-sample", "inf", "nan-t0"])
-    @pytest.mark.parametrize("dense", [False, True], ids=["landing", "dense"])
-    def test_non_finite_times_raise(self, t0, times, dense):
+        ids=["landing-nan-sample", "landing-nan", "landing-inf-sample", "landing-inf",
+             "landing-nan-t0"])
+    def test_non_finite_times_raise(self, t0, times):
         # NaN fails every comparison the loop makes: unchecked, these
         # would return y0 for every sample
         with pytest.raises(DomainError):
-            solve_ode(lambda t, y: (1.0,), t0, [0.0], np.array(times), dense=dense)
+            solve_ode(lambda t, y: (1.0,), t0, [0.0], np.array(times))
 
     def test_empty_state_raises(self):
         with pytest.raises(DomainError):
@@ -270,9 +270,6 @@ _REF_A = (
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 _REF_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-_REF_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-          -10690763975 / 1880347072, 701980252875 / 199316789632,
-          -1453857185 / 822651844, 69997945 / 29380423)
 
 
 def reference_solve_ode(f, t0, y0, sample_times, *, rel_tol=1e-10, abs_tol=1e-12,
@@ -400,10 +397,10 @@ def assert_matches_reference(make_field, *args, **kwargs):
 HAVE_CC = shutil.which("cc") is not None
 
 
-def assert_native(field, n, dense=False):
+def assert_native(field, n):
     """The native loop serves the declared field whenever cc is on PATH."""
     if HAVE_CC:
-        assert hasattr(_loop_kernel(n, dense, field.source), "library")
+        assert hasattr(_loop_kernel(n, field.source), "library")
 
 
 def assert_fused_matches_reference(field, t0, y0, *args, **kwargs):
@@ -596,151 +593,6 @@ def model_start(kind):
     return [1.0, 1.3, 0.9][:kind.dim] + [-0.2, 0.35, 0.15][:kind.dim]
 
 
-def reference_interpolate(grid, inside, stages):
-    """{row: sample} of the DOPRI5 continuous extension, one row at a time,
-    from the steps and stages solve_ode records for ``_interpolate``."""
-    d1, _, d3, d4, d5, d6, d7 = _REF_D
-    out = {}
-    for (first, stop, t, h), (y, y_new, k1, k3, k4, k5, k6, k7) in zip(
-            inside, np.frombuffer(stages).reshape(len(inside), 8, -1)):
-        r2 = y_new - y
-        r3 = h * k1 - r2
-        r4 = r2 - h * k7 - r3
-        r5 = h * (d1 * k1 + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * k7)
-        for row in range(int(first), int(stop)):
-            theta = (grid[row] - t) / h
-            out[row] = y + theta * (r2 + (1.0 - theta) * (
-                r3 + theta * (r4 + (1.0 - theta) * r5)))
-    return out
-
-
-DENSE_FIELDS = pytest.mark.parametrize("field,y0", [
-    *((vector_field(kind), model_start(kind)) for kind in ModelKind),
-    (_angular_field(ModelKind.ELLIPTIC_3D), [0.7, 3.0]),
-    (_angular_field(ModelKind.TWO_D), [0.7, 3.0]),
-], ids=[kind.value for kind in ModelKind] + ["angular", "angular-2d"])
-
-
-class TestDenseOutput:
-    def test_quartic_is_reproduced_quintic_is_not(self):
-        # the continuous extension is 4th order: exact for t^4 (up to
-        # rounding) whatever steps the loose tolerance takes, not for t^5
-        grid = np.linspace(0.0, 3.0, 301)
-        errors = []
-        for p in (4, 5):
-            ys = solve_ode(lambda t, y: (p * t ** (p - 1),), 0.0, [0.0], grid,
-                           rel_tol=1e-3, abs_tol=1e-3, dense=True)
-            errors.append(np.max(np.abs(ys[:, 0] - grid ** p)) / grid[-1] ** p)
-        assert errors[0] <= 1e-14
-        assert errors[1] >= 1e-6
-
-    @pytest.mark.parametrize("kind", list(ModelKind))
-    def test_samples_do_not_move_the_steps(self, kind):
-        # the end state and the RHS calls are those of a run with no samples
-        # between t0 and t_end, bit for bit
-        grid = sample_grid(0.0, 3.0, 1e-3)
-        f, g = counted(vector_field(kind)), counted(vector_field(kind))
-        dense = solve_ode(f, 0.0, model_start(kind), grid, dense=True)
-        bare = solve_ode(g, 0.0, model_start(kind), np.array([0.0, 3.0]))
-        assert dense.shape == (grid.size, 2 * kind.dim)
-        assert dense[-1].tobytes() == bare[-1].tobytes()
-        assert dense[0].tolist() == model_start(kind)
-        assert f.calls == g.calls
-
-    @DENSE_FIELDS
-    def test_fused_matches_called(self, field, y0):
-        # the step that inlines a declared field (natively whenever cc is on
-        # PATH) and the Python step that calls it (through a wrapper)
-        # interpolate the same samples, bit for bit
-        grid = sample_grid(0.0, 3.0, 1e-3)
-        fused = solve_ode(field, 0.0, y0, grid, rel_tol=1e-12, dense=True)
-        assert_native(field, len(y0), dense=True)
-        called = solve_ode(counted(field), 0.0, y0, grid, rel_tol=1e-12, dense=True)
-        assert fused.tobytes() == called.tobytes()
-
-    @DENSE_FIELDS
-    def test_interpolation_matches_row_by_row_reference(self, field, y0, monkeypatch):
-        # the batched interpolation writes each sample inside a step as the
-        # row-by-row formula computes it, bit for bit
-        module = sys.modules["fireball.integrate"]
-        interpolate, recorded = module._interpolate, []
-
-        def spy(ys, grid, inside, stages):
-            recorded.append((grid, list(inside), stages))
-            interpolate(ys, grid, inside, stages)
-
-        monkeypatch.setattr(module, "_interpolate", spy)
-        ys = solve_ode(field, 0.0, y0, sample_grid(0.0, 3.0, 1e-3), rel_tol=1e-12,
-                       dense=True)
-        (grid, inside, stages), = recorded
-        expected = reference_interpolate(grid, inside, stages)
-        rows = sorted(expected)
-        assert len(rows) > 2000  # of the 3001 samples
-        assert ys[rows].tobytes() == np.array([expected[row] for row in rows]).tobytes()
-
-    @pytest.mark.parametrize("kind", list(ModelKind))
-    @settings(max_examples=6, deadline=None)
-    @given(data=st.data())
-    def test_agrees_with_landing(self, kind, data):
-        # measured on 200 random states per model over these ranges, on this
-        # grid and a coarse one: at most 9.4e-12 of the column's largest value
-        d = kind.dim
-        q = [data.draw(st.floats(0.6, 1.8)) for _ in range(d)]
-        qdot = [data.draw(st.floats(-0.8, 0.8)) for _ in range(d)]
-        t0 = data.draw(st.floats(0.0, 3.0))
-        grid = sample_grid(t0, t0 + 2.0, 1e-3)
-        landed, dense = (solve_ode(vector_field(kind), t0, q + qdot, grid, rel_tol=1e-12,
-                                   abs_tol=1e-12, dense=flag) for flag in (False, True))
-        scale = np.max(np.abs(landed), axis=0)
-        assert np.max(np.abs(dense - landed) / scale) <= 5e-11
-
-    def test_samples_at_step_ends_are_the_end_states(self, caplog):
-        # the last stage of each step evaluates f at the step's end state
-        calls = []
-
-        def f(t, y):
-            calls.append((t, list(y)))
-            return (-y[0],)
-
-        with caplog.at_level(logging.DEBUG, logger="fireball.integrate"):
-            solve_ode(f, 0.0, [1.0], np.array([0.0, 4.0]), rel_tol=1e-8, dense=True)
-        accepted, rejected = [r.args for r in caplog.records
-                              if str(r.msg).startswith("solve_ode:")][0][:2]
-        assert rejected == 0 and len(calls) == 1 + 6 * accepted and accepted > 3
-        ends = calls[6::6]
-        # each step's end, and a sample 1e-3 before it
-        grid = [0.0] + [u for t, _ in ends for u in (t - 1e-3, t)]
-        ys = solve_ode(lambda t, y: (-y[0],), 0.0, [1.0], np.array(grid),
-                       rel_tol=1e-8, dense=True)[:, 0]
-        assert ys[2::2].tolist() == [y[0] for _, y in ends]
-        assert np.max(np.abs(ys - np.exp(-np.array(grid)))) <= 1e-8
-
-    def test_refusing_field_raises_singularity_error(self):
-        def f(t, y):
-            if not y[0] > 1e-12:
-                raise DomainError("below the floor")
-            return (-1.0,)
-
-        with pytest.raises(SingularityError) as err:
-            solve_ode(f, 0.0, [1.0], sample_grid(0.0, 2.0, 0.01), dense=True)
-        assert err.value.last_y[0] > 1e-12
-        assert err.value.last_t == pytest.approx(1.0, abs=1e-6)
-
-    @pytest.mark.parametrize("times", [[0.0, 1.0, 0.5, 2.0], [0.0, 1.0, 1.0 - 1e-9, 2.0]],
-                             ids=["back-a-step", "back-by-1e-9"])
-    def test_decreasing_sample_times_raise(self, times):
-        with pytest.raises(DomainError):
-            solve_ode(lambda t, y: (-y[0],), 0.0, [1.0], np.array(times), dense=True)
-
-    def test_sample_times_before_t0_raise(self):
-        with pytest.raises(DomainError):
-            solve_ode(lambda t, y: (1.0,), 1.0, [1.0], np.array([0.0, 0.5, 2.0]), dense=True)
-        ys = solve_ode(lambda t, y: (1.0,), 1.0, [1.0], np.array([1.0 - 1e-16, 1.5, 2.0]),
-                       dense=True)
-        assert ys[:, 0].tolist() == [1.0, pytest.approx(1.5, rel=1e-14),
-                                     pytest.approx(2.0, rel=1e-14)]
-
-
 class TestBenchmarkContract:
     """perfbench/spans.py reads solve_ode's step record and wraps the ``f``
     it is given to count RHS evaluations."""
@@ -758,21 +610,7 @@ class TestBenchmarkContract:
         # no stage raises here: one call to start, six per attempted step
         assert f.calls == 1 + 6 * (accepted + rejected)
 
-    def test_step_record_in_dense_mode(self, caplog):
-        f = counted(vector_field(ModelKind.TWO_D))
-        with caplog.at_level(logging.DEBUG, logger="fireball.integrate"):
-            solve_ode(f, 0.0, [1.0, 1.3, -0.2, 0.35], sample_grid(0.0, 20.0, 1e-3),
-                      dense=True)
-        records = [r for r in caplog.records if str(r.msg).startswith("solve_ode:")]
-        assert len(records) == 1
-        accepted, rejected = records[0].args[0:2]
-        assert type(accepted) is int and type(rejected) is int
-        assert 0 < accepted < 1000  # far fewer steps than the 20,000 samples
-        assert f.calls == 1 + 6 * (accepted + rejected)
-        assert records[0].args[2] == 0
-
-    @pytest.mark.parametrize("dense", [False, True], ids=["landing", "dense"])
-    def test_step_record_counts_refused_stages(self, dense, caplog):
+    def test_step_record_counts_refused_stages(self, caplog):
         # the third argument counts the stages whose DomainError refused
         # their step; those steps are among the rejected ones
         kind = ModelKind.TWO_D
@@ -787,8 +625,7 @@ class TestBenchmarkContract:
 
         f.calls = 0
         with caplog.at_level(logging.DEBUG, logger="fireball.integrate"):
-            solve_ode(f, 0.0, [1.0, 1.3, -0.2, 0.35], sample_grid(0.0, 20.0, 0.5),
-                      dense=dense)
+            solve_ode(f, 0.0, [1.0, 1.3, -0.2, 0.35], sample_grid(0.0, 20.0, 0.5))
         records = [r for r in caplog.records if str(r.msg).startswith("solve_ode:")]
         accepted, rejected, refused = records[0].args[0:3]
         assert type(refused) is int
@@ -822,13 +659,12 @@ class TestDeclaredFields:
         angular_quadrature(sol, kind, grid)
         assert _loop_kernel.cache_info().misses == misses
 
-    @pytest.mark.parametrize("kind,calls", [(ModelKind.TWO_D, 1891),
-                                            (ModelKind.ELLIPTIC_3D, 1969)])
+    @pytest.mark.parametrize("kind,calls", [(ModelKind.TWO_D, 15673),
+                                            (ModelKind.ELLIPTIC_3D, 15745)])
     def test_angular_quadrature_rhs_count(self, kind, calls, monkeypatch):
         # perfbench's analytic.angular_quadrature.rhs_evals anchor, on the
-        # 2501 samples of `fireball analytic --t-end 25`: on dense output the
-        # tolerance sets the steps (landing on each sample took over 15,000
-        # calls)
+        # 2501 samples of `fireball analytic --t-end 25`: a step lands on
+        # each sample, at six calls per step plus rejected steps and the start
         wrapped = []
 
         def spy(f, *args, **kwargs):
@@ -915,20 +751,18 @@ class TestNativeLoop:
          "step size underflow"),
         (ROOT.function, 0.0, [1.0], np.array([0.0, 3.0]), {}, TypeError, "'>' not supported"),
         (ROOT.function, 0.0, [-0.5], np.array([0.0, 3.0]), {}, TypeError, "'>' not supported"),
-    ], ids=["refusals-at-floor", "underflow", "fifty-refusals", "fall", "blowup", "complex",
-            "complex-start"])
-    @pytest.mark.parametrize("dense", [False, True], ids=["landing", "dense"])
-    def test_errors_match_the_python_loop(self, field, t0, y0, grid, kw, error, message, dense):
+    ], ids=["landing-refusals-at-floor", "landing-underflow", "landing-fifty-refusals",
+            "landing-fall", "landing-blowup", "landing-complex", "landing-complex-start"])
+    def test_errors_match_the_python_loop(self, field, t0, y0, grid, kw, error, message):
         # the same error, message and last state as the Python loop gives
         # when it calls the field, in every way a run can fail; in the last
         # two cases a power is complex in Python (at a stage, or at the
         # start), so the Python loop runs the solve again to raise
-        got = failure(field, t0, y0, grid, dense=dense, **kw)
-        assert_native(field, len(y0), dense)
-        assert got == failure(counted(field), t0, y0, grid, dense=dense, **kw)
+        got = failure(field, t0, y0, grid, **kw)
+        assert_native(field, len(y0))
+        assert got == failure(counted(field), t0, y0, grid, **kw)
         assert got[0] is error
-        if not dense:  # dense steps do not land on the samples, so fail elsewhere
-            assert got[1].startswith(message)
+        assert got[1].startswith(message)
 
     def test_underflow_exit_and_message(self, capsys):
         # a state that starts 1e-10 above the floor: exit 3, and the
@@ -947,22 +781,20 @@ class TestNativeLoop:
         yield tmp_path / "fireball"
         _loop_kernel.cache_clear()
 
-    @pytest.mark.parametrize("dense", [False, True], ids=["landing", "dense"])
-    def test_without_a_compiler_the_python_loop_serves(self, dense, fresh_kernels,
-                                                       monkeypatch, caplog):
+    def test_without_a_compiler_the_python_loop_serves(self, fresh_kernels, monkeypatch,
+                                                       caplog):
         field = vector_field(ModelKind.TWO_D)
         args = (0.0, model_start(ModelKind.TWO_D), sample_grid(0.0, 5.0, 0.01))
-        want = solve_ode(field, *args, dense=dense)
-        assert_native(field, 4, dense)
+        want = solve_ode(field, *args)
+        assert_native(field, 4)
         _loop_kernel.cache_clear()
         monkeypatch.setenv("XDG_CACHE_HOME", str(fresh_kernels / "empty"))
         monkeypatch.setattr(native, "_compiler", lambda: None)
         with caplog.at_level(logging.INFO, logger="fireball.integrate"):
-            got = solve_ode(field, *args, dense=dense)
-        assert not hasattr(_loop_kernel(4, dense, field.source), "library")
+            got = solve_ode(field, *args)
+        assert not hasattr(_loop_kernel(4, field.source), "library")
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
-            f"n=4 {'dense' if dense else 'landing'} loop of the declared field "
-            "(X, Y, Xd, Yd): Python, no C compiler (cc) on PATH"]
+            "n=4 loop of the declared field (X, Y, Xd, Yd): Python, no C compiler (cc) on PATH"]
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
@@ -979,7 +811,7 @@ class TestNativeLoop:
         args = (source.function, 0.0, [1.0, 0.0], sample_grid(0.0, 1.0, 0.01))
         want = solve_ode(*args)
         assert len(builds) == 1
-        _, how = native.kernel(2, False, source, None)
+        _, how = native.kernel(2, source, None)
         assert how.startswith("from the cache") and len(builds) == 1
         path, = fresh_kernels.glob("*.so")
         data = path.read_bytes()
@@ -993,21 +825,19 @@ class TestNativeLoop:
 
     @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
     def test_generated_c_compiles_without_warnings(self, tmp_path):
-        # every declared field of the package, in both modes: a warning
-        # from the emitter fails here rather than hide a mistranslation
+        # every declared field of the package: a warning from the emitter
+        # fails here rather than hide a mistranslation
         fields = [vector_field(kind) for kind in ModelKind] + [
             _angular_field(kind) for kind in (ModelKind.TWO_D, ModelKind.ELLIPTIC_3D)]
         files = []
         for i, field in enumerate(fields):
-            for dense in (False, True):
-                files.append(tmp_path / f"loop{i}{'d' if dense else 'l'}.c")
-                files[-1].write_text(native.c_source(len(field.source.args), dense,
-                                                     field.source))
+            files.append(tmp_path / f"loop{i}.c")
+            files[-1].write_text(native.c_source(len(field.source.args), field.source))
         proc = subprocess.run(["cc", *native.FLAGS, "-Wall", "-Wextra", "-Werror", "-c",
                                *map(str, files)], cwd=tmp_path, capture_output=True,
                               text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr
-        assert len(list(tmp_path.glob("*.o"))) == 12
+        assert len(list(tmp_path.glob("*.o"))) == 6
 
     @pytest.mark.parametrize("declaration,reason", [
         ({"positive": "abs(x) > 0.0"}, "cannot translate abs(x)"),
@@ -1022,4 +852,4 @@ class TestNativeLoop:
         source = FieldSource(**{"args": ("x",), "positive": "x > 0.0", "refusal": '"refused"',
                                 "outputs": ("-x",), **declaration})
         with pytest.raises(native.Unavailable, match=re.escape(reason)):
-            native.c_source(1, False, source)
+            native.c_source(1, source)
