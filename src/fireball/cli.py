@@ -11,7 +11,6 @@ whose traceback is logged only at ``FIREBALL_LOG=debug``).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import json
 import logging
@@ -160,13 +159,15 @@ def _integrator_config(settings: dict) -> IntegratorConfig:
     return IntegratorConfig(**{k: settings[k] for k in _INTEGRATOR_KEYS})
 
 
-def _write_text(out: str | None, text: str) -> None:
+def _write_text(out: str | None, *texts: str) -> None:
     if out in (None, "-"):
-        sys.stdout.write(text)
+        for text in texts:
+            sys.stdout.write(text)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for text in texts:
+                fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write output file {out!r}: {exc}") from exc
 
@@ -180,6 +181,21 @@ def _trajectory_columns(traj, kind: ModelKind) -> dict[str, np.ndarray]:
     return columns
 
 
+@functools.cache
+def _csv_writer():
+    """The native CSV row writer (:func:`fireball.native.csv_writer`), or
+    None where the Python rows serve, chosen on first use.  One info record
+    says which, and why."""
+    from . import native
+    try:
+        write, how = native.csv_writer()
+    except native.Unavailable as exc:
+        log.info("CSV rows: Python, %s", exc)
+        return None
+    log.info("CSV rows: native, %s", how)
+    return write
+
+
 def _emit_table(settings: dict, command: str, meta_keys: list[str],
                 columns, data: dict, extra: dict[str, float] = {}) -> None:
     """Write the ``columns`` of ``data`` (name -> 1-d array) as one table.
@@ -190,8 +206,9 @@ def _emit_table(settings: dict, command: str, meta_keys: list[str],
     """
     meta = {k: settings[k] for k in meta_keys if settings.get(k) is not None}
     present = [c for c in columns if c in data]
-    table = np.column_stack([data[c] for c in present]).tolist()
+    block = np.column_stack([data[c] for c in present])
     if settings["format"] == "json":
+        table = block.tolist()
         if len(present) < len(columns):
             slots = [present.index(c) if c in data else None for c in columns]
             table = [[None if j is None else row[j] for j in slots] for row in table]
@@ -209,10 +226,16 @@ def _emit_table(settings: dict, command: str, meta_keys: list[str],
         lines = [f"# schema={SCHEMA_VERSION}", f"# command={command}", f"# {pairs}"]
         lines += [f"# {k}={v:.17g}" for k, v in extra.items()]
         lines.append(",".join(columns))
-        # 17 significant digits round-trip every float.
-        row_format = ",".join("%.17g" if c in data else "" for c in columns)
-        lines += [row_format % tuple(row) for row in table]
-        _write_text(settings.get("out"), "\n".join(lines) + "\n")
+        # 17 significant digits round-trip every float.  The native writer
+        # gives the same bytes, and hands each row it declines back here.
+        row_format = ",".join("%.17g" if c in data else "" for c in columns) + "\n"
+        write = _csv_writer()
+        if write is None:
+            body = "".join([row_format % tuple(row) for row in block.tolist()])
+        else:
+            body = write(block, bytes(c in data for c in columns),
+                         lambda i: row_format % tuple(block[i].tolist()))
+        _write_text(settings.get("out"), "\n".join(lines) + "\n", body)
 
 
 def _run_simulate(settings: dict) -> int:
@@ -245,6 +268,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         outs.add(out)
     jobs = min(args.jobs or 1, len(runs), os.cpu_count() or 1)
     if jobs > 1:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             codes = list(pool.map(_run_simulate, runs))
     else:

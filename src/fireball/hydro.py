@@ -101,10 +101,12 @@ class PdeResidualReport:
 
 
 def _relative(terms) -> np.ndarray:
-    """|sum of the terms| over the sum of their magnitudes; 0 where every
-    term vanishes."""
+    """|sum of the terms| over the sum of their magnitudes; 0 where the
+    terms vanish.  Subnormal terms round in absolute, not relative, steps,
+    so a magnitude sum below the smallest normal float counts as vanishing."""
     total, size = sum(terms), sum(np.abs(term) for term in terms)
-    return np.divide(np.abs(total), size, out=np.zeros_like(size), where=size > 0.0)
+    return np.divide(np.abs(total), size, out=np.zeros_like(size),
+                     where=size >= np.finfo(float).tiny)
 
 
 def pde_residuals(params: PhysicalParams, qs, qdots, qdds, kind: ModelKind,

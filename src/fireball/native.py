@@ -1,5 +1,5 @@
-"""The Dormand-Prince loop of :mod:`fireball.integrate` as native code, for
-a declared field.
+"""Native code: the Dormand-Prince loop of :mod:`fireball.integrate` for a
+declared field, and the CLI's CSV row writer.
 
 :func:`kernel` translates the loop that :func:`fireball.integrate.solve_ode`
 would run in Python for a :class:`fireball.dynamics.FieldSource` into C,
@@ -28,6 +28,26 @@ can differ from the library's in the last bit).  A source that would not
 evaluate doubles in double precision (``FLT_EVAL_METHOD != 0``, as on x87)
 fails to build.
 
+:func:`csv_writer` loads one fixed C source, :data:`CSV_SOURCE`, that
+writes a float64 block as CSV lines, each value as Python's ``"%.17g" %
+x`` writes it, byte for byte.  For ``x = m 2**e`` (``m`` the 53-bit
+significand) it finds the decimal exponent ``k = floor(log10 |x|)`` from
+the binary exponent, to within one, and settles it by the floor of
+``|x| 10**(16-k)``, which must have 17 digits.  That floor is exact: it is
+``m 5**s`` shifted by ``e + s`` bits for ``s = 16 - k >= 0``, or ``m 2**e``
+divided by ``10**-s``, in ``unsigned __int128``, and the bits or the
+remainder it drops say whether the rest is below, at or above one half.
+The 17 digits are then rounded half to even, as Python's correctly
+rounded conversion does, and a carry to 10**17 moves ``k`` up one, as in
+C's ``%g``, which takes its exponent after rounding.  The layout is
+``%g``'s: e-notation for ``k < -4`` or ``k >= 17``, fixed otherwise,
+trailing zeros stripped, ``0`` and ``-0`` for the zeros.  The writer
+declines NaN, the infinities and every value whose product would not fit
+in 128 bits, which leaves it ``10**-16 <= |x| < 2**128``; the row with
+such a value comes from Python instead, and the writer resumes at the row
+after it.  It builds once per machine and cache, in 0.20-0.24 s, as a
+kernel does.
+
 Shared objects are cached in ``$XDG_CACHE_HOME/fireball`` (else
 ``~/.cache/fireball``; a per-process temporary directory when neither can
 be written), named by a hash of the source, the flags and the platform,
@@ -35,7 +55,7 @@ beside the SHA-256 of their bytes: a file that does not match is rebuilt,
 not loaded.  A build takes 0.12-0.34 s per kernel (gcc 12 on a 2-vCPU
 x86-64 machine); a cached kernel loads in well under a millisecond.
 Without a C compiler, or when a build fails, :class:`Unavailable` says why
-and the Python loop serves.
+and the Python loop, or Python's row formatting, serves.
 """
 
 from __future__ import annotations
@@ -204,8 +224,209 @@ $store
 }
 """)
 
+# The CSV row writer (csv_writer): one fixed source.
+CSV_SOURCE = r"""#include <math.h>
+#include <stdint.h>
+#include <string.h>
+
+typedef unsigned __int128 u128;
+
+static const uint64_t POW5[28] = {
+    1ULL, 5ULL, 25ULL, 125ULL, 625ULL, 3125ULL, 15625ULL, 78125ULL, 390625ULL,
+    1953125ULL, 9765625ULL, 48828125ULL, 244140625ULL, 1220703125ULL, 6103515625ULL,
+    30517578125ULL, 152587890625ULL, 762939453125ULL, 3814697265625ULL,
+    19073486328125ULL, 95367431640625ULL, 476837158203125ULL, 2384185791015625ULL,
+    11920928955078125ULL, 59604644775390625ULL, 298023223876953125ULL,
+    1490116119384765625ULL, 7450580596923828125ULL};
+
+static const char PAIRS[] =
+    "00010203040506070809101112131415161718192021222324"
+    "25262728293031323334353637383940414243444546474849"
+    "50515253545556575859606162636465666768697071727374"
+    "75767778798081828384858687888990919293949596979899";
+
+#define TEN16 10000000000000000ULL
+#define TEN17 100000000000000000ULL
+
+/* floor(m 2^e 10^s) into *q, and how the fraction it drops compares with
+   1/2 into *half (-1 below, 0 equal, 1 above).  Returns 0 where m 5^s or
+   m 2^e would not fit in 128 bits: s > 32, or s < 0 with e > 75. */
+static int scale(uint64_t m, int e, int s, u128 *q, int *half)
+{
+    u128 n, p;
+    int shift;
+
+    if (s >= 0) {
+        if (s > 32)
+            return 0;
+        p = s <= 27 ? (u128)POW5[s] : (u128)POW5[27] * POW5[s - 27];
+        n = (u128)m * p; /* m < 2^53, 5^32 < 2^75 */
+        shift = e + s;   /* m 2^e 10^s = n 2^shift */
+        if (shift >= 0) {
+            if (shift > 60 || (n >> (127 - shift)) != 0)
+                return 0;
+            *q = n << shift;
+            *half = -1;
+            return 1;
+        }
+        shift = -shift;
+        if (shift >= 128) {
+            *q = 0;
+            *half = -1;
+            return 1;
+        }
+        *q = n >> shift;
+        n &= ((u128)1 << shift) - 1;
+        p = (u128)1 << (shift - 1);
+        *half = n < p ? -1 : n > p;
+        return 1;
+    }
+    if (s < -38 || e < 0 || e > 75)
+        return 0;
+    for (p = 1; s < 0; s++)
+        p *= 10;
+    n = (u128)m << e;
+    *q = n / p;
+    n %= p; /* 2 n < 2 p < 2^128 */
+    *half = 2 * n < p ? -1 : 2 * n > p;
+    return 1;
+}
+
+/* x, finite and not zero, as C's %.17g writes it, at p.  Returns the end,
+   or NULL where scale does not cover x. */
+static char *put_value(char *p, double x)
+{
+    uint64_t bits, m, d;
+    uint32_t eight;
+    int biased, e, k, half, i, j, last;
+    double estimate;
+    u128 q;
+    char digits[17];
+
+    __builtin_memcpy(&bits, &x, sizeof bits);
+    if (bits >> 63)
+        *p++ = '-';
+    biased = (int)(bits >> 52) & 0x7ff;
+    m = bits & ((1ULL << 52) - 1);
+    if (biased) {
+        m |= 1ULL << 52;
+        e = biased - 1075;
+    } else {
+        e = -1074;
+    }
+    /* |x| = m 2^e < 2^b with b = e + 64 - clz(m), so floor(b log10 2) is
+       k = floor(log10 |x|) or k + 1: step down until the floor of |x|
+       10^(16-k) has 17 digits */
+    estimate = (e + 64 - __builtin_clzll(m)) * 0.30102999566398120;
+    k = (int)estimate;
+    if (k > estimate)
+        k--;
+    for (;;) {
+        if (!scale(m, e, 16 - k, &q, &half))
+            return NULL;
+        if (q >= TEN16)
+            break;
+        k--;
+    }
+    /* round half to even; a carry to 10^17 moves to the next decade */
+    d = (uint64_t)q;
+    if (half > 0 || (half == 0 && (d & 1)))
+        d++;
+    if (d == TEN17) {
+        d = TEN16;
+        k++;
+    }
+    digits[0] = (char)('0' + d / TEN16);
+    d %= TEN16;
+    for (i = 0; i < 2; i++) {
+        eight = (uint32_t)(i ? d % 100000000 : d / 100000000);
+        for (j = 0; j < 4; j++) {
+            __builtin_memcpy(digits + 8 * i + 7 - 2 * j, PAIRS + 2 * (eight % 100), 2);
+            eight /= 100;
+        }
+    }
+    for (last = 16; digits[last] == '0'; last--)
+        ;
+    /* %g: e-notation for an exponent below -4 or from the precision up,
+       trailing zeros stripped either way */
+    if (k < -4 || k >= 17) {
+        *p++ = digits[0];
+        if (last > 0) {
+            *p++ = '.';
+            memcpy(p, digits + 1, last);
+            p += last;
+        }
+        *p++ = 'e';
+        *p++ = k < 0 ? '-' : '+';
+        if (k < 0)
+            k = -k;
+        if (k >= 100)
+            *p++ = (char)('0' + k / 100);
+        *p++ = (char)('0' + k / 10 % 10);
+        *p++ = (char)('0' + k % 10);
+    } else if (k >= 0) {
+        memcpy(p, digits, k + 1);
+        p += k + 1;
+        if (last > k) {
+            *p++ = '.';
+            memcpy(p, digits + k + 1, last - k);
+            p += last - k;
+        }
+    } else {
+        *p++ = '0';
+        *p++ = '.';
+        for (i = -1; i > k; i--)
+            *p++ = '0';
+        memcpy(p, digits, last + 1);
+        p += last + 1;
+    }
+    return p;
+}
+
+/* The CSV lines of rows first.. of block, a C-contiguous (rows, fields)
+   array, at out: a value where present[column] is set, an empty field
+   where not.  Stops before a row holding a value that is not finite or
+   that put_value declines.  Returns that row, or rows when every row is
+   written, and the bytes written in *written. */
+long long fireball_csv_rows(const double *block, long long rows, long long first,
+                            const unsigned char *present, long long columns, char *out,
+                            long long *written)
+{
+    long long fields = 0, row, column;
+    const double *value;
+    char *p = out, *line;
+
+    for (column = 0; column < columns; column++)
+        fields += present[column] != 0;
+    for (row = first; row < rows; row++) {
+        value = block + row * fields;
+        line = p;
+        for (column = 0; column < columns; column++) {
+            if (column)
+                *p++ = ',';
+            if (!present[column])
+                continue;
+            if (*value == 0.0) {
+                if (signbit(*value))
+                    *p++ = '-';
+                *p++ = '0';
+            } else if (!isfinite(*value) || !(p = put_value(p, *value))) {
+                p = line;
+                goto declined;
+            }
+            value++;
+        }
+        *p++ = '\n';
+    }
+declined:
+    *written = p - out;
+    return row;
+}
+"""
+
+
 class Unavailable(Exception):
-    """The native loop cannot serve a kernel; the message says why."""
+    """Native code cannot serve a kernel or the row writer; the message says why."""
 
 
 class _Translator:
@@ -448,6 +669,13 @@ def _library(code: str) -> tuple[str, str]:
     raise Unavailable(f"no cache directory could be written: {error}")
 
 
+def _load(path: str) -> ctypes.CDLL:
+    try:
+        return ctypes.CDLL(path)
+    except OSError as exc:
+        raise Unavailable(f"{path} could not be loaded: {exc}") from None
+
+
 def kernel(n: int, source: FieldSource, python):
     """A runner of the native loop for ``source``, as
     :func:`fireball.integrate._run_python` runs the Python one, and how its
@@ -455,10 +683,7 @@ def kernel(n: int, source: FieldSource, python):
     hands back.  Raises :class:`Unavailable` with the reason when there is
     none."""
     path, how = _library(c_source(n, source))
-    try:
-        library = ctypes.CDLL(path)
-    except OSError as exc:
-        raise Unavailable(f"{path} could not be loaded: {exc}") from None
+    library = _load(path)
     loop = library.fireball_loop
     loop.argtypes = [ctypes.c_void_p, ctypes.c_longlong] + [ctypes.c_void_p] * 4
     loop.restype = ctypes.c_int
@@ -485,3 +710,47 @@ def kernel(n: int, source: FieldSource, python):
 
     run.library = library  # the loaded object, which also marks the runner native
     return run, how
+
+
+# The bytes of the longest field the writer gives, -1.2345678901234567e-308,
+# with its comma.
+_FIELD_BYTES = 25
+
+
+def csv_writer():
+    """A writer of CSV rows with the object of :data:`CSV_SOURCE`, and how
+    that object was got.  Raises :class:`Unavailable` with the reason when
+    there is none.
+
+    ``write(block, present, python_row)`` returns the lines of the rows of
+    ``block``, a (rows, fields) float array, as one string: for each byte
+    of ``present`` a field, ``%.17g`` of the row's next value where the
+    byte is set and empty where it is zero, joined by commas, and a newline.
+    ``python_row(i)`` gives the line of each row i the writer declines."""
+    path, how = _library(CSV_SOURCE)
+    rows = _load(path).fireball_csv_rows
+    rows.argtypes = [ctypes.c_void_p, ctypes.c_longlong, ctypes.c_longlong, ctypes.c_char_p,
+                     ctypes.c_longlong, ctypes.c_void_p, ctypes.c_void_p]
+    rows.restype = ctypes.c_longlong
+
+    def write(block, present: bytes, python_row) -> str:
+        block = np.ascontiguousarray(block, dtype=float)
+        if block.ndim != 2 or block.shape[1] != len(present) - present.count(0):
+            raise ValueError(f"a {block.shape} block for {len(present)} columns, "
+                             f"{len(present) - present.count(0)} of them present")
+        count = len(block)
+        out = bytearray(count * (_FIELD_BYTES * len(present) + 1))
+        base = ctypes.addressof((ctypes.c_char * len(out)).from_buffer(out))
+        view, written = memoryview(out), ctypes.c_longlong()
+        parts, row, end = [], 0, 0
+        while True:
+            row = rows(block.ctypes.data, count, row, present, len(present), base + end,
+                       ctypes.byref(written))
+            parts.append(str(view[end:end + written.value], "ascii"))
+            end += written.value
+            if row == count:
+                return "".join(parts)
+            parts.append(python_row(row))
+            row += 1
+
+    return write, how

@@ -638,17 +638,18 @@ class TestDeclaredFields:
     callable, wrappers of a declared field included."""
 
     def test_import_compiles_no_kernel(self):
-        # nor loads the native loop's module or what it alone imports
+        # nor loads the native module, what it alone imports, or the pool
+        # that only simulate --jobs > 1 uses
         code = ("import sys, fireball, fireball.cli\n"
                 "from fireball.integrate import _loop_kernel\n"
                 "print(_loop_kernel.cache_info().misses, *(m in sys.modules for m in\n"
-                "      ('fireball.native', 'hashlib', 'subprocess')))")
+                "      ('fireball.native', 'hashlib', 'subprocess', 'concurrent.futures')))")
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
             env={"PATH": "/usr/bin:/bin",
                  "PYTHONPATH": os.path.dirname(os.path.dirname(fireball.__file__))})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "False", "False", "False"]
+        assert proc.stdout.split() == ["0", "False", "False", "False", "False"]
 
     @pytest.mark.parametrize("kind", [ModelKind.TWO_D, ModelKind.ELLIPTIC_3D])
     def test_angular_quadrature_reuses_its_kernel(self, kind):

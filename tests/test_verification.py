@@ -160,6 +160,17 @@ def test_ermakov_check_sees_a_term_that_breaks_scaling(monkeypatch):
     assert not check.passed and check.value > 1e-10
 
 
+def test_a_subnormal_rate_leaves_the_residuals_exact():
+    # every continuity and energy term is subnormal, and rounds in absolute
+    # steps: such a sum counts as vanishing rather than as a 0.027 residual
+    kind = ModelKind.ONE_D
+    params = PhysicalParams(n0=1.3, T0=2.0, X0=0.8, Y0=1.2, Z0=0.7, m=1.5)
+    qs = np.array([[0.33203125]])
+    for rate in (5e-324, 1e-320, 0.0):
+        report = pde_residuals(params, qs, np.array([[rate]]), accel(qs, kind), kind)
+        assert report.max_abs <= 1e-12, rate
+
+
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(list(ModelKind)), beta=st.floats(0.5, 5.0), data=st.data())
 def test_exact_identities_hold_on_random_states(kind, beta, data):
