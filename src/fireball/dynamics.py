@@ -144,9 +144,15 @@ def potential(q: np.ndarray, kind: ModelKind):
     variances over the D spatial axes.
 
     Accepts a (d,) vector or an (n, d) batch; returns a scalar or (n,) array.
+    This public form checks the variances and raises :class:`DomainError`
+    for a non-positive one; ``_potential`` is the same formula without the
+    check, for callers whose variances are already known to be positive.
     """
     q = np.asarray(q, dtype=float)
-    _positive(q)
+    return _potential(_positive(q), kind)
+
+
+def _potential(q: np.ndarray, kind: ModelKind):
     D = kind.spatial_dim
     return D / 2 * axis_product(q, kind) ** (-2.0 / D)
 
@@ -155,7 +161,7 @@ def kinetic(qdot: np.ndarray, kind: ModelKind):
     """Kinetic part of the energy, sum(M qdot^2) / 2 (batch-friendly like
     :func:`potential`)."""
     qdot = np.asarray(qdot, dtype=float)
-    return 0.5 * np.sum(kind.weights * qdot ** 2, axis=-1)
+    return 0.5 * np.add.reduce(kind.weights * qdot ** 2, axis=-1)
 
 
 @dataclass(frozen=True)

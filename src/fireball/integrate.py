@@ -59,7 +59,7 @@ import functools
 import logging
 import math
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -301,9 +301,9 @@ class IntegratorConfig:
     sample_interval: float = 0.01
 
     def __post_init__(self):
-        for f in fields(self):
-            if math.isnan(getattr(self, f.name)):
-                raise DomainError(f"{f.name} must not be NaN")
+        for name in self.__dataclass_fields__:
+            if math.isnan(getattr(self, name)):
+                raise DomainError(f"{name} must not be NaN")
         for name in ("t_end", "sample_interval"):
             if math.isinf(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
@@ -338,12 +338,16 @@ class Trajectory:
             raise DomainError(
                 f"trajectory arrays inconsistent: times {times.shape}, "
                 f"qs {qs.shape}, qdots {qdots.shape}, model dim {self.kind.dim}")
-        # Written so that NaN fails each test.
-        if not np.isfinite(times).all():
-            raise DomainError("sample times must be finite")
-        if not (times[1:] > times[:-1]).all():
+        # Written so that NaN fails each test.  Strictly increasing times
+        # between finite ends are all finite; which fact fails is asked only
+        # when one does.
+        if not (times.size == 0 or ((times[1:] > times[:-1]).all()
+                                    and -math.inf < times[0] and times[-1] < math.inf)):
+            if not np.isfinite(times).all():
+                raise DomainError("sample times must be finite")
             raise DomainError("sample times must be strictly increasing")
-        if not ((qs > 0.0) & (qs < math.inf)).all():
+        if not (0.0 < np.minimum.reduce(qs, axis=None, initial=math.inf)
+                and np.maximum.reduce(qs, axis=None, initial=0.0) < math.inf):
             raise DomainError("trajectory contains non-positive or infinite variances")
         if not np.isfinite(qdots).all():
             raise DomainError("trajectory contains non-finite rates")
@@ -400,10 +404,10 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     are compared within 1e-14 relative to the larger of |t| and a unit,
     min(1, t_end - t0): a short span, such as an angular quadrature's
     ttilde grid, scales its own tolerances and step floor.  DomainError is
-    raised unless y0 and the samples are nonempty, the samples finite and
-    non-decreasing from a finite t0 (within that tolerance), and
-    ``max_step`` at least the step floor, 1e-14 times the largest of the
-    unit, |t0| and |t_end|.  Samples at t0 get y0; the run ends at the last.
+    raised unless y0 and the samples are nonempty, the samples a 1-d
+    sequence, finite and non-decreasing from a finite t0 (within that
+    tolerance), and ``max_step`` at least the step floor, 1e-14 times the
+    largest of the unit, |t0| and |t_end|.  Samples at t0 get y0; the run ends at the last.
     Every later sample is the end of a step, since steps land on them; a
     sample within that tolerance of a step's end is the end state, so a
     repeated time is the same sample.  The ``solve_ode:`` debug record
@@ -414,10 +418,12 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     n = len(y)
     t = float(t0)
     grid = np.asarray(sample_times, dtype=float)
+    if grid.ndim != 1:
+        raise DomainError(f"the sample times must be a 1-d sequence, got shape {grid.shape}")
     times = grid.tolist()
     # NaN fails every comparison, so a grid whose steps all pass holds none
     # and is finite if its ends are.
-    if not (n and times and (np.diff(grid) >= 0.0).all() and math.isfinite(t)
+    if not (n and times and (grid[1:] >= grid[:-1]).all() and math.isfinite(t)
             and -math.inf < times[0] and times[-1] < math.inf):
         raise DomainError("the state and the sample times must be nonempty, t0 and the "
                           "sample times finite, and the sample times non-decreasing")

@@ -168,8 +168,14 @@ class PhysicalParams:
 
 def axis_product(values, kind: ModelKind):
     """Product of per-coordinate ``values`` (..., dim) over the spatial axes
-    of ``kind``: X Y Z for 3d, X^2 Y for elliptic."""
-    return np.prod(np.asarray(values, dtype=float)[..., kind.sorted_axes], axis=-1)
+    of ``kind``, left to right: (X Y) Z for 3d, (X X) Y for elliptic, and
+    for 1d the X column itself (a view of ``values``)."""
+    values = np.asarray(values, dtype=float)
+    first, *rest = kind.sorted_axes
+    product = values[..., first]
+    for axis in rest:
+        product = product * values[..., axis]
+    return product
 
 
 def reference_scales(params: PhysicalParams, kind: ModelKind) -> tuple[float, float]:

@@ -22,3 +22,14 @@ def draw_states(data, kind, n=6):
     qs = data.draw(hnp.arrays(float, (n, kind.dim), elements=st.floats(0.3, 3.0)))
     qdots = data.draw(hnp.arrays(float, (n, kind.dim), elements=st.floats(-2.0, 2.0)))
     return ts, qs, qdots, [State(t=t, q=q, qdot=qd) for t, q, qd in zip(ts, qs, qdots)]
+
+
+def radial_invariant_reference(qs, qdots, kind, V):
+    """C as ``fireball.invariants`` summed it over the full (n, d, d) matrix
+    M_i M_j c_ij^2 (each pair i < j twice, a zero diagonal): the reference
+    the pairwise sum must match bit for bit."""
+    M = kind.weights
+    qqd = qs[..., :, None] * qdots[..., None, :]
+    cross = qqd - np.swapaxes(qqd, -1, -2)
+    return (0.25 * np.sum(M[:, None] * M * cross * cross, axis=(-2, -1))
+            + np.sum(M * qs * (qs * V[..., None]), axis=-1))

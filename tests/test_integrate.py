@@ -40,6 +40,22 @@ class TestConfig:
         with pytest.raises(DomainError):
             IntegratorConfig(t_end=1.0, sample_interval=-0.1)
 
+    @pytest.mark.parametrize("settings, message", [
+        *(({name: math.nan}, f"{name} must not be NaN")
+          for name in ("t_end", "rel_tol", "abs_tol", "max_step", "sample_interval")),
+        *(({name: value}, f"{name} must be finite")
+          for name in ("t_end", "sample_interval") for value in (math.inf, -math.inf)),
+        *(({name: value}, f"{name} must lie in (0, 1), got {value}")
+          for name in ("rel_tol", "abs_tol") for value in (0.0, 1.0, -1e-3, 2.0, math.inf)),
+        *(({name: value}, f"{name} must be positive")
+          for name in ("sample_interval", "max_step") for value in (0.0, -0.5)),
+        ({"max_step": -math.inf}, "max_step must be positive"),
+    ])
+    def test_each_refusal_says_what_is_wrong(self, settings, message):
+        with pytest.raises(DomainError) as refused:
+            IntegratorConfig(**{"t_end": 1.0, **settings})
+        assert str(refused.value) == message
+
     def test_t_end_must_follow_start(self):
         s = State(t=2.0, q=[1.0], qdot=[0.0])
         with pytest.raises(DomainError):
@@ -158,6 +174,32 @@ class TestTrajectory:
             Trajectory(kind=ModelKind.ONE_D, times=[0.0, 1.0],
                        qs=[[1.0], [1.0]], qdots=[[0.0], [bad]])
 
+    @pytest.mark.parametrize("times, q, qdot, message", [
+        ([0.0, math.nan, 2.0], 1.0, 0.0, "sample times must be finite"),
+        ([math.nan], 1.0, 0.0, "sample times must be finite"),
+        ([-math.inf, 0.0], 1.0, 0.0, "sample times must be finite"),
+        ([0.0, math.inf], 1.0, 0.0, "sample times must be finite"),
+        ([1.0, math.inf, 0.0], 1.0, 0.0, "sample times must be finite"),
+        ([0.0, 2.0, 1.0], 1.0, 0.0, "sample times must be strictly increasing"),
+        ([0.0, 0.0], 1.0, 0.0, "sample times must be strictly increasing"),
+        ([0.0, 1.0], 0.0, 0.0, "trajectory contains non-positive or infinite variances"),
+        ([0.0, 1.0], math.inf, 0.0, "trajectory contains non-positive or infinite variances"),
+        ([0.0, 1.0], math.nan, 0.0, "trajectory contains non-positive or infinite variances"),
+        ([0.0, 1.0], 1.0, -math.inf, "trajectory contains non-finite rates"),
+        ([0.0, 1.0], 1.0, math.nan, "trajectory contains non-finite rates"),
+    ])
+    def test_each_refusal_says_what_is_wrong(self, times, q, qdot, message):
+        # the bad value sits in the last sample; the earlier ones are valid
+        n = len(times)
+        with pytest.raises(DomainError) as refused:
+            Trajectory(kind=ModelKind.ONE_D, times=times,
+                       qs=[[1.0]] * (n - 1) + [[q]], qdots=[[0.0]] * (n - 1) + [[qdot]])
+        assert str(refused.value) == message
+
+    def test_an_empty_trajectory_is_valid(self):
+        assert len(Trajectory(kind=ModelKind.TWO_D, times=[], qs=np.empty((0, 2)),
+                              qdots=np.empty((0, 2)))) == 0
+
 
 class TestGuards:
     def test_singularity_error_carries_last_state(self):
@@ -229,6 +271,11 @@ class TestGuards:
     def test_empty_grid_raises(self):
         with pytest.raises(DomainError):
             solve_ode(lambda t, y: (1.0,), 0.0, [1.0], [])
+
+    @pytest.mark.parametrize("grid", [5.0, [[0.0, 1.0]]], ids=["scalar", "2-d"])
+    def test_grid_of_other_shape_raises(self, grid):
+        with pytest.raises(DomainError, match="must be a 1-d sequence"):
+            solve_ode(lambda t, y: (1.0,), 0.0, [1.0], grid)
 
     def test_nan_max_step_raises(self):
         # a NaN max_step makes every step NaN: unchecked, a field that

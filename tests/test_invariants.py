@@ -4,6 +4,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fireball import (DomainError, GeneralErmakovSpec, IntegratorConfig,
                       ModelKind, State, Trajectory, UnsupportedModelError,
@@ -11,10 +12,14 @@ from fireball import (DomainError, GeneralErmakovSpec, IntegratorConfig,
                       invariant_report, itilde_invariant, noether_invariant,
                       one_d_solution, pinney_coupling, polar_invariants,
                       to_polar)
+from fireball import dynamics
 from fireball.analytic import angular_potential, polar_invariant_values
 from fireball.invariants import (ermakov_values, hamiltonian_values,
                                  noether_values, radial_invariant_values)
-from batch import draw_states
+from batch import draw_states, radial_invariant_reference
+
+# A numpy warning fails the test that raised it, next to its cause.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 positive = st.floats(min_value=0.1, max_value=8.0)
 rate = st.floats(min_value=-3.0, max_value=3.0)
@@ -132,6 +137,24 @@ class TestRadialInvariant:
         qs, qdots = rng.uniform(0.3, 3.0, (20, 3)), rng.uniform(-1.0, 1.0, (20, 3))
         rows = [float(radial_invariant_values(q, qd, kind)) for q, qd in zip(qs, qdots)]
         assert radial_invariant_values(qs, qdots, kind).tolist() == rows
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
+    @given(data=st.data())
+    def test_pairwise_sum_has_the_full_matrix_bits(self, kind, data):
+        # variances and rates from 1e-150 to 1e150, so that products
+        # overflow and underflow too; rates of either sign, or zero
+        shape = (data.draw(st.integers(1, 12)), kind.dim)
+
+        def draw(mantissas):
+            exponents = data.draw(hnp.arrays(float, shape, elements=st.integers(-150, 149)))
+            return data.draw(hnp.arrays(float, shape, elements=mantissas)) * 10.0 ** exponents
+
+        qs, qdots = draw(st.floats(1.0, 10.0)), draw(st.floats(-10.0, 10.0))
+        with np.errstate(all="ignore"):
+            for q, qd in ((qs, qdots), (qs[0], qdots[0])):
+                reference = radial_invariant_reference(q, qd, kind, dynamics.potential(q, kind))
+                np.testing.assert_array_equal(radial_invariant_values(q, qd, kind), reference)
 
 
 class TestEllipticReduction:
@@ -267,6 +290,47 @@ class TestReport:
         cfg = IntegratorConfig(t_end=50.0, sample_interval=0.1)
         report = invariant_report(integrate(s, ModelKind.TWO_D, cfg))
         assert np.all(report.values["I"] >= 2.0)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_makes_no_positivity_check_of_its_own(self, kind, monkeypatch):
+        # a Trajectory holds positive variances, so the report's V is unchecked
+        def report():
+            traj = integrate(State(t=0.0, q=[1.1, 0.8, 1.4][:kind.dim],
+                                   qdot=[0.3, -0.2, 0.1][:kind.dim]),
+                             kind, IntegratorConfig(t_end=3.0, sample_interval=0.25))
+            return invariant_report(traj)
+
+        checked = report()
+
+        def refuse(q):
+            raise AssertionError("positivity checked again")
+
+        monkeypatch.setattr(dynamics, "_positive", refuse)
+        unchecked = report()
+        assert checked.drift == unchecked.drift
+        assert all(np.array_equal(checked.values[name], unchecked.values[name])
+                   for name in checked.values)
+        with pytest.raises(AssertionError, match="positivity checked again"):
+            dynamics.potential(np.ones(kind.dim), kind)  # the public form checks
+
+    @pytest.mark.parametrize("kind", [ModelKind.THREE_D, ModelKind.ELLIPTIC_3D])
+    def test_variances_near_1e200(self, kind):
+        # P overflows inside the report's errstate and V is 0; the kinetic
+        # energy, about 1e-380, underflows quietly to 0; no warning escapes
+        d, M = kind.dim, kind.weights
+        qs = 1e200 * np.array([[1.0, 1.5, 2.0], [1.1, 1.6, 2.1], [1.2, 1.7, 2.2]])[:, :d]
+        qdots = 1e-190 * np.array([[0.3, -0.2, 0.1], [0.2, -0.1, 0.3], [0.1, 0.2, -0.3]])[:, :d]
+        report = invariant_report(Trajectory(kind=kind, times=np.array([0.0, 1.0, 2.0]),
+                                             qs=qs, qdots=qdots))
+        assert report.values["H"].tolist() == [0.0, 0.0, 0.0]
+        C = {ModelKind.THREE_D: "C", ModelKind.ELLIPTIC_3D: "Itilde"}[kind]
+        for i, (q, qd) in enumerate(zip(qs.tolist(), qdots.tolist())):
+            assert report.values["J"][i] == pytest.approx(
+                -sum(m * x * v for m, x, v in zip(M, q, qd)), rel=1e-15)
+            assert report.values[C][i] == pytest.approx(0.5 * sum(
+                M[a] * M[b] * (q[a] * qd[b] - q[b] * qd[a]) ** 2
+                for a in range(d) for b in range(a + 1, d)), rel=1e-14)
+        assert all(map(math.isfinite, report.drift.values()))
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_values_equal_the_batch_functions(self, kind):
