@@ -19,10 +19,11 @@ The closed form of phi involves elliptic functions; here it is obtained by
 adaptive integration of the equivalent second-order equation
 phi'' = -U'(phi), which conserves C and reverses branch automatically at the
 turning points U(phi) = C.  Its field is declared as source, which the
-integrator inlines into its step, as it does the models' fields, and its
-steps land on every sample of the ttilde grid, at rel/abs tolerance 1e-14:
-on 200 random states per model (q in [0.6, 1.8], qdot in [-0.8, 0.8], t to
-25) (dphi/dttilde)^2 / 2 + U(phi) then stays within 2e-14 relative of C.
+integrator's native loop inlines into its step, as it does the models'
+fields, and its steps land on every sample of the ttilde grid, at rel/abs
+tolerance 1e-14: on 200 random states per model (q in [0.6, 1.8], qdot in
+[-0.8, 0.8], t to 25) (dphi/dttilde)^2 / 2 + U(phi) then stays within 2e-14
+relative of C.
 
 The degenerate Ermakov pairing of the 1-d model with free motion gives the
 nonlinear superposition law implemented at the bottom.
@@ -130,8 +131,8 @@ def _angular_field(kind: ModelKind):
     -U'(phi) = (2 U / D) (M_Y cot(phi) - M_X tan(phi)).  It raises
     DomainError for a stage outside (0, pi/2), so the solver rejects that
     step, as it does at a variance floor.  It is a :class:`FieldSource`,
-    which the solver inlines into its step; built once per kind, so that
-    every quadrature reuses its compiled step."""
+    which the solver's native loop inlines into its step; built once per
+    kind, so that every quadrature reuses its compiled step."""
     Mx, My, K, p = _angular_law(kind)
     return FieldSource(
         args=("phi", "w"),

@@ -16,9 +16,9 @@ coordinate carries (elliptic: M = (2, 1), so its kinetic term is
 Xd^2 + Yd^2/2); the Euler-Lagrange equations read  M qdd = -grad V.
 
 The integrator's right-hand side, :func:`vector_field`, is declared once as
-source (:class:`FieldSource`) and derived from the axes; the integrator
-inlines that source into its step, and the same source compiles to a plain
-``f(t, y)`` for every other caller.
+source (:class:`FieldSource`) and derived from the axes; the integrator's
+native loop inlines that source into its step, and the same source compiles
+to the plain ``f(t, y)`` that the Python loop and every other caller call.
 """
 
 from __future__ import annotations
@@ -66,11 +66,13 @@ class FieldSource:
 
     ``function`` is the declaration compiled as a plain ``f(t, y)``
     returning a tuple, which carries the declaration as ``f.source``.
-    :func:`fireball.integrate.solve_ode` recognises that function and
-    inlines this source into each stage of its step, so the field is
-    written once and never called per stage; any other callable is called.
-    Declarations compare by identity, and the solver compiles a step for
-    each one it meets, so build each once.
+    :func:`fireball.integrate.solve_ode` recognises that function, and its
+    native loop (:mod:`fireball.native`) inlines this source into each
+    stage of its step, so the field is written once and never called per
+    stage; where that loop cannot serve, the Python loop calls ``function``,
+    which raises and returns what the inlined source does.  Declarations
+    compare by identity, and the solver builds a native step for each one
+    it meets, so build each once.
     """
 
     def __init__(self, args: tuple[str, ...], positive: str, refusal: str,
@@ -84,22 +86,14 @@ class FieldSource:
         self.outputs, self.prelude, self.constants = outputs, prelude, constants
         lines = ["def field(_t, _y):",
                  f"    {', '.join(args)}, = _y",
-                 *self.body("    "),
+                 f"    if not ({positive}):",
+                 f"        raise _DomainError({refusal})",
+                 *(f"    {line}" for line in prelude),
                  f"    return {', '.join(outputs)},"]
-        namespace = self.namespace()
+        namespace = {"_DomainError": DomainError, **dict(constants)}
         exec(compile("\n".join(lines) + "\n", "<declared field>", "exec"), namespace)
         self.function = namespace["field"]
         self.function.source = self
-
-    def body(self, indent: str) -> list[str]:
-        """The check and the prelude over the names in ``args``."""
-        return [f"{indent}if not ({self.positive}):",
-                f"{indent}    raise _DomainError({self.refusal})",
-                *(indent + line for line in self.prelude)]
-
-    def namespace(self) -> dict:
-        """Fresh globals for code built from this source."""
-        return {"_DomainError": DomainError, **dict(self.constants)}
 
 
 @functools.cache
@@ -110,8 +104,8 @@ def vector_field(kind: ModelKind) -> Callable[[float, list], Sequence[float]]:
 
     Raises :class:`DomainError` when any variance is <= POSITIVITY_FLOOR
     (NaN included), which the integrator treats as a rejected step.  The
-    field is a :class:`FieldSource` derived from the axes, which
-    :func:`fireball.integrate.solve_ode` inlines into its step.  Each
+    field is a :class:`FieldSource` derived from the axes, which the native
+    loop of :func:`fireball.integrate.solve_ode` inlines into its step.  Each
     acceleration 1/(q_i P^(2/D)) is written as a product of variances in
     index order when 2/D is an integer (``1.0 / (X * X * Y)`` for 2d:
     X * X * X, not X ** 3, since a float power raises OverflowError where

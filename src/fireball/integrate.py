@@ -10,10 +10,10 @@ costs a step per sample, which the native loop below makes cheap.
 The stepper works on Python floats: the right-hand side ``f(t, y)``
 receives a list of floats and returns a sequence of floats of the same
 length.  The whole step loop is generated from the tableau, once per state
-length n and field.  It keeps the state and the stage derivatives in
-locals across steps (accepting a step rebinds them), writes each stage
-component out as a scalar sum and runs the step control inline, with no
-call per step.  Its arithmetic (the stage sums, the error norm and the step
+length n.  It keeps the state and the stage derivatives in locals across
+steps (accepting a step rebinds them), writes each stage component out as a
+scalar sum and runs the step control inline, with no call per step but the
+field's.  Its arithmetic (the stage sums, the error norm and the step
 factor) comes from one helper, ``_step_parts``, from which both forms of
 the loop are written; either way every sample and every step decision is
 bit-identical to the hand-written stepper that the tests keep as the
@@ -28,13 +28,14 @@ reference.  Which loop serves a field:
   cached in ``$XDG_CACHE_HOME/fireball``, else ``~/.cache/fireball``, so
   only the first solve of a kernel on a machine pays its build, 0.12-0.34 s
   (a per-process temporary directory serves when neither can be written).
-- A declaration the translator cannot take, or any declared field where no
-  compiler works, runs the generated Python loop with the field inlined:
-  the portable path, at CPython's floor of a few microseconds per step.
-- Any other callable, a wrapper of a declared field included, is called
-  once per stage from the generated Python loop, so a counting wrapper (as
-  in the benchmark's traced run) sees every evaluation but times the
-  called Python loop, not the native one.
+- Any other field runs the generated Python loop, which calls it once per
+  stage: a declaration the translator cannot take, any declared field
+  where no compiler works (its compiled ``f(t, y)`` runs the check, prelude
+  and outputs that the C loop inlines, on the same floats), and any other
+  callable, a wrapper of a declared field included.  This is the portable
+  path, at CPython's floor of a few microseconds per step.  A counting
+  wrapper (as in the benchmark's traced run) sees every evaluation but
+  times the Python loop, not the native one.
 
 An info record of the ``fireball.integrate`` logger names the loop that
 serves each kernel: native from the cache, native built in N s, or Python
@@ -140,8 +141,7 @@ def _failure(code: int, t: float, h: float, y: Sequence[float]) -> IntegrationEr
     return SingularityError(f"the field refused 50 consecutive steps near t={t!r}", **where)
 
 
-# solve_ode's step loop, less what _loop_source fills in per n and field.
-# Its names start with an underscore, which no declared name may.
+# solve_ode's step loop, less what _loop_source fills in per n.
 _LOOP = '''\
 def _loop(_f, _t, _h, _y, _k1, _times, _next_idx, _out, _abs_tol, _rel_tol, _max_step,
           _unit):
@@ -207,16 +207,14 @@ def _loop(_f, _t, _h, _y, _k1, _times, _next_idx, _out, _abs_tol, _rel_tol, _max
 '''
 
 
-def _loop_source(n: int, source: FieldSource | None = None) -> str:
+def _loop_source(n: int) -> str:
     """Source of :func:`solve_ode`'s Python step loop for an n-component state.
 
     The generated ``_loop`` steps from ``_t``, writes the samples from row
     ``_next_idx`` on into ``_out`` and returns the end state, the next row
     and the counts of accepted steps, rejected steps and refused stages.
-    Its arithmetic is :func:`_step_parts`'.  Without a ``source`` each stage
-    calls ``_f(t + c * h, [...])``; with one, each stage assigns the field's
-    argument names and runs its check, prelude and outputs inline: the same
-    floats and the same :class:`DomainError`.
+    Its arithmetic comes from :func:`_step_parts`, and each stage calls
+    ``_f(t + c * h, [...])``.
     """
     comps = range(n)
 
@@ -224,20 +222,15 @@ def _loop_source(n: int, source: FieldSource | None = None) -> str:
         return ", ".join(f"{stem}_{i}" for i in comps)
 
     def stage(s, inputs):
-        """Lines that set _k{s}_0.. from the stage's input expressions."""
-        if source is not None:
-            return ([f"{a} = {x}" for a, x in zip(source.args, inputs)] + source.body("")
-                    + [f"_k{s}_{i} = {out}" for i, out in enumerate(source.outputs)])
+        """The line that sets _k{s}_0.. from the stage's input expressions."""
         c = _C[s - 1]
-        return [f"{names(f'_k{s}')}, = _f(_t + {'' if c == 1.0 else f'{c!r} * '}_h, "
-                f"[{', '.join(inputs)}])"]
+        return (f"{names(f'_k{s}')}, = _f(_t + {'' if c == 1.0 else f'{c!r} * '}_h, "
+                f"[{', '.join(inputs)}])")
 
     inputs, norm, grow, shrink = _step_parts(n, _PYTHON_FORMS)
-    stages = []
-    for s, values in enumerate(inputs[:5], 2):
-        stages += stage(s, values)
+    stages = [stage(s, values) for s, values in enumerate(inputs[:5], 2)]
     stages += [f"_v_{i} = {x}" for i, x in enumerate(inputs[5])]
-    stages += stage(7, [f"_v_{i}" for i in comps])
+    stages.append(stage(7, [f"_v_{i}" for i in comps]))
     accept = [f"_y_{i} = _v_{i}" for i in comps] + [f"_k1_{i} = _k7_{i}" for i in comps]
     return _LOOP.format(
         y=names("_y"), v=names("_v"), k1=names("_k1"), grow=grow, shrink=shrink,
@@ -247,22 +240,18 @@ def _loop_source(n: int, source: FieldSource | None = None) -> str:
 
 
 @functools.cache
-def _python_loop(n: int, source: FieldSource | None):
-    """The loop of :func:`_loop_source`, compiled on first use for each n
-    and field."""
-    namespace = source.namespace() if source is not None else {"_DomainError": DomainError}
-    namespace.update(_failure=_failure, _sqrt=math.sqrt)
-    name = f"<dormand-prince loop, n={n}, declared={source is not None}>"
-    exec(compile(_loop_source(n, source), name, "exec"), namespace)
+def _python_loop(n: int):
+    """The loop of :func:`_loop_source`, compiled on first use for each n."""
+    namespace = {"_DomainError": DomainError, "_failure": _failure, "_sqrt": math.sqrt}
+    exec(compile(_loop_source(n), f"<dormand-prince loop, n={n}>", "exec"), namespace)
     return namespace["_loop"]
 
 
-def _run_python(n, source, f, t, h, y, grid, times, next_idx, abs_tol, rel_tol, max_step,
-                unit):
+def _run_python(n, f, t, h, y, grid, times, next_idx, abs_tol, rel_tol, max_step, unit):
     """Run the Python loop: the samples as an (len(times), n) array and the
     counts of accepted steps, rejected steps and refused stages."""
     out = array("d", y * next_idx)  # samples, row after row
-    y, next_idx, accepted, rejected, refused = _python_loop(n, source)(
+    y, next_idx, accepted, rejected, refused = _python_loop(n)(
         f, t, h, y, f(t, y), times, next_idx, out, abs_tol, rel_tol, max_step, unit)
     out.extend(y * (len(times) - next_idx))  # trailing samples at t_end
     return np.frombuffer(out).reshape(-1, n), accepted, rejected, refused
@@ -276,7 +265,7 @@ def _loop_kernel(n: int, source: FieldSource | None = None):
     record says which loop serves the kernel, and why."""
     label = (f"n={n} loop of "
              + (f"the declared field ({', '.join(source.args)})" if source else "a called field"))
-    python = functools.partial(_run_python, n, source)
+    python = functools.partial(_run_python, n)
     if source is None:
         log.info("%s: Python, the field is called", label)
         return python
@@ -358,9 +347,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.size
 
-    def state(self, i: int) -> State:
-        return State(t=float(self.times[i]), q=self.qs[i], qdot=self.qdots[i])
-
 
 def sample_grid(t0: float, t_end: float, interval: float) -> np.ndarray:
     """Uniform grid from t0 at the given spacing, always ending at t_end.
@@ -398,21 +384,22 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     floats (a tuple, list or 1-d array) of the same length, else ValueError
     is raised; it raises :class:`DomainError` to reject a stage outside its
     domain, e.g. at a variance floor.  The step loop is generated per state
-    length and declared field; a field declared as source
-    (:class:`fireball.dynamics.FieldSource`) is inlined into it, and any
-    other callable is called once per stage, with the same results.  Times
-    are compared within 1e-14 relative to the larger of |t| and a unit,
-    min(1, t_end - t0): a short span, such as an angular quadrature's
-    ttilde grid, scales its own tolerances and step floor.  DomainError is
-    raised unless y0 and the samples are nonempty, the samples a 1-d
-    sequence, finite and non-decreasing from a finite t0 (within that
-    tolerance), and ``max_step`` at least the step floor, 1e-14 times the
-    largest of the unit, |t0| and |t_end|.  Samples at t0 get y0; the run ends at the last.
-    Every later sample is the end of a step, since steps land on them; a
-    sample within that tolerance of a step's end is the end state, so a
-    repeated time is the same sample.  The ``solve_ode:`` debug record
-    counts accepted steps, rejected steps and refused stages.
-    Returns a (len(sample_times), len(y0)) array.
+    length.  A field declared as source
+    (:class:`fireball.dynamics.FieldSource`) is inlined into its native
+    translation wherever that builds; otherwise, and for any other
+    callable, the Python loop calls f once per stage, with the same
+    results.  Times are compared within 1e-14 relative to the larger of |t|
+    and a unit, min(1, t_end - t0): a short span, such as an angular
+    quadrature's ttilde grid, scales its own tolerances and step floor.
+    DomainError is raised unless y0 and the samples are nonempty, the
+    samples a 1-d sequence, finite and non-decreasing from a finite t0
+    (within that tolerance), and ``max_step`` at least the step floor,
+    1e-14 times the largest of the unit, |t0| and |t_end|.  Samples at t0
+    get y0; the run ends at the last.  Every later sample is the end of a
+    step, since steps land on them; a sample within that tolerance of a
+    step's end is the end state, so a repeated time is the same sample.
+    The ``solve_ode:`` debug record counts accepted steps, rejected steps
+    and refused stages.  Returns a (len(sample_times), len(y0)) array.
     """
     y = [float(v) for v in y0]
     n = len(y)
@@ -443,7 +430,7 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
         return np.array(y * next_idx).reshape(-1, n)
 
     h = min(max_step, span / 100.0, 0.1, span)
-    # A field declared as source is inlined into the loop, unless f only
+    # A field declared as source may run in the native loop, unless f only
     # carries the declaration of another function (a wrapper that copied
     # its attributes), which must be called.
     source = getattr(f, "source", None)

@@ -67,15 +67,17 @@ class ModelKind(Enum):
                 f"unknown model {name!r}; expected one of: {valid}") from None
 
 
-def _as_vector(values, name: str) -> np.ndarray:
+def _as_vector(values, name: str) -> tuple[np.ndarray, list[float]]:
+    """A finite 1-d float copy of ``values`` and its entries as a list."""
     arr = np.array(values, dtype=float)  # copy: the state owns (and freezes) it
     if arr.ndim == 0:
         arr = arr.reshape(1)
     if arr.ndim != 1:
         raise DomainError(f"{name} must be a 1-d sequence, got shape {arr.shape}")
-    if not all(map(math.isfinite, arr.tolist())):
+    entries = arr.tolist()
+    if not all(map(math.isfinite, entries)):
         raise DomainError(f"{name} contains non-finite entries: {arr}")
-    return arr
+    return arr, entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,11 +94,11 @@ class State:
     qdot: np.ndarray
 
     def __post_init__(self):
-        q = _as_vector(self.q, "q")
-        qdot = _as_vector(self.qdot, "qdot")
+        q, entries = _as_vector(self.q, "q")
+        qdot, _ = _as_vector(self.qdot, "qdot")
         if q.shape != qdot.shape:
             raise DomainError(f"q and qdot lengths differ: {q.shape} vs {qdot.shape}")
-        if min(q.tolist(), default=1.0) <= 0.0:
+        if min(entries, default=1.0) <= 0.0:
             raise DomainError(f"variances must be strictly positive, got {q}")
         t = float(self.t)
         if not math.isfinite(t):

@@ -1,5 +1,5 @@
 """Random batches of states for the tests that compare a batch form with
-its single-State function row by row."""
+its single-State function row by row, and a trajectory's samples as States."""
 
 import numpy as np
 from hypothesis import strategies as st
@@ -33,3 +33,8 @@ def radial_invariant_reference(qs, qdots, kind, V):
     cross = qqd - np.swapaxes(qqd, -1, -2)
     return (0.25 * np.sum(M[:, None] * M * cross * cross, axis=(-2, -1))
             + np.sum(M * qs * (qs * V[..., None]), axis=-1))
+
+
+def sample_state(traj, i):
+    """The trajectory's i-th sample as a ``State``."""
+    return State(t=float(traj.times[i]), q=traj.qs[i], qdot=traj.qdots[i])

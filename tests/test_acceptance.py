@@ -21,6 +21,7 @@ from fireball import (AngularSolution, IntegratorConfig, ModelKind,
                       scaling_symmetry, superposition_1d, time_translation,
                       to_polar, total_energy)
 from fireball.invariants import ermakov_values
+from batch import sample_state
 from stencil import stencil_accelerations
 
 UNIT_PARAMS = PhysicalParams(n0=1.0, T0=1.0, X0=1.0, Y0=1.0, m=1.0)
@@ -244,7 +245,8 @@ def test_criterion_9_hydrodynamic_closure():
     spreads = []
     for kind, make in ((ModelKind.ONE_D, traj_1d), (ModelKind.TWO_D, traj_2d)):
         picks = np.linspace(0, len(make) - 1, 7).astype(int)
-        vals = [total_energy(params, dimensionalize(params, make.state(i), kind), kind)
+        vals = [total_energy(params, dimensionalize(params, sample_state(make, i), kind),
+                             kind)
                 for i in picks]
         drift = max(drift, (max(vals) - min(vals)) / abs(vals[0]))
         ratios = []

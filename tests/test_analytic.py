@@ -18,6 +18,7 @@ from fireball.dynamics import potential
 from fireball.integrate import solve_ode
 from fireball.models import radius
 from fireball.verification import default_initial_state
+from batch import sample_state
 
 # A failing example integrates a long grid; the first failure says enough.
 NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
@@ -104,8 +105,8 @@ class TestRadial:
         # cancellation on the t = 1e4 sample of these runs
         traj = integrate(default_initial_state(kind), kind,
                          IntegratorConfig(t_end=1e4, sample_interval=0.5))
-        c0 = RadialSolution.from_state(traj.state(0), kind).invariant
-        late = RadialSolution.from_state(traj.state(len(traj) - 1), kind).invariant
+        c0 = RadialSolution.from_state(sample_state(traj, 0), kind).invariant
+        late = RadialSolution.from_state(sample_state(traj, len(traj) - 1), kind).invariant
         assert abs(late - c0) <= 1e-10 * c0
 
 class TestRadial3d:

@@ -12,7 +12,7 @@ from fireball import (DomainError, IntegratorConfig, ModelKind, PhysicalParams,
 from fireball.dynamics import accel
 from fireball.hydro import moment_values
 from fireball.verification import default_initial_state
-from batch import draw_states
+from batch import draw_states, sample_state
 from stencil import stencil_accelerations
 
 UNIT = PhysicalParams(n0=1.0, T0=1.0, X0=1.0, Y0=1.0, m=1.0)
@@ -216,7 +216,7 @@ class TestPdeResiduals:
             return abs(sum(np.sum(t) for t in terms)) / sum(np.sum(np.abs(t)) for t in terms)
 
         for i in (0, 1, len(traj) // 2, len(traj) - 1):
-            s = dimensionalize(params, traj.state(i), kind)
+            s = dimensionalize(params, sample_state(traj, i), kind)
             Q, rate = s.q[axes], s.qdot[axes] / s.q[axes]
             Qdd = qdds[i][axes] * length / time_scale ** 2
             for k in picks:
@@ -319,7 +319,8 @@ class TestParticleNumber:
         traj = integrate(s, ModelKind.TWO_D,
                          IntegratorConfig(t_end=5.0, sample_interval=1.0))
         values = [particle_number(params,
-                                  dimensionalize(params, traj.state(i), ModelKind.TWO_D),
+                                  dimensionalize(params, sample_state(traj, i),
+                                                 ModelKind.TWO_D),
                                   ModelKind.TWO_D)
                   for i in range(len(traj))]
         spread = (max(values) - min(values)) / values[0]

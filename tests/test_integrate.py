@@ -20,7 +20,7 @@ from fireball import native
 from fireball.analytic import _angular_field, angular_potential
 from fireball.cli import main
 from fireball.dynamics import FieldSource, vector_field
-from fireball.integrate import _loop_kernel, sample_grid, solve_ode
+from fireball.integrate import _loop_kernel, _python_loop, sample_grid, solve_ode
 from fireball.invariants import hamiltonian_values
 from fireball.verification import default_initial_state
 
@@ -452,8 +452,8 @@ def assert_native(field, n):
 
 def assert_fused_matches_reference(field, t0, y0, *args, **kwargs):
     """As :func:`assert_matches_reference` for a declared field passed
-    itself, which solve_ode's loop inlines rather than calls (natively
-    whenever cc is on PATH)."""
+    itself, which solve_ode's native loop inlines whenever cc is on PATH
+    and its Python loop calls otherwise."""
     assert field.source.function is field
     got = outcome(solve_ode, field, t0, y0, *args, **kwargs)
     assert_native(field, len(y0))
@@ -538,7 +538,8 @@ class TestReferenceStepper:
                                        rel_tol=1e-8, abs_tol=1e-8)
         assert isinstance(got, np.ndarray) and refusals
         assert all(not 0.0 < y[0] < math.pi / 2.0 for y in refusals)
-        # the inlined field refuses the same stages
+        # the declared field (inlined wherever cc is on PATH) refuses the
+        # same stages
         got = assert_fused_matches_reference(_angular_field(kind), 0.0, [phi0, v0],
                                              np.linspace(0.0, 2.0, 11),
                                              rel_tol=1e-8, abs_tol=1e-8)
@@ -680,9 +681,10 @@ class TestBenchmarkContract:
 
 
 class TestDeclaredFields:
-    """The model and angular fields are declared as source: solve_ode
-    inlines them into a loop compiled on first use, and calls any other
-    callable, wrappers of a declared field included."""
+    """The model and angular fields are declared as source: solve_ode's
+    native loop, built on first use, inlines them, and its Python loop
+    calls them and any other callable, wrappers of a declared field
+    included."""
 
     def test_import_compiles_no_kernel(self):
         # nor loads the native module, what it alone imports, or the pool
@@ -829,21 +831,69 @@ class TestNativeLoop:
         yield tmp_path / "fireball"
         _loop_kernel.cache_clear()
 
+    @pytest.mark.parametrize("field,y0,grid", [
+        *((vector_field(kind), model_start(kind), sample_grid(0.0, 5.0, 0.01))
+          for kind in ModelKind),
+        *((_angular_field(kind), [0.7, -1.1], np.linspace(0.0, 2.0, 201))
+          for kind in (ModelKind.TWO_D, ModelKind.ELLIPTIC_3D)),
+    ], ids=[*(kind.value for kind in ModelKind), "angular-2d", "angular-elliptic"])
     def test_without_a_compiler_the_python_loop_serves(self, fresh_kernels, monkeypatch,
-                                                       caplog):
-        field = vector_field(ModelKind.TWO_D)
-        args = (0.0, model_start(ModelKind.TWO_D), sample_grid(0.0, 5.0, 0.01))
-        want = solve_ode(field, *args)
-        assert_native(field, 4)
+                                                       caplog, field, y0, grid):
+        n = len(y0)
+        want = solve_ode(field, 0.0, y0, grid)
+        assert_native(field, n)
         _loop_kernel.cache_clear()
         monkeypatch.setenv("XDG_CACHE_HOME", str(fresh_kernels / "empty"))
         monkeypatch.setattr(native, "_compiler", lambda: None)
         with caplog.at_level(logging.INFO, logger="fireball.integrate"):
-            got = solve_ode(field, *args)
-        assert not hasattr(_loop_kernel(4, field.source), "library")
+            got = solve_ode(field, 0.0, y0, grid)
+        assert not hasattr(_loop_kernel(n, field.source), "library")
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
-            "n=4 loop of the declared field (X, Y, Xd, Yd): Python, no C compiler (cc) on PATH"]
+            f"n={n} loop of the declared field ({', '.join(field.source.args)}): Python, "
+            "no C compiler (cc) on PATH"]
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", "1d", "--X", "1.3", "--Xdot", "-0.4", "--t-end", "5"],
+        ["simulate", "--model", "2d", "--X", "1", "--Y", "1.3", "--Xdot", "0.2", "--t-end", "5"],
+        ["simulate", "--model", "3d", "--X", "1", "--Y", "0.8", "--Z", "1.6", "--Zdot", "0.3",
+         "--t-end", "5"],
+        ["simulate", "--model", "elliptic", "--X", "1.1", "--Y", "0.7", "--Xdot", "-0.5",
+         "--t-end", "5"],
+        ["analytic", "--model", "2d", "--X", "1", "--Y", "1.3", "--Xdot", "0.2", "--compare",
+         "--t-end", "5"],
+        ["analytic", "--model", "elliptic", "--X", "1.1", "--Y", "0.7", "--Xdot", "-0.5",
+         "--compare", "--t-end", "5"],
+        *(["verify", "--model", kind.value] for kind in ModelKind),
+    ], ids=lambda argv: "-".join(argv[:3:2]))
+    def test_the_python_loop_writes_the_native_loop_bytes(self, monkeypatch, tmp_path, argv):
+        # every command, run once on the native loops (wherever cc works)
+        # and once on the Python loop, writes the same file
+        paths = [tmp_path / "native.out", tmp_path / "python.out"]
+        _loop_kernel.cache_clear()
+        code = main([*argv, "--out", str(paths[0])])
+        kind = ModelKind.from_name(argv[2])
+        assert_native(vector_field(kind), 2 * kind.dim)
+        _loop_kernel.cache_clear()
+        monkeypatch.setattr(native, "_compiler", lambda: None)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty"))
+        try:
+            assert main([*argv, "--out", str(paths[1])]) == code == 0
+            assert not hasattr(_loop_kernel(2 * kind.dim, vector_field(kind).source), "library")
+        finally:
+            _loop_kernel.cache_clear()
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_one_python_loop_serves_every_field_of_a_length(self, fresh_kernels,
+                                                             monkeypatch):
+        # the Python loop calls the field, so it is compiled once per state
+        # length, not once per declaration
+        monkeypatch.setattr(native, "_compiler", lambda: None)
+        _python_loop.cache_clear()
+        solve_ode(vector_field(ModelKind.ONE_D), 0.0, [1.0, 0.0], sample_grid(0.0, 1.0, 0.1))
+        misses = _python_loop.cache_info().misses
+        solve_ode(_angular_field(ModelKind.TWO_D), 0.0, [0.7, -1.1], np.linspace(0.0, 1.0, 11))
+        assert _python_loop.cache_info().misses == misses == 1
 
     @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
     def test_cache_is_reused_and_a_damaged_object_rebuilt(self, fresh_kernels, monkeypatch):

@@ -36,6 +36,31 @@ class TestState:
         with pytest.raises(DomainError):
             State(t=t, q=[1.0], qdot=[0.0])
 
+    # Each refusal's message, and which wins where two faults coincide: q's
+    # shape and entries, then qdot's, then the lengths, the signs, and t.
+    @pytest.mark.parametrize("t,q,qdot,message", [
+        (0.0, [1.0, math.nan], [0.0, 0.0], "q contains non-finite entries: [ 1. nan]"),
+        (0.0, [[1.0]], [0.0], "q must be a 1-d sequence, got shape (1, 1)"),
+        (0.0, [1.0], [[0.0]], "qdot must be a 1-d sequence, got shape (1, 1)"),
+        (0.0, [1.0, 2.0], [0.0, -math.inf], "qdot contains non-finite entries: [  0. -inf]"),
+        (0.0, [1.0, 2.0], [0.0], "q and qdot lengths differ: (2,) vs (1,)"),
+        (0.0, [1.0, 0.0], [0.0, 0.0], "variances must be strictly positive, got [1. 0.]"),
+        (0.0, [-0.0], [1.0], "variances must be strictly positive, got [-0.]"),
+        (math.nan, [1.0], [0.0], "t must be finite, got nan"),
+        (0.0, [math.nan, -1.0], [math.nan, 0.0], "q contains non-finite entries: [nan -1.]"),
+        (0.0, [-1.0, math.inf], [0.0, 0.0], "q contains non-finite entries: [-1. inf]"),
+        (0.0, [1.0, 2.0], [math.nan], "qdot contains non-finite entries: [nan]"),
+        (0.0, [-1.0, 2.0], [0.0], "q and qdot lengths differ: (2,) vs (1,)"),
+        (math.nan, [-1.0], [0.0], "variances must be strictly positive, got [-1.]"),
+        (math.inf, [1.0], [math.inf], "qdot contains non-finite entries: [inf]"),
+    ], ids=["q-nan", "q-2d", "qdot-2d", "qdot-inf", "lengths", "zero-q", "negative-zero-q",
+            "t-nan", "q-and-qdot-nan", "q-negative-and-inf", "qdot-nan-and-lengths",
+            "lengths-and-negative-q", "negative-q-and-t-nan", "qdot-inf-and-t-inf"])
+    def test_each_refusal_says_what_is_wrong(self, t, q, qdot, message):
+        with pytest.raises(DomainError) as info:
+            State(t=t, q=q, qdot=qdot)
+        assert str(info.value) == message
+
     def test_immutable_arrays(self):
         s = State(t=0.0, q=[1.0], qdot=[0.0])
         with pytest.raises(ValueError):
