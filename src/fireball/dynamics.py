@@ -18,7 +18,7 @@ Xd^2 + Yd^2/2); the Euler-Lagrange equations read  M qdd = -grad V.
 The integrator's right-hand side, :func:`vector_field`, is declared once as
 source (:class:`FieldSource`) and derived from the axes; the integrator's
 native loop inlines that source into its step, and the same source compiles
-to the plain ``f(t, y)`` that the Python loop and every other caller call.
+to the plain ``f(t, y)`` that the Python stepper and every other caller call.
 """
 
 from __future__ import annotations
@@ -69,10 +69,10 @@ class FieldSource:
     :func:`fireball.integrate.solve_ode` recognises that function, and its
     native loop (:mod:`fireball.native`) inlines this source into each
     stage of its step, so the field is written once and never called per
-    stage; where that loop cannot serve, the Python loop calls ``function``,
-    which raises and returns what the inlined source does.  Declarations
-    compare by identity, and the solver builds a native step for each one
-    it meets, so build each once.
+    stage; where that loop cannot serve, the Python stepper calls
+    ``function``, which raises and returns what the inlined source does.
+    Declarations compare by identity, and the solver builds a native step
+    for each one it meets, so build each once.
     """
 
     def __init__(self, args: tuple[str, ...], positive: str, refusal: str,
@@ -105,11 +105,12 @@ def vector_field(kind: ModelKind) -> Callable[[float, list], Sequence[float]]:
     Raises :class:`DomainError` when any variance is <= POSITIVITY_FLOOR
     (NaN included), which the integrator treats as a rejected step.  The
     field is a :class:`FieldSource` derived from the axes, which the native
-    loop of :func:`fireball.integrate.solve_ode` inlines into its step.  Each
-    acceleration 1/(q_i P^(2/D)) is written as a product of variances in
-    index order when 2/D is an integer (``1.0 / (X * X * Y)`` for 2d:
-    X * X * X, not X ** 3, since a float power raises OverflowError where
-    numpy returned inf) and as ``1.0 / (X * s)`` with
+    loop of :func:`fireball.integrate.solve_ode` inlines into its step and
+    its Python stepper calls where no compiler works.  Each acceleration
+    1/(q_i P^(2/D)) is written as a product of variances in index order
+    when 2/D is an integer (``1.0 / (X * X * Y)`` for 2d: X * X * X, not
+    X ** 3, since a float power raises OverflowError where numpy returned
+    inf) and as ``1.0 / (X * s)`` with
     ``s = (X * Y * Z) ** (2.0 / 3.0)`` for the 3d and elliptic models.
     """
     q = kind.labels

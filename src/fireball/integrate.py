@@ -5,37 +5,33 @@ error estimate.  Steps land exactly on the sampling grid, so every sample
 is a step's end state and carries no interpolation error: once steps
 outgrow the grid spacing, as they do at long horizons, interpolation error
 would dominate the drift of the conserved quantities.  A fine grid thus
-costs a step per sample, which the native loop below makes cheap.
+costs a step per sample, which the native loop makes cheap.
 
 The stepper works on Python floats: the right-hand side ``f(t, y)``
 receives a list of floats and returns a sequence of floats of the same
-length.  The whole step loop is generated from the tableau, once per state
-length n.  It keeps the state and the stage derivatives in locals across
-steps (accepting a step rebinds them), writes each stage component out as a
-scalar sum and runs the step control inline, with no call per step but the
-field's.  Its arithmetic (the stage sums, the error norm and the step
-factor) comes from one helper, ``_step_parts``, from which both forms of
-the loop are written; either way every sample and every step decision is
-bit-identical to the hand-written stepper that the tests keep as the
-reference.  Which loop serves a field:
+length.  It exists in two forms, which agree bit for bit in every sample,
+step decision, count and error: the Python stepper written out below
+(:func:`_run_python`) and its C translation in :mod:`fireball.native`,
+which computes the same stage sums, error norm and step factor in the same
+order.  Which one serves a field:
 
 - A field declared as source (:class:`fireball.dynamics.FieldSource`: the
   models' fields and the angular quadrature's) runs as native code.
-  :mod:`fireball.native` translates the loop, with the field's check,
+  :mod:`fireball.native` translates the stepper, with the field's check,
   prelude and outputs inlined, into C, builds it with the system's ``cc``
   and loads it with :mod:`ctypes`; the flags keep every operation rounding
   as Python's does (that module says which and why).  The shared object is
   cached in ``$XDG_CACHE_HOME/fireball``, else ``~/.cache/fireball``, so
   only the first solve of a kernel on a machine pays its build, 0.12-0.34 s
   (a per-process temporary directory serves when neither can be written).
-- Any other field runs the generated Python loop, which calls it once per
-  stage: a declaration the translator cannot take, any declared field
-  where no compiler works (its compiled ``f(t, y)`` runs the check, prelude
-  and outputs that the C loop inlines, on the same floats), and any other
+- Any other field runs the Python stepper, which calls it once per stage:
+  a declaration the translator cannot take, any declared field where no
+  compiler works (its compiled ``f(t, y)`` runs the check, prelude and
+  outputs that the C loop inlines, on the same floats), and any other
   callable, a wrapper of a declared field included.  This is the portable
-  path, at CPython's floor of a few microseconds per step.  A counting
+  path, at CPython's floor of several microseconds per step.  A counting
   wrapper (as in the benchmark's traced run) sees every evaluation but
-  times the Python loop, not the native one.
+  times the Python stepper, not the native loop.
 
 An info record of the ``fireball.integrate`` logger names the loop that
 serves each kernel: native from the cache, native built in N s, or Python
@@ -87,51 +83,12 @@ _A = (
 # b5 - b4: weights of the local error estimate.
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
-# The Python syntax of the forms _step_parts writes; fireball.native has C's.
-_PYTHON_FORMS = {"select": "{yes} if {test} else {no}", "power": "{a} ** {b}",
-                 "divide": "{a} / {b}", "sqrt": "_sqrt({x})"}
-
-
-def _step_parts(n: int, forms: dict) -> tuple[list, list, str, str]:
-    """The arithmetic of one step over the tableau, in the syntax of
-    ``forms``: a conditional, a power, a quotient and a square root.
-
-    solve_ode's Python loop (:func:`_loop_source`) and its C translation
-    (:mod:`fireball.native`) are both written from these expressions, so
-    their values round alike.  Returns the inputs of stages 2-7 (n
-    expressions each; stage 7's is the new state ``_v_i``), the error norm
-    as (name, expression) assignments ending in ``_err``, and the step
-    factor after an accepted and after a rejected step, before its clamp.
-    Each stage component is the plain sum ``y_i + h * (a_s1 * k1_i + ...)``
-    over the nonzero tableau entries in tableau order, with exact float
-    literals, so every value rounds as the hand-written sum does.
-    """
-    comps = range(n)
-
-    def combo(weights, i):
-        return " + ".join(f"{w!r} * _k{j}_{i}" for j, w in enumerate(weights, 1) if w != 0.0)
-
-    def form(name, **parts):
-        return forms[name].format(**parts)
-
-    inputs = [[f"_y_{i} + _h * ({combo(_A[s - 1], i)})" for i in comps] for s in range(2, 8)]
-    norm = []
-    for i in comps:
-        larger = form("select", test="_a > _b", yes="_a", no="_b")
-        norm += [("_a", form("select", test=f"_y_{i} >= 0.0", yes=f"_y_{i}", no=f"-_y_{i}")),
-                 ("_b", form("select", test=f"_v_{i} >= 0.0", yes=f"_v_{i}", no=f"-_v_{i}")),
-                 (f"_e_{i}", form("divide", a=f"_h * ({combo(_E, i)})",
-                                  b=f"(_abs_tol + _rel_tol * ({larger}))"))]
-    squares = " + ".join(f"_e_{i} * _e_{i}" for i in comps)
-    norm.append(("_err", form("sqrt", x=f"({squares}) / {n}")))
-    shrink = f"0.9 * {form('power', a='_err', b='-0.2')}"
-    return inputs, norm, form("select", test="_err > 0.0", yes=shrink, no="5.0"), shrink
-
 
 def _failure(code: int, t: float, h: float, y: Sequence[float]) -> IntegrationError:
     """The error that ends a run: 1 for a step forced below the floor by
     domain refusals, 2 for step-size underflow, 3 for 50 consecutive
-    refusals.  Both loops raise it from their last good state."""
+    refusals.  The Python stepper and the C loop raise it from their last
+    good state."""
     where = {"last_t": t, "last_y": np.array(y)}
     if code == 1:
         return SingularityError(f"domain refusals forced the step below the floor at t={t!r}",
@@ -141,119 +98,106 @@ def _failure(code: int, t: float, h: float, y: Sequence[float]) -> IntegrationEr
     return SingularityError(f"the field refused 50 consecutive steps near t={t!r}", **where)
 
 
-# solve_ode's step loop, less what _loop_source fills in per n.
-_LOOP = '''\
-def _loop(_f, _t, _h, _y, _k1, _times, _next_idx, _out, _abs_tol, _rel_tol, _max_step,
-          _unit):
-    {y}, = _y
-    {k1}, = _k1
-    _n_samples, _t_end = len(_times), _times[-1]
-    _t_stop = _t_end - 1e-14 * max(_unit, abs(_t_end))
-    _accepted = _rejected = _refused = _refusals = 0
-    _extend = _out.extend
-    # 1e-14 * max(unit, |t|): the step floor and the sample tolerance at t
-    _tol = 1e-14 * max(_unit, abs(_t))
-    while _t < _t_stop:
-        # Comparisons stand in for min(), max() and abs() in this loop, with
-        # the same ties and NaN handling, at less cost than the calls.
-        if _max_step < _h:
-            _h = _max_step
-        if _t_end - _t < _h:
-            _h = _t_end - _t
-        # Steps land on the samples: interpolation error would dominate the drift.
-        if _next_idx < _n_samples and _times[_next_idx] - _t < _h:
-            _h = _times[_next_idx] - _t
-        if _h < _tol:
-            raise _failure(1 if _refusals > 0 else 2, _t, _h, [{y}])
-        try:
-{stages}
-        except _DomainError:
-            _refusals += 1
-            if _refusals > 50:
-                raise _failure(3, _t, _h, [{y}]) from None
-            _rejected += 1
-            _refused += 1
-            _h *= 0.5
-            continue
-        _refusals = 0
-{norm}
-        if _err <= 1.0:
-            _t_new = _t + _h
-            _at = _t_new if _t_new >= 0.0 else -_t_new
-            _tol = 1e-14 * (_at if _at > _unit else _unit)
-            # The step landed on (or stopped short of) the next sample, so
-            # each sample emitted here lies within tol of t_new.
-            _t_hi = _t_new + _tol
-            while _next_idx < _n_samples and _times[_next_idx] <= _t_hi:
-                _extend(({v},))
-                _next_idx += 1
-            _t = _t_new
-{accept}
-            _accepted += 1
-            # 0 <= err <= 1: the factor is at least 0.9, so only the cap at
-            # 5 can bind.
-            _factor = {grow}
-            if _factor > 5.0:
-                _factor = 5.0
-        else:
-            # err > 1 or NaN: the factor is below 0.9 or NaN, so only the
-            # floor at 0.2 can bind (NaN takes it, as in max(0.2, nan)).
-            _rejected += 1
-            _factor = {shrink}
-            if not _factor > 0.2:
-                _factor = 0.2
-        _h *= _factor
-    return [{y}], _next_idx, _accepted, _rejected, _refused
-'''
-
-
-def _loop_source(n: int) -> str:
-    """Source of :func:`solve_ode`'s Python step loop for an n-component state.
-
-    The generated ``_loop`` steps from ``_t``, writes the samples from row
-    ``_next_idx`` on into ``_out`` and returns the end state, the next row
-    and the counts of accepted steps, rejected steps and refused stages.
-    Its arithmetic comes from :func:`_step_parts`, and each stage calls
-    ``_f(t + c * h, [...])``.
-    """
-    comps = range(n)
-
-    def names(stem):
-        return ", ".join(f"{stem}_{i}" for i in comps)
-
-    def stage(s, inputs):
-        """The line that sets _k{s}_0.. from the stage's input expressions."""
-        c = _C[s - 1]
-        return (f"{names(f'_k{s}')}, = _f(_t + {'' if c == 1.0 else f'{c!r} * '}_h, "
-                f"[{', '.join(inputs)}])")
-
-    inputs, norm, grow, shrink = _step_parts(n, _PYTHON_FORMS)
-    stages = [stage(s, values) for s, values in enumerate(inputs[:5], 2)]
-    stages += [f"_v_{i} = {x}" for i, x in enumerate(inputs[5])]
-    stages.append(stage(7, [f"_v_{i}" for i in comps]))
-    accept = [f"_y_{i} = _v_{i}" for i in comps] + [f"_k1_{i} = _k7_{i}" for i in comps]
-    return _LOOP.format(
-        y=names("_y"), v=names("_v"), k1=names("_k1"), grow=grow, shrink=shrink,
-        stages="\n".join(" " * 12 + line for line in stages),
-        norm="\n".join(f"        {name} = {value}" for name, value in norm),
-        accept="\n".join(" " * 12 + line for line in accept))
-
-
-@functools.cache
-def _python_loop(n: int):
-    """The loop of :func:`_loop_source`, compiled on first use for each n."""
-    namespace = {"_DomainError": DomainError, "_failure": _failure, "_sqrt": math.sqrt}
-    exec(compile(_loop_source(n), f"<dormand-prince loop, n={n}>", "exec"), namespace)
-    return namespace["_loop"]
+def _rates(k, n: int):
+    """The rates ``k`` that the field gave for an n-component state; ValueError
+    unless there are n of them, since the stages read them by index."""
+    if len(k) != n:
+        raise ValueError(f"the field gave {len(k)} rates for a state of {n} components")
+    return k
 
 
 def _run_python(n, f, t, h, y, grid, times, next_idx, abs_tol, rel_tol, max_step, unit):
-    """Run the Python loop: the samples as an (len(times), n) array and the
-    counts of accepted steps, rejected steps and refused stages."""
+    """solve_ode's Python stepper: the samples as an (len(times), n) array
+    and the counts of accepted steps, rejected steps and refused stages.
+
+    It steps from ``t`` and writes the samples from row ``next_idx`` on.
+    Each stage calls ``f`` on the plain sums ``y_i + h * (a_s1 * k1_i +
+    ...)`` over the nonzero tableau entries in tableau order; the error
+    norm and the step control follow.  The C loop of :mod:`fireball.native`
+    writes the same expressions in the same order, so the two agree bit for
+    bit.  Comparisons stand in for abs(), min() and max(), as in the C
+    loop, so that a rate that does not compare with a float (a complex
+    number) raises TypeError rather than pass through abs().
+    """
+    (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6)) = _A
+    _, c2, c3, c4, c5, _, _ = _C
+    e1, _, e3, e4, e5, e6, e7 = _E
     out = array("d", y * next_idx)  # samples, row after row
-    y, next_idx, accepted, rejected, refused = _python_loop(n)(
-        f, t, h, y, f(t, y), times, next_idx, out, abs_tol, rel_tol, max_step, unit)
-    out.extend(y * (len(times) - next_idx))  # trailing samples at t_end
+    n_samples, t_end = len(times), times[-1]
+    t_stop = t_end - 1e-14 * max(unit, abs(t_end))
+    # 1e-14 * max(unit, |t|): the step floor and the sample tolerance at t
+    tol = 1e-14 * max(unit, abs(t))
+    accepted = rejected = refused = refusals = 0
+    comps = range(n)
+    k1 = _rates(f(t, y), n)
+    while t < t_stop:
+        if max_step < h:
+            h = max_step
+        if t_end - t < h:
+            h = t_end - t
+        # Steps land on the samples: interpolation error would dominate the drift.
+        if next_idx < n_samples and times[next_idx] - t < h:
+            h = times[next_idx] - t
+        if h < tol:
+            raise _failure(1 if refusals > 0 else 2, t, h, y)
+        try:
+            k2 = _rates(f(t + c2 * h, [y[i] + h * (a21 * k1[i]) for i in comps]), n)
+            k3 = _rates(f(t + c3 * h, [y[i] + h * (a31 * k1[i] + a32 * k2[i])
+                                       for i in comps]), n)
+            k4 = _rates(f(t + c4 * h, [y[i] + h * (a41 * k1[i] + a42 * k2[i] + a43 * k3[i])
+                                       for i in comps]), n)
+            k5 = _rates(f(t + c5 * h, [y[i] + h * (a51 * k1[i] + a52 * k2[i] + a53 * k3[i]
+                                                   + a54 * k4[i]) for i in comps]), n)
+            k6 = _rates(f(t + h, [y[i] + h * (a61 * k1[i] + a62 * k2[i] + a63 * k3[i]
+                                              + a64 * k4[i] + a65 * k5[i]) for i in comps]), n)
+            y_new = [y[i] + h * (b1 * k1[i] + b3 * k3[i] + b4 * k4[i] + b5 * k5[i]
+                                 + b6 * k6[i]) for i in comps]
+            k7 = _rates(f(t + h, y_new), n)
+        except DomainError:
+            refusals += 1
+            if refusals > 50:
+                raise _failure(3, t, h, y) from None
+            rejected += 1
+            refused += 1
+            h *= 0.5
+            continue
+        refusals = 0
+        sq = 0.0
+        for i in comps:
+            u, v = y[i], y_new[i]
+            u = u if u >= 0.0 else -u
+            v = v if v >= 0.0 else -v
+            e = h * (e1 * k1[i] + e3 * k3[i] + e4 * k4[i] + e5 * k5[i] + e6 * k6[i]
+                     + e7 * k7[i]) / (abs_tol + rel_tol * (u if u > v else v))
+            sq += e * e
+        err = math.sqrt(sq / n)
+        if err <= 1.0:
+            t_new = t + h
+            at = t_new if t_new >= 0.0 else -t_new
+            tol = 1e-14 * (at if at > unit else unit)
+            # The step landed on (or stopped short of) the next sample, so
+            # each sample emitted here lies within tol of t_new.
+            t_hi = t_new + tol
+            while next_idx < n_samples and times[next_idx] <= t_hi:
+                out.extend(y_new)
+                next_idx += 1
+            t, y, k1 = t_new, y_new, k7
+            accepted += 1
+            # 0 <= err <= 1: the factor is at least 0.9, so only the cap at
+            # 5 can bind.
+            factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
+            if factor > 5.0:
+                factor = 5.0
+        else:
+            # err > 1 or NaN: the factor is below 0.9 or NaN, so only the
+            # floor at 0.2 can bind (NaN takes it, as in max(0.2, nan)).
+            rejected += 1
+            factor = 0.9 * err ** -0.2
+            if not factor > 0.2:
+                factor = 0.2
+        h *= factor
+    out.extend(y * (n_samples - next_idx))  # trailing samples at t_end
     return np.frombuffer(out).reshape(-1, n), accepted, rejected, refused
 
 
@@ -261,8 +205,8 @@ def _run_python(n, f, t, h, y, grid, times, next_idx, abs_tol, rel_tol, max_step
 def _loop_kernel(n: int, source: FieldSource | None = None):
     """The runner of :func:`solve_ode`'s loop for each n and field, chosen
     on first use: the native loop of :mod:`fireball.native` for a declared
-    field it can translate and build, else the Python loop.  One info
-    record says which loop serves the kernel, and why."""
+    field it can translate and build, else the Python stepper.  One info
+    record says which serves the kernel, and why."""
     label = (f"n={n} loop of "
              + (f"the declared field ({', '.join(source.args)})" if source else "a called field"))
     python = functools.partial(_run_python, n)
@@ -383,14 +327,13 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     ``f`` receives the state as a list of floats and returns a sequence of
     floats (a tuple, list or 1-d array) of the same length, else ValueError
     is raised; it raises :class:`DomainError` to reject a stage outside its
-    domain, e.g. at a variance floor.  The step loop is generated per state
-    length.  A field declared as source
-    (:class:`fireball.dynamics.FieldSource`) is inlined into its native
-    translation wherever that builds; otherwise, and for any other
-    callable, the Python loop calls f once per stage, with the same
-    results.  Times are compared within 1e-14 relative to the larger of |t|
-    and a unit, min(1, t_end - t0): a short span, such as an angular
-    quadrature's ttilde grid, scales its own tolerances and step floor.
+    domain, e.g. at a variance floor.  A field declared as source
+    (:class:`fireball.dynamics.FieldSource`) is inlined into the native
+    loop wherever that builds; otherwise, and for any other callable, the
+    Python stepper calls f once per stage, with the same results.  Times
+    are compared within 1e-14 relative to the larger of |t| and a unit,
+    min(1, t_end - t0): a short span, such as an angular quadrature's
+    ttilde grid, scales its own tolerances and step floor.
     DomainError is raised unless y0 and the samples are nonempty, the
     samples a 1-d sequence, finite and non-decreasing from a finite t0
     (within that tolerance), and ``max_step`` at least the step floor,

@@ -1,22 +1,23 @@
 """Native code: the Dormand-Prince loop of :mod:`fireball.integrate` for a
 declared field, and the CLI's CSV row writer.
 
-:func:`kernel` translates the loop that :func:`fireball.integrate.solve_ode`
-would run in Python for a :class:`fireball.dynamics.FieldSource` into C,
-builds it once with the system's ``cc`` and loads it with :mod:`ctypes`.
-The stage sums, the error norm and the step control come from the same
-expressions as the Python loop (:func:`fireball.integrate._step_parts`),
-and the field's check, prelude and outputs are translated from the Python
-AST of its declaration.  The translator takes only ``+ - * /``, ``**`` (as
-the C library's ``pow``, which Python's float power calls), unary minus,
-comparisons (chained ones too), ``and``/``or``, numeric constants and the
-math functions of :data:`_LIBM` bound in the declaration's ``constants``.
-Each of these rounds in C as in Python, so every sample, step decision,
-count and error is the Python loop's, bit for bit.  Where Python would
-raise instead (a division by zero, ``0.0 ** -1.0``, a negative number to a
-fractional power, a power or math function overflowing or leaving its
-domain), the C loop stops and the Python loop runs the solve again from
-its start, so it raises as before.
+:func:`kernel` translates the Python stepper of
+:func:`fireball.integrate.solve_ode` (:func:`fireball.integrate._run_python`)
+for a :class:`fireball.dynamics.FieldSource` into C, builds it once with
+the system's ``cc`` and loads it with :mod:`ctypes`.  The stage sums, the
+error norm and the step control (:func:`_step_parts`) are written term for
+term as the stepper computes them, and the field's check, prelude and
+outputs are translated from the Python AST of its declaration.  The
+translator takes only ``+ - * /``, ``**`` (as the C library's ``pow``,
+which Python's float power calls), unary minus, comparisons (chained ones
+too), ``and``/``or``, numeric constants and the math functions of
+:data:`_LIBM` bound in the declaration's ``constants``.  Each of these
+rounds in C as in Python, so every sample, step decision, count and error
+is the Python stepper's, bit for bit.  Where Python would raise instead (a
+division by zero, ``0.0 ** -1.0``, a negative number to a fractional
+power, a power or math function overflowing or leaving its domain), the C
+loop stops and the Python stepper runs the solve again from its start, so
+it raises as before.
 
 The build flags, and why: ``-O2`` for speed; ``-fPIC -shared`` for an
 object :mod:`ctypes` can load; ``-ffp-contract=off`` so that no ``a * b +
@@ -55,7 +56,7 @@ beside the SHA-256 of their bytes: a file that does not match is rebuilt,
 not loaded.  A build takes 0.12-0.34 s per kernel (gcc 12 on a 2-vCPU
 x86-64 machine); a cached kernel loads in well under a millisecond.
 Without a C compiler, or when a build fails, :class:`Unavailable` says why
-and the Python loop, or Python's row formatting, serves.
+and the Python stepper, or Python's row formatting, serves.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ from string import Template
 import numpy as np
 
 from .dynamics import FieldSource
-from .integrate import _failure, _step_parts
+from .integrate import _A, _E, _failure
 
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin")
 
@@ -86,11 +87,6 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin")
 _LIBM = {getattr(math, name): name for name in (
     "sin", "cos", "tan", "asin", "acos", "atan", "sinh", "cosh", "tanh", "exp", "log",
     "sqrt")}
-
-# The C syntax of the forms _step_parts writes.  The error norm's quotient
-# goes through py_divide, which stops the loop where Python would raise.
-_C_FORMS = {"select": "({test} ? {yes} : {no})", "power": "pow({a}, {b})",
-            "divide": "py_divide(&_py, {a}, {b})", "sqrt": "sqrt({x})"}
 
 _STATUS_PYTHON = 4  # the loop met an operation that raises in Python
 
@@ -136,9 +132,9 @@ static inline double py_$name(int *py, double x)
 }
 """)
 
-# The loop of fireball.integrate._LOOP.  Status 0: done; 1-3: the codes of
-# fireball.integrate._failure, with t, h and y left in scalars and state;
-# 4: run the Python loop instead.
+# The step loop of fireball.integrate._run_python.  Status 0: done; 1-3: the
+# codes of fireball.integrate._failure, with t, h and y left in scalars and
+# state; 4: run the Python stepper instead.
 _LOOP = Template("""
 int fireball_loop(const double *_times, long long _n_samples, double *_out, double *_state,
                   double *_scalars, long long *_counts)
@@ -542,6 +538,37 @@ class _Translator:
         return check, prelude, outputs
 
 
+def _step_parts(n: int) -> tuple[list, list, str, str]:
+    """The arithmetic of one step over the tableau, in C, term for term as
+    :func:`fireball.integrate._run_python` computes it, so that every value
+    rounds alike.
+
+    Returns the inputs of stages 2-7 (n expressions each; stage 7's is the
+    new state ``_v_i``), the error norm as (name, expression) assignments
+    ending in ``_err``, and the step factor after an accepted and after a
+    rejected step, before its clamp.  Each stage component is the plain sum
+    ``y_i + h * (a_s1 * k1_i + ...)`` over the nonzero tableau entries in
+    tableau order, with exact float literals.  The error norm's quotient
+    goes through py_divide, which stops the loop where Python would raise.
+    """
+    comps = range(n)
+
+    def combo(weights, i):
+        return " + ".join(f"{w!r} * _k{j}_{i}" for j, w in enumerate(weights, 1) if w != 0.0)
+
+    inputs = [[f"_y_{i} + _h * ({combo(_A[s - 1], i)})" for i in comps] for s in range(2, 8)]
+    norm = []
+    for i in comps:
+        norm += [("_a", f"(_y_{i} >= 0.0 ? _y_{i} : -_y_{i})"),
+                 ("_b", f"(_v_{i} >= 0.0 ? _v_{i} : -_v_{i})"),
+                 (f"_e_{i}", f"py_divide(&_py, _h * ({combo(_E, i)}), "
+                             "(_abs_tol + _rel_tol * ((_a > _b ? _a : _b))))")]
+    squares = " + ".join(f"_e_{i} * _e_{i}" for i in comps)
+    norm.append(("_err", f"sqrt(({squares}) / {n})"))
+    shrink = "0.9 * pow(_err, -0.2)"
+    return inputs, norm, f"(_err > 0.0 ? {shrink} : 5.0)", shrink
+
+
 def c_source(n: int, source: FieldSource) -> str:
     """C source of the Dormand-Prince loop for ``source``, an n-component
     declared field.  Raises :class:`Unavailable` for a declaration the
@@ -549,7 +576,7 @@ def c_source(n: int, source: FieldSource) -> str:
     translator = _Translator(source)
     check, prelude, outputs = translator.field(source)
     comps = range(n)
-    inputs, norm, grow, shrink = _step_parts(n, _C_FORMS)
+    inputs, norm, grow, shrink = _step_parts(n)
     stages = []
     for s, values in enumerate(inputs, 2):
         if s == 7:
@@ -677,11 +704,10 @@ def _load(path: str) -> ctypes.CDLL:
 
 
 def kernel(n: int, source: FieldSource, python):
-    """A runner of the native loop for ``source``, as
-    :func:`fireball.integrate._run_python` runs the Python one, and how its
-    object was got.  ``python`` is that runner, for the solves the C loop
-    hands back.  Raises :class:`Unavailable` with the reason when there is
-    none."""
+    """A runner of the native loop for ``source``, called as
+    :func:`fireball.integrate._run_python` is, and how its object was got.
+    ``python`` is that stepper, for the solves the C loop hands back.
+    Raises :class:`Unavailable` with the reason when there is none."""
     path, how = _library(c_source(n, source))
     library = _load(path)
     loop = library.fireball_loop
@@ -694,7 +720,7 @@ def kernel(n: int, source: FieldSource, python):
         state = array("d", y)
         try:
             state.extend(f(t, y))
-        except TypeError:  # not floats (a complex power): the Python loop raises
+        except TypeError:  # not floats (a complex power): the Python stepper raises
             return python(f, t, h, y, grid, times, next_idx, abs_tol, rel_tol, max_step, unit)
         out = array("d", y) * count  # the rows before next_idx are y0
         scalars = array("d", (t, h, abs_tol, rel_tol, max_step, unit))

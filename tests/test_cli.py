@@ -664,10 +664,12 @@ class TestEntryPoint:
             [sys.executable, "-m", "fireball.cli", "simulate", "--model", "1d",
              "--X", "1", "--t-end", "0.5", "--out", "-"],
             capture_output=True, text=True, timeout=60,
-            # the package under test, wherever pytest found it, and the
-            # native kernels' cache of this process
-            env={"PATH": "/usr/bin:/bin", "FIREBALL_LOG": "debug",
+            # the package under test, wherever pytest found it, and this
+            # process's PATH and native kernels' cache, so that a run
+            # without a compiler builds nothing here either
+            env={"FIREBALL_LOG": "debug",
                  "PYTHONPATH": os.path.dirname(os.path.dirname(fireball.__file__)),
-                 **{k: os.environ[k] for k in ("HOME", "XDG_CACHE_HOME") if k in os.environ}})
+                 **{k: os.environ[k] for k in ("PATH", "HOME", "XDG_CACHE_HOME")
+                    if k in os.environ}})
         assert proc.returncode == 0
         assert proc.stdout.startswith("# schema=1")

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from fireball import native
 from fireball.analytic import _angular_field, angular_potential
 from fireball.cli import main
 from fireball.dynamics import FieldSource, vector_field
-from fireball.integrate import _loop_kernel, _python_loop, sample_grid, solve_ode
+from fireball.integrate import _A, _C, _E, _loop_kernel, sample_grid, solve_ode
 from fireball.invariants import hamiltonian_values
 from fireball.verification import default_initial_state
 
@@ -303,106 +304,6 @@ class TestGuards:
         assert ys[1].tobytes() == ys[2].tobytes()
 
 
-# The stepper as written by hand, with its own copy of the Dormand & Prince
-# (1980) tableau: one list comprehension over zip per stage and a loop for
-# the error norm.  solve_ode's generated loop must match it bit for bit.
-_REF_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_REF_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_REF_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-
-
-def reference_solve_ode(f, t0, y0, sample_times, *, rel_tol=1e-10, abs_tol=1e-12,
-                        max_step=math.inf):
-    (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
-     (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6)) = _REF_A
-    _, c2, c3, c4, c5, _, _ = _REF_C
-    e1, _, e3, e4, e5, e6, e7 = _REF_E
-
-    y = [float(v) for v in y0]
-    n = len(y)
-    t = float(t0)
-    times = np.asarray(sample_times, dtype=float).tolist()
-    t_end = times[-1]
-    span = t_end - t
-    out = []
-    n_samples = len(times)
-    next_idx = 0
-    while next_idx < n_samples and times[next_idx] <= t + 1e-14 * max(1.0, abs(t)):
-        out.extend(y)
-        next_idx += 1
-    if span == 0.0:
-        return np.array(out).reshape(-1, n)
-
-    h = min(max_step, span / 100.0, 0.1)
-    h = min(h, span)
-    k1 = f(t, y)
-    refusals = 0
-    t_stop = t_end - 1e-14 * max(1.0, abs(t_end))
-    while t < t_stop:
-        h = min(h, max_step, t_end - t)
-        if next_idx < n_samples:
-            h = min(h, times[next_idx] - t)
-        if h < 1e-14 * max(1.0, abs(t)):
-            if refusals > 0:
-                raise SingularityError("floor", last_t=t, last_y=np.array(y))
-            raise IntegrationError("underflow", last_t=t, last_y=np.array(y))
-        try:
-            k2 = f(t + c2 * h, [u + h * (a21 * p1) for u, p1 in zip(y, k1)])
-            k3 = f(t + c3 * h, [u + h * (a31 * p1 + a32 * p2)
-                                for u, p1, p2 in zip(y, k1, k2)])
-            k4 = f(t + c4 * h, [u + h * (a41 * p1 + a42 * p2 + a43 * p3)
-                                for u, p1, p2, p3 in zip(y, k1, k2, k3)])
-            k5 = f(t + c5 * h, [u + h * (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
-                                for u, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
-            k6 = f(t + h, [u + h * (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
-                           for u, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [u + h * (b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
-                     for u, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
-            k7 = f(t + h, y_new)
-        except DomainError:
-            refusals += 1
-            if refusals > 50:
-                raise SingularityError("refused", last_t=t, last_y=np.array(y)) from None
-            h *= 0.5
-            continue
-        refusals = 0
-
-        sq = 0.0
-        for u, v, p1, p3, p4, p5, p6, p7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-            u, v = abs(u), abs(v)
-            e = h * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7) \
-                / (abs_tol + rel_tol * (u if u > v else v))
-            sq += e * e
-        err = math.sqrt(sq / n)
-
-        if err <= 1.0:
-            t_new = t + h
-            tol = 1e-14 * max(1.0, abs(t_new))
-            while next_idx < n_samples and times[next_idx] <= t_new + tol:
-                # every sample is a step's end: none falls inside a step
-                assert abs(times[next_idx] - t_new) <= tol, "sample inside a step"
-                out.extend(y_new)
-                next_idx += 1
-            t, y, k1 = t_new, y_new, k7
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        else:
-            factor = min(1.0, max(0.2, 0.9 * err ** -0.2))
-        h *= factor
-
-    while next_idx < n_samples:
-        out.extend(y)
-        next_idx += 1
-    return np.array(out).reshape(-1, n)
-
-
 def counted(f):
     """``f`` with a call counter in ``.calls``."""
     def wrapper(t, y):
@@ -428,17 +329,6 @@ def assert_same(got, want):
         assert got == want
 
 
-def assert_matches_reference(make_field, *args, **kwargs):
-    """solve_ode and the reference give the same samples (or the same error
-    at the same state) bit for bit, with the same number of RHS calls.  The
-    counting wrapper is not a declared field, so the step calls it."""
-    f, g = counted(make_field()), counted(make_field())
-    got = outcome(solve_ode, f, *args, **kwargs)
-    assert_same(got, outcome(reference_solve_ode, g, *args, **kwargs))
-    assert f.calls == g.calls
-    return got
-
-
 # Where a C compiler is on PATH, the native loop must serve every declared
 # field of the package.
 HAVE_CC = shutil.which("cc") is not None
@@ -450,14 +340,34 @@ def assert_native(field, n):
         assert hasattr(_loop_kernel(n, field.source), "library")
 
 
-def assert_fused_matches_reference(field, t0, y0, *args, **kwargs):
-    """As :func:`assert_matches_reference` for a declared field passed
-    itself, which solve_ode's native loop inlines whenever cc is on PATH
-    and its Python loop calls otherwise."""
+def solve_recorded(f, *args, **kwargs):
+    """The outcome of solve_ode and the arguments of its ``solve_ode:`` debug
+    records (none when it raised)."""
+    logger, records = logging.getLogger("fireball.integrate"), []
+    handler, level = logging.Handler(), logger.level
+    handler.emit = records.append
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        got = outcome(solve_ode, f, *args, **kwargs)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return got, [r.args for r in records if str(r.msg).startswith("solve_ode:")]
+
+
+def assert_native_matches_python(field, t0, y0, *args, python=None, **kwargs):
+    """The declared ``field``, which the native loop inlines whenever cc is
+    on PATH, and ``python``, a called field of the same rates (a counting
+    wrapper of ``field`` unless given), which the Python stepper serves,
+    give the same samples (or the same error at the same state) bit for bit
+    and the same ``solve_ode:`` record."""
     assert field.source.function is field
-    got = outcome(solve_ode, field, t0, y0, *args, **kwargs)
+    got, record = solve_recorded(field, t0, y0, *args, **kwargs)
     assert_native(field, len(y0))
-    assert_same(got, outcome(reference_solve_ode, field, t0, y0, *args, **kwargs))
+    want, want_record = solve_recorded(python or counted(field), t0, y0, *args, **kwargs)
+    assert_same(got, want)
+    assert record == want_record
     return got
 
 
@@ -466,7 +376,92 @@ def assert_fused_matches_reference(field, t0, y0, *args, **kwargs):
 NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
 
 
+def rooted_trees(order):
+    """The rooted trees of ``order`` nodes, each the sorted tuple of its
+    root's subtrees: every tree of two or more nodes is a smaller tree with
+    one more subtree on its root."""
+    if order == 1:
+        return [()]
+    return sorted({tuple(sorted(tree + (sub,))) for size in range(1, order)
+                   for sub in rooted_trees(size) for tree in rooted_trees(order - size)})
+
+
+def tree_size(tree):
+    return 1 + sum(map(tree_size, tree))
+
+
+def tree_density(tree):
+    return tree_size(tree) * math.prod(map(tree_density, tree))
+
+
+def stage_weights(tree, a):
+    """The elementary weight of ``tree`` at each stage: the product over
+    the root's subtrees of sum_j a_ij times the subtree's weight at j."""
+    weights = [Fraction(1)] * len(a)
+    for sub in tree:
+        inner = stage_weights(sub, a)
+        weights = [w * sum((x * inner[j] for j, x in enumerate(row)), Fraction(0))
+                   for w, row in zip(weights, a)]
+    return weights
+
+
+class TestTableau:
+    """The Dormand & Prince (1980) coefficients that the Python stepper and
+    the C loop read, checked against the conditions that define them, as
+    exact rationals of the stored floats, rather than against a copy."""
+
+    A = [[Fraction(x) for x in row] for row in _A]
+    B5 = [*A[6], Fraction(0)]  # the propagated solution: stage 7's row of A
+    B4 = [b - Fraction(e) for b, e in zip(B5, _E)]  # the embedded 4th order
+
+    def test_rows_sum_to_the_nodes(self):
+        assert len(_A) == len(_C) == len(_E) == 7
+        for i, (row, c) in enumerate(zip(self.A, _C)):
+            assert len(row) == i
+            assert abs(float(sum(row, Fraction(0)) - Fraction(c))) <= 1e-15
+
+    def test_first_same_as_last(self):
+        # stage 7 evaluates f at the new state, at c = 1, so it is stage 1
+        # of the next step; the stepper skips the weights that are zero
+        assert _C[6] == 1.0 and len(_A[6]) == 6
+        assert _A[6][1] == _E[1] == 0.0
+
+    def test_the_trees(self):
+        assert [len(rooted_trees(order)) for order in range(1, 6)] == [1, 1, 2, 4, 9]
+
+    @pytest.mark.parametrize("weights,order", [("B5", 5), ("B4", 4)], ids=["b5", "b4"])
+    def test_order_conditions(self, weights, order):
+        b = getattr(self, weights)
+        for tree in (tree for size in range(1, order + 1) for tree in rooted_trees(size)):
+            value = sum((w * x for w, x in zip(b, stage_weights(tree, self.A))), Fraction(0))
+            assert abs(float(value - Fraction(1, tree_density(tree)))) <= 1e-15, tree
+
+
+# Declared twins of called fields, which the native loop inlines.
+GUARD = FieldSource(args=("x", "v"), positive="x > 0.0", refusal='f"x={x!r}"',
+                    outputs=("v", "-1.0"))
+OSCILLATOR = FieldSource(args=("x", "v"), positive="-2.0 < x < 2.0", refusal='f"x={x!r}"',
+                         outputs=("v", "-x"))
+N1 = FieldSource(args=("x",), positive="-10.0 < x < 10.0", refusal='f"x={x!r}"',
+                 outputs=("-0.5 * x + sin(2.0 * x)",), constants=(("sin", math.sin),))
+N3 = FieldSource(args=("x", "y", "z"), positive="-1e6 < x < 1e6", refusal='f"x={x!r}"',
+                 outputs=("y", "-x * z", "x * y - 0.1 * z"))
+LORENZ = FieldSource(args=("x", "y", "z"), positive="-1e6 < x < 1e6", refusal='f"x={x!r}"',
+                     outputs=("10.0 * (y - x)", "x * (28.0 - z) - y", "x * y - 8.0 / 3.0 * z"))
+
+# Grids and settings of the custom-size runs: steps landing on a fine grid,
+# steps set by the tolerance, and steps capped by max_step.
+CUSTOM_RUNS = ((sample_grid(0.0, 2.0, 1e-3), {}), (np.array([0.0, 0.7, 2.0]), {"rel_tol": 1e-8}),
+               (np.array([0.0, 2.0]), {"max_step": 0.3}))
+
+
 class TestReferenceStepper:
+    """The hand-written Python stepper is the reference: the C loop, which
+    inlines a declared field, must match it bit for bit, so each case that
+    can be declared runs both.  Fields that only a call can give (counting
+    calls, refusing some of them) run the Python stepper alone and are
+    checked by their own assertions."""
+
     @pytest.mark.parametrize("kind", list(ModelKind))
     @settings(max_examples=6, deadline=None, phases=NO_SHRINK)
     @given(data=st.data())
@@ -478,8 +473,7 @@ class TestReferenceStepper:
         landing = sample_grid(t0, t0 + 0.5, 1e-3)
         tolerance_bound = sample_grid(t0, 1e4, 1e3)
         for grid in (landing, tolerance_bound):
-            assert_matches_reference(lambda: vector_field(kind), t0, q + qdot, grid)
-            assert_fused_matches_reference(vector_field(kind), t0, q + qdot, grid)
+            assert_native_matches_python(vector_field(kind), t0, q + qdot, grid)
 
     @pytest.mark.parametrize("kind", [ModelKind.TWO_D, ModelKind.ELLIPTIC_3D])
     @settings(max_examples=6, deadline=None, phases=NO_SHRINK)
@@ -487,110 +481,95 @@ class TestReferenceStepper:
     def test_fused_angular_fields(self, kind, excess, sign):
         # invariant = U(pi/4) + excess
         v0 = sign * math.sqrt(2.0 * excess)
-        assert_fused_matches_reference(_angular_field(kind), 0.0, [math.pi / 4.0, v0],
-                                       sample_grid(0.0, 3.0, 0.01),
-                                       rel_tol=1e-12, abs_tol=1e-12)
+        assert_native_matches_python(_angular_field(kind), 0.0, [math.pi / 4.0, v0],
+                                     sample_grid(0.0, 3.0, 0.01), rel_tol=1e-12, abs_tol=1e-12)
 
     @settings(max_examples=6, deadline=None, phases=NO_SHRINK)
     @given(invariant=st.floats(2.5, 40.0), sign=st.sampled_from([-1.0, 1.0]))
     def test_guarded_angular_field(self, invariant, sign):
         # angular_quadrature's field, made to refuse every 19th call too, so
         # that about a third of the steps are refused at one stage or another
-        refusals = []
+        field, refusals, calls = _angular_field(ModelKind.TWO_D), [], [0]
 
-        def make_field():
-            field = _angular_field(ModelKind.TWO_D)
-            calls = [0]
-
-            def f(t, y):
-                calls[0] += 1
-                if calls[0] % 19 == 0:
-                    refusals.append(y)
-                    raise DomainError("refused stage")
-                return field(t, y)
-            return f
+        def f(t, y):
+            calls[0] += 1
+            if calls[0] % 19 == 0:
+                refusals.append(y)
+                raise DomainError("refused stage")
+            return field(t, y)
 
         v0 = sign * math.sqrt(2.0 * (invariant - 2.0))
         grid = sample_grid(0.0, 3.0, 0.01)
-        assert_matches_reference(make_field, 0.0, [math.pi / 4.0, v0], grid,
-                                 rel_tol=1e-12, abs_tol=1e-12)
+        got = solve_ode(f, 0.0, [math.pi / 4.0, v0], grid, rel_tol=1e-12, abs_tol=1e-12)
         assert refusals
+        # a refusal only halves the step: the samples stay near the unguarded
+        # run's (at most 4e-8 apart over 80 such states)
+        want = solve_ode(field, 0.0, [math.pi / 4.0, v0], grid, rel_tol=1e-12, abs_tol=1e-12)
+        assert np.abs(got - want).max() <= 1e-6
 
     def test_angular_field_refuses_out_of_range_stages(self):
         # at this invariant some elliptic stages step phi out of (0, pi/2)
         kind = ModelKind.ELLIPTIC_3D
         phi0, invariant = math.atan(1.0 / math.sqrt(2.0)), 1e4
         v0 = math.sqrt(2.0 * (invariant - float(angular_potential(phi0, kind))))
-        refusals = []
+        field, refusals = _angular_field(kind), []
 
-        def make_field():
-            field = _angular_field(kind)
+        def f(t, y):
+            try:
+                return field(t, y)
+            except DomainError:
+                refusals.append(y)
+                raise
 
-            def f(t, y):
-                try:
-                    return field(t, y)
-                except DomainError:
-                    refusals.append(y)
-                    raise
-            return f
-
-        got = assert_matches_reference(make_field, 0.0, [phi0, v0], np.linspace(0.0, 2.0, 11),
-                                       rel_tol=1e-8, abs_tol=1e-8)
+        # the Python stepper calls f, and the C loop refuses the same stages
+        got = assert_native_matches_python(field, 0.0, [phi0, v0], np.linspace(0.0, 2.0, 11),
+                                           python=f, rel_tol=1e-8, abs_tol=1e-8)
         assert isinstance(got, np.ndarray) and refusals
         assert all(not 0.0 < y[0] < math.pi / 2.0 for y in refusals)
-        # the declared field (inlined wherever cc is on PATH) refuses the
-        # same stages
-        got = assert_fused_matches_reference(_angular_field(kind), 0.0, [phi0, v0],
-                                             np.linspace(0.0, 2.0, 11),
-                                             rel_tol=1e-8, abs_tol=1e-8)
-        assert isinstance(got, np.ndarray)
         # at a loose tolerance a step is accepted where every next step
         # refuses: the same error at the same state
-        got = assert_fused_matches_reference(_angular_field(kind), 0.0, [phi0, v0],
-                                             np.linspace(0.0, 2.0, 11),
-                                             rel_tol=1e-2, abs_tol=1e-2)
+        got = assert_native_matches_python(field, 0.0, [phi0, v0], np.linspace(0.0, 2.0, 11),
+                                           rel_tol=1e-2, abs_tol=1e-2)
         assert got[0] is SingularityError
 
     def test_guard_singularity_is_the_same(self):
-        # a field that refuses y[0] <= 0 while y[0] falls towards 0
-        def make_field():
-            def f(_t, y):
-                if not y[0] > 0.0:
-                    raise DomainError("refused stage")
-                return y[1], -1.0
-            return f
-
-        got = assert_matches_reference(make_field, 0.0, [1.0, 0.0], np.array([0.0, 3.0]))
+        # a field that refuses x <= 0 while x falls towards 0
+        got = assert_native_matches_python(GUARD.function, 0.0, [1.0, 0.0], np.array([0.0, 3.0]))
         assert got[0] is SingularityError
 
     def test_domain_error_mid_step(self):
-        # every 11th call refuses its stage, so the refusal falls on each of
-        # stages 2-7 in turn
-        def make_field():
-            calls = [0]
+        # every 11th call refuses its stage.  Each step that would land on
+        # the first sample, t = 0.05, is refused at its 5th or 6th stage and
+        # halved, so the run creeps up to the sample until the step floor
+        # stops it 1.6e-14 short, with the closed form's state
+        calls = [0]
 
-            def f(_t, y):
-                calls[0] += 1
-                if calls[0] % 11 == 0:
-                    raise DomainError("refused stage")
-                return y[2], y[3], -y[0], -2.0 * y[1]
-            return f
+        def f(_t, y):
+            calls[0] += 1
+            if calls[0] % 11 == 0:
+                raise DomainError("refused stage")
+            return y[2], y[3], -y[0], -2.0 * y[1]
 
-        assert_matches_reference(make_field, 0.0, [1.0, 0.5, 0.0, 0.3],
-                                 sample_grid(0.0, 5.0, 0.05))
+        with pytest.raises(SingularityError, match="domain refusals forced the step below"
+                                                   " the floor") as err:
+            solve_ode(f, 0.0, [1.0, 0.5, 0.0, 0.3], sample_grid(0.0, 5.0, 0.05))
+        t, w = err.value.last_t, math.sqrt(2.0)
+        assert 0.05 - 1e-13 < t < 0.05
+        exact = [math.cos(t), 0.5 * math.cos(w * t) + 0.3 / w * math.sin(w * t),
+                 -math.sin(t), -0.5 * w * math.sin(w * t) + 0.3 * math.cos(w * t)]
+        assert np.abs(err.value.last_y - exact).max() <= 1e-12
 
     def test_negative_zero_crossing_zero(self):
         # the first component starts at -0.0 and then changes sign, so both
         # branches of the error norm's |x| run, at -0.0 too
-        crossings = []
+        field, crossings = OSCILLATOR.function, []
 
-        def make_field():
-            def f(_t, y):
-                crossings.append(y[0] > 0.0)
-                return y[1], -y[0]
-            return f
+        def f(t, y):
+            crossings.append(y[0] > 0.0)
+            return field(t, y)
 
-        got = assert_matches_reference(make_field, 0.0, [-0.0, -1.0], sample_grid(0.0, 10.0, 0.1))
+        got = assert_native_matches_python(field, 0.0, [-0.0, -1.0], sample_grid(0.0, 10.0, 0.1),
+                                           python=f)
         assert math.copysign(1.0, got[0, 0]) == -1.0
         assert True in crossings and False in crossings
 
@@ -607,33 +586,47 @@ class TestReferenceStepper:
 
         grid = sample_grid(0.0, 5.0, 0.5)
         with caplog.at_level(logging.DEBUG, logger="fireball.integrate"):
-            got = assert_matches_reference(make_field, 0.0, [1.0, 0.0], grid)
+            got = solve_ode(make_field(), 0.0, [1.0, 0.0], grid)
             solve_ode(make_field(nan_call=0), 0.0, [1.0, 0.0], grid)
         assert np.isfinite(got).all()
         nan_rejected, clean_rejected = [r.args[1] for r in caplog.records
                                         if str(r.msg).startswith("solve_ode:")]
         assert nan_rejected > clean_rejected
 
-    @pytest.mark.parametrize("make_field,y0", [
-        (lambda: lambda t, y: [-0.5 * y[0] + math.sin(t)], [1.3]),
-        (lambda: lambda t, y: np.array([y[1], -y[0] * y[2], y[0] * y[1] - 0.1 * y[2]]),
-         [0.2, 1.0, -0.4]),
-        (lambda: lambda t, y: (10.0 * (y[1] - y[0]), y[0] * (28.0 - y[2]) - y[1],
-                               y[0] * y[1] - 8.0 / 3.0 * y[2]), [1.0, 1.0, 1.0]),
+    @pytest.mark.parametrize("field,python,y0", [
+        (N1.function, None, [1.3]),
+        # rates returned as a 1-d array give the bits of the C loop's doubles
+        (N3.function, lambda t, y: np.array(N3.function(t, y)), [0.2, 1.0, -0.4]),
+        (LORENZ.function, None, [1.0, 1.0, 1.0]),
     ], ids=["n1", "n3-array", "n3-lorenz"])
-    def test_custom_sizes(self, make_field, y0):
-        for grid, kw in ((sample_grid(0.0, 2.0, 1e-3), {}),
-                         (np.array([0.0, 0.7, 2.0]), {"rel_tol": 1e-8}),
-                         (np.array([0.0, 2.0]), {"max_step": 0.3})):
-            assert_matches_reference(make_field, 0.0, y0, grid, **kw)
+    def test_custom_sizes(self, field, python, y0):
+        for grid, kw in CUSTOM_RUNS:
+            assert_native_matches_python(field, 0.0, y0, grid, python=python, **kw)
+
+    def test_time_dependent_field(self):
+        # the declared fields are autonomous; a called field reads the stage
+        # times t + c h, checked here against x' = -x/2 + sin t's closed form
+        # (errors of 2e-15, 6.7e-10 and 9.7e-12; 1e-5 to 1e-4 with c2 in
+        # place of c3)
+        for (grid, kw), bound in zip(CUSTOM_RUNS, (1e-12, 1e-8, 1e-10)):
+            ys = solve_ode(lambda t, y: [-0.5 * y[0] + math.sin(t)], 0.0, [1.3], grid, **kw)
+            exact = 0.4 * np.sin(grid) - 0.8 * np.cos(grid) + 2.1 * np.exp(-0.5 * grid)
+            assert np.abs(ys[:, 0] - exact).max() <= bound
 
     @pytest.mark.parametrize("reply", [(1.0,), (1.0, 2.0, 3.0)], ids=["short", "long"])
     def test_field_of_wrong_length_raises(self, reply):
-        def f(t, y):
-            return reply
+        # at the start, at a stage of the first step (the 3rd call) and of a
+        # later one (the 40th): the stages must not drop or ignore a rate
+        for bad_call in (1, 3, 40):
+            calls = [0]
 
-        with pytest.raises(ValueError):
-            solve_ode(f, 0.0, [1.0, 0.0], np.array([0.0, 1.0]))
+            def f(t, y):
+                calls[0] += 1
+                return reply if calls[0] == bad_call else (y[1], -y[0])
+
+            with pytest.raises(ValueError):
+                solve_ode(f, 0.0, [1.0, 0.0], np.array([0.0, 1.0]))
+            assert calls[0] == bad_call
 
 
 def model_start(kind):
@@ -682,7 +675,7 @@ class TestBenchmarkContract:
 
 class TestDeclaredFields:
     """The model and angular fields are declared as source: solve_ode's
-    native loop, built on first use, inlines them, and its Python loop
+    native loop, built on first use, inlines them, and its Python stepper
     calls them and any other callable, wrappers of a declared field
     included."""
 
@@ -784,8 +777,8 @@ FALL = FieldSource(args=("x", "v"), positive="x > 0.0 and v < 1.0", refusal='f"x
 
 
 class TestNativeLoop:
-    """The C translation of the loop (fireball.native) against the Python
-    loop, which serves called fields, and against its cache."""
+    """The C translation of the stepper (fireball.native) against the Python
+    stepper, which serves called fields, and against its cache."""
 
     @pytest.mark.parametrize("field,t0,y0,grid,kw,error,message", [
         (_angular_field(ModelKind.ELLIPTIC_3D), 0.0, [math.atan(1.0 / math.sqrt(2.0)), 141.4],
@@ -804,10 +797,10 @@ class TestNativeLoop:
     ], ids=["landing-refusals-at-floor", "landing-underflow", "landing-fifty-refusals",
             "landing-fall", "landing-blowup", "landing-complex", "landing-complex-start"])
     def test_errors_match_the_python_loop(self, field, t0, y0, grid, kw, error, message):
-        # the same error, message and last state as the Python loop gives
+        # the same error, message and last state as the Python stepper gives
         # when it calls the field, in every way a run can fail; in the last
         # two cases a power is complex in Python (at a stage, or at the
-        # start), so the Python loop runs the solve again to raise
+        # start), so the Python stepper runs the solve again to raise
         got = failure(field, t0, y0, grid, **kw)
         assert_native(field, len(y0))
         assert got == failure(counted(field), t0, y0, grid, **kw)
@@ -816,7 +809,7 @@ class TestNativeLoop:
 
     def test_underflow_exit_and_message(self, capsys):
         # a state that starts 1e-10 above the floor: exit 3, and the
-        # message of the Python loop
+        # message of the Python stepper
         code = main(["simulate", "--model", "2d", "--X", "1", "--Y", "1e-10", "--Xdot", "0.1",
                      "--Ydot", "0.2", "--t-end", "25", "--out", os.devnull])
         assert code == 3
@@ -868,7 +861,7 @@ class TestNativeLoop:
     ], ids=lambda argv: "-".join(argv[:3:2]))
     def test_the_python_loop_writes_the_native_loop_bytes(self, monkeypatch, tmp_path, argv):
         # every command, run once on the native loops (wherever cc works)
-        # and once on the Python loop, writes the same file
+        # and once on the Python stepper, writes the same file
         paths = [tmp_path / "native.out", tmp_path / "python.out"]
         _loop_kernel.cache_clear()
         code = main([*argv, "--out", str(paths[0])])
@@ -883,17 +876,6 @@ class TestNativeLoop:
         finally:
             _loop_kernel.cache_clear()
         assert paths[0].read_bytes() == paths[1].read_bytes()
-
-    def test_one_python_loop_serves_every_field_of_a_length(self, fresh_kernels,
-                                                             monkeypatch):
-        # the Python loop calls the field, so it is compiled once per state
-        # length, not once per declaration
-        monkeypatch.setattr(native, "_compiler", lambda: None)
-        _python_loop.cache_clear()
-        solve_ode(vector_field(ModelKind.ONE_D), 0.0, [1.0, 0.0], sample_grid(0.0, 1.0, 0.1))
-        misses = _python_loop.cache_info().misses
-        solve_ode(_angular_field(ModelKind.TWO_D), 0.0, [0.7, -1.1], np.linspace(0.0, 1.0, 11))
-        assert _python_loop.cache_info().misses == misses == 1
 
     @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
     def test_cache_is_reused_and_a_damaged_object_rebuilt(self, fresh_kernels, monkeypatch):
@@ -946,7 +928,7 @@ class TestNativeLoop:
         ({"outputs": ("1",)}, "the output 1 is an integer"),
     ], ids=["abs", "ifexp", "int-product", "augassign", "bare-name", "int"])
     def test_translator_refuses_what_it_cannot_take(self, declaration, reason):
-        # such a declaration keeps the Python loop
+        # such a declaration keeps the Python stepper
         source = FieldSource(**{"args": ("x",), "positive": "x > 0.0", "refusal": '"refused"',
                                 "outputs": ("-x",), **declaration})
         with pytest.raises(native.Unavailable, match=re.escape(reason)):
