@@ -6,7 +6,12 @@ This package integrates those systems, evaluates their exact invariants and
 closed-form solutions, verifies the symmetry structure behind the
 conservation laws, and checks the reduction against the original fluid
 equations.
+
+``import fireball`` loads what every run needs; ``analytic``, ``symmetry``
+and ``hydro`` load on first use of one of their names, or when imported.
 """
+
+import importlib
 
 from .errors import (ConfigError, DomainError, FireballError, IntegrationError,
                      NoMotionError, SingularityError, UnsupportedModelError)
@@ -18,14 +23,26 @@ from .integrate import IntegratorConfig, Trajectory, integrate
 from .invariants import (GeneralErmakovSpec, InvariantReport, ermakov_invariant,
                          general_ermakov_invariant, invariant_report,
                          itilde_invariant, noether_invariant, pinney_coupling)
-from .analytic import (AngularSolution, RadialSolution, angular_quadrature,
-                       one_d_solution, polar_invariants, radial, radial_3d,
-                       superposition_1d, time_reparam)
-from .symmetry import (PointSymmetry, dynamical_symmetry_check,
-                       noether_condition_residual, noether_invariant_from,
-                       ode_residual, scaled_trajectory, scaling_symmetry,
-                       time_translation)
-from .hydro import (FluidFields, fields_at, particle_number, pde_residuals,
-                    total_energy)
 
+# The exports of the modules loaded on first use, each with its module.
+_LAZY = {name: f"{__name__}.{module}" for module, names in {
+    "analytic": ("AngularSolution", "RadialSolution", "angular_quadrature", "one_d_solution",
+                 "polar_invariants", "radial", "radial_3d", "superposition_1d", "time_reparam"),
+    "symmetry": ("PointSymmetry", "dynamical_symmetry_check", "noether_condition_residual",
+                 "noether_invariant_from", "ode_residual", "scaled_trajectory",
+                 "scaling_symmetry", "time_translation"),
+    "hydro": ("FluidFields", "fields_at", "particle_number", "pde_residuals", "total_energy"),
+}.items() for name in names}
+# The classes and functions imported above, then those.
+__all__ = [name for name, value in globals().items() if callable(value)] + list(_LAZY)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, getattr(importlib.import_module(_LAZY[name]), name))
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

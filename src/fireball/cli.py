@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import logging
 import math
 import os
@@ -26,7 +25,7 @@ from .errors import (ConfigError, DomainError, FireballError, IntegrationError,
                      UnsupportedModelError)
 from .models import ModelKind, State, radius, state_from_components
 from .integrate import IntegratorConfig, integrate, sample_grid
-from . import analytic, invariants, verification
+from . import invariants
 
 log = logging.getLogger("fireball.cli")
 
@@ -208,18 +207,13 @@ def _emit_table(settings: dict, command: str, meta_keys: list[str],
     present = [c for c in columns if c in data]
     block = np.column_stack([data[c] for c in present])
     if settings["format"] == "json":
+        import json
         table = block.tolist()
         if len(present) < len(columns):
             slots = [present.index(c) if c in data else None for c in columns]
             table = [[None if j is None else row[j] for j in slots] for row in table]
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": command,
-            "settings": meta,
-            "columns": list(columns),
-            "rows": table,
-        }
-        doc.update(extra)
+        doc = {"schema": SCHEMA_VERSION, "command": command, "settings": meta,
+               "columns": list(columns), "rows": table, **extra}
         _write_text(settings.get("out"), json.dumps(doc, indent=2) + "\n")
     else:
         pairs = " ".join(f"{k}={v}" for k, v in meta.items())
@@ -278,6 +272,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    import json
+    from . import verification
     settings = _merge_settings(args, "verify")
     kind = _model_kind(settings)
     initial = _initial_state(settings, kind) if settings.get("X") is not None else None
@@ -297,6 +293,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
+    from . import analytic
     settings = _merge_settings(args, "analytic")
     kind = _model_kind(settings)
     if not kind.has_ermakov_invariant:

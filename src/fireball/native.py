@@ -108,14 +108,14 @@ static inline double py_divide(int *py, double a, double b)
 """
 
 _POWER = """
-/* Python's float power: ZeroDivisionError for 0 to a negative power, a
-   complex result for a negative number to a fractional power, and
-   OverflowError for an infinite result from finite operands. */
+/* Python's float power stops only for finite operands: ZeroDivisionError
+   for 0 to a negative power, a complex result for a negative number to a
+   fractional power, and OverflowError for an infinite result. */
 static inline double py_power(int *py, double a, double b)
 {
     double r = pow(a, b);
-    if ((a == 0.0 && b < 0.0) || (a < 0.0 && isfinite(a) && isfinite(b) && b != floor(b))
-            || (isinf(r) && isfinite(a) && isfinite(b)))
+    if (((a == 0.0 && b < 0.0) || (a < 0.0 && b != floor(b)) || isinf(r))
+            && isfinite(a) && isfinite(b))
         *py = 1;
     return r;
 }

@@ -21,7 +21,7 @@ from fireball import native
 from fireball.analytic import _angular_field, angular_potential
 from fireball.cli import main
 from fireball.dynamics import FieldSource, vector_field
-from fireball.integrate import _A, _C, _E, _loop_kernel, sample_grid, solve_ode
+from fireball.integrate import _A, _C, _E, _loop_kernel, _run_python, sample_grid, solve_ode
 from fireball.invariants import hamiltonian_values
 from fireball.verification import default_initial_state
 
@@ -679,19 +679,41 @@ class TestDeclaredFields:
     calls them and any other callable, wrappers of a declared field
     included."""
 
-    def test_import_compiles_no_kernel(self):
-        # nor loads the native module, what it alone imports, or the pool
-        # that only simulate --jobs > 1 uses
-        code = ("import sys, fireball, fireball.cli\n"
-                "from fireball.integrate import _loop_kernel\n"
-                "print(_loop_kernel.cache_info().misses, *(m in sys.modules for m in\n"
-                "      ('fireball.native', 'hashlib', 'subprocess', 'concurrent.futures')))")
+    @staticmethod
+    def fresh(code):
+        """What ``code`` prints, split, in a fresh interpreter that imports
+        the package under test, with this process's PATH and kernel cache,
+        so that a run without a compiler builds nothing here either."""
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-            env={"PATH": "/usr/bin:/bin",
-                 "PYTHONPATH": os.path.dirname(os.path.dirname(fireball.__file__))})
+            env={"PYTHONPATH": os.path.dirname(os.path.dirname(fireball.__file__)),
+                 **{k: os.environ[k] for k in ("PATH", "HOME", "XDG_CACHE_HOME")
+                    if k in os.environ}})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "False", "False", "False", "False"]
+        return proc.stdout.split()
+
+    def test_import_compiles_no_kernel(self):
+        # nor loads the native module, what it alone imports, the pool that
+        # only simulate --jobs > 1 uses, the modules of the other commands
+        # and names, or json, which only verify and --format json use
+        modules = ("fireball.native", "hashlib", "subprocess", "concurrent.futures",
+                   "fireball.analytic", "fireball.symmetry", "fireball.hydro",
+                   "fireball.verification", "json")
+        assert self.fresh("import sys, fireball, fireball.cli\n"
+                          "from fireball.integrate import _loop_kernel\n"
+                          "print(_loop_kernel.cache_info().misses,\n"
+                          f"      *(m in sys.modules for m in {modules!r}))"
+                          ) == ["0"] + ["False"] * len(modules)
+
+    def test_simulate_loads_no_other_command(self):
+        modules = ("fireball.analytic", "fireball.symmetry", "fireball.hydro",
+                   "fireball.verification")
+        assert self.fresh("import os, sys, fireball.cli\n"
+                          "code = fireball.cli.main(['simulate', '--model', '2d', '--X', '1',\n"
+                          "                          '--Y', '1.3', '--t-end', '1',\n"
+                          "                          '--out', os.devnull])\n"
+                          f"print(code, *(m in sys.modules for m in {modules!r}))"
+                          ) == ["0"] + ["False"] * len(modules)
 
     @pytest.mark.parametrize("kind", [ModelKind.TWO_D, ModelKind.ELLIPTIC_3D])
     def test_angular_quadrature_reuses_its_kernel(self, kind):
@@ -774,6 +796,10 @@ BLOWUP = FieldSource(args=("x",), positive="x > 0.0", refusal='f"x={x!r}"',
                      outputs=("x ** 2.0",))
 FALL = FieldSource(args=("x", "v"), positive="x > 0.0 and v < 1.0", refusal='f"x={x!r}"',
                    outputs=("v", "-1.0"))
+# An oscillator through x = 0 whose second rate adds 1 / (1 + (0.0 * x) ** -inf):
+# Python's 0.0 ** -inf and (-0.0) ** -inf are inf, so that term is 0.
+ZERO_POWER = FieldSource(args=("x", "v"), positive="-2.0 < x < 2.0", refusal='f"x={x!r}"',
+                         outputs=("v", "1.0 / (1.0 + (0.0 * x) ** (-1e308 * 10.0)) - x"))
 
 
 class TestNativeLoop:
@@ -806,6 +832,28 @@ class TestNativeLoop:
         assert got == failure(counted(field), t0, y0, grid, **kw)
         assert got[0] is error
         assert got[1].startswith(message)
+
+    @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+    def test_zero_to_minus_infinity_stays_native(self):
+        # the C loop's power gives inf there as Python does, and does not
+        # hand the solve back to the Python stepper
+        handed_back = []
+
+        def spy(*args):
+            handed_back.append(args)
+            return _run_python(2, *args)
+
+        run, _ = native.kernel(2, ZERO_POWER, spy)
+        grid = sample_grid(0.0, 10.0, 0.1)
+
+        def solve(runner):
+            return runner(ZERO_POWER.function, 0.0, 0.1, [-0.0, -1.0], grid, grid.tolist(), 1,
+                          1e-12, 1e-10, math.inf, 1.0)
+
+        got, want = solve(run), solve(functools.partial(_run_python, 2))
+        assert not handed_back
+        assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+        assert got[0][:, 0].min() < 0.0 < got[0][:, 0].max()
 
     def test_underflow_exit_and_message(self, capsys):
         # a state that starts 1e-10 above the floor: exit 3, and the
