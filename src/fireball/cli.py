@@ -11,6 +11,7 @@ whose traceback is logged only at ``FIREBALL_LOG=debug``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import logging
 import math
@@ -158,17 +159,32 @@ def _integrator_config(settings: dict) -> IntegratorConfig:
     return IntegratorConfig(**{k: settings[k] for k in _INTEGRATOR_KEYS})
 
 
-def _write_text(out: str | None, *texts: str) -> None:
-    if out in (None, "-"):
-        for text in texts:
-            sys.stdout.write(text)
+def _write(out: str | None, *chunks) -> None:
+    """Write the bytes-like ``chunks`` in order to the file ``out``, or to
+    standard output for None and ``-``."""
+    if out not in (None, "-"):
+        try:
+            with open(out, "wb") as fh:
+                fh.writelines(chunks)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {out!r}: {exc}") from exc
         return
+    stream = sys.stdout
     try:
-        with open(out, "w", encoding="utf-8") as fh:
-            for text in texts:
-                fh.write(text)
+        stream.flush()
+        if hasattr(stream, "buffer"):
+            stream.buffer.writelines(chunks)
+            stream.buffer.flush()
+        else:  # a text stream, such as an io.StringIO
+            stream.write(b"".join(chunks).decode())
     except OSError as exc:
-        raise ConfigError(f"cannot write output file {out!r}: {exc}") from exc
+        # A closed pipe or a full device: what stays buffered would fail,
+        # and be reported, once more at exit, so it goes to the null device.
+        with contextlib.suppress(OSError, ValueError):
+            fd, null = stream.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        raise ConfigError(f"cannot write standard output: {exc}") from exc
 
 
 def _trajectory_columns(traj, kind: ModelKind) -> dict[str, np.ndarray]:
@@ -214,7 +230,7 @@ def _emit_table(settings: dict, command: str, meta_keys: list[str],
             table = [[None if j is None else row[j] for j in slots] for row in table]
         doc = {"schema": SCHEMA_VERSION, "command": command, "settings": meta,
                "columns": list(columns), "rows": table, **extra}
-        _write_text(settings.get("out"), json.dumps(doc, indent=2) + "\n")
+        _write(settings.get("out"), (json.dumps(doc, indent=2) + "\n").encode())
     else:
         pairs = " ".join(f"{k}={v}" for k, v in meta.items())
         lines = [f"# schema={SCHEMA_VERSION}", f"# command={command}", f"# {pairs}"]
@@ -225,11 +241,11 @@ def _emit_table(settings: dict, command: str, meta_keys: list[str],
         row_format = ",".join("%.17g" if c in data else "" for c in columns) + "\n"
         write = _csv_writer()
         if write is None:
-            body = "".join([row_format % tuple(row) for row in block.tolist()])
+            body = ["".join([row_format % tuple(row) for row in block.tolist()]).encode()]
         else:
             body = write(block, bytes(c in data for c in columns),
                          lambda i: row_format % tuple(block[i].tolist()))
-        _write_text(settings.get("out"), "\n".join(lines) + "\n", body)
+        _write(settings.get("out"), ("\n".join(lines) + "\n").encode(), *body)
 
 
 def _run_simulate(settings: dict) -> int:
@@ -285,7 +301,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     passed = all(r.passed for r in results)
     doc = {"schema": SCHEMA_VERSION, "command": "verify", "model": kind.value,
            "checks": [r.as_dict() for r in results], "passed": passed}
-    _write_text(settings.get("out"), json.dumps(doc, indent=2) + "\n")
+    _write(settings.get("out"), (json.dumps(doc, indent=2) + "\n").encode())
     for r in results:
         log.info("%-42s %s  value=%.3e threshold=%.3e",
                  r.name, "pass" if r.passed else "FAIL", r.value, r.threshold)

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .models import ModelKind, State, axis_product, check_state
+from .models import ModelKind, State, axis_product, check_state, row_sum
 
 # Smallest variance the integrator may step to; the force is singular at 0.
 POSITIVITY_FLOOR = 1e-12
@@ -156,7 +156,7 @@ def kinetic(qdot: np.ndarray, kind: ModelKind):
     """Kinetic part of the energy, sum(M qdot^2) / 2 (batch-friendly like
     :func:`potential`)."""
     qdot = np.asarray(qdot, dtype=float)
-    return 0.5 * np.add.reduce(kind.weights * qdot ** 2, axis=-1)
+    return 0.5 * row_sum(kind.weights * qdot ** 2)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, UnsupportedModelError
-from .models import ModelKind, State, check_state
+from .models import ModelKind, State, check_state, row_sum
 from .integrate import Trajectory
 from . import dynamics
 
@@ -70,7 +70,7 @@ def _radial_invariant(qs, qdots, kind: ModelKind, V) -> np.ndarray:
     else:
         a01, a02, a12 = term(0, 1), term(0, 2), term(1, 2)
         pairs = (a01 + (a02 + a01)) + (a12 + (a02 + a12))
-    return 0.25 * pairs + np.add.reduce(M * qs * (qs * V[..., None]), axis=-1)
+    return 0.25 * pairs + row_sum(M * qs * (qs * V[..., None]))
 
 
 def ermakov_values(qs, qdots, kind: ModelKind) -> np.ndarray:
@@ -92,7 +92,7 @@ def noether_values(ts, qs, qdots, kind: ModelKind) -> np.ndarray:
 
 def _noether(ts, qs, qdots, kind: ModelKind, H) -> np.ndarray:
     """J from the energy H already evaluated on the same states."""
-    return 2.0 * ts * H - np.add.reduce(qs * (kind.weights * qdots), axis=-1)
+    return 2.0 * ts * H - row_sum(qs * (kind.weights * qdots))
 
 
 def ermakov_invariant(state: State, kind: ModelKind) -> float:

@@ -180,6 +180,17 @@ def axis_product(values, kind: ModelKind):
     return product
 
 
+def row_sum(values):
+    """``np.add.reduce(values, axis=-1)`` for a last axis of 1 to 3, with
+    the same bits (a NaN's sign aside), as column adds: about a tenth of
+    the cost on (n, 2) and (n, 3) arrays.  numpy adds so few terms one by
+    one, left to right, starting from +0.0, so a sum of -0.0 alone is +0.0."""
+    total = values[..., 0] + 0.0
+    for i in range(1, values.shape[-1]):
+        total += values[..., i]
+    return total
+
+
 def reference_scales(params: PhysicalParams, kind: ModelKind) -> tuple[float, float]:
     """Return ``(length_scale, time_scale)`` of the rescaling for ``kind``.
 
@@ -232,8 +243,7 @@ def radius(qs, qdots, kind: ModelKind):
     """
     qs = np.asarray(qs, dtype=float)
     weighted = kind.weights * qs
-    return (np.sqrt(np.sum(weighted * qs, axis=-1)),
-            np.sum(weighted * qdots, axis=-1))
+    return np.sqrt(row_sum(weighted * qs)), row_sum(weighted * qdots)
 
 
 def _require_planar(kind: ModelKind) -> None:

@@ -32,22 +32,31 @@ fails to build.
 :func:`csv_writer` loads one fixed C source, :data:`CSV_SOURCE`, that
 writes a float64 block as CSV lines, each value as Python's ``"%.17g" %
 x`` writes it, byte for byte.  For ``x = m 2**e`` (``m`` the 53-bit
-significand) it finds the decimal exponent ``k = floor(log10 |x|)`` from
-the binary exponent, to within one, and settles it by the floor of
-``|x| 10**(16-k)``, which must have 17 digits.  That floor is exact: it is
-``m 5**s`` shifted by ``e + s`` bits for ``s = 16 - k >= 0``, or ``m 2**e``
-divided by ``10**-s``, in ``unsigned __int128``, and the bits or the
-remainder it drops say whether the rest is below, at or above one half.
-The 17 digits are then rounded half to even, as Python's correctly
-rounded conversion does, and a carry to 10**17 moves ``k`` up one, as in
-C's ``%g``, which takes its exponent after rounding.  The layout is
-``%g``'s: e-notation for ``k < -4`` or ``k >= 17``, fixed otherwise,
-trailing zeros stripped, ``0`` and ``-0`` for the zeros.  The writer
-declines NaN, the infinities and every value whose product would not fit
-in 128 bits, which leaves it ``10**-16 <= |x| < 2**128``; the row with
-such a value comes from Python instead, and the writer resumes at the row
-after it.  It builds once per machine and cache, in 0.20-0.24 s, as a
-kernel does.
+significand) the binary exponent gives ``k0``, which is ``floor(log10
+|x|)`` or one more, and one exact scale settles it: the floor of ``|x|
+10**s`` for ``s = 17 - k0`` has 18 digits where ``k0`` is right and 17
+where it is one too high.  That floor is ``m 5**s`` shifted by ``e + s``
+bits for ``s >= 0``, or ``m 2**e`` divided by ``10**-s``, in ``unsigned
+__int128``, and the bits or the remainder it drops say whether the rest
+is zero, below, at or above one half.  With 18 digits, the 18th and
+whether anything below it is nonzero fold into that same comparison, one
+digit down.  The 17 digits are then rounded half to even, as Python's
+correctly rounded conversion does, and a carry to 10**17 moves the
+exponent up one, as in C's ``%g``, which takes its exponent after
+rounding.  ``m 5**s`` fits in 128 bits for ``s <= 32`` only; a larger
+``s`` (``|x|`` near 1e-16 and below) is lowered to 32, where a value in
+the range still gives 17 digits.  The layout is ``%g``'s: e-notation for
+an exponent below -4 or from 17 up, fixed otherwise, trailing zeros
+stripped, ``0`` and ``-0`` for the zeros.  The digits are laid out by
+copies of fixed sizes (no ``memcpy`` call, which ``-fno-builtin`` would
+make of a copy of variable length) in a local buffer, and the text goes
+out in one fixed copy of 24 bytes; every text is 23 bytes at most, so a
+field, its comma included, stays inside the 25 bytes per field that
+:func:`csv_writer` allocates.  The writer declines NaN, the infinities and
+every value outside ``10**-16 <= |x| < 2**128``; the row with such a
+value comes from Python instead, and the writer resumes at the row after
+it.  It builds once per machine and cache, in 0.20-0.24 s, as a kernel
+does.
 
 Shared objects are cached in ``$XDG_CACHE_HOME/fireball`` (else
 ``~/.cache/fireball``; a per-process temporary directory when neither can
@@ -222,8 +231,8 @@ $store
 
 # The CSV row writer (csv_writer): one fixed source.
 CSV_SOURCE = r"""#include <math.h>
+#include <stddef.h>
 #include <stdint.h>
-#include <string.h>
 
 typedef unsigned __int128 u128;
 
@@ -244,98 +253,94 @@ static const char PAIRS[] =
 #define TEN16 10000000000000000ULL
 #define TEN17 100000000000000000ULL
 
-/* floor(m 2^e 10^s) into *q, and how the fraction it drops compares with
-   1/2 into *half (-1 below, 0 equal, 1 above).  Returns 0 where m 5^s or
-   m 2^e would not fit in 128 bits: s > 32, or s < 0 with e > 75. */
-static int scale(uint64_t m, int e, int s, u128 *q, int *half)
+/* floor(m 2^e 10^s) into *q, for m < 2^53, e <= 75 and s >= -21, and
+   in *rest how the fraction it drops compares with 1/2: 0 when it is zero,
+   1 below, 2 equal, 3 above.  The floor is exact: m 5^s shifted by e + s
+   bits, or m 2^e divided by 10^-s, in 128 bits.  m 5^s fits only for
+   s <= 32 (5^32 < 2^75), so a larger s is lowered to 32, in *s too; the
+   floor then has a digit fewer. */
+static void scale(uint64_t m, int e, int *s, uint64_t *q, int *rest)
 {
     u128 n, p;
     int shift;
 
-    if (s >= 0) {
-        if (s > 32)
-            return 0;
-        p = s <= 27 ? (u128)POW5[s] : (u128)POW5[27] * POW5[s - 27];
-        n = (u128)m * p; /* m < 2^53, 5^32 < 2^75 */
-        shift = e + s;   /* m 2^e 10^s = n 2^shift */
-        if (shift >= 0) {
-            if (shift > 60 || (n >> (127 - shift)) != 0)
-                return 0;
-            *q = n << shift;
-            *half = -1;
-            return 1;
-        }
+    if (*s > 32)
+        *s = 32;
+    if (*s < 0) {
+        for (p = 1, shift = *s; shift < 0; shift++)
+            p *= 10;
+        n = (u128)m << e; /* s < 0 only where |x| >= 2^59, so e > 0 */
+        *q = (uint64_t)(n / p);
+        n %= p; /* 2 n < 2 p < 2^128 */
+        *rest = (n != 0) + (2 * n >= p) + (2 * n > p);
+        return;
+    }
+    p = *s <= 27 ? (u128)POW5[*s] : (u128)POW5[27] * POW5[*s - 27];
+    n = (u128)m * p;
+    shift = e + *s; /* m 2^e 10^s = n 2^shift */
+    if (shift >= 0) {
+        *q = (uint64_t)(n << shift); /* an integer below 10^18 */
+        *rest = 0;
+    } else if (shift > -128) {
         shift = -shift;
-        if (shift >= 128) {
-            *q = 0;
-            *half = -1;
-            return 1;
-        }
-        *q = n >> shift;
+        *q = (uint64_t)(n >> shift);
         n &= ((u128)1 << shift) - 1;
         p = (u128)1 << (shift - 1);
-        *half = n < p ? -1 : n > p;
-        return 1;
+        *rest = (n != 0) + (n >= p) + (n > p);
+    } else { /* |x| < 2^-107: 0, below the range */
+        *q = 0;
+        *rest = 1;
     }
-    if (s < -38 || e < 0 || e > 75)
-        return 0;
-    for (p = 1; s < 0; s++)
-        p *= 10;
-    n = (u128)m << e;
-    *q = n / p;
-    n %= p; /* 2 n < 2 p < 2^128 */
-    *half = 2 * n < p ? -1 : 2 * n > p;
-    return 1;
 }
 
 /* x, finite and not zero, as C's %.17g writes it, at p.  Returns the end,
-   or NULL where scale does not cover x. */
+   or NULL outside 10^-16 <= |x| < 2^128.  Writes 24 bytes at p whatever
+   the length of x's text (23 at most). */
 static char *put_value(char *p, double x)
 {
-    uint64_t bits, m, d;
+    uint64_t bits, m, q;
     uint32_t eight;
-    int biased, e, k, half, i, j, last;
-    double estimate;
-    u128 q;
-    char digits[17];
+    int e, s, k, rest, digit, last, length, i, j;
+    char digits[40], text[40], *t = text + 1;
 
     __builtin_memcpy(&bits, &x, sizeof bits);
-    if (bits >> 63)
-        *p++ = '-';
-    biased = (int)(bits >> 52) & 0x7ff;
     m = bits & ((1ULL << 52) - 1);
-    if (biased) {
+    e = (int)(bits >> 52) & 0x7ff;
+    if (e) {
         m |= 1ULL << 52;
-        e = biased - 1075;
+        e -= 1075;
     } else {
         e = -1074;
     }
-    /* |x| = m 2^e < 2^b with b = e + 64 - clz(m), so floor(b log10 2) is
-       k = floor(log10 |x|) or k + 1: step down until the floor of |x|
-       10^(16-k) has 17 digits */
-    estimate = (e + 64 - __builtin_clzll(m)) * 0.30102999566398120;
-    k = (int)estimate;
-    if (k > estimate)
-        k--;
-    for (;;) {
-        if (!scale(m, e, 16 - k, &q, &half))
-            return NULL;
-        if (q >= TEN16)
-            break;
-        k--;
+    if (e > 75)
+        return NULL; /* |x| >= 2^128 */
+    /* 2^(b-1) <= |x| < 2^b for b = e + 64 - clz(m), so floor(b log10 2)
+       (78913 / 2^18 gives it for |b| < 1100) is floor(log10 |x|) or one
+       more, and |x| 10^(17 - it) has 17 or 18 digits before the point */
+    k = (e + 64 - __builtin_clzll(m)) * 78913 >> 18;
+    s = 17 - k;
+    scale(m, e, &s, &q, &rest);
+    if (q >= TEN17) {
+        /* 18 digits: the 18th and the fraction below it decide the rounding */
+        digit = (int)(q % 10);
+        q /= 10;
+        rest = digit != 5 ? (digit > 5 ? 3 : 1) : rest ? 3 : 2;
+        k = 17 - s;
+    } else if (q >= TEN16) {
+        k = 16 - s;
+    } else {
+        return NULL; /* |x| < 10^-16 */
     }
     /* round half to even; a carry to 10^17 moves to the next decade */
-    d = (uint64_t)q;
-    if (half > 0 || (half == 0 && (d & 1)))
-        d++;
-    if (d == TEN17) {
-        d = TEN16;
+    q += (rest + (q & 1)) > 2;
+    if (q == TEN17) {
+        q = TEN16;
         k++;
     }
-    digits[0] = (char)('0' + d / TEN16);
-    d %= TEN16;
+    digits[0] = (char)('0' + q / TEN16);
+    q %= TEN16;
     for (i = 0; i < 2; i++) {
-        eight = (uint32_t)(i ? d % 100000000 : d / 100000000);
+        eight = (uint32_t)(i ? q % 100000000 : q / 100000000);
         for (j = 0; j < 4; j++) {
             __builtin_memcpy(digits + 8 * i + 7 - 2 * j, PAIRS + 2 * (eight % 100), 2);
             eight /= 100;
@@ -344,46 +349,40 @@ static char *put_value(char *p, double x)
     for (last = 16; digits[last] == '0'; last--)
         ;
     /* %g: e-notation for an exponent below -4 or from the precision up,
-       trailing zeros stripped either way */
+       trailing zeros stripped either way.  The text is laid out at t with
+       copies of a fixed size, which may run past its end (up to t + 34),
+       and then copied to p in one fixed copy. */
     if (k < -4 || k >= 17) {
-        *p++ = digits[0];
-        if (last > 0) {
-            *p++ = '.';
-            memcpy(p, digits + 1, last);
-            p += last;
-        }
-        *p++ = 'e';
-        *p++ = k < 0 ? '-' : '+';
-        if (k < 0)
-            k = -k;
-        if (k >= 100)
-            *p++ = (char)('0' + k / 100);
-        *p++ = (char)('0' + k / 10 % 10);
-        *p++ = (char)('0' + k % 10);
+        t[0] = digits[0];
+        t[1] = '.';
+        __builtin_memcpy(t + 2, digits + 1, 16);
+        length = last ? last + 2 : 1;
+        t[length] = 'e';
+        t[length + 1] = k < 0 ? '-' : '+';
+        __builtin_memcpy(t + length + 2, PAIRS + 2 * (k < 0 ? -k : k), 2); /* |k| <= 38 */
+        length += 4;
     } else if (k >= 0) {
-        memcpy(p, digits, k + 1);
-        p += k + 1;
-        if (last > k) {
-            *p++ = '.';
-            memcpy(p, digits + k + 1, last - k);
-            p += last - k;
-        }
+        __builtin_memcpy(t, digits, 17);
+        t[k + 1] = '.';
+        __builtin_memcpy(t + k + 2, digits + k + 1, 16);
+        length = last > k ? last + 2 : k + 1;
     } else {
-        *p++ = '0';
-        *p++ = '.';
-        for (i = -1; i > k; i--)
-            *p++ = '0';
-        memcpy(p, digits, last + 1);
-        p += last + 1;
+        __builtin_memcpy(t, "0.000", 5);
+        __builtin_memcpy(t + 1 - k, digits, 17);
+        length = 2 - k + last;
     }
-    return p;
+    text[0] = '-';
+    i = (int)(bits >> 63);
+    __builtin_memcpy(p, t - i, 24);
+    return p + i + length;
 }
 
 /* The CSV lines of rows first.. of block, a C-contiguous (rows, fields)
    array, at out: a value where present[column] is set, an empty field
    where not.  Stops before a row holding a value that is not finite or
    that put_value declines.  Returns that row, or rows when every row is
-   written, and the bytes written in *written. */
+   written, and the bytes written in *written.  Each field writes at most
+   25 bytes from its comma on. */
 long long fireball_csv_rows(const double *block, long long rows, long long first,
                             const unsigned char *present, long long columns, char *out,
                             long long *written)
@@ -738,8 +737,8 @@ def kernel(n: int, source: FieldSource, python):
     return run, how
 
 
-# The bytes of the longest field the writer gives, -1.2345678901234567e-308,
-# with its comma.
+# The bytes a field may take: its comma and put_value's fixed copy of 24
+# bytes, which holds the longest text, -0.00012345678901234567 (23 bytes).
 _FIELD_BYTES = 25
 
 
@@ -749,34 +748,34 @@ def csv_writer():
     there is none.
 
     ``write(block, present, python_row)`` returns the lines of the rows of
-    ``block``, a (rows, fields) float array, as one string: for each byte
-    of ``present`` a field, ``%.17g`` of the row's next value where the
-    byte is set and empty where it is zero, joined by commas, and a newline.
-    ``python_row(i)`` gives the line of each row i the writer declines."""
+    ``block``, a (rows, fields) float array, as a list of bytes-like chunks
+    to be written in order: for each byte of ``present`` a field,
+    ``%.17g`` of the row's next value where the byte is set and empty where
+    it is zero, joined by commas, and a newline.  ``python_row(i)`` gives
+    the line (a str) of each row i the writer declines."""
     path, how = _library(CSV_SOURCE)
     rows = _load(path).fireball_csv_rows
     rows.argtypes = [ctypes.c_void_p, ctypes.c_longlong, ctypes.c_longlong, ctypes.c_char_p,
                      ctypes.c_longlong, ctypes.c_void_p, ctypes.c_void_p]
     rows.restype = ctypes.c_longlong
 
-    def write(block, present: bytes, python_row) -> str:
+    def write(block, present: bytes, python_row) -> list:
         block = np.ascontiguousarray(block, dtype=float)
         if block.ndim != 2 or block.shape[1] != len(present) - present.count(0):
             raise ValueError(f"a {block.shape} block for {len(present)} columns, "
                              f"{len(present) - present.count(0)} of them present")
         count = len(block)
-        out = bytearray(count * (_FIELD_BYTES * len(present) + 1))
-        base = ctypes.addressof((ctypes.c_char * len(out)).from_buffer(out))
-        view, written = memoryview(out), ctypes.c_longlong()
-        parts, row, end = [], 0, 0
+        out = np.empty(count * (_FIELD_BYTES * len(present) + 1), dtype=np.uint8)
+        base, view, written = out.ctypes.data, memoryview(out), ctypes.c_longlong()
+        chunks, row, end = [], 0, 0
         while True:
             row = rows(block.ctypes.data, count, row, present, len(present), base + end,
                        ctypes.byref(written))
-            parts.append(str(view[end:end + written.value], "ascii"))
+            chunks.append(view[end:end + written.value])
             end += written.value
             if row == count:
-                return "".join(parts)
-            parts.append(python_row(row))
+                return chunks
+            chunks.append(python_row(row).encode("ascii"))
             row += 1
 
     return write, how

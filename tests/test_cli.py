@@ -1,3 +1,6 @@
+import contextlib
+import errno
+import io
 import json
 import math
 import os
@@ -56,6 +59,13 @@ class TestSimulate:
         assert capsys.readouterr().out.splitlines()[2] == (
             "# model=2d X=1.0 Y=1.0 t_end=0.02 rel_tol=1e-10 abs_tol=1e-12 "
             "max_step=inf sample_interval=0.01")
+
+    def test_standard_output_may_be_a_text_stream(self, tmp_path):
+        argv = ["simulate", "--model", "2d", "--X", "1", "--Y", "1.3", "--t-end", "0.5"]
+        assert main([*argv, "--out", str(tmp_path / "run.csv")]) == 0
+        with contextlib.redirect_stdout(io.StringIO()) as stream:
+            assert main([*argv, "--out", "-"]) == 0
+        assert stream.getvalue() == (tmp_path / "run.csv").read_text()
 
     def test_1d_final_value(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -659,17 +669,46 @@ class TestSettingsRead:
 
 
 class TestEntryPoint:
-    def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "fireball.cli", "simulate", "--model", "1d",
-             "--X", "1", "--t-end", "0.5", "--out", "-"],
-            capture_output=True, text=True, timeout=60,
+    ARGV = ["simulate", "--model", "1d", "--X", "1", "--t-end", "0.5", "--out", "-"]
+
+    @staticmethod
+    def run_cli(argv, stdout=subprocess.PIPE, **env):
+        return subprocess.run(
+            [sys.executable, "-m", "fireball.cli", *argv], stdout=stdout,
+            stderr=subprocess.PIPE, text=True, timeout=60,
             # the package under test, wherever pytest found it, and this
             # process's PATH and native kernels' cache, so that a run
             # without a compiler builds nothing here either
-            env={"FIREBALL_LOG": "debug",
-                 "PYTHONPATH": os.path.dirname(os.path.dirname(fireball.__file__)),
+            env={**env, "PYTHONPATH": os.path.dirname(os.path.dirname(fireball.__file__)),
                  **{k: os.environ[k] for k in ("PATH", "HOME", "XDG_CACHE_HOME")
                     if k in os.environ}})
+
+    def test_module_invocation(self):
+        proc = self.run_cli(self.ARGV, FIREBALL_LOG="debug")
         assert proc.returncode == 0
         assert proc.stdout.startswith("# schema=1")
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    @pytest.mark.parametrize("target", ["closed pipe", "full device"])
+    def test_failed_write_to_standard_output_is_a_usage_error(self, target, format):
+        # as for an output file: exit 2, one error line and the usage line,
+        # and nothing more when the interpreter exits
+        argv = [*self.ARGV, "--format", format]
+        if target == "full device":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            with open("/dev/full", "wb") as full:
+                proc = self.run_cli(argv, stdout=full)
+            code = errno.ENOSPC
+        else:
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = self.run_cli(argv, stdout=write)
+            finally:
+                os.close(write)
+            code = errno.EPIPE
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"error: cannot write standard output: [Errno {code}] {os.strerror(code)}",
+            "usage: run 'fireball simulate --help' for accepted settings"]

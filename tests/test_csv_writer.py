@@ -3,6 +3,7 @@
 
 import logging
 import math
+import os
 import shutil
 import subprocess
 from fractions import Fraction
@@ -24,12 +25,17 @@ def write():
     return native.csv_writer()[0]
 
 
+def text(chunks):
+    """The writer's chunks, in order, as one str."""
+    return b"".join(chunks).decode("ascii")
+
+
 def lines(write, values):
     """The writer's line of each value, one row per value, and None for
     each it declined."""
     declined = []
-    body = write(np.asarray(values, dtype=float).reshape(-1, 1), b"\1",
-                 lambda i: declined.append(i) or "declined\n")
+    body = text(write(np.asarray(values, dtype=float).reshape(-1, 1), b"\1",
+                      lambda i: declined.append(i) or "declined\n"))
     got = body.splitlines()
     for i in declined:
         got[i] = None
@@ -104,6 +110,114 @@ class TestValues:
         assert proc.returncode == 0, proc.stderr
 
 
+# Reads the column and row counts (two int64) and the rows (float64) on
+# stdin, writes their CSV lines to stdout as the Python wrapper does: into
+# a buffer of exactly the wrapper's size (FIELD_BYTES is native._FIELD_BYTES),
+# with "declined" for each row the writer hands back.
+RUNNER = r"""#include <stdio.h>
+#include <stdlib.h>
+
+long long fireball_csv_rows(const double *, long long, long long, const unsigned char *,
+                            long long, char *, long long *);
+
+int main(void)
+{
+    long long shape[2], columns, rows, row = 0, written, i;
+    double *block;
+    unsigned char *present;
+    char *out, *end;
+
+    if (fread(shape, sizeof shape, 1, stdin) != 1)
+        return 2;
+    columns = shape[0];
+    rows = shape[1];
+    block = malloc(sizeof *block * columns * rows);
+    present = malloc(columns);
+    out = end = malloc(rows * (FIELD_BYTES * columns + 1));
+    if (fread(block, sizeof *block, columns * rows, stdin) != (size_t)(columns * rows))
+        return 2;
+    for (i = 0; i < columns; i++)
+        present[i] = 1;
+    while (row < rows) {
+        row = fireball_csv_rows(block, rows, row, present, columns, end, &written);
+        fwrite(end, 1, written, stdout);
+        end += written;
+        if (row < rows) {
+            fputs("declined\n", stdout);
+            row++;
+        }
+    }
+    free(block);
+    free(present);
+    free(out);
+    return 0;
+}
+"""
+SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+
+
+@pytest.fixture(scope="module")
+def sanitized(tmp_path_factory):
+    """The runner, linked with the writer under ASan and UBSan, or a skip."""
+    tmp = tmp_path_factory.mktemp("sanitized")
+    (tmp / "probe.c").write_text("int main(void) { return 0; }\n")
+    if subprocess.run(["cc", *SANITIZE, "-o", "probe", "probe.c"], cwd=tmp,
+                      capture_output=True, timeout=120).returncode != 0:
+        pytest.skip("cc cannot link the address and undefined-behaviour sanitizers")
+    (tmp / "rows.c").write_text(native.CSV_SOURCE)
+    (tmp / "runner.c").write_text(RUNNER)
+    flags = [f for f in native.FLAGS if f not in ("-fPIC", "-shared")]
+    proc = subprocess.run(["cc", *SANITIZE, *flags, "-g", f"-DFIELD_BYTES={native._FIELD_BYTES}",
+                           "-o", "runner", "runner.c", "rows.c", "-lm"], cwd=tmp,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return tmp / "runner"
+
+
+def sanitized_lines(runner, block):
+    """The runner's lines of ``block``, checked to run without a report."""
+    rows, columns = block.shape
+    proc = subprocess.run([runner], input=np.array([columns, rows]).astype(np.int64).tobytes()
+                          + np.ascontiguousarray(block, dtype=float).tobytes(),
+                          capture_output=True, timeout=120,
+                          env={**os.environ, "ASAN_OPTIONS": "detect_leaks=0"})
+    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr.decode(errors="replace")
+    return proc.stdout.decode("ascii").splitlines()
+
+
+@needs_cc
+class TestSanitized:
+    # ties at the 17th digit, the neighbours of 10**k, %g's layout edges at
+    # k = -5/-4 and 16/17, the widest text, subnormals and the range's ends
+    EDGES = ([k * 2.0 ** -j for j in range(1, 80, 3) for k in range(1, 400, 26)]
+             + [y for k in range(-40, 40) for x in [10.0 ** k]
+                for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+             + [1.2345678901234567e-5, 9.9999999999999995e-5, 1.2345678901234567e-4,
+                1.2345678901234567e16, 99999999999999984.0, 1.2345678901234567e17,
+                5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-300, 1e-100, 1e-16,
+                math.nextafter(1e-16, 0.0), 2.0 ** 128, math.nextafter(2.0 ** 128, 0.0)])
+    WIDEST = -1.2345678901234567e-4  # -0.00012345678901234567: 23 bytes
+
+    @staticmethod
+    def expected(block):
+        return [",".join("%.17g" % x for x in row)
+                if all(x == 0.0 or covered(x) for x in row) else "declined"
+                for row in block.tolist()]
+
+    @pytest.mark.parametrize("columns", [1, 11])
+    def test_edges_match_python(self, sanitized, columns):
+        values = self.EDGES + [-x for x in self.EDGES]
+        values += [1.0] * (-len(values) % columns)
+        block = np.array(values).reshape(-1, columns)
+        assert sanitized_lines(sanitized, block) == self.expected(block)
+
+    @pytest.mark.parametrize("columns", [1, 11])
+    def test_widest_fields_fill_the_buffer(self, sanitized, columns):
+        block = np.full((7, columns), self.WIDEST)
+        block[-1, -1] = -1.2345678901234567e-16  # the widest e-notation, 23 bytes too
+        assert sanitized_lines(sanitized, block) == self.expected(block)
+
+
 @needs_cc
 class TestTables:
     def test_rows_and_empty_fields(self, write):
@@ -114,10 +228,10 @@ class TestTables:
             declined.append(i)
             return "%.17g,,%.17g,%.17g\n" % tuple(block[i].tolist())
 
-        body = write(block, b"\1\0\1\1", python_row)
+        body = text(write(block, b"\1\0\1\1", python_row))
         assert body == "".join("%.17g,,%.17g,%.17g\n" % tuple(row) for row in block.tolist())
         assert declined == [1, 2]
-        assert write(np.empty((0, 2)), b"\1\1", None) == ""
+        assert text(write(np.empty((0, 2)), b"\1\1", None)) == ""
         for shape in [(3,), (3, 2), (3, 4)]:
             with pytest.raises(ValueError, match="block for 4 columns, 3 of them present"):
                 write(np.ones(shape), b"\1\0\1\1", None)
@@ -172,6 +286,36 @@ class TestTables:
         text = (tmp_path / "native.csv").read_text()
         assert text == (tmp_path / "python.csv").read_text()
         assert ",1e-300," in text
+
+    @pytest.mark.parametrize("rows", ["native", "python"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", "2d", "--X", "1", "--Y", "1.3", "--Xdot", "0.2"],
+        ["simulate", "--model", "elliptic", "--X", "1.1", "--Y", "0.7", "--format", "json"],
+        ["analytic", "--model", "2d", "--X", "1", "--Y", "1.3", "--Xdot", "0.2", "--compare"],
+    ], ids=["simulate-csv", "simulate-json", "analytic-compare"])
+    def test_standard_output_has_the_file_bytes(self, python_rows, capsysbinary, tmp_path,
+                                                argv, rows):
+        if rows == "python":
+            python_rows()
+        path = tmp_path / "out"
+        assert main([*argv, "--t-end", "5", "--out", str(path)]) == 0
+        assert main([*argv, "--t-end", "5", "--out", "-"]) == 0
+        assert capsysbinary.readouterr().out == path.read_bytes()
+        assert (cli._csv_writer() is None) == (rows == "python")
+
+    def test_declined_rows_keep_their_place(self, capsysbinary, tmp_path):
+        # the first, a middle and the last row go through Python, between
+        # the native chunks
+        column = np.linspace(0.0, 1.0, 6)
+        data = {"t": column, "X": column + 1.0, "H": np.full(6, 2.0)}
+        data["H"][[0, 3, 5]] = 1e-300
+        settings = {"format": "csv", "out": str(tmp_path / "rows.csv"), "model": "2d"}
+        cli._emit_table(settings, "simulate", ["model"], cli.CSV_COLUMNS, data)
+        cli._emit_table({**settings, "out": "-"}, "simulate", ["model"], cli.CSV_COLUMNS, data)
+        text = (tmp_path / "rows.csv").read_bytes()
+        assert capsysbinary.readouterr().out == text
+        assert text.decode().splitlines()[4:] == [
+            "%.17g,%.17g,,,,,,%.17g,,," % row for row in zip(*data.values())]
 
     def test_one_record_says_which_writer_serves(self, python_rows, monkeypatch, tmp_path,
                                                  caplog):

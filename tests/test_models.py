@@ -9,7 +9,7 @@ from fireball import (DomainError, ModelKind, PhysicalParams, PolarState,
                       State, UnsupportedModelError, dimensionalize,
                       nondimensionalize, reference_scales,
                       state_from_components, to_cartesian, to_polar)
-from fireball.models import polar_values
+from fireball.models import polar_values, row_sum
 from batch import draw_states
 
 positive = st.floats(min_value=0.05, max_value=10.0)
@@ -206,3 +206,27 @@ class TestPolar:
         assert np.all(np.abs(back.q - s.q) <= 1e-12 * np.maximum(1.0, np.abs(s.q)))
         assert np.all(np.abs(back.qdot - s.qdot)
                       <= 1e-12 * np.maximum(1.0, np.abs(s.qdot)))
+
+
+# ±0, the smallest subnormal, the smallest normal, the largest magnitudes,
+# ±inf and NaN, beside any float
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+          1.7976931348623157e308, math.inf, -math.inf, math.nan]
+_sum_terms = st.one_of(st.sampled_from(_EDGES), st.floats())
+
+
+class TestRowSum:
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.integers(1, 3), n=st.one_of(st.none(), st.integers(0, 6)), data=st.data())
+    def test_matches_add_reduce_bit_for_bit(self, d, n, data):
+        shape = (d,) if n is None else (n, d)
+        values = np.array(data.draw(st.lists(_sum_terms, min_size=math.prod(shape),
+                                             max_size=math.prod(shape)))).reshape(shape)
+        with np.errstate(all="ignore"):
+            expected, got = np.add.reduce(values, axis=-1), row_sum(values)
+        assert type(got) is type(expected)
+        expected, got = np.atleast_1d(expected), np.atleast_1d(got)
+        # a NaN's sign bit follows the operand order, which reads nowhere
+        nan = np.isnan(expected)
+        assert np.array_equal(nan, np.isnan(got))
+        assert np.array_equal(expected[~nan].view(np.uint64), got[~nan].view(np.uint64))
