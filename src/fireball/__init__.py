@@ -15,23 +15,20 @@ import importlib
 
 from .errors import (ConfigError, DomainError, FireballError, IntegrationError,
                      NoMotionError, SingularityError, UnsupportedModelError)
-from .models import (ModelKind, PhysicalParams, PolarState, State,
-                     dimensionalize, nondimensionalize, reference_scales,
-                     state_from_components, to_cartesian, to_polar)
+from .models import (ModelKind, PhysicalParams, PolarState, State, reference_scales,
+                     state_from_components, to_polar)
 from .dynamics import EnergyPair, energies
 from .integrate import IntegratorConfig, Trajectory, integrate
-from .invariants import (GeneralErmakovSpec, InvariantReport, ermakov_invariant,
-                         general_ermakov_invariant, invariant_report,
-                         itilde_invariant, noether_invariant, pinney_coupling)
+from .invariants import (InvariantReport, invariant_report, itilde_invariant,
+                         noether_invariant)
 
 # The exports of the modules loaded on first use, each with its module.
 _LAZY = {name: f"{__name__}.{module}" for module, names in {
     "analytic": ("AngularSolution", "RadialSolution", "angular_quadrature", "one_d_solution",
-                 "polar_invariants", "radial", "radial_3d", "superposition_1d", "time_reparam"),
-    "symmetry": ("PointSymmetry", "dynamical_symmetry_check", "noether_condition_residual",
-                 "noether_invariant_from", "ode_residual", "scaled_trajectory",
-                 "scaling_symmetry", "time_translation"),
-    "hydro": ("FluidFields", "fields_at", "particle_number", "pde_residuals", "total_energy"),
+                 "radial", "radial_3d", "time_reparam"),
+    "symmetry": ("PointSymmetry", "noether_condition_residual", "ode_residual",
+                 "scaled_trajectory", "scaling_symmetry", "time_translation"),
+    "hydro": ("pde_residuals", "total_energy"),
 }.items() for name in names}
 # The classes and functions imported above, then those.
 __all__ = [name for name, value in globals().items() if callable(value)] + list(_LAZY)

@@ -24,22 +24,18 @@ fields, and its steps land on every sample of the ttilde grid, at rel/abs
 tolerance 1e-14: on 200 random states per model (q in [0.6, 1.8], qdot in
 [-0.8, 0.8], t to 25) (dphi/dttilde)^2 / 2 + U(phi) then stays within 2e-14
 relative of C.
-
-The degenerate Ermakov pairing of the 1-d model with free motion gives the
-nonlinear superposition law implemented at the bottom.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NoMotionError
-from .models import (ModelKind, PolarState, State, _require_planar, check_state,
-                     radius, to_polar)
+from .models import ModelKind, State, _require_planar, check_state, radius, to_polar
 from .integrate import solve_ode
 from .dynamics import POSITIVITY_FLOOR, FieldSource
 from .invariants import hamiltonian_values, radial_invariant_values
@@ -151,16 +147,10 @@ def angular_minimum(kind: ModelKind) -> tuple[float, float]:
     return math.atan(math.sqrt(My / Mx)), kind.spatial_dim ** 2 / 2
 
 
-def polar_invariants(polar: PolarState, kind: ModelKind) -> tuple[float, float]:
-    """(H, C) in polar variables: C = (r^2 phidot)^2 / 2 + U(phi) (I for
-    2d, Itilde for elliptic) and H = rdot^2 / 2 + C / r^2."""
-    # the batch form on a row of one, so that it rounds as the batch does
-    rows = (np.array([x]) for x in astuple(polar))
-    return tuple(float(v[0]) for v in polar_invariant_values(*rows, kind))
-
-
 def polar_invariant_values(r, phi, rdot, phidot, kind: ModelKind):
-    """:func:`polar_invariants` on the arrays :func:`fireball.models.polar_values` gives."""
+    """(H, C) in polar variables, on the arrays :func:`fireball.models.polar_values`
+    gives: C = (r^2 phidot)^2 / 2 + U(phi) (I for 2d, Itilde for elliptic)
+    and H = rdot^2 / 2 + C / r^2."""
     inv = 0.5 * (r * r * phidot) ** 2 + angular_potential(phi, kind)
     return 0.5 * rdot ** 2 + inv / r ** 2, inv
 
@@ -229,19 +219,3 @@ def one_d_solution(H: float, t0: float, t):
     """Exact solution (X, Xdot) of Xdd = 1/X^3 at energy H > 0: the radial
     law with C = 1/2, since r = X."""
     return radial(RadialSolution(H, 0.5, t0), t)
-
-
-def superposition_1d(invariant: float, t0: float, t):
-    """Nonlinear superposition of the degenerate 1-d Ermakov pair.
-
-    Pairs the particular X = sqrt((t - t0)^2 + 1) (energy 1/2) with the free
-    motion Y; returns (u, tau, Y) with u = Y/X = sqrt(2 I) sin(tau),
-    tau = arctan(t - t0) and Y = sqrt(2 I) (t - t0).
-    """
-    if invariant <= 0.0:
-        raise DomainError(f"invariant must be positive, got {invariant}")
-    t = np.asarray(t, dtype=float)
-    dt = t - t0
-    tau = np.arctan(dt)
-    amp = math.sqrt(2.0 * invariant)
-    return amp * np.sin(tau), tau, amp * dt

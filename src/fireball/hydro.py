@@ -21,8 +21,9 @@ in dimensional units.  So along the model's own accelerations every
 residual is rounding, and accelerations off by a relative delta move the
 momentum residual to delta Qdd over the sum of its terms' magnitudes, at
 most about delta / 2.
-:func:`total_energy` and :func:`particle_number` are the profile's
-closed-form Gaussian moments, which :func:`moment_values` gives on batches.
+:func:`moment_values` gives the profile's closed-form Gaussian moments, the
+particle number and the total energy, on batches; :func:`total_energy` is
+the energy of one state.
 """
 
 from __future__ import annotations
@@ -40,17 +41,6 @@ PROBE_LIMIT_SIGMA = 5.0
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class FluidFields:
-    """Local fluid quantities at one spatial point."""
-
-    n: float
-    v: np.ndarray
-    T: float
-    p: float
-    eps: float
-
-
 def _profile(params: PhysicalParams, qs, qdots, kind: ModelKind):
     """The Gaussian profile of dimensional states ``qs``, ``qdots`` (..., dim):
     per-axis variances Q and rates Qd (..., D), the density prefactor
@@ -59,23 +49,6 @@ def _profile(params: PhysicalParams, qs, qdots, kind: ModelKind):
     axes = list(kind.axes)
     return (qs[..., axes], qdots[..., axes], params.n0 * ratio,
             params.T0 * ratio ** (2.0 / kind.spatial_dim))
-
-
-def fields_at(params: PhysicalParams, state: State, point,
-              kind: ModelKind) -> FluidFields:
-    """Evaluate (n, v, T, p, eps) at a spatial point for a dimensional state.
-
-    ``point`` has one coordinate per spatial axis (three for elliptic).
-    """
-    check_state(state, kind)
-    D = kind.spatial_dim
-    point = np.atleast_1d(np.asarray(point, dtype=float))
-    if point.shape != (D,):
-        raise DomainError(f"point must have {D} coordinates, got {point.shape}")
-    Q, Qd, n_pref, T = _profile(params, state.q, state.qdot, kind)
-    n = float(n_pref) * math.exp(-float(np.sum(point ** 2 / (2 * Q ** 2))))
-    T = float(T)
-    return FluidFields(n=n, v=Qd / Q * point, T=T, p=n * T, eps=D / 2 * n * T)
 
 
 def default_probe_points(kind: ModelKind) -> np.ndarray:
@@ -192,9 +165,3 @@ def total_energy(params: PhysicalParams, state: State, kind: ModelKind) -> float
     check_state(state, kind)
     # the batch form on a row of one, so that it rounds as the batch does
     return float(moment_values(params, state.q[None], state.qdot[None], kind)[1][0])
-
-
-def particle_number(params: PhysicalParams, state: State, kind: ModelKind) -> float:
-    """Spatial integral of the number density (time-independent by continuity)."""
-    check_state(state, kind)
-    return float(moment_values(params, state.q, state.qdot, kind)[0])

@@ -32,7 +32,6 @@ Y/X + X/Y) and I >= 9/4 for the elliptic one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -95,51 +94,17 @@ def _noether(ts, qs, qdots, kind: ModelKind, H) -> np.ndarray:
     return 2.0 * ts * H - row_sum(qs * (kind.weights * qdots))
 
 
-def ermakov_invariant(state: State, kind: ModelKind) -> float:
-    """Ermakov invariant I of a planar state."""
-    check_state(state, kind)
-    return float(ermakov_values(state.q, state.qdot, kind))
-
-
 def itilde_invariant(state: State) -> float:
     """Doubled Ermakov invariant of the elliptic model: its radial invariant C."""
-    return 2.0 * ermakov_invariant(state, ModelKind.ELLIPTIC_3D)
+    kind = ModelKind.ELLIPTIC_3D
+    check_state(state, kind)
+    return 2.0 * float(ermakov_values(state.q, state.qdot, kind))
 
 
 def noether_invariant(state: State, kind: ModelKind) -> float:
     """Time-dependent scaling invariant J at the given state."""
     check_state(state, kind)
     return float(noether_values(state.t, state.q, state.qdot, kind))
-
-
-@dataclass(frozen=True)
-class GeneralErmakovSpec:
-    """Coupling pair of a general Ermakov system (frequency fixed to zero),
-    given by the antiderivatives ``F``/``G`` of its couplings as functions of
-    Y/X and X/Y respectively.  ``G`` may be None for the degenerate pair where
-    the second equation is free motion (then Y is unconstrained in sign and
-    the X/Y term is absent).
-    """
-
-    F: Callable[[float], float]
-    G: Callable[[float], float] | None
-
-
-def pinney_coupling() -> GeneralErmakovSpec:
-    """Pair whose first member is the zero-frequency Pinney equation and whose
-    second member is free motion (no X/Y coupling)."""
-    return GeneralErmakovSpec(F=lambda s: 0.5 * s * s, G=None)
-
-
-def general_ermakov_invariant(spec: GeneralErmakovSpec, X: float, Y: float,
-                              Xdot: float, Ydot: float) -> float:
-    """Evaluate the invariant of a general Ermakov pair at a phase point."""
-    if X <= 0.0:
-        raise DomainError(f"X must be strictly positive, got {X}")
-    if spec.G is not None and Y <= 0.0:
-        raise DomainError(f"Y must be strictly positive for this pair, got {Y}")
-    value = 0.5 * (X * Ydot - Y * Xdot) ** 2 + spec.F(Y / X)
-    return float(value if spec.G is None else value + spec.G(X / Y))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 The dynamical variables are the Gaussian variances of an expanding blob,
 one per spatial direction.  Everything downstream works in dimensionless
-variables; :func:`nondimensionalize` / :func:`dimensionalize` convert to and
-from laboratory units.
+variables; :func:`reference_scales` gives the length and time scales that
+convert them to and from laboratory units.
 """
 
 from __future__ import annotations
@@ -203,22 +203,6 @@ def reference_scales(params: PhysicalParams, kind: ModelKind) -> tuple[float, fl
     return length, time
 
 
-def nondimensionalize(params: PhysicalParams, state: State, kind: ModelKind) -> State:
-    """Map a dimensional state to the dimensionless variables of ``kind``."""
-    check_state(state, kind)
-    length, time = reference_scales(params, kind)
-    vel = length / time  # = sqrt(T0/m)
-    return State(t=state.t / time, q=state.q / length, qdot=state.qdot / vel)
-
-
-def dimensionalize(params: PhysicalParams, state: State, kind: ModelKind) -> State:
-    """Inverse of :func:`nondimensionalize`."""
-    check_state(state, kind)
-    length, time = reference_scales(params, kind)
-    vel = length / time
-    return State(t=state.t * time, q=state.q * length, qdot=state.qdot * vel)
-
-
 @dataclass(frozen=True)
 class PolarState:
     """Polar view of a planar state: ``r`` radial, ``phi`` in (0, pi/2)."""
@@ -273,14 +257,3 @@ def polar_values(qs, qdots, kind: ModelKind):
     (u, v), (ud, vd) = (stretch * qs).T, (stretch * qdots).T
     r, r_rdot = radius(qs, qdots, kind)
     return r, np.arctan2(v, u), r_rdot / r, (u * vd - v * ud) / r ** 2
-
-
-def to_cartesian(polar: PolarState, kind: ModelKind, t: float = 0.0) -> State:
-    """Inverse of :func:`to_polar`; ``t`` restores the time stamp."""
-    _require_planar(kind)
-    r, phi, rdot, phidot = polar.r, polar.phi, polar.rdot, polar.phidot
-    c, s = math.cos(phi), math.sin(phi)
-    stretch = np.sqrt(kind.weights)
-    q = np.array([r * c, r * s]) / stretch
-    qdot = np.array([rdot * c - r * phidot * s, rdot * s + r * phidot * c]) / stretch
-    return State(t=t, q=q, qdot=qdot)

@@ -116,7 +116,8 @@ def noether_residual_values(sym: PointSymmetry, kind: ModelKind, ts, qs, qdots):
 
 
 def noether_invariant_values(sym: PointSymmetry, kind: ModelKind, ts, qs, qdots):
-    """:func:`noether_invariant_from` at (n,) ``ts``, (n, d) ``qs`` and ``qdots``."""
+    """Conserved quantity J = tau (qd.p - L) - eta.p + gauge of the symmetry
+    at (n,) ``ts``, (n, d) ``qs`` and ``qdots``, with p = M qdot."""
     return _noether_invariant(kind, qdots, _lagrangian(qs, qdots, kind), sym.tau(ts, qs),
                               np.asarray(sym.eta(ts, qs), dtype=float), sym.gauge(ts, qs))
 
@@ -128,14 +129,9 @@ def noether_condition_residual(sym: PointSymmetry, kind: ModelKind,
     Vanishes (to rounding) for a Noether symmetry of the model's Lagrangian.
     """
     check_state(state, kind)
-    return float(noether_residual_values(sym, kind, state.t, state.q, state.qdot))
-
-
-def noether_invariant_from(sym: PointSymmetry, kind: ModelKind,
-                           state: State) -> float:
-    """Conserved quantity J = tau (qd.p - L) - eta.p + gauge of the symmetry."""
-    check_state(state, kind)
-    return float(noether_invariant_values(sym, kind, state.t, state.q, state.qdot))
+    # the batch form on a row of one, so that it rounds as the batch does
+    return float(noether_residual_values(sym, kind, np.array([state.t]), state.q[None],
+                                         state.qdot[None])[0])
 
 
 def scaled_trajectory(traj: Trajectory, beta: float) -> Trajectory:
@@ -157,30 +153,24 @@ def ode_residual(traj: Trajectory, qdds) -> float:
     return float(np.max(np.abs(qdds - force)) / np.max(np.abs(force)))
 
 
-def dynamical_symmetry_check(tau: Callable[[float, np.ndarray, np.ndarray], float],
-                             state: State) -> tuple[float, float]:
-    """Evaluate the Noether condition for the 2d model's dynamical symmetry.
+def dynamical_symmetry_values(tau, ts, qs, qdots):
+    """The Noether condition of the 2d model's dynamical symmetry at (n,)
+    ``ts``, (n, 2) ``qs`` and ``qdots``.
 
     The symmetry is velocity-dependent: coordinates shift by tau qd plus a
     rotation-like term with parameter w = X Yd - Y Xd, time shifts by the
     free function ``tau`` of (t, q, qdot), and the gauge is the standard
-    tau L - w^2/2 + X/Y + Y/X.  Only tau's value at the state enters: its
-    total derivative taudot enters etadot as taudot qd and gauge-dot as
-    taudot L, which the condition's etadot - taudot qd and taudot L -
-    gauge-dot cancel exactly, so both are written without taudot.
+    tau L - w^2/2 + X/Y + Y/X.  ``tau`` takes ``ts``, ``qs`` and ``qdots``
+    and indexes their last axis, as q[..., 0].  Only tau's value at the
+    states enters: its total derivative taudot enters etadot as taudot qd
+    and gauge-dot as taudot L, which the condition's etadot - taudot qd and
+    taudot L - gauge-dot cancel exactly, so both are written without taudot.
 
     Returns ``(residual, invariant)``: the residual of the gauged Noether
     condition (accelerations substituted from the equations of motion) and
     the Noether invariant of the transformation, which equals the Ermakov
     invariant for every choice of tau.
     """
-    check_state(state, ModelKind.TWO_D)
-    return tuple(map(float, dynamical_symmetry_values(tau, state.t, state.q, state.qdot)))
-
-
-def dynamical_symmetry_values(tau, ts, qs, qdots):
-    """:func:`dynamical_symmetry_check` at (n,) ``ts``, (n, 2) ``qs`` and
-    ``qdots``; ``tau`` takes these and indexes the last axis, as q[..., 0]."""
     kind = ModelKind.TWO_D
     (X, Y), (Xd, Yd) = qs.T, qdots.T
     qdd = accel(qs, kind)

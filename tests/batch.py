@@ -7,13 +7,6 @@ from hypothesis.extra import numpy as hnp
 
 from fireball import State
 
-# The single-State symmetry checks run numpy's scalar power (the C
-# library's pow) where a batch runs numpy's vector loops, and the two differ
-# by up to an ulp; 4 ulp of the terms' size bounds every difference seen on
-# 60,000 states per model (at most 2.0).  total_energy, to_polar and
-# polar_invariants run their batch forms on a row of one and match exactly.
-ULP_BOUND = 4 * np.finfo(float).eps
-
 
 def draw_states(data, kind, n=6):
     """``(ts, qs, qdots, states)``: t in [0, 5], q in [0.3, 3], qdot in

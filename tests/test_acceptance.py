@@ -5,23 +5,26 @@ after its assertions; tolerances are pinned here and nowhere else.
 """
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from fireball import (AngularSolution, IntegratorConfig, ModelKind,
                       PhysicalParams, RadialSolution, State, Trajectory,
-                      dimensionalize, dynamical_symmetry_check,
-                      energies, ermakov_invariant,
-                      general_ermakov_invariant, integrate, invariant_report,
+                      energies, integrate, invariant_report,
                       itilde_invariant, noether_condition_residual,
-                      noether_invariant, noether_invariant_from, ode_residual,
-                      one_d_solution, pde_residuals, pinney_coupling,
-                      polar_invariants, radial, radial_3d, scaled_trajectory,
-                      scaling_symmetry, superposition_1d, time_translation,
+                      noether_invariant, ode_residual,
+                      one_d_solution, pde_residuals,
+                      radial, radial_3d, scaled_trajectory,
+                      scaling_symmetry, time_translation,
                       to_polar, total_energy)
+from fireball.analytic import polar_invariant_values
 from fireball.invariants import ermakov_values
+from fireball.symmetry import dynamical_symmetry_values, noether_invariant_values
 from batch import sample_state
+from reference import (dimensionalize, ermakov_invariant, general_ermakov_invariant,
+                       pinney_coupling, superposition_1d)
 from stencil import stencil_accelerations
 
 UNIT_PARAMS = PhysicalParams(n0=1.0, T0=1.0, X0=1.0, Y0=1.0, m=1.0)
@@ -143,7 +146,7 @@ def test_criterion_6_elliptic_consistency():
         itil = itilde_invariant(s)
         worst_double = max(worst_double,
                            abs(itil - 2.0 * ermakov_invariant(s, kind)))
-        _, polar_itil = polar_invariants(to_polar(s, kind), kind)
+        _, polar_itil = polar_invariant_values(*astuple(to_polar(s, kind)), kind)
         worst_polar = max(worst_polar, abs(polar_itil - itil))
     # documented coefficient mismatch of the naive 3/2 polar form
     ref = State(t=0.0, q=[1.0, 1.0], qdot=[0.0, 0.0])
@@ -172,9 +175,9 @@ def test_criterion_7_noether_machinery():
                                      abs(noether_condition_residual(sym, kind, s)))
             worst_match = max(
                 worst_match,
-                abs(noether_invariant_from(scal, kind, s)
+                abs(noether_invariant_values(scal, kind, s.t, s.q, s.qdot)
                     - noether_invariant(s, kind)),
-                abs(noether_invariant_from(ttrans, kind, s)
+                abs(noether_invariant_values(ttrans, kind, s.t, s.q, s.qdot)
                     - energies(s, kind).hamiltonian))
 
     worst_g1i = 0.0
@@ -190,7 +193,7 @@ def test_criterion_7_noether_machinery():
             image = ermakov_values(beta * s.q, s.qdot / beta, ModelKind.TWO_D)
             worst_g1i = max(worst_g1i, abs(image - expected) / expected)
         for tau in taus:
-            residual, inv = dynamical_symmetry_check(tau, s)
+            residual, inv = dynamical_symmetry_values(tau, s.t, s.q, s.qdot)
             worst_dyn = max(worst_dyn, abs(inv - expected))
             assert abs(residual) <= 1e-12
     ok = (worst_residual <= 1e-10 and worst_match <= 1e-12

@@ -8,10 +8,9 @@ from scipy.integrate import quad
 from fireball import (AngularSolution, DomainError, IntegratorConfig,
                       ModelKind, NoMotionError, RadialSolution, State,
                       UnsupportedModelError, angular_quadrature, energies,
-                      ermakov_invariant, general_ermakov_invariant, integrate,
-                      itilde_invariant,
-                      noether_invariant, one_d_solution, pinney_coupling,
-                      radial, radial_3d, superposition_1d, time_reparam,
+                      integrate, itilde_invariant,
+                      noether_invariant, one_d_solution,
+                      radial, radial_3d, time_reparam,
                       to_polar)
 from fireball.analytic import _angular_field, angular_minimum, angular_potential
 from fireball.dynamics import potential
@@ -19,6 +18,8 @@ from fireball.integrate import solve_ode
 from fireball.models import radius
 from fireball.verification import default_initial_state
 from batch import sample_state
+from reference import (ermakov_invariant, general_ermakov_invariant, pinney_coupling,
+                       superposition_1d)
 
 # A failing example integrates a long grid; the first failure says enough.
 NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)

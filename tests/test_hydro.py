@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.hermite import hermgauss
 
 from fireball import (DomainError, IntegratorConfig, ModelKind, PhysicalParams,
-                      State, Trajectory, dimensionalize, energies, fields_at,
-                      integrate, one_d_solution, particle_number, pde_residuals,
+                      State, Trajectory, energies,
+                      integrate, one_d_solution, pde_residuals,
                       reference_scales, total_energy)
 from fireball.dynamics import accel
 from fireball.hydro import moment_values
 from fireball.verification import default_initial_state
 from batch import draw_states, sample_state
+from reference import dimensionalize, fields_at
 from stencil import stencil_accelerations
 
 UNIT = PhysicalParams(n0=1.0, T0=1.0, X0=1.0, Y0=1.0, m=1.0)
@@ -251,7 +252,7 @@ class TestTotalEnergy:
                       qdot=rng.uniform(-2.0, 2.0, kind.dim))
             assert total_energy(params, s, kind) == pytest.approx(
                 tensor_product_sum(params, s, kind, 32, density_only=False), rel=1e-14)
-            assert particle_number(params, s, kind) == pytest.approx(
+            assert moment_values(params, s.q, s.qdot, kind)[0] == pytest.approx(
                 tensor_product_sum(params, s, kind, 32, density_only=True), rel=1e-14)
 
     @settings(max_examples=40, deadline=None)
@@ -259,8 +260,7 @@ class TestTotalEnergy:
     def test_batch_matches_each_state(self, kind, data):
         # bit-equal: total_energy is the batch form on a row of one
         _, qs, qdots, states = draw_states(data, kind)
-        number, energy = moment_values(PARAMS3, qs, qdots, kind)
-        assert number.tolist() == [particle_number(PARAMS3, s, kind) for s in states]
+        _, energy = moment_values(PARAMS3, qs, qdots, kind)
         assert energy.tolist() == [total_energy(PARAMS3, s, kind) for s in states]
 
     def test_2d_thermal_reference_value(self):
@@ -318,11 +318,9 @@ class TestParticleNumber:
         s = State(t=0.0, q=[1.0, 1.2], qdot=[-0.2, 0.4])
         traj = integrate(s, ModelKind.TWO_D,
                          IntegratorConfig(t_end=5.0, sample_interval=1.0))
-        values = [particle_number(params,
-                                  dimensionalize(params, sample_state(traj, i),
-                                                 ModelKind.TWO_D),
-                                  ModelKind.TWO_D)
+        states = [dimensionalize(params, sample_state(traj, i), ModelKind.TWO_D)
                   for i in range(len(traj))]
+        values = [moment_values(params, s.q, s.qdot, ModelKind.TWO_D)[0] for s in states]
         spread = (max(values) - min(values)) / values[0]
         assert spread <= 1e-8
         assert values[0] == pytest.approx(2 * math.pi * 0.7 * 1.2 * 0.9, rel=1e-12)
@@ -330,7 +328,7 @@ class TestParticleNumber:
     def test_1d_value(self):
         params = PhysicalParams(n0=2.0, T0=1.0, X0=1.5, m=1.0)
         s = State(t=0.0, q=[2.2], qdot=[0.3])
-        assert particle_number(params, s, ModelKind.ONE_D) == pytest.approx(
+        assert moment_values(params, s.q, s.qdot, ModelKind.ONE_D)[0] == pytest.approx(
             math.sqrt(2 * math.pi) * 2.0 * 1.5, rel=1e-12)
 
     @pytest.mark.parametrize("kind,variances", [
@@ -339,5 +337,5 @@ class TestParticleNumber:
     ])
     def test_three_axis_value(self, kind, variances):
         s = dimensionalize(PARAMS3, default_initial_state(kind), kind)
-        assert particle_number(PARAMS3, s, kind) == pytest.approx(
+        assert moment_values(PARAMS3, s.q, s.qdot, kind)[0] == pytest.approx(
             (2 * math.pi) ** 1.5 * PARAMS3.n0 * variances(PARAMS3), rel=1e-12)

@@ -6,17 +6,18 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fireball import (DomainError, GeneralErmakovSpec, IntegratorConfig,
+from fireball import (DomainError, IntegratorConfig,
                       ModelKind, State, Trajectory, UnsupportedModelError,
-                      energies, ermakov_invariant, general_ermakov_invariant, integrate,
+                      energies, integrate,
                       invariant_report, itilde_invariant, noether_invariant,
-                      one_d_solution, pinney_coupling, polar_invariants,
-                      to_polar)
+                      one_d_solution, to_polar)
 from fireball import dynamics
 from fireball.analytic import angular_potential, polar_invariant_values
 from fireball.invariants import (ermakov_values, hamiltonian_values,
                                  noether_values, radial_invariant_values)
-from batch import draw_states, radial_invariant_reference
+from batch import radial_invariant_reference
+from reference import (GeneralErmakovSpec, ermakov_invariant,
+                       general_ermakov_invariant, pinney_coupling)
 
 # A numpy warning fails the test that raised it, next to its cause.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -203,21 +204,22 @@ class TestNoether:
 class TestPolarInvariants:
     def test_2d_symmetric_point(self):
         s = State(t=0, q=[1, 1], qdot=[0, 0])
-        H, inv = polar_invariants(to_polar(s, ModelKind.TWO_D), ModelKind.TWO_D)
+        H, inv = polar_invariant_values(*astuple(to_polar(s, ModelKind.TWO_D)),
+                                        ModelKind.TWO_D)
         assert inv == pytest.approx(2.0, rel=1e-14)
         assert H == pytest.approx(1.0, rel=1e-14)
 
     def test_elliptic_symmetric_point(self):
         s = State(t=0, q=[1, 1], qdot=[0, 0])
-        H, itil = polar_invariants(to_polar(s, ModelKind.ELLIPTIC_3D),
-                                   ModelKind.ELLIPTIC_3D)
+        H, itil = polar_invariant_values(*astuple(to_polar(s, ModelKind.ELLIPTIC_3D)),
+                                         ModelKind.ELLIPTIC_3D)
         assert itil == pytest.approx(4.5, rel=1e-13)
         assert H == pytest.approx(1.5, rel=1e-13)
 
     def test_minimum_of_angular_potential(self):
         from fireball.models import PolarState
         p = PolarState(r=3.7, phi=math.pi / 4.0, rdot=0.0, phidot=0.0)
-        _, inv = polar_invariants(p, ModelKind.TWO_D)
+        _, inv = polar_invariant_values(*astuple(p), ModelKind.TWO_D)
         assert inv == pytest.approx(2.0, rel=1e-15)
 
     @pytest.mark.parametrize("kind", [ModelKind.TWO_D, ModelKind.ELLIPTIC_3D])
@@ -226,22 +228,13 @@ class TestPolarInvariants:
         rng = np.random.default_rng(8)
         for _ in range(100):
             s = State(t=0, q=rng.uniform(0.3, 3.0, 2), qdot=rng.uniform(-1.5, 1.5, 2))
-            Hp, inv_p = polar_invariants(to_polar(s, kind), kind)
+            Hp, inv_p = polar_invariant_values(*astuple(to_polar(s, kind)), kind)
             H = energies(s, kind).hamiltonian
             inv = ermakov_invariant(s, kind)
             if kind is ModelKind.ELLIPTIC_3D:
                 inv *= 2.0
             assert abs(Hp - H) <= 1e-10 * max(1.0, abs(H))
             assert abs(inv_p - inv) <= 1e-10 * max(1.0, abs(inv))
-
-    @settings(max_examples=40, deadline=None)
-    @given(kind=st.sampled_from([ModelKind.TWO_D, ModelKind.ELLIPTIC_3D]), data=st.data())
-    def test_batch_matches_each_state(self, kind, data):
-        # bit-equal: polar_invariants is the batch form on a row of one
-        polar = [to_polar(s, kind) for s in draw_states(data, kind)[3]]
-        H, inv = polar_invariant_values(*np.array([astuple(p) for p in polar]).T, kind)
-        single = np.array([polar_invariants(p, kind) for p in polar])
-        assert np.array_equal(H, single[:, 0]) and np.array_equal(inv, single[:, 1])
 
     def test_naive_polar_coefficient_fails_the_substitution_oracle(self):
         # with the coefficient 3/2 instead of 3 * 2**(-1/3) the polar form

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fireball import (DomainError, ModelKind, PhysicalParams, PolarState,
-                      State, UnsupportedModelError, dimensionalize,
-                      nondimensionalize, reference_scales,
-                      state_from_components, to_cartesian, to_polar)
+                      State, UnsupportedModelError, reference_scales,
+                      state_from_components, to_polar)
 from fireball.models import polar_values, row_sum
 from batch import draw_states
+from reference import dimensionalize, nondimensionalize, to_cartesian
 
 positive = st.floats(min_value=0.05, max_value=10.0)
 rate = st.floats(min_value=-3.0, max_value=3.0)
