@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from fireball import (AngularSolution, DomainError, IntegratorConfig,
                       ModelKind, NoMotionError, RadialSolution, State,
@@ -23,6 +24,37 @@ from reference import (ermakov_invariant, general_ermakov_invariant, pinney_coup
 
 # A failing example integrates a long grid; the first failure says enough.
 NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
+
+
+def closed_form_period(kind, invariant):
+    """T(C) = 2 int dphi / sqrt(2 (C - U(phi))) between the turning points
+    U(phi) = C, by QUADPACK's rule for the weight ((phi - lo) (hi - phi))^-1/2.
+    With U = K g^p, g = cos^M_X sin^M_Y, and U(ref) = C at the nearer turning
+    point ref, C - U = -C expm1(p log(g / g(ref))), and log(g / g(ref)) is
+    summed from differences of sines and cosines taken as products, so that
+    nothing cancels near either end; at an end the limit stands in."""
+    Mx, My = kind.weights.tolist()
+    p = -2.0 / kind.spatial_dim
+    phi_star, _ = angular_minimum(kind)
+    lo, hi = (brentq(lambda phi: float(angular_potential(phi, kind)) - invariant, a, b,
+                     xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+              for a, b in ((1e-15, phi_star), (phi_star, math.pi / 2.0 - 1e-15)))
+
+    def f(phi):
+        ref = lo if phi < phi_star else hi
+        if phi == ref:
+            slope = My / math.tan(ref) - Mx * math.tan(ref)  # d log(g) / dphi
+            return math.sqrt((hi - lo) / (2.0 * invariant * abs(p * slope)))
+        s, c = math.sin(0.5 * (phi + ref)), math.cos(0.5 * (phi + ref))
+        d = math.sin(0.5 * (phi - ref))
+        log_ratio = (Mx * math.log1p(-2.0 * s * d / math.cos(ref))
+                     + My * math.log1p(2.0 * c * d / math.sin(ref)))
+        return math.sqrt((phi - lo) * (hi - phi)
+                         / (-2.0 * invariant * math.expm1(p * log_ratio)))
+
+    half, _ = quad(f, lo, hi, weight="alg", wvar=(-0.5, -0.5), epsabs=0.0, epsrel=1e-13,
+                   limit=200)
+    return 2.0 * half
 
 
 class TestRadial:
@@ -211,6 +243,20 @@ class TestAngular:
         assert np.all((phi > 0.0) & (phi < math.pi / 2.0))
         along = 0.5 * dphi ** 2 + angular_potential(phi, kind)
         assert np.max(np.abs(along - inv)) / inv <= 1e-4
+
+    @pytest.mark.parametrize("kind", [ModelKind.TWO_D, ModelKind.ELLIPTIC_3D])
+    @settings(max_examples=10, deadline=None, phases=NO_SHRINK)
+    @given(log_excess=st.floats(math.log10(2e-3), 4.0))
+    def test_phase_returns_after_the_closed_form_period(self, kind, log_excess):
+        # The invariant keeps a phase error; the period does not.  Started at
+        # the potential minimum phi*, phi is back at phi* after T(C).  Over
+        # 150 random draws per model, on the phi field, it came back within
+        # 2.3e-11 (2d) and 1.1e-12 (elliptic).
+        phi_star, u_min = angular_minimum(kind)
+        invariant = u_min + 10.0 ** log_excess
+        T = closed_form_period(kind, invariant)
+        phi, _ = angular_quadrature(AngularSolution(invariant, phi_star, 1), kind, [0.0, T])
+        assert abs(phi[-1] - phi_star) <= 1e-10
 
     def test_no_motion_below_minimum(self):
         with pytest.raises(NoMotionError):
