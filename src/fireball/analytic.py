@@ -8,7 +8,7 @@ of all four models is
     ttilde(t) = int dt'/r^2 = arctan(sqrt(2/C) H (t - t0)) / sqrt(2 C).
 
 C is read from :mod:`fireball.invariants`, in Lagrange's-identity form
-1/2 sum_{i<j} (u_i udot_j - u_j udot_i)^2 + r^2 V(q) on u = sqrt(M) q, whose
+1/2 sum_{i<j} (s_i sdot_j - s_j sdot_i)^2 + r^2 V(q) on s = sqrt(M) q, whose
 terms, unlike r^2 H and (r rdot)^2 / 2, do not grow and cancel as t grows.
 C is I for 2d, Itilde for elliptic, 1/2 for 1d (where r = X) and
 H r0^2 - J^2/2 for 3d.  For the planar models the angle of the stretched
@@ -16,14 +16,21 @@ polar coordinates obeys the 1-DOF energy law C = (dphi/dttilde)^2 / 2 + U(phi),
 with U(phi) = V at the point of angle phi on the unit circle r = 1, and
 minimum U = D^2/2 at tan(phi) = sqrt(M_Y/M_X).
 The closed form of phi involves elliptic functions; here it is obtained by
-adaptive integration of the equivalent second-order equation
-phi'' = -U'(phi), which conserves C and reverses branch automatically at the
-turning points U(phi) = C.  Its field is declared as source, which the
-integrator's native loop inlines into its step, as it does the models'
-fields, and its steps land on every sample of the ttilde grid, at rel/abs
-tolerance 1e-14: on 200 random states per model (q in [0.6, 1.8], qdot in
-[-0.8, 0.8], t to 25) (dphi/dttilde)^2 / 2 + U(phi) then stays within 2e-14
-relative of C.
+adaptive integration of the same motion on the unit vector u = s / r of the
+stretched coordinates s = sqrt(M) q, in ttilde:
+u'' = a(u) - (|u'|^2 + 2 V(u)) u with a = -grad V at s = u, which is
+phi'' = -U'(phi) written for u = (cos(phi), sin(phi)).  It conserves
+C = |u'|^2 / 2 + V(u) and reverses branch automatically at the turning
+points U(phi) = C.  On u the 2d field calls no math function and the
+elliptic one a single power per stage, and an angle near an axis keeps its
+digits, since the small component of u is stored rather than derived from
+phi; phi = atan2(u_Y, u_X) is read off at the samples, whatever |u|.  The
+field is declared as source, which the integrator's native loop inlines
+into its step, as it does the models' fields, and its steps land on every
+sample of the ttilde grid, at rel/abs tolerance 1e-14: on 200 random
+states per model (q in [0.6, 1.8], qdot in [-0.8, 0.8], t to 25)
+(dphi/dttilde)^2 / 2 + U(phi) then stays within 1.1e-14 relative of C,
+and |u| within 6e-15 of 1.
 """
 
 from __future__ import annotations
@@ -123,21 +130,42 @@ def angular_potential(phi, kind: ModelKind):
 
 @functools.cache
 def _angular_field(kind: ModelKind):
-    """Scalar field of (phi, dphi/dttilde) for :func:`solve_ode`, with
-    -U'(phi) = (2 U / D) (M_Y cot(phi) - M_X tan(phi)).  It raises
-    DomainError for a stage outside (0, pi/2), so the solver rejects that
-    step, as it does at a variance floor.  It is a :class:`FieldSource`,
-    which the solver's native loop inlines into its step; built once per
-    kind, so that every quadrature reuses its compiled step."""
-    Mx, My, K, p = _angular_law(kind)
+    """Field of the angular motion on the unit vector u = s / r of the
+    stretched coordinates s = sqrt(M) q, in the time ttilde: the state is
+    (u, u'), u' = du/dttilde, and
+
+        u'' = a(u) - (|u'|^2 + 2 V(u)) u,   a_i = (2 M_i / D) V(u) / u_i,
+
+    where a = -grad V at s = u, and u . a = 2 V(u) since V is homogeneous of
+    degree -2.  V(u) = (D/2) (k prod u_a)^(-2/D) over the D spatial axes a,
+    with k = 1 / sqrt(prod M_a), is derived from the axes as
+    :func:`fireball.dynamics.vector_field` derives its powers:
+    ``1.0 / (uX * uY)`` for 2d, one ``**`` for elliptic.  It raises
+    DomainError for a stage outside the open quadrant u > 0, so the solver
+    rejects that step, as it does at a variance floor.  It is a
+    :class:`FieldSource`, which the solver's native loop inlines into its
+    step; built once per kind, so that every quadrature reuses its compiled
+    step."""
+    D = kind.spatial_dim
+    u = tuple(f"u{x}" for x in kind.labels)
+    w = tuple(f"w{x}" for x in kind.labels)
+    product = " * ".join(u[a] for a in kind.sorted_axes)
+    k = 1.0 / math.sqrt(math.prod(kind.weights[a] for a in kind.sorted_axes))
+    if k != 1.0:
+        product = f"{k!r} * ({product})"
+    if 2 % D == 0:  # (k prod)^(-2/D) is 1 / (k prod) or its square
+        potential = f"{D / 2!r} / ({' * '.join([product] * (2 // D))})"
+    else:
+        potential = f"{D / 2!r} * ({product}) ** {-2.0 / D!r}"
+    pulls = tuple("V" if c == 1.0 else f"{c!r} * V"
+                  for c in (2.0 * kind.weights / D).tolist())
     return FieldSource(
-        args=("phi", "w"),
-        positive=f"0.0 < phi < {math.pi / 2.0!r}",
-        refusal='f"phi={phi!r} left (0, pi/2)"',
-        prelude=("c, s = cos(phi), sin(phi)",),
-        outputs=("w", "g * (c ** Mx * s ** My) ** p * (My * c / s - Mx * s / c)"),
-        constants=(("Mx", Mx), ("My", My), ("g", -p * K), ("p", p),
-                   ("cos", math.cos), ("sin", math.sin))).function
+        args=u + w,
+        positive=" and ".join(f"{x} > 0.0" for x in u),
+        refusal=f'f"the unit vector ({", ".join(f"{{{x}!r}}" for x in u)}) left u > 0"',
+        prelude=(f"V = {potential}",
+                 f"g = {' + '.join(f'{x} * {x}' for x in w)} + 2.0 * V"),
+        outputs=w + tuple(f"{pull} / {x} - g * {x}" for pull, x in zip(pulls, u))).function
 
 
 def angular_minimum(kind: ModelKind) -> tuple[float, float]:
@@ -158,11 +186,14 @@ def polar_invariant_values(r, phi, rdot, phidot, kind: ModelKind):
 @dataclass(frozen=True)
 class AngularSolution:
     """Initial data of the angular quadrature: the invariant (I for 2d,
-    Itilde for elliptic), the starting angle, and the starting branch sign."""
+    Itilde for elliptic), the starting angle, the starting branch sign, and
+    the starting state (u, u') of :func:`_angular_field`.  Without a start,
+    the quadrature builds it from the angle, its sign and the invariant."""
 
     invariant: float
     phi0: float
     sign0: int = 1
+    start: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if not 0.0 < self.phi0 < math.pi / 2.0:
@@ -172,23 +203,34 @@ class AngularSolution:
 
     @classmethod
     def from_state(cls, state: State, kind: ModelKind) -> "AngularSolution":
+        """The data of ``state``.  Its start is read off the state without
+        passing through the angle: u = s / r and u' = r sdot - rdot s, so
+        that a component near an axis keeps its digits."""
         polar = to_polar(state, kind)
         inv = RadialSolution.from_state(state, kind).invariant
+        stretch = np.sqrt(kind.weights)
+        s, sdot = stretch * state.q, stretch * state.qdot
+        r, r_rdot = radius(state.q, state.qdot, kind)
+        start = np.concatenate([s / r, r * sdot - r_rdot / r * s])
         speed = polar.r ** 2 * polar.phidot
-        return cls(invariant=inv, phi0=polar.phi, sign0=-1 if speed < 0.0 else 1)
+        return cls(invariant=inv, phi0=polar.phi, sign0=-1 if speed < 0.0 else 1,
+                   start=tuple(start.tolist()))
 
 
 def angular_quadrature(sol: AngularSolution, kind: ModelKind, ttilde_grid,
                        *, rel_tol: float = 1e-14, abs_tol: float = 1e-14):
     """Integrate the angular motion over a ttilde grid.
 
-    Returns (phi, dphi/dttilde) arrays on the grid.  The pair conserves the
+    Returns (phi, dphi/dttilde) arrays on the grid, with phi = atan2(u_Y,
+    u_X) of the unit vector u of :func:`_angular_field` and dphi/dttilde
+    its rate, both free of the scale of u.  The pair conserves the
     invariant, and the branch sign reverses at each turning point
     U(phi) = invariant without leaving (0, pi/2).  Steps land on every
     sample, as in any :func:`solve_ode` run, and a repeated time is the
     same sample.  Raises NoMotionError when the invariant lies below the
-    potential minimum or phi0 is classically forbidden, and DomainError for
-    a grid that is empty, decreasing somewhere, or starts before 0.
+    potential minimum or, for data without a start, phi0 is classically
+    forbidden, and DomainError for a grid that is empty, decreasing
+    somewhere, or starts before 0.
     """
     grid = np.asarray(ttilde_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -204,15 +246,19 @@ def angular_quadrature(sol: AngularSolution, kind: ModelKind, ttilde_grid,
     if sol.invariant < u_min - 1e-12:
         raise NoMotionError(
             f"invariant {sol.invariant} lies below the potential minimum {u_min}")
-    v_sq = 2.0 * (sol.invariant - float(angular_potential(sol.phi0, kind)))
-    if v_sq < -1e-9 * max(1.0, sol.invariant):
-        raise NoMotionError(
-            f"angle {sol.phi0} is classically forbidden for invariant {sol.invariant}")
-    v0 = sol.sign0 * math.sqrt(max(v_sq, 0.0))
+    start = sol.start
+    if start is None:
+        v_sq = 2.0 * (sol.invariant - float(angular_potential(sol.phi0, kind)))
+        if v_sq < -1e-9 * max(1.0, sol.invariant):
+            raise NoMotionError(
+                f"angle {sol.phi0} is classically forbidden for invariant {sol.invariant}")
+        v0 = sol.sign0 * math.sqrt(max(v_sq, 0.0))
+        c, s = math.cos(sol.phi0), math.sin(sol.phi0)
+        start = (c, s, -s * v0, c * v0)
 
-    ys = solve_ode(_angular_field(kind), 0.0, [sol.phi0, v0], grid,
-                   rel_tol=rel_tol, abs_tol=abs_tol)
-    return ys[:, 0], ys[:, 1]
+    ux, uy, wx, wy = solve_ode(_angular_field(kind), 0.0, start, grid,
+                               rel_tol=rel_tol, abs_tol=abs_tol).T
+    return np.arctan2(uy, ux), (ux * wy - uy * wx) / (ux * ux + uy * uy)
 
 
 def one_d_solution(H: float, t0: float, t):

@@ -40,10 +40,10 @@ and why.
 The field is the only check on the state: it raises :class:`DomainError`
 for a stage outside its domain.  The models' fields
 (:func:`fireball.dynamics.vector_field`) do so when any variance is
-<= POSITIVITY_FLOOR (1e-12), the angular quadrature's field when the angle
-leaves (0, pi/2).  The last stage evaluates f at the step's end point, so
-that check also covers every accepted state.  A step whose stage raises is
-rejected and halved; 50 consecutive such rejections raise
+<= POSITIVITY_FLOOR (1e-12), the angular quadrature's field when the unit
+vector leaves the open quadrant.  The last stage evaluates f at the step's
+end point, so that check also covers every accepted state.  A step whose
+stage raises is rejected and halved; 50 consecutive such rejections raise
 :class:`SingularityError`.  Trajectories started from valid states never
 reach the axes (the Ermakov bound keeps X Y >= 1/H), so a singularity abort
 signals a bug or invalid input rather than physics.
@@ -82,6 +82,10 @@ _A = (
 )
 # b5 - b4: weights of the local error estimate.
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# At an accepted step's error norm err <= 1.8e-4 the step factor
+# 0.9 * err ** -0.2 is at least 5.04, so the cap at 5 binds and the power
+# is skipped.
+_CAPPED_ERR = 1.8e-4
 
 
 def _failure(code: int, t: float, h: float, y: Sequence[float]) -> IntegrationError:
@@ -185,8 +189,8 @@ def _run_python(n, f, t, h, y, grid, times, next_idx, abs_tol, rel_tol, max_step
             t, y, k1 = t_new, y_new, k7
             accepted += 1
             # 0 <= err <= 1: the factor is at least 0.9, so only the cap at
-            # 5 can bind.
-            factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
+            # 5 can bind, and it does wherever err <= _CAPPED_ERR.
+            factor = 0.9 * err ** -0.2 if err > _CAPPED_ERR else 5.0
             if factor > 5.0:
                 factor = 5.0
         else:
@@ -330,10 +334,12 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     domain, e.g. at a variance floor.  A field declared as source
     (:class:`fireball.dynamics.FieldSource`) is inlined into the native
     loop wherever that builds; otherwise, and for any other callable, the
-    Python stepper calls f once per stage, with the same results.  Times
-    are compared within 1e-14 relative to the larger of |t| and a unit,
-    min(1, t_end - t0): a short span, such as an angular quadrature's
-    ttilde grid, scales its own tolerances and step floor.
+    Python stepper calls f once per stage, with the same results.  A y0
+    whose length is not the declaration's is refused with ValueError
+    before anything is built.  Times are compared within 1e-14 relative to
+    the larger of |t| and a unit, min(1, t_end - t0): a short span, such as
+    an angular quadrature's ttilde grid, scales its own tolerances and step
+    floor.
     DomainError is raised unless y0 and the samples are nonempty, the
     samples a 1-d sequence, finite and non-decreasing from a finite t0
     (within that tolerance), and ``max_step`` at least the step floor,
@@ -346,6 +352,15 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     """
     y = [float(v) for v in y0]
     n = len(y)
+    # A field declared as source may run in the native loop, unless f only
+    # carries the declaration of another function (a wrapper that copied
+    # its attributes), which must be called.
+    source = getattr(f, "source", None)
+    if source is not None and source.function is not f:
+        source = None
+    if source is not None and len(source.args) != n:
+        raise ValueError(f"the field is declared over {len(source.args)} components, "
+                         f"the state has {n}")
     t = float(t0)
     grid = np.asarray(sample_times, dtype=float)
     if grid.ndim != 1:
@@ -373,12 +388,6 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
         return np.array(y * next_idx).reshape(-1, n)
 
     h = min(max_step, span / 100.0, 0.1, span)
-    # A field declared as source may run in the native loop, unless f only
-    # carries the declaration of another function (a wrapper that copied
-    # its attributes), which must be called.
-    source = getattr(f, "source", None)
-    if source is not None and source.function is not f:
-        source = None
     ys, accepted, rejected, refused = _loop_kernel(n, source)(
         f, t, h, y, grid, times, next_idx, abs_tol, rel_tol, max_step, unit)
     log.debug("solve_ode: %d accepted, %d rejected steps, %d refused stages over [%g, %g]",

@@ -7,7 +7,8 @@ unit and polar maps the tests build their states with.
 - The single-State Ermakov invariant I, with its planar-model check.
 - The point-wise fluid fields of the Gaussian profile (:func:`fields_at`),
   from which the hydro tests rebuild ``pde_residuals`` term by term.
-- The maps to and from laboratory units and the inverse of ``to_polar``.
+- The maps to and from laboratory units and the inverse of ``to_polar``,
+  and the state of the angular field at a given angle and rate.
 """
 
 from __future__ import annotations
@@ -49,6 +50,14 @@ def to_cartesian(polar: PolarState, kind: ModelKind, t: float = 0.0) -> State:
     q = np.array([r * c, r * s]) / stretch
     qdot = np.array([rdot * c - r * phidot * s, rdot * s + r * phidot * c]) / stretch
     return State(t=t, q=q, qdot=qdot)
+
+
+def angular_start(phi: float, rate: float) -> list[float]:
+    """The state (u, u') of ``fireball.analytic._angular_field`` at the
+    angle phi moving at dphi/dttilde = rate: u = (cos phi, sin phi) and
+    u' = rate (-sin phi, cos phi)."""
+    c, s = math.cos(phi), math.sin(phi)
+    return [c, s, -s * rate, c * rate]
 
 
 def ermakov_invariant(state: State, kind: ModelKind) -> float:

@@ -19,8 +19,8 @@ from fireball.integrate import solve_ode
 from fireball.models import radius
 from fireball.verification import default_initial_state
 from batch import sample_state
-from reference import (ermakov_invariant, general_ermakov_invariant, pinney_coupling,
-                       superposition_1d)
+from reference import (angular_start, ermakov_invariant, general_ermakov_invariant,
+                       pinney_coupling, superposition_1d)
 
 # A failing example integrates a long grid; the first failure says enough.
 NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
@@ -218,16 +218,17 @@ class TestAngular:
     @given(phi0=st.floats(0.2, 1.35), excess=st.floats(0.0, 40.0),
            sign=st.sampled_from([-1, 1]))
     def test_quadrature_on_random_invariants(self, kind, phi0, excess, sign):
-        # invariant = U(phi0) + excess.  phi is the rel/abs 1e-14 landing
-        # run's, bit for bit; measured on 150 random draws per model over
-        # these ranges, the invariant held to 2.1e-12 relative.
+        # invariant = U(phi0) + excess.  phi is the angle of the rel/abs
+        # 1e-14 landing run's unit vector, bit for bit; measured on 150
+        # random draws per model over these ranges, the invariant held to
+        # 6.5e-13 relative.
         invariant = float(angular_potential(phi0, kind)) + excess
         grid = np.linspace(0.0, 3.0, 301)
         phi, dphi = angular_quadrature(AngularSolution(invariant, phi0, sign), kind, grid)
         v0 = sign * math.sqrt(2.0 * (invariant - float(angular_potential(phi0, kind))))
-        landed = solve_ode(_angular_field(kind), 0.0, [phi0, v0], grid,
+        landed = solve_ode(_angular_field(kind), 0.0, angular_start(phi0, v0), grid,
                            rel_tol=1e-14, abs_tol=1e-14)
-        assert phi.tobytes() == landed[:, 0].tobytes()
+        assert phi.tobytes() == np.arctan2(landed[:, 1], landed[:, 0]).tobytes()
         along = 0.5 * dphi ** 2 + angular_potential(phi, kind)
         assert np.max(np.abs(along - invariant)) <= 1e-11 * invariant
 
@@ -303,8 +304,11 @@ class TestAngular:
         u = float(angular_potential(phi, kind))
         slope = float(angular_potential(phi + h, kind)
                       - angular_potential(phi - h, kind)) / (2.0 * h)
-        _, accel = _angular_field(kind)(0.0, [phi, 0.0])
-        assert abs(accel + slope) <= 1e-6 * u
+        # at rest on the unit circle, u'' = phi'' (-sin phi, cos phi)
+        c, s = math.cos(phi), math.sin(phi)
+        _, _, ax, ay = _angular_field(kind)(0.0, [c, s, 0.0, 0.0])
+        assert abs(c * ay - s * ax + slope) <= 1e-6 * u
+        assert abs(c * ax + s * ay) <= 1e-14 * u
 
     @pytest.mark.parametrize("kind", [ModelKind.ONE_D, ModelKind.THREE_D])
     def test_non_planar_models_are_unsupported(self, kind):

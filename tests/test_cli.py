@@ -485,6 +485,28 @@ class TestAnalytic:
                                np.sqrt(Mx) * column(sim_rows, sim_header, "X"))
         assert np.max(np.abs(column(rows, header, "phi") - stretched)) <= 1e-9
 
+    @pytest.mark.parametrize("model,X,simulated", [
+        ("2d", "1e-9", False), ("2d", "1e-8", True), ("elliptic", "1e-8", False)])
+    def test_near_axis_angle(self, model, X, simulated, tmp_path):
+        # phi near pi/2, where a double resolves phi to 2e-16 but cos(phi)
+        # only to about 1e-7 relative: the quadrature starts from the
+        # state's unit vector, whose small component keeps its digits.
+        # simulate stops at its step floor at t = 0 on the other two states.
+        state = ["--model", model, "--X", X, "--Y", "1", "--Xdot", "0.1",
+                 "--Ydot", "0.2", "--t-end", "25"]
+        assert main(["analytic", *state, "--out", str(tmp_path / "a.csv")]) == 0
+        _, header, rows = read_csv(tmp_path / "a.csv")
+        phi = column(rows, header, "phi")
+        Mx, My = ModelKind(model).weights
+        assert abs(phi[0] - math.atan2(math.sqrt(My), math.sqrt(Mx) * float(X))) <= 4.5e-16
+        assert ((phi > 0.0) & (phi < math.pi / 2.0)).all()
+        if simulated:
+            assert main(["simulate", *state, "--out", str(tmp_path / "s.csv")]) == 0
+            _, sim_header, sim_rows = read_csv(tmp_path / "s.csv")
+            stretched = np.arctan2(np.sqrt(My) * column(sim_rows, sim_header, "Y"),
+                                   np.sqrt(Mx) * column(sim_rows, sim_header, "X"))
+            assert np.max(np.abs(phi - stretched)) <= 1e-9
+
     def test_needs_state_or_parameters(self, tmp_path):
         assert main(["analytic", "--model", "2d",
                      "--out", str(tmp_path / "a.csv")]) == 2

@@ -21,9 +21,11 @@ from fireball import native
 from fireball.analytic import _angular_field, angular_potential
 from fireball.cli import main
 from fireball.dynamics import FieldSource, vector_field
-from fireball.integrate import _A, _C, _E, _loop_kernel, _run_python, sample_grid, solve_ode
+from fireball.integrate import (_A, _C, _CAPPED_ERR, _E, _loop_kernel, _run_python,
+                                sample_grid, solve_ode)
 from fireball.invariants import hamiltonian_values
 from fireball.verification import default_initial_state
+from reference import angular_start
 
 
 def tight(t_end, interval=0.01, **kw):
@@ -420,6 +422,16 @@ class TestTableau:
             assert len(row) == i
             assert abs(float(sum(row, Fraction(0)) - Fraction(c))) <= 1e-15
 
+    def test_the_step_factor_cap_binds_below_the_skipped_power(self):
+        # an accepted step at err <= _CAPPED_ERR takes the cap 5.0 without
+        # computing 0.9 * err ** -0.2, which is at least 5.04 there and
+        # grows as err falls; both steppers skip the power alike
+        assert 0.9 * _CAPPED_ERR ** -0.2 >= 5.04
+        assert all(0.9 * err ** -0.2 > 5.0 for err in (5e-324, 1e-300, 1e-10, 1e-4))
+        _, _, grow, shrink = native._step_parts(2)
+        assert grow == f"(_err > {_CAPPED_ERR!r} ? {shrink} : 5.0)"
+        assert shrink == "0.9 * pow(_err, -0.2)"
+
     def test_first_same_as_last(self):
         # stage 7 evaluates f at the new state, at c = 1, so it is stage 1
         # of the next step; the stepper skips the weights that are zero
@@ -481,7 +493,7 @@ class TestReferenceStepper:
     def test_fused_angular_fields(self, kind, excess, sign):
         # invariant = U(pi/4) + excess
         v0 = sign * math.sqrt(2.0 * excess)
-        assert_native_matches_python(_angular_field(kind), 0.0, [math.pi / 4.0, v0],
+        assert_native_matches_python(_angular_field(kind), 0.0, angular_start(math.pi / 4.0, v0),
                                      sample_grid(0.0, 3.0, 0.01), rel_tol=1e-12, abs_tol=1e-12)
 
     @settings(max_examples=6, deadline=None, phases=NO_SHRINK)
@@ -498,20 +510,22 @@ class TestReferenceStepper:
                 raise DomainError("refused stage")
             return field(t, y)
 
-        v0 = sign * math.sqrt(2.0 * (invariant - 2.0))
+        start = angular_start(math.pi / 4.0, sign * math.sqrt(2.0 * (invariant - 2.0)))
         grid = sample_grid(0.0, 3.0, 0.01)
-        got = solve_ode(f, 0.0, [math.pi / 4.0, v0], grid, rel_tol=1e-12, abs_tol=1e-12)
+        got = solve_ode(f, 0.0, start, grid, rel_tol=1e-12, abs_tol=1e-12)
         assert refusals
         # a refusal only halves the step: the samples stay near the unguarded
-        # run's (at most 4e-8 apart over 80 such states)
-        want = solve_ode(field, 0.0, [math.pi / 4.0, v0], grid, rel_tol=1e-12, abs_tol=1e-12)
+        # run's (at most 1.3e-8 apart over 80 such states)
+        want = solve_ode(field, 0.0, start, grid, rel_tol=1e-12, abs_tol=1e-12)
         assert np.abs(got - want).max() <= 1e-6
 
     def test_angular_field_refuses_out_of_range_stages(self):
-        # at this invariant some elliptic stages step phi out of (0, pi/2)
+        # at this invariant some elliptic stages step u out of the open
+        # quadrant
         kind = ModelKind.ELLIPTIC_3D
         phi0, invariant = math.atan(1.0 / math.sqrt(2.0)), 1e4
-        v0 = math.sqrt(2.0 * (invariant - float(angular_potential(phi0, kind))))
+        start = angular_start(
+            phi0, math.sqrt(2.0 * (invariant - float(angular_potential(phi0, kind)))))
         field, refusals = _angular_field(kind), []
 
         def f(t, y):
@@ -522,13 +536,13 @@ class TestReferenceStepper:
                 raise
 
         # the Python stepper calls f, and the C loop refuses the same stages
-        got = assert_native_matches_python(field, 0.0, [phi0, v0], np.linspace(0.0, 2.0, 11),
+        got = assert_native_matches_python(field, 0.0, start, np.linspace(0.0, 2.0, 11),
                                            python=f, rel_tol=1e-8, abs_tol=1e-8)
         assert isinstance(got, np.ndarray) and refusals
-        assert all(not 0.0 < y[0] < math.pi / 2.0 for y in refusals)
+        assert all(not (y[0] > 0.0 and y[1] > 0.0) for y in refusals)
         # at a loose tolerance a step is accepted where every next step
         # refuses: the same error at the same state
-        got = assert_native_matches_python(field, 0.0, [phi0, v0], np.linspace(0.0, 2.0, 11),
+        got = assert_native_matches_python(field, 0.0, start, np.linspace(0.0, 2.0, 11),
                                            rel_tol=1e-2, abs_tol=1e-2)
         assert got[0] is SingularityError
 
@@ -724,8 +738,8 @@ class TestDeclaredFields:
         angular_quadrature(sol, kind, grid)
         assert _loop_kernel.cache_info().misses == misses
 
-    @pytest.mark.parametrize("kind,calls", [(ModelKind.TWO_D, 15673),
-                                            (ModelKind.ELLIPTIC_3D, 15745)])
+    @pytest.mark.parametrize("kind,calls", [(ModelKind.TWO_D, 15643),
+                                            (ModelKind.ELLIPTIC_3D, 15721)])
     def test_angular_quadrature_rhs_count(self, kind, calls, monkeypatch):
         # perfbench's analytic.angular_quadrature.rhs_evals anchor, on the
         # 2501 samples of `fireball analytic --t-end 25`: a step lands on
@@ -807,7 +821,8 @@ class TestNativeLoop:
     stepper, which serves called fields, and against its cache."""
 
     @pytest.mark.parametrize("field,t0,y0,grid,kw,error,message", [
-        (_angular_field(ModelKind.ELLIPTIC_3D), 0.0, [math.atan(1.0 / math.sqrt(2.0)), 141.4],
+        (_angular_field(ModelKind.ELLIPTIC_3D), 0.0,
+         angular_start(math.atan(1.0 / math.sqrt(2.0)), math.sqrt(2.0 * (1e4 - 4.5))),
          np.linspace(0.0, 2.0, 11), {"rel_tol": 1e-2, "abs_tol": 1e-2}, SingularityError,
          "domain refusals forced the step below the floor"),
         (vector_field(ModelKind.TWO_D), 0.0, [1.0, 1e-10, 0.1, 0.2], sample_grid(0.0, 25.0, 0.01),
@@ -855,6 +870,24 @@ class TestNativeLoop:
         assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
         assert got[0][:, 0].min() < 0.0 < got[0][:, 0].max()
 
+    def test_state_of_another_length_is_refused_before_any_build(self, monkeypatch):
+        builds = []
+        monkeypatch.setattr(native, "_build", lambda *args: builds.append(args))
+        with pytest.raises(ValueError, match="declared over 4 components, the state has 2"):
+            solve_ode(vector_field(ModelKind.TWO_D), 0.0, [1.0, 1.0], sample_grid(0.0, 1.0, 0.1))
+        assert not builds
+
+    @pytest.mark.parametrize("kind,powers", [(ModelKind.TWO_D, 0), (ModelKind.ELLIPTIC_3D, 1)])
+    def test_angular_field_stage_calls_no_trig_and_one_power_at_most(self, kind, powers):
+        source = _angular_field(kind).source
+        translator = native._Translator(source)
+        check, prelude, outputs = translator.field(source)
+        stage = " ".join([check, *prelude, *outputs])
+        assert translator.functions == ({"pow"} if powers else set())
+        assert stage.count("py_power(") == powers
+        code = native.c_source(4, source)
+        assert not re.search(r"\b(sin|cos|tan)\(", code)
+
     def test_underflow_exit_and_message(self, capsys):
         # a state that starts 1e-10 above the floor: exit 3, and the
         # message of the Python stepper
@@ -875,7 +908,7 @@ class TestNativeLoop:
     @pytest.mark.parametrize("field,y0,grid", [
         *((vector_field(kind), model_start(kind), sample_grid(0.0, 5.0, 0.01))
           for kind in ModelKind),
-        *((_angular_field(kind), [0.7, -1.1], np.linspace(0.0, 2.0, 201))
+        *((_angular_field(kind), angular_start(0.7, -1.1), np.linspace(0.0, 2.0, 201))
           for kind in (ModelKind.TWO_D, ModelKind.ELLIPTIC_3D)),
     ], ids=[*(kind.value for kind in ModelKind), "angular-2d", "angular-elliptic"])
     def test_without_a_compiler_the_python_loop_serves(self, fresh_kernels, monkeypatch,
