@@ -60,9 +60,9 @@ class FieldSource:
     state must meet, and ``refusal`` the f-string source of the
     :class:`DomainError` message raised when it does not; ``prelude`` holds
     statements whose names the ``outputs`` (one expression per component)
-    may use; ``constants`` binds further names, e.g. ``("cos", math.cos)``.
-    All of them are Python source over these names on floats.  No name may
-    start with an underscore: those are left to the code built from it.
+    may use.  All of them are Python source over these names on floats.  No
+    name may start with an underscore: those are left to the code built
+    from it.
 
     ``function`` is the declaration compiled as a plain ``f(t, y)``
     returning a tuple, which carries the declaration as ``f.source``.
@@ -76,21 +76,19 @@ class FieldSource:
     """
 
     def __init__(self, args: tuple[str, ...], positive: str, refusal: str,
-                 outputs: tuple[str, ...], prelude: tuple[str, ...] = (),
-                 constants: tuple[tuple[str, object], ...] = ()):
-        names = args + tuple(name for name, _ in constants)
+                 outputs: tuple[str, ...], prelude: tuple[str, ...] = ()):
         if len(outputs) != len(args) or not all(
-                name.isidentifier() and not name.startswith("_") for name in names):
+                name.isidentifier() and not name.startswith("_") for name in args):
             raise ValueError(f"malformed field declaration over {args}")
         self.args, self.positive, self.refusal = args, positive, refusal
-        self.outputs, self.prelude, self.constants = outputs, prelude, constants
+        self.outputs, self.prelude = outputs, prelude
         lines = ["def field(_t, _y):",
                  f"    {', '.join(args)}, = _y",
                  f"    if not ({positive}):",
                  f"        raise _DomainError({refusal})",
                  *(f"    {line}" for line in prelude),
                  f"    return {', '.join(outputs)},"]
-        namespace = {"_DomainError": DomainError, **dict(constants)}
+        namespace = {"_DomainError": DomainError}
         exec(compile("\n".join(lines) + "\n", "<declared field>", "exec"), namespace)
         self.function = namespace["field"]
         self.function.source = self

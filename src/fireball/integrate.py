@@ -300,8 +300,9 @@ def sample_grid(t0: float, t_end: float, interval: float) -> np.ndarray:
     """Uniform grid from t0 at the given spacing, always ending at t_end.
 
     Raises :class:`DomainError` for a t_end before t0 (t_end = t0 gives the
-    single sample t0), and, naming the sample count, for a grid too large
-    to allocate.
+    single sample t0), naming the sample count for a grid too large to
+    allocate, and for a spacing too fine for the floats near t0, whose times
+    would repeat.
     """
     if not t_end >= t0:
         raise DomainError(f"t_end={t_end!r} lies before t0={t0!r}")
@@ -315,6 +316,8 @@ def sample_grid(t0: float, t_end: float, interval: float) -> np.ndarray:
         grid = np.append(grid, t_end)
     else:
         grid[-1] = t_end
+    if not (grid[1:] > grid[:-1]).all():
+        raise DomainError("sample times must be strictly increasing")
     return grid
 
 

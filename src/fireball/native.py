@@ -8,29 +8,32 @@ the system's ``cc`` and loads it with :mod:`ctypes`.  The stage sums, the
 error norm and the step control (:func:`_step_parts`) are written term for
 term as the stepper computes them, and the field's check, prelude and
 outputs are translated from the Python AST of its declaration.  The
-translator takes only ``+ - * /``, ``**`` (as the C library's ``pow``,
-which Python's float power calls), unary minus, comparisons (chained ones
-too), ``and``/``or``, numeric constants and the math functions of
-:data:`_LIBM` bound in the declaration's ``constants``.  Each of these
-rounds in C as in Python, so every sample, step decision, count and error
-is the Python stepper's, bit for bit.  Where Python would raise instead (a
-division by zero, ``0.0 ** -1.0``, a negative number to a fractional
-power, a power or math function overflowing or leaving its domain), the C
-loop stops and the Python stepper runs the solve again from its start, so
-it raises as before.  The library calls are most of a step's cost: the
-step control calls ``pow`` only where the step factor does not cap, at an
-accepted error norm above 1.8e-4 or after a rejected step, as the Python
-stepper does, and the package's declarations call at most one ``pow`` per
-stage and no other math function (none for the 1d and 2d fields and the
-2d angular field).
+translator takes exactly the grammar the package's declarations use:
+finite float constants, names (the arguments, and the names the prelude
+has assigned), unary minus, ``+ - * /`` and ``**`` (as the C library's
+``pow``, which Python's float power calls) in the outputs and the
+prelude; a ``<`` or ``>`` comparison of two such values, or ``and`` over
+such comparisons, as the check; an assignment to one name per prelude
+statement.  A declaration outside it raises :class:`Unavailable`, and
+the Python stepper serves it.  Each of these rounds in C as in Python, so
+every sample, step decision, count and error is the Python stepper's, bit
+for bit.  Where Python would raise instead (a division by zero, ``0.0 **
+-1.0``, a negative number to a fractional power, a power overflowing),
+the C loop stops and the Python stepper runs the solve again from its
+start, so it raises as before.  The library calls are most of a step's
+cost: the step control calls ``pow`` only where the step factor does not
+cap, at an accepted error norm above 1.8e-4 or after a rejected step, as
+the Python stepper does, and the package's declarations call at most one
+``pow`` per stage (none for the 1d and 2d fields and the 2d angular
+field).
 
 The build flags, and why: ``-O2`` for speed; ``-fPIC -shared`` for an
 object :mod:`ctypes` can load; ``-ffp-contract=off`` so that no ``a * b +
 c`` becomes a fused multiply-add, which rounds once where Python rounds
-twice; ``-fno-builtin`` so that ``pow``, ``sin``, ``cos`` and the rest stay
-calls into the C library that Python's float power and :mod:`math` call
-(GCC would otherwise fold or expand some of them, and the folded values
-can differ from the library's in the last bit).  A source that would not
+twice; ``-fno-builtin`` so that ``pow`` and the error norm's ``sqrt``
+stay calls into the C library that Python's float power and
+:func:`math.sqrt` call (GCC would otherwise fold or expand them, and the
+folded values can differ from the library's in the last bit).  A source that would not
 evaluate doubles in double precision (``FLT_EVAL_METHOD != 0``, as on x87)
 fails to build.
 
@@ -95,13 +98,6 @@ from .integrate import _A, _CAPPED_ERR, _E, _failure
 
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin")
 
-# The math functions a declaration may bind and call: Python computes each
-# as the C library's function of one double, raising where the result is
-# NaN from a number or infinite from a finite number.
-_LIBM = {getattr(math, name): name for name in (
-    "sin", "cos", "tan", "asin", "acos", "atan", "sinh", "cosh", "tanh", "exp", "log",
-    "sqrt")}
-
 _STATUS_PYTHON = 4  # the loop met an operation that raises in Python
 
 _PRELUDE = """\
@@ -134,17 +130,6 @@ static inline double py_power(int *py, double a, double b)
     return r;
 }
 """
-
-_FUNCTION = Template("""
-/* math.$name: ValueError or OverflowError. */
-static inline double py_$name(int *py, double x)
-{
-    double r = $name(x);
-    if ((isnan(r) && !isnan(x)) || (isinf(r) && isfinite(x)))
-        *py = 1;
-    return r;
-}
-""")
 
 # The step loop of fireball.integrate._run_python.  Status 0: done; 1-3: the
 # codes of fireball.integrate._failure, with t, h and y left in scalars and
@@ -431,17 +416,17 @@ class Unavailable(Exception):
 
 class _Translator:
     """C expressions and statements of a :class:`FieldSource`'s Python
-    source.  Each value is typed int or float as in Python; arithmetic on
-    two ints (Python's exact integers) is refused."""
+    source over its grammar: finite float constants, names, unary minus,
+    ``+ - * /`` and ``**`` on floats; a ``<`` or ``>`` comparison of two
+    of these, or ``and`` over such comparisons, as the check; assignments
+    of one name as the prelude.  Anything else raises :class:`Unavailable`."""
 
     _ARITHMETIC = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}
-    _COMPARE = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
-                ast.NotEq: "!="}
+    _COMPARE = {ast.Lt: "<", ast.Gt: ">"}
 
     def __init__(self, source: FieldSource):
-        self.constants = dict(source.constants)
-        self.types = {name: float for name in source.args}  # the names assigned so far
-        self.functions: set[str] = set()
+        self.names = set(source.args)  # the names assigned so far
+        self.power = False  # whether a value calls pow
 
     @staticmethod
     def parse(text: str, mode: str):
@@ -450,95 +435,57 @@ class _Translator:
         except SyntaxError as exc:
             raise Unavailable(f"cannot parse {text!r}") from exc
 
-    def number(self, value, text: str) -> tuple[str, type]:
-        if type(value) is float and math.isfinite(value):
-            return f"({value!r})", float
-        if type(value) is int and abs(value) <= 2 ** 53:
-            return f"({float(value)!r})", int
-        raise Unavailable(f"{text} is not a finite float or an exact integer")
-
-    def value(self, node) -> tuple[str, type]:
-        """C expression and Python type of a numeric expression."""
+    def value(self, node) -> str:
+        """C expression of a numeric expression."""
         if isinstance(node, ast.Constant):
-            return self.number(node.value, repr(node.value))
-        if isinstance(node, ast.Name):
-            if node.id in self.types:
-                return f"u_{node.id}", self.types[node.id]
-            if node.id in self.constants and not callable(self.constants[node.id]):
-                return self.number(self.constants[node.id], node.id)
+            if type(node.value) is float and math.isfinite(node.value):
+                return f"({node.value!r})"
+        elif isinstance(node, ast.Name):
+            if node.id in self.names:
+                return f"u_{node.id}"
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            code, kind = self.value(node.operand)
-            return f"(-{code})", kind
+            return f"(-{self.value(node.operand)})"
         elif isinstance(node, ast.BinOp):
-            (a, left), (b, right) = self.value(node.left), self.value(node.right)
-            if left is int and right is int:
-                raise Unavailable(f"integer arithmetic in {ast.unparse(node)}")
+            a, b = self.value(node.left), self.value(node.right)
             if type(node.op) in self._ARITHMETIC:
-                return f"({a} {self._ARITHMETIC[type(node.op)]} {b})", float
+                return f"({a} {self._ARITHMETIC[type(node.op)]} {b})"
             if isinstance(node.op, ast.Div):
-                return f"py_divide(&_py, {a}, {b})", float
+                return f"py_divide(&_py, {a}, {b})"
             if isinstance(node.op, ast.Pow):
-                self.functions.add("pow")
-                return f"py_power(&_py, {a}, {b})", float
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-              and len(node.args) == 1 and not node.keywords):
-            function = self.constants.get(node.func.id)
-            name = next((name for f, name in _LIBM.items() if f is function), None)
-            if name is not None:
-                self.functions.add(name)
-                return f"py_{name}(&_py, {self.value(node.args[0])[0]})", float
+                self.power = True
+                return f"py_power(&_py, {a}, {b})"
         raise Unavailable(f"cannot translate {ast.unparse(node)}")
 
     def condition(self, node) -> str:
-        """C condition of a comparison, a chain of them, or and/or of these."""
-        if isinstance(node, ast.BoolOp):
-            op = " && " if isinstance(node.op, ast.And) else " || "
-            return f"({op.join(self.condition(v) for v in node.values)})"
-        if isinstance(node, ast.Compare) and all(type(op) in self._COMPARE for op in node.ops):
-            terms = [self.value(v)[0] for v in [node.left, *node.comparators]]
-            return "(" + " && ".join(f"{a} {self._COMPARE[type(op)]} {b}" for a, op, b
-                                     in zip(terms, node.ops, terms[1:])) + ")"
+        """C condition of a comparison, or of ``and`` over comparisons."""
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
+            return f"({' && '.join(self.condition(v) for v in node.values)})"
+        if (isinstance(node, ast.Compare) and len(node.ops) == 1
+                and type(node.ops[0]) in self._COMPARE):
+            a, b = self.value(node.left), self.value(node.comparators[0])
+            return f"({a} {self._COMPARE[type(node.ops[0])]} {b})"
         raise Unavailable(f"cannot translate the condition {ast.unparse(node)}")
 
     def assign(self, node) -> str:
-        """C block of an assignment to a name or a tuple of names."""
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name):
-                targets, values = [target], [node.value]
-            elif (isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
-                  and len(target.elts) == len(node.value.elts)
-                  and all(isinstance(t, ast.Name) for t in target.elts)):
-                targets, values = target.elts, node.value.elts
-            else:
-                targets = None
-            if targets is not None:
-                # every value is computed before any name is bound, as in Python
-                values = [self.value(v) for v in values]
-                lines = []
-                for i, (t, (code, kind)) in enumerate(zip(targets, values)):
-                    if t.id in self.constants or t.id.startswith("_"):
-                        raise Unavailable(f"the prelude assigns {t.id}")
-                    lines.append(f"u_{t.id} = _p{i};")
-                    self.types[t.id] = kind
-                temps = ", ".join(f"_p{i} = {code}" for i, (code, _) in enumerate(values))
-                return f"{{ double {temps}; {' '.join(lines)} }}"
+        """C block of an assignment to one name."""
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)):
+            code, name = self.value(node.value), node.targets[0].id
+            if name.startswith("_"):
+                raise Unavailable(f"the prelude assigns {name}")
+            self.names.add(name)
+            return f"{{ double _p0 = {code}; u_{name} = _p0; }}"
         raise Unavailable(f"cannot translate the statement {ast.unparse(node)}")
 
     def field(self, source: FieldSource) -> tuple[str, list[str], list[str]]:
         """The check, the prelude statements and the outputs, in C."""
         check = self.condition(self.parse(source.positive, "eval").body)
         for name in ast.walk(self.parse(source.refusal, "eval")):
-            if isinstance(name, ast.Name) and name.id not in self.types:
+            if isinstance(name, ast.Name) and name.id not in self.names:
                 raise Unavailable(f"the refusal reads {name.id}, not an argument")
         prelude = [self.assign(s) for line in source.prelude
                    for s in self.parse(line, "exec").body]
-        outputs = []
-        for text in source.outputs:
-            code, kind = self.value(self.parse(text, "eval").body)
-            if kind is int:
-                raise Unavailable(f"the output {text} is an integer")
-            outputs.append(code)
+        outputs = [self.value(self.parse(text, "eval").body) for text in source.outputs]
         return check, prelude, outputs
 
 
@@ -594,11 +541,10 @@ def c_source(n: int, source: FieldSource) -> str:
     def block(lines, indent):
         return "\n".join(" " * indent + line for line in lines)
 
-    local = sorted({f"u_{name}" for name in translator.types}
+    local = sorted({f"u_{name}" for name in translator.names}
                    | {f"_{stem}_{i}" for stem in ("y", "v", "e", "k1", "k2", "k3", "k4",
                                                    "k5", "k6", "k7") for i in comps})
-    helpers = [_PRELUDE] + [_POWER if name == "pow" else _FUNCTION.substitute(name=name)
-                            for name in sorted(translator.functions)]
+    helpers = [_PRELUDE, _POWER] if translator.power else [_PRELUDE]
     loop = _LOOP.substitute(
         locals=", ".join(f"{name} = 0.0" for name in local),
         load=block([f"_y_{i} = _state[{i}];" for i in comps]

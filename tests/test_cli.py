@@ -149,6 +149,16 @@ class TestSimulate:
         assert "1e+300 samples" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_grid_times_are_config_error(self, tmp_path, capsys):
+        # from t0 = 1e16 a spacing of 1 gives 9 samples but 5 distinct
+        # times: refused before anything is computed or written
+        out = tmp_path / "x.csv"
+        assert main(["analytic", "--model", "2d", "--H", "3", "--I", "5", "--t0", "1e16",
+                     "--t-end", "8", "--sample-interval", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: sample times must be strictly increasing\n")
+        assert not out.exists()
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "run.json"
         assert main(["simulate", "--model", "elliptic", "--X", "1", "--Y", "1.2",
