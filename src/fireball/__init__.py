@@ -15,12 +15,10 @@ import importlib
 
 from .errors import (ConfigError, DomainError, FireballError, IntegrationError,
                      NoMotionError, SingularityError, UnsupportedModelError)
-from .models import (ModelKind, PhysicalParams, PolarState, State, reference_scales,
-                     state_from_components, to_polar)
+from .models import ModelKind, PhysicalParams, State, reference_scales, state_from_components
 from .dynamics import EnergyPair, energies
 from .integrate import IntegratorConfig, Trajectory, integrate
-from .invariants import (InvariantReport, invariant_report, itilde_invariant,
-                         noether_invariant)
+from .invariants import InvariantReport, invariant_report, noether_invariant
 
 # The exports of the modules loaded on first use, each with its module.
 _LAZY = {name: f"{__name__}.{module}" for module, names in {

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoMotionError
-from .models import ModelKind, State, _require_planar, check_state, radius, to_polar
+from .models import ModelKind, State, _require_planar, check_state, radius
 from .integrate import solve_ode
 from .dynamics import POSITIVITY_FLOOR, FieldSource
 from .invariants import hamiltonian_values, radial_invariant_values
@@ -186,40 +186,50 @@ def polar_invariant_values(r, phi, rdot, phidot, kind: ModelKind):
 @dataclass(frozen=True)
 class AngularSolution:
     """Initial data of the angular quadrature: the invariant (I for 2d,
-    Itilde for elliptic), the starting angle, the starting branch sign, and
-    the starting state (u, u') of :func:`_angular_field`.  Without a start,
-    the quadrature builds it from the angle, its sign and the invariant."""
+    Itilde for elliptic) and the starting state (u, u') of
+    :func:`_angular_field`."""
 
     invariant: float
-    phi0: float
-    sign0: int = 1
-    start: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.phi0 < math.pi / 2.0:
-            raise DomainError(f"phi0 must lie strictly inside (0, pi/2), got {self.phi0}")
-        if self.sign0 not in (-1, 1):
-            raise DomainError(f"sign0 must be +1 or -1, got {self.sign0}")
+    start: tuple[float, ...]
 
     @classmethod
     def from_state(cls, state: State, kind: ModelKind) -> "AngularSolution":
         """The data of ``state``.  Its start is read off the state without
         passing through the angle: u = s / r and u' = r sdot - rdot s, so
         that a component near an axis keeps its digits."""
-        polar = to_polar(state, kind)
         inv = RadialSolution.from_state(state, kind).invariant
         stretch = np.sqrt(kind.weights)
         s, sdot = stretch * state.q, stretch * state.qdot
         r, r_rdot = radius(state.q, state.qdot, kind)
         start = np.concatenate([s / r, r * sdot - r_rdot / r * s])
-        speed = polar.r ** 2 * polar.phidot
-        return cls(invariant=inv, phi0=polar.phi, sign0=-1 if speed < 0.0 else 1,
-                   start=tuple(start.tolist()))
+        return cls(invariant=inv, start=tuple(start.tolist()))
+
+    @classmethod
+    def from_angle(cls, invariant: float, phi0: float, sign0: int,
+                   kind: ModelKind) -> "AngularSolution":
+        """The data at the angle phi0 with dphi/dttilde of sign sign0 (+1 or
+        -1); NoMotionError for an invariant below the potential minimum or
+        a phi0 it classically forbids."""
+        if not 0.0 < phi0 < math.pi / 2.0:
+            raise DomainError(f"phi0 must lie strictly inside (0, pi/2), got {phi0}")
+        if sign0 not in (-1, 1):
+            raise DomainError(f"sign0 must be +1 or -1, got {sign0}")
+        _, u_min = angular_minimum(kind)
+        if invariant < u_min - 1e-12:
+            raise NoMotionError(
+                f"invariant {invariant} lies below the potential minimum {u_min}")
+        v_sq = 2.0 * (invariant - float(angular_potential(phi0, kind)))
+        if v_sq < -1e-9 * max(1.0, invariant):
+            raise NoMotionError(
+                f"angle {phi0} is classically forbidden for invariant {invariant}")
+        v0 = sign0 * math.sqrt(max(v_sq, 0.0))
+        c, s = math.cos(phi0), math.sin(phi0)
+        return cls(invariant=invariant, start=(c, s, -s * v0, c * v0))
 
 
 def angular_quadrature(sol: AngularSolution, kind: ModelKind, ttilde_grid,
                        *, rel_tol: float = 1e-14, abs_tol: float = 1e-14):
-    """Integrate the angular motion over a ttilde grid.
+    """Integrate the angular motion from ``sol.start`` over a ttilde grid.
 
     Returns (phi, dphi/dttilde) arrays on the grid, with phi = atan2(u_Y,
     u_X) of the unit vector u of :func:`_angular_field` and dphi/dttilde
@@ -227,9 +237,7 @@ def angular_quadrature(sol: AngularSolution, kind: ModelKind, ttilde_grid,
     invariant, and the branch sign reverses at each turning point
     U(phi) = invariant without leaving (0, pi/2).  Steps land on every
     sample, as in any :func:`solve_ode` run, and a repeated time is the
-    same sample.  Raises NoMotionError when the invariant lies below the
-    potential minimum or, for data without a start, phi0 is classically
-    forbidden, and DomainError for a grid that is empty, decreasing
+    same sample.  Raises DomainError for a grid that is empty, decreasing
     somewhere, or starts before 0.
     """
     grid = np.asarray(ttilde_grid, dtype=float)
@@ -241,22 +249,7 @@ def angular_quadrature(sol: AngularSolution, kind: ModelKind, ttilde_grid,
         raise DomainError("ttilde grid must be non-decreasing")
     if grid[0] < 0.0:
         raise DomainError("ttilde grid must start at or after 0")
-
-    _, u_min = angular_minimum(kind)
-    if sol.invariant < u_min - 1e-12:
-        raise NoMotionError(
-            f"invariant {sol.invariant} lies below the potential minimum {u_min}")
-    start = sol.start
-    if start is None:
-        v_sq = 2.0 * (sol.invariant - float(angular_potential(sol.phi0, kind)))
-        if v_sq < -1e-9 * max(1.0, sol.invariant):
-            raise NoMotionError(
-                f"angle {sol.phi0} is classically forbidden for invariant {sol.invariant}")
-        v0 = sol.sign0 * math.sqrt(max(v_sq, 0.0))
-        c, s = math.cos(sol.phi0), math.sin(sol.phi0)
-        start = (c, s, -s * v0, c * v0)
-
-    ux, uy, wx, wy = solve_ode(_angular_field(kind), 0.0, start, grid,
+    ux, uy, wx, wy = solve_ode(_angular_field(kind), 0.0, sol.start, grid,
                                rel_tol=rel_tol, abs_tol=abs_tol).T
     return np.arctan2(uy, ux), (ux * wy - uy * wx) / (ux * ux + uy * uy)
 

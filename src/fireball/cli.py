@@ -323,8 +323,8 @@ def cmd_analytic(args: argparse.Namespace) -> int:
         grid_start = initial.t
     elif settings.get("H") is not None and settings.get("I") is not None:
         radial_sol = analytic.RadialSolution(settings["H"], settings["I"], settings["t0"])
-        angular_sol = analytic.AngularSolution(settings["I"], settings["phi0"],
-                                               settings["sign0"])
+        angular_sol = analytic.AngularSolution.from_angle(settings["I"], settings["phi0"],
+                                                          settings["sign0"], kind)
         grid_start = settings["t0"]
     else:
         raise ConfigError("analytic needs either an initial state (--X ...) or --H and --I")

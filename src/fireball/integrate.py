@@ -37,16 +37,19 @@ An info record of the ``fireball.integrate`` logger names the loop that
 serves each kernel: native from the cache, native built in N s, or Python
 and why.
 
-The field is the only check on the state: it raises :class:`DomainError`
-for a stage outside its domain.  The models' fields
+The field checks the state: it raises :class:`DomainError` for a stage
+outside its domain.  The models' fields
 (:func:`fireball.dynamics.vector_field`) do so when any variance is
 <= POSITIVITY_FLOOR (1e-12), the angular quadrature's field when the unit
 vector leaves the open quadrant.  The last stage evaluates f at the step's
 end point, so that check also covers every accepted state.  A step whose
 stage raises is rejected and halved; 50 consecutive such rejections raise
-:class:`SingularityError`.  Trajectories started from valid states never
-reach the axes (the Ermakov bound keeps X Y >= 1/H), so a singularity abort
-signals a bug or invalid input rather than physics.
+:class:`SingularityError`.  The loop itself stops an overflow: an infinite
+component divides its error to 0, so the norm accepts its step (a NaN one
+rejects it), and the run ends in :class:`IntegrationError`.  Trajectories
+started from valid states never reach the axes (the Ermakov bound keeps
+X Y >= 1/H), so a singularity abort signals a bug or invalid input rather
+than physics.
 """
 
 from __future__ import annotations
@@ -91,14 +94,17 @@ _CAPPED_ERR = 1.8e-4
 def _failure(code: int, t: float, h: float, y: Sequence[float]) -> IntegrationError:
     """The error that ends a run: 1 for a step forced below the floor by
     domain refusals, 2 for step-size underflow, 3 for 50 consecutive
-    refusals.  The Python stepper and the C loop raise it from their last
-    good state."""
+    refusals, 5 for an accepted step whose state overflowed.  The Python
+    stepper and the C loop raise it from their last good state."""
     where = {"last_t": t, "last_y": np.array(y)}
     if code == 1:
         return SingularityError(f"domain refusals forced the step below the floor at t={t!r}",
                                 **where)
     if code == 2:
         return IntegrationError(f"step size underflow at t={t!r} (h={h!r})", **where)
+    if code == 5:
+        return IntegrationError(f"the state overflowed in the step from t={t!r} (h={h!r})",
+                                **where)
     return SingularityError(f"the field refused 50 consecutive steps near t={t!r}", **where)
 
 
@@ -177,6 +183,8 @@ def _run_python(n, f, t, h, y, grid, times, next_idx, abs_tol, rel_tol, max_step
             sq += e * e
         err = math.sqrt(sq / n)
         if err <= 1.0:
+            if not all(map(math.isfinite, y_new)):
+                raise _failure(5, t, h, y)
             t_new = t + h
             at = t_new if t_new >= 0.0 else -t_new
             tol = 1e-14 * (at if at > unit else unit)

@@ -94,13 +94,6 @@ def _noether(ts, qs, qdots, kind: ModelKind, H) -> np.ndarray:
     return 2.0 * ts * H - row_sum(qs * (kind.weights * qdots))
 
 
-def itilde_invariant(state: State) -> float:
-    """Doubled Ermakov invariant of the elliptic model: its radial invariant C."""
-    kind = ModelKind.ELLIPTIC_3D
-    check_state(state, kind)
-    return 2.0 * float(ermakov_values(state.q, state.qdot, kind))
-
-
 def noether_invariant(state: State, kind: ModelKind) -> float:
     """Time-dependent scaling invariant J at the given state."""
     check_state(state, kind)

@@ -203,22 +203,6 @@ def reference_scales(params: PhysicalParams, kind: ModelKind) -> tuple[float, fl
     return length, time
 
 
-@dataclass(frozen=True)
-class PolarState:
-    """Polar view of a planar state: ``r`` radial, ``phi`` in (0, pi/2)."""
-
-    r: float
-    phi: float
-    rdot: float = 0.0
-    phidot: float = 0.0
-
-    def __post_init__(self):
-        if self.r <= 0.0:
-            raise DomainError(f"r must be strictly positive, got {self.r}")
-        if not 0.0 < self.phi < math.pi / 2.0:
-            raise DomainError(f"phi must lie strictly inside (0, pi/2), got {self.phi}")
-
-
 def radius(qs, qdots, kind: ModelKind):
     """``(r, r rdot)`` with r^2 = sum(M q^2), M the kinetic weights.
 
@@ -236,22 +220,10 @@ def _require_planar(kind: ModelKind) -> None:
             f"polar coordinates are defined for 2d/elliptic models, not {kind.value!r}")
 
 
-def to_polar(state: State, kind: ModelKind) -> PolarState:
-    """Convert a planar state to polar coordinates of the stretched variables
-    sqrt(M) q: X = r cos(phi) / sqrt(M_X), Y = r sin(phi) / sqrt(M_Y).
-
-    For the true 2-d model this is X = r cos(phi), Y = r sin(phi); for the
-    elliptic model X = r cos(phi)/sqrt(2), Y = r sin(phi), so
-    r**2 = 2 X**2 + Y**2.
-    """
-    check_state(state, kind)
-    # the batch form on a row of one, so that it rounds as the batch does
-    return PolarState(*(float(v[0]) for v in polar_values(state.q[None], state.qdot[None], kind)))
-
-
 def polar_values(qs, qdots, kind: ModelKind):
-    """``(r, phi, rdot, phidot)`` of :func:`to_polar` on a (2,) state or
-    (n, 2) batches of positive variances, as floats or (n,) arrays."""
+    """``(r, phi, rdot, phidot)`` of the stretched variables sqrt(M) q, with
+    X = r cos(phi) / sqrt(M_X) and Y = r sin(phi) / sqrt(M_Y), on (n, 2)
+    batches of positive variances as (n,) arrays, or on a (2,) state."""
     _require_planar(kind)
     stretch = np.sqrt(kind.weights)
     (u, v), (ud, vd) = (stretch * qs).T, (stretch * qdots).T

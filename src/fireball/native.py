@@ -131,9 +131,9 @@ static inline double py_power(int *py, double a, double b)
 }
 """
 
-# The step loop of fireball.integrate._run_python.  Status 0: done; 1-3: the
-# codes of fireball.integrate._failure, with t, h and y left in scalars and
-# state; 4: run the Python stepper instead.
+# The step loop of fireball.integrate._run_python.  Status 0: done; 1-3 and
+# 5: the codes of fireball.integrate._failure, with t, h and y left in
+# scalars and state; 4: run the Python stepper instead.
 _LOOP = Template("""
 int fireball_loop(const double *_times, long long _n_samples, double *_out, double *_state,
                   double *_scalars, long long *_counts)
@@ -170,6 +170,10 @@ $norm
             break;
         }
         if (_err <= 1.0) {
+            if (!($finite)) {
+                _status = 5;
+                break;
+            }
             _t_new = _t + _h;
             _at = _t_new >= 0.0 ? _t_new : -_t_new;
             _tol = 1e-14 * (_at > _unit ? _at : _unit);
@@ -555,6 +559,7 @@ def c_source(n: int, source: FieldSource) -> str:
         row=block([f"_out[{n} * _next_idx + {i}] = _v_{i};" for i in comps], 16),
         accept=block([f"_y_{i} = _v_{i};" for i in comps]
                      + [f"_k1_{i} = _k7_{i};" for i in comps], 12),
+        finite=" && ".join(f"isfinite(_v_{i})" for i in comps),
         grow=grow, shrink=shrink,
         trail=block([f"_out[{n} * _row + {i}] = _y_{i};" for i in comps], 12),
         store=block([f"_state[{i}] = _y_{i};" for i in comps], 4))

@@ -7,7 +7,7 @@ unit and polar maps the tests build their states with.
 - The single-State Ermakov invariant I, with its planar-model check.
 - The point-wise fluid fields of the Gaussian profile (:func:`fields_at`),
   from which the hydro tests rebuild ``pde_residuals`` term by term.
-- The maps to and from laboratory units and the inverse of ``to_polar``,
+- The maps to and from laboratory units and the inverse of ``polar_values``,
   and the state of the angular field at a given angle and rate.
 """
 
@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from fireball import DomainError, ModelKind, PhysicalParams, PolarState, State
+from fireball import DomainError, ModelKind, PhysicalParams, State
 from fireball.hydro import _profile
 from fireball.invariants import ermakov_values
 from fireball.models import _require_planar, check_state, reference_scales
@@ -41,10 +41,11 @@ def dimensionalize(params: PhysicalParams, state: State, kind: ModelKind) -> Sta
     return State(t=state.t * time, q=state.q * length, qdot=state.qdot * vel)
 
 
-def to_cartesian(polar: PolarState, kind: ModelKind, t: float = 0.0) -> State:
-    """Inverse of :func:`fireball.to_polar`; ``t`` restores the time stamp."""
+def to_cartesian(r: float, phi: float, rdot: float, phidot: float, kind: ModelKind,
+                 t: float = 0.0) -> State:
+    """Inverse of :func:`fireball.models.polar_values` on one state; ``t``
+    restores the time stamp."""
     _require_planar(kind)
-    r, phi, rdot, phidot = polar.r, polar.phi, polar.rdot, polar.phidot
     c, s = math.cos(phi), math.sin(phi)
     stretch = np.sqrt(kind.weights)
     q = np.array([r * c, r * s]) / stretch

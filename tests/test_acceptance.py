@@ -5,7 +5,6 @@ after its assertions; tolerances are pinned here and nowhere else.
 """
 
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -13,14 +12,15 @@ import pytest
 from fireball import (AngularSolution, IntegratorConfig, ModelKind,
                       PhysicalParams, RadialSolution, State, Trajectory,
                       energies, integrate, invariant_report,
-                      itilde_invariant, noether_condition_residual,
+                      noether_condition_residual,
                       noether_invariant, ode_residual,
                       one_d_solution, pde_residuals,
                       radial, radial_3d, scaled_trajectory,
                       scaling_symmetry, time_translation,
-                      to_polar, total_energy)
+                      total_energy)
 from fireball.analytic import polar_invariant_values
-from fireball.invariants import ermakov_values
+from fireball.invariants import ermakov_values, radial_invariant_values
+from fireball.models import polar_values
 from fireball.symmetry import dynamical_symmetry_values, noether_invariant_values
 from batch import sample_state
 from reference import (dimensionalize, ermakov_invariant, general_ermakov_invariant,
@@ -143,17 +143,18 @@ def test_criterion_6_elliptic_consistency():
     worst_polar = 0.0
     for q, qd in zip(qs, qdots):
         s = State(t=0.0, q=q, qdot=qd)
-        itil = itilde_invariant(s)
+        itil = float(radial_invariant_values(s.q, s.qdot, kind))
         worst_double = max(worst_double,
                            abs(itil - 2.0 * ermakov_invariant(s, kind)))
-        _, polar_itil = polar_invariant_values(*astuple(to_polar(s, kind)), kind)
+        _, polar_itil = polar_invariant_values(*polar_values(s.q, s.qdot, kind), kind)
         worst_polar = max(worst_polar, abs(polar_itil - itil))
     # documented coefficient mismatch of the naive 3/2 polar form
     ref = State(t=0.0, q=[1.0, 1.0], qdot=[0.0, 0.0])
-    p = to_polar(ref, kind)
-    naive = 1.5 * (math.cos(p.phi) ** 2 * math.sin(p.phi)) ** (-2.0 / 3.0)
+    _, phi, _, _ = polar_values(ref.q, ref.qdot, kind)
+    naive = 1.5 * (math.cos(phi) ** 2 * math.sin(phi)) ** (-2.0 / 3.0)
     mismatch_documented = (abs(naive - 9.0 * 2.0 ** (-5.0 / 3.0)) <= 1e-12
-                           and abs(itilde_invariant(ref) - 4.5) <= 1e-12
+                           and abs(radial_invariant_values(ref.q, ref.qdot, kind) - 4.5)
+                           <= 1e-12
                            and abs(naive - 4.5) > 1.0)
     ok = worst_double <= 1e-12 and worst_polar <= 1e-10 and mismatch_documented
     announce(6, ok, f"Itilde = 2 I to {worst_double:.1e}; polar vs cartesian "

@@ -9,10 +9,8 @@ from scipy.optimize import brentq
 from fireball import (AngularSolution, DomainError, IntegratorConfig,
                       ModelKind, NoMotionError, RadialSolution, State,
                       UnsupportedModelError, angular_quadrature, energies,
-                      integrate, itilde_invariant,
-                      noether_invariant, one_d_solution,
-                      radial, radial_3d, time_reparam,
-                      to_polar)
+                      integrate, noether_invariant, one_d_solution,
+                      radial, radial_3d, time_reparam)
 from fireball.analytic import _angular_field, angular_minimum, angular_potential
 from fireball.dynamics import potential
 from fireball.integrate import solve_ode
@@ -126,8 +124,8 @@ class TestRadial:
         rng = np.random.default_rng(11)
         for _ in range(50):
             s = State(t=0.0, q=rng.uniform(0.3, 3.0, 2), qdot=rng.uniform(-1.5, 1.5, 2))
-            expected = (itilde_invariant(s) if kind is ModelKind.ELLIPTIC_3D
-                        else ermakov_invariant(s, kind))
+            expected = ((2.0 if kind is ModelKind.ELLIPTIC_3D else 1.0)
+                        * ermakov_invariant(s, kind))
             assert RadialSolution.from_state(s, kind).invariant == pytest.approx(
                 expected, rel=1e-13)
 
@@ -186,9 +184,9 @@ class TestTimeReparam:
 class TestAngular:
     def test_rest_at_potential_minimum(self):
         grid = np.linspace(0.0, 2.0, 41)
-        phi, dphi = angular_quadrature(AngularSolution(invariant=2.0,
-                                                       phi0=math.pi / 4.0),
-                                       ModelKind.TWO_D, grid)
+        kind = ModelKind.TWO_D
+        phi, dphi = angular_quadrature(AngularSolution.from_angle(2.0, math.pi / 4.0, 1, kind),
+                                       kind, grid)
         assert np.max(np.abs(phi - math.pi / 4.0)) <= 1e-12
         assert np.max(np.abs(dphi)) <= 1e-12
 
@@ -197,9 +195,9 @@ class TestAngular:
         lo = 0.5 * math.asin(2.0 / 3.0)
         hi = math.pi / 2.0 - lo
         grid = np.linspace(0.0, 6.0, 2001)
-        phi, _ = angular_quadrature(AngularSolution(invariant=3.0,
-                                                    phi0=math.pi / 4.0, sign0=1),
-                                    ModelKind.TWO_D, grid)
+        kind = ModelKind.TWO_D
+        phi, _ = angular_quadrature(AngularSolution.from_angle(3.0, math.pi / 4.0, 1, kind),
+                                    kind, grid)
         assert np.min(phi) >= lo - 1e-6 and np.max(phi) <= hi + 1e-6
         assert np.min(phi) <= lo + 1e-3 and np.max(phi) >= hi - 1e-3  # reached
         assert np.all((phi > 0.0) & (phi < math.pi / 2.0))
@@ -208,7 +206,7 @@ class TestAngular:
         grid = np.linspace(0.0, 5.0, 501)
         for kind, inv in ((ModelKind.TWO_D, 2.7), (ModelKind.ELLIPTIC_3D, 5.2)):
             phi, dphi = angular_quadrature(
-                AngularSolution(invariant=inv, phi0=angular_minimum(kind)[0] + 0.1),
+                AngularSolution.from_angle(inv, angular_minimum(kind)[0] + 0.1, 1, kind),
                 kind, grid)
             along = 0.5 * dphi ** 2 + angular_potential(phi, kind)
             assert np.max(np.abs(along - inv)) <= 1e-8
@@ -224,7 +222,8 @@ class TestAngular:
         # 6.5e-13 relative.
         invariant = float(angular_potential(phi0, kind)) + excess
         grid = np.linspace(0.0, 3.0, 301)
-        phi, dphi = angular_quadrature(AngularSolution(invariant, phi0, sign), kind, grid)
+        phi, dphi = angular_quadrature(AngularSolution.from_angle(invariant, phi0, sign, kind),
+                                       kind, grid)
         v0 = sign * math.sqrt(2.0 * (invariant - float(angular_potential(phi0, kind))))
         landed = solve_ode(_angular_field(kind), 0.0, angular_start(phi0, v0), grid,
                            rel_tol=1e-14, abs_tol=1e-14)
@@ -239,7 +238,7 @@ class TestAngular:
         inv = 1e4
         kind = ModelKind.ELLIPTIC_3D
         phi, dphi = angular_quadrature(
-            AngularSolution(invariant=inv, phi0=math.atan(1.0 / math.sqrt(2.0))),
+            AngularSolution.from_angle(inv, math.atan(1.0 / math.sqrt(2.0)), 1, kind),
             kind, np.linspace(0.0, 2.0, 11), rel_tol=1e-8, abs_tol=1e-8)
         assert np.all((phi > 0.0) & (phi < math.pi / 2.0))
         along = 0.5 * dphi ** 2 + angular_potential(phi, kind)
@@ -256,38 +255,44 @@ class TestAngular:
         phi_star, u_min = angular_minimum(kind)
         invariant = u_min + 10.0 ** log_excess
         T = closed_form_period(kind, invariant)
-        phi, _ = angular_quadrature(AngularSolution(invariant, phi_star, 1), kind, [0.0, T])
+        phi, _ = angular_quadrature(AngularSolution.from_angle(invariant, phi_star, 1, kind),
+                                    kind, [0.0, T])
         assert abs(phi[-1] - phi_star) <= 1e-10
 
     def test_no_motion_below_minimum(self):
-        with pytest.raises(NoMotionError):
-            angular_quadrature(AngularSolution(invariant=1.9, phi0=math.pi / 4),
-                               ModelKind.TWO_D, np.array([0.0, 1.0]))
-        with pytest.raises(NoMotionError):
-            angular_quadrature(AngularSolution(invariant=2.5, phi0=0.05),
-                               ModelKind.TWO_D, np.array([0.0, 1.0]))
+        with pytest.raises(NoMotionError, match="below the potential minimum"):
+            AngularSolution.from_angle(1.9, math.pi / 4, 1, ModelKind.TWO_D)
+        with pytest.raises(NoMotionError, match="classically forbidden"):
+            AngularSolution.from_angle(2.5, 0.05, 1, ModelKind.TWO_D)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_grid_time_is_refused(self, bad):
         # unchecked, such a grid would give phi0 at every sample
         with pytest.raises(DomainError):
-            angular_quadrature(AngularSolution(5.0, 0.7), ModelKind.TWO_D, [0.0, 0.5, bad])
+            angular_quadrature(AngularSolution.from_angle(5.0, 0.7, 1, ModelKind.TWO_D),
+                               ModelKind.TWO_D, [0.0, 0.5, bad])
 
     def test_decreasing_grid_is_refused(self):
         with pytest.raises(DomainError, match="non-decreasing"):
-            angular_quadrature(AngularSolution(5.0, 0.7), ModelKind.TWO_D, [0.0, 0.5, 0.4])
+            angular_quadrature(AngularSolution.from_angle(5.0, 0.7, 1, ModelKind.TWO_D),
+                               ModelKind.TWO_D, [0.0, 0.5, 0.4])
 
     def test_repeated_grid_time_is_the_same_sample(self):
         # at large H t successive ttilde round to the same double
-        phi, dphi = angular_quadrature(AngularSolution(5.0, 0.7), ModelKind.TWO_D,
-                                       [0.0, 0.5, 0.5, 1.0, 1.0])
+        phi, dphi = angular_quadrature(AngularSolution.from_angle(5.0, 0.7, 1, ModelKind.TWO_D),
+                                       ModelKind.TWO_D, [0.0, 0.5, 0.5, 1.0, 1.0])
         assert phi[1] == phi[2] and phi[3] == phi[4] and dphi[3] == dphi[4]
 
     def test_phi0_validation(self):
-        with pytest.raises(DomainError):
-            AngularSolution(invariant=3.0, phi0=0.0)
-        with pytest.raises(DomainError):
-            AngularSolution(invariant=3.0, phi0=math.pi / 2.0)
+        with pytest.raises(DomainError, match="phi0"):
+            AngularSolution.from_angle(3.0, 0.0, 1, ModelKind.TWO_D)
+        with pytest.raises(DomainError, match="phi0"):
+            AngularSolution.from_angle(3.0, math.pi / 2.0, 1, ModelKind.TWO_D)
+        # the angle is checked first, then the sign, then the invariant
+        with pytest.raises(DomainError, match="phi0"):
+            AngularSolution.from_angle(1.0, 0.0, 0, ModelKind.TWO_D)
+        with pytest.raises(DomainError, match="sign0"):
+            AngularSolution.from_angle(1.0, 0.7, 0, ModelKind.TWO_D)
 
     @pytest.mark.parametrize("kind", [ModelKind.TWO_D, ModelKind.ELLIPTIC_3D])
     def test_potential_is_v_on_the_unit_circle(self, kind):
@@ -374,8 +379,8 @@ class TestComposedPipeline:
             exact, _ = radial_3d(H, noether_invariant(initial, kind), r[0],
                                  traj.times)
         else:
-            inv = (itilde_invariant(initial) if kind is ModelKind.ELLIPTIC_3D
-                   else ermakov_invariant(initial, kind))
+            inv = ((2.0 if kind is ModelKind.ELLIPTIC_3D else 1.0)
+                   * ermakov_invariant(initial, kind))
             exact, _ = radial(RadialSolution(H, inv, t0), traj.times)
         assert np.max(np.abs(r - exact) / exact) <= 1e-8
         # the one law of every model, C = r^2 H - (r rdot)^2 / 2

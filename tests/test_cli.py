@@ -593,12 +593,15 @@ class TestRefusals:
         (["analytic", "--model", "elliptic", "--H", "1", "--I", "5e-324"], "sqrt(2/C) H"),
         (["analytic", "--model", "2d", "--H", "1", "--I", "5", "--phi0", "5e-324"],
          "classically forbidden"),
+        # the angular data are checked when they are built, before the grid
+        (["analytic", "--model", "2d", "--H", "3", "--I", "1.9", "--t-end", "-5"],
+         "below the potential minimum"),
     ], ids=["verify_1d_huge_X", "verify_elliptic_huge_X", "analytic_elliptic_huge_X",
             "verify_2d_huge_X", "verify_3d_huge_X", "simulate_infinite_grid",
             "verify_infinite_grid", "analytic_infinite_grid", "analytic_variance_below_floor",
             "simulate_max_step_below_floor", "verify_max_step_below_floor",
             "analytic_2d_tiny_invariant", "analytic_elliptic_tiny_invariant",
-            "analytic_phi0_at_underflow"])
+            "analytic_phi0_at_underflow", "analytic_invariant_before_grid"])
     def test_exits_2_with_one_error_line(self, argv, message, tmp_path, capsys):
         out = tmp_path / "x.out"
         with warnings.catch_warnings():
@@ -608,6 +611,22 @@ class TestRefusals:
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and message in errors[0]
         assert "unexpected" not in err and "Warning" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", "1d", "--X", "1e308", "--Xdot", "1e150"],
+        ["verify", "--model", "2d", "--X", "1e308", "--Y", "1", "--Xdot", "1e150"],
+    ], ids=["simulate_1d", "verify_2d"])
+    def test_overflowing_run_exits_3(self, argv, tmp_path, capsys):
+        # X reaches inf in an accepted step: a numeric failure, not a usage error
+        out = tmp_path / "x.out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--t-end", "1e160", "--sample-interval", "1e159",
+                                "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: integration failed: the state overflowed in the step "
+                              "from t=") and len(err.splitlines()) == 1
         assert not out.exists()
 
 

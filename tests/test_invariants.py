@@ -1,5 +1,4 @@
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,12 +8,12 @@ from hypothesis.extra import numpy as hnp
 from fireball import (DomainError, IntegratorConfig,
                       ModelKind, State, Trajectory, UnsupportedModelError,
                       energies, integrate,
-                      invariant_report, itilde_invariant, noether_invariant,
-                      one_d_solution, to_polar)
+                      invariant_report, noether_invariant, one_d_solution)
 from fireball import dynamics
 from fireball.analytic import angular_potential, polar_invariant_values
 from fireball.invariants import (ermakov_values, hamiltonian_values,
                                  noether_values, radial_invariant_values)
+from fireball.models import polar_values
 from batch import radial_invariant_reference
 from reference import (GeneralErmakovSpec, ermakov_invariant,
                        general_ermakov_invariant, pinney_coupling)
@@ -44,7 +43,7 @@ class TestErmakov:
     def test_elliptic_values(self):
         s = State(t=0, q=[1, 1], qdot=[0, 0])
         assert ermakov_invariant(s, ModelKind.ELLIPTIC_3D) == pytest.approx(2.25)
-        assert itilde_invariant(s) == pytest.approx(4.5)
+        assert radial_invariant_values(s.q, s.qdot, ModelKind.ELLIPTIC_3D) == pytest.approx(4.5)
 
     def test_unsupported_kinds(self):
         with pytest.raises(UnsupportedModelError):
@@ -204,22 +203,20 @@ class TestNoether:
 class TestPolarInvariants:
     def test_2d_symmetric_point(self):
         s = State(t=0, q=[1, 1], qdot=[0, 0])
-        H, inv = polar_invariant_values(*astuple(to_polar(s, ModelKind.TWO_D)),
+        H, inv = polar_invariant_values(*polar_values(s.q, s.qdot, ModelKind.TWO_D),
                                         ModelKind.TWO_D)
         assert inv == pytest.approx(2.0, rel=1e-14)
         assert H == pytest.approx(1.0, rel=1e-14)
 
     def test_elliptic_symmetric_point(self):
         s = State(t=0, q=[1, 1], qdot=[0, 0])
-        H, itil = polar_invariant_values(*astuple(to_polar(s, ModelKind.ELLIPTIC_3D)),
+        H, itil = polar_invariant_values(*polar_values(s.q, s.qdot, ModelKind.ELLIPTIC_3D),
                                          ModelKind.ELLIPTIC_3D)
         assert itil == pytest.approx(4.5, rel=1e-13)
         assert H == pytest.approx(1.5, rel=1e-13)
 
     def test_minimum_of_angular_potential(self):
-        from fireball.models import PolarState
-        p = PolarState(r=3.7, phi=math.pi / 4.0, rdot=0.0, phidot=0.0)
-        _, inv = polar_invariant_values(*astuple(p), ModelKind.TWO_D)
+        _, inv = polar_invariant_values(3.7, math.pi / 4.0, 0.0, 0.0, ModelKind.TWO_D)
         assert inv == pytest.approx(2.0, rel=1e-15)
 
     @pytest.mark.parametrize("kind", [ModelKind.TWO_D, ModelKind.ELLIPTIC_3D])
@@ -228,7 +225,7 @@ class TestPolarInvariants:
         rng = np.random.default_rng(8)
         for _ in range(100):
             s = State(t=0, q=rng.uniform(0.3, 3.0, 2), qdot=rng.uniform(-1.5, 1.5, 2))
-            Hp, inv_p = polar_invariant_values(*astuple(to_polar(s, kind)), kind)
+            Hp, inv_p = polar_invariant_values(*polar_values(s.q, s.qdot, kind), kind)
             H = energies(s, kind).hamiltonian
             inv = ermakov_invariant(s, kind)
             if kind is ModelKind.ELLIPTIC_3D:
@@ -240,10 +237,10 @@ class TestPolarInvariants:
         # with the coefficient 3/2 instead of 3 * 2**(-1/3) the polar form
         # does not reproduce the doubled cartesian invariant
         s = State(t=0, q=[1, 1], qdot=[0, 0])
-        p = to_polar(s, ModelKind.ELLIPTIC_3D)
-        naive = 1.5 * (math.cos(p.phi) ** 2 * math.sin(p.phi)) ** (-2.0 / 3.0)
+        _, phi, _, _ = polar_values(s.q, s.qdot, ModelKind.ELLIPTIC_3D)
+        naive = 1.5 * (math.cos(phi) ** 2 * math.sin(phi)) ** (-2.0 / 3.0)
         assert naive == pytest.approx(9.0 * 2.0 ** (-5.0 / 3.0), rel=1e-12)
-        assert abs(naive - itilde_invariant(s)) > 1.0
+        assert abs(naive - radial_invariant_values(s.q, s.qdot, ModelKind.ELLIPTIC_3D)) > 1.0
         phi = np.linspace(0.05, 1.5, 30)
         assert np.allclose(
             angular_potential(phi, ModelKind.ELLIPTIC_3D),

@@ -1,15 +1,12 @@
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fireball import (DomainError, ModelKind, PhysicalParams, PolarState,
-                      State, UnsupportedModelError, reference_scales,
-                      state_from_components, to_polar)
+from fireball import (DomainError, ModelKind, PhysicalParams, State,
+                      UnsupportedModelError, reference_scales, state_from_components)
 from fireball.models import polar_values, row_sum
-from batch import draw_states
 from reference import dimensionalize, nondimensionalize, to_cartesian
 
 positive = st.floats(min_value=0.05, max_value=10.0)
@@ -160,16 +157,16 @@ class TestRescaling:
 class TestPolar:
     def test_symmetric_point_2d(self):
         s = State(t=0.0, q=[1.0, 1.0], qdot=[0.0, 0.0])
-        p = to_polar(s, ModelKind.TWO_D)
-        assert p.r == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        assert p.phi == pytest.approx(math.pi / 4.0, rel=1e-15)
-        assert p.rdot == 0.0 and p.phidot == 0.0
+        r, phi, rdot, phidot = polar_values(s.q, s.qdot, ModelKind.TWO_D)
+        assert r == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert phi == pytest.approx(math.pi / 4.0, rel=1e-15)
+        assert rdot == 0.0 and phidot == 0.0
 
     def test_elliptic_stretched_map(self):
         s = State(t=0.0, q=[1.0, 1.0], qdot=[0.0, 0.0])
-        p = to_polar(s, ModelKind.ELLIPTIC_3D)
-        assert p.r == pytest.approx(math.sqrt(3.0), rel=1e-15)
-        assert math.tan(p.phi) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-14)
+        r, phi, _, _ = polar_values(s.q, s.qdot, ModelKind.ELLIPTIC_3D)
+        assert r == pytest.approx(math.sqrt(3.0), rel=1e-15)
+        assert math.tan(phi) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-14)
 
     def test_axis_is_rejected(self):
         with pytest.raises(DomainError):
@@ -178,31 +175,17 @@ class TestPolar:
     def test_unsupported_kinds(self):
         s1 = State(t=0.0, q=[1.0], qdot=[0.0])
         with pytest.raises(UnsupportedModelError):
-            to_polar(s1, ModelKind.ONE_D)
+            polar_values(s1.q, s1.qdot, ModelKind.ONE_D)
         s3 = State(t=0.0, q=[1.0, 1.0, 1.0], qdot=[0.0, 0.0, 0.0])
         with pytest.raises(UnsupportedModelError):
-            to_polar(s3, ModelKind.THREE_D)
-
-    def test_polar_state_validation(self):
-        with pytest.raises(DomainError):
-            PolarState(r=-1.0, phi=0.5)
-        with pytest.raises(DomainError):
-            PolarState(r=1.0, phi=math.pi / 2.0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(kind=st.sampled_from([ModelKind.TWO_D, ModelKind.ELLIPTIC_3D]), data=st.data())
-    def test_batch_matches_each_state(self, kind, data):
-        # bit-equal: to_polar is the batch form on a row of one
-        _, qs, qdots, states = draw_states(data, kind)
-        single = np.array([astuple(to_polar(s, kind)) for s in states])
-        assert np.array_equal(np.array(polar_values(qs, qdots, kind)), single.T)
+            polar_values(s3.q, s3.qdot, ModelKind.THREE_D)
 
     @settings(max_examples=200, deadline=None)
     @given(X=positive, Y=positive, Xd=rate, Yd=rate,
            kind=st.sampled_from([ModelKind.TWO_D, ModelKind.ELLIPTIC_3D]))
     def test_round_trip(self, X, Y, Xd, Yd, kind):
         s = State(t=0.5, q=[X, Y], qdot=[Xd, Yd])
-        back = to_cartesian(to_polar(s, kind), kind, t=s.t)
+        back = to_cartesian(*polar_values(s.q, s.qdot, kind), kind, t=s.t)
         assert np.all(np.abs(back.q - s.q) <= 1e-12 * np.maximum(1.0, np.abs(s.q)))
         assert np.all(np.abs(back.qdot - s.qdot)
                       <= 1e-12 * np.maximum(1.0, np.abs(s.qdot)))

@@ -14,12 +14,11 @@ import fireball
 EXPORTS = {
     "errors": ("ConfigError", "DomainError", "FireballError", "IntegrationError",
                "NoMotionError", "SingularityError", "UnsupportedModelError"),
-    "models": ("ModelKind", "PhysicalParams", "PolarState", "State", "reference_scales",
-               "state_from_components", "to_polar"),
+    "models": ("ModelKind", "PhysicalParams", "State", "reference_scales",
+               "state_from_components"),
     "dynamics": ("EnergyPair", "energies"),
     "integrate": ("IntegratorConfig", "Trajectory", "integrate"),
-    "invariants": ("InvariantReport", "invariant_report", "itilde_invariant",
-                   "noether_invariant"),
+    "invariants": ("InvariantReport", "invariant_report", "noether_invariant"),
     "analytic": ("AngularSolution", "RadialSolution", "angular_quadrature", "one_d_solution",
                  "radial", "radial_3d", "time_reparam"),
     "symmetry": ("PointSymmetry", "noether_condition_residual", "ode_residual",
