@@ -59,9 +59,9 @@ class RadialSolution:
 
     def __post_init__(self):
         H, C = self.energy, self.invariant
-        if not (0.0 < H < math.inf and 0.0 < C < math.inf and C / H < math.inf
-                and math.sqrt(2.0 / C) * H < math.inf):
-            raise DomainError("the radial law needs finite positive H, C, C/H and "
+        if not (0.0 < H and 2.0 * H < math.inf and 0.0 < C < math.inf
+                and 0.0 < C / H < math.inf and math.sqrt(2.0 / C) * H < math.inf):
+            raise DomainError("the radial law needs finite positive H, 2H, C, C/H and "
                               f"sqrt(2/C) H, got H={H!r}, C={C!r}")
         if not math.isfinite(self.t0):
             raise DomainError(f"the radial law needs a finite t0, got {self.t0!r}")
@@ -83,11 +83,15 @@ class RadialSolution:
 
 
 def radial(sol: RadialSolution, t):
-    """(r, rdot) of the radial law at time(s) t."""
+    """(r, rdot) of the radial law at time(s) t.  Raises DomainError at the
+    first time where r is not finite, as where 2 H (t - t0)^2 overflows."""
     t = np.asarray(t, dtype=float)
     dt = t - sol.t0
-    r = np.sqrt(2.0 * sol.energy * dt ** 2 + sol.invariant / sol.energy)
-    rdot = 2.0 * sol.energy * dt / r
+    with np.errstate(all="ignore"):  # a time where r is not finite is refused
+        r = np.sqrt(2.0 * sol.energy * dt ** 2 + sol.invariant / sol.energy)
+        rdot = 2.0 * sol.energy * dt / r
+    if not np.isfinite(r).all():
+        raise DomainError(f"the radial law overflows at t={float(t[~np.isfinite(r)][0])!r}")
     return r, rdot
 
 
@@ -237,19 +241,10 @@ def angular_quadrature(sol: AngularSolution, kind: ModelKind, ttilde_grid,
     invariant, and the branch sign reverses at each turning point
     U(phi) = invariant without leaving (0, pi/2).  Steps land on every
     sample, as in any :func:`solve_ode` run, and a repeated time is the
-    same sample.  Raises DomainError for a grid that is empty, decreasing
-    somewhere, or starts before 0.
+    same sample.  :func:`solve_ode` raises DomainError for a grid that is
+    not a nonempty 1-d sequence, finite and non-decreasing from 0.
     """
-    grid = np.asarray(ttilde_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise DomainError("ttilde grid must be a nonempty 1-d array")
-    # At large H t successive ttilde round to the same double: a repeated
-    # time is the same sample.  NaN fails the comparison.
-    if not (np.diff(grid) >= 0.0).all():
-        raise DomainError("ttilde grid must be non-decreasing")
-    if grid[0] < 0.0:
-        raise DomainError("ttilde grid must start at or after 0")
-    ux, uy, wx, wy = solve_ode(_angular_field(kind), 0.0, sol.start, grid,
+    ux, uy, wx, wy = solve_ode(_angular_field(kind), 0.0, sol.start, ttilde_grid,
                                rel_tol=rel_tol, abs_tol=abs_tol).T
     return np.arctan2(uy, ux), (ux * wy - uy * wx) / (ux * ux + uy * uy)
 

@@ -8,10 +8,15 @@ the elliptic polar-coefficient mismatch (the discrepancy must be large).
 
 Every integration lands a step on each sample: at long horizons the steps
 outgrow the grid, and interpolation error would then dominate the drift of
-the conserved quantities.  The reduction to the variance ODEs and the finite
-scaling map are checked as exact identities at states the checks already
-have, with the accelerations the model's force gives them: the Euler
-equations by :func:`fireball.hydro.pde_residuals`, the scaling map by
+the conserved quantities.  The drift and analytic checks integrate from the
+state they are given.  The symmetry, elliptic and hydro checks test exact
+identities of the model, so they read one fixed reference run, from
+:func:`default_initial_state` to t = 20 on a 0.1 grid, which
+:func:`run_verification` makes once and passes to them.  The reduction to
+the variance ODEs and the finite scaling map are checked as exact
+identities at states the checks already have, with the accelerations the
+model's force gives them: the Euler equations by
+:func:`fireball.hydro.pde_residuals`, the scaling map by
 :func:`fireball.symmetry.ode_residual` on the image of a run and by the 2d
 model's Ermakov invariant I, unchanged on the image of a state.  No check
 takes a numerical derivative; these read rounding, so their bounds are 1e-12.
@@ -27,7 +32,7 @@ import numpy as np
 from .errors import DomainError
 from .models import (ModelKind, PhysicalParams, State, polar_values, radius,
                      reference_scales, state_from_components)
-from .integrate import IntegratorConfig, integrate
+from .integrate import IntegratorConfig, Trajectory, integrate
 from .dynamics import accel
 from . import analytic, hydro, invariants, symmetry
 
@@ -96,7 +101,8 @@ def analytic_checks(initial: State, kind: ModelKind, *, rel_tol,
     return [_result("analytic_radial_match", np.max(error / r_exact), 1e-6)]
 
 
-def symmetry_checks(kind: ModelKind, rng, *, rel_tol, abs_tol) -> list[CheckResult]:
+def symmetry_checks(traj: Trajectory, rng) -> list[CheckResult]:
+    kind = traj.kind
     ts, qs, qdots = _random_states(kind, rng, n=5)
     scal, ttrans = symmetry.scaling_symmetry(), symmetry.time_translation()
     out = [
@@ -132,10 +138,6 @@ def symmetry_checks(kind: ModelKind, rng, *, rel_tol, abs_tol) -> list[CheckResu
     # chain rule its accelerations are accel(q) / beta^3, which equal the
     # force at the image's samples because the force is homogeneous of
     # degree -3.
-    initial = default_initial_state(kind)
-    cfg = IntegratorConfig(t_end=5.0, sample_interval=0.5,
-                           rel_tol=rel_tol, abs_tol=abs_tol)
-    traj = integrate(initial, kind, cfg)
     force = accel(traj.qs, kind)
     worst = max(symmetry.ode_residual(symmetry.scaled_trajectory(traj, beta),
                                       force / beta ** 3) for beta in (0.5, 2.0, 5.0))
@@ -153,16 +155,13 @@ def symmetry_checks(kind: ModelKind, rng, *, rel_tol, abs_tol) -> list[CheckResu
     return out
 
 
-def elliptic_checks(rng, *, rel_tol, abs_tol) -> list[CheckResult]:
-    kind = ModelKind.ELLIPTIC_3D
-    cfg = IntegratorConfig(t_end=20.0, sample_interval=0.1,
-                           rel_tol=rel_tol, abs_tol=abs_tol)
-    traj = integrate(default_initial_state(kind), kind, cfg)
+def elliptic_checks(traj: Trajectory, rng) -> list[CheckResult]:
+    kind = traj.kind
     # The cartesian Itilde against its polar form (r^2 phidot)^2 / 2 + U(phi)
     # in the stretched variables, sample by sample and at random states.
     polar = analytic.polar_invariant_values(*polar_values(traj.qs, traj.qdots, kind), kind)[1]
-    out = [_result("itilde_twice_ermakov",
-                   _worst(invariants.invariant_report(traj).values["Itilde"] - polar), 1e-12)]
+    itilde = invariants.radial_invariant_values(traj.qs, traj.qdots, kind)
+    out = [_result("itilde_twice_ermakov", _worst(itilde - polar), 1e-12)]
     _, qs, qdots = _random_states(kind, rng, n=50)
     polar = analytic.polar_invariant_values(*polar_values(qs, qdots, kind), kind)[1]
     out.append(_result("polar_cartesian_consistency",
@@ -179,26 +178,25 @@ def elliptic_checks(rng, *, rel_tol, abs_tol) -> list[CheckResult]:
     return out
 
 
-def hydro_checks(kind: ModelKind, rng, *, rel_tol, abs_tol) -> list[CheckResult]:
-    """The Euler equations at the 9 samples of a run from the default state
-    (t = 0, 0.25, ..., 2) and at 10 random states, with the model's
-    accelerations; the total fluid energy along that run, and its ratio to
-    the dimensionless energy at the random states."""
+def hydro_checks(traj: Trajectory, rng) -> list[CheckResult]:
+    """The Euler equations at every 25th sample of ``traj`` (t = 0, 2.5,
+    ..., 20 on the reference run) and at 10 random states, with the model's
+    accelerations; the total fluid energy at those samples, and its ratio
+    to the dimensionless energy at the random states."""
+    kind = traj.kind
     params = PhysicalParams(n0=1.0, T0=1.0, X0=1.0, Y0=1.0, Z0=1.0, m=1.0)
-    cfg = IntegratorConfig(t_end=2.0, sample_interval=0.25,
-                           rel_tol=rel_tol, abs_tol=abs_tol)
-    traj = integrate(default_initial_state(kind), kind, cfg)
     _, random_qs, random_qdots = _random_states(kind, rng, n=10)
-    qs, qdots = np.vstack([traj.qs, random_qs]), np.vstack([traj.qdots, random_qdots])
+    qs = np.vstack([traj.qs[::25], random_qs])
+    qdots = np.vstack([traj.qdots[::25], random_qdots])
     report = hydro.pde_residuals(params, qs, qdots, accel(qs, kind), kind)
     out = [_result("pde_residual_max", report.max_abs, 1e-12)]
 
     # The fluid energy of every state, in the units of params
     length, time_scale = reference_scales(params, kind)
     _, energy = hydro.moment_values(params, qs * length, qdots * (length / time_scale), kind)
-    along = energy[:len(traj)]
+    along = energy[:-10]
     out.append(_result("total_energy_drift", _worst(along - along[0]) / abs(along[0]), 1e-8))
-    ratios = energy[len(traj):] / invariants.hamiltonian_values(random_qs, random_qdots, kind)
+    ratios = energy[-10:] / invariants.hamiltonian_values(random_qs, random_qdots, kind)
     out.append(_result("energy_ratio_spread", np.std(ratios) / np.mean(ratios), 1e-8))
     return out
 
@@ -211,9 +209,11 @@ def run_verification(kind: ModelKind, config: IntegratorConfig,
 
     ``config`` is the drift check's run from ``initial`` (by default
     :func:`default_initial_state`); its ``rel_tol`` and ``abs_tol`` apply
-    to every check, while the other checks fix their own grids.  Raises
-    :class:`DomainError` for a negative ``seed`` or a ``drift_tol`` that is
-    not positive and finite.
+    to every run.  The analytic check integrates ``initial`` on its own
+    grid.  The symmetry, elliptic and hydro checks share the reference run
+    of the default state to t = 20 on a 0.1 grid, made only when one of
+    them runs.  Raises :class:`DomainError` for a negative ``seed`` or a
+    ``drift_tol`` that is not positive and finite.
     """
     if seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed}")
@@ -221,14 +221,18 @@ def run_verification(kind: ModelKind, config: IntegratorConfig,
         raise DomainError(f"drift_tol must be a positive finite number, got {drift_tol}")
     rng = np.random.default_rng(seed)
     initial = default_initial_state(kind) if initial is None else initial
-    rel_tol, abs_tol = config.rel_tol, config.abs_tol
     results = drift_checks(initial, kind, config, drift_tol)
     if do_analytic:
-        results += analytic_checks(initial, kind, rel_tol=rel_tol, abs_tol=abs_tol)
+        results += analytic_checks(initial, kind, rel_tol=config.rel_tol,
+                                   abs_tol=config.abs_tol)
+    elliptic = kind is ModelKind.ELLIPTIC_3D
+    if do_symmetry or elliptic or do_hydro:
+        reference = integrate(default_initial_state(kind), kind, IntegratorConfig(
+            t_end=20.0, sample_interval=0.1, rel_tol=config.rel_tol, abs_tol=config.abs_tol))
     if do_symmetry:
-        results += symmetry_checks(kind, rng, rel_tol=rel_tol, abs_tol=abs_tol)
-    if kind is ModelKind.ELLIPTIC_3D:
-        results += elliptic_checks(rng, rel_tol=rel_tol, abs_tol=abs_tol)
+        results += symmetry_checks(reference, rng)
+    if elliptic:
+        results += elliptic_checks(reference, rng)
     if do_hydro:
-        results += hydro_checks(kind, rng, rel_tol=rel_tol, abs_tol=abs_tol)
+        results += hydro_checks(reference, rng)
     return results

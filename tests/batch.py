@@ -1,11 +1,13 @@
 """Random batches of states for the tests that compare a batch form with
-its single-State function row by row, and a trajectory's samples as States."""
+its single-State function row by row, a trajectory's samples as States,
+and the run that verify's structural checks read."""
 
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fireball import State
+from fireball import IntegratorConfig, State, integrate
+from fireball.verification import default_initial_state
 
 
 def draw_states(data, kind, n=6):
@@ -26,6 +28,13 @@ def radial_invariant_reference(qs, qdots, kind, V):
     cross = qqd - np.swapaxes(qqd, -1, -2)
     return (0.25 * np.sum(M[:, None] * M * cross * cross, axis=(-2, -1))
             + np.sum(M * qs * (qs * V[..., None]), axis=-1))
+
+
+def reference_run(kind):
+    """The run that verify's symmetry, elliptic and hydro checks read: the
+    default state to t = 20 on a 0.1 grid."""
+    return integrate(default_initial_state(kind), kind,
+                     IntegratorConfig(t_end=20.0, sample_interval=0.1))
 
 
 def sample_state(traj, i):

@@ -82,9 +82,18 @@ class TestRadial:
             RadialSolution(energy=-1.0, invariant=2.0)
         with pytest.raises(DomainError):
             RadialSolution(energy=1.0, invariant=0.0)
-        for H, C in ((math.nan, 2.0), (1.0, math.inf), (1e-300, 1e300)):
-            with pytest.raises(DomainError):  # not finite, or C/H overflows
+        for H, C in ((math.nan, 2.0), (1.0, math.inf), (1e-300, 1e300), (1e25, 1e-300),
+                     (1e308, 2.0)):
+            # not finite, C/H over- or underflows, or 2H overflows
+            with pytest.raises(DomainError):
                 RadialSolution(energy=H, invariant=C)
+
+    def test_refuses_a_time_where_r_overflows(self):
+        # 2 H (t - t0)^2 overflows past |t - t0| of about 1e154 / sqrt(H)
+        sol = RadialSolution(energy=1.0, invariant=2.0)
+        assert np.isfinite(radial(sol, [0.0, 1e153])[0]).all()
+        with pytest.raises(DomainError, match="t=1e\\+200"):
+            radial(sol, [0.0, 1e200, 1e300])
 
     @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_t0(self, t0):

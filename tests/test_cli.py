@@ -549,6 +549,22 @@ class TestAnalytic:
         assert "1e+302 samples" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["--H", "1e308", "--I", "2", "--t-end", "1"],
+        ["--X", "1", "--Y", "1", "--t-end", "1e300", "--sample-interval", "2.5e299"]],
+        ids=["2H", "2H_dt2"])
+    def test_overflowing_radial_law_is_config_error(self, args, tmp_path, capsys):
+        # 2 H, or 2 H (t - t0)^2 once |t - t0| passes about 1e154 / sqrt(H),
+        # is inf: refused, where r was written as nan or inf
+        out = tmp_path / "a.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analytic", "--model", "2d", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "radial law" in errors[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("H", ["1e12", "1e300"])
     def test_large_energy_repeats_ttilde(self, H, tmp_path):
         # at large H t successive ttilde round to the same double, which

@@ -12,7 +12,7 @@ from fireball import (DomainError, IntegratorConfig, ModelKind, PhysicalParams,
 from fireball.dynamics import accel
 from fireball.hydro import moment_values
 from fireball.verification import default_initial_state
-from batch import draw_states, sample_state
+from batch import draw_states, reference_run, sample_state
 from reference import dimensionalize, fields_at
 from stencil import stencil_accelerations
 
@@ -22,9 +22,11 @@ PARAMS3 = PhysicalParams(n0=1.3, T0=2.0, X0=0.8, Y0=1.2, Z0=0.7, m=1.5)
 
 
 def hydro_checks_trajectory(kind):
-    """The run whose samples verify's ``pde_residual_max`` reads."""
-    cfg = IntegratorConfig(t_end=2.0, sample_interval=0.25)
-    return integrate(default_initial_state(kind), kind, cfg)
+    """The 9 samples of verify's reference run (t = 0, 2.5, ..., 20) that
+    its ``pde_residual_max`` reads."""
+    run = reference_run(kind)
+    return Trajectory(kind=kind, times=run.times[::25], qs=run.qs[::25],
+                      qdots=run.qdots[::25])
 
 
 def stencil_residuals(params, traj, probe_points=None):

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 
@@ -14,6 +15,7 @@ from fireball.symmetry import ode_residual, scaled_trajectory
 from fireball.verification import (analytic_checks, default_initial_state,
                                    elliptic_checks, hydro_checks, run_verification,
                                    symmetry_checks)
+from batch import reference_run
 
 _SHARED = ["noether_residual_scaling", "noether_residual_time_translation",
            "noether_invariant_match", "energy_invariant_match"]
@@ -75,8 +77,7 @@ def test_rejects_bad_seed_and_drift_tol(bad):
 
 
 def itilde_check():
-    results = elliptic_checks(np.random.default_rng(0), rel_tol=1e-10,
-                              abs_tol=1e-12)
+    results = elliptic_checks(reference_run(ModelKind.ELLIPTIC_3D), np.random.default_rng(0))
     return next(r for r in results if r.name == "itilde_twice_ermakov")
 
 
@@ -104,7 +105,7 @@ def test_analytic_checks_pass_at_any_start_time(kind, t):
 
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_step_budget(kind, caplog):
-    # Every run lands on its grid: 1,332-1,594 accepted steps per model
+    # Every run lands on its grid: 1,436-1,470 accepted steps per model
     with caplog.at_level(logging.DEBUG, logger="fireball.integrate"):
         run_verification(kind, IntegratorConfig(t_end=50.0, sample_interval=0.5))
     accepted = [r.args[0] for r in caplog.records if str(r.msg).startswith("solve_ode:")]
@@ -112,9 +113,52 @@ def test_step_budget(kind, caplog):
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
+def test_one_reference_run(kind, caplog):
+    # the drift run, the analytic run if asked for, and the reference run if
+    # a check reads it: 3 runs at the default flags, where each structural
+    # check once made its own
+    config = IntegratorConfig(t_end=10.0, sample_interval=0.5)
+    elliptic = kind is ModelKind.ELLIPTIC_3D
+    for do_analytic, do_symmetry, do_hydro in itertools.product([True, False], repeat=3):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="fireball.integrate"):
+            run_verification(kind, config, do_analytic=do_analytic,
+                             do_symmetry=do_symmetry, do_hydro=do_hydro)
+        runs = sum(str(r.msg).startswith("solve_ode:") for r in caplog.records)
+        assert runs == 1 + do_analytic + (do_symmetry or do_hydro or elliptic)
+        assert runs <= 1 + do_analytic + do_symmetry + do_hydro + elliptic
+
+
+def test_the_checks_read_the_reference_run(monkeypatch):
+    seen = []
+    monkeypatch.setattr(verification, "hydro_checks", lambda traj, rng: seen.append(traj) or [])
+    run_verification(ModelKind.TWO_D, IntegratorConfig(t_end=1.0, sample_interval=0.5))
+    (got,), want = seen, reference_run(ModelKind.TWO_D)
+    for name in ("times", "qs", "qdots"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_structural_checks_make_no_run(kind, monkeypatch):
+    # they read the trajectory they are given
+    traj, rng = reference_run(kind), np.random.default_rng(0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check made a run of its own")
+
+    monkeypatch.setattr(verification, "integrate", refuse)
+    monkeypatch.setattr(verification, "IntegratorConfig", refuse)
+    results = symmetry_checks(traj, rng)
+    if kind is ModelKind.ELLIPTIC_3D:
+        results += elliptic_checks(traj, rng)
+    results += hydro_checks(traj, rng)
+    assert results and all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
 def test_state_budget(kind, monkeypatch):
-    # the checks evaluate batches of states: 3 States per run (5 for
-    # elliptic), where one State per random state made 46 (98)
+    # the checks evaluate batches of states: 2 States per run, one for each
+    # default state integrated, where one State per random state made 46 (98)
     built = []
     post_init = State.__post_init__
 
@@ -141,9 +185,8 @@ def test_exact_checks_see_a_force_off_by_1e_9(kind, monkeypatch):
     exact = verification.accel
     monkeypatch.setattr(verification, "accel",
                         lambda q, kind: exact(q, kind) * (1.0 + 1e-9))
-    rng = np.random.default_rng(0)
-    results = symmetry_checks(kind, rng, rel_tol=1e-10, abs_tol=1e-12) \
-        + hydro_checks(kind, rng, rel_tol=1e-10, abs_tol=1e-12)
+    traj, rng = reference_run(kind), np.random.default_rng(0)
+    results = symmetry_checks(traj, rng) + hydro_checks(traj, rng)
     assert {r.name for r in results if not r.passed} == \
         {"scaling_form_invariance", "pde_residual_max"}
 
@@ -154,8 +197,7 @@ def test_ermakov_check_sees_a_term_that_breaks_scaling(monkeypatch):
     exact = invariants.ermakov_values
     monkeypatch.setattr(invariants, "ermakov_values", lambda qs, qdots, kind:
                         exact(qs, qdots, kind) * (1.0 + 1e-9 * np.asarray(qs)[..., 0]))
-    results = symmetry_checks(ModelKind.TWO_D, np.random.default_rng(0),
-                              rel_tol=1e-10, abs_tol=1e-12)
+    results = symmetry_checks(reference_run(ModelKind.TWO_D), np.random.default_rng(0))
     check = next(r for r in results if r.name == "generator_annihilates_ermakov")
     assert not check.passed and check.value > 1e-10
 
