@@ -273,9 +273,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         out = settings.get("out")
         if not out:
             raise ConfigError(f"config {path} does not set an output path")
-        if out in outs:
+        # The file it names, however spelled; '-' (standard output) stands alone.
+        key = out if out == "-" else os.path.realpath(out)
+        if key in outs:
             raise ConfigError(f"output path {out} used by more than one config")
-        outs.add(out)
+        outs.add(key)
     jobs = min(args.jobs or 1, len(runs), os.cpu_count() or 1)
     if jobs > 1:
         import concurrent.futures

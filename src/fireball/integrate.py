@@ -267,7 +267,17 @@ class Trajectory:
     """Sampled solution of one model run.
 
     ``times`` is finite and strictly increasing; ``qs``/``qdots`` are (n, d)
-    arrays of positive finite variances and finite rates.
+    arrays of positive finite variances and finite rates.  The constructor
+    checks all of that.  :func:`integrate` builds its run without the
+    checks, since its output holds these properties by construction: the
+    shapes follow from the solve; the times are :func:`sample_grid`'s,
+    finite and strictly increasing; and each sample is y0 or an accepted
+    state.  Both loops evaluate the field at y0 before the first step and
+    at each step's end state in its last stage, so a variance at or below
+    the positivity floor (NaN included) raises :class:`DomainError` at y0
+    and rejects a step that ends on it.  ``State`` made y0 finite; a NaN
+    component makes the error norm NaN, which rejects the step, and an
+    infinite one ends the run in :class:`IntegrationError`.
     """
 
     kind: ModelKind
@@ -302,6 +312,14 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.times.size
+
+    @classmethod
+    def _of_solve(cls, kind: ModelKind, times: np.ndarray, ys: np.ndarray) -> Trajectory:
+        """:func:`integrate`'s run: the grid ``times`` and views of the
+        solve's (n, 2d) block ``ys``, without the constructor's checks."""
+        traj = object.__new__(cls)
+        traj.__dict__.update(kind=kind, times=times, qs=ys[:, :kind.dim], qdots=ys[:, kind.dim:])
+        return traj
 
 
 def sample_grid(t0: float, t_end: float, interval: float) -> np.ndarray:
@@ -411,16 +429,17 @@ def integrate(initial: State, kind: ModelKind, config: IntegratorConfig) -> Traj
 
     Raises :class:`SingularityError` if the positivity floor keeps rejecting
     steps and :class:`IntegrationError` on step-size underflow; both carry the
-    last good time and state vector as ``last_t`` and ``last_y``.
+    last good time and state vector as ``last_t`` and ``last_y``.  The
+    :class:`Trajectory` is built without the constructor's checks, which
+    its samples pass by construction (that class says why).
     """
     check_state(initial, kind)
     if config.t_end <= initial.t:
         raise DomainError(
             f"t_end={config.t_end} must exceed the initial time {initial.t}")
-    d = kind.dim
     grid = sample_grid(initial.t, config.t_end, config.sample_interval)
     y0 = initial.q.tolist() + initial.qdot.tolist()
     ys = solve_ode(vector_field(kind), initial.t, y0, grid,
                    rel_tol=config.rel_tol, abs_tol=config.abs_tol,
                    max_step=config.max_step)
-    return Trajectory(kind=kind, times=grid, qs=ys[:, :d], qdots=ys[:, d:])
+    return Trajectory._of_solve(kind, grid, ys)

@@ -319,14 +319,24 @@ class TestConfigFile:
         assert started == ([] if workers is None else [workers])
         assert all((tmp_path / f"out{i}.csv").exists() for i in range(n_configs))
 
-    def test_sweep_requires_distinct_outputs(self, tmp_path):
-        cfgs = []
-        for i in range(2):
-            cfg = tmp_path / f"run{i}.cfg"
-            cfg.write_text(f"model = 1d\nX = 1.0\nt_end = 1.0\n"
-                           f"out = {tmp_path / 'same.csv'}\n")
-            cfgs.append(str(cfg))
-        assert main(["simulate", *cfgs]) == 2
+    def test_sweep_requires_distinct_outputs(self, tmp_path, monkeypatch, capsys):
+        # one file under two spellings: the second run would overwrite the
+        # first (with --jobs, both would write it at once); standard output
+        # twice is refused too
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
+        for first, second in [(tmp_path / "same.csv", tmp_path / "same.csv"),
+                              ("same.csv", "./same.csv"),
+                              ("same.csv", tmp_path / "link" / "same.csv"),
+                              ("-", "-")]:
+            cfgs = []
+            for i, out in enumerate((first, second)):
+                cfg = tmp_path / f"run{i}.cfg"
+                cfg.write_text(f"model = 1d\nX = 1.0\nt_end = 1.0\nout = {out}\n")
+                cfgs.append(str(cfg))
+            assert main(["simulate", *cfgs]) == 2, (first, second)
+            assert not list(tmp_path.glob("*.csv"))
+            assert capsys.readouterr().out == ""
 
 
 class TestVerify:

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import hashlib
 import logging
@@ -1174,3 +1175,107 @@ class TestNativeLoop:
         assert not hasattr(_loop_kernel(2, chained), "library")
         assert got.tobytes() == solve_ode(counted(chained.function), 0.0, [-0.0, -1.0],
                                           grid).tobytes()
+
+
+# A declared field whose first rate is NaN once s = t passes DBL_MAX / 1e308,
+# where s * 1e308 overflows; its check reads only s, so the NaN reaches the
+# error norm.
+NAN_AFTER = FieldSource(args=("x", "s"), positive="s < 1e300", refusal='f"s={s!r}"',
+                        prelude=("w = s * 1e308",), outputs=("w - w - x", "1.0"))
+
+
+STEPPERS = ["native", "python"]
+
+
+class TestIntegrateOutput:
+    """integrate builds its Trajectory without the constructor's checks,
+    which cannot fire on its output, on either loop: a variance at or below
+    the floor at y0 raises DomainError before the first step; a NaN rate
+    makes the error norm NaN and rejects its step; an overflowed state ends
+    the run (TestNativeLoop's ``landing-overflow`` case); and the output
+    passes the constructor with every bit."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def served_by(stepper):
+        """The models' fields run on ``stepper`` inside: the native loop
+        (where cc works) or the Python stepper."""
+        served = []
+        with pytest.MonkeyPatch.context() as patch:
+            if stepper == "python":
+                patch.setattr(sys.modules["fireball.integrate"], "_loop_kernel",
+                              lambda n, source=None: served.append(n)
+                              or functools.partial(_run_python, n))
+            yield
+        assert served or stepper == "native"
+
+    @pytest.mark.parametrize("variance", [1e-12, 5e-13, 1e-300])
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("stepper", STEPPERS)
+    def test_a_start_at_the_floor_raises_before_the_first_step(self, stepper, kind, variance):
+        # DomainError, not SingularityError: the field refused y0 itself,
+        # outside the step loop, and its message names y0
+        q, qdot = [1.3, 0.9, variance][-kind.dim:], [0.1, -0.2, 0.3][:kind.dim]
+        with self.served_by(stepper), pytest.raises(DomainError) as refused:
+            integrate(State(t=0.0, q=q, qdot=qdot), kind,
+                      IntegratorConfig(t_end=1.0, sample_interval=0.1))
+        assert type(refused.value) is DomainError
+        assert str(refused.value) == ("variance at or below the positivity floor 1e-12 in "
+                                      f"{q + qdot}")
+
+    def test_rates_turning_nan_end_the_run_without_a_nan_sample(self):
+        # every step that reaches the NaN rates is rejected, until the step
+        # falls below the floor: IntegrationError from a finite state, on
+        # the native loop as on the Python stepper
+        grid = np.linspace(0.0, 3.0, 7)
+        got = failure(NAN_AFTER.function, 0.0, [1.0, 0.0], grid)
+        assert_native(NAN_AFTER.function, 2)
+        assert got == failure(counted(NAN_AFTER.function), 0.0, [1.0, 0.0], grid)
+        error, message, last_t, last_y = got
+        assert error is IntegrationError and message.startswith("step size underflow")
+        assert 1.79 < last_t < sys.float_info.max / 1e308
+        assert all(map(math.isfinite, last_y))
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("stepper", STEPPERS)
+    @settings(max_examples=10, deadline=None, phases=NO_SHRINK)
+    @given(data=st.data())
+    def test_the_constructor_accepts_the_output_bit_for_bit(self, stepper, kind, data):
+        d = kind.dim
+        start = State(t=data.draw(st.floats(-10.0, 10.0)),
+                      q=[data.draw(st.floats(0.05, 20.0)) for _ in range(d)],
+                      qdot=[data.draw(st.floats(-3.0, 3.0)) for _ in range(d)])
+        config = IntegratorConfig(t_end=start.t + data.draw(st.floats(0.5, 20.0)),
+                                  sample_interval=data.draw(st.floats(0.1, 2.0)))
+        with self.served_by(stepper):
+            traj = integrate(start, kind, config)
+        checked = Trajectory(kind=kind, times=traj.times, qs=traj.qs, qdots=traj.qdots)
+        for name in ("times", "qs", "qdots"):
+            got, want = getattr(checked, name), getattr(traj, name)
+            assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert traj.qs.shape == (traj.times.size, d)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("stepper", STEPPERS)
+    def test_integrate_skips_the_public_check(self, stepper, kind, monkeypatch):
+        from fireball.symmetry import scaled_trajectory
+
+        def refuse(self):
+            raise AssertionError("Trajectory.__post_init__ ran")
+
+        start = State(t=0.0, q=model_start(kind)[:kind.dim], qdot=model_start(kind)[kind.dim:])
+        config = IntegratorConfig(t_end=5.0, sample_interval=0.5)
+        with self.served_by(stepper):
+            want = integrate(start, kind, config)
+            monkeypatch.setattr(Trajectory, "__post_init__", refuse)
+            got = integrate(start, kind, config)
+        if stepper == "native":
+            assert_native(vector_field(kind), 2 * kind.dim)
+        assert type(got) is Trajectory and got.kind is kind
+        assert [a.tobytes() for a in (got.times, got.qs, got.qdots)] == \
+            [a.tobytes() for a in (want.times, want.qs, want.qdots)]
+        with pytest.raises(AssertionError, match="__post_init__ ran"):
+            Trajectory(kind=kind, times=got.times, qs=got.qs, qdots=got.qdots)
+        with pytest.raises(AssertionError, match="__post_init__ ran"):
+            scaled_trajectory(got, 0.5)
