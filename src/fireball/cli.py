@@ -354,6 +354,21 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     return 0
 
 
+class _NegativeNumber:
+    """argparse's test of whether an argument that starts with ``-`` is a
+    value rather than an option: any text ``float`` takes (``-1e-3``,
+    ``-.5e1``, ``-inf``), where Python 3.11's pattern takes only ``-5`` and
+    ``-0.5``.  No option of the parsers looks like a number."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return text.startswith("-")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -377,6 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("configs", nargs="*",
                      help="config files for a parameter sweep (each sets its own out)")
     sim.add_argument("--jobs", type=int, help="concurrent sweep runs")
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NegativeNumber
     return parser
 
 

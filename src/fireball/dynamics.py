@@ -145,9 +145,9 @@ def potential(q: np.ndarray, kind: ModelKind):
     return _potential(_positive(q), kind)
 
 
-def _potential(q: np.ndarray, kind: ModelKind):
+def _potential(q: np.ndarray, kind: ModelKind, out=None):
     D = kind.spatial_dim
-    return D / 2 * axis_product(q, kind) ** (-2.0 / D)
+    return np.multiply(D / 2, axis_product(q, kind) ** (-2.0 / D), out=out)
 
 
 def kinetic(qdot: np.ndarray, kind: ModelKind):

@@ -19,9 +19,20 @@ This order keeps every bit of the values the full-matrix sum gave, and so
 every CSV and report written from them, while forming 3 terms in 3d
 instead of 9 (1 instead of 4 in 2d) and no (n, d, d) array.  (Where some
 q_i qdot_i overflows, the matrix's diagonal was inf - inf = NaN; the pairs
-have no diagonal.)  The report (:func:`invariant_report`) evaluates V once,
-without a positivity check (a Trajectory holds positive variances), derives
-H, J and C from it, and takes every drift in one pass over the series.
+have no diagonal.)
+
+The report (:func:`invariant_report`) evaluates V once with numpy, without
+a positivity check (a Trajectory holds positive variances), whichever path
+serves the rest.  Where ``cc`` works, one pass of native code
+(:func:`fireball.native.report_kernel`) reads the trajectory's rows in place
+and computes H, J and C from that V, and the largest deviation of each
+series from its first value; it forms each value with the operations of
+the numpy forms here, in their order (:func:`fireball.dynamics.kinetic`,
+:func:`_noether`, :func:`_radial_invariant`), so every bit is theirs.
+Elsewhere numpy computes them, and the largest deviations in one pass over
+the series stacked.  Python divides the deviations into the drifts either
+way.  The path is chosen on the first report, and the ``fireball.invariants``
+logger's info record says which serves, and why.
 
 C is 1/2 in 1d, H r0^2 - J^2/2 in 3d, the Ermakov invariant
 I = (X Yd - Y Xd)^2 / 2 + Y/X + X/Y in 2d and Itilde = 2 I in the elliptic
@@ -31,6 +42,8 @@ Y/X + X/Y) and I >= 9/4 for the elliptic one.
 
 from __future__ import annotations
 
+import functools
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +52,8 @@ from .errors import DomainError, UnsupportedModelError
 from .models import ModelKind, State, check_state, row_sum
 from .integrate import Trajectory
 from . import dynamics
+
+log = logging.getLogger("fireball.invariants")
 
 
 def hamiltonian_values(qs, qdots, kind: ModelKind) -> np.ndarray:
@@ -114,28 +129,54 @@ class InvariantReport:
     drift: dict[str, float]
 
 
+# The report's series by model, in the order both of its paths give them.
+_SERIES = {ModelKind.ONE_D: ("H", "J"), ModelKind.TWO_D: ("H", "J", "I"),
+           ModelKind.THREE_D: ("H", "J", "C"), ModelKind.ELLIPTIC_3D: ("H", "J", "I", "Itilde")}
+
+
+@functools.cache
+def _native_report():
+    """The runner of :func:`fireball.native.report_kernel`, or None where
+    numpy serves the report, chosen on first use.  One info record says
+    which, and why."""
+    from . import native
+    try:
+        run, how = native.report_kernel()
+    except native.Unavailable as exc:
+        log.info("invariant report: numpy, %s", exc)
+        return None
+    log.info("invariant report: native, %s", how)
+    return run
+
+
+def _report_potential(qs, kind: ModelKind, out=None):
+    """The report's V, into ``out`` if given.  A Trajectory holds positive
+    variances, so V needs no check of its own."""
+    with np.errstate(over="ignore"):  # P = inf gives V = 0, V's own underflow
+        return dynamics._potential(qs, kind, out)
+
+
 def invariant_report(traj: Trajectory) -> InvariantReport:
     """Evaluate every invariant defined for the trajectory's model and report
     the maximum relative drift of each along the samples."""
     if len(traj) == 0:
         raise DomainError("cannot report invariants of an empty trajectory")
     kind, qs, qdots = traj.kind, traj.qs, traj.qdots
-    # Trajectory holds positive variances, so V needs no check of its own.
-    with np.errstate(over="ignore"):  # P = inf gives V = 0, V's own underflow
-        V = dynamics._potential(qs, kind)
-    H = dynamics.kinetic(qdots, kind) + V
-    values: dict[str, np.ndarray] = {"H": H, "J": _noether(traj.times, qs, qdots, kind, H)}
-    if kind is not ModelKind.ONE_D:  # C is 1/2 identically in 1d
-        C = _radial_invariant(qs, qdots, kind, V)
-        if kind is ModelKind.TWO_D:
-            values["I"] = C
-        elif kind is ModelKind.THREE_D:
-            values["C"] = C
-        else:
-            values["I"], values["Itilde"] = 0.5 * C, C
-    # The largest deviation of every series in one pass over them stacked.
-    series = np.array(list(values.values()))
-    deviation = np.maximum.reduce(np.abs(series - series[:, :1]), axis=1).tolist()
+    run = _native_report()
+    if run is not None:
+        rows, deviation, first = run(kind, traj.times, qs, qdots, _report_potential)
+    else:
+        V = _report_potential(qs, kind)
+        H = dynamics.kinetic(qdots, kind) + V
+        rows = [H, _noether(traj.times, qs, qdots, kind, H)]
+        if kind is not ModelKind.ONE_D:  # C is 1/2 identically in 1d
+            C = _radial_invariant(qs, qdots, kind, V)
+            rows += [0.5 * C, C] if kind is ModelKind.ELLIPTIC_3D else [C]
+        # The largest deviation of every series in one pass over them stacked.
+        series = np.array(rows)
+        deviation = np.maximum.reduce(np.abs(series - series[:, :1]), axis=1).tolist()
+        first = series[:, 0].tolist()
+    values = dict(zip(_SERIES[kind], rows))
     drift = {name: d / max(abs(ref), 1.0 if name == "J" else 1e-300)
-             for name, d, ref in zip(values, deviation, series[:, 0].tolist())}
+             for name, d, ref in zip(values, deviation, first)}
     return InvariantReport(kind=kind, times=traj.times, values=values, drift=drift)

@@ -1,5 +1,5 @@
 """Native code: the Dormand-Prince loop of :mod:`fireball.integrate` for a
-declared field, and the CLI's CSV row writer.
+declared field, the CLI's CSV row writer and the invariant report's pass.
 
 :func:`kernel` translates the Python stepper of
 :func:`fireball.integrate.solve_ode` (:func:`fireball.integrate._run_python`)
@@ -66,6 +66,19 @@ value comes from Python instead, and the writer resumes at the row after
 it.  It builds once per machine and cache, in 0.20-0.24 s, as a kernel
 does.
 
+:func:`report_kernel` loads one fixed C source, :data:`REPORT_SOURCE`, that
+computes the series of :func:`fireball.invariants.invariant_report` (H, J
+and the radial invariant C) and their largest deviations in one pass over
+a trajectory's rows, each value with the operations of the numpy forms in
+their order, so with the same bits; V comes from numpy, written into the
+kernel's block.  It reads the rows through their strides, so both
+:func:`fireball.integrate.integrate`'s views of the solve's block and a
+:class:`fireball.integrate.Trajectory`'s own arrays serve in place.  An
+address fetched from numpy costs 1.2-2 us (on the machine below), so a call
+fetches three, those of the times and the two row arrays: its output block
+is an :class:`array.array`, whose address is cheap, and the addresses of
+the weights M are taken once per kind.
+
 Shared objects are cached in ``$XDG_CACHE_HOME/fireball`` (else
 ``~/.cache/fireball``; a per-process temporary directory when neither can
 be written), named by a hash of the source, the flags and the platform,
@@ -73,7 +86,7 @@ beside the SHA-256 of their bytes: a file that does not match is rebuilt,
 not loaded.  A build takes 0.12-0.34 s per kernel (gcc 12 on a 2-vCPU
 x86-64 machine); a cached kernel loads in well under a millisecond.
 Without a C compiler, or when a build fails, :class:`Unavailable` says why
-and the Python stepper, or Python's row formatting, serves.
+and the Python stepper, Python's row formatting or numpy's report serves.
 """
 
 from __future__ import annotations
@@ -95,6 +108,7 @@ import numpy as np
 
 from .dynamics import FieldSource
 from .integrate import _A, _CAPPED_ERR, _E, _failure
+from .models import ModelKind
 
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin")
 
@@ -414,8 +428,83 @@ declined:
 """
 
 
+# The invariant report's series (report_kernel): one fixed source.
+REPORT_SOURCE = r"""#include <float.h>
+
+#if FLT_EVAL_METHOD != 0
+#error "doubles must be evaluated in double precision"
+#endif
+
+/* H, J and C of fireball.invariants over n >= 1 samples of d = 1 to 3
+   coordinates, each value rounded as its numpy form rounds it.  Sample i
+   reads t[i * ts], q[i * qr + k * qc] and v[i * vr + k * vc].  out holds V
+   in its first n values; the kernel writes the s series after them, H, J
+   and, for d > 1, C, or C / 2 then C where half is set, n values each; then
+   the largest |x - x(0)| of each series and each one's first value. */
+void fireball_report(long long n, int d, int half, const double *M, const double *t,
+                     long long ts, const double *q, long long qr, long long qc,
+                     const double *v, long long vr, long long vc, double *out)
+{
+    int s = d == 1 ? 2 : half ? 4 : 3, j, k;
+    long long i;
+    double *V = out, *deviation = out + (s + 1) * n, *first = deviation + s;
+    double x[3] = {0.0, 0.0, 0.0}, w[3] = {0.0, 0.0, 0.0}, value[4], sum, c, a01, a02, a12;
+
+    for (j = 0; j < s; j++)
+        deviation[j] = 0.0;
+    for (i = 0; i < n; i++) {
+        for (k = 0; k < d; k++) {
+            x[k] = q[i * qr + k * qc];
+            w[k] = v[i * vr + k * vc];
+        }
+        /* dynamics.kinetic: 0.5 row_sum(M v^2), from +0.0 */
+        sum = M[0] * (w[0] * w[0]) + 0.0;
+        for (k = 1; k < d; k++)
+            sum += M[k] * (w[k] * w[k]);
+        value[0] = 0.5 * sum + V[i];
+        /* invariants._noether: 2 t H - row_sum(q (M v)) */
+        sum = x[0] * (M[0] * w[0]) + 0.0;
+        for (k = 1; k < d; k++)
+            sum += x[k] * (M[k] * w[k]);
+        value[1] = 2.0 * t[i * ts] * value[0] - sum;
+        if (d > 1) {
+            /* invariants._radial_invariant: 0.25 pairs + row_sum((M q)(q V)) */
+            sum = M[0] * x[0] * (x[0] * V[i]) + 0.0;
+            for (k = 1; k < d; k++)
+                sum += M[k] * x[k] * (x[k] * V[i]);
+            c = x[0] * w[1] - x[1] * w[0];
+            a01 = M[0] * M[1] * c * c;
+            if (d == 2) {
+                value[2] = 0.25 * (a01 + a01) + sum;
+            } else {
+                c = x[0] * w[2] - x[2] * w[0];
+                a02 = M[0] * M[2] * c * c;
+                c = x[1] * w[2] - x[2] * w[1];
+                a12 = M[1] * M[2] * c * c;
+                value[2] = 0.25 * ((a01 + (a02 + a01)) + (a12 + (a02 + a12))) + sum;
+            }
+            if (half) {
+                value[3] = value[2];
+                value[2] = 0.5 * value[3];
+            }
+        }
+        for (j = 0; j < s; j++) {
+            out[(j + 1) * n + i] = value[j];
+            if (i == 0)
+                first[j] = value[j];
+            /* np.maximum.reduce: a NaN, once met, stays */
+            c = __builtin_fabs(value[j] - first[j]);
+            if (c > deviation[j] || c != c)
+                deviation[j] = c;
+        }
+    }
+}
+"""
+
+
 class Unavailable(Exception):
-    """Native code cannot serve a kernel or the row writer; the message says why."""
+    """Native code cannot serve a kernel, the row writer or the report; the
+    message says why."""
 
 
 class _Translator:
@@ -736,3 +825,57 @@ def csv_writer():
             row += 1
 
     return write, how
+
+
+def _doubles(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``a`` and its address, or a C-ordered copy and the copy's where the
+    address or a stride is not a whole number of doubles, which C cannot
+    read in place."""
+    address = a.ctypes.data
+    if (address | a.strides[0] | a.strides[-1]) & 7:
+        a = np.array(a, order="C")
+        address = a.ctypes.data
+    return a, address
+
+
+def report_kernel():
+    """A runner of :data:`REPORT_SOURCE`'s one pass over a trajectory, and
+    how its object was got.  Raises :class:`Unavailable` with the reason
+    when there is none.
+
+    ``run(kind, times, qs, qdots, potential)`` reads the (n,) ``times`` and
+    the (n, d) ``qs`` and ``qdots`` of a model ``kind`` in place, through
+    their strides (:func:`_doubles` says which arrays it copies first), and
+    raises ValueError for arrays of other shapes or types.
+    ``potential(qs, kind, out)`` writes V into the (n,) array ``out``.  It
+    returns the series of :func:`fireball.invariants.invariant_report` in
+    its order, as (n,) arrays, and the largest deviation and the first
+    value of each, as lists of floats."""
+    path, how = _library(REPORT_SOURCE)
+    report = _load(path).fireball_report
+    report.argtypes = [ctypes.c_longlong, ctypes.c_int, ctypes.c_int, ctypes.c_void_p,
+                       ctypes.c_void_p, ctypes.c_longlong, ctypes.c_void_p, ctypes.c_longlong,
+                       ctypes.c_longlong, ctypes.c_void_p, ctypes.c_longlong,
+                       ctypes.c_longlong, ctypes.c_void_p]
+    report.restype = None
+    weights = {kind: kind.weights.ctypes.data for kind in ModelKind}  # kept by the kinds
+
+    def run(kind, times, qs, qdots, potential):
+        n, d, half = len(times), kind.dim, kind is ModelKind.ELLIPTIC_3D
+        if not (times.shape == (n,) and qs.shape == qdots.shape == (n, d)
+                and times.dtype == qs.dtype == qdots.dtype == np.float64):
+            raise ValueError(f"times {times.shape} and rows {qs.shape}, {qdots.shape} are not "
+                             f"(n,) and (n, {d}) float64 arrays")
+        count = 2 if d == 1 else 4 if half else 3
+        (times, t), (qs, q), (qdots, v) = _doubles(times), _doubles(qs), _doubles(qdots)
+        (ts,), (qr, qc), (vr, vc) = times.strides, qs.strides, qdots.strides
+        out = array("d", bytes(8 * ((count + 1) * n + 2 * count)))
+        block = np.frombuffer(out)
+        potential(qs, kind, block[:n])
+        report(n, d, half, weights[kind], t, ts >> 3, q, qr >> 3, qc >> 3, v, vr >> 3, vc >> 3,
+               out.buffer_info()[0])
+        tail = out[(count + 1) * n:].tolist()
+        return ([block[(j + 1) * n:(j + 2) * n] for j in range(count)],
+                tail[:count], tail[count:])
+
+    return run, how

@@ -706,6 +706,31 @@ class TestFlagSweep:
         assert runs > 1200 and not failures, failures[:5]
 
 
+class TestNegativeValues:
+    # Python 3.11's argparse reads only -5 and -0.5 after a flag as a value;
+    # every other spelling of a negative float is one as well
+    @pytest.mark.parametrize("argv,flag,value", [
+        (["simulate", "--model", "1d", "--X", "1"], "--Xdot", "-1e-3"),
+        (["simulate", "--model", "2d", "--X", "1", "--Y", "1.3"], "--Ydot", "-1E-1"),
+        (["simulate", "--model", "1d", "--X", "1"], "--Xdot", "-.5e-1"),
+        (["analytic", "--model", "2d", "--H", "1", "--I", "5"], "--t0", "-1e-3"),
+    ], ids=["simulate-e", "simulate-E", "simulate-point-e", "analytic-t0"])
+    def test_spaced_value_writes_the_joined_bytes(self, tmp_path, argv, flag, value):
+        paths = [tmp_path / "spaced.csv", tmp_path / "joined.csv"]
+        assert main([*argv, flag, value, "--t-end", "1", "--out", str(paths[0])]) == 0
+        assert main([*argv, f"{flag}={value}", "--t-end", "1", "--out", str(paths[1])]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert f"{flag[2:]}={float(value)!r}" in paths[0].read_text()
+
+    def test_help_and_standard_output_keep_their_meaning(self, tmp_path, capsys):
+        assert main(["simulate", "-h"]) == 0
+        assert capsys.readouterr().out.startswith("usage: fireball simulate")
+        argv = ["simulate", "--model", "1d", "--X", "1", "--Xdot", "-1e-3", "--t-end", "1"]
+        assert main([*argv, "--out", "-"]) == 0
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 0
+        assert capsys.readouterr().out == (tmp_path / "x.csv").read_text()
+
+
 class TestSettingsRead:
     # A setting a command takes but never reads is a flag it accepts and
     # ignores.  The runs reach every branch that reads a setting.

@@ -3,7 +3,6 @@
 
 import logging
 import math
-import os
 import shutil
 import subprocess
 from fractions import Fraction
@@ -15,6 +14,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from fireball import cli, native
 from fireball.cli import main
 from fireball.integrate import _loop_kernel
+import sanitizers
 
 HAVE_CC = shutil.which("cc") is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
@@ -153,36 +153,21 @@ int main(void)
     return 0;
 }
 """
-SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 
 
 @pytest.fixture(scope="module")
 def sanitized(tmp_path_factory):
     """The runner, linked with the writer under ASan and UBSan, or a skip."""
-    tmp = tmp_path_factory.mktemp("sanitized")
-    (tmp / "probe.c").write_text("int main(void) { return 0; }\n")
-    if subprocess.run(["cc", *SANITIZE, "-o", "probe", "probe.c"], cwd=tmp,
-                      capture_output=True, timeout=120).returncode != 0:
-        pytest.skip("cc cannot link the address and undefined-behaviour sanitizers")
-    (tmp / "rows.c").write_text(native.CSV_SOURCE)
-    (tmp / "runner.c").write_text(RUNNER)
-    flags = [f for f in native.FLAGS if f not in ("-fPIC", "-shared")]
-    proc = subprocess.run(["cc", *SANITIZE, *flags, "-g", f"-DFIELD_BYTES={native._FIELD_BYTES}",
-                           "-o", "runner", "runner.c", "rows.c", "-lm"], cwd=tmp,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return tmp / "runner"
+    return sanitizers.build(tmp_path_factory.mktemp("sanitized"), RUNNER, native.CSV_SOURCE,
+                            f"-DFIELD_BYTES={native._FIELD_BYTES}")
 
 
 def sanitized_lines(runner, block):
     """The runner's lines of ``block``, checked to run without a report."""
     rows, columns = block.shape
-    proc = subprocess.run([runner], input=np.array([columns, rows]).astype(np.int64).tobytes()
-                          + np.ascontiguousarray(block, dtype=float).tobytes(),
-                          capture_output=True, timeout=120,
-                          env={**os.environ, "ASAN_OPTIONS": "detect_leaks=0"})
-    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr.decode(errors="replace")
-    return proc.stdout.decode("ascii").splitlines()
+    return sanitizers.run(runner, np.array([columns, rows]).astype(np.int64).tobytes()
+                          + np.ascontiguousarray(block, dtype=float).tobytes()
+                          ).decode("ascii").splitlines()
 
 
 @needs_cc

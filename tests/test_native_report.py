@@ -1,0 +1,267 @@
+"""The native invariant report (fireball.native.report_kernel) against the
+numpy one that serves where no compiler works, bit for bit, and its source
+under the compiler's warnings and the sanitizers."""
+
+import contextlib
+import logging
+import shutil
+import subprocess
+
+import numpy as np
+import pytest
+from hypothesis import Phase, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from fireball import (IntegratorConfig, ModelKind, State, Trajectory, integrate,
+                      invariant_report, invariants, native)
+from fireball.symmetry import scaled_trajectory
+import sanitizers
+
+HAVE_CC = shutil.which("cc") is not None
+needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+
+NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
+
+
+@pytest.fixture(scope="module")
+def empty_cache(tmp_path_factory):
+    return tmp_path_factory.mktemp("empty")
+
+
+@contextlib.contextmanager
+def numpy_path(empty_cache):
+    """The report as on a machine without a compiler: no cc, an empty cache."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(empty_cache))
+        patch.setattr(native, "_compiler", lambda: None)
+        invariants._native_report.cache_clear()
+        try:
+            assert invariants._native_report() is None
+            yield
+        finally:
+            invariants._native_report.cache_clear()
+
+
+def assert_same_bits(traj, empty_cache):
+    """The native and the numpy report of ``traj`` agree in every bit of
+    every value and drift, names and their order included."""
+    with np.errstate(all="ignore"):  # numpy's own overflow on extreme rows
+        got = invariant_report(traj)
+        assert invariants._native_report() is not None
+        with numpy_path(empty_cache):
+            want = invariant_report(traj)
+    assert list(got.values) == list(want.values) == list(got.drift) == list(want.drift)
+    for name, value in want.values.items():
+        assert got.values[name].tobytes() == value.tobytes(), name
+    assert (np.array(list(got.drift.values())).tobytes()
+            == np.array(list(want.drift.values())).tobytes())
+    assert got.times is traj.times and got.kind is traj.kind
+
+
+def unaligned(a):
+    """A copy of ``a`` at an odd address, which the kernel cannot read in place."""
+    out = np.frombuffer(bytearray(a.nbytes + 1), dtype=float, count=a.size,
+                        offset=1).reshape(a.shape)
+    out[...] = a
+    assert not out.flags.aligned
+    return out
+
+
+# How a trajectory may hold its arrays: integrate's views of one (n, 2d)
+# block, arrays of its own (C or Fortran order, rows reversed in memory,
+# at odd addresses), and times one in two of a wider array.
+LAYOUTS = {
+    "solve-block": lambda kind, t, q, v: Trajectory._of_solve(kind, t, np.hstack([q, v])),
+    "owned": lambda kind, t, q, v: Trajectory(kind=kind, times=t, qs=q.copy(), qdots=v.copy()),
+    "fortran": lambda kind, t, q, v: Trajectory(kind=kind, times=t, qs=np.asfortranarray(q),
+                                                qdots=np.asfortranarray(v)),
+    "reversed": lambda kind, t, q, v: Trajectory(kind=kind, times=t, qs=q[::-1].copy()[::-1],
+                                                 qdots=v[::-1].copy()[::-1]),
+    "unaligned": lambda kind, t, q, v: Trajectory(kind=kind, times=unaligned(t),
+                                                  qs=unaligned(q), qdots=unaligned(v)),
+    "strided-times": lambda kind, t, q, v: Trajectory(kind=kind, times=np.repeat(t, 2)[::2],
+                                                      qs=q, qdots=v),
+}
+
+
+@needs_cc
+class TestSameBits:
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
+    @given(data=st.data())
+    def test_drawn_trajectories(self, empty_cache, kind, data):
+        # 1, 2 and 11 rows in every layout; variances and rates near 1, or
+        # from 1e-150 to 1e150, so that products overflow and underflow
+        n = data.draw(st.sampled_from([1, 2, 11]))
+        spread = data.draw(st.sampled_from([0, 150]))
+
+        def draw(mantissas):
+            shape = (n, kind.dim)
+            exponents = data.draw(hnp.arrays(float, shape, elements=st.integers(-spread, spread)))
+            return data.draw(hnp.arrays(float, shape, elements=mantissas)) * 10.0 ** exponents
+
+        qs, qdots = draw(st.floats(1.0, 10.0)), draw(st.floats(-10.0, 10.0))
+        times = data.draw(st.floats(-1e3, 1e3)) + data.draw(st.floats(0.01, 1e3)) * np.arange(n)
+        layout = data.draw(st.sampled_from(sorted(LAYOUTS)))
+        assert_same_bits(LAYOUTS[layout](kind, times, qs, qdots), empty_cache)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("t_end,interval,rows", [(1.0, 1.0, 2), (1e4, 1e3, 11),
+                                                     (25.0, 0.01, 2501)])
+    def test_integrated_runs_and_their_scaled_images(self, empty_cache, kind, t_end, interval,
+                                                     rows):
+        traj = integrate(State(t=0.0, q=[1.1, 0.8, 1.4][:kind.dim],
+                               qdot=[0.3, -0.2, 0.1][:kind.dim]),
+                         kind, IntegratorConfig(t_end=t_end, sample_interval=interval))
+        assert len(traj) == rows and traj.qs.base is traj.qdots.base
+        assert_same_bits(traj, empty_cache)
+        assert_same_bits(scaled_trajectory(traj, 1.7), empty_cache)
+
+    @pytest.mark.parametrize("kind", [ModelKind.THREE_D, ModelKind.ELLIPTIC_3D])
+    def test_variances_near_1e200(self, empty_cache, kind):
+        # test_invariants' overflow rows: P = inf, so V = 0, and the kinetic
+        # energy underflows to 0
+        d = kind.dim
+        qs = 1e200 * np.array([[1.0, 1.5, 2.0], [1.1, 1.6, 2.1], [1.2, 1.7, 2.2]])[:, :d]
+        qdots = 1e-190 * np.array([[0.3, -0.2, 0.1], [0.2, -0.1, 0.3], [0.1, 0.2, -0.3]])[:, :d]
+        for n in (1, 2, 3):
+            assert_same_bits(Trajectory(kind=kind, times=np.array([0.0, 1.0, 2.0])[:n],
+                                        qs=qs[:n], qdots=qdots[:n]), empty_cache)
+
+
+@pytest.mark.parametrize("layout", ["unaligned", "fortran", "reversed", "strided-times"])
+def test_only_arrays_at_odd_addresses_are_copied(layout):
+    rng = np.random.default_rng(5)
+    traj = LAYOUTS[layout](ModelKind.THREE_D, np.arange(4.0), rng.uniform(0.5, 2.0, (4, 3)),
+                           rng.uniform(-1.0, 1.0, (4, 3)))
+    for a in (traj.times, traj.qs, traj.qdots):
+        got, address = native._doubles(a)
+        assert address == got.ctypes.data and address % 8 == 0 and got.flags.aligned
+        assert (got is a) == (layout != "unaligned") and got.tobytes() == a.tobytes()
+
+
+@needs_cc
+def test_rows_that_do_not_match_the_times_are_refused():
+    # Trajectory's constructor makes the shapes agree; the kernel reads no
+    # row past the arrays where they do not
+    ys = np.ones((3, 4))
+    for times, block in [(np.arange(2.0), ys), (np.arange(3.0), ys[:, :3]),
+                         (np.arange(3.0).reshape(1, 3), ys), (np.arange(3, dtype=np.float32), ys)]:
+        with pytest.raises(ValueError, match=r"not \(n,\) and \(n, 2\) float64 arrays"):
+            invariant_report(Trajectory._of_solve(ModelKind.TWO_D, times, block))
+
+
+class TestChoice:
+    @pytest.fixture
+    def fresh(self, monkeypatch, tmp_path):
+        """An empty cache and no report chosen yet, then the cache as before."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        invariants._native_report.cache_clear()
+        yield tmp_path
+        invariants._native_report.cache_clear()
+
+    @needs_cc
+    def test_one_record_says_which_report_serves(self, fresh, monkeypatch, caplog):
+        def records():
+            caplog.clear()
+            invariants._native_report()
+            invariants._native_report()
+            return [r.getMessage() for r in caplog.records]
+
+        with caplog.at_level(logging.INFO, logger="fireball.invariants"):
+            built, = records()
+            invariants._native_report.cache_clear()
+            cached, = records()
+            invariants._native_report.cache_clear()
+            monkeypatch.setenv("XDG_CACHE_HOME", str(fresh / "empty"))
+            monkeypatch.setattr(native, "_compiler", lambda: None)
+            numpy, = records()
+        assert built.startswith("invariant report: native, built in ") and "fireball" in built
+        assert cached.startswith("invariant report: native, from the cache (")
+        assert numpy == "invariant report: numpy, no C compiler (cc) on PATH"
+
+    def test_without_a_compiler_numpy_serves_and_builds_nothing(self, fresh, monkeypatch):
+        monkeypatch.setattr(native, "_compiler", lambda: None)
+        traj = integrate(State(t=0.0, q=[1.0, 1.3], qdot=[-0.2, 0.35]), ModelKind.TWO_D,
+                         IntegratorConfig(t_end=5.0, sample_interval=0.5))
+        report = invariant_report(traj)
+        assert invariants._native_report() is None
+        assert set(report.values) == {"H", "J", "I"}
+        assert not list(fresh.rglob("*.so"))
+
+
+# Reads n, d and half (three int64), then M (d values), the times (n), the
+# (n, 2d) block of q and qdot rows and V (n), all float64, on stdin; runs the
+# kernel on the block's two halves, as integrate's views, into a block of
+# exactly the size the wrapper allocates, and writes that block to stdout.
+RUNNER = r"""#include <stdio.h>
+#include <stdlib.h>
+
+void fireball_report(long long, int, int, const double *, const double *, long long,
+                     const double *, long long, long long, const double *, long long,
+                     long long, double *);
+
+int main(void)
+{
+    long long head[3], n, d, count, size;
+    double *M, *t, *y, *out;
+
+    if (fread(head, sizeof head, 1, stdin) != 1)
+        return 2;
+    n = head[0];
+    d = head[1];
+    count = d == 1 ? 2 : head[2] ? 4 : 3;
+    size = (count + 1) * n + 2 * count;
+    M = malloc(sizeof *M * d);
+    t = malloc(sizeof *t * n);
+    y = malloc(sizeof *y * 2 * d * n);
+    out = malloc(sizeof *out * size);
+    if (fread(M, sizeof *M, d, stdin) != (size_t)d || fread(t, sizeof *t, n, stdin) != (size_t)n
+            || fread(y, sizeof *y, 2 * d * n, stdin) != (size_t)(2 * d * n)
+            || fread(out, sizeof *out, n, stdin) != (size_t)n)
+        return 2;
+    fireball_report(n, (int)d, (int)head[2], M, t, 1, y, 2 * d, 1, y + d, 2 * d, 1, out);
+    fwrite(out, sizeof *out, size, stdout);
+    free(M);
+    free(t);
+    free(y);
+    free(out);
+    return 0;
+}
+"""
+
+
+@needs_cc
+class TestSource:
+    def test_compiles_without_warnings(self, tmp_path):
+        (tmp_path / "report.c").write_text(native.REPORT_SOURCE)
+        proc = subprocess.run(["cc", *native.FLAGS, "-Wall", "-Wextra", "-Werror", "-c",
+                               "report.c"], cwd=tmp_path, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.fixture(scope="class")
+    def sanitized(self, tmp_path_factory):
+        """The runner, linked with the kernel under ASan and UBSan, or a skip."""
+        return sanitizers.build(tmp_path_factory.mktemp("sanitized-report"), RUNNER,
+                                native.REPORT_SOURCE)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("rows", [1, 2, 11])
+    def test_sanitized_runs_give_the_numpy_values(self, sanitized, empty_cache, kind, rows):
+        rng = np.random.default_rng(rows)
+        ys = np.hstack([rng.uniform(0.3, 3.0, (rows, kind.dim)),
+                        rng.uniform(-2.0, 2.0, (rows, kind.dim))])
+        times = np.cumsum(rng.uniform(0.1, 1.0, rows))
+        traj = Trajectory(kind=kind, times=times, qs=ys[:, :kind.dim], qdots=ys[:, kind.dim:])
+        with numpy_path(empty_cache):
+            want = invariant_report(traj)
+        head = np.array([rows, kind.dim, kind is ModelKind.ELLIPTIC_3D], dtype=np.int64)
+        V = invariants._report_potential(traj.qs, kind)
+        got = np.frombuffer(sanitizers.run(sanitized, head.tobytes() + np.concatenate(
+            [kind.weights, times, ys.ravel(), V]).tobytes()))
+        series = np.array(list(want.values.values()))
+        tail = np.concatenate([np.max(np.abs(series - series[:, :1]), axis=1), series[:, 0]])
+        assert got.size == (len(series) + 1) * rows + 2 * len(series)
+        assert got[rows:(len(series) + 1) * rows].tobytes() == series.tobytes()
+        assert got[(len(series) + 1) * rows:].tobytes() == tail.tobytes()
