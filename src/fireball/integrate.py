@@ -289,7 +289,7 @@ class Trajectory:
         times = np.asarray(self.times, dtype=float)
         qs = np.atleast_2d(np.asarray(self.qs, dtype=float))
         qdots = np.atleast_2d(np.asarray(self.qdots, dtype=float))
-        if qs.shape != (times.size, self.kind.dim) or qdots.shape != qs.shape:
+        if times.ndim != 1 or qs.shape != (times.size, self.kind.dim) or qdots.shape != qs.shape:
             raise DomainError(
                 f"trajectory arrays inconsistent: times {times.shape}, "
                 f"qs {qs.shape}, qdots {qdots.shape}, model dim {self.kind.dim}")

@@ -21,18 +21,16 @@ instead of 9 (1 instead of 4 in 2d) and no (n, d, d) array.  (Where some
 q_i qdot_i overflows, the matrix's diagonal was inf - inf = NaN; the pairs
 have no diagonal.)
 
-The report (:func:`invariant_report`) evaluates V once with numpy, without
-a positivity check (a Trajectory holds positive variances), whichever path
-serves the rest.  Where ``cc`` works, one pass of native code
-(:func:`fireball.native.report_kernel`) reads the trajectory's rows in place
-and computes H, J and C from that V, and the largest deviation of each
-series from its first value; it forms each value with the operations of
-the numpy forms here, in their order (:func:`fireball.dynamics.kinetic`,
-:func:`_noether`, :func:`_radial_invariant`), so every bit is theirs.
-Elsewhere numpy computes them, and the largest deviations in one pass over
-the series stacked.  Python divides the deviations into the drifts either
-way.  The path is chosen on the first report, and the ``fireball.invariants``
-logger's info record says which serves, and why.
+H, J and C are declared once per model (:func:`_declaration`) as Python
+statements over the coordinates, their rates, ``t`` and ``V``, with only
+``+ - *``, float constants and :func:`fireball.models.row_sum`'s order, so
+each operation rounds once wherever the text runs.  numpy evaluates it for
+the batch forms, each running only the statements its values need, and for
+the report where no compiler works; elsewhere :mod:`fireball.native`
+translates it into the report's C pass.  The report (:func:`invariant_report`)
+takes V from numpy either way, without a positivity check (a Trajectory
+holds positive variances); the ``fireball.invariants`` logger says which
+path serves.
 
 C is 1/2 in 1d, H r0^2 - J^2/2 in 3d, the Ermakov invariant
 I = (X Yd - Y Xd)^2 / 2 + Y/X + X/Y in 2d and Itilde = 2 I in the elliptic
@@ -42,6 +40,7 @@ Y/X + X/Y) and I >= 9/4 for the elliptic one.
 
 from __future__ import annotations
 
+import ast
 import functools
 import logging
 from dataclasses import dataclass
@@ -49,42 +48,80 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedModelError
-from .models import ModelKind, State, check_state, row_sum
+from .models import ModelKind, State, check_state
 from .integrate import Trajectory
 from . import dynamics
 
 log = logging.getLogger("fireball.invariants")
 
+# numpy's sum of the pair terms' full matrix, and the report's names of C.
+_PAIRS = {2: "a01 + a01", 3: "(a01 + (a02 + a01)) + (a12 + (a02 + a12))"}
+_ALIASES = {ModelKind.TWO_D: ("I = C",), ModelKind.ELLIPTIC_3D: ("I = 0.5 * C", "Itilde = C")}
+
+
+@functools.cache
+def _declaration(kind: ModelKind, outputs: tuple[str, ...]):
+    """``(columns, statements)``: the statements over the coordinates, their
+    rates (``Xd`` for X), ``t`` and ``V`` that the values named ``outputs``
+    need, and as (name, ``"q"`` or ``"v"``, i) the columns i they read.  The
+    terms M qdot^2, q (M qdot) and (M q)(q V), finite where r^2 overflows
+    (q > 1e154), are formed as numpy forms them from arrays (1.0 * x as x)."""
+    q, M = kind.labels, kind.weights.tolist()
+    qd = tuple(f"{x}d" for x in q)
+
+    def weighted(m, x):
+        return x if m == 1.0 else f"{m!r} * {x}"
+
+    def row_sum(terms):  # the first term plus 0.0, then the rest
+        return " + ".join([f"{terms[0]} + 0.0", *terms[1:]])
+
+    kinetic = row_sum([weighted(m, f"({v} * {v})") for m, v in zip(M, qd)])
+    momenta = row_sum([f"{x} * ({weighted(m, v)})" for m, x, v in zip(M, q, qd)])
+    radial = row_sum([f"{weighted(m, x)} * ({x} * V)" for m, x in zip(M, q)])
+    lines = [f"H = 0.5 * ({kinetic}) + V", f"J = 2.0 * t * H - ({momenta})"]
+    pairs = [(i, j) for j in range(kind.dim) for i in range(j)]
+    for i, j in pairs:
+        lines += [f"c{i}{j} = {q[i]} * {qd[j]} - {q[j]} * {qd[i]}",
+                  f"a{i}{j} = {weighted(M[i] * M[j], f'c{i}{j}')} * c{i}{j}"]
+    lines.append(f"C = 0.25 * ({_PAIRS[kind.dim]}) + ({radial})" if pairs else f"C = {radial}")
+    needed, kept = set(outputs), []
+    for line in reversed(lines + list(_ALIASES.get(kind, ()))):
+        node = ast.parse(line).body[0]
+        if node.targets[0].id in needed:
+            kept.insert(0, line)
+            needed |= {name.id for name in ast.walk(node.value) if isinstance(name, ast.Name)}
+    return tuple((x, rows, i) for rows, names in (("q", q), ("v", qd))
+                 for i, x in enumerate(names) if x in needed), tuple(kept)
+
+
+@functools.cache
+def _evaluator(kind: ModelKind, outputs: tuple[str, ...]):
+    """The declaration of ``outputs`` compiled as ``values(t, V, q, v)``,
+    returning the tuple of those values, with numpy on the columns
+    ``q[..., i]`` and ``v[..., i]`` of the coordinates and rates it reads."""
+    columns, statements = _declaration(kind, outputs)
+    lines = ["def values(t, V, q, v):", *(f"{x} = {rows}[..., {i}]" for x, rows, i in columns),
+             *statements, f"return {', '.join(outputs)},"]
+    namespace = {}
+    exec(compile("\n    ".join(lines) + "\n", "<declared invariants>", "exec"), namespace)
+    return namespace["values"]
+
+
+def _evaluate(kind: ModelKind, output: str, ts, qs, qdots) -> np.ndarray:
+    """The declared value ``output`` on a batch, with V from the checked potential."""
+    qs = np.asarray(qs, dtype=float)
+    V = dynamics.potential(qs, kind)
+    return _evaluator(kind, (output,))(ts, V, qs, np.asarray(qdots, dtype=float))[0]
+
 
 def hamiltonian_values(qs, qdots, kind: ModelKind) -> np.ndarray:
     """Energy H on a batch of states; qs/qdots are (n, d)."""
-    return dynamics.kinetic(qdots, kind) + dynamics.potential(qs, kind)
+    return _evaluate(kind, "H", None, qs, qdots)
 
 
 def radial_invariant_values(qs, qdots, kind: ModelKind) -> np.ndarray:
     """Radial invariant C on a batch of states; qs/qdots are (n, d) or (d,)."""
-    qs, qdots = np.asarray(qs, dtype=float), np.asarray(qdots, dtype=float)
-    return _radial_invariant(qs, qdots, kind, dynamics.potential(qs, kind))
-
-
-def _radial_invariant(qs, qdots, kind: ModelKind, V) -> np.ndarray:
-    """C from V at ``qs``, summed over the pairs i < j as the module says.
-    r^2 V is summed as M q (q V), finite where r^2 overflows (q > 1e154)."""
-    M = kind.weights
-
-    def term(i, j):
-        c = qs[..., i] * qdots[..., j] - qs[..., j] * qdots[..., i]
-        return M[i] * M[j] * c * c
-
-    if kind.dim == 1:
-        pairs = 0.0
-    elif kind.dim == 2:
-        a01 = term(0, 1)
-        pairs = a01 + a01
-    else:
-        a01, a02, a12 = term(0, 1), term(0, 2), term(1, 2)
-        pairs = (a01 + (a02 + a01)) + (a12 + (a02 + a12))
-    return 0.25 * pairs + row_sum(M * qs * (qs * V[..., None]))
+    return _evaluate(kind, "C", None, qs, qdots)
 
 
 def ermakov_values(qs, qdots, kind: ModelKind) -> np.ndarray:
@@ -92,21 +129,12 @@ def ermakov_values(qs, qdots, kind: ModelKind) -> np.ndarray:
     if not kind.has_ermakov_invariant:
         raise UnsupportedModelError(
             f"the Ermakov invariant is defined for 2d/elliptic models, not {kind.value!r}")
-    C = radial_invariant_values(qs, qdots, kind)
-    return C if kind is ModelKind.TWO_D else 0.5 * C
+    return _evaluate(kind, "I", None, qs, qdots)
 
 
 def noether_values(ts, qs, qdots, kind: ModelKind) -> np.ndarray:
     """Scaling invariant J = 2 t H - q . p on a batch of states, p = M qdot."""
-    ts = np.asarray(ts, dtype=float)
-    qs = np.asarray(qs, dtype=float)
-    qdots = np.asarray(qdots, dtype=float)
-    return _noether(ts, qs, qdots, kind, hamiltonian_values(qs, qdots, kind))
-
-
-def _noether(ts, qs, qdots, kind: ModelKind, H) -> np.ndarray:
-    """J from the energy H already evaluated on the same states."""
-    return 2.0 * ts * H - row_sum(qs * (kind.weights * qdots))
+    return _evaluate(kind, "J", np.asarray(ts, dtype=float), qs, qdots)
 
 
 def noether_invariant(state: State, kind: ModelKind) -> float:
@@ -164,14 +192,9 @@ def invariant_report(traj: Trajectory) -> InvariantReport:
     kind, qs, qdots = traj.kind, traj.qs, traj.qdots
     run = _native_report()
     if run is not None:
-        rows, deviation, first = run(kind, traj.times, qs, qdots, _report_potential)
+        rows, deviation, first = run(kind, traj.times, qs, qdots)
     else:
-        V = _report_potential(qs, kind)
-        H = dynamics.kinetic(qdots, kind) + V
-        rows = [H, _noether(traj.times, qs, qdots, kind, H)]
-        if kind is not ModelKind.ONE_D:  # C is 1/2 identically in 1d
-            C = _radial_invariant(qs, qdots, kind, V)
-            rows += [0.5 * C, C] if kind is ModelKind.ELLIPTIC_3D else [C]
+        rows = _evaluator(kind, _SERIES[kind])(traj.times, _report_potential(qs, kind), qs, qdots)
         # The largest deviation of every series in one pass over them stacked.
         series = np.array(rows)
         deviation = np.maximum.reduce(np.abs(series - series[:, :1]), axis=1).tolist()

@@ -66,18 +66,14 @@ value comes from Python instead, and the writer resumes at the row after
 it.  It builds once per machine and cache, in 0.20-0.24 s, as a kernel
 does.
 
-:func:`report_kernel` loads one fixed C source, :data:`REPORT_SOURCE`, that
-computes the series of :func:`fireball.invariants.invariant_report` (H, J
-and the radial invariant C) and their largest deviations in one pass over
-a trajectory's rows, each value with the operations of the numpy forms in
-their order, so with the same bits; V comes from numpy, written into the
-kernel's block.  It reads the rows through their strides, so both
-:func:`fireball.integrate.integrate`'s views of the solve's block and a
-:class:`fireball.integrate.Trajectory`'s own arrays serve in place.  An
-address fetched from numpy costs 1.2-2 us (on the machine below), so a call
-fetches three, those of the times and the two row arrays: its output block
-is an :class:`array.array`, whose address is cheap, and the addresses of
-the weights M are taken once per kind.
+:func:`report_kernel` loads :func:`report_source`, the invariants' one
+declaration (:func:`fireball.invariants._declaration`) translated into a
+pass per model over a trajectory's rows, in place through their strides: it
+computes the report's series from numpy's V with numpy's bits (the
+declaration uses only ``+ - *``), and their largest deviations.  An address
+fetched from numpy costs 1.2-2 us (on the machine below), so a call fetches
+three, those of the times and the two row arrays; its output block is an
+:class:`array.array`, whose address is cheap.
 
 Shared objects are cached in ``$XDG_CACHE_HOME/fireball`` (else
 ``~/.cache/fireball``; a per-process temporary directory when neither can
@@ -108,6 +104,7 @@ import numpy as np
 
 from .dynamics import FieldSource
 from .integrate import _A, _CAPPED_ERR, _E, _failure
+from .invariants import _SERIES, _declaration, _report_potential
 from .models import ModelKind
 
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin")
@@ -428,78 +425,33 @@ declined:
 """
 
 
-# The invariant report's series (report_kernel): one fixed source.
-REPORT_SOURCE = r"""#include <float.h>
-
-#if FLT_EVAL_METHOD != 0
-#error "doubles must be evaluated in double precision"
-#endif
-
-/* H, J and C of fireball.invariants over n >= 1 samples of d = 1 to 3
-   coordinates, each value rounded as its numpy form rounds it.  Sample i
-   reads t[i * ts], q[i * qr + k * qc] and v[i * vr + k * vc].  out holds V
-   in its first n values; the kernel writes the s series after them, H, J
-   and, for d > 1, C, or C / 2 then C where half is set, n values each; then
-   the largest |x - x(0)| of each series and each one's first value. */
-void fireball_report(long long n, int d, int half, const double *M, const double *t,
-                     long long ts, const double *q, long long qr, long long qc,
-                     const double *v, long long vr, long long vc, double *out)
+# The function of the invariant report's source (report_source) for a model.
+_REPORT = Template("""
+void fireball_report_$model(long long n, const double *t, long long ts,
+        const double *q, long long qr, long long qc,
+        const double *v, long long vr, long long vc, double *out)
 {
-    int s = d == 1 ? 2 : half ? 4 : 3, j, k;
-    long long i;
-    double *V = out, *deviation = out + (s + 1) * n, *first = deviation + s;
-    double x[3] = {0.0, 0.0, 0.0}, w[3] = {0.0, 0.0, 0.0}, value[4], sum, c, a01, a02, a12;
+    double *deviation = out + ($count + 1) * n, *first = deviation + $count;
+    double $locals, x;
+    long long i, j;
 
-    for (j = 0; j < s; j++)
+    for (j = 0; j < $count; j++)
         deviation[j] = 0.0;
     for (i = 0; i < n; i++) {
-        for (k = 0; k < d; k++) {
-            x[k] = q[i * qr + k * qc];
-            w[k] = v[i * vr + k * vc];
-        }
-        /* dynamics.kinetic: 0.5 row_sum(M v^2), from +0.0 */
-        sum = M[0] * (w[0] * w[0]) + 0.0;
-        for (k = 1; k < d; k++)
-            sum += M[k] * (w[k] * w[k]);
-        value[0] = 0.5 * sum + V[i];
-        /* invariants._noether: 2 t H - row_sum(q (M v)) */
-        sum = x[0] * (M[0] * w[0]) + 0.0;
-        for (k = 1; k < d; k++)
-            sum += x[k] * (M[k] * w[k]);
-        value[1] = 2.0 * t[i * ts] * value[0] - sum;
-        if (d > 1) {
-            /* invariants._radial_invariant: 0.25 pairs + row_sum((M q)(q V)) */
-            sum = M[0] * x[0] * (x[0] * V[i]) + 0.0;
-            for (k = 1; k < d; k++)
-                sum += M[k] * x[k] * (x[k] * V[i]);
-            c = x[0] * w[1] - x[1] * w[0];
-            a01 = M[0] * M[1] * c * c;
-            if (d == 2) {
-                value[2] = 0.25 * (a01 + a01) + sum;
-            } else {
-                c = x[0] * w[2] - x[2] * w[0];
-                a02 = M[0] * M[2] * c * c;
-                c = x[1] * w[2] - x[2] * w[1];
-                a12 = M[1] * M[2] * c * c;
-                value[2] = 0.25 * ((a01 + (a02 + a01)) + (a12 + (a02 + a12))) + sum;
-            }
-            if (half) {
-                value[3] = value[2];
-                value[2] = 0.5 * value[3];
-            }
-        }
-        for (j = 0; j < s; j++) {
+$body
+        double value[] = {$values};
+        for (j = 0; j < $count; j++) {
             out[(j + 1) * n + i] = value[j];
             if (i == 0)
                 first[j] = value[j];
             /* np.maximum.reduce: a NaN, once met, stays */
-            c = __builtin_fabs(value[j] - first[j]);
-            if (c > deviation[j] || c != c)
-                deviation[j] = c;
+            x = __builtin_fabs(value[j] - first[j]);
+            if (x > deviation[j] || x != x)
+                deviation[j] = x;
         }
     }
 }
-"""
+""")
 
 
 class Unavailable(Exception):
@@ -508,8 +460,8 @@ class Unavailable(Exception):
 
 
 class _Translator:
-    """C expressions and statements of a :class:`FieldSource`'s Python
-    source over its grammar: finite float constants, names, unary minus,
+    """C expressions and statements of Python source over the names
+    ``args`` and its grammar: finite float constants, names, unary minus,
     ``+ - * /`` and ``**`` on floats; a ``<`` or ``>`` comparison of two
     of these, or ``and`` over such comparisons, as the check; assignments
     of one name as the prelude.  Anything else raises :class:`Unavailable`."""
@@ -517,8 +469,8 @@ class _Translator:
     _ARITHMETIC = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}
     _COMPARE = {ast.Lt: "<", ast.Gt: ">"}
 
-    def __init__(self, source: FieldSource):
-        self.names = set(source.args)  # the names assigned so far
+    def __init__(self, args):
+        self.names = set(args)  # the names assigned so far
         self.power = False  # whether a value calls pow
 
     @staticmethod
@@ -618,7 +570,7 @@ def c_source(n: int, source: FieldSource) -> str:
     """C source of the Dormand-Prince loop for ``source``, an n-component
     declared field.  Raises :class:`Unavailable` for a declaration the
     translator cannot take."""
-    translator = _Translator(source)
+    translator = _Translator(source.args)
     check, prelude, outputs = translator.field(source)
     comps = range(n)
     inputs, norm, grow, shrink = _step_parts(n)
@@ -838,42 +790,65 @@ def _doubles(a: np.ndarray) -> tuple[np.ndarray, int]:
     return a, address
 
 
+def report_source() -> str:
+    """C source of the invariant report: for each model the statements of
+    :func:`fireball.invariants._declaration` translated into the row loop
+    of ``fireball_report_<model>`` (``fireball_report_1d`` for ``1d``).
+    Sample i reads t[i * ts], q[i * qr + k * qc] and v[i * vr + k * vc];
+    ``out`` holds V in its first n values, and the function writes the
+    report's series after them, n values each, then the largest
+    |x - x(0)| of each series and each one's first value."""
+    functions = []
+    for kind, series in _SERIES.items():
+        columns, statements = _declaration(kind, series)
+        translator = _Translator(("t", "V", *(x for x, _, _ in columns)))
+        body = ["u_t = t[i * ts];", "u_V = out[i];",
+                *(f"u_{x} = {a}[i * {a}r + {k} * {a}c];" for x, a, k in columns),
+                *(translator.assign(translator.parse(line, "exec").body[0]) for line in statements)]
+        functions.append(_REPORT.substitute(
+            model=kind.value, count=len(series),
+            locals=", ".join(f"u_{name}" for name in sorted(translator.names)),
+            body="\n".join(8 * " " + line for line in body),
+            values=", ".join(f"u_{name}" for name in series)))
+    return _PRELUDE + "".join(functions)
+
+
 def report_kernel():
-    """A runner of :data:`REPORT_SOURCE`'s one pass over a trajectory, and
+    """A runner of :func:`report_source`'s one pass over a trajectory, and
     how its object was got.  Raises :class:`Unavailable` with the reason
     when there is none.
 
-    ``run(kind, times, qs, qdots, potential)`` reads the (n,) ``times`` and
-    the (n, d) ``qs`` and ``qdots`` of a model ``kind`` in place, through
-    their strides (:func:`_doubles` says which arrays it copies first), and
-    raises ValueError for arrays of other shapes or types.
-    ``potential(qs, kind, out)`` writes V into the (n,) array ``out``.  It
-    returns the series of :func:`fireball.invariants.invariant_report` in
-    its order, as (n,) arrays, and the largest deviation and the first
-    value of each, as lists of floats."""
-    path, how = _library(REPORT_SOURCE)
-    report = _load(path).fireball_report
-    report.argtypes = [ctypes.c_longlong, ctypes.c_int, ctypes.c_int, ctypes.c_void_p,
-                       ctypes.c_void_p, ctypes.c_longlong, ctypes.c_void_p, ctypes.c_longlong,
-                       ctypes.c_longlong, ctypes.c_void_p, ctypes.c_longlong,
-                       ctypes.c_longlong, ctypes.c_void_p]
-    report.restype = None
-    weights = {kind: kind.weights.ctypes.data for kind in ModelKind}  # kept by the kinds
+    ``run(kind, times, qs, qdots)`` reads the (n,) ``times`` and the (n, d)
+    ``qs`` and ``qdots`` of a model ``kind`` in place, through their strides
+    (:func:`_doubles` says which arrays it copies first), and raises
+    ValueError for arrays of other shapes or types.  It takes V from
+    :func:`fireball.invariants._report_potential` and returns the series of
+    :func:`fireball.invariants.invariant_report` in its order, as (n,)
+    arrays, and the largest deviation and the first value of each, as lists
+    of floats."""
+    path, how = _library(report_source())
+    library = _load(path)
+    rows = [ctypes.c_void_p, ctypes.c_longlong, ctypes.c_longlong]  # q, qr, qc; v, vr, vc
+    passes = {kind: getattr(library, f"fireball_report_{kind.value}") for kind in ModelKind}
+    for report in passes.values():
+        report.argtypes = [ctypes.c_longlong, ctypes.c_void_p, ctypes.c_longlong, *rows, *rows,
+                           ctypes.c_void_p]
+        report.restype = None
 
-    def run(kind, times, qs, qdots, potential):
-        n, d, half = len(times), kind.dim, kind is ModelKind.ELLIPTIC_3D
+    def run(kind, times, qs, qdots):
+        n, d = len(times), kind.dim
         if not (times.shape == (n,) and qs.shape == qdots.shape == (n, d)
                 and times.dtype == qs.dtype == qdots.dtype == np.float64):
             raise ValueError(f"times {times.shape} and rows {qs.shape}, {qdots.shape} are not "
                              f"(n,) and (n, {d}) float64 arrays")
-        count = 2 if d == 1 else 4 if half else 3
+        count = len(_SERIES[kind])
         (times, t), (qs, q), (qdots, v) = _doubles(times), _doubles(qs), _doubles(qdots)
         (ts,), (qr, qc), (vr, vc) = times.strides, qs.strides, qdots.strides
         out = array("d", bytes(8 * ((count + 1) * n + 2 * count)))
         block = np.frombuffer(out)
-        potential(qs, kind, block[:n])
-        report(n, d, half, weights[kind], t, ts >> 3, q, qr >> 3, qc >> 3, v, vr >> 3, vc >> 3,
-               out.buffer_info()[0])
+        _report_potential(qs, kind, block[:n])
+        passes[kind](n, t, ts >> 3, q, qr >> 3, qc >> 3, v, vr >> 3, vc >> 3,
+                     out.buffer_info()[0])
         tail = out[(count + 1) * n:].tolist()
         return ([block[(j + 1) * n:(j + 2) * n] for j in range(count)],
                 tail[:count], tail[count:])

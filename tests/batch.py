@@ -19,6 +19,18 @@ def draw_states(data, kind, n=6):
     return ts, qs, qdots, [State(t=t, q=q, qdot=qd) for t, q, qd in zip(ts, qs, qdots)]
 
 
+def hamiltonian_reference(qs, qdots, kind, V):
+    """H as the plain numpy reduction, 0.5 sum(M qdot^2) + V: the reference
+    the declared H must match bit for bit."""
+    return 0.5 * np.add.reduce(kind.weights * qdots ** 2, -1) + V
+
+
+def noether_reference(ts, qs, qdots, kind, H):
+    """J as the plain numpy reduction, 2 t H - sum(q (M qdot)): the reference
+    the declared J must match bit for bit."""
+    return 2.0 * ts * H - np.add.reduce(qs * (kind.weights * qdots), -1)
+
+
 def radial_invariant_reference(qs, qdots, kind, V):
     """C as ``fireball.invariants`` summed it over the full (n, d, d) matrix
     M_i M_j c_ij^2 (each pair i < j twice, a zero diagonal): the reference

@@ -216,6 +216,17 @@ class TestTrajectory:
                        qs=[[1.0]] * (n - 1) + [[q]], qdots=[[0.0]] * (n - 1) + [[qdot]])
         assert str(refused.value) == message
 
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 3)])
+    def test_times_must_be_1d(self, shape):
+        # refused by the first check: (3, 1) times once passed it, since
+        # only their size was compared, and (1, 3) ones failed numpy's
+        # truth test in the next
+        with pytest.raises(DomainError) as refused:
+            Trajectory(kind=ModelKind.TWO_D, times=np.arange(3.0).reshape(shape),
+                       qs=np.ones((3, 2)), qdots=np.ones((3, 2)))
+        assert str(refused.value) == (f"trajectory arrays inconsistent: times {shape}, "
+                                      "qs (3, 2), qdots (3, 2), model dim 2")
+
     def test_an_empty_trajectory_is_valid(self):
         assert len(Trajectory(kind=ModelKind.TWO_D, times=[], qs=np.empty((0, 2)),
                               qdots=np.empty((0, 2)))) == 0
@@ -1000,7 +1011,7 @@ class TestNativeLoop:
     @pytest.mark.parametrize("kind,powers", [(ModelKind.TWO_D, 0), (ModelKind.ELLIPTIC_3D, 1)])
     def test_angular_field_stage_calls_no_trig_and_one_power_at_most(self, kind, powers):
         source = _angular_field(kind).source
-        translator = native._Translator(source)
+        translator = native._Translator(source.args)
         check, prelude, outputs = translator.field(source)
         stage = " ".join([check, *prelude, *outputs])
         assert translator.power is bool(powers)
@@ -1113,7 +1124,8 @@ class TestNativeLoop:
     def test_kernel_sources_are_pinned(self):
         # with or without a compiler: the SHA-256 of each package kernel's C
         # source, in PACKAGE_FIELDS order (the models' fields, then the
-        # angular ones), so that a change to a kernel is made on purpose
+        # angular ones), and of the report's, so that a change to one is
+        # made on purpose
         digests = [hashlib.sha256(native.c_source(len(f.source.args), f.source).encode())
                    .hexdigest() for f in PACKAGE_FIELDS]
         assert digests == [
@@ -1124,6 +1136,9 @@ class TestNativeLoop:
             "2de26678bbf152dc9cedb5e9b3e1e037305ec5f210c99fdb6c093a98dca2a96d",  # angular 2d
             "f0411e29fc1951b454027024244535887d458318e319527391794429d11f3059",  # angular elliptic
         ]
+        # and the invariant report's, translated from the invariants' declarations
+        assert hashlib.sha256(native.report_source().encode()).hexdigest() == (
+            "a1b7e58dfa9abeec3d33c67d1a312ccb12a60f54dd5bd5defe17497757cd10dc")
 
     @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
     def test_generated_c_compiles_without_warnings(self, tmp_path):

@@ -14,7 +14,7 @@ from fireball.analytic import angular_potential, polar_invariant_values
 from fireball.invariants import (ermakov_values, hamiltonian_values,
                                  noether_values, radial_invariant_values)
 from fireball.models import polar_values
-from batch import radial_invariant_reference
+from batch import hamiltonian_reference, noether_reference, radial_invariant_reference
 from reference import (GeneralErmakovSpec, ermakov_invariant,
                        general_ermakov_invariant, pinney_coupling)
 
@@ -151,10 +151,18 @@ class TestRadialInvariant:
             return data.draw(hnp.arrays(float, shape, elements=mantissas)) * 10.0 ** exponents
 
         qs, qdots = draw(st.floats(1.0, 10.0)), draw(st.floats(-10.0, 10.0))
+        ts = data.draw(hnp.arrays(float, shape[0], elements=st.floats(-1e4, 1e4)))
         with np.errstate(all="ignore"):
-            for q, qd in ((qs, qdots), (qs[0], qdots[0])):
-                reference = radial_invariant_reference(q, qd, kind, dynamics.potential(q, kind))
+            for t, q, qd in ((ts, qs, qdots), (ts[0], qs[0], qdots[0])):
+                V = dynamics.potential(q, kind)
+                reference = radial_invariant_reference(q, qd, kind, V)
                 np.testing.assert_array_equal(radial_invariant_values(q, qd, kind), reference)
+                # H and J against the plain numpy reductions, which the
+                # declared sums from +0.0 match bit for bit too
+                H = hamiltonian_reference(q, qd, kind, V)
+                np.testing.assert_array_equal(hamiltonian_values(q, qd, kind), H)
+                np.testing.assert_array_equal(noether_values(t, q, qd, kind),
+                                              noether_reference(t, q, qd, kind, H))
 
 
 class TestEllipticReduction:

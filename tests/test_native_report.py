@@ -1,6 +1,6 @@
 """The native invariant report (fireball.native.report_kernel) against the
-numpy one that serves where no compiler works, bit for bit, and its source
-under the compiler's warnings and the sanitizers."""
+numpy one that serves where no compiler works, bit for bit, and its
+generated source under the compiler's warnings and the sanitizers."""
 
 import contextlib
 import logging
@@ -151,6 +151,19 @@ def test_rows_that_do_not_match_the_times_are_refused():
             invariant_report(Trajectory._of_solve(ModelKind.TWO_D, times, block))
 
 
+def test_declarations_translate_without_power_or_division():
+    # with or without a compiler: each declared operation is one + - or *,
+    # which rounds once in C as in numpy; a pow or a division could not
+    for kind, series in invariants._SERIES.items():
+        columns, statements = invariants._declaration(kind, series)
+        translator = native._Translator(("t", "V", *(x for x, _, _ in columns)))
+        code = [translator.assign(node) for line in statements
+                for node in translator.parse(line, "exec").body]
+        assert not translator.power
+        assert not any("py_divide" in line or "py_power" in line for line in code)
+        assert f"fireball_report_{kind.value}(" in native.report_source()
+
+
 class TestChoice:
     @pytest.fixture
     def fresh(self, monkeypatch, tmp_path):
@@ -190,39 +203,40 @@ class TestChoice:
         assert not list(fresh.rglob("*.so"))
 
 
-# Reads n, d and half (three int64), then M (d values), the times (n), the
-# (n, 2d) block of q and qdot rows and V (n), all float64, on stdin; runs the
-# kernel on the block's two halves, as integrate's views, into a block of
-# exactly the size the wrapper allocates, and writes that block to stdout.
+# Reads n, d, the number of series and the model's place in ModelKind (four
+# int64), then the times (n), the (n, 2d) block of q and qdot rows and V (n),
+# all float64, on stdin; runs the model's function on the block's two halves,
+# as integrate's views, into a block of exactly the size the wrapper
+# allocates, and writes that block to stdout.
 RUNNER = r"""#include <stdio.h>
 #include <stdlib.h>
 
-void fireball_report(long long, int, int, const double *, const double *, long long,
-                     const double *, long long, long long, const double *, long long,
-                     long long, double *);
+typedef void report(long long, const double *, long long, const double *, long long, long long,
+                    const double *, long long, long long, double *);
+report fireball_report_1d, fireball_report_2d, fireball_report_3d, fireball_report_elliptic;
+static report *const MODELS[] = {fireball_report_1d, fireball_report_2d, fireball_report_3d,
+                                 fireball_report_elliptic};
 
 int main(void)
 {
-    long long head[3], n, d, count, size;
-    double *M, *t, *y, *out;
+    long long head[4], n, d, count, size;
+    double *t, *y, *out;
 
-    if (fread(head, sizeof head, 1, stdin) != 1)
+    if (fread(head, sizeof head, 1, stdin) != 1 || head[3] < 0 || head[3] > 3)
         return 2;
     n = head[0];
     d = head[1];
-    count = d == 1 ? 2 : head[2] ? 4 : 3;
+    count = head[2];
     size = (count + 1) * n + 2 * count;
-    M = malloc(sizeof *M * d);
     t = malloc(sizeof *t * n);
     y = malloc(sizeof *y * 2 * d * n);
     out = malloc(sizeof *out * size);
-    if (fread(M, sizeof *M, d, stdin) != (size_t)d || fread(t, sizeof *t, n, stdin) != (size_t)n
+    if (fread(t, sizeof *t, n, stdin) != (size_t)n
             || fread(y, sizeof *y, 2 * d * n, stdin) != (size_t)(2 * d * n)
             || fread(out, sizeof *out, n, stdin) != (size_t)n)
         return 2;
-    fireball_report(n, (int)d, (int)head[2], M, t, 1, y, 2 * d, 1, y + d, 2 * d, 1, out);
+    MODELS[head[3]](n, t, 1, y, 2 * d, 1, y + d, 2 * d, 1, out);
     fwrite(out, sizeof *out, size, stdout);
-    free(M);
     free(t);
     free(y);
     free(out);
@@ -234,7 +248,7 @@ int main(void)
 @needs_cc
 class TestSource:
     def test_compiles_without_warnings(self, tmp_path):
-        (tmp_path / "report.c").write_text(native.REPORT_SOURCE)
+        (tmp_path / "report.c").write_text(native.report_source())
         proc = subprocess.run(["cc", *native.FLAGS, "-Wall", "-Wextra", "-Werror", "-c",
                                "report.c"], cwd=tmp_path, capture_output=True, text=True,
                               timeout=120)
@@ -244,7 +258,7 @@ class TestSource:
     def sanitized(self, tmp_path_factory):
         """The runner, linked with the kernel under ASan and UBSan, or a skip."""
         return sanitizers.build(tmp_path_factory.mktemp("sanitized-report"), RUNNER,
-                                native.REPORT_SOURCE)
+                                native.report_source())
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     @pytest.mark.parametrize("rows", [1, 2, 11])
@@ -256,11 +270,12 @@ class TestSource:
         traj = Trajectory(kind=kind, times=times, qs=ys[:, :kind.dim], qdots=ys[:, kind.dim:])
         with numpy_path(empty_cache):
             want = invariant_report(traj)
-        head = np.array([rows, kind.dim, kind is ModelKind.ELLIPTIC_3D], dtype=np.int64)
+        series = np.array(list(want.values.values()))
+        head = np.array([rows, kind.dim, len(series), list(ModelKind).index(kind)],
+                        dtype=np.int64)
         V = invariants._report_potential(traj.qs, kind)
         got = np.frombuffer(sanitizers.run(sanitized, head.tobytes() + np.concatenate(
-            [kind.weights, times, ys.ravel(), V]).tobytes()))
-        series = np.array(list(want.values.values()))
+            [times, ys.ravel(), V]).tobytes()))
         tail = np.concatenate([np.max(np.abs(series - series[:, :1]), axis=1), series[:, 0]])
         assert got.size == (len(series) + 1) * rows + 2 * len(series)
         assert got[rows:(len(series) + 1) * rows].tobytes() == series.tobytes()
