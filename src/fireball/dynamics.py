@@ -14,6 +14,8 @@ variances over the D spatial axes (elliptic: Z = X, so P = X^2 Y), and
 V = (D/2) P^{-2/D}.  The kinetic weights M count the spatial axes each
 coordinate carries (elliptic: M = (2, 1), so its kinetic term is
 Xd^2 + Yd^2/2); the Euler-Lagrange equations read  M qdd = -grad V.
+T, L = T - V and H = T + V are declared with the invariants
+(:mod:`fireball.invariants`).
 
 The integrator's right-hand side, :func:`vector_field`, is declared once as
 source (:class:`FieldSource`) and derived from the axes; the integrator's
@@ -30,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .models import ModelKind, State, axis_product, check_state, row_sum
+from .models import ModelKind, State, axis_product, check_state
 
 # Smallest variance the integrator may step to; the force is singular at 0.
 POSITIVITY_FLOOR = 1e-12
@@ -147,14 +149,8 @@ def potential(q: np.ndarray, kind: ModelKind):
 
 def _potential(q: np.ndarray, kind: ModelKind, out=None):
     D = kind.spatial_dim
-    return np.multiply(D / 2, axis_product(q, kind) ** (-2.0 / D), out=out)
-
-
-def kinetic(qdot: np.ndarray, kind: ModelKind):
-    """Kinetic part of the energy, sum(M qdot^2) / 2 (batch-friendly like
-    :func:`potential`)."""
-    qdot = np.asarray(qdot, dtype=float)
-    return 0.5 * row_sum(kind.weights * qdot ** 2)
+    # an array for one state too: numpy's scalar power (libm's) rounds otherwise
+    return np.multiply(D / 2, np.asarray(axis_product(q, kind)) ** (-2.0 / D), out=out)
 
 
 @dataclass(frozen=True)
@@ -164,8 +160,8 @@ class EnergyPair:
 
 
 def energies(state: State, kind: ModelKind) -> EnergyPair:
-    """Lagrangian and conserved energy at the given state."""
-    check_state(state, kind)
-    T = float(kinetic(state.qdot, kind))
-    V = float(potential(state.q, kind))
-    return EnergyPair(lagrangian=T - V, hamiltonian=T + V)
+    """Lagrangian and conserved energy at the given state: the declared L and H on a row of one."""
+    from .invariants import _evaluator  # which imports this module
+    q, qdot = check_state(state, kind).q[None], state.qdot[None]
+    L, H = _evaluator(kind, ("L", "H"))(None, potential(q, kind), q, qdot)
+    return EnergyPair(lagrangian=float(L[0]), hamiltonian=float(H[0]))

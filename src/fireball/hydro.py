@@ -89,24 +89,25 @@ def pde_residuals(params: PhysicalParams, qs, qdots, qdds, kind: ModelKind,
     equations.
 
     Probe points are given in units of each state's standard deviation per
-    spatial axis (must lie within +-5).  Each residual is the sum of its
-    equation's terms relative to the sum of their magnitudes, so it does not
-    depend on the units of ``params``; the momentum residual is the largest
-    over the axes.  The terms are (states, probes) arrays, so memory grows
-    with both: 1,001 3d states at the 125 default probes peak at about 17 MB.
+    spatial axis (must lie within +-5); every input must be finite.  Each
+    residual is the sum of its equation's terms relative to the sum of their
+    magnitudes, so it does not depend on the units of ``params``; the momentum
+    residual is the largest over the axes.  The terms are (states, probes)
+    arrays, so memory grows with both: 1,001 3d states at the 125 default probes
+    peak at about 17 MB.
     """
     probes = default_probe_points(kind) if probe_points is None \
         else np.atleast_2d(np.asarray(probe_points, dtype=float))
     if probes.shape[1] != kind.spatial_dim:
         raise DomainError(f"probe points must have {kind.spatial_dim} coordinates")
-    if np.any(np.abs(probes) > PROBE_LIMIT_SIGMA):
+    if not np.all(np.abs(probes) <= PROBE_LIMIT_SIGMA):  # NaN fails it too
         raise DomainError(f"probe points must lie within +-{PROBE_LIMIT_SIGMA} sigma")
     qs, qdots, qdds = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (qs, qdots, qdds))
     if not qs.shape == qdots.shape == qdds.shape or qs.shape[1] != kind.dim:
         raise DomainError(f"states and accelerations must be (n, {kind.dim}) arrays, got "
                           f"{qs.shape}, {qdots.shape}, {qdds.shape}")
-    if not (qs > 0.0).all():
-        raise DomainError("variances must be strictly positive")
+    if not (((qs > 0.0) & (qs < np.inf)).all() and np.isfinite([qdots, qdds]).all()):
+        raise DomainError("variances must be positive and finite, rates and accelerations finite")
 
     length, time_scale = reference_scales(params, kind)
     Q, Qd, n_pref, T = _profile(params, qs * length, qdots * (length / time_scale), kind)

@@ -338,9 +338,9 @@ def sample_grid(t0: float, t_end: float, interval: float) -> np.ndarray:
     except (OverflowError, ValueError, MemoryError):
         raise DomainError(f"a grid of {count + 1.0:.6g} samples from {t0!r} to "
                           f"{t_end!r} cannot be allocated") from None
-    if grid[-1] < t_end - 1e-9 * max(1.0, abs(t_end)):
+    if grid[-1] < t_end - 1e-9 * max(1.0, abs(t_end)) or (len(grid) == 1 and t_end > t0):
         grid = np.append(grid, t_end)
-    else:
+    else:  # snap a later point, never t0
         grid[-1] = t_end
     if not (grid[1:] > grid[:-1]).all():
         raise DomainError("sample times must be strictly increasing")

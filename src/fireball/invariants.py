@@ -21,16 +21,18 @@ instead of 9 (1 instead of 4 in 2d) and no (n, d, d) array.  (Where some
 q_i qdot_i overflows, the matrix's diagonal was inf - inf = NaN; the pairs
 have no diagonal.)
 
-H, J and C are declared once per model (:func:`_declaration`) as Python
-statements over the coordinates, their rates, ``t`` and ``V``, with only
-``+ - *``, float constants and :func:`fireball.models.row_sum`'s order, so
-each operation rounds once wherever the text runs.  numpy evaluates it for
-the batch forms, each running only the statements its values need, and for
-the report where no compiler works; elsewhere :mod:`fireball.native`
-translates it into the report's C pass.  The report (:func:`invariant_report`)
-takes V from numpy either way, without a positivity check (a Trajectory
-holds positive variances); the ``fireball.invariants`` logger says which
-path serves.
+T = sum(M qdot^2) / 2, H = T + V, L = T - V, J and C are declared once per
+model (:func:`_declaration`) as Python statements over the coordinates,
+their rates, ``t`` and ``V``, with only ``+ - *``, float constants and
+:func:`fireball.models.row_sum`'s order, so each operation rounds once
+wherever the text runs.  numpy evaluates it for the batch forms (a (d,)
+state rounds as its batch row), :func:`fireball.dynamics.energies` and
+:mod:`fireball.symmetry`'s L, each running only the statements its values
+need, and for the report where no compiler works; elsewhere
+:mod:`fireball.native` translates it into the report's C pass.  The report
+(:func:`invariant_report`) takes V from numpy either way, without a
+positivity check (a Trajectory holds positive variances); the
+``fireball.invariants`` logger says which path serves.
 
 C is 1/2 in 1d, H r0^2 - J^2/2 in 3d, the Ermakov invariant
 I = (X Yd - Y Xd)^2 / 2 + Y/X + X/Y in 2d and Itilde = 2 I in the elliptic
@@ -78,7 +80,7 @@ def _declaration(kind: ModelKind, outputs: tuple[str, ...]):
     kinetic = row_sum([weighted(m, f"({v} * {v})") for m, v in zip(M, qd)])
     momenta = row_sum([f"{x} * ({weighted(m, v)})" for m, x, v in zip(M, q, qd)])
     radial = row_sum([f"{weighted(m, x)} * ({x} * V)" for m, x in zip(M, q)])
-    lines = [f"H = 0.5 * ({kinetic}) + V", f"J = 2.0 * t * H - ({momenta})"]
+    lines = [f"T = 0.5 * ({kinetic})", "H = T + V", "L = T - V", f"J = 2.0 * t * H - ({momenta})"]
     pairs = [(i, j) for j in range(kind.dim) for i in range(j)]
     for i, j in pairs:
         lines += [f"c{i}{j} = {q[i]} * {qd[j]} - {q[j]} * {qd[i]}",

@@ -2,13 +2,14 @@
 
 A point symmetry is a vector field tau d/dt + eta . d/dq on (t, q) space;
 its first extension acts on velocities with coefficient (etadot - taudot qd).
-The residual of the Noether condition  G1[L] + taudot L = gauge-dot  and
-the Noether invariant are each written once (:func:`_noether_residual`,
+The residual of the Noether condition  G1[L] + taudot L = gauge-dot  and the
+Noether invariant are each written once (:func:`_noether_residual`,
 :func:`_noether_invariant`), for point symmetries and the 2d model's
-velocity-dependent symmetry alike, with exact partial derivatives of L (they
-are elementary), so the residual of a genuine symmetry sits at rounding
-level.  Nothing here takes a numerical derivative: the dynamical symmetry's
-free function tau enters the condition through its value alone.
+velocity-dependent symmetry alike, with exact partial derivatives of L = T - V
+(elementary; L is declared in :mod:`fireball.invariants`), so the residual of
+a genuine symmetry sits at rounding level.  Nothing here takes a numerical
+derivative: the dynamical symmetry's free function tau enters the condition
+through its value alone.
 
 All models admit the scaling symmetry tau = 2 t, eta = q (gauge 0).  Its
 finite form t -> beta^2 t, q -> beta q (:func:`scaled_trajectory`) maps
@@ -29,7 +30,8 @@ import numpy as np
 from .errors import DomainError
 from .models import ModelKind, State, check_state
 from .integrate import Trajectory
-from .dynamics import accel, kinetic, potential
+from .dynamics import accel
+from .invariants import _evaluate
 
 
 @dataclass(frozen=True)
@@ -90,10 +92,6 @@ def _prolongation(sym: PointSymmetry, t, q, qd):
     return tau, eta, taudot, etadot, gauge, gaugedot
 
 
-def _lagrangian(qs, qdots, kind: ModelKind):
-    return kinetic(qdots, kind) - potential(qs, kind)
-
-
 def _noether_residual(kind: ModelKind, qd, L, qdd, eta, taudot, etadot, gaugedot):
     """G1[L] + taudot L - gauge-dot of a symmetry with the given prolongation,
     with dL/dq = M qdd on shell (-grad V), p = M qdot and dL/dt = 0."""
@@ -111,14 +109,15 @@ def _noether_invariant(kind: ModelKind, qd, L, tau, eta, gauge):
 def noether_residual_values(sym: PointSymmetry, kind: ModelKind, ts, qs, qdots):
     """:func:`noether_condition_residual` at (n,) ``ts``, (n, d) ``qs`` and ``qdots``."""
     _, eta, taudot, etadot, _, gaugedot = _prolongation(sym, ts, qs, qdots)
-    return _noether_residual(kind, qdots, _lagrangian(qs, qdots, kind), accel(qs, kind),
-                             eta, taudot, etadot, gaugedot)
+    L = _evaluate(kind, "L", None, qs, qdots)
+    return _noether_residual(kind, qdots, L, accel(qs, kind), eta, taudot, etadot, gaugedot)
 
 
 def noether_invariant_values(sym: PointSymmetry, kind: ModelKind, ts, qs, qdots):
     """Conserved quantity J = tau (qd.p - L) - eta.p + gauge of the symmetry
     at (n,) ``ts``, (n, d) ``qs`` and ``qdots``, with p = M qdot."""
-    return _noether_invariant(kind, qdots, _lagrangian(qs, qdots, kind), sym.tau(ts, qs),
+    L = _evaluate(kind, "L", None, qs, qdots)
+    return _noether_invariant(kind, qdots, L, sym.tau(ts, qs),
                               np.asarray(sym.eta(ts, qs), dtype=float), sym.gauge(ts, qs))
 
 
@@ -183,7 +182,7 @@ def dynamical_symmetry_values(tau, ts, qs, qdots):
     etadot = np.stack([tau_value * Xdd + Yd * w + Y * wdot,
                        tau_value * Ydd - Xd * w - X * wdot], axis=-1)
 
-    L = _lagrangian(qs, qdots, kind)
+    L = _evaluate(kind, "L", None, qs, qdots)
     Ldot = 2.0 * np.sum(qdots * qdd, axis=-1)  # qd.dL/dq + qdd.p, with dL/dq = qdd, p = qd
     g = tau_value * L - 0.5 * w ** 2 + X / Y + Y / X
     gdot = tau_value * Ldot - w * wdot - w / Y ** 2 + w / X ** 2

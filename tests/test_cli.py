@@ -78,6 +78,14 @@ class TestSimulate:
         assert all(r[header.index("Y")] == "" for r in rows)
         assert all(r[header.index("I")] == "" for r in rows)
 
+    def test_a_span_shorter_than_the_snap_writes_t0_and_t_end(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert main(["simulate", "--model", "1d", "--X", "1", "--Xdot", "0.5",
+                     "--t-end", "1e-10", "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert column(rows, header, "t").tolist() == [0.0, 1e-10]
+        assert column(rows, header, "X")[0] == 1.0
+
     def test_missing_model_is_usage_error(self, capsys, tmp_path):
         code = main(["simulate", "--X", "1", "--t-end", "1",
                      "--out", str(tmp_path / "x.csv")])

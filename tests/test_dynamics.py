@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fireball import DomainError, ModelKind, State, energies
-from fireball.dynamics import (POSITIVITY_FLOOR, accel, kinetic,
-                               potential, vector_field)
+from fireball.dynamics import POSITIVITY_FLOOR, accel, potential, vector_field
 
 positive = st.floats(min_value=0.2, max_value=5.0)
 rate = st.floats(min_value=-2.0, max_value=2.0)
@@ -123,6 +122,6 @@ class TestEnergies:
         qdot = np.array([data.draw(rate) for _ in range(kind.dim)])
         s = State(t=0.0, q=q, qdot=qdot)
         pair = energies(s, kind)
-        twice_kinetic = 2.0 * float(kinetic(qdot, kind))
+        twice_kinetic = float(np.sum(kind.weights * qdot ** 2))
         assert pair.hamiltonian + pair.lagrangian == pytest.approx(
             twice_kinetic, rel=1e-12, abs=1e-12)

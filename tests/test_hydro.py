@@ -184,6 +184,19 @@ class TestPdeResiduals:
         with pytest.raises(DomainError):
             stencil_residuals(UNIT, exact_1d_trajectory(), probe_points=[[6.0]])
 
+    @pytest.mark.parametrize("name,value,refusal", [
+        ("probe_points", math.nan, "probe points"), ("qs", math.inf, "variances"),
+        ("qs", math.nan, "variances"), ("qdots", math.nan, "rates"),
+        ("qdds", math.nan, "accelerations")])
+    def test_refuses_a_non_finite_input(self, name, value, refusal):
+        # its residuals would be NaN, which max_abs would read as 0
+        traj = hydro_checks_trajectory(ModelKind.TWO_D)
+        inputs = {"qs": traj.qs.copy(), "qdots": traj.qdots.copy(),
+                  "qdds": accel(traj.qs, traj.kind), "probe_points": np.zeros((4, 2))}
+        inputs[name][3, 1] = value
+        with pytest.raises(DomainError, match=refusal):
+            pde_residuals(UNIT, kind=traj.kind, **inputs)
+
     @pytest.mark.parametrize("params", [UNIT3, PARAMS3], ids=["unit", "scaled"])
     @pytest.mark.parametrize("kind", [ModelKind.THREE_D, ModelKind.ELLIPTIC_3D])
     def test_three_axis_models_close(self, kind, params):

@@ -85,6 +85,13 @@ class TestSampleGrid:
             sample_grid(0.0, math.nan, 0.01)
         assert sample_grid(1.0, 1.0, 0.01).tolist() == [1.0]
 
+    def test_a_span_shorter_than_the_snap_keeps_t0(self):
+        # t_end lies within the snap tolerance of t0: t_end is appended, and
+        # only a later point than t0 is ever moved onto t_end
+        assert sample_grid(0.0, 1e-10, 0.01).tolist() == [0.0, 1e-10]
+        assert sample_grid(3.0, 3.0 + 1e-9, 0.5).tolist() == [3.0, 3.0 + 1e-9]
+        assert sample_grid(0.0, 0.5 + 1e-12, 0.5).tolist() == [0.0, 0.5 + 1e-12]
+
     def test_repeated_times_are_refused_before_the_solve(self, monkeypatch):
         # the floats near 1e16 are 2 apart: 9 samples, 5 distinct times
         def solve(*args, **kwargs):
@@ -1138,7 +1145,7 @@ class TestNativeLoop:
         ]
         # and the invariant report's, translated from the invariants' declarations
         assert hashlib.sha256(native.report_source().encode()).hexdigest() == (
-            "a1b7e58dfa9abeec3d33c67d1a312ccb12a60f54dd5bd5defe17497757cd10dc")
+            "d15c477f172ff41d5c71d5f5bb6fc840939173dfdc23df0227b0877ac4793c8a")
 
     @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
     def test_generated_c_compiles_without_warnings(self, tmp_path):

@@ -143,26 +143,41 @@ class TestRadialInvariant:
     @given(data=st.data())
     def test_pairwise_sum_has_the_full_matrix_bits(self, kind, data):
         # variances and rates from 1e-150 to 1e150, so that products
-        # overflow and underflow too; rates of either sign, or zero
+        # overflow and underflow too; rates of either sign, and rates and
+        # times that are zeros of either sign, so that a zero sum's sign counts
         shape = (data.draw(st.integers(1, 12)), kind.dim)
 
         def draw(mantissas):
             exponents = data.draw(hnp.arrays(float, shape, elements=st.integers(-150, 149)))
             return data.draw(hnp.arrays(float, shape, elements=mantissas)) * 10.0 ** exponents
 
-        qs, qdots = draw(st.floats(1.0, 10.0)), draw(st.floats(-10.0, 10.0))
+        def zeros(size):  # 1.0, or a zero of either sign
+            return data.draw(hnp.arrays(float, size, elements=st.sampled_from([1.0, 0.0, -0.0])))
+
+        qs, qdots = draw(st.floats(1.0, 10.0)), draw(st.floats(-10.0, 10.0)) * zeros(shape)
         ts = data.draw(hnp.arrays(float, shape[0], elements=st.floats(-1e4, 1e4)))
+        ts = ts * zeros(shape[0])
         with np.errstate(all="ignore"):
-            for t, q, qd in ((ts, qs, qdots), (ts[0], qs[0], qdots[0])):
-                V = dynamics.potential(q, kind)
-                reference = radial_invariant_reference(q, qd, kind, V)
-                np.testing.assert_array_equal(radial_invariant_values(q, qd, kind), reference)
-                # H and J against the plain numpy reductions, which the
-                # declared sums from +0.0 match bit for bit too
-                H = hamiltonian_reference(q, qd, kind, V)
-                np.testing.assert_array_equal(hamiltonian_values(q, qd, kind), H)
-                np.testing.assert_array_equal(noether_values(t, q, qd, kind),
-                                              noether_reference(t, q, qd, kind, H))
+            V = dynamics.potential(qs, kind)
+            # H and J against the plain numpy reductions, which the declared
+            # sums from +0.0 match bit for bit too
+            H = hamiltonian_reference(qs, qdots, kind, V)
+            references = {"C": radial_invariant_reference(qs, qdots, kind, V), "H": H,
+                          "J": noether_reference(ts, qs, qdots, kind, H)}
+
+            def forms(t, q, qd):
+                return {"C": radial_invariant_values(q, qd, kind),
+                        "H": hamiltonian_values(q, qd, kind), "J": noether_values(t, q, qd, kind)}
+
+            batch = forms(ts, qs, qdots)
+            singles = [forms(ts[i], qs[i], qdots[i]) for i in range(len(ts))]
+            rows = [forms(ts[i:i + 1], qs[i:i + 1], qdots[i:i + 1]) for i in range(len(ts))]
+        for name, reference in references.items():
+            assert batch[name].tobytes() == reference.tobytes(), name
+            # each (d,) state rounds as its row of one does
+            for i, (single, row) in enumerate(zip(singles, rows)):
+                assert (single[name].tobytes() == row[name].tobytes()
+                        == reference[i:i + 1].tobytes()), (name, i)
 
 
 class TestEllipticReduction:

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fireball import (IntegratorConfig, ModelKind, State, Trajectory, integrate,
-                      invariant_report, invariants, native)
+from fireball import (IntegratorConfig, ModelKind, State, Trajectory, energies, integrate,
+                      invariant_report, invariants, native, noether_invariant)
 from fireball.symmetry import scaled_trajectory
 import sanitizers
 
@@ -127,6 +127,44 @@ class TestSameBits:
         for n in (1, 2, 3):
             assert_same_bits(Trajectory(kind=kind, times=np.array([0.0, 1.0, 2.0])[:n],
                                         qs=qs[:n], qdots=qdots[:n]), empty_cache)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+def test_a_single_state_rounds_as_its_batch_row(empty_cache, kind):
+    # 2,000 states in verify's ranges: on one (d,) state, energies,
+    # noether_invariant and each batch form give the bits of the same form
+    # on the state's row of one and of its row in the report, native and
+    # numpy.  numpy's scalar power (libm's pow) rounds otherwise than its
+    # array loop on about 4% of these states (3d, elliptic), so a single
+    # state's V must be raised as an array too.
+    rng = np.random.default_rng(11)
+    n, d = 2000, kind.dim
+    times = np.sort(rng.uniform(0.0, 3.0, n))
+    qs, qdots = rng.uniform(0.6, 1.8, (n, d)), rng.uniform(-0.8, 0.8, (n, d))
+    traj = Trajectory(kind=kind, times=times, qs=qs, qdots=qdots)
+    reports = [invariant_report(traj)]
+    with numpy_path(empty_cache):
+        reports.append(invariant_report(traj))
+    forms = {"H": lambda t, q, v: invariants.hamiltonian_values(q, v, kind),
+             "L": lambda t, q, v: invariants._evaluate(kind, "L", None, q, v),
+             "J": lambda t, q, v: invariants.noether_values(t, q, v, kind),
+             "C": lambda t, q, v: invariants.radial_invariant_values(q, v, kind)}
+    if kind.has_ermakov_invariant:
+        forms["I"] = lambda t, q, v: invariants.ermakov_values(q, v, kind)
+    for i, (t, q, v) in enumerate(zip(times, qs, qdots)):
+        state = State(t=t, q=q, qdot=v)
+        pair = energies(state, kind)
+        values = {"H": [pair.hamiltonian], "L": [pair.lagrangian],
+                  "J": [noether_invariant(state, kind)]}
+        for name, form in forms.items():
+            values.setdefault(name, []).extend(
+                [form(t, q, v), form(times[i:i + 1], qs[i:i + 1], qdots[i:i + 1])[0]])
+        for report in reports:
+            for name, series in report.values.items():
+                # the elliptic model's Itilde is its C
+                values[{"Itilde": "C"}.get(name, name)].append(series[i])
+        for name, got in values.items():
+            assert len({np.float64(x).tobytes() for x in got}) == 1, (name, i, got)
 
 
 @pytest.mark.parametrize("layout", ["unaligned", "fortran", "reversed", "strided-times"])
