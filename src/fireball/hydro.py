@@ -69,8 +69,9 @@ class PdeResidualReport:
 
     @property
     def max_abs(self) -> float:
-        return float(max(np.max(self.continuity), np.max(self.momentum),
-                         np.max(self.energy)))
+        """The largest residual, NaN where any residual is NaN."""
+        return float(np.max([np.max(self.continuity), np.max(self.momentum),
+                             np.max(self.energy)]))
 
 
 def _relative(terms) -> np.ndarray:

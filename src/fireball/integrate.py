@@ -11,19 +11,22 @@ The stepper works on Python floats: the right-hand side ``f(t, y)``
 receives a list of floats and returns a sequence of floats of the same
 length.  It exists in two forms, which agree bit for bit in every sample,
 step decision, count and error: the Python stepper written out below
-(:func:`_run_python`) and its C translation in :mod:`fireball.native`,
+(:func:`_run_python`) and the C loop of :mod:`fireball.native`
+(``native._LOOP``), one fixed source written line for line beside it,
 which computes the same stage sums, error norm and step factor in the same
-order.  Which one serves a field:
+order.  A change to the stepper is made to both.  Which one serves a
+field:
 
 - A field declared as source (:class:`fireball.dynamics.FieldSource`: the
   models' fields and the angular quadrature's) runs as native code.
-  :mod:`fireball.native` translates the stepper, with the field's check,
-  prelude and outputs inlined, into C, builds it with the system's ``cc``
-  and loads it with :mod:`ctypes`; the flags keep every operation rounding
-  as Python's does (that module says which and why).  The shared object is
-  cached in ``$XDG_CACHE_HOME/fireball``, else ``~/.cache/fireball``, so
-  only the first solve of a kernel on a machine pays its build, 0.12-0.34 s
-  (a per-process temporary directory serves when neither can be written).
+  :mod:`fireball.native` translates the field's check, prelude and outputs
+  into a C function that the loop inlines, builds the two with the
+  system's ``cc`` and loads them with :mod:`ctypes`; the flags keep every
+  operation rounding as Python's does (that module says which and why).
+  The shared object is cached in ``$XDG_CACHE_HOME/fireball``, else
+  ``~/.cache/fireball``, so only the first solve of a kernel on a machine
+  pays its build, 0.10-0.25 s (a per-process temporary directory serves
+  when neither can be written).
 - Any other field runs the Python stepper, which calls it once per stage:
   a declaration the translator cannot take, any declared field where no
   compiler works (its compiled ``f(t, y)`` runs the check, prelude and
@@ -123,9 +126,9 @@ def _run_python(n, f, t, h, y, grid, times, next_idx, abs_tol, rel_tol, max_step
     It steps from ``t`` and writes the samples from row ``next_idx`` on.
     Each stage calls ``f`` on the plain sums ``y_i + h * (a_s1 * k1_i +
     ...)`` over the nonzero tableau entries in tableau order; the error
-    norm and the step control follow.  The C loop of :mod:`fireball.native`
-    writes the same expressions in the same order, so the two agree bit for
-    bit.  Comparisons stand in for abs(), min() and max(), as in the C
+    norm and the step control follow.  The C loop (``native._LOOP``, with
+    the stage sums of ``native.c_source``) writes the same expressions in
+    the same order, so the two agree bit for bit.  Comparisons stand in for abs(), min() and max(), as in the C
     loop, so that a rate that does not compare with a float (a complex
     number) raises TypeError rather than pass through abs().
     """

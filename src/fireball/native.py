@@ -1,31 +1,32 @@
 """Native code: the Dormand-Prince loop of :mod:`fireball.integrate` for a
 declared field, the CLI's CSV row writer and the invariant report's pass.
 
-:func:`kernel` translates the Python stepper of
+:func:`kernel` runs the Python stepper of
 :func:`fireball.integrate.solve_ode` (:func:`fireball.integrate._run_python`)
-for a :class:`fireball.dynamics.FieldSource` into C, builds it once with
-the system's ``cc`` and loads it with :mod:`ctypes`.  The stage sums, the
-error norm and the step control (:func:`_step_parts`) are written term for
-term as the stepper computes them, and the field's check, prelude and
-outputs are translated from the Python AST of its declaration.  The
-translator takes exactly the grammar the package's declarations use:
-finite float constants, names (the arguments, and the names the prelude
-has assigned), unary minus, ``+ - * /`` and ``**`` (as the C library's
-``pow``, which Python's float power calls) in the outputs and the
-prelude; a ``<`` or ``>`` comparison of two such values, or ``and`` over
-such comparisons, as the check; an assignment to one name per prelude
-statement.  A declaration outside it raises :class:`Unavailable`, and
-the Python stepper serves it.  Each of these rounds in C as in Python, so
-every sample, step decision, count and error is the Python stepper's, bit
-for bit.  Where Python would raise instead (a division by zero, ``0.0 **
--1.0``, a negative number to a fractional power, a power overflowing),
-the C loop stops and the Python stepper runs the solve again from its
-start, so it raises as before.  The library calls are most of a step's
-cost: the step control calls ``pow`` only where the step factor does not
-cap, at an accepted error norm above 1.8e-4 or after a rejected step, as
-the Python stepper does, and the package's declarations call at most one
-``pow`` per stage (none for the 1d and 2d fields and the 2d angular
-field).
+as C for a :class:`fireball.dynamics.FieldSource`, built once with the
+system's ``cc`` and loaded with :mod:`ctypes`.  The loop is one fixed C
+source, :data:`_LOOP`, written line for line beside the Python stepper
+over arrays of the state's components.  :func:`c_source` puts a header in
+front of it: the component count, the stage sums and the error estimate
+over the tableau, term for term as the stepper computes them, and the
+field as ``field(y, k)``, translated from the Python AST of its
+declaration.  The translator takes exactly the grammar the package's
+declarations use: finite float constants, names (the arguments, and the
+names the prelude has assigned), unary minus, ``+ - * /`` and ``**`` (as
+the C library's ``pow``, which Python's float power calls) in the outputs
+and the prelude; a ``<`` or ``>`` comparison of two such values, or
+``and`` over such comparisons, as the check; an assignment to one name per
+prelude statement.  A declaration outside it raises :class:`Unavailable`,
+and the Python stepper serves it.  Each of these rounds in C as in
+Python, so every sample, step decision, count and error is the Python
+stepper's, bit for bit.  Where Python would raise instead (a division by
+zero, ``0.0 ** -1.0``, a negative number to a fractional power, a power
+overflowing), ``field`` returns 2 and the loop stops; the Python stepper
+then runs the solve again from its start, so it raises as before.  The
+loop evaluates the field at y0 too: a native solve never calls Python's
+``f``.  The step control calls ``pow`` only where the step factor does not
+cap, as the Python stepper does, and the package's declarations call at
+most one ``pow`` per stage (none for the 1d and 2d fields).
 
 The build flags, and why: ``-O2`` for speed; ``-fPIC -shared`` for an
 object :mod:`ctypes` can load; ``-ffp-contract=off`` so that no ``a * b +
@@ -63,7 +64,7 @@ field, its comma included, stays inside the 25 bytes per field that
 :func:`csv_writer` allocates.  The writer declines NaN, the infinities and
 every value outside ``10**-16 <= |x| < 2**128``; the row with such a
 value comes from Python instead, and the writer resumes at the row after
-it.  It builds once per machine and cache, in 0.20-0.24 s, as a kernel
+it.  It builds once per machine and cache, in 0.10-0.14 s, as a kernel
 does.
 
 :func:`report_kernel` loads :func:`report_source`, the invariants' one
@@ -79,8 +80,10 @@ Shared objects are cached in ``$XDG_CACHE_HOME/fireball`` (else
 ``~/.cache/fireball``; a per-process temporary directory when neither can
 be written), named by a hash of the source, the flags and the platform,
 beside the SHA-256 of their bytes: a file that does not match is rebuilt,
-not loaded.  A build takes 0.12-0.34 s per kernel (gcc 12 on a 2-vCPU
-x86-64 machine); a cached kernel loads in well under a millisecond.
+not loaded.  A build takes 0.10-0.25 s per kernel (gcc 12 on a 2-vCPU
+x86-64 machine; the 3d loop, of six components, takes longest) and
+0.09 s for the report's pass; a cached object loads in well under a
+millisecond.
 Without a C compiler, or when a build fails, :class:`Unavailable` says why
 and the Python stepper, Python's row formatting or numpy's report serves.
 """
@@ -142,97 +145,135 @@ static inline double py_power(int *py, double a, double b)
 }
 """
 
-# The step loop of fireball.integrate._run_python.  Status 0: done; 1-3 and
-# 5: the codes of fireball.integrate._failure, with t, h and y left in
-# scalars and state; 4: run the Python stepper instead.
-_LOOP = Template("""
-int fireball_loop(const double *_times, long long _n_samples, double *_out, double *_state,
-                  double *_scalars, long long *_counts)
+# The step loop of fireball.integrate._run_python, line for line, behind
+# c_source's header.  Status 0: done; 1-3 and 5: the codes of
+# fireball.integrate._failure, with t, h and y left in scalars and state;
+# STATUS_PYTHON: an operation raises in Python, so the Python stepper runs
+# the solve.  Without the unroll pragmas (GCC does not unroll the component
+# loops fully at -O2) a step took up to twice the time.
+_LOOP = """
+int fireball_loop(const double *times, long long n_samples, double *out, double *state,
+                  double *scalars, long long *counts)
 {
-    double $locals;
-    double _t = _scalars[0], _h = _scalars[1], _abs_tol = _scalars[2];
-    double _rel_tol = _scalars[3], _max_step = _scalars[4], _unit = _scalars[5];
-    double _t_end = _times[_n_samples - 1], _t_stop, _t_new, _at, _tol, _a, _b, _err, _factor;
-    long long _next_idx = _counts[0], _accepted = 0, _rejected = 0, _refused = 0;
-    long long _refusals = 0, _row;
-    int _py = 0, _status = 0;
+    double y[N], y_new[N], stage[N], k1[N], k2[N], k3[N], k4[N], k5[N], k6[N], k7[N];
+    double t = scalars[0], h = scalars[1], abs_tol = scalars[2], rel_tol = scalars[3];
+    double max_step = scalars[4], unit = scalars[5], t_end = times[n_samples - 1];
+    double t_stop, tol, t_new, at, u, v, e, sq, err, factor;
+    long long next_idx = counts[0], accepted = 0, rejected = 0, refused = 0, refusals = 0;
+    int i, fault, py = 0, status = 0;
 
-$load
-    _at = _t_end >= 0.0 ? _t_end : -_t_end;
-    _t_stop = _t_end - 1e-14 * (_at > _unit ? _at : _unit);
-    _at = _t >= 0.0 ? _t : -_t;
-    _tol = 1e-14 * (_at > _unit ? _at : _unit);
-    while (_t < _t_stop) {
-        if (_max_step < _h)
-            _h = _max_step;
-        if (_t_end - _t < _h)
-            _h = _t_end - _t;
-        if (_next_idx < _n_samples && _times[_next_idx] - _t < _h)
-            _h = _times[_next_idx] - _t;
-        if (_h < _tol) {
-            _status = _refusals > 0 ? 1 : 2;
+    _Pragma("GCC unroll 16") for (i = 0; i < N; i++)
+        y[i] = state[i];
+    at = t_end >= 0.0 ? t_end : -t_end;
+    t_stop = t_end - 1e-14 * (at > unit ? at : unit);
+    at = t >= 0.0 ? t : -t;
+    tol = 1e-14 * (at > unit ? at : unit);
+    if (field(y, k1))
+        return STATUS_PYTHON; /* the Python stepper raises at y0 */
+    while (t < t_stop) {
+        if (max_step < h)
+            h = max_step;
+        if (t_end - t < h)
+            h = t_end - t;
+        if (next_idx < n_samples && times[next_idx] - t < h)
+            h = times[next_idx] - t;
+        if (h < tol) {
+            status = refusals > 0 ? 1 : 2;
             break;
         }
-$stages
-        _refusals = 0;
-$norm
-        if (_py) {
-            _status = $python;
-            break;
+        _Pragma("GCC unroll 16") for (i = 0; i < N; i++)
+            stage[i] = S2(i);
+        if ((fault = field(stage, k2)))
+            goto stage_refused;
+        _Pragma("GCC unroll 16") for (i = 0; i < N; i++)
+            stage[i] = S3(i);
+        if ((fault = field(stage, k3)))
+            goto stage_refused;
+        _Pragma("GCC unroll 16") for (i = 0; i < N; i++)
+            stage[i] = S4(i);
+        if ((fault = field(stage, k4)))
+            goto stage_refused;
+        _Pragma("GCC unroll 16") for (i = 0; i < N; i++)
+            stage[i] = S5(i);
+        if ((fault = field(stage, k5)))
+            goto stage_refused;
+        _Pragma("GCC unroll 16") for (i = 0; i < N; i++)
+            stage[i] = S6(i);
+        if ((fault = field(stage, k6)))
+            goto stage_refused;
+        _Pragma("GCC unroll 16") for (i = 0; i < N; i++)
+            y_new[i] = S7(i);
+        if ((fault = field(y_new, k7)))
+            goto stage_refused;
+        refusals = 0;
+        sq = 0.0;
+        _Pragma("GCC unroll 16") for (i = 0; i < N; i++) {
+            u = y[i] >= 0.0 ? y[i] : -y[i];
+            v = y_new[i] >= 0.0 ? y_new[i] : -y_new[i];
+            e = py_divide(&py, ERR(i), abs_tol + rel_tol * (u > v ? u : v));
+            sq += e * e;
         }
-        if (_err <= 1.0) {
-            if (!($finite)) {
-                _status = 5;
+        if (py)
+            return STATUS_PYTHON;
+        err = sqrt(sq / N);
+        if (err <= 1.0) {
+            _Pragma("GCC unroll 16") for (i = 0; i < N; i++)
+                if (!isfinite(y_new[i]))
+                    status = 5;
+            if (status)
                 break;
+            t_new = t + h;
+            at = t_new >= 0.0 ? t_new : -t_new;
+            tol = 1e-14 * (at > unit ? at : unit);
+            while (next_idx < n_samples && times[next_idx] <= t_new + tol) {
+                _Pragma("GCC unroll 16") for (i = 0; i < N; i++)
+                    out[N * next_idx + i] = y_new[i];
+                next_idx++;
             }
-            _t_new = _t + _h;
-            _at = _t_new >= 0.0 ? _t_new : -_t_new;
-            _tol = 1e-14 * (_at > _unit ? _at : _unit);
-            while (_next_idx < _n_samples && _times[_next_idx] <= _t_new + _tol) {
-$row
-                _next_idx++;
+            t = t_new;
+            _Pragma("GCC unroll 16") for (i = 0; i < N; i++) {
+                y[i] = y_new[i];
+                k1[i] = k7[i];
             }
-            _t = _t_new;
-$accept
-            _accepted++;
-            _factor = $grow;
-            if (_factor > 5.0)
-                _factor = 5.0;
+            accepted++;
+            factor = err > CAPPED_ERR ? 0.9 * pow(err, -0.2) : 5.0;
+            if (factor > 5.0)
+                factor = 5.0;
         } else {
-            _rejected++;
-            _factor = $shrink;
-            if (!(_factor > 0.2))
-                _factor = 0.2;
+            rejected++;
+            factor = 0.9 * pow(err, -0.2);
+            if (!(factor > 0.2))
+                factor = 0.2;
         }
-        _h *= _factor;
+        h *= factor;
         continue;
-    _refused:
-        if (_py) {
-            _status = $python;
+    stage_refused:
+        if (fault == 2)
+            return STATUS_PYTHON;
+        refusals++;
+        if (refusals > 50) {
+            status = 3;
             break;
         }
-        _refusals++;
-        if (_refusals > 50) {
-            _status = 3;
-            break;
-        }
-        _rejected++;
-        _refused++;
-        _h *= 0.5;
+        rejected++;
+        refused++;
+        h *= 0.5;
     }
-    if (_status == 0)
-        for (_row = _next_idx; _row < _n_samples; _row++) {
-$trail
+    if (status == 0)
+        for (; next_idx < n_samples; next_idx++) {
+            _Pragma("GCC unroll 16") for (i = 0; i < N; i++)
+                out[N * next_idx + i] = y[i];
         }
-$store
-    _scalars[0] = _t;
-    _scalars[1] = _h;
-    _counts[0] = _accepted;
-    _counts[1] = _rejected;
-    _counts[2] = _refused;
-    return _status;
+    _Pragma("GCC unroll 16") for (i = 0; i < N; i++)
+        state[i] = y[i];
+    scalars[0] = t;
+    scalars[1] = h;
+    counts[0] = accepted;
+    counts[1] = rejected;
+    counts[2] = refused;
+    return status;
 }
-""")
+"""
 
 # The CSV row writer (csv_writer): one fixed source.
 CSV_SOURCE = r"""#include <math.h>
@@ -534,77 +575,35 @@ class _Translator:
         return check, prelude, outputs
 
 
-def _step_parts(n: int) -> tuple[list, list, str, str]:
-    """The arithmetic of one step over the tableau, in C, term for term as
-    :func:`fireball.integrate._run_python` computes it, so that every value
-    rounds alike.
-
-    Returns the inputs of stages 2-7 (n expressions each; stage 7's is the
-    new state ``_v_i``), the error norm as (name, expression) assignments
-    ending in ``_err``, and the step factor after an accepted and after a
-    rejected step, before its clamp (the accepted one skips the power where
-    the cap binds).  Each stage component is the plain sum
-    ``y_i + h * (a_s1 * k1_i + ...)`` over the nonzero tableau entries in
-    tableau order, with exact float literals.  The error norm's quotient
-    goes through py_divide, which stops the loop where Python would raise.
-    """
-    comps = range(n)
-
-    def combo(weights, i):
-        return " + ".join(f"{w!r} * _k{j}_{i}" for j, w in enumerate(weights, 1) if w != 0.0)
-
-    inputs = [[f"_y_{i} + _h * ({combo(_A[s - 1], i)})" for i in comps] for s in range(2, 8)]
-    norm = []
-    for i in comps:
-        norm += [("_a", f"(_y_{i} >= 0.0 ? _y_{i} : -_y_{i})"),
-                 ("_b", f"(_v_{i} >= 0.0 ? _v_{i} : -_v_{i})"),
-                 (f"_e_{i}", f"py_divide(&_py, _h * ({combo(_E, i)}), "
-                             "(_abs_tol + _rel_tol * ((_a > _b ? _a : _b))))")]
-    squares = " + ".join(f"_e_{i} * _e_{i}" for i in comps)
-    norm.append(("_err", f"sqrt(({squares}) / {n})"))
-    shrink = "0.9 * pow(_err, -0.2)"
-    return inputs, norm, f"(_err > {_CAPPED_ERR!r} ? {shrink} : 5.0)", shrink
-
-
 def c_source(n: int, source: FieldSource) -> str:
     """C source of the Dormand-Prince loop for ``source``, an n-component
-    declared field.  Raises :class:`Unavailable` for a declaration the
-    translator cannot take."""
+    declared field: :data:`_LOOP` behind a header of N, the stage sums
+    S2-S7 and the error estimate ERR, each component the plain sum ``y[i] +
+    h * (a_s1 * k1[i] + ...)`` over the nonzero tableau entries in tableau
+    order with exact float literals, and ``field(y, k)``, which writes the
+    rates to k and returns 0, 1 where its check refuses the state, or 2
+    where Python would raise.  Raises :class:`Unavailable` for a
+    declaration the translator cannot take."""
     translator = _Translator(source.args)
     check, prelude, outputs = translator.field(source)
-    comps = range(n)
-    inputs, norm, grow, shrink = _step_parts(n)
-    stages = []
-    for s, values in enumerate(inputs, 2):
-        if s == 7:
-            stages += [f"_v_{i} = {x};" for i, x in enumerate(values)]
-            values = [f"_v_{i}" for i in comps]
-        stages += [f"u_{a} = {x};" for a, x in zip(source.args, values)]
-        stages += [f"if (!{check})", "    goto _refused;", *prelude]
-        stages += [f"_k{s}_{i} = {out};" for i, out in enumerate(outputs)]
 
-    def block(lines, indent):
-        return "\n".join(" " * indent + line for line in lines)
+    def weighted(weights):
+        return " + ".join(f"{w!r} * k{j}[i]" for j, w in enumerate(weights, 1) if w != 0.0)
 
-    local = sorted({f"u_{name}" for name in translator.names}
-                   | {f"_{stem}_{i}" for stem in ("y", "v", "e", "k1", "k2", "k3", "k4",
-                                                   "k5", "k6", "k7") for i in comps})
+    names = [f"u_{a} = y[{i}]" for i, a in enumerate(source.args)]
+    names += [f"u_{x}" for x in sorted(translator.names - set(source.args))]
+    header = [f"#define N {n}", f"#define CAPPED_ERR {_CAPPED_ERR!r}",
+              f"#define STATUS_PYTHON {_STATUS_PYTHON}",
+              *(f"#define S{s}(i) (y[i] + h * ({weighted(_A[s - 1])}))" for s in range(2, 8)),
+              f"#define ERR(i) (h * ({weighted(_E)}))", "",
+              "static inline __attribute__((always_inline)) int field(const double *y, double *k)",
+              "{", "    int _py = 0;", f"    double {', '.join(names)};",
+              f"    if (!{check})", "        return _py ? 2 : 1;",
+              *(f"    {line}" for line in prelude),
+              *(f"    k[{i}] = {out};" for i, out in enumerate(outputs)),
+              "    return _py ? 2 : 0;", "}"]
     helpers = [_PRELUDE, _POWER] if translator.power else [_PRELUDE]
-    loop = _LOOP.substitute(
-        locals=", ".join(f"{name} = 0.0" for name in local),
-        load=block([f"_y_{i} = _state[{i}];" for i in comps]
-                   + [f"_k1_{i} = _state[{n + i}];" for i in comps], 4),
-        python=_STATUS_PYTHON,
-        stages=block(stages, 8),
-        norm=block([f"{name} = {value};" for name, value in norm], 8),
-        row=block([f"_out[{n} * _next_idx + {i}] = _v_{i};" for i in comps], 16),
-        accept=block([f"_y_{i} = _v_{i};" for i in comps]
-                     + [f"_k1_{i} = _k7_{i};" for i in comps], 12),
-        finite=" && ".join(f"isfinite(_v_{i})" for i in comps),
-        grow=grow, shrink=shrink,
-        trail=block([f"_out[{n} * _row + {i}] = _y_{i};" for i in comps], 12),
-        store=block([f"_state[{i}] = _y_{i};" for i in comps], 4))
-    return "".join(helpers) + loop
+    return "".join(helpers) + "\n" + "\n".join(header) + "\n" + _LOOP
 
 
 def _compiler() -> str | None:
@@ -715,10 +714,6 @@ def kernel(n: int, source: FieldSource, python):
         count = len(times)
         grid = np.ascontiguousarray(grid, dtype=float)
         state = array("d", y)
-        try:
-            state.extend(f(t, y))
-        except TypeError:  # not floats (a complex power): the Python stepper raises
-            return python(f, t, h, y, grid, times, next_idx, abs_tol, rel_tol, max_step, unit)
         out = array("d", y) * count  # the rows before next_idx are y0
         scalars = array("d", (t, h, abs_tol, rel_tol, max_step, unit))
         counts = array("q", (next_idx, 0, 0))
@@ -727,7 +722,7 @@ def kernel(n: int, source: FieldSource, python):
         if status == _STATUS_PYTHON:
             return python(f, t, h, y, grid, times, next_idx, abs_tol, rel_tol, max_step, unit)
         if status:
-            raise _failure(status, scalars[0], scalars[1], state[:n])
+            raise _failure(status, scalars[0], scalars[1], state)
         accepted, rejected, refused = counts
         return np.frombuffer(out).reshape(-1, n), accepted, rejected, refused
 

@@ -10,7 +10,8 @@ from fireball import (DomainError, IntegratorConfig, ModelKind, PhysicalParams,
                       integrate, one_d_solution, pde_residuals,
                       reference_scales, total_energy)
 from fireball.dynamics import accel
-from fireball.hydro import moment_values
+from fireball import verification
+from fireball.hydro import PdeResidualReport, moment_values
 from fireball.verification import default_initial_state
 from batch import draw_states, reference_run, sample_state
 from reference import dimensionalize, fields_at
@@ -196,6 +197,23 @@ class TestPdeResiduals:
         inputs[name][3, 1] = value
         with pytest.raises(DomainError, match=refusal):
             pde_residuals(UNIT, kind=traj.kind, **inputs)
+
+    def test_max_abs_keeps_a_nan_of_any_law(self):
+        # a rate of 1e160 overflows rate ** 2, so every momentum residual is
+        # NaN while continuity and energy stay finite: max_abs is NaN, and
+        # verify's pde_residual_max fails, wherever the NaN sits
+        qs = np.array([[1.0, 1.3]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = pde_residuals(UNIT, qs, np.array([[1e160, 0.3]]),
+                                   1.5 * accel(qs, ModelKind.TWO_D), ModelKind.TWO_D)
+        assert np.isnan(report.momentum).all() and not np.isnan(report.continuity).any()
+        finite = np.zeros((1, 3))
+        for laws in ([report.continuity, report.momentum, report.energy],
+                     [finite, np.array([[0.0, np.nan, 0.0]]), finite],
+                     [finite, finite, np.array([[np.nan, 0.0, 0.0]])]):
+            got = PdeResidualReport(report.probes, *laws).max_abs
+            assert math.isnan(got)
+            assert not verification._result("pde_residual_max", got, 1e-12).passed
 
     @pytest.mark.parametrize("params", [UNIT3, PARAMS3], ids=["unit", "scaled"])
     @pytest.mark.parametrize("kind", [ModelKind.THREE_D, ModelKind.ELLIPTIC_3D])

@@ -23,12 +23,13 @@ from fireball import native
 from fireball.analytic import _angular_field, angular_potential
 from fireball.cli import main
 from fireball.dynamics import FieldSource, vector_field
-from fireball.integrate import (_A, _C, _CAPPED_ERR, _E, _loop_kernel, _run_python,
+from fireball.integrate import (_A, _C, _CAPPED_ERR, _E, _failure, _loop_kernel, _run_python,
                                 sample_grid, solve_ode)
 from fireball.invariants import hamiltonian_values
 from fireball.models import radius
 from fireball.verification import default_initial_state
 from reference import angular_start
+import sanitizers
 
 
 def tight(t_end, interval=0.01, **kw):
@@ -463,9 +464,9 @@ class TestTableau:
         # grows as err falls; both steppers skip the power alike
         assert 0.9 * _CAPPED_ERR ** -0.2 >= 5.04
         assert all(0.9 * err ** -0.2 > 5.0 for err in (5e-324, 1e-300, 1e-10, 1e-4))
-        _, _, grow, shrink = native._step_parts(2)
-        assert grow == f"(_err > {_CAPPED_ERR!r} ? {shrink} : 5.0)"
-        assert shrink == "0.9 * pow(_err, -0.2)"
+        assert f"\n#define CAPPED_ERR {_CAPPED_ERR!r}\n" in native.c_source(2, OSCILLATOR)
+        assert native._LOOP.count("0.9 * pow(err, -0.2)") == 2
+        assert "factor = err > CAPPED_ERR ? 0.9 * pow(err, -0.2) : 5.0;" in native._LOOP
 
     def test_first_same_as_last(self):
         # stage 7 evaluates f at the new state, at c = 1, so it is stage 1
@@ -970,16 +971,20 @@ class TestNativeLoop:
         (ROOT.function, 0.0, [-0.5], np.array([0.0, 3.0]), {}, TypeError, "'>' not supported"),
         (vector_field(ModelKind.ONE_D), 0.0, [1e308, 1e150], 1e159 * np.arange(11.0), {},
          IntegrationError, "the state overflowed in the step from t=5.79"),
+        (vector_field(ModelKind.TWO_D), 0.0, [1.0, 1e-13, 0.1, 0.2], np.array([0.0, 1.0]), {},
+         DomainError, "variance at or below the positivity floor 1e-12 in [1.0, 1e-13, "),
     ], ids=["landing-refusals-at-floor", "landing-underflow", "landing-fifty-refusals",
             "landing-fall", "landing-blowup", "landing-complex", "landing-complex-start",
-            "landing-overflow"])
+            "landing-overflow", "refused-at-y0"])
     def test_errors_match_the_python_loop(self, field, t0, y0, grid, kw, error, message):
         # the same error, message and last state as the Python stepper gives
         # when it calls the field, in every way a run can fail; in the
         # complex cases a power is complex in Python (at a stage, or at the
         # start), so the Python stepper runs the solve again to raise; in
         # the overflow case X reaches inf in a step that the error norm
-        # accepts, since an infinite component divides its error to 0
+        # accepts, since an infinite component divides its error to 0; a
+        # state the field refuses at y0 makes the C loop hand the solve
+        # back, so the Python stepper raises its DomainError
         got = failure(field, t0, y0, grid, **kw)
         assert_native(field, len(y0))
         assert got == failure(counted(field), t0, y0, grid, **kw)
@@ -1007,6 +1012,24 @@ class TestNativeLoop:
         assert not handed_back
         assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
         assert got[0][:, 0].min() < 0.0 < got[0][:, 0].max()
+
+    @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+    def test_a_native_solve_never_calls_the_python_field(self):
+        # the C loop evaluates the field at y0 too, so the runner never
+        # calls f, and its samples are the Python stepper's
+        field, calls = vector_field(ModelKind.TWO_D), []
+
+        def spy(t, y):
+            calls.append(y)
+            return field(t, y)
+
+        run, _ = native.kernel(4, field.source, functools.partial(_run_python, 4))
+        grid = sample_grid(0.0, 5.0, 0.01)
+        args = (0.0, 0.05, model_start(ModelKind.TWO_D), grid, grid.tolist(), 1, 1e-12, 1e-10,
+                math.inf, 1.0)
+        got, want = run(spy, *args), _run_python(4, field, *args)
+        assert not calls
+        assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
 
     def test_state_of_another_length_is_refused_before_any_build(self, monkeypatch):
         builds = []
@@ -1136,12 +1159,12 @@ class TestNativeLoop:
         digests = [hashlib.sha256(native.c_source(len(f.source.args), f.source).encode())
                    .hexdigest() for f in PACKAGE_FIELDS]
         assert digests == [
-            "884924a079b00b6cc282a2fcd5926c75310301699c1164a8654ae2e353d9decc",  # 1d
-            "7ed24fa3cef425be040e7a088c092d83088d0456efbd909986e2904bb93d7a82",  # 2d
-            "3111f19de83ec63bfe29df7a8c621efa905f09711aa4e24aba15c5a7b3e99785",  # 3d
-            "fe5050a6c82292d23a8bb42304c8694ee38cd9ab2a97460f7a85062dc78e262b",  # elliptic
-            "2de26678bbf152dc9cedb5e9b3e1e037305ec5f210c99fdb6c093a98dca2a96d",  # angular 2d
-            "f0411e29fc1951b454027024244535887d458318e319527391794429d11f3059",  # angular elliptic
+            "2cd80470e448ade3e46eafee188be02e61c5d9ad15d2a54369b504b271555215",  # 1d
+            "6cc8ffb3c1e9b5457c52ea504fe3bee727a04f6c6007d02639b935cfa70217a2",  # 2d
+            "026dc0cbb5a39c510af89cc71769b7aabd7593c560fa5439a180ebaa31f01029",  # 3d
+            "f3e885a9547d933880c5d3b3a580aff2d4c66589094a7a86997b22f33033c400",  # elliptic
+            "ffb5cbe97d9c8d053d2c95547709048a28f2d92cb9432daac9f5c3b9f261d78c",  # angular 2d
+            "5a184c6bc1509fdf12bef4043020965ab28df125228be30f57769692be66ca44",  # angular elliptic
         ]
         # and the invariant report's, translated from the invariants' declarations
         assert hashlib.sha256(native.report_source().encode()).hexdigest() == (
@@ -1197,6 +1220,91 @@ class TestNativeLoop:
         assert not hasattr(_loop_kernel(2, chained), "library")
         assert got.tobytes() == solve_ode(counted(chained.function), 0.0, [-0.0, -1.0],
                                           grid).tobytes()
+
+
+# Reads the component and sample counts and next_idx (three int64), the
+# six scalars, the state and the sample times (float64) on stdin, runs
+# fireball_loop on buffers of exactly the runner's sizes (the rows before
+# next_idx filled with the state, as the runner does) and writes the
+# status, the three counts (int64), t, h, the state and the rows (float64).
+LOOP_RUNNER = r"""#include <stdio.h>
+#include <stdlib.h>
+
+int fireball_loop(const double *, long long, double *, double *, double *, long long *);
+
+int main(void)
+{
+    long long head[3], result[4], n, count, i;
+    double scalars[6], *state, *times, *out;
+
+    if (fread(head, sizeof head, 1, stdin) != 1 || fread(scalars, sizeof scalars, 1, stdin) != 1)
+        return 2;
+    n = head[0];
+    count = head[1];
+    result[1] = head[2];
+    state = malloc(sizeof *state * n);
+    times = malloc(sizeof *times * count);
+    out = malloc(sizeof *out * n * count);
+    if (fread(state, sizeof *state, n, stdin) != (size_t)n
+            || fread(times, sizeof *times, count, stdin) != (size_t)count)
+        return 2;
+    for (i = 0; i < n * count; i++)
+        out[i] = state[i % n];
+    result[0] = fireball_loop(times, count, out, state, scalars, result + 1);
+    fwrite(result, sizeof *result, 4, stdout);
+    fwrite(scalars, sizeof *scalars, 2, stdout);
+    fwrite(state, sizeof *state, n, stdout);
+    fwrite(out, sizeof *out, n * count, stdout);
+    free(state);
+    free(times);
+    free(out);
+    return 0;
+}
+"""
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+class TestSanitizedLoop:
+    """The fixed C loop, linked with the header of the 1d and 3d fields and
+    of a refusing test field, under the address and undefined-behaviour
+    sanitizers: in each way a run ends it gives the Python stepper's status,
+    samples, counts or error, without a sanitizer's report."""
+
+    @pytest.fixture(scope="class")
+    def runners(self, tmp_path_factory):
+        sources = {"1d": vector_field(ModelKind.ONE_D).source,
+                   "3d": vector_field(ModelKind.THREE_D).source, "wall": WALL}
+        return {name: sanitizers.build(tmp_path_factory.mktemp(name), LOOP_RUNNER,
+                                       native.c_source(len(source.args), source))
+                for name, source in sources.items()}, sources
+
+    @pytest.mark.parametrize("name,t,h,y,times,next_idx,unit,status", [
+        ("3d", 0.0, 0.01, model_start(ModelKind.THREE_D), [0.0, 0.0, 0.0, 0.25, 0.5, 1.0], 3,
+         1.0, 0),
+        ("1d", 1.0 - 4e-15, 0.01, [1.0, -0.2], [1.0 - 4e-15, 1.0, 1.0], 1, 1.0, 0),
+        ("wall", -1e6, 0.1, [-1e6 - 1e-9], [-1e6, 0.0, 1e8], 1, 1.0, 3),
+        ("1d", 0.0, 0.1, [1e308, 1e150], (1e159 * np.arange(11.0)).tolist(), 1, 1.0, 5),
+    ], ids=["samples-at-the-start", "trailing-samples", "fifty-refusals", "overflow"])
+    def test_the_loop_runs_clean(self, runners, name, t, h, y, times, next_idx, unit, status):
+        runners, sources = runners
+        n, count, grid = len(y), len(times), np.array(times)
+        data = (np.array([n, count, next_idx], dtype=np.int64).tobytes()
+                + np.array([t, h, 1e-12, 1e-10, math.inf, unit, *y, *times]).tobytes())
+        output = sanitizers.run(runners[name], data)
+        result = np.frombuffer(output[:32], dtype=np.int64).tolist()
+        values = np.frombuffer(output[32:])
+        assert result[0] == status
+        args = (t, h, y, grid, times, next_idx, 1e-12, 1e-10, math.inf, unit)
+        if status:
+            with pytest.raises(IntegrationError) as raised:
+                _run_python(n, sources[name].function, *args)
+            got = _failure(status, *values[:2].tolist(), values[2:2 + n])
+            assert str(got) == str(raised.value)
+            assert got.last_y.tobytes() == raised.value.last_y.tobytes()
+        else:
+            samples, *counts = _run_python(n, sources[name].function, *args)
+            assert result[1:] == counts
+            assert values[2 + n:].tobytes() == samples.tobytes()
 
 
 # A declared field whose first rate is NaN once s = t passes DBL_MAX / 1e308,
