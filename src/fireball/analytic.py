@@ -126,7 +126,7 @@ def angular_potential(phi, kind: ModelKind):
     3 2^(-1/3) (cos^2(phi) sin(phi))^(-2/3) for elliptic."""
     Mx, My, K, p = _angular_law(kind)
     phi = np.asarray(phi, dtype=float)
-    if np.any((phi <= 0.0) | (phi >= math.pi / 2.0)):
+    if not np.all((phi > 0.0) & (phi < math.pi / 2.0)):  # NaN fails it too
         raise DomainError("phi must lie strictly inside (0, pi/2)")
     with np.errstate(over="ignore"):  # U -> inf at the ends, as the overflow gives
         return K * (np.cos(phi) ** Mx * np.sin(phi) ** My) ** p

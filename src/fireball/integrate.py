@@ -9,24 +9,33 @@ costs a step per sample, which the native loop makes cheap.
 
 The stepper works on Python floats: the right-hand side ``f(t, y)``
 receives a list of floats and returns a sequence of floats of the same
-length.  It exists in two forms, which agree bit for bit in every sample,
-step decision, count and error: the Python stepper written out below
-(:func:`_run_python`) and the C loop of :mod:`fireball.native`
-(``native._LOOP``), one fixed source written line for line beside it,
-which computes the same stage sums, error norm and step factor in the same
-order.  A change to the stepper is made to both.  Which one serves a
-field:
+length.  It exists in two forms, both in this module, which agree bit for
+bit in every sample, step decision, count and error: the Python stepper
+written out below (:func:`_run_python`) and the C loop :data:`_LOOP`, one
+fixed source written line for line beside it over arrays of the state's
+components.  :func:`c_source` puts a header in front of the loop: the
+component count, the stage sums and the error estimate over the tableau,
+term for term as the stepper computes them, and the field as ``field(y,
+k)``, which :mod:`fireball.native` translates from the Python AST of its
+declaration.  Where Python would raise instead (a division by zero, ``0.0
+** -1.0``, a negative number to a fractional power, a power overflowing),
+``field`` returns 2 and the loop stops; the Python stepper then runs the
+solve again from its start, so it raises as before.  The loop evaluates the
+field at y0 too: a native solve never calls Python's ``f``.  The step
+control calls ``pow`` only where the step factor does not cap, as the
+Python stepper does, and the package's declarations call at most one
+``pow`` per stage (none for the 1d and 2d fields).  A change to the
+stepper is made to both forms.  Which one serves a field:
 
 - A field declared as source (:class:`fireball.dynamics.FieldSource`: the
-  models' fields and the angular quadrature's) runs as native code.
-  :mod:`fireball.native` translates the field's check, prelude and outputs
-  into a C function that the loop inlines, builds the two with the
-  system's ``cc`` and loads them with :mod:`ctypes`; the flags keep every
-  operation rounding as Python's does (that module says which and why).
-  The shared object is cached in ``$XDG_CACHE_HOME/fireball``, else
-  ``~/.cache/fireball``, so only the first solve of a kernel on a machine
-  pays its build, 0.10-0.25 s (a per-process temporary directory serves
-  when neither can be written).
+  models' fields and the angular quadrature's) runs as native code.  The
+  loop inlines the translated field; :mod:`fireball.native` builds the two
+  with the system's ``cc`` and the runner calls them through
+  :mod:`ctypes`; the flags keep every operation rounding as Python's does
+  (that module says which and why).  The shared object is cached in
+  ``$XDG_CACHE_HOME/fireball``, else ``~/.cache/fireball``, so only the
+  first solve of a kernel on a machine pays its build, 0.10-0.25 s (a
+  per-process temporary directory serves when neither can be written).
 - Any other field runs the Python stepper, which calls it once per stage:
   a declaration the translator cannot take, any declared field where no
   compiler works (its compiled ``f(t, y)`` runs the check, prelude and
@@ -47,17 +56,19 @@ outside its domain.  The models' fields
 vector leaves the open quadrant.  The last stage evaluates f at the step's
 end point, so that check also covers every accepted state.  A step whose
 stage raises is rejected and halved; 50 consecutive such rejections raise
-:class:`SingularityError`.  The loop itself stops an overflow: an infinite
-component divides its error to 0, so the norm accepts its step (a NaN one
-rejects it), and the run ends in :class:`IntegrationError`.  Trajectories
-started from valid states never reach the axes (the Ermakov bound keeps
-X Y >= 1/H), so a singularity abort signals a bug or invalid input rather
-than physics.
+:class:`SingularityError`.  The tolerances lie in (0, 1), so the error
+norm's divisor is at least ``abs_tol`` (or NaN) and the norm never raises.
+The loop itself stops an overflow: an infinite component divides its error
+to 0, so the norm accepts its step (a NaN one rejects it), and the run ends
+in :class:`IntegrationError`.  Trajectories started from valid states never
+reach the axes (the Ermakov bound keeps X Y >= 1/H), so a singularity abort
+signals a bug or invalid input rather than physics.
 """
 
 from __future__ import annotations
 
 import bisect
+import ctypes
 import functools
 import logging
 import math
@@ -126,11 +137,12 @@ def _run_python(n, f, t, h, y, grid, times, next_idx, abs_tol, rel_tol, max_step
     It steps from ``t`` and writes the samples from row ``next_idx`` on.
     Each stage calls ``f`` on the plain sums ``y_i + h * (a_s1 * k1_i +
     ...)`` over the nonzero tableau entries in tableau order; the error
-    norm and the step control follow.  The C loop (``native._LOOP``, with
-    the stage sums of ``native.c_source``) writes the same expressions in
-    the same order, so the two agree bit for bit.  Comparisons stand in for abs(), min() and max(), as in the C
-    loop, so that a rate that does not compare with a float (a complex
-    number) raises TypeError rather than pass through abs().
+    norm and the step control follow.  The C loop (:data:`_LOOP`, with the
+    stage sums of :func:`c_source`) writes the same expressions in the same
+    order, so the two agree bit for bit.  Comparisons stand in for abs(),
+    min() and max(), as in the C loop, so that a rate that does not compare
+    with a float (a complex number) raises TypeError rather than pass
+    through abs().
     """
     (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
      (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6)) = _A
@@ -216,12 +228,178 @@ def _run_python(n, f, t, h, y, grid, times, next_idx, abs_tol, rel_tol, max_step
     return np.frombuffer(out).reshape(-1, n), accepted, rejected, refused
 
 
+_STATUS_PYTHON = 4  # the loop met an operation that raises in Python
+
+# The step loop of _run_python, line for line, behind c_source's header.
+# Status 0: done; 1-3 and 5: the codes of _failure, with t, h and y left in
+# scalars and state;
+# STATUS_PYTHON: an operation raises in Python, so the Python stepper runs
+# the solve.  Without the unroll pragmas (GCC does not unroll the component
+# loops fully at -O2) a step took up to twice the time.
+_LOOP = """
+int fireball_loop(const double *times, long long n_samples, double *out, double *state,
+                  double *scalars, long long *counts)
+{
+    double y[N], y_new[N], stage[N], k1[N], k2[N], k3[N], k4[N], k5[N], k6[N], k7[N];
+    double t = scalars[0], h = scalars[1], abs_tol = scalars[2], rel_tol = scalars[3];
+    double max_step = scalars[4], unit = scalars[5], t_end = times[n_samples - 1];
+    double t_stop, tol, t_new, at, u, v, e, sq, err, factor;
+    long long next_idx = counts[0], accepted = 0, rejected = 0, refused = 0, refusals = 0;
+    int i, fault, status = 0;
+
+    _Pragma("GCC unroll 16") for (i = 0; i < N; i++)
+        y[i] = state[i];
+    at = t_end >= 0.0 ? t_end : -t_end;
+    t_stop = t_end - 1e-14 * (at > unit ? at : unit);
+    at = t >= 0.0 ? t : -t;
+    tol = 1e-14 * (at > unit ? at : unit);
+    if (field(y, k1))
+        return STATUS_PYTHON; /* the Python stepper raises at y0 */
+    while (t < t_stop) {
+        if (max_step < h)
+            h = max_step;
+        if (t_end - t < h)
+            h = t_end - t;
+        if (next_idx < n_samples && times[next_idx] - t < h)
+            h = times[next_idx] - t;
+        if (h < tol) {
+            status = refusals > 0 ? 1 : 2;
+            break;
+        }
+        _Pragma("GCC unroll 16") for (i = 0; i < N; i++)
+            stage[i] = S2(i);
+        if ((fault = field(stage, k2)))
+            goto stage_refused;
+        _Pragma("GCC unroll 16") for (i = 0; i < N; i++)
+            stage[i] = S3(i);
+        if ((fault = field(stage, k3)))
+            goto stage_refused;
+        _Pragma("GCC unroll 16") for (i = 0; i < N; i++)
+            stage[i] = S4(i);
+        if ((fault = field(stage, k4)))
+            goto stage_refused;
+        _Pragma("GCC unroll 16") for (i = 0; i < N; i++)
+            stage[i] = S5(i);
+        if ((fault = field(stage, k5)))
+            goto stage_refused;
+        _Pragma("GCC unroll 16") for (i = 0; i < N; i++)
+            stage[i] = S6(i);
+        if ((fault = field(stage, k6)))
+            goto stage_refused;
+        _Pragma("GCC unroll 16") for (i = 0; i < N; i++)
+            y_new[i] = S7(i);
+        if ((fault = field(y_new, k7)))
+            goto stage_refused;
+        refusals = 0;
+        sq = 0.0;
+        _Pragma("GCC unroll 16") for (i = 0; i < N; i++) {
+            u = y[i] >= 0.0 ? y[i] : -y[i];
+            v = y_new[i] >= 0.0 ? y_new[i] : -y_new[i];
+            e = ERR(i) / (abs_tol + rel_tol * (u > v ? u : v));
+            sq += e * e;
+        }
+        err = sqrt(sq / N);
+        if (err <= 1.0) {
+            _Pragma("GCC unroll 16") for (i = 0; i < N; i++)
+                if (!isfinite(y_new[i]))
+                    status = 5;
+            if (status)
+                break;
+            t_new = t + h;
+            at = t_new >= 0.0 ? t_new : -t_new;
+            tol = 1e-14 * (at > unit ? at : unit);
+            while (next_idx < n_samples && times[next_idx] <= t_new + tol) {
+                _Pragma("GCC unroll 16") for (i = 0; i < N; i++)
+                    out[N * next_idx + i] = y_new[i];
+                next_idx++;
+            }
+            t = t_new;
+            _Pragma("GCC unroll 16") for (i = 0; i < N; i++) {
+                y[i] = y_new[i];
+                k1[i] = k7[i];
+            }
+            accepted++;
+            factor = err > CAPPED_ERR ? 0.9 * pow(err, -0.2) : 5.0;
+            if (factor > 5.0)
+                factor = 5.0;
+        } else {
+            rejected++;
+            factor = 0.9 * pow(err, -0.2);
+            if (!(factor > 0.2))
+                factor = 0.2;
+        }
+        h *= factor;
+        continue;
+    stage_refused:
+        if (fault == 2)
+            return STATUS_PYTHON;
+        refusals++;
+        if (refusals > 50) {
+            status = 3;
+            break;
+        }
+        rejected++;
+        refused++;
+        h *= 0.5;
+    }
+    if (status == 0)
+        for (; next_idx < n_samples; next_idx++) {
+            _Pragma("GCC unroll 16") for (i = 0; i < N; i++)
+                out[N * next_idx + i] = y[i];
+        }
+    _Pragma("GCC unroll 16") for (i = 0; i < N; i++)
+        state[i] = y[i];
+    scalars[0] = t;
+    scalars[1] = h;
+    counts[0] = accepted;
+    counts[1] = rejected;
+    counts[2] = refused;
+    return status;
+}
+"""
+
+
+def c_source(n: int, source: FieldSource) -> str:
+    """C source of the Dormand-Prince loop for ``source``, an n-component
+    declared field: :data:`_LOOP` behind a header of N, the stage sums
+    S2-S7 and the error estimate ERR, each component the plain sum ``y[i] +
+    h * (a_s1 * k1[i] + ...)`` over the nonzero tableau entries in tableau
+    order with exact float literals, and ``field(y, k)``, which writes the
+    rates to k and returns 0, 1 where its check refuses the state, or 2
+    where Python would raise.  Raises :class:`fireball.native.Unavailable`
+    for a declaration the translator cannot take."""
+    from . import native
+
+    translator = native._Translator(source.args)
+    check, prelude, outputs = translator.field(source)
+
+    def weighted(weights):
+        return " + ".join(f"{w!r} * k{j}[i]" for j, w in enumerate(weights, 1) if w != 0.0)
+
+    names = [f"u_{a} = y[{i}]" for i, a in enumerate(source.args)]
+    names += [f"u_{x}" for x in sorted(translator.names - set(source.args))]
+    header = [f"#define N {n}", f"#define CAPPED_ERR {_CAPPED_ERR!r}",
+              f"#define STATUS_PYTHON {_STATUS_PYTHON}",
+              *(f"#define S{s}(i) (y[i] + h * ({weighted(_A[s - 1])}))" for s in range(2, 8)),
+              f"#define ERR(i) (h * ({weighted(_E)}))", "",
+              "static inline __attribute__((always_inline)) int field(const double *y, double *k)",
+              "{", "    int _py = 0;", f"    double {', '.join(names)};",
+              f"    if (!{check})", "        return _py ? 2 : 1;",
+              *(f"    {line}" for line in prelude),
+              *(f"    k[{i}] = {out};" for i, out in enumerate(outputs)),
+              "    return _py ? 2 : 0;", "}"]
+    helpers = [native._PRELUDE, native._POWER] if translator.power else [native._PRELUDE]
+    return "".join(helpers) + "\n" + "\n".join(header) + "\n" + _LOOP
+
+
 @functools.cache
 def _loop_kernel(n: int, source: FieldSource | None = None):
     """The runner of :func:`solve_ode`'s loop for each n and field, chosen
-    on first use: the native loop of :mod:`fireball.native` for a declared
-    field it can translate and build, else the Python stepper.  One info
-    record says which serves the kernel, and why."""
+    on first use: the C loop of :func:`c_source` for a declared field it
+    can translate and build, else the Python stepper.  The C loop's runner
+    is called as the stepper is, marked by its ``library``, the loaded
+    object; a solve the loop hands back runs on :func:`_run_python`.  One
+    info record says which serves the kernel, and why."""
     label = (f"n={n} loop of "
              + (f"the declared field ({', '.join(source.args)})" if source else "a called field"))
     python = functools.partial(_run_python, n)
@@ -230,10 +408,32 @@ def _loop_kernel(n: int, source: FieldSource | None = None):
         return python
     from . import native
     try:
-        run, how = native.kernel(n, source, python)
+        library, how = native._library(c_source(n, source))
     except native.Unavailable as exc:
         log.info("%s: Python, %s", label, exc)
         return python
+    loop = library.fireball_loop
+    loop.argtypes = [ctypes.c_void_p, ctypes.c_longlong] + [ctypes.c_void_p] * 4
+    loop.restype = ctypes.c_int
+
+    def run(f, t, h, y, grid, times, next_idx, abs_tol, rel_tol, max_step, unit):
+        count = len(times)
+        grid = np.ascontiguousarray(grid, dtype=float)
+        state = array("d", y)
+        out = array("d", y) * count  # the rows before next_idx are y0
+        scalars = array("d", (t, h, abs_tol, rel_tol, max_step, unit))
+        counts = array("q", (next_idx, 0, 0))
+        status = loop(grid.ctypes.data, count, out.buffer_info()[0], state.buffer_info()[0],
+                      scalars.buffer_info()[0], counts.buffer_info()[0])
+        if status == _STATUS_PYTHON:
+            return _run_python(n, f, t, h, y, grid, times, next_idx, abs_tol, rel_tol,
+                               max_step, unit)
+        if status:
+            raise _failure(status, scalars[0], scalars[1], state)
+        accepted, rejected, refused = counts
+        return np.frombuffer(out).reshape(-1, n), accepted, rejected, refused
+
+    run.library = library
     log.info("%s: native, %s", label, how)
     return run
 
@@ -328,11 +528,14 @@ class Trajectory:
 def sample_grid(t0: float, t_end: float, interval: float) -> np.ndarray:
     """Uniform grid from t0 at the given spacing, always ending at t_end.
 
-    Raises :class:`DomainError` for a t_end before t0 (t_end = t0 gives the
-    single sample t0), naming the sample count for a grid too large to
+    Raises :class:`DomainError` for an interval that is not positive and
+    finite, for a t_end before t0 (t_end = t0 gives the single sample t0),
+    naming the sample count for a grid too large to
     allocate, and for a spacing too fine for the floats near t0, whose times
     would repeat.
     """
+    if not 0.0 < interval < math.inf:
+        raise DomainError(f"interval={interval!r} must be positive and finite")
     if not t_end >= t0:
         raise DomainError(f"t_end={t_end!r} lies before t0={t0!r}")
     count = (t_end - t0) / interval + 1e-9
@@ -374,7 +577,8 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     floor.
     DomainError is raised unless y0 and the samples are nonempty, the
     samples a 1-d sequence, finite and non-decreasing from a finite t0
-    (within that tolerance), and ``max_step`` at least the step floor,
+    (within that tolerance), ``rel_tol`` and ``abs_tol`` in (0, 1), as
+    :class:`IntegratorConfig` asks, and ``max_step`` at least the step floor,
     1e-14 times the largest of the unit, |t0| and |t_end|.  Samples at t0
     get y0; the run ends at the last.  Every later sample is the end of a
     step, since steps land on them; a sample within that tolerance of a
@@ -411,6 +615,9 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     t_tol = 1e-14 * max(unit, abs(t))
     if times[0] < t - t_tol:
         raise DomainError(f"sample times start at {times[0]} before t0={t}")
+    if not (0.0 < rel_tol < 1.0 and 0.0 < abs_tol < 1.0):
+        name, v = ("abs_tol", abs_tol) if 0.0 < rel_tol < 1.0 else ("rel_tol", rel_tol)
+        raise DomainError(f"{name} must lie in (0, 1), got {v}")
     if not max_step >= 1e-14 * max(unit, abs(t), abs(t_end)):
         raise DomainError(f"max_step={max_step!r} lies below the step floor of 1e-14 "
                           f"relative over [{t!r}, {t_end!r}]")

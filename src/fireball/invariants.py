@@ -28,11 +28,17 @@ their rates, ``t`` and ``V``, with only ``+ - *``, float constants and
 wherever the text runs.  numpy evaluates it for the batch forms (a (d,)
 state rounds as its batch row), :func:`fireball.dynamics.energies` and
 :mod:`fireball.symmetry`'s L, each running only the statements its values
-need, and for the report where no compiler works; elsewhere
-:mod:`fireball.native` translates it into the report's C pass.  The report
-(:func:`invariant_report`) takes V from numpy either way, without a
-positivity check (a Trajectory holds positive variances); the
-``fireball.invariants`` logger says which path serves.
+need, and for the report where no compiler works.  Elsewhere
+:func:`report_source` has :mod:`fireball.native` translate it into the
+report's C pass, which this module builds and runs: one function per model
+over a trajectory's rows, in place through their strides, computing the
+report's series from numpy's V with numpy's bits (the declaration uses only
+``+ - *``) and their largest deviations.  An address fetched from numpy
+costs 1.2-2 us (2-vCPU x86-64), so a call fetches three, those of the times
+and the two row arrays; its output block is an :class:`array.array`, whose
+address is cheap.  The report (:func:`invariant_report`) takes V from numpy
+either way, without a positivity check (a Trajectory holds positive
+variances); the ``fireball.invariants`` logger says which path serves.
 
 C is 1/2 in 1d, H r0^2 - J^2/2 in 3d, the Ermakov invariant
 I = (X Yd - Y Xd)^2 / 2 + Y/X + X/Y in 2d and Itilde = 2 I in the elliptic
@@ -43,9 +49,12 @@ Y/X + X/Y) and I >= 9/4 for the elliptic one.
 from __future__ import annotations
 
 import ast
+import ctypes
 import functools
 import logging
+from array import array
 from dataclasses import dataclass
+from string import Template
 
 import numpy as np
 
@@ -164,17 +173,115 @@ _SERIES = {ModelKind.ONE_D: ("H", "J"), ModelKind.TWO_D: ("H", "J", "I"),
            ModelKind.THREE_D: ("H", "J", "C"), ModelKind.ELLIPTIC_3D: ("H", "J", "I", "Itilde")}
 
 
+# The function of the invariant report's C source (report_source) for a model.
+_REPORT = Template("""
+void fireball_report_$model(long long n, const double *t, long long ts,
+        const double *q, long long qr, long long qc,
+        const double *v, long long vr, long long vc, double *out)
+{
+    double *deviation = out + ($count + 1) * n, *first = deviation + $count;
+    double $locals, x;
+    long long i, j;
+
+    for (j = 0; j < $count; j++)
+        deviation[j] = 0.0;
+    for (i = 0; i < n; i++) {
+$body
+        double value[] = {$values};
+        for (j = 0; j < $count; j++) {
+            out[(j + 1) * n + i] = value[j];
+            if (i == 0)
+                first[j] = value[j];
+            /* np.maximum.reduce: a NaN, once met, stays */
+            x = __builtin_fabs(value[j] - first[j]);
+            if (x > deviation[j] || x != x)
+                deviation[j] = x;
+        }
+    }
+}
+""")
+
+
+def report_source() -> str:
+    """C source of the invariant report: for each model the statements of
+    :func:`_declaration` translated into the row loop of
+    ``fireball_report_<model>`` (``fireball_report_1d`` for ``1d``).
+    Sample i reads t[i * ts], q[i * qr + k * qc] and v[i * vr + k * vc];
+    ``out`` holds V in its first n values, and the function writes the
+    report's series after them, n values each, then the largest
+    |x - x(0)| of each series and each one's first value."""
+    from . import native
+
+    functions = []
+    for kind, series in _SERIES.items():
+        columns, statements = _declaration(kind, series)
+        translator = native._Translator(("t", "V", *(x for x, _, _ in columns)))
+        body = ["u_t = t[i * ts];", "u_V = out[i];",
+                *(f"u_{x} = {a}[i * {a}r + {k} * {a}c];" for x, a, k in columns),
+                *(translator.assign(translator.parse(line, "exec").body[0]) for line in statements)]
+        functions.append(_REPORT.substitute(
+            model=kind.value, count=len(series),
+            locals=", ".join(f"u_{name}" for name in sorted(translator.names)),
+            body="\n".join(8 * " " + line for line in body),
+            values=", ".join(f"u_{name}" for name in series)))
+    return native._PRELUDE + "".join(functions)
+
+
+def _doubles(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``a`` and its address, or a C-ordered copy and the copy's where the
+    address or a stride is not a whole number of doubles, which C cannot
+    read in place."""
+    address = a.ctypes.data
+    if (address | a.strides[0] | a.strides[-1]) & 7:
+        a = np.array(a, order="C")
+        address = a.ctypes.data
+    return a, address
+
+
 @functools.cache
 def _native_report():
-    """The runner of :func:`fireball.native.report_kernel`, or None where
-    numpy serves the report, chosen on first use.  One info record says
-    which, and why."""
+    """The runner of :func:`report_source`'s one pass over a trajectory, or
+    None where numpy serves the report, chosen on first use.  One info
+    record says which, and why.
+
+    ``run(kind, times, qs, qdots)`` reads the (n,) ``times`` and the (n, d)
+    ``qs`` and ``qdots`` of a model ``kind`` in place, through their strides
+    (:func:`_doubles` says which arrays it copies first), and raises
+    ValueError for arrays of other shapes or types.  It takes V from
+    :func:`_report_potential` and returns the series of
+    :func:`invariant_report` in its order, as (n,) arrays, and the largest
+    deviation and the first value of each, as lists of floats."""
     from . import native
     try:
-        run, how = native.report_kernel()
+        library, how = native._library(report_source())
     except native.Unavailable as exc:
         log.info("invariant report: numpy, %s", exc)
         return None
+    rows = [ctypes.c_void_p, ctypes.c_longlong, ctypes.c_longlong]  # q, qr, qc; v, vr, vc
+    passes = {kind: getattr(library, f"fireball_report_{kind.value}") for kind in ModelKind}
+    for report in passes.values():
+        report.argtypes = [ctypes.c_longlong, ctypes.c_void_p, ctypes.c_longlong, *rows, *rows,
+                           ctypes.c_void_p]
+        report.restype = None
+
+    def run(kind, times, qs, qdots):
+        n, d = len(times), kind.dim
+        if not (times.shape == (n,) and qs.shape == qdots.shape == (n, d)
+                and times.dtype == qs.dtype == qdots.dtype == np.float64):
+            raise ValueError(f"times {times.shape} and rows {qs.shape}, {qdots.shape} are not "
+                             f"(n,) and (n, {d}) float64 arrays")
+        count = len(_SERIES[kind])
+        (times, t), (qs, q), (qdots, v) = _doubles(times), _doubles(qs), _doubles(qdots)
+        (ts,), (qr, qc), (vr, vc) = times.strides, qs.strides, qdots.strides
+        out = array("d", bytes(8 * ((count + 1) * n + 2 * count)))
+        block = np.frombuffer(out)
+        _report_potential(qs, kind, block[:n])
+        passes[kind](n, t, ts >> 3, q, qr >> 3, qc >> 3, v, vr >> 3, vc >> 3,
+                     out.buffer_info()[0])
+        tail = out[(count + 1) * n:].tolist()
+        return ([block[(j + 1) * n:(j + 2) * n] for j in range(count)],
+                tail[:count], tail[count:])
+
     log.info("invariant report: native, %s", how)
     return run
 

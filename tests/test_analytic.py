@@ -331,6 +331,13 @@ class TestAngular:
         with pytest.raises(UnsupportedModelError):
             angular_minimum(kind)
 
+    @pytest.mark.parametrize("kind", [ModelKind.TWO_D, ModelKind.ELLIPTIC_3D])
+    @pytest.mark.parametrize("phi", [math.nan, [0.5, math.nan], 0.0, math.pi / 2.0, -0.5])
+    def test_angles_outside_the_quadrant_are_refused(self, kind, phi):
+        # NaN included: it lies in no interval
+        with pytest.raises(DomainError, match="phi must lie strictly inside"):
+            angular_potential(phi, kind)
+
     def test_2d_minimum_is_exact(self):
         assert angular_minimum(ModelKind.TWO_D) == (math.pi / 4.0, 2.0)
 

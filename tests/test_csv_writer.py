@@ -1,4 +1,4 @@
-"""The native CSV row writer (fireball.native.csv_writer) against Python's
+"""The native CSV row writer (fireball.cli._csv_writer) against Python's
 ``%.17g``, value by value and file by file."""
 
 import logging
@@ -22,7 +22,8 @@ needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
 
 @pytest.fixture(scope="module")
 def write():
-    return native.csv_writer()[0]
+    cli._csv_writer.cache_clear()  # chosen here, with this process's PATH
+    return cli._csv_writer()
 
 
 def text(chunks):
@@ -103,7 +104,7 @@ class TestValues:
             assert_exact(write, values.tolist())
 
     def test_source_compiles_without_warnings(self, tmp_path):
-        (tmp_path / "rows.c").write_text(native.CSV_SOURCE)
+        (tmp_path / "rows.c").write_text(cli.CSV_SOURCE)
         proc = subprocess.run(["cc", *native.FLAGS, "-Wall", "-Wextra", "-Werror", "-c",
                                "rows.c"], cwd=tmp_path, capture_output=True, text=True,
                               timeout=120)
@@ -112,7 +113,7 @@ class TestValues:
 
 # Reads the column and row counts (two int64) and the rows (float64) on
 # stdin, writes their CSV lines to stdout as the Python wrapper does: into
-# a buffer of exactly the wrapper's size (FIELD_BYTES is native._FIELD_BYTES),
+# a buffer of exactly the wrapper's size (FIELD_BYTES is cli._FIELD_BYTES),
 # with "declined" for each row the writer hands back.
 RUNNER = r"""#include <stdio.h>
 #include <stdlib.h>
@@ -158,8 +159,8 @@ int main(void)
 @pytest.fixture(scope="module")
 def sanitized(tmp_path_factory):
     """The runner, linked with the writer under ASan and UBSan, or a skip."""
-    return sanitizers.build(tmp_path_factory.mktemp("sanitized"), RUNNER, native.CSV_SOURCE,
-                            f"-DFIELD_BYTES={native._FIELD_BYTES}")
+    return sanitizers.build(tmp_path_factory.mktemp("sanitized"), RUNNER, cli.CSV_SOURCE,
+                            f"-DFIELD_BYTES={cli._FIELD_BYTES}")
 
 
 def sanitized_lines(runner, block):

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import functools
 import hashlib
@@ -21,11 +22,11 @@ from fireball import (AngularSolution, DomainError, IntegrationError, Integrator
                       radial, time_reparam)
 from fireball import native
 from fireball.analytic import _angular_field, angular_potential
-from fireball.cli import main
+from fireball.cli import CSV_SOURCE, main
 from fireball.dynamics import FieldSource, vector_field
-from fireball.integrate import (_A, _C, _CAPPED_ERR, _E, _failure, _loop_kernel, _run_python,
-                                sample_grid, solve_ode)
-from fireball.invariants import hamiltonian_values
+from fireball.integrate import (_A, _C, _CAPPED_ERR, _E, _LOOP, _failure, _loop_kernel,
+                                _run_python, c_source, sample_grid, solve_ode)
+from fireball.invariants import hamiltonian_values, report_source
 from fireball.models import radius
 from fireball.verification import default_initial_state
 from reference import angular_start
@@ -70,6 +71,12 @@ class TestConfig:
 
 
 class TestSampleGrid:
+    @pytest.mark.parametrize("interval", [0.0, -0.0, -0.5, math.inf, -math.inf, math.nan])
+    def test_interval_must_be_positive_and_finite(self, interval):
+        with pytest.raises(DomainError, match=re.escape(f"interval={interval!r} must be "
+                                                        "positive and finite")):
+            sample_grid(0.0, 1.0, interval)
+
     def test_exact_division(self):
         grid = sample_grid(0.0, 1.0, 0.25)
         assert grid.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -464,9 +471,9 @@ class TestTableau:
         # grows as err falls; both steppers skip the power alike
         assert 0.9 * _CAPPED_ERR ** -0.2 >= 5.04
         assert all(0.9 * err ** -0.2 > 5.0 for err in (5e-324, 1e-300, 1e-10, 1e-4))
-        assert f"\n#define CAPPED_ERR {_CAPPED_ERR!r}\n" in native.c_source(2, OSCILLATOR)
-        assert native._LOOP.count("0.9 * pow(err, -0.2)") == 2
-        assert "factor = err > CAPPED_ERR ? 0.9 * pow(err, -0.2) : 5.0;" in native._LOOP
+        assert f"\n#define CAPPED_ERR {_CAPPED_ERR!r}\n" in c_source(2, OSCILLATOR)
+        assert _LOOP.count("0.9 * pow(err, -0.2)") == 2
+        assert "factor = err > CAPPED_ERR ? 0.9 * pow(err, -0.2) : 5.0;" in _LOOP
 
     def test_first_same_as_last(self):
         # stage 7 evaluates f at the new state, at c = 1, so it is stage 1
@@ -992,16 +999,14 @@ class TestNativeLoop:
         assert got[1].startswith(message)
 
     @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
-    def test_zero_to_minus_infinity_stays_native(self):
+    def test_zero_to_minus_infinity_stays_native(self, monkeypatch):
         # the C loop's power gives inf there as Python does, and does not
         # hand the solve back to the Python stepper
         handed_back = []
-
-        def spy(*args):
-            handed_back.append(args)
-            return _run_python(2, *args)
-
-        run, _ = native.kernel(2, ZERO_POWER, spy)
+        monkeypatch.setattr(sys.modules["fireball.integrate"], "_run_python",
+                            lambda *args: handed_back.append(args) or _run_python(*args))
+        run = _loop_kernel(2, ZERO_POWER)
+        assert hasattr(run, "library")
         grid = sample_grid(0.0, 10.0, 0.1)
 
         def solve(runner):
@@ -1023,7 +1028,8 @@ class TestNativeLoop:
             calls.append(y)
             return field(t, y)
 
-        run, _ = native.kernel(4, field.source, functools.partial(_run_python, 4))
+        run = _loop_kernel(4, field.source)
+        assert hasattr(run, "library")
         grid = sample_grid(0.0, 5.0, 0.01)
         args = (0.0, 0.05, model_start(ModelKind.TWO_D), grid, grid.tolist(), 1, 1e-12, 1e-10,
                 math.inf, 1.0)
@@ -1038,6 +1044,20 @@ class TestNativeLoop:
             solve_ode(vector_field(ModelKind.TWO_D), 0.0, [1.0, 1.0], sample_grid(0.0, 1.0, 0.1))
         assert not builds
 
+    @pytest.mark.parametrize("stepper", ["declared", "called"])
+    @pytest.mark.parametrize("name,value", [
+        (name, value) for name in ("rel_tol", "abs_tol")
+        for value in (0.0, -1.0, 1.0, 2.0, math.inf, math.nan)])
+    def test_tolerances_outside_the_unit_interval_are_refused(self, stepper, name, value):
+        # as IntegratorConfig refuses them, before either stepper runs: a
+        # tolerance in (0, 1) keeps the error norm's divisor at least abs_tol
+        field = vector_field(ModelKind.ONE_D)
+        f = field if stepper == "declared" else counted(field)
+        with pytest.raises(DomainError) as refused:
+            solve_ode(f, 0.0, [1.0, 0.0], sample_grid(0.0, 1.0, 0.1), **{name: value})
+        assert str(refused.value) == f"{name} must lie in (0, 1), got {value}"
+        assert getattr(f, "calls", 0) == 0
+
     @pytest.mark.parametrize("kind,powers", [(ModelKind.TWO_D, 0), (ModelKind.ELLIPTIC_3D, 1)])
     def test_angular_field_stage_calls_no_trig_and_one_power_at_most(self, kind, powers):
         source = _angular_field(kind).source
@@ -1046,7 +1066,7 @@ class TestNativeLoop:
         stage = " ".join([check, *prelude, *outputs])
         assert translator.power is bool(powers)
         assert stage.count("py_power(") == powers
-        code = native.c_source(4, source)
+        code = c_source(4, source)
         assert not re.search(r"\b(sin|cos|tan)\(", code)
 
     def test_underflow_exit_and_message(self, capsys):
@@ -1133,7 +1153,7 @@ class TestNativeLoop:
         args = (source.function, 0.0, [1.0, 0.0], sample_grid(0.0, 1.0, 0.01))
         want = solve_ode(*args)
         assert len(builds) == 1
-        _, how = native.kernel(2, source, None)
+        _, how = native._library(c_source(2, source))
         assert how.startswith("from the cache") and len(builds) == 1
         path, = fresh_kernels.glob("*.so")
         data = path.read_bytes()
@@ -1149,26 +1169,40 @@ class TestNativeLoop:
         # with or without a compiler: every declared field of the package
         # lies within the translator's grammar
         for field in PACKAGE_FIELDS:
-            assert native.c_source(len(field.source.args), field.source)
+            assert c_source(len(field.source.args), field.source)
 
     def test_kernel_sources_are_pinned(self):
         # with or without a compiler: the SHA-256 of each package kernel's C
         # source, in PACKAGE_FIELDS order (the models' fields, then the
-        # angular ones), and of the report's, so that a change to one is
-        # made on purpose
-        digests = [hashlib.sha256(native.c_source(len(f.source.args), f.source).encode())
+        # angular ones), of the report's and of the CSV row writer's, so
+        # that a change to one is made on purpose
+        digests = [hashlib.sha256(c_source(len(f.source.args), f.source).encode())
                    .hexdigest() for f in PACKAGE_FIELDS]
         assert digests == [
-            "2cd80470e448ade3e46eafee188be02e61c5d9ad15d2a54369b504b271555215",  # 1d
-            "6cc8ffb3c1e9b5457c52ea504fe3bee727a04f6c6007d02639b935cfa70217a2",  # 2d
-            "026dc0cbb5a39c510af89cc71769b7aabd7593c560fa5439a180ebaa31f01029",  # 3d
-            "f3e885a9547d933880c5d3b3a580aff2d4c66589094a7a86997b22f33033c400",  # elliptic
-            "ffb5cbe97d9c8d053d2c95547709048a28f2d92cb9432daac9f5c3b9f261d78c",  # angular 2d
-            "5a184c6bc1509fdf12bef4043020965ab28df125228be30f57769692be66ca44",  # angular elliptic
+            "bc0487186b3e3a8d5baf00fa24b8791c9135bb8e517759d370ee24086d0a525c",  # 1d
+            "1fc9c6a33dbfa6bb9d89d91cfa3f5511e1a42234b72f38ff88c713478e3b1e69",  # 2d
+            "79cca12b4b8c70e3bee71fbb588dbf1f6933cdd4a919422c8f030489f5f3fecc",  # 3d
+            "18f787bfd4ed3af52d22f1c30595faf757b0a2d0c1acf62f6d981acafa2f6c9a",  # elliptic
+            "2ef93ddda297d90ca5e7e38f6e8f08bc73cb51275db7d80c05ee188e339e9fd6",  # angular 2d
+            "87a74e9fbd340911428eecb239d1d5a2372c7502a672a782706d112e346672fa",  # angular elliptic
         ]
         # and the invariant report's, translated from the invariants' declarations
-        assert hashlib.sha256(native.report_source().encode()).hexdigest() == (
+        assert hashlib.sha256(report_source().encode()).hexdigest() == (
             "d15c477f172ff41d5c71d5f5bb6fc840939173dfdc23df0227b0877ac4793c8a")
+        assert hashlib.sha256(CSV_SOURCE.encode()).hexdigest() == (
+            "de88a80bfd8801f386d8a507277247bd9a1c0646482a2e055b90dd944e9cf74c")
+
+    def test_native_imports_no_package_module(self):
+        # each C form lives beside its Python twin; the translator and the
+        # build cache know nothing of them
+        with open(native.__file__, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        imported += [("." * node.level) + (node.module or "") for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)]
+        assert imported and not [m for m in imported
+                                 if m.startswith(".") or m.split(".")[0] == "fireball"]
 
     @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
     def test_generated_c_compiles_without_warnings(self, tmp_path):
@@ -1177,7 +1211,7 @@ class TestNativeLoop:
         files = []
         for i, field in enumerate(PACKAGE_FIELDS):
             files.append(tmp_path / f"loop{i}.c")
-            files[-1].write_text(native.c_source(len(field.source.args), field.source))
+            files[-1].write_text(c_source(len(field.source.args), field.source))
         proc = subprocess.run(["cc", *native.FLAGS, "-Wall", "-Wextra", "-Werror", "-c",
                                *map(str, files)], cwd=tmp_path, capture_output=True,
                               text=True, timeout=600)
@@ -1206,7 +1240,7 @@ class TestNativeLoop:
         source = FieldSource(**{"args": ("x",), "positive": "x > 0.0", "refusal": '"refused"',
                                 "outputs": ("-x",), **declaration})
         with pytest.raises(native.Unavailable, match=re.escape(reason)):
-            native.c_source(1, source)
+            c_source(1, source)
 
     def test_a_declaration_outside_the_grammar_runs_on_the_python_stepper(self):
         # OSCILLATOR's check as a chained comparison: the Python stepper
@@ -1275,7 +1309,7 @@ class TestSanitizedLoop:
         sources = {"1d": vector_field(ModelKind.ONE_D).source,
                    "3d": vector_field(ModelKind.THREE_D).source, "wall": WALL}
         return {name: sanitizers.build(tmp_path_factory.mktemp(name), LOOP_RUNNER,
-                                       native.c_source(len(source.args), source))
+                                       c_source(len(source.args), source))
                 for name, source in sources.items()}, sources
 
     @pytest.mark.parametrize("name,t,h,y,times,next_idx,unit,status", [

@@ -1,4 +1,4 @@
-"""The native invariant report (fireball.native.report_kernel) against the
+"""The native invariant report (fireball.invariants._native_report) against the
 numpy one that serves where no compiler works, bit for bit, and its
 generated source under the compiler's warnings and the sanitizers."""
 
@@ -173,7 +173,7 @@ def test_only_arrays_at_odd_addresses_are_copied(layout):
     traj = LAYOUTS[layout](ModelKind.THREE_D, np.arange(4.0), rng.uniform(0.5, 2.0, (4, 3)),
                            rng.uniform(-1.0, 1.0, (4, 3)))
     for a in (traj.times, traj.qs, traj.qdots):
-        got, address = native._doubles(a)
+        got, address = invariants._doubles(a)
         assert address == got.ctypes.data and address % 8 == 0 and got.flags.aligned
         assert (got is a) == (layout != "unaligned") and got.tobytes() == a.tobytes()
 
@@ -199,7 +199,7 @@ def test_declarations_translate_without_power_or_division():
                 for node in translator.parse(line, "exec").body]
         assert not translator.power
         assert not any("py_divide" in line or "py_power" in line for line in code)
-        assert f"fireball_report_{kind.value}(" in native.report_source()
+        assert f"fireball_report_{kind.value}(" in invariants.report_source()
 
 
 class TestChoice:
@@ -286,7 +286,7 @@ int main(void)
 @needs_cc
 class TestSource:
     def test_compiles_without_warnings(self, tmp_path):
-        (tmp_path / "report.c").write_text(native.report_source())
+        (tmp_path / "report.c").write_text(invariants.report_source())
         proc = subprocess.run(["cc", *native.FLAGS, "-Wall", "-Wextra", "-Werror", "-c",
                                "report.c"], cwd=tmp_path, capture_output=True, text=True,
                               timeout=120)
@@ -296,7 +296,7 @@ class TestSource:
     def sanitized(self, tmp_path_factory):
         """The runner, linked with the kernel under ASan and UBSan, or a skip."""
         return sanitizers.build(tmp_path_factory.mktemp("sanitized-report"), RUNNER,
-                                native.report_source())
+                                invariants.report_source())
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     @pytest.mark.parametrize("rows", [1, 2, 11])
