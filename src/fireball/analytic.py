@@ -25,17 +25,16 @@ points U(phi) = C.  On u the 2d field calls no math function and the
 elliptic one a single power per stage, and an angle near an axis keeps its
 digits, since the small component of u is stored rather than derived from
 phi; phi = atan2(u_Y, u_X) is read off at the samples, whatever |u|.  The
-field is declared as source, which the integrator's native loop inlines
-into its step, as it does the models' fields, and its steps land on every
-sample of the ttilde grid, at rel/abs tolerance 1e-14: on 200 random
-states per model (q in [0.6, 1.8], qdot in [-0.8, 0.8], t to 25)
+field is declared beside the models' fields
+(:func:`fireball.dynamics._angular_field`) and runs as they do; its steps
+land on every sample of the ttilde grid, at rel/abs tolerance 1e-14: on
+200 random states per model (q in [0.6, 1.8], qdot in [-0.8, 0.8], t to 25)
 (dphi/dttilde)^2 / 2 + U(phi) then stays within 1.1e-14 relative of C,
 and |u| within 6e-15 of 1.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -44,7 +43,7 @@ import numpy as np
 from .errors import DomainError, NoMotionError
 from .models import ModelKind, State, _require_planar, check_state, radius
 from .integrate import solve_ode
-from .dynamics import POSITIVITY_FLOOR, FieldSource
+from .dynamics import POSITIVITY_FLOOR, _angular_field
 from .invariants import hamiltonian_values, radial_invariant_values
 
 
@@ -106,6 +105,8 @@ def radial_3d(H: float, J: float, r0: float, t):
 def time_reparam(sol: RadialSolution, t):
     """Reparametrized time ttilde(t) = int_{t0}^{t} dt'/r^2, in closed form."""
     t = np.asarray(t, dtype=float)
+    if np.isnan(t).any():  # t = inf keeps its finite limit
+        raise DomainError("the reparametrized time is undefined at t=nan")
     H, inv = sol.energy, sol.invariant
     return np.arctan(math.sqrt(2.0 / inv) * H * (t - sol.t0)) / math.sqrt(2.0 * inv)
 
@@ -132,46 +133,6 @@ def angular_potential(phi, kind: ModelKind):
         return K * (np.cos(phi) ** Mx * np.sin(phi) ** My) ** p
 
 
-@functools.cache
-def _angular_field(kind: ModelKind):
-    """Field of the angular motion on the unit vector u = s / r of the
-    stretched coordinates s = sqrt(M) q, in the time ttilde: the state is
-    (u, u'), u' = du/dttilde, and
-
-        u'' = a(u) - (|u'|^2 + 2 V(u)) u,   a_i = (2 M_i / D) V(u) / u_i,
-
-    where a = -grad V at s = u, and u . a = 2 V(u) since V is homogeneous of
-    degree -2.  V(u) = (D/2) (k prod u_a)^(-2/D) over the D spatial axes a,
-    with k = 1 / sqrt(prod M_a), is derived from the axes as
-    :func:`fireball.dynamics.vector_field` derives its powers:
-    ``1.0 / (uX * uY)`` for 2d, one ``**`` for elliptic.  It raises
-    DomainError for a stage outside the open quadrant u > 0, so the solver
-    rejects that step, as it does at a variance floor.  It is a
-    :class:`FieldSource`, which the solver's native loop inlines into its
-    step; built once per kind, so that every quadrature reuses its compiled
-    step."""
-    D = kind.spatial_dim
-    u = tuple(f"u{x}" for x in kind.labels)
-    w = tuple(f"w{x}" for x in kind.labels)
-    product = " * ".join(u[a] for a in kind.sorted_axes)
-    k = 1.0 / math.sqrt(math.prod(kind.weights[a] for a in kind.sorted_axes))
-    if k != 1.0:
-        product = f"{k!r} * ({product})"
-    if 2 % D == 0:  # (k prod)^(-2/D) is 1 / (k prod) or its square
-        potential = f"{D / 2!r} / ({' * '.join([product] * (2 // D))})"
-    else:
-        potential = f"{D / 2!r} * ({product}) ** {-2.0 / D!r}"
-    pulls = tuple("V" if c == 1.0 else f"{c!r} * V"
-                  for c in (2.0 * kind.weights / D).tolist())
-    return FieldSource(
-        args=u + w,
-        positive=" and ".join(f"{x} > 0.0" for x in u),
-        refusal=f'f"the unit vector ({", ".join(f"{{{x}!r}}" for x in u)}) left u > 0"',
-        prelude=(f"V = {potential}",
-                 f"g = {' + '.join(f'{x} * {x}' for x in w)} + 2.0 * V"),
-        outputs=w + tuple(f"{pull} / {x} - g * {x}" for pull, x in zip(pulls, u))).function
-
-
 def angular_minimum(kind: ModelKind) -> tuple[float, float]:
     """(phi*, U(phi*)) = (atan(sqrt(M_Y/M_X)), D^2/2): location and value of
     the potential minimum."""
@@ -191,7 +152,7 @@ def polar_invariant_values(r, phi, rdot, phidot, kind: ModelKind):
 class AngularSolution:
     """Initial data of the angular quadrature: the invariant (I for 2d,
     Itilde for elliptic) and the starting state (u, u') of
-    :func:`_angular_field`."""
+    :func:`fireball.dynamics._angular_field`."""
 
     invariant: float
     start: tuple[float, ...]
@@ -218,6 +179,8 @@ class AngularSolution:
             raise DomainError(f"phi0 must lie strictly inside (0, pi/2), got {phi0}")
         if sign0 not in (-1, 1):
             raise DomainError(f"sign0 must be +1 or -1, got {sign0}")
+        if not math.isfinite(invariant):
+            raise DomainError(f"the invariant must be finite, got {invariant}")
         _, u_min = angular_minimum(kind)
         if invariant < u_min - 1e-12:
             raise NoMotionError(
@@ -236,7 +199,7 @@ def angular_quadrature(sol: AngularSolution, kind: ModelKind, ttilde_grid,
     """Integrate the angular motion from ``sol.start`` over a ttilde grid.
 
     Returns (phi, dphi/dttilde) arrays on the grid, with phi = atan2(u_Y,
-    u_X) of the unit vector u of :func:`_angular_field` and dphi/dttilde
+    u_X) of the unit vector u of the angular field and dphi/dttilde
     its rate, both free of the scale of u.  The pair conserves the
     invariant, and the branch sign reverses at each turning point
     U(phi) = invariant without leaving (0, pi/2).  Steps land on every

@@ -17,17 +17,17 @@ Xd^2 + Yd^2/2); the Euler-Lagrange equations read  M qdd = -grad V.
 T, L = T - V and H = T + V are declared with the invariants
 (:mod:`fireball.invariants`).
 
-The integrator's right-hand side, :func:`vector_field`, is declared once as
-source (:class:`FieldSource`) and derived from the axes; the integrator's
-native loop inlines that source into its step, and the same source compiles
-to the plain ``f(t, y)`` that the Python stepper and every other caller call.
+Both equations of motion, the models' :func:`vector_field` and the angular
+quadrature's :func:`_angular_field`, are declared here once as source
+derived from the axes (:class:`FieldSource`), which :mod:`fireball.native`
+translates into C for the integrator's native loop.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ POSITIVITY_FLOOR = 1e-12
 
 
 def _positive(q: np.ndarray) -> np.ndarray:
-    if np.any(q <= 0.0):
+    if not np.all(q > 0.0):  # NaN fails it too
         raise DomainError(f"singular force: non-positive variance in {q}")
     return q
 
@@ -67,12 +67,10 @@ class FieldSource:
     from it.
 
     ``function`` is the declaration compiled as a plain ``f(t, y)``
-    returning a tuple, which carries the declaration as ``f.source``.
-    :func:`fireball.integrate.solve_ode` recognises that function, and its
-    native loop (:mod:`fireball.native`) inlines this source into each
-    stage of its step, so the field is written once and never called per
+    returning a tuple; calling the declaration calls it.  The solver's
+    native loop inlines its C into each stage, so it is never called per
     stage; where that loop cannot serve, the Python stepper calls
-    ``function``, which raises and returns what the inlined source does.
+    ``function``, which raises and returns what the inlined C does.
     Declarations compare by identity, and the solver builds a native step
     for each one it meets, so build each once.
     """
@@ -93,24 +91,24 @@ class FieldSource:
         namespace = {"_DomainError": DomainError}
         exec(compile("\n".join(lines) + "\n", "<declared field>", "exec"), namespace)
         self.function = namespace["field"]
-        self.function.source = self
+
+    def __call__(self, t, y):
+        return self.function(t, y)
 
 
 @functools.cache
-def vector_field(kind: ModelKind) -> Callable[[float, list], Sequence[float]]:
+def vector_field(kind: ModelKind) -> FieldSource:
     """First-order form f(t, [q..., qdot...]) = (qdot..., accel(q)...) of
     the model, on Python floats: the integrator's hot path, and its only
     positivity check.
 
     Raises :class:`DomainError` when any variance is <= POSITIVITY_FLOOR
     (NaN included), which the integrator treats as a rejected step.  The
-    field is a :class:`FieldSource` derived from the axes, which the native
-    loop of :func:`fireball.integrate.solve_ode` inlines into its step and
-    its Python stepper calls where no compiler works.  Each acceleration
-    1/(q_i P^(2/D)) is written as a product of variances in index order
-    when 2/D is an integer (``1.0 / (X * X * Y)`` for 2d: X * X * X, not
-    X ** 3, since a float power raises OverflowError where numpy returned
-    inf) and as ``1.0 / (X * s)`` with
+    field is a :class:`FieldSource` derived from the axes, built once per
+    kind.  Each acceleration 1/(q_i P^(2/D)) is written as a product of
+    variances in index order when 2/D is an integer (``1.0 / (X * X * Y)``
+    for 2d: X * X * X, not X ** 3, since a float power raises OverflowError
+    where numpy returned inf) and as ``1.0 / (X * s)`` with
     ``s = (X * Y * Z) ** (2.0 / 3.0)`` for the 3d and elliptic models.
     """
     q = kind.labels
@@ -131,7 +129,45 @@ def vector_field(kind: ModelKind) -> Callable[[float, list], Sequence[float]]:
         refusal=(f'f"variance at or below the positivity floor {POSITIVITY_FLOOR} '
                  f'in {{[{", ".join(q + qdot)}]}}"'),
         outputs=qdot + accels, prelude=prelude)
-    return source.function
+    return source
+
+
+@functools.cache
+def _angular_field(kind: ModelKind):
+    """Field of the angular motion on the unit vector u = s / r of the
+    stretched coordinates s = sqrt(M) q, in the time ttilde: the state is
+    (u, u'), u' = du/dttilde, and
+
+        u'' = a(u) - (|u'|^2 + 2 V(u)) u,   a_i = (2 M_i / D) V(u) / u_i,
+
+    where a = -grad V at s = u, and u . a = 2 V(u) since V is homogeneous of
+    degree -2.  V(u) = (D/2) (k prod u_a)^(-2/D) over the D spatial axes a,
+    with k = 1 / sqrt(prod M_a), is derived from the axes as
+    :func:`vector_field` derives its powers: ``1.0 / (uX * uY)`` for 2d,
+    one ``**`` for elliptic.  It raises DomainError for a stage outside the
+    open quadrant u > 0, so the solver rejects that step, as it does at a
+    variance floor.  It is a :class:`FieldSource`, built once per kind, so
+    that every quadrature reuses its compiled step."""
+    D = kind.spatial_dim
+    u = tuple(f"u{x}" for x in kind.labels)
+    w = tuple(f"w{x}" for x in kind.labels)
+    product = " * ".join(u[a] for a in kind.sorted_axes)
+    k = 1.0 / math.sqrt(math.prod(kind.weights[a] for a in kind.sorted_axes))
+    if k != 1.0:
+        product = f"{k!r} * ({product})"
+    if 2 % D == 0:  # (k prod)^(-2/D) is 1 / (k prod) or its square
+        potential = f"{D / 2!r} / ({' * '.join([product] * (2 // D))})"
+    else:
+        potential = f"{D / 2!r} * ({product}) ** {-2.0 / D!r}"
+    pulls = tuple("V" if c == 1.0 else f"{c!r} * V"
+                  for c in (2.0 * kind.weights / D).tolist())
+    return FieldSource(
+        args=u + w,
+        positive=" and ".join(f"{x} > 0.0" for x in u),
+        refusal=f'f"the unit vector ({", ".join(f"{{{x}!r}}" for x in u)}) left u > 0"',
+        prelude=(f"V = {potential}",
+                 f"g = {' + '.join(f'{x} * {x}' for x in w)} + 2.0 * V"),
+        outputs=w + tuple(f"{pull} / {x} - g * {x}" for pull, x in zip(pulls, u)))
 
 
 def potential(q: np.ndarray, kind: ModelKind):

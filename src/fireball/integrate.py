@@ -15,35 +15,28 @@ written out below (:func:`_run_python`) and the C loop :data:`_LOOP`, one
 fixed source written line for line beside it over arrays of the state's
 components.  :func:`c_source` puts a header in front of the loop: the
 component count, the stage sums and the error estimate over the tableau,
-term for term as the stepper computes them, and the field as ``field(y,
-k)``, which :mod:`fireball.native` translates from the Python AST of its
-declaration.  Where Python would raise instead (a division by zero, ``0.0
-** -1.0``, a negative number to a fractional power, a power overflowing),
-``field`` returns 2 and the loop stops; the Python stepper then runs the
-solve again from its start, so it raises as before.  The loop evaluates the
-field at y0 too: a native solve never calls Python's ``f``.  The step
-control calls ``pow`` only where the step factor does not cap, as the
-Python stepper does, and the package's declarations call at most one
+term for term as the stepper computes them, and the field's C, which
+:mod:`fireball.native` writes from its declaration.  Where Python would
+raise instead, that C returns 2 and the loop stops; the Python stepper then
+runs the solve again from its start, so it raises as before.  The loop
+evaluates the field at y0 too: a native solve never calls Python's ``f``.
+The step control calls ``pow`` only where the step factor does not cap, as
+the Python stepper does, and the package's declarations call at most one
 ``pow`` per stage (none for the 1d and 2d fields).  A change to the
 stepper is made to both forms.  Which one serves a field:
 
-- A field declared as source (:class:`fireball.dynamics.FieldSource`: the
-  models' fields and the angular quadrature's) runs as native code.  The
-  loop inlines the translated field; :mod:`fireball.native` builds the two
-  with the system's ``cc`` and the runner calls them through
-  :mod:`ctypes`; the flags keep every operation rounding as Python's does
-  (that module says which and why).  The shared object is cached in
-  ``$XDG_CACHE_HOME/fireball``, else ``~/.cache/fireball``, so only the
-  first solve of a kernel on a machine pays its build, 0.10-0.25 s (a
-  per-process temporary directory serves when neither can be written).
-- Any other field runs the Python stepper, which calls it once per stage:
-  a declaration the translator cannot take, any declared field where no
-  compiler works (its compiled ``f(t, y)`` runs the check, prelude and
-  outputs that the C loop inlines, on the same floats), and any other
-  callable, a wrapper of a declared field included.  This is the portable
-  path, at CPython's floor of several microseconds per step.  A counting
-  wrapper (as in the benchmark's traced run) sees every evaluation but
-  times the Python stepper, not the native loop.
+- A declared field (:class:`fireball.dynamics.FieldSource`: the models'
+  fields and the angular quadrature's) runs as native code:
+  :mod:`fireball.native` builds and caches the loop with the system's
+  ``cc``, so only the first solve of a kernel on a machine pays its build,
+  0.10-0.25 s, and the runner calls it through :mod:`ctypes`.
+- Any other callable, a wrapper of a declared field included, runs the
+  Python stepper, which calls it once per stage; so does a declaration the
+  translator cannot take, and any declared field where no compiler works
+  (on its ``function``).  This is the portable path, at CPython's floor of
+  several microseconds per step.  A counting wrapper (as in the benchmark's
+  traced run) sees every evaluation but times the Python stepper, not the
+  native loop.
 
 An info record of the ``fireball.integrate`` logger names the loop that
 serves each kernel: native from the cache, native built in N s, or Python
@@ -362,34 +355,23 @@ int fireball_loop(const double *times, long long n_samples, double *out, double 
 def c_source(n: int, source: FieldSource) -> str:
     """C source of the Dormand-Prince loop for ``source``, an n-component
     declared field: :data:`_LOOP` behind a header of N, the stage sums
-    S2-S7 and the error estimate ERR, each component the plain sum ``y[i] +
+    S2-S7 and the error estimate ERR (each component the plain sum ``y[i] +
     h * (a_s1 * k1[i] + ...)`` over the nonzero tableau entries in tableau
-    order with exact float literals, and ``field(y, k)``, which writes the
-    rates to k and returns 0, 1 where its check refuses the state, or 2
-    where Python would raise.  Raises :class:`fireball.native.Unavailable`
-    for a declaration the translator cannot take."""
+    order, with exact float literals) and the field's C.  Raises
+    :class:`fireball.native.Unavailable` for a declaration the translator
+    cannot take."""
     from . import native
 
-    translator = native._Translator(source.args)
-    check, prelude, outputs = translator.field(source)
+    helpers, field = native.field_function(source)
 
     def weighted(weights):
         return " + ".join(f"{w!r} * k{j}[i]" for j, w in enumerate(weights, 1) if w != 0.0)
 
-    names = [f"u_{a} = y[{i}]" for i, a in enumerate(source.args)]
-    names += [f"u_{x}" for x in sorted(translator.names - set(source.args))]
     header = [f"#define N {n}", f"#define CAPPED_ERR {_CAPPED_ERR!r}",
               f"#define STATUS_PYTHON {_STATUS_PYTHON}",
               *(f"#define S{s}(i) (y[i] + h * ({weighted(_A[s - 1])}))" for s in range(2, 8)),
-              f"#define ERR(i) (h * ({weighted(_E)}))", "",
-              "static inline __attribute__((always_inline)) int field(const double *y, double *k)",
-              "{", "    int _py = 0;", f"    double {', '.join(names)};",
-              f"    if (!{check})", "        return _py ? 2 : 1;",
-              *(f"    {line}" for line in prelude),
-              *(f"    k[{i}] = {out};" for i, out in enumerate(outputs)),
-              "    return _py ? 2 : 0;", "}"]
-    helpers = [native._PRELUDE, native._POWER] if translator.power else [native._PRELUDE]
-    return "".join(helpers) + "\n" + "\n".join(header) + "\n" + _LOOP
+              f"#define ERR(i) (h * ({weighted(_E)}))", "", field]
+    return helpers + "\n" + "\n".join(header) + "\n" + _LOOP
 
 
 @functools.cache
@@ -566,10 +548,10 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     ``f`` receives the state as a list of floats and returns a sequence of
     floats (a tuple, list or 1-d array) of the same length, else ValueError
     is raised; it raises :class:`DomainError` to reject a stage outside its
-    domain, e.g. at a variance floor.  A field declared as source
-    (:class:`fireball.dynamics.FieldSource`) is inlined into the native
-    loop wherever that builds; otherwise, and for any other callable, the
-    Python stepper calls f once per stage, with the same results.  A y0
+    domain, e.g. at a variance floor.  A declared field
+    (:class:`fireball.dynamics.FieldSource`) runs in the native loop
+    wherever that builds; otherwise, and for any other callable, the Python
+    stepper calls f once per stage, with the same results.  A y0
     whose length is not the declaration's is refused with ValueError
     before anything is built.  Times are compared within 1e-14 relative to
     the larger of |t| and a unit, min(1, t_end - t0): a short span, such as
@@ -588,12 +570,7 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
     """
     y = [float(v) for v in y0]
     n = len(y)
-    # A field declared as source may run in the native loop, unless f only
-    # carries the declaration of another function (a wrapper that copied
-    # its attributes), which must be called.
-    source = getattr(f, "source", None)
-    if source is not None and source.function is not f:
-        source = None
+    source = f if isinstance(f, FieldSource) else None
     if source is not None and len(source.args) != n:
         raise ValueError(f"the field is declared over {len(source.args)} components, "
                          f"the state has {n}")
@@ -628,7 +605,8 @@ def solve_ode(f: Callable[[float, list], Sequence[float]],
 
     h = min(max_step, span / 100.0, 0.1, span)
     ys, accepted, rejected, refused = _loop_kernel(n, source)(
-        f, t, h, y, grid, times, next_idx, abs_tol, rel_tol, max_step, unit)
+        source.function if source else f, t, h, y, grid, times, next_idx, abs_tol, rel_tol,
+        max_step, unit)
     log.debug("solve_ode: %d accepted, %d rejected steps, %d refused stages over [%g, %g]",
               accepted, rejected, refused, t0, t_end)
     return ys

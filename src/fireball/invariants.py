@@ -29,8 +29,8 @@ wherever the text runs.  numpy evaluates it for the batch forms (a (d,)
 state rounds as its batch row), :func:`fireball.dynamics.energies` and
 :mod:`fireball.symmetry`'s L, each running only the statements its values
 need, and for the report where no compiler works.  Elsewhere
-:func:`report_source` has :mod:`fireball.native` translate it into the
-report's C pass, which this module builds and runs: one function per model
+:func:`report_source` has :func:`fireball.native.statement_block` write it
+into the report's C pass, which this module builds and runs: one per model
 over a trajectory's rows, in place through their strides, computing the
 report's series from numpy's V with numpy's bits (the declaration uses only
 ``+ - *``) and their largest deviations.  An address fetched from numpy
@@ -204,8 +204,8 @@ $body
 
 def report_source() -> str:
     """C source of the invariant report: for each model the statements of
-    :func:`_declaration` translated into the row loop of
-    ``fireball_report_<model>`` (``fireball_report_1d`` for ``1d``).
+    :func:`_declaration`, in C from :mod:`fireball.native`, in the row loop
+    of ``fireball_report_<model>`` (``fireball_report_1d`` for ``1d``).
     Sample i reads t[i * ts], q[i * qr + k * qc] and v[i * vr + k * vc];
     ``out`` holds V in its first n values, and the function writes the
     report's series after them, n values each, then the largest
@@ -215,16 +215,13 @@ def report_source() -> str:
     functions = []
     for kind, series in _SERIES.items():
         columns, statements = _declaration(kind, series)
-        translator = native._Translator(("t", "V", *(x for x, _, _ in columns)))
-        body = ["u_t = t[i * ts];", "u_V = out[i];",
-                *(f"u_{x} = {a}[i * {a}r + {k} * {a}c];" for x, a, k in columns),
-                *(translator.assign(translator.parse(line, "exec").body[0]) for line in statements)]
+        inputs = {"t": "t[i * ts]", "V": "out[i]",
+                  **{x: f"{a}[i * {a}r + {k} * {a}c]" for x, a, k in columns}}
+        helpers, names, body, values = native.statement_block(inputs, statements, series)
         functions.append(_REPORT.substitute(
-            model=kind.value, count=len(series),
-            locals=", ".join(f"u_{name}" for name in sorted(translator.names)),
-            body="\n".join(8 * " " + line for line in body),
-            values=", ".join(f"u_{name}" for name in series)))
-    return native._PRELUDE + "".join(functions)
+            model=kind.value, count=len(series), locals=names,
+            body="\n".join(8 * " " + line for line in body), values=values))
+    return helpers + "".join(functions)
 
 
 def _doubles(a: np.ndarray) -> tuple[np.ndarray, int]:

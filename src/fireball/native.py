@@ -1,9 +1,10 @@
 """Native code's common ground: the build flags, the translator of declared
 Python source into C, and the cache of shared objects.  It imports no other
-module of the package.  Each C form lives beside its Python twin: the
-Dormand-Prince loop in :mod:`fireball.integrate`, the invariant report's
-pass in :mod:`fireball.invariants` and the CSV row writer in
-:mod:`fireball.cli`; each of those loads its object with :func:`_library`.
+module of the package.  Only it writes a declaration's C
+(:func:`field_function`, :func:`statement_block`); each C form that runs
+that C lives beside its Python twin, in :mod:`fireball.integrate`,
+:mod:`fireball.invariants` or :mod:`fireball.cli`, and loads its object
+with :func:`_library`.
 
 The build flags, and why: ``-O2`` for speed; ``-fPIC -shared`` for an
 object :mod:`ctypes` can load; ``-ffp-contract=off`` so that no ``a * b +
@@ -92,15 +93,17 @@ class Unavailable(Exception):
 class _Translator:
     """C expressions and statements of Python source over the names
     ``args`` and its grammar: finite float constants, names, unary minus,
-    ``+ - * /`` and ``**`` on floats; a ``<`` or ``>`` comparison of two
+    ``+ - * /`` and ``**`` on floats (the last two only where ``raises``, a
+    ``_py`` flag, can hand a raise back); a ``<`` or ``>`` comparison of two
     of these, or ``and`` over such comparisons, as the check; assignments
     of one name as the prelude.  Anything else raises :class:`Unavailable`."""
 
     _ARITHMETIC = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}
     _COMPARE = {ast.Lt: "<", ast.Gt: ">"}
 
-    def __init__(self, args):
+    def __init__(self, args, raises=True):
         self.names = set(args)  # the names assigned so far
+        self.raises = raises
         self.power = False  # whether a value calls pow
 
     @staticmethod
@@ -124,9 +127,9 @@ class _Translator:
             a, b = self.value(node.left), self.value(node.right)
             if type(node.op) in self._ARITHMETIC:
                 return f"({a} {self._ARITHMETIC[type(node.op)]} {b})"
-            if isinstance(node.op, ast.Div):
+            if isinstance(node.op, ast.Div) and self.raises:
                 return f"py_divide(&_py, {a}, {b})"
-            if isinstance(node.op, ast.Pow):
+            if isinstance(node.op, ast.Pow) and self.raises:
                 self.power = True
                 return f"py_power(&_py, {a}, {b})"
         raise Unavailable(f"cannot translate {ast.unparse(node)}")
@@ -141,28 +144,54 @@ class _Translator:
             return f"({a} {self._COMPARE[type(node.ops[0])]} {b})"
         raise Unavailable(f"cannot translate the condition {ast.unparse(node)}")
 
-    def assign(self, node) -> str:
-        """C block of an assignment to one name."""
-        if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)):
+    def statements(self, lines) -> list[str]:
+        """C blocks of the statements of ``lines``, each an assignment to one name."""
+        blocks = []
+        for node in (s for line in lines for s in self.parse(line, "exec").body):
+            if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)):
+                raise Unavailable(f"cannot translate the statement {ast.unparse(node)}")
             code, name = self.value(node.value), node.targets[0].id
             if name.startswith("_"):
                 raise Unavailable(f"the prelude assigns {name}")
             self.names.add(name)
-            return f"{{ double _p0 = {code}; u_{name} = _p0; }}"
-        raise Unavailable(f"cannot translate the statement {ast.unparse(node)}")
+            blocks.append(f"{{ double _p0 = {code}; u_{name} = _p0; }}")
+        return blocks
 
-    def field(self, source) -> tuple[str, list[str], list[str]]:
-        """The check, the prelude statements and the outputs of a
-        :class:`fireball.dynamics.FieldSource`, in C."""
-        check = self.condition(self.parse(source.positive, "eval").body)
-        for name in ast.walk(self.parse(source.refusal, "eval")):
-            if isinstance(name, ast.Name) and name.id not in self.names:
-                raise Unavailable(f"the refusal reads {name.id}, not an argument")
-        prelude = [self.assign(s) for line in source.prelude
-                   for s in self.parse(line, "exec").body]
-        outputs = [self.value(self.parse(text, "eval").body) for text in source.outputs]
-        return check, prelude, outputs
+
+def field_function(source) -> tuple[str, str]:
+    """The C of a declared field (:class:`fireball.dynamics.FieldSource`):
+    the helper text it calls, and ``field(y, k)``, which writes the rates
+    at the state ``y`` to ``k`` and returns 0, 1 where the check refuses
+    the state, or 2 where Python would raise."""
+    translator = _Translator(source.args)
+    check = translator.condition(translator.parse(source.positive, "eval").body)
+    for name in ast.walk(translator.parse(source.refusal, "eval")):
+        if isinstance(name, ast.Name) and name.id not in translator.names:
+            raise Unavailable(f"the refusal reads {name.id}, not an argument")
+    prelude = translator.statements(source.prelude)
+    outputs = [translator.value(translator.parse(text, "eval").body) for text in source.outputs]
+    names = [f"u_{a} = y[{i}]" for i, a in enumerate(source.args)]
+    names += [f"u_{x}" for x in sorted(translator.names - set(source.args))]
+    lines = ["static inline __attribute__((always_inline)) int field(const double *y, double *k)",
+             "{", "    int _py = 0;", f"    double {', '.join(names)};",
+             f"    if (!{check})", "        return _py ? 2 : 1;",
+             *(f"    {line}" for line in prelude),
+             *(f"    k[{i}] = {out};" for i, out in enumerate(outputs)),
+             "    return _py ? 2 : 0;", "}"]
+    return _PRELUDE + (_POWER if translator.power else ""), "\n".join(lines)
+
+
+def statement_block(inputs: dict[str, str], statements, outputs):
+    """The C of one-name statements over named inputs, each given as a C
+    expression: the helper text, the names of its locals, its body (the
+    inputs' assignments, then the statements') and the names of ``outputs``.
+    It has no ``_py`` flag to hand a raise back, so it takes no ``/`` or ``**``."""
+    translator = _Translator(inputs, raises=False)
+    body = [f"u_{x} = {code};" for x, code in inputs.items()]
+    body += translator.statements(statements)
+    return (_PRELUDE, ", ".join(f"u_{x}" for x in sorted(translator.names)), body,
+            ", ".join(f"u_{x}" for x in outputs))
 
 
 def _compiler() -> str | None:

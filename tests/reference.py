@@ -54,7 +54,7 @@ def to_cartesian(r: float, phi: float, rdot: float, phidot: float, kind: ModelKi
 
 
 def angular_start(phi: float, rate: float) -> list[float]:
-    """The state (u, u') of ``fireball.analytic._angular_field`` at the
+    """The state (u, u') of ``fireball.dynamics._angular_field`` at the
     angle phi moving at dphi/dttilde = rate: u = (cos phi, sin phi) and
     u' = rate (-sin phi, cos phi)."""
     c, s = math.cos(phi), math.sin(phi)

@@ -11,8 +11,8 @@ from fireball import (AngularSolution, DomainError, IntegratorConfig,
                       UnsupportedModelError, angular_quadrature, energies,
                       integrate, noether_invariant, one_d_solution,
                       radial, radial_3d, time_reparam)
-from fireball.analytic import _angular_field, angular_minimum, angular_potential
-from fireball.dynamics import potential
+from fireball.analytic import angular_minimum, angular_potential
+from fireball.dynamics import _angular_field, potential
 from fireball.integrate import solve_ode
 from fireball.models import radius
 from fireball.verification import default_initial_state
@@ -177,6 +177,15 @@ class TestTimeReparam:
         assert float(time_reparam(sol, 1e9)) == pytest.approx(math.pi / 4.0,
                                                               rel=1e-8)
 
+    def test_nan_time_is_refused_and_infinity_is_the_limit(self):
+        # as radial refuses a NaN time; t = inf gives the finite limit of
+        # the reparametrized time, pi / (2 sqrt(2 C))
+        sol = RadialSolution(energy=1.0, invariant=2.0, t0=0.0)
+        for t in (math.nan, [0.0, math.nan]):
+            with pytest.raises(DomainError, match="undefined at t=nan"):
+                time_reparam(sol, t)
+        assert time_reparam(sol, [0.0, math.inf]).tolist() == [0.0, math.pi / 4.0]
+
     def test_against_adaptive_quadrature(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
@@ -302,6 +311,15 @@ class TestAngular:
             AngularSolution.from_angle(1.0, 0.0, 0, ModelKind.TWO_D)
         with pytest.raises(DomainError, match="sign0"):
             AngularSolution.from_angle(1.0, 0.7, 0, ModelKind.TWO_D)
+        with pytest.raises(DomainError, match="sign0"):
+            AngularSolution.from_angle(math.nan, 0.7, 0, ModelKind.TWO_D)
+
+    @pytest.mark.parametrize("invariant", [math.nan, math.inf, -math.inf])
+    def test_non_finite_invariant_is_refused(self, invariant):
+        # not a start of NaN or infinite rates, which the quadrature would
+        # refuse as a step-size failure at t=0
+        with pytest.raises(DomainError, match=f"the invariant must be finite, got {invariant}"):
+            AngularSolution.from_angle(invariant, 0.7, 1, ModelKind.TWO_D)
 
     @pytest.mark.parametrize("kind", [ModelKind.TWO_D, ModelKind.ELLIPTIC_3D])
     def test_potential_is_v_on_the_unit_circle(self, kind):

@@ -1,6 +1,7 @@
 """The native CSV row writer (fireball.cli._csv_writer) against Python's
 ``%.17g``, value by value and file by file."""
 
+import contextlib
 import logging
 import math
 import shutil
@@ -13,7 +14,6 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from fireball import cli, native
 from fireball.cli import main
-from fireball.integrate import _loop_kernel
 import sanitizers
 
 HAVE_CC = shutil.which("cc") is not None
@@ -222,19 +222,6 @@ class TestTables:
             with pytest.raises(ValueError, match="block for 4 columns, 3 of them present"):
                 write(np.ones(shape), b"\1\0\1\1", None)
 
-    @pytest.fixture
-    def python_rows(self, monkeypatch, tmp_path):
-        """Switches the CLI to the Python rows: no compiler, an empty cache."""
-        def switch():
-            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty"))
-            monkeypatch.setattr(native, "_compiler", lambda: None)
-            cli._csv_writer.cache_clear()
-
-        cli._csv_writer.cache_clear()
-        yield switch
-        cli._csv_writer.cache_clear()
-        _loop_kernel.cache_clear()
-
     @pytest.mark.parametrize("argv", [
         ["simulate", "--model", "1d", "--X", "1.3", "--Xdot", "-0.4"],
         ["simulate", "--model", "2d", "--X", "1", "--Y", "1.3", "--Xdot", "0.2"],
@@ -242,16 +229,16 @@ class TestTables:
         ["simulate", "--model", "elliptic", "--X", "1.1", "--Y", "0.7", "--Xdot", "-0.5"],
         ["analytic", "--model", "2d", "--X", "1", "--Y", "1.3", "--Xdot", "0.2", "--compare"],
     ], ids=["1d", "2d", "3d", "elliptic", "analytic-2d"])
-    def test_files_are_the_same_either_way(self, python_rows, tmp_path, argv):
+    def test_files_are_the_same_either_way(self, no_cc, tmp_path, argv):
         paths = [tmp_path / "native.csv", tmp_path / "python.csv"]
         assert main([*argv, "--t-end", "5", "--out", str(paths[0])]) == 0
         assert cli._csv_writer() is not None
-        python_rows()
-        assert main([*argv, "--t-end", "5", "--out", str(paths[1])]) == 0
-        assert cli._csv_writer() is None
+        with no_cc():
+            assert main([*argv, "--t-end", "5", "--out", str(paths[1])]) == 0
+            assert cli._csv_writer() is None
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_only_a_declined_row_goes_through_python(self, python_rows, monkeypatch, tmp_path):
+    def test_only_a_declined_row_goes_through_python(self, no_cc, monkeypatch, tmp_path):
         settings = {"format": "csv", "out": str(tmp_path / "native.csv"), "model": "2d"}
         column = np.linspace(0.0, 1.0, 6)
         data = {"t": column, "X": column + 1.0, "H": np.full(6, 2.0)}
@@ -266,9 +253,9 @@ class TestTables:
         cli._emit_table(settings, "simulate", ["model"], cli.CSV_COLUMNS, data)
         assert rows == [3]
         monkeypatch.undo()
-        python_rows()
-        cli._emit_table({**settings, "out": str(tmp_path / "python.csv")}, "simulate",
-                        ["model"], cli.CSV_COLUMNS, data)
+        with no_cc():
+            cli._emit_table({**settings, "out": str(tmp_path / "python.csv")}, "simulate",
+                            ["model"], cli.CSV_COLUMNS, data)
         text = (tmp_path / "native.csv").read_text()
         assert text == (tmp_path / "python.csv").read_text()
         assert ",1e-300," in text
@@ -279,15 +266,14 @@ class TestTables:
         ["simulate", "--model", "elliptic", "--X", "1.1", "--Y", "0.7", "--format", "json"],
         ["analytic", "--model", "2d", "--X", "1", "--Y", "1.3", "--Xdot", "0.2", "--compare"],
     ], ids=["simulate-csv", "simulate-json", "analytic-compare"])
-    def test_standard_output_has_the_file_bytes(self, python_rows, capsysbinary, tmp_path,
-                                                argv, rows):
-        if rows == "python":
-            python_rows()
+    def test_standard_output_has_the_file_bytes(self, no_cc, capsysbinary, tmp_path, argv,
+                                                rows):
         path = tmp_path / "out"
-        assert main([*argv, "--t-end", "5", "--out", str(path)]) == 0
-        assert main([*argv, "--t-end", "5", "--out", "-"]) == 0
-        assert capsysbinary.readouterr().out == path.read_bytes()
-        assert (cli._csv_writer() is None) == (rows == "python")
+        with no_cc() if rows == "python" else contextlib.nullcontext():
+            assert main([*argv, "--t-end", "5", "--out", str(path)]) == 0
+            assert main([*argv, "--t-end", "5", "--out", "-"]) == 0
+            assert capsysbinary.readouterr().out == path.read_bytes()
+            assert (cli._csv_writer() is None) == (rows == "python")
 
     def test_declined_rows_keep_their_place(self, capsysbinary, tmp_path):
         # the first, a middle and the last row go through Python, between
@@ -303,11 +289,7 @@ class TestTables:
         assert text.decode().splitlines()[4:] == [
             "%.17g,%.17g,,,,,,%.17g,,," % row for row in zip(*data.values())]
 
-    def test_one_record_says_which_writer_serves(self, python_rows, monkeypatch, tmp_path,
-                                                 caplog):
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        cli._csv_writer.cache_clear()
-
+    def test_one_record_says_which_writer_serves(self, fresh_cache, no_cc, caplog):
         def records():
             caplog.clear()
             cli._csv_writer()
@@ -318,8 +300,8 @@ class TestTables:
             built, = records()
             cli._csv_writer.cache_clear()
             cached, = records()
-            python_rows()
-            python, = records()
+            with no_cc():
+                python, = records()
         assert built.startswith("CSV rows: native, built in ") and "fireball" in built
         assert cached.startswith("CSV rows: native, from the cache (")
         assert python == "CSV rows: Python, no C compiler (cc) on PATH"

@@ -25,9 +25,13 @@ class TestRhs:
     def test_1d_value(self):
         assert accel([2.0], ModelKind.ONE_D) == pytest.approx([0.125], rel=1e-15)
 
-    def test_singular_force_raises(self):
-        with pytest.raises(DomainError):
-            accel(np.array([1.0, 0.0]), ModelKind.TWO_D)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("form", [accel, potential])
+    def test_singular_force_raises(self, form, bad):
+        # a zero, negative or NaN variance, in one state or in a batch row
+        for q in ([1.0, bad], [[1.0, 1.3], [1.0, bad]]):
+            with pytest.raises(DomainError, match="singular force: non-positive variance"):
+                form(np.array(q), ModelKind.TWO_D)
 
     def test_2d_reduces_to_1d_on_the_diagonal(self):
         rng = np.random.default_rng(0)

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +22,9 @@ from fireball import (AngularSolution, DomainError, IntegrationError, Integrator
                       angular_quadrature, energies, integrate, one_d_solution,
                       radial, time_reparam)
 from fireball import native
-from fireball.analytic import _angular_field, angular_potential
+from fireball.analytic import angular_potential
 from fireball.cli import CSV_SOURCE, main
-from fireball.dynamics import FieldSource, vector_field
+from fireball.dynamics import FieldSource, _angular_field, vector_field
 from fireball.integrate import (_A, _C, _CAPPED_ERR, _E, _LOOP, _failure, _loop_kernel,
                                 _run_python, c_source, sample_grid, solve_ode)
 from fireball.invariants import hamiltonian_values, report_source
@@ -382,7 +383,7 @@ HAVE_CC = shutil.which("cc") is not None
 def assert_native(field, n):
     """The native loop serves the declared field whenever cc is on PATH."""
     if HAVE_CC:
-        assert hasattr(_loop_kernel(n, field.source), "library")
+        assert hasattr(_loop_kernel(n, field), "library")
 
 
 def solve_recorded(f, *args, **kwargs):
@@ -407,7 +408,7 @@ def assert_native_matches_python(field, t0, y0, *args, python=None, **kwargs):
     wrapper of ``field`` unless given), which the Python stepper serves,
     give the same samples (or the same error at the same state) bit for bit
     and the same ``solve_ode:`` record."""
-    assert field.source.function is field
+    assert isinstance(field, FieldSource)
     got, record = solve_recorded(field, t0, y0, *args, **kwargs)
     assert_native(field, len(y0))
     want, want_record = solve_recorded(python or counted(field), t0, y0, *args, **kwargs)
@@ -688,7 +689,7 @@ class TestReferenceStepper:
 
     def test_guard_singularity_is_the_same(self):
         # a field that refuses x <= 0 while x falls towards 0
-        got = assert_native_matches_python(GUARD.function, 0.0, [1.0, 0.0], np.array([0.0, 3.0]))
+        got = assert_native_matches_python(GUARD, 0.0, [1.0, 0.0], np.array([0.0, 3.0]))
         assert got[0] is SingularityError
 
     def test_domain_error_mid_step(self):
@@ -716,7 +717,7 @@ class TestReferenceStepper:
     def test_negative_zero_crossing_zero(self):
         # the first component starts at -0.0 and then changes sign, so both
         # branches of the error norm's |x| run, at -0.0 too
-        field, crossings = OSCILLATOR.function, []
+        field, crossings = OSCILLATOR, []
 
         def f(t, y):
             crossings.append(y[0] > 0.0)
@@ -748,10 +749,10 @@ class TestReferenceStepper:
         assert nan_rejected > clean_rejected
 
     @pytest.mark.parametrize("field,python,y0", [
-        (N1.function, None, [1.3]),
+        (N1, None, [1.3]),
         # rates returned as a 1-d array give the bits of the C loop's doubles
-        (N3.function, lambda t, y: np.array(N3.function(t, y)), [0.2, 1.0, -0.4]),
-        (LORENZ.function, None, [1.0, 1.0, 1.0]),
+        (N3, lambda t, y: np.array(N3(t, y)), [0.2, 1.0, -0.4]),
+        (LORENZ, None, [1.0, 1.0, 1.0]),
     ], ids=["n1", "n3-array", "n3-lorenz"])
     def test_custom_sizes(self, field, python, y0):
         for grid, kw in CUSTOM_RUNS:
@@ -912,8 +913,9 @@ class TestDeclaredFields:
         assert wrapped.tobytes() == solve_ode(vector_field(kind), state.t, y0, grid).tobytes()
 
     def test_wrapper_copying_the_declaration_is_called(self):
-        # functools.wraps copies the field's ``source`` attribute; the step
-        # must still call the wrapper, not inline the field it wraps
+        # functools.wraps copies the declaration's attributes, its compiled
+        # function included; the step must still call the wrapper, which is
+        # not a declaration, not inline the field it wraps
         field = vector_field(ModelKind.ONE_D)
         calls = []
 
@@ -922,7 +924,7 @@ class TestDeclaredFields:
             calls.append(t)
             return field(t, y)
 
-        assert f.source is field.source
+        assert f.function is field.function and f.__wrapped__ is field
         ys = solve_ode(f, 0.0, [1.0, 0.0], np.array([0.0, 1.0]))
         assert len(calls) > 1
         assert ys.tobytes() == solve_ode(field, 0.0, [1.0, 0.0], np.array([0.0, 1.0])).tobytes()
@@ -968,14 +970,14 @@ class TestNativeLoop:
          "domain refusals forced the step below the floor"),
         (vector_field(ModelKind.TWO_D), 0.0, [1.0, 1e-10, 0.1, 0.2], sample_grid(0.0, 25.0, 0.01),
          {}, IntegrationError, "step size underflow at t=0.0 (h=7.6"),
-        (WALL.function, -1e6, [-1e6 - 1e-9], np.array([-1e6, 0.0, 1e8]), {}, SingularityError,
+        (WALL, -1e6, [-1e6 - 1e-9], np.array([-1e6, 0.0, 1e8]), {}, SingularityError,
          "the field refused 50 consecutive steps near t=0.0"),
-        (FALL.function, 0.0, [1.0, 0.0], np.array([0.0, 3.0]), {}, SingularityError,
+        (FALL, 0.0, [1.0, 0.0], np.array([0.0, 3.0]), {}, SingularityError,
          "domain refusals forced the step below the floor"),
-        (BLOWUP.function, 0.0, [1.0], np.array([0.0, 2.0]), {}, IntegrationError,
+        (BLOWUP, 0.0, [1.0], np.array([0.0, 2.0]), {}, IntegrationError,
          "step size underflow"),
-        (ROOT.function, 0.0, [1.0], np.array([0.0, 3.0]), {}, TypeError, "'>' not supported"),
-        (ROOT.function, 0.0, [-0.5], np.array([0.0, 3.0]), {}, TypeError, "'>' not supported"),
+        (ROOT, 0.0, [1.0], np.array([0.0, 3.0]), {}, TypeError, "'>' not supported"),
+        (ROOT, 0.0, [-0.5], np.array([0.0, 3.0]), {}, TypeError, "'>' not supported"),
         (vector_field(ModelKind.ONE_D), 0.0, [1e308, 1e150], 1e159 * np.arange(11.0), {},
          IntegrationError, "the state overflowed in the step from t=5.79"),
         (vector_field(ModelKind.TWO_D), 0.0, [1.0, 1e-13, 0.1, 0.2], np.array([0.0, 1.0]), {},
@@ -1028,12 +1030,12 @@ class TestNativeLoop:
             calls.append(y)
             return field(t, y)
 
-        run = _loop_kernel(4, field.source)
+        run = _loop_kernel(4, field)
         assert hasattr(run, "library")
         grid = sample_grid(0.0, 5.0, 0.01)
         args = (0.0, 0.05, model_start(ModelKind.TWO_D), grid, grid.tolist(), 1, 1e-12, 1e-10,
                 math.inf, 1.0)
-        got, want = run(spy, *args), _run_python(4, field, *args)
+        got, want = run(spy, *args), _run_python(4, field.function, *args)
         assert not calls
         assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
 
@@ -1060,11 +1062,9 @@ class TestNativeLoop:
 
     @pytest.mark.parametrize("kind,powers", [(ModelKind.TWO_D, 0), (ModelKind.ELLIPTIC_3D, 1)])
     def test_angular_field_stage_calls_no_trig_and_one_power_at_most(self, kind, powers):
-        source = _angular_field(kind).source
-        translator = native._Translator(source.args)
-        check, prelude, outputs = translator.field(source)
-        stage = " ".join([check, *prelude, *outputs])
-        assert translator.power is bool(powers)
+        source = _angular_field(kind)
+        helpers, stage = native.field_function(source)
+        assert helpers.count("py_power(") == powers
         assert stage.count("py_power(") == powers
         code = c_source(4, source)
         assert not re.search(r"\b(sin|cos|tan)\(", code)
@@ -1078,33 +1078,21 @@ class TestNativeLoop:
         assert capsys.readouterr().err == ("error: integration failed: step size underflow at "
                                            "t=0.0 (h=7.629394531250004e-15)\n")
 
-    @pytest.fixture
-    def fresh_kernels(self, monkeypatch, tmp_path):
-        """An empty cache and no kernel chosen yet, then the cache as before."""
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        _loop_kernel.cache_clear()
-        yield tmp_path / "fireball"
-        _loop_kernel.cache_clear()
-
     @pytest.mark.parametrize("field,y0,grid", [
         *((vector_field(kind), model_start(kind), sample_grid(0.0, 5.0, 0.01))
           for kind in ModelKind),
         *((_angular_field(kind), angular_start(0.7, -1.1), np.linspace(0.0, 2.0, 201))
           for kind in (ModelKind.TWO_D, ModelKind.ELLIPTIC_3D)),
     ], ids=[*(kind.value for kind in ModelKind), "angular-2d", "angular-elliptic"])
-    def test_without_a_compiler_the_python_loop_serves(self, fresh_kernels, monkeypatch,
-                                                       caplog, field, y0, grid):
+    def test_without_a_compiler_the_python_loop_serves(self, no_cc, caplog, field, y0, grid):
         n = len(y0)
         want = solve_ode(field, 0.0, y0, grid)
         assert_native(field, n)
-        _loop_kernel.cache_clear()
-        monkeypatch.setenv("XDG_CACHE_HOME", str(fresh_kernels / "empty"))
-        monkeypatch.setattr(native, "_compiler", lambda: None)
-        with caplog.at_level(logging.INFO, logger="fireball.integrate"):
+        with no_cc(), caplog.at_level(logging.INFO, logger="fireball.integrate"):
             got = solve_ode(field, 0.0, y0, grid)
-        assert not hasattr(_loop_kernel(n, field.source), "library")
+            assert not hasattr(_loop_kernel(n, field), "library")
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
-            f"n={n} loop of the declared field ({', '.join(field.source.args)}): Python, "
+            f"n={n} loop of the declared field ({', '.join(field.args)}): Python, "
             "no C compiler (cc) on PATH"]
         assert got.tobytes() == want.tobytes()
 
@@ -1121,26 +1109,21 @@ class TestNativeLoop:
          "--compare", "--t-end", "5"],
         *(["verify", "--model", kind.value] for kind in ModelKind),
     ], ids=lambda argv: "-".join(argv[:3:2]))
-    def test_the_python_loop_writes_the_native_loop_bytes(self, monkeypatch, tmp_path, argv):
-        # every command, run once on the native loops (wherever cc works)
-        # and once on the Python stepper, writes the same file
+    def test_the_python_loop_writes_the_native_loop_bytes(self, no_cc, tmp_path, argv):
+        # every command, run once on the native paths (wherever cc works)
+        # and once on the Python stepper, the numpy report and the Python
+        # rows, writes the same file
         paths = [tmp_path / "native.out", tmp_path / "python.out"]
-        _loop_kernel.cache_clear()
         code = main([*argv, "--out", str(paths[0])])
         kind = ModelKind.from_name(argv[2])
         assert_native(vector_field(kind), 2 * kind.dim)
-        _loop_kernel.cache_clear()
-        monkeypatch.setattr(native, "_compiler", lambda: None)
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty"))
-        try:
+        with no_cc():
             assert main([*argv, "--out", str(paths[1])]) == code == 0
-            assert not hasattr(_loop_kernel(2 * kind.dim, vector_field(kind).source), "library")
-        finally:
-            _loop_kernel.cache_clear()
+            assert not hasattr(_loop_kernel(2 * kind.dim, vector_field(kind)), "library")
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
-    def test_cache_is_reused_and_a_damaged_object_rebuilt(self, fresh_kernels, monkeypatch):
+    def test_cache_is_reused_and_a_damaged_object_rebuilt(self, fresh_cache, monkeypatch):
         builds = []
         run = subprocess.run
 
@@ -1149,13 +1132,13 @@ class TestNativeLoop:
             return run(*args, **kwargs)
 
         monkeypatch.setattr(subprocess, "run", spy)
-        source = vector_field(ModelKind.ONE_D).source
-        args = (source.function, 0.0, [1.0, 0.0], sample_grid(0.0, 1.0, 0.01))
+        source = vector_field(ModelKind.ONE_D)
+        args = (source, 0.0, [1.0, 0.0], sample_grid(0.0, 1.0, 0.01))
         want = solve_ode(*args)
         assert len(builds) == 1
         _, how = native._library(c_source(2, source))
         assert how.startswith("from the cache") and len(builds) == 1
-        path, = fresh_kernels.glob("*.so")
+        path, = fresh_cache.glob("*.so")
         data = path.read_bytes()
         # a new file, not the loaded one cut short in place
         path.unlink()
@@ -1169,14 +1152,14 @@ class TestNativeLoop:
         # with or without a compiler: every declared field of the package
         # lies within the translator's grammar
         for field in PACKAGE_FIELDS:
-            assert c_source(len(field.source.args), field.source)
+            assert c_source(len(field.args), field)
 
     def test_kernel_sources_are_pinned(self):
         # with or without a compiler: the SHA-256 of each package kernel's C
         # source, in PACKAGE_FIELDS order (the models' fields, then the
         # angular ones), of the report's and of the CSV row writer's, so
         # that a change to one is made on purpose
-        digests = [hashlib.sha256(c_source(len(f.source.args), f.source).encode())
+        digests = [hashlib.sha256(c_source(len(f.args), f).encode())
                    .hexdigest() for f in PACKAGE_FIELDS]
         assert digests == [
             "bc0487186b3e3a8d5baf00fa24b8791c9135bb8e517759d370ee24086d0a525c",  # 1d
@@ -1204,6 +1187,24 @@ class TestNativeLoop:
         assert imported and not [m for m in imported
                                  if m.startswith(".") or m.split(".")[0] == "fireball"]
 
+    def test_only_native_knows_the_translator(self):
+        # the modules that run a declaration's C get it from native's entry
+        # points: none reads the translator or its helpers' text, or writes
+        # the translator's u_ names or its _py flag into a string of C
+        private, written = {"_Translator", "_PRELUDE", "_POWER"}, re.compile(r"\bu_\w|\b_py\b")
+        for path in Path(native.__file__).parent.glob("*.py"):
+            if path.name == "native.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+            reads = [node for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and node.attr in private
+                     or isinstance(node, ast.Name) and node.id in private
+                     or isinstance(node, ast.alias) and node.name in private
+                     or isinstance(node, ast.Constant) and isinstance(node.value, str)
+                     and id(node) not in docstrings and written.search(node.value)]
+            assert not reads, (path.name, [ast.unparse(node) for node in reads])
+
     @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
     def test_generated_c_compiles_without_warnings(self, tmp_path):
         # a warning from the emitter fails here rather than hide a
@@ -1211,7 +1212,7 @@ class TestNativeLoop:
         files = []
         for i, field in enumerate(PACKAGE_FIELDS):
             files.append(tmp_path / f"loop{i}.c")
-            files[-1].write_text(c_source(len(field.source.args), field.source))
+            files[-1].write_text(c_source(len(field.args), field))
         proc = subprocess.run(["cc", *native.FLAGS, "-Wall", "-Wextra", "-Werror", "-c",
                                *map(str, files)], cwd=tmp_path, capture_output=True,
                               text=True, timeout=600)
@@ -1249,10 +1250,10 @@ class TestNativeLoop:
         chained = FieldSource(args=("x", "v"), positive="-2.0 < x < 2.0", refusal='f"x={x!r}"',
                               outputs=("v", "-x"))
         grid = sample_grid(0.0, 10.0, 0.1)
-        got = assert_native_matches_python(OSCILLATOR.function, 0.0, [-0.0, -1.0], grid,
-                                           python=chained.function)
+        got = assert_native_matches_python(OSCILLATOR, 0.0, [-0.0, -1.0], grid,
+                                           python=chained)
         assert not hasattr(_loop_kernel(2, chained), "library")
-        assert got.tobytes() == solve_ode(counted(chained.function), 0.0, [-0.0, -1.0],
+        assert got.tobytes() == solve_ode(counted(chained), 0.0, [-0.0, -1.0],
                                           grid).tobytes()
 
 
@@ -1306,8 +1307,8 @@ class TestSanitizedLoop:
 
     @pytest.fixture(scope="class")
     def runners(self, tmp_path_factory):
-        sources = {"1d": vector_field(ModelKind.ONE_D).source,
-                   "3d": vector_field(ModelKind.THREE_D).source, "wall": WALL}
+        sources = {"1d": vector_field(ModelKind.ONE_D),
+                   "3d": vector_field(ModelKind.THREE_D), "wall": WALL}
         return {name: sanitizers.build(tmp_path_factory.mktemp(name), LOOP_RUNNER,
                                        c_source(len(source.args), source))
                 for name, source in sources.items()}, sources
@@ -1392,9 +1393,9 @@ class TestIntegrateOutput:
         # falls below the floor: IntegrationError from a finite state, on
         # the native loop as on the Python stepper
         grid = np.linspace(0.0, 3.0, 7)
-        got = failure(NAN_AFTER.function, 0.0, [1.0, 0.0], grid)
-        assert_native(NAN_AFTER.function, 2)
-        assert got == failure(counted(NAN_AFTER.function), 0.0, [1.0, 0.0], grid)
+        got = failure(NAN_AFTER, 0.0, [1.0, 0.0], grid)
+        assert_native(NAN_AFTER, 2)
+        assert got == failure(counted(NAN_AFTER), 0.0, [1.0, 0.0], grid)
         error, message, last_t, last_y = got
         assert error is IntegrationError and message.startswith("step size underflow")
         assert 1.79 < last_t < sys.float_info.max / 1e308

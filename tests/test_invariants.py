@@ -131,6 +131,15 @@ class TestRadialInvariant:
             assert C == pytest.approx(
                 2.0 * general_ermakov_invariant(ELLIPTIC_PAIR, *q, *qdot), rel=1e-13)
 
+    @pytest.mark.parametrize("bad", [0.0, math.nan])
+    @pytest.mark.parametrize("form", [hamiltonian_values, radial_invariant_values,
+                                      ermakov_values])
+    def test_batch_refuses_a_row_of_non_positive_or_nan_variance(self, form, bad):
+        # the checked potential refuses the batch, NaN as zero
+        qs, qdots = np.array([[1.0, 1.3], [bad, 1.0]]), np.array([[0.1, 0.2], [0.1, 0.2]])
+        with pytest.raises(DomainError, match="singular force: non-positive variance"):
+            form(qs, qdots, ModelKind.TWO_D)
+
     def test_batch_matches_rows(self):
         kind = ModelKind.THREE_D
         rng = np.random.default_rng(3)

@@ -23,32 +23,21 @@ needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
 NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
 
 
-@pytest.fixture(scope="module")
-def empty_cache(tmp_path_factory):
-    return tmp_path_factory.mktemp("empty")
-
-
 @contextlib.contextmanager
-def numpy_path(empty_cache):
+def numpy_path(no_cc):
     """The report as on a machine without a compiler: no cc, an empty cache."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("XDG_CACHE_HOME", str(empty_cache))
-        patch.setattr(native, "_compiler", lambda: None)
-        invariants._native_report.cache_clear()
-        try:
-            assert invariants._native_report() is None
-            yield
-        finally:
-            invariants._native_report.cache_clear()
+    with no_cc():
+        assert invariants._native_report() is None
+        yield
 
 
-def assert_same_bits(traj, empty_cache):
+def assert_same_bits(traj, no_cc):
     """The native and the numpy report of ``traj`` agree in every bit of
     every value and drift, names and their order included."""
     with np.errstate(all="ignore"):  # numpy's own overflow on extreme rows
         got = invariant_report(traj)
         assert invariants._native_report() is not None
-        with numpy_path(empty_cache):
+        with numpy_path(no_cc):
             want = invariant_report(traj)
     assert list(got.values) == list(want.values) == list(got.drift) == list(want.drift)
     for name, value in want.values.items():
@@ -89,7 +78,7 @@ class TestSameBits:
     @pytest.mark.parametrize("kind", list(ModelKind))
     @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
     @given(data=st.data())
-    def test_drawn_trajectories(self, empty_cache, kind, data):
+    def test_drawn_trajectories(self, no_cc, kind, data):
         # 1, 2 and 11 rows in every layout; variances and rates near 1, or
         # from 1e-150 to 1e150, so that products overflow and underflow
         n = data.draw(st.sampled_from([1, 2, 11]))
@@ -103,22 +92,22 @@ class TestSameBits:
         qs, qdots = draw(st.floats(1.0, 10.0)), draw(st.floats(-10.0, 10.0))
         times = data.draw(st.floats(-1e3, 1e3)) + data.draw(st.floats(0.01, 1e3)) * np.arange(n)
         layout = data.draw(st.sampled_from(sorted(LAYOUTS)))
-        assert_same_bits(LAYOUTS[layout](kind, times, qs, qdots), empty_cache)
+        assert_same_bits(LAYOUTS[layout](kind, times, qs, qdots), no_cc)
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     @pytest.mark.parametrize("t_end,interval,rows", [(1.0, 1.0, 2), (1e4, 1e3, 11),
                                                      (25.0, 0.01, 2501)])
-    def test_integrated_runs_and_their_scaled_images(self, empty_cache, kind, t_end, interval,
+    def test_integrated_runs_and_their_scaled_images(self, no_cc, kind, t_end, interval,
                                                      rows):
         traj = integrate(State(t=0.0, q=[1.1, 0.8, 1.4][:kind.dim],
                                qdot=[0.3, -0.2, 0.1][:kind.dim]),
                          kind, IntegratorConfig(t_end=t_end, sample_interval=interval))
         assert len(traj) == rows and traj.qs.base is traj.qdots.base
-        assert_same_bits(traj, empty_cache)
-        assert_same_bits(scaled_trajectory(traj, 1.7), empty_cache)
+        assert_same_bits(traj, no_cc)
+        assert_same_bits(scaled_trajectory(traj, 1.7), no_cc)
 
     @pytest.mark.parametrize("kind", [ModelKind.THREE_D, ModelKind.ELLIPTIC_3D])
-    def test_variances_near_1e200(self, empty_cache, kind):
+    def test_variances_near_1e200(self, no_cc, kind):
         # test_invariants' overflow rows: P = inf, so V = 0, and the kinetic
         # energy underflows to 0
         d = kind.dim
@@ -126,11 +115,11 @@ class TestSameBits:
         qdots = 1e-190 * np.array([[0.3, -0.2, 0.1], [0.2, -0.1, 0.3], [0.1, 0.2, -0.3]])[:, :d]
         for n in (1, 2, 3):
             assert_same_bits(Trajectory(kind=kind, times=np.array([0.0, 1.0, 2.0])[:n],
-                                        qs=qs[:n], qdots=qdots[:n]), empty_cache)
+                                        qs=qs[:n], qdots=qdots[:n]), no_cc)
 
 
 @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
-def test_a_single_state_rounds_as_its_batch_row(empty_cache, kind):
+def test_a_single_state_rounds_as_its_batch_row(no_cc, kind):
     # 2,000 states in verify's ranges: on one (d,) state, energies,
     # noether_invariant and each batch form give the bits of the same form
     # on the state's row of one and of its row in the report, native and
@@ -143,7 +132,7 @@ def test_a_single_state_rounds_as_its_batch_row(empty_cache, kind):
     qs, qdots = rng.uniform(0.6, 1.8, (n, d)), rng.uniform(-0.8, 0.8, (n, d))
     traj = Trajectory(kind=kind, times=times, qs=qs, qdots=qdots)
     reports = [invariant_report(traj)]
-    with numpy_path(empty_cache):
+    with numpy_path(no_cc):
         reports.append(invariant_report(traj))
     forms = {"H": lambda t, q, v: invariants.hamiltonian_values(q, v, kind),
              "L": lambda t, q, v: invariants._evaluate(kind, "L", None, q, v),
@@ -194,25 +183,23 @@ def test_declarations_translate_without_power_or_division():
     # which rounds once in C as in numpy; a pow or a division could not
     for kind, series in invariants._SERIES.items():
         columns, statements = invariants._declaration(kind, series)
-        translator = native._Translator(("t", "V", *(x for x, _, _ in columns)))
-        code = [translator.assign(node) for line in statements
-                for node in translator.parse(line, "exec").body]
-        assert not translator.power
+        inputs = {x: "0.0" for x in ("t", "V", *(x for x, _, _ in columns))}
+        _, _, code, _ = native.statement_block(inputs, statements, series)
         assert not any("py_divide" in line or "py_power" in line for line in code)
         assert f"fireball_report_{kind.value}(" in invariants.report_source()
 
 
-class TestChoice:
-    @pytest.fixture
-    def fresh(self, monkeypatch, tmp_path):
-        """An empty cache and no report chosen yet, then the cache as before."""
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        invariants._native_report.cache_clear()
-        yield tmp_path
-        invariants._native_report.cache_clear()
+@pytest.mark.parametrize("statement", ["H = T / V", "H = T ** 2.0", "H = T + (V / 2.0) * T"])
+def test_a_statement_that_could_raise_is_refused(statement):
+    # the report's C has no flag to hand a raise back to numpy, so a
+    # division or a power, which raise in Python, cannot be translated
+    with pytest.raises(native.Unavailable, match="cannot translate"):
+        native.statement_block({"T": "t[i]", "V": "out[i]"}, [statement], ["H"])
 
+
+class TestChoice:
     @needs_cc
-    def test_one_record_says_which_report_serves(self, fresh, monkeypatch, caplog):
+    def test_one_record_says_which_report_serves(self, fresh_cache, no_cc, caplog):
         def records():
             caplog.clear()
             invariants._native_report()
@@ -223,22 +210,20 @@ class TestChoice:
             built, = records()
             invariants._native_report.cache_clear()
             cached, = records()
-            invariants._native_report.cache_clear()
-            monkeypatch.setenv("XDG_CACHE_HOME", str(fresh / "empty"))
-            monkeypatch.setattr(native, "_compiler", lambda: None)
-            numpy, = records()
+            with no_cc():
+                numpy, = records()
         assert built.startswith("invariant report: native, built in ") and "fireball" in built
         assert cached.startswith("invariant report: native, from the cache (")
         assert numpy == "invariant report: numpy, no C compiler (cc) on PATH"
 
-    def test_without_a_compiler_numpy_serves_and_builds_nothing(self, fresh, monkeypatch):
-        monkeypatch.setattr(native, "_compiler", lambda: None)
-        traj = integrate(State(t=0.0, q=[1.0, 1.3], qdot=[-0.2, 0.35]), ModelKind.TWO_D,
-                         IntegratorConfig(t_end=5.0, sample_interval=0.5))
-        report = invariant_report(traj)
-        assert invariants._native_report() is None
+    def test_without_a_compiler_numpy_serves_and_builds_nothing(self, no_cc):
+        with no_cc() as cache:
+            traj = integrate(State(t=0.0, q=[1.0, 1.3], qdot=[-0.2, 0.35]), ModelKind.TWO_D,
+                             IntegratorConfig(t_end=5.0, sample_interval=0.5))
+            report = invariant_report(traj)
+            assert invariants._native_report() is None
         assert set(report.values) == {"H", "J", "I"}
-        assert not list(fresh.rglob("*.so"))
+        assert not list(cache.parent.rglob("*.so"))
 
 
 # Reads n, d, the number of series and the model's place in ModelKind (four
@@ -300,13 +285,13 @@ class TestSource:
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     @pytest.mark.parametrize("rows", [1, 2, 11])
-    def test_sanitized_runs_give_the_numpy_values(self, sanitized, empty_cache, kind, rows):
+    def test_sanitized_runs_give_the_numpy_values(self, sanitized, no_cc, kind, rows):
         rng = np.random.default_rng(rows)
         ys = np.hstack([rng.uniform(0.3, 3.0, (rows, kind.dim)),
                         rng.uniform(-2.0, 2.0, (rows, kind.dim))])
         times = np.cumsum(rng.uniform(0.1, 1.0, rows))
         traj = Trajectory(kind=kind, times=times, qs=ys[:, :kind.dim], qdots=ys[:, kind.dim:])
-        with numpy_path(empty_cache):
+        with numpy_path(no_cc):
             want = invariant_report(traj)
         series = np.array(list(want.values.values()))
         head = np.array([rows, kind.dim, len(series), list(ModelKind).index(kind)],
