@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoMotionError
-from .models import ModelKind, State, _require_planar, check_state, radius
+from .models import ModelKind, State, _require_planar, check_state, power, radius
 from .integrate import solve_ode
 from .dynamics import POSITIVITY_FLOOR, _angular_field
 from .invariants import hamiltonian_values, radial_invariant_values
@@ -129,8 +129,9 @@ def angular_potential(phi, kind: ModelKind):
     phi = np.asarray(phi, dtype=float)
     if not np.all((phi > 0.0) & (phi < math.pi / 2.0)):  # NaN fails it too
         raise DomainError("phi must lie strictly inside (0, pi/2)")
+    base = np.cos(phi) ** Mx * np.sin(phi) ** My
     with np.errstate(over="ignore"):  # U -> inf at the ends, as the overflow gives
-        return K * (np.cos(phi) ** Mx * np.sin(phi) ** My) ** p
+        return K * (1.0 / base if p == -1.0 else power(base, p))
 
 
 def angular_minimum(kind: ModelKind) -> tuple[float, float]:

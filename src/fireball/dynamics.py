@@ -14,13 +14,13 @@ variances over the D spatial axes (elliptic: Z = X, so P = X^2 Y), and
 V = (D/2) P^{-2/D}.  The kinetic weights M count the spatial axes each
 coordinate carries (elliptic: M = (2, 1), so its kinetic term is
 Xd^2 + Yd^2/2); the Euler-Lagrange equations read  M qdd = -grad V.
-T, L = T - V and H = T + V are declared with the invariants
-(:mod:`fireball.invariants`).
-
-Both equations of motion, the models' :func:`vector_field` and the angular
-quadrature's :func:`_angular_field`, are declared here once as source
-derived from the axes (:class:`FieldSource`), which :mod:`fireball.native`
-translates into C for the integrator's native loop.
+The force and V are declared once per model as source (:func:`_force`).
+The field :func:`vector_field` (a :class:`FieldSource`, as is the angular
+quadrature's :func:`_angular_field`) runs it on floats or, translated by
+:mod:`fireball.native`, as C; :func:`accel`, :func:`potential` and
+:func:`energies` run it with numpy beside T, L = T - V and H = T + V
+(:mod:`fireball.invariants`), each power the C library's ``pow`` as in
+Python and C, so no output byte depends on numpy's SIMD loops.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .models import ModelKind, State, axis_product, check_state
+from .models import ModelKind, State, check_state
 
 # Smallest variance the integrator may step to; the force is singular at 0.
 POSITIVITY_FLOOR = 1e-12
@@ -45,14 +45,31 @@ def _positive(q: np.ndarray) -> np.ndarray:
 
 
 def accel(q: np.ndarray, kind: ModelKind) -> np.ndarray:
-    """Acceleration 1/(q P^(2/D)) at variances ``q``, with P the product of
-    the variances over the D spatial axes.
+    """Acceleration 1/(q P^(2/D)) at (d,) or (n, d) variances ``q``, with P
+    their product over the D spatial axes: :func:`vector_field`'s, bit for bit."""
+    from .invariants import _evaluator  # which imports this module
+    q = _positive(np.asarray(q, dtype=float))
+    return np.stack(_evaluator(kind, tuple(f"{x}dd" for x in kind.labels))(None, q, None), -1)
 
-    Accepts a (d,) vector or an (n, d) batch like :func:`potential`.
-    """
-    q = np.asarray(q, dtype=float)
-    _positive(q)
-    return 1.0 / (q * np.expand_dims(axis_product(q, kind), -1) ** (2.0 / kind.spatial_dim))
+
+@functools.cache
+def _force(kind: ModelKind) -> tuple[tuple[str, ...], tuple[str, ...], str]:
+    """The model's force and potential as Python source over its coordinates:
+    ``(prelude, accelerations, V)``.  Each acceleration 1/(q_i P^(2/D)) and
+    V = (D/2) P^(-2/D) divides by P^(2/D) as variances in index order where
+    2/D is an integer (2d: ``1.0 / (X * X * Y)``, ``1.0 / (X * Y)``; X * X * X,
+    not X ** 3, whose float power raises OverflowError), else by the prelude's
+    ``s = (X * Y * Z) ** (2.0 / 3.0)`` (``1.0 / (X * s)``, ``1.5 / (s)``)."""
+    q, D = kind.labels + ("s",), kind.spatial_dim
+    factors = list(kind.sorted_axes) * (2 // D) if 2 % D == 0 else [kind.dim]  # [s]
+
+    def product(*extra):
+        return " * ".join(q[a] for a in sorted([*extra, *factors]))
+
+    prelude = () if 2 % D == 0 else (
+        f"s = ({' * '.join(q[a] for a in kind.sorted_axes)}) ** (2.0 / {float(D)!r})",)
+    return (prelude, tuple(f"1.0 / ({product(i)})" for i in range(kind.dim)),
+            f"{D / 2!r} / ({product()})")
 
 
 class FieldSource:
@@ -104,32 +121,18 @@ def vector_field(kind: ModelKind) -> FieldSource:
 
     Raises :class:`DomainError` when any variance is <= POSITIVITY_FLOOR
     (NaN included), which the integrator treats as a rejected step.  The
-    field is a :class:`FieldSource` derived from the axes, built once per
-    kind.  Each acceleration 1/(q_i P^(2/D)) is written as a product of
-    variances in index order when 2/D is an integer (``1.0 / (X * X * Y)``
-    for 2d: X * X * X, not X ** 3, since a float power raises OverflowError
-    where numpy returned inf) and as ``1.0 / (X * s)`` with
-    ``s = (X * Y * Z) ** (2.0 / 3.0)`` for the 3d and elliptic models.
+    field is a :class:`FieldSource` of the declared force (:func:`_force`),
+    built once per kind.
     """
+    prelude, accels, _ = _force(kind)
     q = kind.labels
     qdot = tuple(f"{x}d" for x in q)
-    axes = list(kind.sorted_axes)
-    D = kind.spatial_dim
-    if 2 % D == 0:  # P^(2/D) is P or P^2
-        prelude = ()
-        accels = tuple(
-            "1.0 / ({})".format(" * ".join(q[a] for a in sorted([i] + axes * (2 // D))))
-            for i in range(kind.dim))
-    else:
-        prelude = (f"s = ({' * '.join(q[a] for a in axes)}) ** (2.0 / {float(D)!r})",)
-        accels = tuple(f"1.0 / ({x} * s)" for x in q)
-    source = FieldSource(
+    return FieldSource(
         args=q + qdot,
         positive=" and ".join(f"{x} > {POSITIVITY_FLOOR!r}" for x in q),
         refusal=(f'f"variance at or below the positivity floor {POSITIVITY_FLOOR} '
                  f'in {{[{", ".join(q + qdot)}]}}"'),
         outputs=qdot + accels, prelude=prelude)
-    return source
 
 
 @functools.cache
@@ -143,7 +146,7 @@ def _angular_field(kind: ModelKind):
     where a = -grad V at s = u, and u . a = 2 V(u) since V is homogeneous of
     degree -2.  V(u) = (D/2) (k prod u_a)^(-2/D) over the D spatial axes a,
     with k = 1 / sqrt(prod M_a), is derived from the axes as
-    :func:`vector_field` derives its powers: ``1.0 / (uX * uY)`` for 2d,
+    :func:`_force` derives its powers: ``1.0 / (uX * uY)`` for 2d,
     one ``**`` for elliptic.  It raises DomainError for a stage outside the
     open quadrant u > 0, so the solver rejects that step, as it does at a
     variance floor.  It is a :class:`FieldSource`, built once per kind, so
@@ -171,22 +174,10 @@ def _angular_field(kind: ModelKind):
 
 
 def potential(q: np.ndarray, kind: ModelKind):
-    """Pseudo-potential V = (D/2) P^(-2/D), with P the product of the
-    variances over the D spatial axes.
-
-    Accepts a (d,) vector or an (n, d) batch; returns a scalar or (n,) array.
-    This public form checks the variances and raises :class:`DomainError`
-    for a non-positive one; ``_potential`` is the same formula without the
-    check, for callers whose variances are already known to be positive.
-    """
-    q = np.asarray(q, dtype=float)
-    return _potential(_positive(q), kind)
-
-
-def _potential(q: np.ndarray, kind: ModelKind, out=None):
-    D = kind.spatial_dim
-    # an array for one state too: numpy's scalar power (libm's) rounds otherwise
-    return np.multiply(D / 2, np.asarray(axis_product(q, kind)) ** (-2.0 / D), out=out)
+    """Pseudo-potential V = (D/2) P^(-2/D) at (d,) or (n, d) variances ``q``,
+    a scalar or (n,) array; raises :class:`DomainError` for one not positive."""
+    from .invariants import _evaluator  # which imports this module
+    return _evaluator(kind, ("V",))(None, _positive(np.asarray(q, dtype=float)), None)[0]
 
 
 @dataclass(frozen=True)
@@ -198,6 +189,5 @@ class EnergyPair:
 def energies(state: State, kind: ModelKind) -> EnergyPair:
     """Lagrangian and conserved energy at the given state: the declared L and H on a row of one."""
     from .invariants import _evaluator  # which imports this module
-    q, qdot = check_state(state, kind).q[None], state.qdot[None]
-    L, H = _evaluator(kind, ("L", "H"))(None, potential(q, kind), q, qdot)
+    L, H = _evaluator(kind, ("L", "H"))(None, check_state(state, kind).q[None], state.qdot[None])
     return EnergyPair(lagrangian=float(L[0]), hamiltonian=float(H[0]))

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError
 from .models import (ModelKind, PhysicalParams, State, axis_product,
-                     check_state, reference_scales)
+                     check_state, power, reference_scales)
 
 PROBE_LIMIT_SIGMA = 5.0
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -46,9 +46,9 @@ def _profile(params: PhysicalParams, qs, qdots, kind: ModelKind):
     per-axis variances Q and rates Qd (..., D), the density prefactor
     n0 prod_a(Q0_a / Q_a) and the temperature T0 prod_a(Q0_a / Q_a)^(2/D)."""
     ratio = axis_product(params.variances(kind), kind) / axis_product(qs, kind)
-    axes = list(kind.axes)
+    axes, D = list(kind.axes), kind.spatial_dim
     return (qs[..., axes], qdots[..., axes], params.n0 * ratio,
-            params.T0 * ratio ** (2.0 / kind.spatial_dim))
+            params.T0 * (ratio ** (2 // D) if 2 % D == 0 else power(ratio, 2.0 / D)))
 
 
 def default_probe_points(kind: ModelKind) -> np.ndarray:

@@ -22,23 +22,22 @@ q_i qdot_i overflows, the matrix's diagonal was inf - inf = NaN; the pairs
 have no diagonal.)
 
 T = sum(M qdot^2) / 2, H = T + V, L = T - V, J and C are declared once per
-model (:func:`_declaration`) as Python statements over the coordinates,
-their rates, ``t`` and ``V``, with only ``+ - *``, float constants and
+model (:func:`_declaration`) after the force (:func:`fireball.dynamics._force`)
+as Python statements over the coordinates, their rates and ``t``, in
 :func:`fireball.models.row_sum`'s order, so each operation rounds once
-wherever the text runs.  numpy evaluates it for the batch forms (a (d,)
-state rounds as its batch row), :func:`fireball.dynamics.energies` and
-:mod:`fireball.symmetry`'s L, each running only the statements its values
-need, and for the report where no compiler works.  Elsewhere
-:func:`report_source` has :func:`fireball.native.statement_block` write it
-into the report's C pass, which this module builds and runs: one per model
-over a trajectory's rows, in place through their strides, computing the
-report's series from numpy's V with numpy's bits (the declaration uses only
-``+ - *``) and their largest deviations.  An address fetched from numpy
-costs 1.2-2 us (2-vCPU x86-64), so a call fetches three, those of the times
-and the two row arrays; its output block is an :class:`array.array`, whose
-address is cheap.  The report (:func:`invariant_report`) takes V from numpy
-either way, without a positivity check (a Trajectory holds positive
-variances); the ``fireball.invariants`` logger says which path serves.
+wherever the text runs.  numpy evaluates them, each ``**`` as the C
+library's ``pow`` per element (:func:`fireball.models.power`), for the batch
+forms (a (d,) state rounds as its batch row), :mod:`fireball.dynamics`'
+forms, :mod:`fireball.symmetry`'s L and the report where no compiler works.
+Elsewhere :func:`fireball.native.statement_block` writes them into the
+report's C pass (:func:`report_source`), one per model over a trajectory's
+rows, in place through their strides: V, the series and their largest
+deviations, with numpy's bits (C's ``/`` and ``pow``).  An address fetched
+from numpy costs 1.2-2 us (2-vCPU x86-64), so a call fetches three, those
+of the times and the two row arrays; its output block is an
+:class:`array.array`, whose address is cheap.  The report
+(:func:`invariant_report`) makes no positivity check (a Trajectory holds
+positive variances); the ``fireball.invariants`` logger says which path serves.
 
 C is 1/2 in 1d, H r0^2 - J^2/2 in 3d, the Ermakov invariant
 I = (X Yd - Y Xd)^2 / 2 + Y/X + X/Y in 2d and Itilde = 2 I in the elliptic
@@ -59,7 +58,7 @@ from string import Template
 import numpy as np
 
 from .errors import DomainError, UnsupportedModelError
-from .models import ModelKind, State, check_state
+from .models import ModelKind, State, check_state, power
 from .integrate import Trajectory
 from . import dynamics
 
@@ -73,8 +72,9 @@ _ALIASES = {ModelKind.TWO_D: ("I = C",), ModelKind.ELLIPTIC_3D: ("I = 0.5 * C", 
 @functools.cache
 def _declaration(kind: ModelKind, outputs: tuple[str, ...]):
     """``(columns, statements)``: the statements over the coordinates, their
-    rates (``Xd`` for X), ``t`` and ``V`` that the values named ``outputs``
-    need, and as (name, ``"q"`` or ``"v"``, i) the columns i they read.  The
+    rates (``Xd`` for X) and ``t`` that the values named ``outputs`` (``V``
+    and ``Xdd`` among them) need, and as (name, ``"q"`` or ``"v"``, i) the
+    columns i they read.  The
     terms M qdot^2, q (M qdot) and (M q)(q V), finite where r^2 overflows
     (q > 1e154), are formed as numpy forms them from arrays (1.0 * x as x)."""
     q, M = kind.labels, kind.weights.tolist()
@@ -89,7 +89,9 @@ def _declaration(kind: ModelKind, outputs: tuple[str, ...]):
     kinetic = row_sum([weighted(m, f"({v} * {v})") for m, v in zip(M, qd)])
     momenta = row_sum([f"{x} * ({weighted(m, v)})" for m, x, v in zip(M, q, qd)])
     radial = row_sum([f"{weighted(m, x)} * ({x} * V)" for m, x in zip(M, q)])
-    lines = [f"T = 0.5 * ({kinetic})", "H = T + V", "L = T - V", f"J = 2.0 * t * H - ({momenta})"]
+    prelude, accels, potential = dynamics._force(kind)
+    lines = [*prelude, f"V = {potential}", *(f"{x}dd = {a}" for x, a in zip(q, accels)),
+             f"T = 0.5 * ({kinetic})", "H = T + V", "L = T - V", f"J = 2.0 * t * H - ({momenta})"]
     pairs = [(i, j) for j in range(kind.dim) for i in range(j)]
     for i, j in pairs:
         lines += [f"c{i}{j} = {q[i]} * {qd[j]} - {q[j]} * {qd[i]}",
@@ -105,24 +107,33 @@ def _declaration(kind: ModelKind, outputs: tuple[str, ...]):
                  for i, x in enumerate(names) if x in needed), tuple(kept)
 
 
+class _Power(ast.NodeTransformer):
+    """Each ``a ** b`` as ``_power(a, b)``."""
+
+    def visit_BinOp(self, node):
+        node = self.generic_visit(node)
+        return (ast.Call(ast.Name("_power", ast.Load()), [node.left, node.right], [])
+                if isinstance(node.op, ast.Pow) else node)
+
+
 @functools.cache
 def _evaluator(kind: ModelKind, outputs: tuple[str, ...]):
-    """The declaration of ``outputs`` compiled as ``values(t, V, q, v)``,
-    returning the tuple of those values, with numpy on the columns
-    ``q[..., i]`` and ``v[..., i]`` of the coordinates and rates it reads."""
+    """The declaration of ``outputs`` compiled as ``values(t, q, v)``,
+    returning their tuple, with numpy on the columns ``q[..., i]`` and
+    ``v[..., i]`` it reads and each ``**`` as :func:`fireball.models.power`."""
     columns, statements = _declaration(kind, outputs)
-    lines = ["def values(t, V, q, v):", *(f"{x} = {rows}[..., {i}]" for x, rows, i in columns),
+    lines = ["def values(t, q, v):", *(f"{x} = {rows}[..., {i}]" for x, rows, i in columns),
              *statements, f"return {', '.join(outputs)},"]
-    namespace = {}
-    exec(compile("\n    ".join(lines) + "\n", "<declared invariants>", "exec"), namespace)
+    tree = ast.fix_missing_locations(_Power().visit(ast.parse("\n    ".join(lines))))
+    namespace = {"_power": power}
+    exec(compile(tree, "<declared invariants>", "exec"), namespace)
     return namespace["values"]
 
 
 def _evaluate(kind: ModelKind, output: str, ts, qs, qdots) -> np.ndarray:
-    """The declared value ``output`` on a batch, with V from the checked potential."""
-    qs = np.asarray(qs, dtype=float)
-    V = dynamics.potential(qs, kind)
-    return _evaluator(kind, (output,))(ts, V, qs, np.asarray(qdots, dtype=float))[0]
+    """The declared value ``output`` on a batch of states with checked variances."""
+    qs = dynamics._positive(np.asarray(qs, dtype=float))
+    return _evaluator(kind, (output,))(ts, qs, np.asarray(qdots, dtype=float))[0]
 
 
 def hamiltonian_values(qs, qdots, kind: ModelKind) -> np.ndarray:
@@ -179,7 +190,7 @@ void fireball_report_$model(long long n, const double *t, long long ts,
         const double *q, long long qr, long long qc,
         const double *v, long long vr, long long vc, double *out)
 {
-    double *deviation = out + ($count + 1) * n, *first = deviation + $count;
+    double *deviation = out + $count * n, *first = deviation + $count;
     double $locals, x;
     long long i, j;
 
@@ -189,7 +200,7 @@ void fireball_report_$model(long long n, const double *t, long long ts,
 $body
         double value[] = {$values};
         for (j = 0; j < $count; j++) {
-            out[(j + 1) * n + i] = value[j];
+            out[j * n + i] = value[j];
             if (i == 0)
                 first[j] = value[j];
             /* np.maximum.reduce: a NaN, once met, stays */
@@ -207,16 +218,14 @@ def report_source() -> str:
     :func:`_declaration`, in C from :mod:`fireball.native`, in the row loop
     of ``fireball_report_<model>`` (``fireball_report_1d`` for ``1d``).
     Sample i reads t[i * ts], q[i * qr + k * qc] and v[i * vr + k * vc];
-    ``out`` holds V in its first n values, and the function writes the
-    report's series after them, n values each, then the largest
-    |x - x(0)| of each series and each one's first value."""
+    the function writes to ``out`` the report's series, n values each,
+    then the largest |x - x(0)| of each series and each one's first value."""
     from . import native
 
     functions = []
     for kind, series in _SERIES.items():
         columns, statements = _declaration(kind, series)
-        inputs = {"t": "t[i * ts]", "V": "out[i]",
-                  **{x: f"{a}[i * {a}r + {k} * {a}c]" for x, a, k in columns}}
+        inputs = {"t": "t[i * ts]", **{x: f"{a}[i * {a}r + {k} * {a}c]" for x, a, k in columns}}
         helpers, names, body, values = native.statement_block(inputs, statements, series)
         functions.append(_REPORT.substitute(
             model=kind.value, count=len(series), locals=names,
@@ -244,8 +253,7 @@ def _native_report():
     ``run(kind, times, qs, qdots)`` reads the (n,) ``times`` and the (n, d)
     ``qs`` and ``qdots`` of a model ``kind`` in place, through their strides
     (:func:`_doubles` says which arrays it copies first), and raises
-    ValueError for arrays of other shapes or types.  It takes V from
-    :func:`_report_potential` and returns the series of
+    ValueError for arrays of other shapes or types.  It returns the series of
     :func:`invariant_report` in its order, as (n,) arrays, and the largest
     deviation and the first value of each, as lists of floats."""
     from . import native
@@ -270,24 +278,14 @@ def _native_report():
         count = len(_SERIES[kind])
         (times, t), (qs, q), (qdots, v) = _doubles(times), _doubles(qs), _doubles(qdots)
         (ts,), (qr, qc), (vr, vc) = times.strides, qs.strides, qdots.strides
-        out = array("d", bytes(8 * ((count + 1) * n + 2 * count)))
-        block = np.frombuffer(out)
-        _report_potential(qs, kind, block[:n])
+        out = array("d", bytes(8 * (count * n + 2 * count)))
         passes[kind](n, t, ts >> 3, q, qr >> 3, qc >> 3, v, vr >> 3, vc >> 3,
                      out.buffer_info()[0])
-        tail = out[(count + 1) * n:].tolist()
-        return ([block[(j + 1) * n:(j + 2) * n] for j in range(count)],
-                tail[:count], tail[count:])
+        block, tail = np.frombuffer(out, count=count * n), out[count * n:].tolist()
+        return list(block.reshape(count, n)), tail[:count], tail[count:]
 
     log.info("invariant report: native, %s", how)
     return run
-
-
-def _report_potential(qs, kind: ModelKind, out=None):
-    """The report's V, into ``out`` if given.  A Trajectory holds positive
-    variances, so V needs no check of its own."""
-    with np.errstate(over="ignore"):  # P = inf gives V = 0, V's own underflow
-        return dynamics._potential(qs, kind, out)
 
 
 def invariant_report(traj: Trajectory) -> InvariantReport:
@@ -300,7 +298,8 @@ def invariant_report(traj: Trajectory) -> InvariantReport:
     if run is not None:
         rows, deviation, first = run(kind, traj.times, qs, qdots)
     else:
-        rows = _evaluator(kind, _SERIES[kind])(traj.times, _report_potential(qs, kind), qs, qdots)
+        with np.errstate(over="ignore"):  # P = inf gives V = 0
+            rows = _evaluator(kind, _SERIES[kind])(traj.times, qs, qdots)
         # The largest deviation of every series in one pass over them stacked.
         series = np.array(rows)
         deviation = np.maximum.reduce(np.abs(series - series[:, :1]), axis=1).tolist()

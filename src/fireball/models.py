@@ -8,6 +8,7 @@ convert them to and from laboratory units.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -189,6 +190,14 @@ def row_sum(values):
     for i in range(1, values.shape[-1]):
         total += values[..., i]
     return total
+
+
+def power(base, exponent: float) -> np.ndarray:
+    """``base ** exponent`` for bases >= 0 by the C library's ``pow`` per element,
+    as in Python and C; numpy's own power differs in the last bit on AVX-512."""
+    base = np.asarray(base, dtype=float)
+    values = map(math.pow, base.ravel().tolist(), itertools.repeat(float(exponent)))
+    return np.fromiter(values, float, base.size).reshape(base.shape)
 
 
 def reference_scales(params: PhysicalParams, kind: ModelKind) -> tuple[float, float]:

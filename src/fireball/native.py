@@ -23,10 +23,10 @@ Python's float power calls) in the values; a ``<`` or ``>`` comparison of
 two such values, or ``and`` over such comparisons, as a check; an
 assignment to one name per statement.  A declaration outside it raises
 :class:`Unavailable`, and the Python form serves it.  Each of these rounds
-in C as in Python.  Where Python would raise instead (a division by zero,
-``0.0 ** -1.0``, a negative number to a fractional power, a power
-overflowing), the helpers of :data:`_PRELUDE` and :data:`_POWER` set the
-caller's ``_py`` flag, so that the Python form can run and raise.
+in C as in Python.  Where Python would raise (a division by zero, ``0.0 **
+-1.0``, a negative number to a fractional power, a power overflowing), a
+field's helpers (:data:`_PRELUDE`, :data:`_POWER`) set the caller's ``_py``
+flag, so that the Python form can run and raise; a statement block's twin is numpy.
 
 Shared objects are cached in ``$XDG_CACHE_HOME/fireball`` (else
 ``~/.cache/fireball``; a per-process temporary directory when neither can
@@ -93,8 +93,8 @@ class Unavailable(Exception):
 class _Translator:
     """C expressions and statements of Python source over the names
     ``args`` and its grammar: finite float constants, names, unary minus,
-    ``+ - * /`` and ``**`` on floats (the last two only where ``raises``, a
-    ``_py`` flag, can hand a raise back); a ``<`` or ``>`` comparison of two
+    ``+ - * /`` and ``**`` on floats (the last two setting a ``_py`` flag
+    where ``raises``); a ``<`` or ``>`` comparison of two
     of these, or ``and`` over such comparisons, as the check; assignments
     of one name as the prelude.  Anything else raises :class:`Unavailable`."""
 
@@ -127,11 +127,11 @@ class _Translator:
             a, b = self.value(node.left), self.value(node.right)
             if type(node.op) in self._ARITHMETIC:
                 return f"({a} {self._ARITHMETIC[type(node.op)]} {b})"
-            if isinstance(node.op, ast.Div) and self.raises:
-                return f"py_divide(&_py, {a}, {b})"
-            if isinstance(node.op, ast.Pow) and self.raises:
+            if isinstance(node.op, ast.Div):
+                return f"py_divide(&_py, {a}, {b})" if self.raises else f"({a} / {b})"
+            if isinstance(node.op, ast.Pow):
                 self.power = True
-                return f"py_power(&_py, {a}, {b})"
+                return f"py_power(&_py, {a}, {b})" if self.raises else f"pow({a}, {b})"
         raise Unavailable(f"cannot translate {ast.unparse(node)}")
 
     def condition(self, node) -> str:
@@ -186,7 +186,8 @@ def statement_block(inputs: dict[str, str], statements, outputs):
     """The C of one-name statements over named inputs, each given as a C
     expression: the helper text, the names of its locals, its body (the
     inputs' assignments, then the statements') and the names of ``outputs``.
-    It has no ``_py`` flag to hand a raise back, so it takes no ``/`` or ``**``."""
+    Its ``/`` and ``**`` are C's, with no flag: numpy's division and
+    :func:`fireball.models.power`, ``pow`` per element, round as they do."""
     translator = _Translator(inputs, raises=False)
     body = [f"u_{x} = {code};" for x, code in inputs.items()]
     body += translator.statements(statements)

@@ -1,11 +1,13 @@
 """What every test module shares: the switch that runs the package as on a
-machine without a C compiler, and the report header that names the
-compiler the native paths would use."""
+machine without a C compiler, the environment of a fresh interpreter, and
+the report header that names the compiler the native paths would use."""
 
 import contextlib
+import os
 
 import pytest
 
+import fireball
 from fireball import cli, invariants, native
 from fireball.integrate import _loop_kernel
 
@@ -14,6 +16,16 @@ def pytest_report_header(config):
     cc = native._compiler()
     return (f"fireball native paths: cc at {cc}" if cc else
             "fireball native paths: no C compiler (cc) on PATH, so Python and numpy serve")
+
+
+def fresh_env(**env):
+    """``env`` and what a fresh interpreter needs to import the package under
+    test, wherever pytest found it: this process's PATH and native kernels'
+    cache, so that a run without a compiler builds nothing here either, and
+    no bytecode written beside the package's source."""
+    return {**env, "PYTHONPATH": os.path.dirname(os.path.dirname(fireball.__file__)),
+            "PYTHONDONTWRITEBYTECODE": "1",
+            **{k: os.environ[k] for k in ("PATH", "HOME", "XDG_CACHE_HOME") if k in os.environ}}
 
 
 def clear_choosers():

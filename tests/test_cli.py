@@ -12,13 +12,14 @@ import warnings
 import numpy as np
 import pytest
 
-import fireball
 from fireball import IntegratorConfig
 from fireball.cli import (_SETTINGS, CSV_COLUMNS, _merge_settings, main,
                           parse_config_file)
 from fireball.errors import ConfigError
 from fireball.models import ModelKind
 from fireball.verification import run_verification
+
+from conftest import fresh_env
 
 
 def read_csv(path):
@@ -785,13 +786,7 @@ class TestEntryPoint:
     def run_cli(argv, stdout=subprocess.PIPE, **env):
         return subprocess.run(
             [sys.executable, "-m", "fireball.cli", *argv], stdout=stdout,
-            stderr=subprocess.PIPE, text=True, timeout=60,
-            # the package under test, wherever pytest found it, and this
-            # process's PATH and native kernels' cache, so that a run
-            # without a compiler builds nothing here either
-            env={**env, "PYTHONPATH": os.path.dirname(os.path.dirname(fireball.__file__)),
-                 **{k: os.environ[k] for k in ("PATH", "HOME", "XDG_CACHE_HOME")
-                    if k in os.environ}})
+            stderr=subprocess.PIPE, text=True, timeout=60, env=fresh_env(**env))
 
     def test_module_invocation(self):
         proc = self.run_cli(self.ARGV, FIREBALL_LOG="debug")

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-import fireball
 from fireball import (AngularSolution, DomainError, IntegrationError, IntegratorConfig,
                       ModelKind, RadialSolution, SingularityError, State, Trajectory,
                       angular_quadrature, energies, integrate, one_d_solution,
@@ -30,6 +29,7 @@ from fireball.integrate import (_A, _C, _CAPPED_ERR, _E, _LOOP, _failure, _loop_
 from fireball.invariants import hamiltonian_values, report_source
 from fireball.models import radius
 from fireball.verification import default_initial_state
+from conftest import fresh_env
 from reference import angular_start
 import sanitizers
 
@@ -836,14 +836,9 @@ class TestDeclaredFields:
 
     @staticmethod
     def fresh(code):
-        """What ``code`` prints, split, in a fresh interpreter that imports
-        the package under test, with this process's PATH and kernel cache,
-        so that a run without a compiler builds nothing here either."""
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-            env={"PYTHONPATH": os.path.dirname(os.path.dirname(fireball.__file__)),
-                 **{k: os.environ[k] for k in ("PATH", "HOME", "XDG_CACHE_HOME")
-                    if k in os.environ}})
+        """What ``code`` prints, split, in a fresh interpreter (:func:`fresh_env`)."""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=fresh_env())
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.split()
 
@@ -1171,7 +1166,7 @@ class TestNativeLoop:
         ]
         # and the invariant report's, translated from the invariants' declarations
         assert hashlib.sha256(report_source().encode()).hexdigest() == (
-            "d15c477f172ff41d5c71d5f5bb6fc840939173dfdc23df0227b0877ac4793c8a")
+            "24700c7f65799700d0ad9c99d8f703cbd2f0db49146fb96ada7a611d97519fda")
         assert hashlib.sha256(CSV_SOURCE.encode()).hexdigest() == (
             "de88a80bfd8801f386d8a507277247bd9a1c0646482a2e055b90dd944e9cf74c")
 

@@ -123,9 +123,8 @@ def test_a_single_state_rounds_as_its_batch_row(no_cc, kind):
     # 2,000 states in verify's ranges: on one (d,) state, energies,
     # noether_invariant and each batch form give the bits of the same form
     # on the state's row of one and of its row in the report, native and
-    # numpy.  numpy's scalar power (libm's pow) rounds otherwise than its
-    # array loop on about 4% of these states (3d, elliptic), so a single
-    # state's V must be raised as an array too.
+    # numpy.  Every power is the C library's pow, element by element, so a
+    # single state's V rounds as any row's.
     rng = np.random.default_rng(11)
     n, d = 2000, kind.dim
     times = np.sort(rng.uniform(0.0, 3.0, n))
@@ -178,23 +177,30 @@ def test_rows_that_do_not_match_the_times_are_refused():
             invariant_report(Trajectory._of_solve(ModelKind.TWO_D, times, block))
 
 
-def test_declarations_translate_without_power_or_division():
-    # with or without a compiler: each declared operation is one + - or *,
-    # which rounds once in C as in numpy; a pow or a division could not
+def test_declarations_translate_with_c_division_and_pow():
+    # with or without a compiler: V is computed in the report's row loop,
+    # as C's division, and for 3d and elliptic one pow of the axis product;
+    # neither is a helper with a flag, since numpy's twin raises nothing
     for kind, series in invariants._SERIES.items():
         columns, statements = invariants._declaration(kind, series)
-        inputs = {x: "0.0" for x in ("t", "V", *(x for x, _, _ in columns))}
+        assert "V" not in {x for x, _, _ in columns}
+        inputs = {x: "0.0" for x in ("t", *(x for x, _, _ in columns))}
         _, _, code, _ = native.statement_block(inputs, statements, series)
         assert not any("py_divide" in line or "py_power" in line for line in code)
+        assert sum(line.count("pow(") for line in code) == (kind.spatial_dim == 3)
+        assert sum(" / " in line for line in code) == 1 + (kind.spatial_dim == 3)
         assert f"fireball_report_{kind.value}(" in invariants.report_source()
 
 
-@pytest.mark.parametrize("statement", ["H = T / V", "H = T ** 2.0", "H = T + (V / 2.0) * T"])
-def test_a_statement_that_could_raise_is_refused(statement):
-    # the report's C has no flag to hand a raise back to numpy, so a
-    # division or a power, which raise in Python, cannot be translated
+@pytest.mark.parametrize("statement", ["H = T % V", "H = T // V", "H = abs(T)",
+                                       "H = T if V else V", "H = T < V", "H = T.real",
+                                       "H = 2 * T"])
+def test_a_statement_outside_the_grammar_is_refused(statement):
+    # a remainder, a floor division, a call, a conditional, a comparison
+    # as a value, an attribute or an integer constant: none has a C form
+    # that rounds as numpy's does, so each is refused
     with pytest.raises(native.Unavailable, match="cannot translate"):
-        native.statement_block({"T": "t[i]", "V": "out[i]"}, [statement], ["H"])
+        native.statement_block({"T": "t[i]", "V": "v[i]"}, [statement], ["H"])
 
 
 class TestChoice:
@@ -227,8 +233,8 @@ class TestChoice:
 
 
 # Reads n, d, the number of series and the model's place in ModelKind (four
-# int64), then the times (n), the (n, 2d) block of q and qdot rows and V (n),
-# all float64, on stdin; runs the model's function on the block's two halves,
+# int64), then the times (n) and the (n, 2d) block of q and qdot rows, all
+# float64, on stdin; runs the model's function on the block's two halves,
 # as integrate's views, into a block of exactly the size the wrapper
 # allocates, and writes that block to stdout.
 RUNNER = r"""#include <stdio.h>
@@ -250,13 +256,12 @@ int main(void)
     n = head[0];
     d = head[1];
     count = head[2];
-    size = (count + 1) * n + 2 * count;
+    size = count * n + 2 * count;
     t = malloc(sizeof *t * n);
     y = malloc(sizeof *y * 2 * d * n);
     out = malloc(sizeof *out * size);
     if (fread(t, sizeof *t, n, stdin) != (size_t)n
-            || fread(y, sizeof *y, 2 * d * n, stdin) != (size_t)(2 * d * n)
-            || fread(out, sizeof *out, n, stdin) != (size_t)n)
+            || fread(y, sizeof *y, 2 * d * n, stdin) != (size_t)(2 * d * n))
         return 2;
     MODELS[head[3]](n, t, 1, y, 2 * d, 1, y + d, 2 * d, 1, out);
     fwrite(out, sizeof *out, size, stdout);
@@ -296,10 +301,9 @@ class TestSource:
         series = np.array(list(want.values.values()))
         head = np.array([rows, kind.dim, len(series), list(ModelKind).index(kind)],
                         dtype=np.int64)
-        V = invariants._report_potential(traj.qs, kind)
         got = np.frombuffer(sanitizers.run(sanitized, head.tobytes() + np.concatenate(
-            [times, ys.ravel(), V]).tobytes()))
+            [times, ys.ravel()]).tobytes()))
         tail = np.concatenate([np.max(np.abs(series - series[:, :1]), axis=1), series[:, 0]])
-        assert got.size == (len(series) + 1) * rows + 2 * len(series)
-        assert got[rows:(len(series) + 1) * rows].tobytes() == series.tobytes()
-        assert got[(len(series) + 1) * rows:].tobytes() == tail.tobytes()
+        assert got.size == len(series) * rows + 2 * len(series)
+        assert got[:len(series) * rows].tobytes() == series.tobytes()
+        assert got[len(series) * rows:].tobytes() == tail.tobytes()

@@ -3,12 +3,13 @@ package loads some of their modules only on first use."""
 
 import ast
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import fireball
+
+from conftest import fresh_env
 
 # Every name the package exports, by the module that defines it.
 EXPORTS = {
@@ -33,8 +34,7 @@ def fresh(code):
     package under test; ``exports`` holds :data:`EXPORTS` there."""
     proc = subprocess.run(
         [sys.executable, "-c", f"import json, sys\nexports = json.loads(sys.argv[1])\n{code}",
-         json.dumps(EXPORTS)], capture_output=True, text=True, timeout=60,
-        env={"PYTHONPATH": os.path.dirname(os.path.dirname(fireball.__file__))})
+         json.dumps(EXPORTS)], capture_output=True, text=True, timeout=60, env=fresh_env())
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
