@@ -1,15 +1,14 @@
 """Verification of the symmetry structure of the reduced models.
 
-A point symmetry is a vector field tau d/dt + eta . d/dq on (t, q) space;
-its first extension acts on velocities with coefficient (etadot - taudot qd).
-The residual of the Noether condition  G1[L] + taudot L = gauge-dot  and the
-Noether invariant are each written once (:func:`_noether_residual`,
-:func:`_noether_invariant`), for point symmetries and the 2d model's
-velocity-dependent symmetry alike, with exact partial derivatives of L = T - V
-(elementary; L is declared in :mod:`fireball.invariants`), so the residual of
-a genuine symmetry sits at rounding level.  Nothing here takes a numerical
-derivative: the dynamical symmetry's free function tau enters the condition
-through its value alone.
+A symmetry gives its prolongation along solutions at a batch of states:
+tau, eta, the gauge and their total time derivatives, from t, q, qdot, the
+accelerations and L = T - V (declared in :mod:`fireball.invariants`).  A
+point symmetry tau d/dt + eta . d/dq (:class:`PointSymmetry`) derives it
+from exact partials, the 2d model's velocity-dependent symmetry
+(:class:`ErmakovSymmetry`) from its free function tau.  :func:`noether_terms`
+gives each one's residual of the Noether condition G1[L] + taudot L =
+gauge-dot, which a genuine symmetry meets to rounding, and its Noether
+invariant.  Nothing here takes a numerical derivative.
 
 All models admit the scaling symmetry tau = 2 t, eta = q (gauge 0).  Its
 finite form t -> beta^2 t, q -> beta q (:func:`scaled_trajectory`) maps
@@ -22,12 +21,13 @@ generator annihilates it, so the finite map checks that too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, UnsupportedModelError
 from .models import ModelKind, State, check_state
 from .integrate import Trajectory
 from .dynamics import accel
@@ -51,6 +51,18 @@ class PointSymmetry:
     tau_grad: Callable[[float, np.ndarray], tuple[float, np.ndarray]]
     eta_grad: Callable[[float, np.ndarray], tuple[np.ndarray, np.ndarray]]
     gauge_grad: Callable[[float, np.ndarray], tuple[float, np.ndarray]]
+
+    def prolongation(self, kind, t, q, qd, qdd, L):
+        """tau, eta, taudot, etadot, gauge and gauge-dot at states (t, q, qd):
+        one state, or a batch along the leading axis.  The total derivatives
+        need neither the accelerations ``qdd`` nor ``L``."""
+        tau_t, tau_q = self.tau_grad(t, q)
+        eta_t, eta_q = self.eta_grad(t, q)
+        gauge_t, gauge_q = self.gauge_grad(t, q)
+        return (self.tau(t, q), np.asarray(self.eta(t, q), dtype=float),
+                tau_t + np.sum(tau_q * qd, axis=-1),
+                eta_t + np.sum(eta_q * qd[..., None, :], axis=-1),
+                self.gauge(t, q), gauge_t + np.sum(gauge_q * qd, axis=-1))
 
 
 def scaling_symmetry() -> PointSymmetry:
@@ -77,51 +89,60 @@ def time_translation() -> PointSymmetry:
     )
 
 
-def _prolongation(sym: PointSymmetry, t, q, qd):
-    """tau, eta, taudot, etadot, gauge value and gauge-dot at states (t, q,
-    qd): one state, or a batch along the leading axis."""
-    tau = sym.tau(t, q)
-    eta = np.asarray(sym.eta(t, q), dtype=float)
-    tau_t, tau_q = sym.tau_grad(t, q)
-    eta_t, eta_q = sym.eta_grad(t, q)
-    gauge = sym.gauge(t, q)
-    gauge_t, gauge_q = sym.gauge_grad(t, q)
-    taudot = tau_t + np.sum(tau_q * qd, axis=-1)
-    etadot = eta_t + np.sum(eta_q * qd[..., None, :], axis=-1)
-    gaugedot = gauge_t + np.sum(gauge_q * qd, axis=-1)
-    return tau, eta, taudot, etadot, gauge, gaugedot
+@dataclass(frozen=True)
+class ErmakovSymmetry:
+    """The 2d model's velocity-dependent symmetry, whose Noether invariant is
+    the Ermakov invariant I for every choice of the free function ``tau``.
+
+    Coordinates shift by tau qd plus a rotation-like term with parameter
+    w = X Yd - Y Xd, time by ``tau`` of (t, q, qdot), and the gauge is
+    tau L - w^2/2 + X/Y + Y/X.  ``tau`` takes a state's or a batch's t, q
+    and qdot and indexes their last axis, as q[..., 0].
+    """
+
+    tau: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+    def prolongation(self, kind, t, q, qd, qdd, L):
+        """As :meth:`PointSymmetry.prolongation`, with taudot given as 0 and
+        left out of etadot and gauge-dot.  taudot enters them as taudot qd
+        and taudot L, which the condition's etadot - taudot qd and
+        taudot L - gauge-dot cancel exactly, so only tau's value counts."""
+        if kind is not ModelKind.TWO_D:
+            raise UnsupportedModelError(
+                f"the Ermakov symmetry is the 2d model's, not {kind.value!r}'s")
+        (X, Y), (Xd, Yd), (Xdd, Ydd) = q.T, qd.T, qdd.T
+        w = X * Yd - Y * Xd
+        wdot = X * Ydd - Y * Xdd
+        tau = np.asarray(self.tau(t, q, qd), dtype=float)
+        eta = np.stack([tau * Xd + Y * w, tau * Yd - X * w], axis=-1)
+        etadot = np.stack([tau * Xdd + Yd * w + Y * wdot,
+                           tau * Ydd - Xd * w - X * wdot], axis=-1)
+        Ldot = 2.0 * np.sum(qd * qdd, axis=-1)  # qd.dL/dq + qdd.p, with dL/dq = qdd, p = qd
+        gauge = tau * L - 0.5 * w ** 2 + X / Y + Y / X
+        return (tau, eta, 0.0, etadot, gauge,
+                tau * Ldot - w * wdot - w / Y ** 2 + w / X ** 2)
 
 
-def _noether_residual(kind: ModelKind, qd, L, qdd, eta, taudot, etadot, gaugedot):
-    """G1[L] + taudot L - gauge-dot of a symmetry with the given prolongation,
-    with dL/dq = M qdd on shell (-grad V), p = M qdot and dL/dt = 0."""
-    g1_L = np.sum(eta * (kind.weights * qdd), axis=-1) \
-        + np.sum((etadot - np.expand_dims(taudot, -1) * qd) * (kind.weights * qd), axis=-1)
-    return g1_L + taudot * L - gaugedot
-
-
-def _noether_invariant(kind: ModelKind, qd, L, tau, eta, gauge):
-    """J = tau (qd.p - L) - eta.p + gauge with p = M qdot."""
-    p = kind.weights * qd
-    return tau * (np.sum(qd * p, axis=-1) - L) - np.sum(eta * p, axis=-1) + gauge
-
-
-def noether_residual_values(sym: PointSymmetry, kind: ModelKind, ts, qs, qdots):
-    """:func:`noether_condition_residual` at (n,) ``ts``, (n, d) ``qs`` and ``qdots``."""
-    _, eta, taudot, etadot, _, gaugedot = _prolongation(sym, ts, qs, qdots)
+def noether_terms(symmetries, kind: ModelKind, ts, qs, qdots):
+    """The (residual, invariant) pair of each of ``symmetries`` at (n,)
+    ``ts``, (n, d) ``qs`` and ``qdots``, or at one state, evaluating the
+    accelerations and L once: the residual G1[L] + taudot L - gauge-dot with
+    dL/dq = M qdd on shell (-grad V), p = M qdot and dL/dt = 0, and the
+    invariant J = tau (qd.p - L) - eta.p + gauge."""
+    qdds = accel(qs, kind)
     L = _evaluate(kind, "L", None, qs, qdots)
-    return _noether_residual(kind, qdots, L, accel(qs, kind), eta, taudot, etadot, gaugedot)
+    p, dL_dq = kind.weights * qdots, kind.weights * qdds
+    pairs = []
+    for sym in symmetries:
+        tau, eta, taudot, etadot, gauge, gaugedot = sym.prolongation(kind, ts, qs, qdots, qdds, L)
+        g1_L = np.sum(eta * dL_dq, axis=-1) \
+            + np.sum((etadot - np.expand_dims(taudot, -1) * qdots) * p, axis=-1)
+        pairs.append((g1_L + taudot * L - gaugedot,
+                      tau * (np.sum(qdots * p, axis=-1) - L) - np.sum(eta * p, axis=-1) + gauge))
+    return pairs
 
 
-def noether_invariant_values(sym: PointSymmetry, kind: ModelKind, ts, qs, qdots):
-    """Conserved quantity J = tau (qd.p - L) - eta.p + gauge of the symmetry
-    at (n,) ``ts``, (n, d) ``qs`` and ``qdots``, with p = M qdot."""
-    L = _evaluate(kind, "L", None, qs, qdots)
-    return _noether_invariant(kind, qdots, L, sym.tau(ts, qs),
-                              np.asarray(sym.eta(ts, qs), dtype=float), sym.gauge(ts, qs))
-
-
-def noether_condition_residual(sym: PointSymmetry, kind: ModelKind,
+def noether_condition_residual(sym: PointSymmetry | ErmakovSymmetry, kind: ModelKind,
                                state: State) -> float:
     """Residual of G1[L] + taudot L - gauge-dot at the given phase point.
 
@@ -129,8 +150,9 @@ def noether_condition_residual(sym: PointSymmetry, kind: ModelKind,
     """
     check_state(state, kind)
     # the batch form on a row of one, so that it rounds as the batch does
-    return float(noether_residual_values(sym, kind, np.array([state.t]), state.q[None],
-                                         state.qdot[None])[0])
+    [(residual, _)] = noether_terms([sym], kind, np.array([state.t]), state.q[None],
+                                    state.qdot[None])
+    return float(residual[0])
 
 
 def scaled_trajectory(traj: Trajectory, beta: float) -> Trajectory:
@@ -138,11 +160,17 @@ def scaled_trajectory(traj: Trajectory, beta: float) -> Trajectory:
 
     The result solves the same model equations (the map is the finite form of
     the scaling symmetry); velocities transform as qdot -> qdot / beta.
+    Raises :class:`DomainError` for a beta that is not positive and finite,
+    or whose image overflows.
     """
-    if beta <= 0.0:
-        raise DomainError(f"beta must be strictly positive, got {beta}")
-    return Trajectory(kind=traj.kind, times=beta ** 2 * traj.times,
-                      qs=beta * traj.qs, qdots=traj.qdots / beta)
+    if not 0.0 < beta < math.inf:
+        raise DomainError(f"beta must be positive and finite, got {beta}")
+    try:
+        with np.errstate(over="raise"):
+            return Trajectory(kind=traj.kind, times=beta ** 2 * traj.times,
+                              qs=beta * traj.qs, qdots=traj.qdots / beta)
+    except (OverflowError, FloatingPointError):
+        raise DomainError(f"beta = {beta} maps the trajectory beyond the largest float") from None
 
 
 def ode_residual(traj: Trajectory, qdds) -> float:
@@ -150,41 +178,3 @@ def ode_residual(traj: Trajectory, qdds) -> float:
     the model's force at them, relative to the force's largest component."""
     force = accel(traj.qs, traj.kind)
     return float(np.max(np.abs(qdds - force)) / np.max(np.abs(force)))
-
-
-def dynamical_symmetry_values(tau, ts, qs, qdots):
-    """The Noether condition of the 2d model's dynamical symmetry at (n,)
-    ``ts``, (n, 2) ``qs`` and ``qdots``.
-
-    The symmetry is velocity-dependent: coordinates shift by tau qd plus a
-    rotation-like term with parameter w = X Yd - Y Xd, time shifts by the
-    free function ``tau`` of (t, q, qdot), and the gauge is the standard
-    tau L - w^2/2 + X/Y + Y/X.  ``tau`` takes ``ts``, ``qs`` and ``qdots``
-    and indexes their last axis, as q[..., 0].  Only tau's value at the
-    states enters: its total derivative taudot enters etadot as taudot qd
-    and gauge-dot as taudot L, which the condition's etadot - taudot qd and
-    taudot L - gauge-dot cancel exactly, so both are written without taudot.
-
-    Returns ``(residual, invariant)``: the residual of the gauged Noether
-    condition (accelerations substituted from the equations of motion) and
-    the Noether invariant of the transformation, which equals the Ermakov
-    invariant for every choice of tau.
-    """
-    kind = ModelKind.TWO_D
-    (X, Y), (Xd, Yd) = qs.T, qdots.T
-    qdd = accel(qs, kind)
-    Xdd, Ydd = qdd.T
-    w = X * Yd - Y * Xd
-    wdot = X * Ydd - Y * Xdd
-
-    tau_value = np.asarray(tau(ts, qs, qdots), dtype=float)
-    eta = np.stack([tau_value * Xd + Y * w, tau_value * Yd - X * w], axis=-1)
-    etadot = np.stack([tau_value * Xdd + Yd * w + Y * wdot,
-                       tau_value * Ydd - Xd * w - X * wdot], axis=-1)
-
-    L = _evaluate(kind, "L", None, qs, qdots)
-    Ldot = 2.0 * np.sum(qdots * qdd, axis=-1)  # qd.dL/dq + qdd.p, with dL/dq = qdd, p = qd
-    g = tau_value * L - 0.5 * w ** 2 + X / Y + Y / X
-    gdot = tau_value * Ldot - w * wdot - w / Y ** 2 + w / X ** 2
-    return (_noether_residual(kind, qdots, L, qdd, eta, 0.0, etadot, gdot),
-            _noether_invariant(kind, qdots, L, tau_value, eta, g))

@@ -18,8 +18,10 @@ identities at states the checks already have, with the accelerations the
 model's force gives them: the Euler equations by
 :func:`fireball.hydro.pde_residuals`, the scaling map by
 :func:`fireball.symmetry.ode_residual` on the image of a run and by the 2d
-model's Ermakov invariant I, unchanged on the image of a state.  No check
-takes a numerical derivative; these read rounding, so their bounds are 1e-12.
+model's Ermakov invariant I, unchanged on the image of a state.  One call
+of :func:`fireball.symmetry.noether_terms` serves the two point symmetries,
+one the 2d Ermakov symmetry's three tau.  No check takes a numerical
+derivative; these read rounding, so their bounds are 1e-12.
 """
 
 from __future__ import annotations
@@ -105,17 +107,15 @@ def symmetry_checks(traj: Trajectory, rng) -> list[CheckResult]:
     kind = traj.kind
     ts, qs, qdots = _random_states(kind, rng, n=5)
     scal, ttrans = symmetry.scaling_symmetry(), symmetry.time_translation()
+    (res_scal, inv_scal), (res_ttrans, inv_ttrans) = symmetry.noether_terms(
+        [scal, ttrans], kind, ts, qs, qdots)
     out = [
-        _result("noether_residual_scaling",
-                _worst(symmetry.noether_residual_values(scal, kind, ts, qs, qdots)), 1e-10),
-        _result("noether_residual_time_translation",
-                _worst(symmetry.noether_residual_values(ttrans, kind, ts, qs, qdots)), 1e-10),
+        _result("noether_residual_scaling", _worst(res_scal), 1e-10),
+        _result("noether_residual_time_translation", _worst(res_ttrans), 1e-10),
         _result("noether_invariant_match",
-                _worst(symmetry.noether_invariant_values(scal, kind, ts, qs, qdots)
-                       - invariants.noether_values(ts, qs, qdots, kind)), 1e-12),
+                _worst(inv_scal - invariants.noether_values(ts, qs, qdots, kind)), 1e-12),
         _result("energy_invariant_match",
-                _worst(symmetry.noether_invariant_values(ttrans, kind, ts, qs, qdots)
-                       - invariants.hamiltonian_values(qs, qdots, kind)), 1e-12),
+                _worst(inv_ttrans - invariants.hamiltonian_values(qs, qdots, kind)), 1e-12),
     ]
 
     if kind is ModelKind.TWO_D:
@@ -126,9 +126,9 @@ def symmetry_checks(traj: Trajectory, rng) -> list[CheckResult]:
                           - ermakov) / ermakov) for beta in (0.5, 2.0, 5.0))
         out.append(_result("generator_annihilates_ermakov", g1i, 1e-12))
 
-        taus = [lambda t, q, qd: 0.0, lambda t, q, qd: 1.0,
-                lambda t, q, qd: q[..., 0] * qd[..., 1]]
-        checks = [symmetry.dynamical_symmetry_values(tau, ts, qs, qdots) for tau in taus]
+        dynamical = [symmetry.ErmakovSymmetry(tau) for tau in (
+            lambda t, q, qd: 0.0, lambda t, q, qd: 1.0, lambda t, q, qd: q[..., 0] * qd[..., 1])]
+        checks = symmetry.noether_terms(dynamical, kind, ts, qs, qdots)
         out.append(_result("dynamical_symmetry_residual",
                            max(_worst(res) for res, _ in checks), 1e-12))
         out.append(_result("dynamical_symmetry_invariant_match",

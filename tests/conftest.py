@@ -1,6 +1,7 @@
 """What every test module shares: the switch that runs the package as on a
 machine without a C compiler, the environment of a fresh interpreter, and
-the report header that names the compiler the native paths would use."""
+the report header that names the compiler the native paths would use and
+how the golden corpus is compared."""
 
 import contextlib
 import os
@@ -8,14 +9,16 @@ import os
 import pytest
 
 import fireball
+import golden
 from fireball import cli, invariants, native
 from fireball.integrate import _loop_kernel
 
 
 def pytest_report_header(config):
     cc = native._compiler()
-    return (f"fireball native paths: cc at {cc}" if cc else
-            "fireball native paths: no C compiler (cc) on PATH, so Python and numpy serve")
+    return [f"fireball native paths: cc at {cc}" if cc else
+            "fireball native paths: no C compiler (cc) on PATH, so Python and numpy serve",
+            golden.describe()]
 
 
 def fresh_env(**env):

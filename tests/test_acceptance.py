@@ -21,7 +21,7 @@ from fireball import (AngularSolution, IntegratorConfig, ModelKind,
 from fireball.analytic import polar_invariant_values
 from fireball.invariants import ermakov_values, radial_invariant_values
 from fireball.models import polar_values
-from fireball.symmetry import dynamical_symmetry_values, noether_invariant_values
+from fireball.symmetry import ErmakovSymmetry, noether_terms
 from batch import sample_state
 from reference import (dimensionalize, ermakov_invariant, general_ermakov_invariant,
                        pinney_coupling, superposition_1d)
@@ -174,17 +174,14 @@ def test_criterion_7_noether_machinery():
             for sym in (scal, ttrans):
                 worst_residual = max(worst_residual,
                                      abs(noether_condition_residual(sym, kind, s)))
-            worst_match = max(
-                worst_match,
-                abs(noether_invariant_values(scal, kind, s.t, s.q, s.qdot)
-                    - noether_invariant(s, kind)),
-                abs(noether_invariant_values(ttrans, kind, s.t, s.q, s.qdot)
-                    - energies(s, kind).hamiltonian))
+            (_, j_scal), (_, j_ttrans) = noether_terms([scal, ttrans], kind, s.t, s.q, s.qdot)
+            worst_match = max(worst_match, abs(j_scal - noether_invariant(s, kind)),
+                              abs(j_ttrans - energies(s, kind).hamiltonian))
 
     worst_g1i = 0.0
     worst_dyn = 0.0
-    taus = [lambda t, q, qd: 0.0, lambda t, q, qd: 1.0,
-            lambda t, q, qd: q[0] * qd[1]]
+    dynamical = [ErmakovSymmetry(tau) for tau in (lambda t, q, qd: 0.0, lambda t, q, qd: 1.0,
+                                                  lambda t, q, qd: q[0] * qd[1])]
     for _ in range(10):
         s = State(t=rng.uniform(0, 3), q=rng.uniform(0.5, 2.0, 2),
                   qdot=rng.uniform(-1.0, 1.0, 2))
@@ -193,8 +190,7 @@ def test_criterion_7_noether_machinery():
         for beta in (0.5, 2.0, 5.0):
             image = ermakov_values(beta * s.q, s.qdot / beta, ModelKind.TWO_D)
             worst_g1i = max(worst_g1i, abs(image - expected) / expected)
-        for tau in taus:
-            residual, inv = dynamical_symmetry_values(tau, s.t, s.q, s.qdot)
+        for residual, inv in noether_terms(dynamical, ModelKind.TWO_D, s.t, s.q, s.qdot):
             worst_dyn = max(worst_dyn, abs(inv - expected))
             assert abs(residual) <= 1e-12
     ok = (worst_residual <= 1e-10 and worst_match <= 1e-12

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fireball import (DomainError, IntegratorConfig,
+from fireball import (DomainError, IntegratorConfig, UnsupportedModelError,
                       ModelKind, PointSymmetry, State, Trajectory,
                       energies, integrate,
                       noether_condition_residual, noether_invariant,
@@ -12,8 +13,7 @@ from fireball import (DomainError, IntegratorConfig,
                       scaled_trajectory, scaling_symmetry, symmetry, time_translation)
 from fireball.dynamics import accel, potential
 from fireball.invariants import ermakov_values
-from fireball.symmetry import (_prolongation, dynamical_symmetry_values,
-                               noether_invariant_values, noether_residual_values)
+from fireball.symmetry import ErmakovSymmetry, noether_terms
 from batch import draw_states
 from reference import ermakov_invariant
 from stencil import stencil_accelerations
@@ -35,6 +35,12 @@ def perturbed_scaling(factor=1.1):
         eta_grad=lambda t, q: (np.zeros_like(q), factor * np.eye(q.shape[-1])),
         gauge_grad=lambda t, q: (0.0, np.zeros_like(q)),
     )
+
+
+def invariant(sym, kind, s):
+    """The symmetry's Noether invariant at the State ``s``."""
+    [(_, inv)] = noether_terms([sym], kind, s.t, s.q, s.qdot)
+    return inv
 
 
 class TestNoetherCondition:
@@ -62,7 +68,7 @@ class TestNoetherInvariant:
         sym = scaling_symmetry()
         for s in random_states(kind):
             expected = noether_invariant(s, kind)
-            got = noether_invariant_values(sym, kind, s.t, s.q, s.qdot)
+            got = invariant(sym, kind, s)
             assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
     @pytest.mark.parametrize("kind", list(ModelKind))
@@ -70,28 +76,29 @@ class TestNoetherInvariant:
         sym = time_translation()
         for s in random_states(kind):
             H = energies(s, kind).hamiltonian
-            got = noether_invariant_values(sym, kind, s.t, s.q, s.qdot)
+            got = invariant(sym, kind, s)
             assert abs(got - H) <= 1e-12 * H
 
     def test_1d_reference_value(self):
         s = State(t=2.0, q=[1.0], qdot=[0.0])
-        assert noether_invariant_values(scaling_symmetry(), ModelKind.ONE_D,
-                                        s.t, s.q, s.qdot) == pytest.approx(2.0, rel=1e-15)
+        assert invariant(scaling_symmetry(), ModelKind.ONE_D, s) == pytest.approx(2.0, rel=1e-15)
 
     def test_elliptic_weighting(self):
         sym = scaling_symmetry()
         for s in random_states(ModelKind.ELLIPTIC_3D):
             H = energies(s, ModelKind.ELLIPTIC_3D).hamiltonian
             expected = 2 * s.t * H - (2 * s.q[0] * s.qdot[0] + s.q[1] * s.qdot[1])
-            got = noether_invariant_values(sym, ModelKind.ELLIPTIC_3D, s.t, s.q, s.qdot)
+            got = invariant(sym, ModelKind.ELLIPTIC_3D, s)
             assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def generator_apply(sym, field, state, h=1e-6):
-    """The prolonged generator (tau, eta, etadot - taudot qdot) applied to a
-    scalar field of (t, q, qdot): the field's derivative along that vector,
-    by one central difference of step h."""
-    tau, eta, taudot, etadot, _, _ = _prolongation(sym, state.t, state.q, state.qdot)
+    """The prolonged generator (tau, eta, etadot - taudot qdot) of a point
+    symmetry of the 2d model applied to a scalar field of (t, q, qdot): the
+    field's derivative along that vector, by one central difference of step
+    h.  A point symmetry's total derivatives need neither qdd nor L."""
+    tau, eta, taudot, etadot, _, _ = sym.prolongation(ModelKind.TWO_D, state.t, state.q,
+                                                      state.qdot, None, None)
     zeta = etadot - taudot * state.qdot
 
     def at(s):
@@ -132,12 +139,25 @@ class TestScaledTrajectory:
         assert np.array_equal(mapped.qs, traj.qs)
         assert np.array_equal(mapped.qdots, traj.qdots)
 
-    def test_rejects_nonpositive_beta(self):
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_a_beta_not_positive_and_finite(self, beta):
         s = State(t=0.0, q=[1.0], qdot=[0.0])
         traj = integrate(s, ModelKind.ONE_D,
                          IntegratorConfig(t_end=1.0, sample_interval=0.5))
-        with pytest.raises(DomainError):
-            scaled_trajectory(traj, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="beta must be positive and finite"):
+                scaled_trajectory(traj, beta)
+
+    @pytest.mark.parametrize("beta", [1e200, 1e-300])
+    def test_rejects_a_beta_whose_image_overflows(self, beta):
+        # 1e200 overflows beta ** 2 (a float power), 1e-300 the rates / beta
+        traj = Trajectory(kind=ModelKind.ONE_D, times=[0.0, 1.0], qs=[[1.0], [1.1]],
+                          qdots=[[0.0], [1e10]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="beta = .* maps the trajectory beyond"):
+                scaled_trajectory(traj, beta)
 
     def test_mapped_1d_solution_still_solves_the_ode(self):
         times = np.arange(0.0, 2.0 + 1e-12, 2.5e-4)
@@ -220,23 +240,35 @@ class TestOdeResidual:
         assert ode_residual(traj, force * (1.0 + 1e-9)) == pytest.approx(1e-9, rel=1e-6)
 
 
-class TestDynamicalSymmetry:
-    taus = [lambda t, q, qd: 0.0,
-            lambda t, q, qd: 1.0,
-            lambda t, q, qd: q[0] * qd[1]]
+ERMAKOV_TAUS = [lambda t, q, qd: 0.0,
+                lambda t, q, qd: 1.0,
+                lambda t, q, qd: q[..., 0] * qd[..., 1]]
 
-    @pytest.mark.parametrize("tau", taus)
-    def test_residual_and_invariant(self, tau):
+
+def ermakov_terms(s):
+    """(residual, invariant) of the Ermakov symmetry at the 2d State ``s``,
+    one pair per free function tau of ERMAKOV_TAUS."""
+    return noether_terms([ErmakovSymmetry(tau) for tau in ERMAKOV_TAUS],
+                         ModelKind.TWO_D, s.t, s.q, s.qdot)
+
+
+class TestDynamicalSymmetry:
+    def test_residual_and_invariant(self):
         for s in random_states(ModelKind.TWO_D, n=8, seed=13):
-            residual, inv = dynamical_symmetry_values(tau, s.t, s.q, s.qdot)
-            assert abs(residual) <= 1e-12
-            assert abs(inv - ermakov_invariant(s, ModelKind.TWO_D)) <= 1e-10
+            for residual, inv in ermakov_terms(s):
+                assert abs(residual) <= 1e-12
+                assert abs(inv - ermakov_invariant(s, ModelKind.TWO_D)) <= 1e-10
 
     def test_invariant_is_tau_independent(self):
         for s in random_states(ModelKind.TWO_D, n=5, seed=14):
-            values = [dynamical_symmetry_values(tau, s.t, s.q, s.qdot)[1]
-                      for tau in self.taus]
+            values = [inv for _, inv in ermakov_terms(s)]
             assert max(values) - min(values) <= 1e-10
+
+    @pytest.mark.parametrize("kind", [k for k in ModelKind if k is not ModelKind.TWO_D])
+    def test_refuses_other_models(self, kind):
+        s = random_states(kind, n=1)[0]
+        with pytest.raises(UnsupportedModelError, match="2d"):
+            noether_terms([ErmakovSymmetry(ERMAKOV_TAUS[0])], kind, s.t, s.q, s.qdot)
 
     def test_force_off_by_1e_9_is_detected(self, monkeypatch):
         # verify's bound on the residual is 1e-12
@@ -244,8 +276,8 @@ class TestDynamicalSymmetry:
         monkeypatch.setattr(symmetry, "accel",
                             lambda q, kind: exact(q, kind) * (1.0 + 1e-9))
         for s in random_states(ModelKind.TWO_D, n=8, seed=15):
-            for tau in self.taus:
-                assert abs(dynamical_symmetry_values(tau, s.t, s.q, s.qdot)[0]) > 1e-12
+            for residual, _ in ermakov_terms(s):
+                assert abs(residual) > 1e-12
 
 
 class TestBatchForms:
@@ -254,8 +286,16 @@ class TestBatchForms:
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(list(ModelKind)), data=st.data())
     def test_point_symmetries(self, kind, data):
+        self.check_rows([scaling_symmetry(), time_translation()], kind, data)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_ermakov_symmetry(self, data):
+        self.check_rows([ErmakovSymmetry(tau) for tau in ERMAKOV_TAUS], ModelKind.TWO_D, data)
+
+    @staticmethod
+    def check_rows(symmetries, kind, data):
         ts, qs, qdots, states = draw_states(data, kind)
-        for sym in (scaling_symmetry(), time_translation()):
-            residual = noether_residual_values(sym, kind, ts, qs, qdots)
+        for sym, (residual, _) in zip(symmetries, noether_terms(symmetries, kind, ts, qs, qdots)):
             single = [noether_condition_residual(sym, kind, s) for s in states]
             assert residual.tolist() == single
