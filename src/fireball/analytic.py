@@ -7,7 +7,7 @@ of all four models is
     r(t)      = sqrt(2 H (t - t0)^2 + C / H),   C = r^2 H - (r rdot)^2 / 2,
     ttilde(t) = int dt'/r^2 = arctan(sqrt(2/C) H (t - t0)) / sqrt(2 C).
 
-C is read from :mod:`fireball.invariants`, in Lagrange's-identity form
+C is declared in :mod:`fireball.dynamics`, in Lagrange's-identity form
 1/2 sum_{i<j} (s_i sdot_j - s_j sdot_i)^2 + r^2 V(q) on s = sqrt(M) q, whose
 terms, unlike r^2 H and (r rdot)^2 / 2, do not grow and cancel as t grows.
 C is I for 2d, Itilde for elliptic, 1/2 for 1d (where r = X) and
@@ -43,8 +43,7 @@ import numpy as np
 from .errors import DomainError, NoMotionError
 from .models import ModelKind, State, _require_planar, check_state, power, radius
 from .integrate import solve_ode
-from .dynamics import POSITIVITY_FLOOR, _angular_field
-from .invariants import hamiltonian_values, radial_invariant_values
+from .dynamics import POSITIVITY_FLOOR, _angular_field, evaluate
 
 
 @dataclass(frozen=True)
@@ -75,8 +74,7 @@ class RadialSolution:
             raise DomainError(f"variance at or below the positivity floor "
                               f"{POSITIVITY_FLOOR} in {state.q.tolist()}")
         with np.errstate(all="ignore"):  # what over- or underflows is refused
-            H = hamiltonian_values(state.q, state.qdot, kind)
-            C = radial_invariant_values(state.q, state.qdot, kind)
+            H, C = evaluate(kind, ("H", "C"), state.q, state.qdot)
             t0 = state.t - radius(state.q, state.qdot, kind)[1] / (2.0 * H)
         return cls(energy=float(H), invariant=float(C), t0=float(t0))
 

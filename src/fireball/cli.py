@@ -57,7 +57,7 @@ from .errors import (ConfigError, DomainError, FireballError, IntegrationError,
                      UnsupportedModelError)
 from .models import ModelKind, State, radius, state_from_components
 from .integrate import IntegratorConfig, integrate, sample_grid
-from . import invariants
+from . import dynamics, invariants
 
 log = logging.getLogger("fireball.cli")
 
@@ -178,9 +178,8 @@ def _initial_state(settings: dict, kind: ModelKind) -> State:
     state = state_from_components(
         kind, **{k: v for k in _STATE_KEYS if (v := settings.get(k)) is not None})
     with np.errstate(all="ignore"):
-        H = float(invariants.hamiltonian_values(state.q, state.qdot, kind))
-        C = float(invariants.radial_invariant_values(state.q, state.qdot, kind))
-    for name, symbol, value in (("energy", "H", H), ("radial invariant", "C", C)):
+        H, C = dynamics.evaluate(kind, ("H", "C"), state.q, state.qdot)
+    for name, symbol, value in (("energy", "H", float(H)), ("radial invariant", "C", float(C))):
         if not math.isfinite(value):
             raise DomainError(f"the initial state's {name} is not finite ({symbol}={value})")
     return state

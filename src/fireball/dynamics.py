@@ -1,4 +1,5 @@
-"""Equations of motion of the four reduced systems.
+"""Equations of motion of the four reduced systems, and the one declaration
+of every quantity of their Lagrangian.
 
 All models share the structure  qddot = force(q)  with an inverse-cubic-like
 force derived from a pseudo-potential V:
@@ -14,17 +15,41 @@ variances over the D spatial axes (elliptic: Z = X, so P = X^2 Y), and
 V = (D/2) P^{-2/D}.  The kinetic weights M count the spatial axes each
 coordinate carries (elliptic: M = (2, 1), so its kinetic term is
 Xd^2 + Yd^2/2); the Euler-Lagrange equations read  M qdd = -grad V.
-The force and V are declared once per model as source (:func:`_force`).
+
+The force and V are declared once per model as source (:func:`_force`), and
+after them (:func:`declaration`) T = sum(M qdot^2) / 2, H = T + V,
+L = T - V, J = 2 t H - q . p with p = M qdot and the radial invariant C of
+:mod:`fireball.invariants`, as one-name Python statements over the
+coordinates, their rates (``Xd`` for X) and ``t``, each sum in
+:func:`fireball.models.row_sum`'s order, so each operation rounds once
+wherever the text runs.  C's pair terms a_ij = (M_i M_j c_ij) c_ij, with
+c_ij = q_i qdot_j - q_j qdot_i, run over the pairs i < j alone, grouped as
+numpy's sum of the full antisymmetric matrix grouped them (each pair twice,
+a zero diagonal):
+
+    2d: 0.25 (a01 + a01) + r^2 V
+    3d: 0.25 ((a01 + (a02 + a01)) + (a12 + (a02 + a12))) + r^2 V
+
+This order keeps every bit of the values the full-matrix sum gave, and so
+every CSV and report written from them, while forming 3 terms in 3d
+instead of 9 (1 instead of 4 in 2d) and no (n, d, d) array.  (Where some
+q_i qdot_i overflows, the matrix's diagonal was inf - inf = NaN; the pairs
+have no diagonal.)
+
 The field :func:`vector_field` (a :class:`FieldSource`, as is the angular
-quadrature's :func:`_angular_field`) runs it on floats or, translated by
-:mod:`fireball.native`, as C; :func:`accel`, :func:`potential` and
-:func:`energies` run it with numpy beside T, L = T - V and H = T + V
-(:mod:`fireball.invariants`), each power the C library's ``pow`` as in
-Python and C, so no output byte depends on numpy's SIMD loops.
+quadrature's :func:`_angular_field`) runs the force on floats or, translated
+by :mod:`fireball.native`, as C.  :func:`evaluator` compiles the declaration
+for numpy on the columns of a batch (a (d,) state rounds as its batch row),
+each ``**`` as the C library's ``pow`` per element
+(:func:`fireball.models.power`), as in Python and C, so no output byte
+depends on numpy's SIMD loops; :func:`evaluate` checks the variances first.
+The invariant report's C (:func:`fireball.invariants.report_source`) runs
+the same statements.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 from dataclasses import dataclass
@@ -32,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .models import ModelKind, State, check_state
+from .models import ModelKind, State, check_state, power
 
 # Smallest variance the integrator may step to; the force is singular at 0.
 POSITIVITY_FLOOR = 1e-12
@@ -42,14 +67,6 @@ def _positive(q: np.ndarray) -> np.ndarray:
     if not np.all(q > 0.0):  # NaN fails it too
         raise DomainError(f"singular force: non-positive variance in {q}")
     return q
-
-
-def accel(q: np.ndarray, kind: ModelKind) -> np.ndarray:
-    """Acceleration 1/(q P^(2/D)) at (d,) or (n, d) variances ``q``, with P
-    their product over the D spatial axes: :func:`vector_field`'s, bit for bit."""
-    from .invariants import _evaluator  # which imports this module
-    q = _positive(np.asarray(q, dtype=float))
-    return np.stack(_evaluator(kind, tuple(f"{x}dd" for x in kind.labels))(None, q, None), -1)
 
 
 @functools.cache
@@ -70,6 +87,108 @@ def _force(kind: ModelKind) -> tuple[tuple[str, ...], tuple[str, ...], str]:
         f"s = ({' * '.join(q[a] for a in kind.sorted_axes)}) ** (2.0 / {float(D)!r})",)
     return (prelude, tuple(f"1.0 / ({product(i)})" for i in range(kind.dim)),
             f"{D / 2!r} / ({product()})")
+
+
+# numpy's sum of C's pair terms' full matrix, and the report's names of C.
+_PAIRS = {2: "a01 + a01", 3: "(a01 + (a02 + a01)) + (a12 + (a02 + a12))"}
+_ALIASES = {ModelKind.TWO_D: ("I = C",), ModelKind.ELLIPTIC_3D: ("I = 0.5 * C", "Itilde = C")}
+
+
+@functools.cache
+def declaration(kind: ModelKind, outputs: tuple[str, ...]):
+    """``(columns, statements)``: the statements over the coordinates, their
+    rates (``Xd`` for X) and ``t`` that the values named ``outputs`` (``V``
+    and ``Xdd`` among them) need, and as (name, ``"q"`` or ``"v"``, i) the
+    columns i they read.  The
+    terms M qdot^2, q (M qdot) and (M q)(q V), finite where r^2 overflows
+    (q > 1e154), are formed as numpy forms them from arrays (1.0 * x as x)."""
+    q, M = kind.labels, kind.weights.tolist()
+    qd = tuple(f"{x}d" for x in q)
+
+    def weighted(m, x):
+        return x if m == 1.0 else f"{m!r} * {x}"
+
+    def row_sum(terms):  # the first term plus 0.0, then the rest
+        return " + ".join([f"{terms[0]} + 0.0", *terms[1:]])
+
+    kinetic = row_sum([weighted(m, f"({v} * {v})") for m, v in zip(M, qd)])
+    momenta = row_sum([f"{x} * ({weighted(m, v)})" for m, x, v in zip(M, q, qd)])
+    radial = row_sum([f"{weighted(m, x)} * ({x} * V)" for m, x in zip(M, q)])
+    prelude, accels, potential = _force(kind)
+    lines = [*prelude, f"V = {potential}", *(f"{x}dd = {a}" for x, a in zip(q, accels)),
+             f"T = 0.5 * ({kinetic})", "H = T + V", "L = T - V", f"J = 2.0 * t * H - ({momenta})"]
+    pairs = [(i, j) for j in range(kind.dim) for i in range(j)]
+    for i, j in pairs:
+        lines += [f"c{i}{j} = {q[i]} * {qd[j]} - {q[j]} * {qd[i]}",
+                  f"a{i}{j} = {weighted(M[i] * M[j], f'c{i}{j}')} * c{i}{j}"]
+    lines.append(f"C = 0.25 * ({_PAIRS[kind.dim]}) + ({radial})" if pairs else f"C = {radial}")
+    needed, kept = set(outputs), []
+    for line in reversed(lines + list(_ALIASES.get(kind, ()))):
+        node = ast.parse(line).body[0]
+        if node.targets[0].id in needed:
+            kept.insert(0, line)
+            needed |= {name.id for name in ast.walk(node.value) if isinstance(name, ast.Name)}
+    return tuple((x, rows, i) for rows, names in (("q", q), ("v", qd))
+                 for i, x in enumerate(names) if x in needed), tuple(kept)
+
+
+class _Power(ast.NodeTransformer):
+    """Each ``a ** b`` as ``_power(a, b)``."""
+
+    def visit_BinOp(self, node):
+        node = self.generic_visit(node)
+        return (ast.Call(ast.Name("_power", ast.Load()), [node.left, node.right], [])
+                if isinstance(node.op, ast.Pow) else node)
+
+
+@functools.cache
+def evaluator(kind: ModelKind, outputs: tuple[str, ...]):
+    """The declaration of ``outputs`` compiled as ``values(t, q, v)``,
+    returning their tuple, with numpy on the columns ``q[..., i]`` and
+    ``v[..., i]`` it reads and each ``**`` as :func:`fireball.models.power`.
+    It checks nothing: :func:`energies` and the invariant report run it on
+    a State's or a Trajectory's variances, which are positive."""
+    columns, statements = declaration(kind, outputs)
+    lines = ["def values(t, q, v):", *(f"{x} = {rows}[..., {i}]" for x, rows, i in columns),
+             *statements, f"return {', '.join(outputs)},"]
+    tree = ast.fix_missing_locations(_Power().visit(ast.parse("\n    ".join(lines))))
+    namespace = {"_power": power}
+    exec(compile(tree, "<declared invariants>", "exec"), namespace)
+    return namespace["values"]
+
+
+def evaluate(kind: ModelKind, outputs: tuple[str, ...], qs, qdots=None, ts=None) -> tuple:
+    """The declared values named ``outputs``, as a tuple, at (d,) or (n, d)
+    variances ``qs``, rates ``qdots`` and (n,) times ``ts``, each read only
+    where an output needs it; raises :class:`DomainError` for a variance
+    that is not positive."""
+    qs = _positive(np.asarray(qs, dtype=float))
+    ts, qdots = (None if a is None else np.asarray(a, dtype=float) for a in (ts, qdots))
+    return evaluator(kind, outputs)(ts, qs, qdots)
+
+
+def accel(q: np.ndarray, kind: ModelKind) -> np.ndarray:
+    """Acceleration 1/(q P^(2/D)) at (d,) or (n, d) variances ``q``, with P
+    their product over the D spatial axes: :func:`vector_field`'s, bit for bit."""
+    return np.stack(evaluate(kind, tuple(f"{x}dd" for x in kind.labels), q), -1)
+
+
+def potential(q: np.ndarray, kind: ModelKind):
+    """Pseudo-potential V = (D/2) P^(-2/D) at (d,) or (n, d) variances ``q``,
+    a scalar or (n,) array; raises :class:`DomainError` for one not positive."""
+    return evaluate(kind, ("V",), q)[0]
+
+
+@dataclass(frozen=True)
+class EnergyPair:
+    lagrangian: float
+    hamiltonian: float
+
+
+def energies(state: State, kind: ModelKind) -> EnergyPair:
+    """Lagrangian and conserved energy at the given state: the declared L and H on a row of one."""
+    L, H = evaluator(kind, ("L", "H"))(None, check_state(state, kind).q[None], state.qdot[None])
+    return EnergyPair(lagrangian=float(L[0]), hamiltonian=float(H[0]))
 
 
 class FieldSource:
@@ -171,23 +290,3 @@ def _angular_field(kind: ModelKind):
         prelude=(f"V = {potential}",
                  f"g = {' + '.join(f'{x} * {x}' for x in w)} + 2.0 * V"),
         outputs=w + tuple(f"{pull} / {x} - g * {x}" for pull, x in zip(pulls, u)))
-
-
-def potential(q: np.ndarray, kind: ModelKind):
-    """Pseudo-potential V = (D/2) P^(-2/D) at (d,) or (n, d) variances ``q``,
-    a scalar or (n,) array; raises :class:`DomainError` for one not positive."""
-    from .invariants import _evaluator  # which imports this module
-    return _evaluator(kind, ("V",))(None, _positive(np.asarray(q, dtype=float)), None)[0]
-
-
-@dataclass(frozen=True)
-class EnergyPair:
-    lagrangian: float
-    hamiltonian: float
-
-
-def energies(state: State, kind: ModelKind) -> EnergyPair:
-    """Lagrangian and conserved energy at the given state: the declared L and H on a row of one."""
-    from .invariants import _evaluator  # which imports this module
-    L, H = _evaluator(kind, ("L", "H"))(None, check_state(state, kind).q[None], state.qdot[None])
-    return EnergyPair(lagrangian=float(L[0]), hamiltonian=float(H[0]))

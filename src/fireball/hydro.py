@@ -37,7 +37,6 @@ from .errors import DomainError
 from .models import (ModelKind, PhysicalParams, State, axis_product,
                      check_state, power, reference_scales)
 
-PROBE_LIMIT_SIGMA = 5.0
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -49,13 +48,6 @@ def _profile(params: PhysicalParams, qs, qdots, kind: ModelKind):
     axes, D = list(kind.axes), kind.spatial_dim
     return (qs[..., axes], qdots[..., axes], params.n0 * ratio,
             params.T0 * (ratio ** (2 // D) if 2 % D == 0 else power(ratio, 2.0 / D)))
-
-
-def default_probe_points(kind: ModelKind) -> np.ndarray:
-    """Tensor grid of {0, +-1, +-2} standard deviations per spatial axis."""
-    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    grids = np.meshgrid(*[offsets] * kind.spatial_dim, indexing="ij")
-    return np.column_stack([g.ravel() for g in grids])
 
 
 @dataclass(frozen=True)
@@ -83,26 +75,21 @@ def _relative(terms) -> np.ndarray:
                      where=size >= np.finfo(float).tiny)
 
 
-def pde_residuals(params: PhysicalParams, qs, qdots, qdds, kind: ModelKind,
-                  probe_points=None) -> PdeResidualReport:
+def pde_residuals(params: PhysicalParams, qs, qdots, qdds, kind: ModelKind) -> PdeResidualReport:
     """Substitute the profile of dimensionless states ``qs``, ``qdots`` with
     accelerations ``qdds`` (each (states, dim)) into the hydrodynamic
-    equations.
+    equations at probe points on the tensor grid of {0, +-1, +-2} standard
+    deviations per spatial axis; every input must be finite.
 
-    Probe points are given in units of each state's standard deviation per
-    spatial axis (must lie within +-5); every input must be finite.  Each
-    residual is the sum of its equation's terms relative to the sum of their
-    magnitudes, so it does not depend on the units of ``params``; the momentum
-    residual is the largest over the axes.  The terms are (states, probes)
-    arrays, so memory grows with both: 1,001 3d states at the 125 default probes
-    peak at about 17 MB.
+    Each residual is the sum of its equation's terms relative to the sum of
+    their magnitudes, so it does not depend on the units of ``params``; the
+    momentum residual is the largest over the axes.  The terms are (states,
+    probes) arrays, so memory grows with both: 1,001 3d states at the 125
+    probes peak at about 17 MB.
     """
-    probes = default_probe_points(kind) if probe_points is None \
-        else np.atleast_2d(np.asarray(probe_points, dtype=float))
-    if probes.shape[1] != kind.spatial_dim:
-        raise DomainError(f"probe points must have {kind.spatial_dim} coordinates")
-    if not np.all(np.abs(probes) <= PROBE_LIMIT_SIGMA):  # NaN fails it too
-        raise DomainError(f"probe points must lie within +-{PROBE_LIMIT_SIGMA} sigma")
+    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    grids = np.meshgrid(*[offsets] * kind.spatial_dim, indexing="ij")
+    probes = np.column_stack([g.ravel() for g in grids])
     qs, qdots, qdds = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (qs, qdots, qdds))
     if not qs.shape == qdots.shape == qdds.shape or qs.shape[1] != kind.dim:
         raise DomainError(f"states and accelerations must be (n, {kind.dim}) arrays, got "

@@ -8,36 +8,19 @@ u = sqrt(M) q, free of the cancellation of those two terms on late states:
 
     C = 1/2 sum_{i<j} M_i M_j (q_i qdot_j - q_j qdot_i)^2 + r^2 V(q).
 
-The sum runs over the pairs i < j alone, each term a_ij = (M_i M_j c_ij)
-c_ij with c_ij = q_i qdot_j - q_j qdot_i, grouped as numpy's sum of the full
-antisymmetric matrix grouped them (each pair twice, a zero diagonal):
-
-    2d: 0.25 (a01 + a01) + r^2 V
-    3d: 0.25 ((a01 + (a02 + a01)) + (a12 + (a02 + a12))) + r^2 V
-
-This order keeps every bit of the values the full-matrix sum gave, and so
-every CSV and report written from them, while forming 3 terms in 3d
-instead of 9 (1 instead of 4 in 2d) and no (n, d, d) array.  (Where some
-q_i qdot_i overflows, the matrix's diagonal was inf - inf = NaN; the pairs
-have no diagonal.)
-
-T = sum(M qdot^2) / 2, H = T + V, L = T - V, J and C are declared once per
-model (:func:`_declaration`) after the force (:func:`fireball.dynamics._force`)
-as Python statements over the coordinates, their rates and ``t``, in
-:func:`fireball.models.row_sum`'s order, so each operation rounds once
-wherever the text runs.  numpy evaluates them, each ``**`` as the C
-library's ``pow`` per element (:func:`fireball.models.power`), for the batch
-forms (a (d,) state rounds as its batch row), :mod:`fireball.dynamics`'
-forms, :mod:`fireball.symmetry`'s L and the report where no compiler works.
-Elsewhere :func:`fireball.native.statement_block` writes them into the
-report's C pass (:func:`report_source`), one per model over a trajectory's
-rows, in place through their strides: V, the series and their largest
-deviations, with numpy's bits (C's ``/`` and ``pow``).  An address fetched
-from numpy costs 1.2-2 us (2-vCPU x86-64), so a call fetches three, those
-of the times and the two row arrays; its output block is an
-:class:`array.array`, whose address is cheap.  The report
-(:func:`invariant_report`) makes no positivity check (a Trajectory holds
-positive variances); the ``fireball.invariants`` logger says which path serves.
+T, L, H, J and C are declared once per model, with the force, in
+:mod:`fireball.dynamics`, which says in what order their sums run;
+:func:`fireball.dynamics.evaluate` evaluates them with numpy for the batch
+forms here (a (d,) state rounds as its batch row) and
+:func:`fireball.native.statement_block` writes them into the report's C
+pass (:func:`report_source`), one per model over a trajectory's rows, in
+place through their strides: V, the series and their largest deviations,
+with numpy's bits (C's ``/`` and ``pow``).  An address fetched from numpy
+costs 1.2-2 us (2-vCPU x86-64), so a call fetches three, those of the times
+and the two row arrays; its output block is an :class:`array.array`, whose
+address is cheap.  The report (:func:`invariant_report`) makes no
+positivity check (a Trajectory holds positive variances); the
+``fireball.invariants`` logger says which path serves.
 
 C is 1/2 in 1d, H r0^2 - J^2/2 in 3d, the Ermakov invariant
 I = (X Yd - Y Xd)^2 / 2 + Y/X + X/Y in 2d and Itilde = 2 I in the elliptic
@@ -47,7 +30,6 @@ Y/X + X/Y) and I >= 9/4 for the elliptic one.
 
 from __future__ import annotations
 
-import ast
 import ctypes
 import functools
 import logging
@@ -58,92 +40,21 @@ from string import Template
 import numpy as np
 
 from .errors import DomainError, UnsupportedModelError
-from .models import ModelKind, State, check_state, power
+from .models import ModelKind, State, check_state
 from .integrate import Trajectory
 from . import dynamics
 
 log = logging.getLogger("fireball.invariants")
 
-# numpy's sum of the pair terms' full matrix, and the report's names of C.
-_PAIRS = {2: "a01 + a01", 3: "(a01 + (a02 + a01)) + (a12 + (a02 + a12))"}
-_ALIASES = {ModelKind.TWO_D: ("I = C",), ModelKind.ELLIPTIC_3D: ("I = 0.5 * C", "Itilde = C")}
-
-
-@functools.cache
-def _declaration(kind: ModelKind, outputs: tuple[str, ...]):
-    """``(columns, statements)``: the statements over the coordinates, their
-    rates (``Xd`` for X) and ``t`` that the values named ``outputs`` (``V``
-    and ``Xdd`` among them) need, and as (name, ``"q"`` or ``"v"``, i) the
-    columns i they read.  The
-    terms M qdot^2, q (M qdot) and (M q)(q V), finite where r^2 overflows
-    (q > 1e154), are formed as numpy forms them from arrays (1.0 * x as x)."""
-    q, M = kind.labels, kind.weights.tolist()
-    qd = tuple(f"{x}d" for x in q)
-
-    def weighted(m, x):
-        return x if m == 1.0 else f"{m!r} * {x}"
-
-    def row_sum(terms):  # the first term plus 0.0, then the rest
-        return " + ".join([f"{terms[0]} + 0.0", *terms[1:]])
-
-    kinetic = row_sum([weighted(m, f"({v} * {v})") for m, v in zip(M, qd)])
-    momenta = row_sum([f"{x} * ({weighted(m, v)})" for m, x, v in zip(M, q, qd)])
-    radial = row_sum([f"{weighted(m, x)} * ({x} * V)" for m, x in zip(M, q)])
-    prelude, accels, potential = dynamics._force(kind)
-    lines = [*prelude, f"V = {potential}", *(f"{x}dd = {a}" for x, a in zip(q, accels)),
-             f"T = 0.5 * ({kinetic})", "H = T + V", "L = T - V", f"J = 2.0 * t * H - ({momenta})"]
-    pairs = [(i, j) for j in range(kind.dim) for i in range(j)]
-    for i, j in pairs:
-        lines += [f"c{i}{j} = {q[i]} * {qd[j]} - {q[j]} * {qd[i]}",
-                  f"a{i}{j} = {weighted(M[i] * M[j], f'c{i}{j}')} * c{i}{j}"]
-    lines.append(f"C = 0.25 * ({_PAIRS[kind.dim]}) + ({radial})" if pairs else f"C = {radial}")
-    needed, kept = set(outputs), []
-    for line in reversed(lines + list(_ALIASES.get(kind, ()))):
-        node = ast.parse(line).body[0]
-        if node.targets[0].id in needed:
-            kept.insert(0, line)
-            needed |= {name.id for name in ast.walk(node.value) if isinstance(name, ast.Name)}
-    return tuple((x, rows, i) for rows, names in (("q", q), ("v", qd))
-                 for i, x in enumerate(names) if x in needed), tuple(kept)
-
-
-class _Power(ast.NodeTransformer):
-    """Each ``a ** b`` as ``_power(a, b)``."""
-
-    def visit_BinOp(self, node):
-        node = self.generic_visit(node)
-        return (ast.Call(ast.Name("_power", ast.Load()), [node.left, node.right], [])
-                if isinstance(node.op, ast.Pow) else node)
-
-
-@functools.cache
-def _evaluator(kind: ModelKind, outputs: tuple[str, ...]):
-    """The declaration of ``outputs`` compiled as ``values(t, q, v)``,
-    returning their tuple, with numpy on the columns ``q[..., i]`` and
-    ``v[..., i]`` it reads and each ``**`` as :func:`fireball.models.power`."""
-    columns, statements = _declaration(kind, outputs)
-    lines = ["def values(t, q, v):", *(f"{x} = {rows}[..., {i}]" for x, rows, i in columns),
-             *statements, f"return {', '.join(outputs)},"]
-    tree = ast.fix_missing_locations(_Power().visit(ast.parse("\n    ".join(lines))))
-    namespace = {"_power": power}
-    exec(compile(tree, "<declared invariants>", "exec"), namespace)
-    return namespace["values"]
-
-
-def _evaluate(kind: ModelKind, output: str, ts, qs, qdots) -> np.ndarray:
-    """The declared value ``output`` on a batch of states with checked variances."""
-    qs = dynamics._positive(np.asarray(qs, dtype=float))
-    return _evaluator(kind, (output,))(ts, qs, np.asarray(qdots, dtype=float))[0]
-
 
 def hamiltonian_values(qs, qdots, kind: ModelKind) -> np.ndarray:
     """Energy H on a batch of states; qs/qdots are (n, d)."""
-    return _evaluate(kind, "H", None, qs, qdots)
+    return dynamics.evaluate(kind, ("H",), qs, qdots)[0]
 
 
 def radial_invariant_values(qs, qdots, kind: ModelKind) -> np.ndarray:
     """Radial invariant C on a batch of states; qs/qdots are (n, d) or (d,)."""
-    return _evaluate(kind, "C", None, qs, qdots)
+    return dynamics.evaluate(kind, ("C",), qs, qdots)[0]
 
 
 def ermakov_values(qs, qdots, kind: ModelKind) -> np.ndarray:
@@ -151,12 +62,12 @@ def ermakov_values(qs, qdots, kind: ModelKind) -> np.ndarray:
     if not kind.has_ermakov_invariant:
         raise UnsupportedModelError(
             f"the Ermakov invariant is defined for 2d/elliptic models, not {kind.value!r}")
-    return _evaluate(kind, "I", None, qs, qdots)
+    return dynamics.evaluate(kind, ("I",), qs, qdots)[0]
 
 
 def noether_values(ts, qs, qdots, kind: ModelKind) -> np.ndarray:
     """Scaling invariant J = 2 t H - q . p on a batch of states, p = M qdot."""
-    return _evaluate(kind, "J", np.asarray(ts, dtype=float), qs, qdots)
+    return dynamics.evaluate(kind, ("J",), qs, qdots, ts)[0]
 
 
 def noether_invariant(state: State, kind: ModelKind) -> float:
@@ -215,8 +126,9 @@ $body
 
 def report_source() -> str:
     """C source of the invariant report: for each model the statements of
-    :func:`_declaration`, in C from :mod:`fireball.native`, in the row loop
-    of ``fireball_report_<model>`` (``fireball_report_1d`` for ``1d``).
+    :func:`fireball.dynamics.declaration`, in C from :mod:`fireball.native`,
+    in the row loop of ``fireball_report_<model>`` (``fireball_report_1d``
+    for ``1d``).
     Sample i reads t[i * ts], q[i * qr + k * qc] and v[i * vr + k * vc];
     the function writes to ``out`` the report's series, n values each,
     then the largest |x - x(0)| of each series and each one's first value."""
@@ -224,7 +136,7 @@ def report_source() -> str:
 
     functions = []
     for kind, series in _SERIES.items():
-        columns, statements = _declaration(kind, series)
+        columns, statements = dynamics.declaration(kind, series)
         inputs = {"t": "t[i * ts]", **{x: f"{a}[i * {a}r + {k} * {a}c]" for x, a, k in columns}}
         helpers, names, body, values = native.statement_block(inputs, statements, series)
         functions.append(_REPORT.substitute(
@@ -299,7 +211,7 @@ def invariant_report(traj: Trajectory) -> InvariantReport:
         rows, deviation, first = run(kind, traj.times, qs, qdots)
     else:
         with np.errstate(over="ignore"):  # P = inf gives V = 0
-            rows = _evaluator(kind, _SERIES[kind])(traj.times, qs, qdots)
+            rows = dynamics.evaluator(kind, _SERIES[kind])(traj.times, qs, qdots)
         # The largest deviation of every series in one pass over them stacked.
         series = np.array(rows)
         deviation = np.maximum.reduce(np.abs(series - series[:, :1]), axis=1).tolist()

@@ -2,7 +2,7 @@
 
 A symmetry gives its prolongation along solutions at a batch of states:
 tau, eta, the gauge and their total time derivatives, from t, q, qdot, the
-accelerations and L = T - V (declared in :mod:`fireball.invariants`).  A
+accelerations and L = T - V (declared in :mod:`fireball.dynamics`).  A
 point symmetry tau d/dt + eta . d/dq (:class:`PointSymmetry`) derives it
 from exact partials, the 2d model's velocity-dependent symmetry
 (:class:`ErmakovSymmetry`) from its free function tau.  :func:`noether_terms`
@@ -30,8 +30,7 @@ import numpy as np
 from .errors import DomainError, UnsupportedModelError
 from .models import ModelKind, State, check_state
 from .integrate import Trajectory
-from .dynamics import accel
-from .invariants import _evaluate
+from .dynamics import accel, evaluate
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,7 @@ def noether_terms(symmetries, kind: ModelKind, ts, qs, qdots):
     dL/dq = M qdd on shell (-grad V), p = M qdot and dL/dt = 0, and the
     invariant J = tau (qd.p - L) - eta.p + gauge."""
     qdds = accel(qs, kind)
-    L = _evaluate(kind, "L", None, qs, qdots)
+    L = evaluate(kind, ("L",), qs, qdots)[0]
     p, dL_dq = kind.weights * qdots, kind.weights * qdds
     pairs = []
     for sym in symmetries:
@@ -161,7 +160,8 @@ def scaled_trajectory(traj: Trajectory, beta: float) -> Trajectory:
     The result solves the same model equations (the map is the finite form of
     the scaling symmetry); velocities transform as qdot -> qdot / beta.
     Raises :class:`DomainError` for a beta that is not positive and finite,
-    or whose image overflows.
+    or whose image overflows or underflows: sample times that round to one
+    time, or a variance that rounds to 0.
     """
     if not 0.0 < beta < math.inf:
         raise DomainError(f"beta must be positive and finite, got {beta}")
@@ -171,6 +171,8 @@ def scaled_trajectory(traj: Trajectory, beta: float) -> Trajectory:
                               qs=beta * traj.qs, qdots=traj.qdots / beta)
     except (OverflowError, FloatingPointError):
         raise DomainError(f"beta = {beta} maps the trajectory beyond the largest float") from None
+    except DomainError as exc:  # the image of a trajectory fails only by underflow
+        raise DomainError(f"beta = {beta} underflows the trajectory: {exc}") from None
 
 
 def ode_residual(traj: Trajectory, qdds) -> float:

@@ -30,12 +30,11 @@ def hydro_checks_trajectory(kind):
                       qdots=run.qdots[::25])
 
 
-def stencil_residuals(params, traj, probe_points=None):
+def stencil_residuals(params, traj):
     """pde_residuals at the interior samples of a fine uniform-grid
     trajectory, with their second-difference accelerations."""
     inner, qdds = stencil_accelerations(traj)
-    return pde_residuals(params, inner.qs, inner.qdots, qdds, traj.kind,
-                         probe_points=probe_points)
+    return pde_residuals(params, inner.qs, inner.qdots, qdds, traj.kind)
 
 
 def tensor_product_sum(params, state, kind, nodes, density_only):
@@ -131,8 +130,7 @@ class TestFields:
 
 class TestPdeResiduals:
     def test_exact_1d_trajectory(self):
-        report = stencil_residuals(UNIT, exact_1d_trajectory(dt=4e-4),
-                                   probe_points=[[0.0], [1.0], [2.0]])
+        report = stencil_residuals(UNIT, exact_1d_trajectory(dt=4e-4))
         assert report.max_abs <= 1e-6
 
     def test_exact_2d_trajectory(self):
@@ -151,9 +149,9 @@ class TestPdeResiduals:
         assert np.max(report.momentum) > 1e-3
 
     def test_origin_probe_momentum_vanishes(self):
-        report = stencil_residuals(UNIT, exact_2d_trajectory(t_end=0.5),
-                                   probe_points=[[0.0, 0.0]])
-        assert np.max(report.momentum) == 0.0
+        report = stencil_residuals(UNIT, exact_2d_trajectory(t_end=0.5))
+        [origin] = np.flatnonzero(~report.probes.any(axis=1))
+        assert np.max(report.momentum[:, origin]) == 0.0
 
     def test_dimensional_parameters(self):
         # nontrivial length/time scalings: the dimensional fields must still
@@ -181,19 +179,14 @@ class TestPdeResiduals:
         with pytest.raises(DomainError):
             pde_residuals(UNIT, -traj.qs, traj.qdots, accel(traj.qs, traj.kind), traj.kind)
 
-    def test_probe_limit(self):
-        with pytest.raises(DomainError):
-            stencil_residuals(UNIT, exact_1d_trajectory(), probe_points=[[6.0]])
-
     @pytest.mark.parametrize("name,value,refusal", [
-        ("probe_points", math.nan, "probe points"), ("qs", math.inf, "variances"),
-        ("qs", math.nan, "variances"), ("qdots", math.nan, "rates"),
-        ("qdds", math.nan, "accelerations")])
+        ("qs", math.inf, "variances"), ("qs", math.nan, "variances"),
+        ("qdots", math.nan, "rates"), ("qdds", math.nan, "accelerations")])
     def test_refuses_a_non_finite_input(self, name, value, refusal):
         # its residuals would be NaN, which max_abs would read as 0
         traj = hydro_checks_trajectory(ModelKind.TWO_D)
         inputs = {"qs": traj.qs.copy(), "qdots": traj.qdots.copy(),
-                  "qdds": accel(traj.qs, traj.kind), "probe_points": np.zeros((4, 2))}
+                  "qdds": accel(traj.qs, traj.kind)}
         inputs[name][3, 1] = value
         with pytest.raises(DomainError, match=refusal):
             pde_residuals(UNIT, kind=traj.kind, **inputs)

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fireball import (IntegratorConfig, ModelKind, State, Trajectory, energies, integrate,
-                      invariant_report, invariants, native, noether_invariant)
+from fireball import (IntegratorConfig, ModelKind, State, Trajectory, dynamics, energies,
+                      integrate, invariant_report, invariants, native, noether_invariant)
 from fireball.symmetry import scaled_trajectory
 import sanitizers
 
@@ -134,7 +134,7 @@ def test_a_single_state_rounds_as_its_batch_row(no_cc, kind):
     with numpy_path(no_cc):
         reports.append(invariant_report(traj))
     forms = {"H": lambda t, q, v: invariants.hamiltonian_values(q, v, kind),
-             "L": lambda t, q, v: invariants._evaluate(kind, "L", None, q, v),
+             "L": lambda t, q, v: dynamics.evaluate(kind, ("L",), q, v)[0],
              "J": lambda t, q, v: invariants.noether_values(t, q, v, kind),
              "C": lambda t, q, v: invariants.radial_invariant_values(q, v, kind)}
     if kind.has_ermakov_invariant:
@@ -182,7 +182,7 @@ def test_declarations_translate_with_c_division_and_pow():
     # as C's division, and for 3d and elliptic one pow of the axis product;
     # neither is a helper with a flag, since numpy's twin raises nothing
     for kind, series in invariants._SERIES.items():
-        columns, statements = invariants._declaration(kind, series)
+        columns, statements = dynamics.declaration(kind, series)
         assert "V" not in {x for x, _, _ in columns}
         inputs = {x: "0.0" for x in ("t", *(x for x, _, _ in columns))}
         _, _, code, _ = native.statement_block(inputs, statements, series)

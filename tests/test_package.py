@@ -90,3 +90,33 @@ def test_every_module_level_import_is_read():
                 unused += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                            if (alias.asname or alias.name.partition(".")[0]) not in read]
     assert unused == []
+
+
+def test_no_module_imports_itself_through_others():
+    # every intra-package import (``from .x import``, ``from . import x``),
+    # at module level and inside functions, must leave the graph acyclic: a
+    # cycle makes import order matter and sends functions back through late
+    # imports
+    package = Path(fireball.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    edges = {name: {target for node in ast.walk(ast.parse((package / f"{name}.py").read_text()))
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    for target in ([node.module] if node.module
+                                   else [alias.name for alias in node.names])
+                    if target in modules}
+             for name in modules}
+    state, cycles = {}, []
+
+    def visit(module, path):
+        state[module] = "open"
+        for target in sorted(edges[module]):
+            if state.get(target) == "open":
+                cycles.append(path[path.index(target):] + [target])
+            elif target not in state:
+                visit(target, path + [target])
+        state[module] = "done"
+
+    for module in sorted(edges):
+        if module not in state:
+            visit(module, [module])
+    assert cycles == []

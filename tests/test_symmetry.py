@@ -159,6 +159,19 @@ class TestScaledTrajectory:
             with pytest.raises(DomainError, match="beta = .* maps the trajectory beyond"):
                 scaled_trajectory(traj, beta)
 
+    @pytest.mark.parametrize("beta", [1e-200, 1e-170, 1e-160])
+    def test_names_a_beta_whose_image_times_underflow(self, beta):
+        # beta ** 2 is 0 for 1e-200 and 1e-170, so every image time is 0;
+        # 1e-160 keeps the times apart as subnormals
+        traj = integrate(State(t=0.0, q=[1.0], qdot=[0.1]), ModelKind.ONE_D,
+                         IntegratorConfig(t_end=1.0, sample_interval=0.5))
+        if beta == 1e-160:
+            assert np.array_equal(scaled_trajectory(traj, beta).times, [0.0, 5e-321, 1e-320])
+        else:
+            with pytest.raises(DomainError, match=f"beta = {beta} underflows the trajectory: "
+                                                  "sample times must be strictly increasing"):
+                scaled_trajectory(traj, beta)
+
     def test_mapped_1d_solution_still_solves_the_ode(self):
         times = np.arange(0.0, 2.0 + 1e-12, 2.5e-4)
         X, Xd = one_d_solution(0.5, 0.0, times)
