@@ -2,9 +2,9 @@
 
 A symmetry gives its prolongation along solutions at a batch of states:
 tau, eta, the gauge and their total time derivatives, from t, q, qdot, the
-accelerations and L = T - V (declared in :mod:`fireball.dynamics`).  A
-point symmetry tau d/dt + eta . d/dq (:class:`PointSymmetry`) derives it
-from exact partials, the 2d model's velocity-dependent symmetry
+accelerations and L = T - V (declared in :mod:`fireball.dynamics`): the
+point symmetries (:class:`PointSymmetry`, one family of three numbers) in
+closed form, the 2d model's velocity-dependent symmetry
 (:class:`ErmakovSymmetry`) from its free function tau.  :func:`noether_terms`
 gives each one's residual of the Noether condition G1[L] + taudot L =
 gauge-dot, which a genuine symmetry meets to rounding, and its Noether
@@ -35,57 +35,44 @@ from .dynamics import accel, evaluate
 
 @dataclass(frozen=True)
 class PointSymmetry:
-    """Coefficient functions of a point symmetry and their exact partials.
+    """The point symmetry tau d/dt + eta . d/dq of the sl(2,R) family that
+    is every Noether point symmetry of a Lagrangian T - V with V homogeneous
+    of degree -2: tau = a + b t + c t^2, eta = (b/2 + c t) q and the gauge
+    (c/2) sum(M q^2).  a is time translation (invariant H), b the scaling
+    (J) and c the conformal map, whose invariant K gives C = 2 H K - J^2/2."""
 
-    ``tau``/``eta``/``gauge`` map (t, q) to the coefficient values;
-    ``tau_grad`` returns (d tau/dt, d tau/dq), ``eta_grad`` returns
-    (d eta/dt, d eta/dq) with the matrix indexed [i, j] = d eta_i / d q_j,
-    and ``gauge_grad`` mirrors ``tau_grad``.  Each takes a state's t and (d,)
-    q or a batch's (n,) t and (n, d) q, and its values broadcast over the batch.
-    """
-
-    tau: Callable[[float, np.ndarray], float]
-    eta: Callable[[float, np.ndarray], np.ndarray]
-    gauge: Callable[[float, np.ndarray], float]
-    tau_grad: Callable[[float, np.ndarray], tuple[float, np.ndarray]]
-    eta_grad: Callable[[float, np.ndarray], tuple[np.ndarray, np.ndarray]]
-    gauge_grad: Callable[[float, np.ndarray], tuple[float, np.ndarray]]
+    a: float = 0.0
+    b: float = 0.0
+    c: float = 0.0
 
     def prolongation(self, kind, t, q, qd, qdd, L):
         """tau, eta, taudot, etadot, gauge and gauge-dot at states (t, q, qd):
-        one state, or a batch along the leading axis.  The total derivatives
-        need neither the accelerations ``qdd`` nor ``L``."""
-        tau_t, tau_q = self.tau_grad(t, q)
-        eta_t, eta_q = self.eta_grad(t, q)
-        gauge_t, gauge_q = self.gauge_grad(t, q)
-        return (self.tau(t, q), np.asarray(self.eta(t, q), dtype=float),
-                tau_t + np.sum(tau_q * qd, axis=-1),
-                eta_t + np.sum(eta_q * qd[..., None, :], axis=-1),
-                self.gauge(t, q), gauge_t + np.sum(gauge_q * qd, axis=-1))
+        one state, or a batch along the leading axis, in closed form, reading
+        neither the accelerations ``qdd`` nor ``L``.  A zero coefficient's
+        terms are left out, not multiplied by 0, so no 0 * inf arises."""
+        a, b, c = self.a, self.b, self.c
+        tau = a + b * t if b else a
+        taudot, eta, etadot, gauge, gaugedot = b, 0.0, 0.0, 0.0, 0.0
+        if c:
+            tau, taudot = tau + c * t * t, b + 2.0 * c * t
+        if b or c:  # eta = (taudot / 2) q
+            half = np.expand_dims(taudot / 2.0, -1)
+            eta, etadot = half * q, half * qd
+        if c:
+            M = kind.weights
+            etadot = etadot + c * q
+            gauge, gaugedot = c / 2.0 * np.sum(M * q * q, -1), c * np.sum(M * q * qd, -1)
+        return tau, eta, taudot, etadot, gauge, gaugedot
 
 
 def scaling_symmetry() -> PointSymmetry:
     """tau = 2 t, eta = q, gauge = 0 (valid for every model dimension)."""
-    return PointSymmetry(
-        tau=lambda t, q: 2.0 * t,
-        eta=lambda t, q: np.array(q, dtype=float),
-        gauge=lambda t, q: 0.0,
-        tau_grad=lambda t, q: (2.0, np.zeros_like(q)),
-        eta_grad=lambda t, q: (np.zeros_like(q), np.eye(q.shape[-1])),
-        gauge_grad=lambda t, q: (0.0, np.zeros_like(q)),
-    )
+    return PointSymmetry(b=2.0)
 
 
 def time_translation() -> PointSymmetry:
     """tau = 1, eta = 0, gauge = 0; its Noether invariant is the energy."""
-    return PointSymmetry(
-        tau=lambda t, q: 1.0,
-        eta=lambda t, q: np.zeros_like(q),
-        gauge=lambda t, q: 0.0,
-        tau_grad=lambda t, q: (0.0, np.zeros_like(q)),
-        eta_grad=lambda t, q: (np.zeros_like(q), np.zeros((q.shape[-1],) * 2)),
-        gauge_grad=lambda t, q: (0.0, np.zeros_like(q)),
-    )
+    return PointSymmetry(a=1.0)
 
 
 @dataclass(frozen=True)
@@ -96,8 +83,7 @@ class ErmakovSymmetry:
     Coordinates shift by tau qd plus a rotation-like term with parameter
     w = X Yd - Y Xd, time by ``tau`` of (t, q, qdot), and the gauge is
     tau L - w^2/2 + X/Y + Y/X.  ``tau`` takes a state's or a batch's t, q
-    and qdot and indexes their last axis, as q[..., 0].
-    """
+    and qdot and indexes their last axis, as q[..., 0]."""
 
     tau: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
@@ -143,10 +129,8 @@ def noether_terms(symmetries, kind: ModelKind, ts, qs, qdots):
 
 def noether_condition_residual(sym: PointSymmetry | ErmakovSymmetry, kind: ModelKind,
                                state: State) -> float:
-    """Residual of G1[L] + taudot L - gauge-dot at the given phase point.
-
-    Vanishes (to rounding) for a Noether symmetry of the model's Lagrangian.
-    """
+    """Residual of G1[L] + taudot L - gauge-dot at the given phase point,
+    which vanishes (to rounding) for a Noether symmetry of the Lagrangian."""
     check_state(state, kind)
     # the batch form on a row of one, so that it rounds as the batch does
     [(residual, _)] = noether_terms([sym], kind, np.array([state.t]), state.q[None],
@@ -161,8 +145,7 @@ def scaled_trajectory(traj: Trajectory, beta: float) -> Trajectory:
     the scaling symmetry); velocities transform as qdot -> qdot / beta.
     Raises :class:`DomainError` for a beta that is not positive and finite,
     or whose image overflows or underflows: sample times that round to one
-    time, or a variance that rounds to 0.
-    """
+    time, or a variance that rounds to 0."""
     if not 0.0 < beta < math.inf:
         raise DomainError(f"beta must be positive and finite, got {beta}")
     try:
@@ -177,6 +160,11 @@ def scaled_trajectory(traj: Trajectory, beta: float) -> Trajectory:
 
 def ode_residual(traj: Trajectory, qdds) -> float:
     """Largest deviation of given accelerations ``qdds`` of the samples from
-    the model's force at them, relative to the force's largest component."""
+    the model's force at them, relative to the force's largest component.
+    Raises :class:`DomainError` for an empty trajectory, or for ``qdds``
+    not of the samples' (n, d) shape."""
+    if not len(traj) or np.shape(qdds) != traj.qs.shape:
+        raise DomainError(f"accelerations must have the samples' shape {traj.qs.shape}, "
+                          f"with at least one sample; got {np.shape(qdds)}")
     force = accel(traj.qs, traj.kind)
     return float(np.max(np.abs(qdds - force)) / np.max(np.abs(force)))

@@ -19,8 +19,8 @@ model's force gives them: the Euler equations by
 :func:`fireball.hydro.pde_residuals`, the scaling map by
 :func:`fireball.symmetry.ode_residual` on the image of a run and by the 2d
 model's Ermakov invariant I, unchanged on the image of a state.  One call
-of :func:`fireball.symmetry.noether_terms` serves the two point symmetries,
-one the 2d Ermakov symmetry's three tau.  No check takes a numerical
+of :func:`fireball.symmetry.noether_terms` serves the two point symmetries
+and, for 2d, the Ermakov symmetry's three tau.  No check takes a numerical
 derivative; these read rounding, so their bounds are 1e-12.
 """
 
@@ -106,9 +106,13 @@ def analytic_checks(initial: State, kind: ModelKind, *, rel_tol,
 def symmetry_checks(traj: Trajectory, rng) -> list[CheckResult]:
     kind = traj.kind
     ts, qs, qdots = _random_states(kind, rng, n=5)
-    scal, ttrans = symmetry.scaling_symmetry(), symmetry.time_translation()
-    (res_scal, inv_scal), (res_ttrans, inv_ttrans) = symmetry.noether_terms(
-        [scal, ttrans], kind, ts, qs, qdots)
+    scal = symmetry.scaling_symmetry()
+    symmetries = [scal, symmetry.time_translation()]
+    if kind is ModelKind.TWO_D:
+        symmetries += [symmetry.ErmakovSymmetry(tau) for tau in (
+            lambda t, q, qd: 0.0, lambda t, q, qd: 1.0, lambda t, q, qd: q[..., 0] * qd[..., 1])]
+    (res_scal, inv_scal), (res_ttrans, inv_ttrans), *dynamical = symmetry.noether_terms(
+        symmetries, kind, ts, qs, qdots)
     out = [
         _result("noether_residual_scaling", _worst(res_scal), 1e-10),
         _result("noether_residual_time_translation", _worst(res_ttrans), 1e-10),
@@ -125,14 +129,10 @@ def symmetry_checks(traj: Trajectory, rng) -> list[CheckResult]:
         g1i = max(_worst((invariants.ermakov_values(beta * qs, qdots / beta, kind)
                           - ermakov) / ermakov) for beta in (0.5, 2.0, 5.0))
         out.append(_result("generator_annihilates_ermakov", g1i, 1e-12))
-
-        dynamical = [symmetry.ErmakovSymmetry(tau) for tau in (
-            lambda t, q, qd: 0.0, lambda t, q, qd: 1.0, lambda t, q, qd: q[..., 0] * qd[..., 1])]
-        checks = symmetry.noether_terms(dynamical, kind, ts, qs, qdots)
         out.append(_result("dynamical_symmetry_residual",
-                           max(_worst(res) for res, _ in checks), 1e-12))
+                           max(_worst(res) for res, _ in dynamical), 1e-12))
         out.append(_result("dynamical_symmetry_invariant_match",
-                           max(_worst(inv - ermakov) for _, inv in checks), 1e-10))
+                           max(_worst(inv - ermakov) for _, inv in dynamical), 1e-10))
 
     # Finite scaling map: the image of a run must solve the same ODE.  By the
     # chain rule its accelerations are accel(q) / beta^3, which equal the
@@ -148,7 +148,7 @@ def symmetry_checks(traj: Trajectory, rng) -> list[CheckResult]:
     # difference is second order in beta - 1.
     eps = 1e-6
     mapped = symmetry.scaled_trajectory(traj, 1.0 + eps)
-    tau, eta = scal.tau(traj.times, traj.qs), scal.eta(traj.times, traj.qs)
+    tau, eta, *_ = scal.prolongation(kind, traj.times, traj.qs, traj.qdots, None, None)
     dev_t = np.max(np.abs(mapped.times - (traj.times + eps * tau)))
     dev_q = np.max(np.abs(mapped.qs - (traj.qs + eps * eta)))
     out.append(_result("generator_near_identity", max(dev_t, dev_q), 1e-10))

@@ -1,16 +1,21 @@
 """The corpus of CLI outputs under tests/data/golden/: the argvs, how one is
 run, how an output is compared with its recorded bytes, and the generator.
 
-Each entry is the standard output of one ``fireball`` argv: ``verify`` for
-the four models at seeds 0 and 7919, and a coarse ``simulate`` CSV per
-model.  ``manifest.json`` records what the bytes depend on beyond IEEE
-arithmetic: the C library, whose ``pow`` every power is, and numpy's
-version.  ``analytic`` is left out: its ``phi`` and ``ttilde`` columns follow
-numpy's SIMD ``arctan2`` and ``arctan``, which differ between machines.
+Each entry is what one ``fireball`` argv gives: its standard output, in a
+file of the entry's name, and its exit code and standard error, in
+``exits.json``.  The argvs are ``verify`` for the four models at seeds 0
+and 7919, a coarse ``simulate`` per model as CSV and as JSON, and two usage
+errors that fireball itself reports (exit 2), not argparse, whose wording
+changes between Python versions.  ``manifest.json`` records what the bytes
+depend on beyond IEEE arithmetic: the C library, whose ``pow`` every power
+is, and numpy's version.  ``analytic`` is left out: its ``phi`` and
+``ttilde`` columns follow numpy's SIMD ``arctan2`` and ``arctan``, which
+differ between machines.
 
-On the recorded C library an output must match byte for byte.  On another
-one each number may differ by ``ULPS`` units in the last place of the larger
-of its two magnitudes and 1, and everything between the numbers must match.
+The exit code must match.  On the recorded C library both streams must
+match byte for byte.  On another one each number may differ by ``ULPS``
+units in the last place of the larger of its two magnitudes and 1, and
+everything between the numbers must match.
 
 A change that means to move outputs regenerates the corpus, so that its diff
 shows every moved value::
@@ -38,10 +43,14 @@ LABELS = {"1d": "X", "2d": "XY", "3d": "XYZ", "elliptic": "XY"}
 
 ARGVS = {f"verify-{model}-seed{seed}.json": ["verify", "--model", model, "--seed", seed]
          for model in MODELS for seed in ("0", "7919")}
-ARGVS.update({f"simulate-{model}.csv": [
+ARGVS.update({f"simulate-{model}.{form}": [
     "simulate", "--model", model, "--t-end", "25", "--sample-interval", "0.5",
-    *(a for x in LABELS[model] for a in (f"--{x}", STATE[x], f"--{x}dot", STATE[x + "dot"]))]
-    for model in MODELS})
+    *(a for x in LABELS[model] for a in (f"--{x}", STATE[x], f"--{x}dot", STATE[x + "dot"])),
+    *(["--format", "json"] if form == "json" else [])]
+    for form in ("csv", "json") for model in MODELS})
+ARGVS.update({"verify-2d-negative-seed.txt": ["verify", "--model", "2d", "--seed", "-1"],
+              "simulate-2d-without-Y.txt": ["simulate", "--model", "2d", "--X", "1",
+                                            "--t-end", "1"]})
 
 ULPS = 2 ** 20
 # a float as %.17g or repr writes it; a NaN is compared as text
@@ -67,15 +76,20 @@ def describe() -> str:
             f"{recorded} and this is {manifest()['libc'] or 'an unknown C library'}")
 
 
-def run(argv) -> str:
-    """What ``fireball`` writes to standard output for ``argv``, run in process."""
+def run(argv) -> tuple[int, str, str]:
+    """``(exit code, stdout, stderr)`` of ``fireball`` for ``argv``, run in process."""
     from fireball.cli import main
 
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert code == 0, f"{argv} exited {code}"
-    return out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def recorded(name) -> tuple[int, str, str]:
+    """The corpus entry ``name`` as :func:`run` returns it."""
+    entry = json.loads((DATA / "exits.json").read_text())[name]
+    return entry["exit"], (DATA / name).read_text(), entry["stderr"]
 
 
 def _close(a: str, b: str, ulps: int) -> bool:
@@ -98,8 +112,12 @@ def first_difference(want: str, got: str, ulps: int = 0) -> str | None:
 
 def write() -> None:
     DATA.mkdir(parents=True, exist_ok=True)
+    exits = {}
     for name, argv in ARGVS.items():
-        (DATA / name).write_text(run(argv))
+        code, out, err = run(argv)
+        (DATA / name).write_text(out)
+        exits[name] = {"exit": code, "stderr": err}
+    (DATA / "exits.json").write_text(json.dumps(exits, indent=2) + "\n")
     (DATA / "manifest.json").write_text(json.dumps(manifest(), indent=2) + "\n")
 
 

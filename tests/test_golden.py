@@ -1,6 +1,7 @@
-"""The CLI still writes the corpus under tests/data/golden/, with a C
-compiler and without; golden.py says how the corpus is compared and how a
-change that means to move an output regenerates it."""
+"""The CLI still gives the corpus under tests/data/golden/, exit code,
+stdout and stderr, with a C compiler and without; golden.py says how the
+corpus is compared and how a change that means to move an output
+regenerates it."""
 
 import pytest
 
@@ -9,14 +10,16 @@ import golden
 
 @pytest.mark.parametrize("name", list(golden.ARGVS))
 def test_output_matches_the_corpus(name, no_cc):
-    recorded = (golden.DATA / name).read_text()
+    code, *streams = golden.recorded(name)
     ulps = golden.ulp_bound()
     with_cc = golden.run(golden.ARGVS[name])
     with no_cc():
         without_cc = golden.run(golden.ARGVS[name])
-    for served, got in (("with cc", with_cc), ("without cc", without_cc)):
-        difference = golden.first_difference(recorded, got, ulps)
-        assert difference is None, f"{name} {served}: {difference}"
+    for served, (got_code, *got_streams) in (("with cc", with_cc), ("without cc", without_cc)):
+        assert got_code == code, f"{name} {served}: exit {got_code}, recorded {code}"
+        for stream, want, got in zip(("stdout", "stderr"), streams, got_streams):
+            difference = golden.first_difference(want, got, ulps)
+            assert difference is None, f"{name} {served} {stream}: {difference}"
 
 
 def test_a_moved_ulp_is_caught_and_shown():

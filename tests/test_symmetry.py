@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from fireball import (DomainError, IntegratorConfig, UnsupportedModelError,
                       noether_condition_residual, noether_invariant,
                       ode_residual, one_d_solution,
                       scaled_trajectory, scaling_symmetry, symmetry, time_translation)
-from fireball.dynamics import accel, potential
+from fireball.dynamics import accel, evaluate, potential
 from fireball.invariants import ermakov_values
 from fireball.symmetry import ErmakovSymmetry, noether_terms
 from batch import draw_states
@@ -25,16 +26,20 @@ def random_states(kind, n=10, seed=11):
                   qdot=rng.uniform(-1.0, 1.0, kind.dim)) for _ in range(n)]
 
 
-def perturbed_scaling(factor=1.1):
-    """Scaling generator with eta scaled by a wrong factor: not a symmetry."""
-    return PointSymmetry(
-        tau=lambda t, q: 2.0 * t,
-        eta=lambda t, q: factor * np.asarray(q, dtype=float),
-        gauge=lambda t, q: 0.0,
-        tau_grad=lambda t, q: (2.0, np.zeros_like(q)),
-        eta_grad=lambda t, q: (np.zeros_like(q), factor * np.eye(q.shape[-1])),
-        gauge_grad=lambda t, q: (0.0, np.zeros_like(q)),
-    )
+@dataclass(frozen=True)
+class PerturbedScaling:
+    """The scaling's prolongation with eta and etadot times a wrong factor:
+    not a symmetry."""
+
+    factor: float = 1.1
+
+    def prolongation(self, kind, t, q, qd, qdd, L):
+        tau, eta, taudot, etadot, gauge, gaugedot = scaling_symmetry().prolongation(
+            kind, t, q, qd, qdd, L)
+        return tau, self.factor * eta, taudot, self.factor * etadot, gauge, gaugedot
+
+
+CONFORMAL = PointSymmetry(c=1.0)
 
 
 def invariant(sym, kind, s):
@@ -57,7 +62,7 @@ class TestNoetherCondition:
             assert noether_condition_residual(sym, kind, s) == 0.0
 
     def test_perturbed_symmetry_is_detected(self):
-        sym = perturbed_scaling()
+        sym = PerturbedScaling()
         for s in random_states(ModelKind.TWO_D, n=10, seed=12):
             assert abs(noether_condition_residual(sym, ModelKind.TWO_D, s)) > 1e-3
 
@@ -78,6 +83,16 @@ class TestNoetherInvariant:
             H = energies(s, kind).hamiltonian
             got = invariant(sym, kind, s)
             assert abs(got - H) <= 1e-12 * H
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_conformal_invariant_gives_the_radial_invariant(self, kind):
+        # K = t^2 H - t q.p + sum(M q^2) / 2 meets C = 2 H K - J^2 / 2
+        states = random_states(kind, n=20)
+        ts = np.array([s.t for s in states])
+        qs, qdots = np.array([s.q for s in states]), np.array([s.qdot for s in states])
+        [(_, K)] = noether_terms([CONFORMAL], kind, ts, qs, qdots)
+        H, J, C = evaluate(kind, ("H", "J", "C"), qs, qdots, ts)
+        assert np.max(np.abs(2.0 * H * K - 0.5 * J * J - C) / C) <= 1e-12
 
     def test_1d_reference_value(self):
         s = State(t=2.0, q=[1.0], qdot=[0.0])
@@ -105,6 +120,32 @@ def generator_apply(sym, field, state, h=1e-6):
         return field(state.t + s * tau, state.q + s * eta, state.qdot + s * zeta)
 
     return (at(h) - at(-h)) / (2.0 * h)
+
+
+class TestFamily:
+    """PointSymmetry(a, b, c): tau = a + b t + c t^2, eta = (b/2 + c t) q."""
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("sym", [CONFORMAL, PointSymmetry(a=0.3, b=-1.7, c=0.9)],
+                             ids=["conformal", "mixed"])
+    def test_residual(self, kind, sym):
+        # the condition reads taudot, etadot and gauge-dot, so it sees a
+        # derivative that does not match its coefficient
+        for s in random_states(kind):
+            assert abs(noether_condition_residual(sym, kind, s)) <= 1e-12
+
+    @pytest.mark.parametrize("sym", [time_translation(), scaling_symmetry()],
+                             ids=["time_translation", "scaling"])
+    def test_a_zero_coefficient_adds_an_exact_zero(self, sym):
+        # q * q and t * t overflow here, so a zero coefficient times either
+        # would make a NaN and an overflow warning
+        q, qd = np.array([[1e200, 3e200]]), np.array([[1e200, -1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau, eta, taudot, etadot, gauge, gaugedot = sym.prolongation(
+                ModelKind.TWO_D, np.array([1e200]), q, qd, None, None)
+        assert np.all(np.isfinite(tau)) and gauge == 0.0 and gaugedot == 0.0
+        assert np.all(eta == sym.b / 2.0 * q) and np.all(etadot == sym.b / 2.0 * qd)
 
 
 class TestExtendedGenerator:
@@ -235,6 +276,20 @@ class TestScaledTrajectory:
 
 
 class TestOdeResidual:
+    @pytest.mark.parametrize("part", [np.s_[:1], np.s_[:, :1]], ids=["one row", "one column"])
+    def test_refuses_accelerations_of_another_shape(self, part):
+        # (1, 2) and (5, 1) would broadcast against the (5, 2) samples
+        traj = integrate(State(t=0.0, q=[1.0, 1.3], qdot=[0.1, 0.2]), ModelKind.TWO_D,
+                         IntegratorConfig(t_end=2.0, sample_interval=0.5))
+        with pytest.raises(DomainError, match=r"the samples' shape \(5, 2\)"):
+            ode_residual(traj, accel(traj.qs, traj.kind)[part])
+
+    def test_refuses_an_empty_trajectory(self):
+        traj = Trajectory(kind=ModelKind.TWO_D, times=np.empty(0), qs=np.empty((0, 2)),
+                          qdots=np.empty((0, 2)))
+        with pytest.raises(DomainError, match="at least one sample"):
+            ode_residual(traj, np.empty((0, 2)))
+
     def test_detects_a_non_solution(self):
         times = np.arange(0.0, 1.0 + 1e-12, 1e-3)
         qs = np.exp(times)[:, None]  # not a solution of Xdd = 1/X^3
@@ -299,7 +354,7 @@ class TestBatchForms:
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(list(ModelKind)), data=st.data())
     def test_point_symmetries(self, kind, data):
-        self.check_rows([scaling_symmetry(), time_translation()], kind, data)
+        self.check_rows([scaling_symmetry(), time_translation(), CONFORMAL], kind, data)
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from fireball import (DomainError, IntegratorConfig, PhysicalParams, Trajectory, dynamics,
-                      invariants, pde_residuals, verification)
+                      invariants, pde_residuals, symmetry, verification)
 from fireball.dynamics import accel
 from fireball.models import ModelKind, State
 from fireball.symmetry import ode_residual, scaled_trajectory
@@ -249,3 +249,22 @@ def test_exact_identities_hold_on_random_states(kind, beta, data):
     floor = np.sum(beta * np.abs(qs) * kind.weights, axis=-1) * 2.0 ** -1074
     assert np.all(np.abs(invariants.noether_values(image.times, image.qs, image.qdots, kind)
                          - J) <= 1e-12 * terms + floor)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_one_force_and_one_lagrangian_on_the_random_states(kind, monkeypatch):
+    # one noether_terms call serves every symmetry of the check (2d: the two
+    # point symmetries and the three Ermakov tau)
+    seen = []
+
+    def counting(name, exact, states):
+        def wrapped(*args):
+            seen.append((name, np.shape(args[states])))
+            return exact(*args)
+        return wrapped
+
+    monkeypatch.setattr(symmetry, "accel", counting("accel", symmetry.accel, 0))
+    monkeypatch.setattr(symmetry, "evaluate", counting("evaluate", symmetry.evaluate, 2))
+    symmetry_checks(reference_run(kind), np.random.default_rng(0))
+    assert [call for call in seen if call[1] == (5, kind.dim)] == \
+        [("accel", (5, kind.dim)), ("evaluate", (5, kind.dim))]
