@@ -20,21 +20,12 @@ The force and V are declared once per model as source (:func:`_force`), and
 after them (:func:`declaration`) T = sum(M qdot^2) / 2, H = T + V,
 L = T - V, J = 2 t H - q . p with p = M qdot and the radial invariant C of
 :mod:`fireball.invariants`, as one-name Python statements over the
-coordinates, their rates (``Xd`` for X) and ``t``, each sum in
-:func:`fireball.models.row_sum`'s order, so each operation rounds once
-wherever the text runs.  C's pair terms a_ij = (M_i M_j c_ij) c_ij, with
-c_ij = q_i qdot_j - q_j qdot_i, run over the pairs i < j alone, grouped as
-numpy's sum of the full antisymmetric matrix grouped them (each pair twice,
-a zero diagonal):
-
-    2d: 0.25 (a01 + a01) + r^2 V
-    3d: 0.25 ((a01 + (a02 + a01)) + (a12 + (a02 + a12))) + r^2 V
-
-This order keeps every bit of the values the full-matrix sum gave, and so
-every CSV and report written from them, while forming 3 terms in 3d
-instead of 9 (1 instead of 4 in 2d) and no (n, d, d) array.  (Where some
-q_i qdot_i overflows, the matrix's diagonal was inf - inf = NaN; the pairs
-have no diagonal.)
+coordinates, their rates (``Xd`` for X) and ``t``, each sum left to right
+in index order, as :func:`fireball.models.row_sum` adds, so each operation
+rounds once wherever the text runs.  C sums its pair terms
+a_ij = (M_i M_j c_ij) c_ij, with c_ij = q_i qdot_j - q_j qdot_i, once each
+over the pairs i < j: 0.5 a01 + r^2 V in 2d, 0.5 ((a01 + a02) + a12) + r^2 V
+in 3d.
 
 The field :func:`vector_field` (a :class:`FieldSource`, as is the angular
 quadrature's :func:`_angular_field`) runs the force on floats or, translated
@@ -89,8 +80,7 @@ def _force(kind: ModelKind) -> tuple[tuple[str, ...], tuple[str, ...], str]:
             f"{D / 2!r} / ({product()})")
 
 
-# numpy's sum of C's pair terms' full matrix, and the report's names of C.
-_PAIRS = {2: "a01 + a01", 3: "(a01 + (a02 + a01)) + (a12 + (a02 + a12))"}
+# the report's names of C
 _ALIASES = {ModelKind.TWO_D: ("I = C",), ModelKind.ELLIPTIC_3D: ("I = 0.5 * C", "Itilde = C")}
 
 
@@ -108,12 +98,9 @@ def declaration(kind: ModelKind, outputs: tuple[str, ...]):
     def weighted(m, x):
         return x if m == 1.0 else f"{m!r} * {x}"
 
-    def row_sum(terms):  # the first term plus 0.0, then the rest
-        return " + ".join([f"{terms[0]} + 0.0", *terms[1:]])
-
-    kinetic = row_sum([weighted(m, f"({v} * {v})") for m, v in zip(M, qd)])
-    momenta = row_sum([f"{x} * ({weighted(m, v)})" for m, x, v in zip(M, q, qd)])
-    radial = row_sum([f"{weighted(m, x)} * ({x} * V)" for m, x in zip(M, q)])
+    kinetic = " + ".join(weighted(m, f"({v} * {v})") for m, v in zip(M, qd))
+    momenta = " + ".join(f"{x} * ({weighted(m, v)})" for m, x, v in zip(M, q, qd))
+    radial = " + ".join(f"{weighted(m, x)} * ({x} * V)" for m, x in zip(M, q))
     prelude, accels, potential = _force(kind)
     lines = [*prelude, f"V = {potential}", *(f"{x}dd = {a}" for x, a in zip(q, accels)),
              f"T = 0.5 * ({kinetic})", "H = T + V", "L = T - V", f"J = 2.0 * t * H - ({momenta})"]
@@ -121,7 +108,8 @@ def declaration(kind: ModelKind, outputs: tuple[str, ...]):
     for i, j in pairs:
         lines += [f"c{i}{j} = {q[i]} * {qd[j]} - {q[j]} * {qd[i]}",
                   f"a{i}{j} = {weighted(M[i] * M[j], f'c{i}{j}')} * c{i}{j}"]
-    lines.append(f"C = 0.25 * ({_PAIRS[kind.dim]}) + ({radial})" if pairs else f"C = {radial}")
+    terms = " + ".join(f"a{i}{j}" for i, j in pairs)
+    lines.append(f"C = 0.5 * ({terms}) + ({radial})" if pairs else f"C = {radial}")
     needed, kept = set(outputs), []
     for line in reversed(lines + list(_ALIASES.get(kind, ()))):
         node = ast.parse(line).body[0]

@@ -9,7 +9,7 @@ u = sqrt(M) q, free of the cancellation of those two terms on late states:
     C = 1/2 sum_{i<j} M_i M_j (q_i qdot_j - q_j qdot_i)^2 + r^2 V(q).
 
 T, L, H, J and C are declared once per model, with the force, in
-:mod:`fireball.dynamics`, which says in what order their sums run;
+:mod:`fireball.dynamics`, each sum left to right and C's pair terms once each;
 :func:`fireball.dynamics.evaluate` evaluates them with numpy for the batch
 forms here (a (d,) state rounds as its batch row) and
 :func:`fireball.native.statement_block` writes them into the report's C

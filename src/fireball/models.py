@@ -182,11 +182,10 @@ def axis_product(values, kind: ModelKind):
 
 
 def row_sum(values):
-    """``np.add.reduce(values, axis=-1)`` for a last axis of 1 to 3, with
-    the same bits (a NaN's sign aside), as column adds: about a tenth of
-    the cost on (n, 2) and (n, 3) arrays.  numpy adds so few terms one by
-    one, left to right, starting from +0.0, so a sum of -0.0 alone is +0.0."""
-    total = values[..., 0] + 0.0
+    """The sum over the last axis of ``values``, as column adds left to
+    right, in a new array: about a tenth of ``np.add.reduce``'s cost on
+    (n, 2) and (n, 3) arrays."""
+    total = +values[..., 0]  # a copy, which the adds below may overwrite
     for i in range(1, values.shape[-1]):
         total += values[..., i]
     return total

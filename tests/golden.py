@@ -4,13 +4,15 @@ run, how an output is compared with its recorded bytes, and the generator.
 Each entry is what one ``fireball`` argv gives: its standard output, in a
 file of the entry's name, and its exit code and standard error, in
 ``exits.json``.  The argvs are ``verify`` for the four models at seeds 0
-and 7919, a coarse ``simulate`` per model as CSV and as JSON, and two usage
+and 7919, a coarse ``simulate`` per model as CSV and as JSON, two usage
 errors that fireball itself reports (exit 2), not argparse, whose wording
-changes between Python versions.  ``manifest.json`` records what the bytes
-depend on beyond IEEE arithmetic: the C library, whose ``pow`` every power
-is, and numpy's version.  ``analytic`` is left out: its ``phi`` and
-``ttilde`` columns follow numpy's SIMD ``arctan2`` and ``arctan``, which
-differ between machines.
+changes between Python versions, ``verify``'s drift checks alone to t = 1e4
+on a coarse grid and to t = 1e5 for each model (exit 1), and a ``simulate``
+whose variances differ by ten orders of magnitude (exit 3).
+``manifest.json`` records what the bytes depend on beyond IEEE arithmetic:
+the C library, whose ``pow`` every power is, and numpy's version.
+``analytic`` is left out: its ``phi`` and ``ttilde`` columns follow numpy's
+SIMD ``arctan2`` and ``arctan``, which differ between machines.
 
 The exit code must match.  On the recorded C library both streams must
 match byte for byte.  On another one each number may differ by ``ULPS``
@@ -51,6 +53,22 @@ ARGVS.update({f"simulate-{model}.{form}": [
 ARGVS.update({"verify-2d-negative-seed.txt": ["verify", "--model", "2d", "--seed", "-1"],
               "simulate-2d-without-Y.txt": ["simulate", "--model", "2d", "--X", "1",
                                             "--t-end", "1"]})
+# the drift checks alone at long horizons: to t = 1e4 on a 1e3 grid, where
+# the steps are set by the tolerance (truncation), and to t = 1e5 on the
+# default grid, 2e5 landings (round-off); both exit 1, since J drifts by
+# more than the 1e-8 tolerance
+DRIFT_ONLY = ["--no-symmetry", "--no-hydro", "--no-analytic"]
+ARGVS.update({f"verify-{model}-to-1e4-every-1e3.json": [
+    "verify", "--model", model, "--t-end", "1e4", "--sample-interval", "1e3", *DRIFT_ONLY]
+    for model in MODELS})
+ARGVS.update({f"verify-{model}-to-1e5.json": ["verify", "--model", model, "--t-end", "1e5",
+                                              *DRIFT_ONLY] for model in MODELS})
+# a variance ratio of 1e10, which the step floor refuses at the start (exit 3)
+ARGVS["simulate-2d-small-Y.txt"] = ["simulate", "--model", "2d", "--X", "1", "--Y", "1e-10",
+                                    "--Xdot", "0.1", "--Ydot", "0.2", "--t-end", "25"]
+# entries that only the C step loop runs in Tier-1's time: the Python
+# stepper takes seconds for 2e5 steps
+CC_ONLY = frozenset(f"verify-{model}-to-1e5.json" for model in MODELS)
 
 ULPS = 2 ** 20
 # a float as %.17g or repr writes it; a NaN is compared as text

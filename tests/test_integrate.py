@@ -1166,7 +1166,7 @@ class TestNativeLoop:
         ]
         # and the invariant report's, translated from the invariants' declarations
         assert hashlib.sha256(report_source().encode()).hexdigest() == (
-            "24700c7f65799700d0ad9c99d8f703cbd2f0db49146fb96ada7a611d97519fda")
+            "312fb4f1ec63daae31a5e3631d9b3a0c47cc5820539f2049974dc4927326b608")
         assert hashlib.sha256(CSV_SOURCE.encode()).hexdigest() == (
             "de88a80bfd8801f386d8a507277247bd9a1c0646482a2e055b90dd944e9cf74c")
 

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 
 from fireball import (DomainError, IntegratorConfig,
                       ModelKind, State, Trajectory, UnsupportedModelError,
@@ -14,7 +13,6 @@ from fireball.analytic import angular_potential, polar_invariant_values
 from fireball.invariants import (ermakov_values, hamiltonian_values,
                                  noether_values, radial_invariant_values)
 from fireball.models import polar_values
-from batch import hamiltonian_reference, noether_reference, radial_invariant_reference
 from reference import (GeneralErmakovSpec, ermakov_invariant,
                        general_ermakov_invariant, pinney_coupling)
 
@@ -146,47 +144,6 @@ class TestRadialInvariant:
         qs, qdots = rng.uniform(0.3, 3.0, (20, 3)), rng.uniform(-1.0, 1.0, (20, 3))
         rows = [float(radial_invariant_values(q, qd, kind)) for q, qd in zip(qs, qdots)]
         assert radial_invariant_values(qs, qdots, kind).tolist() == rows
-
-    @pytest.mark.parametrize("kind", list(ModelKind))
-    @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
-    @given(data=st.data())
-    def test_pairwise_sum_has_the_full_matrix_bits(self, kind, data):
-        # variances and rates from 1e-150 to 1e150, so that products
-        # overflow and underflow too; rates of either sign, and rates and
-        # times that are zeros of either sign, so that a zero sum's sign counts
-        shape = (data.draw(st.integers(1, 12)), kind.dim)
-
-        def draw(mantissas):
-            exponents = data.draw(hnp.arrays(float, shape, elements=st.integers(-150, 149)))
-            return data.draw(hnp.arrays(float, shape, elements=mantissas)) * 10.0 ** exponents
-
-        def zeros(size):  # 1.0, or a zero of either sign
-            return data.draw(hnp.arrays(float, size, elements=st.sampled_from([1.0, 0.0, -0.0])))
-
-        qs, qdots = draw(st.floats(1.0, 10.0)), draw(st.floats(-10.0, 10.0)) * zeros(shape)
-        ts = data.draw(hnp.arrays(float, shape[0], elements=st.floats(-1e4, 1e4)))
-        ts = ts * zeros(shape[0])
-        with np.errstate(all="ignore"):
-            V = dynamics.potential(qs, kind)
-            # H and J against the plain numpy reductions, which the declared
-            # sums from +0.0 match bit for bit too
-            H = hamiltonian_reference(qs, qdots, kind, V)
-            references = {"C": radial_invariant_reference(qs, qdots, kind, V), "H": H,
-                          "J": noether_reference(ts, qs, qdots, kind, H)}
-
-            def forms(t, q, qd):
-                return {"C": radial_invariant_values(q, qd, kind),
-                        "H": hamiltonian_values(q, qd, kind), "J": noether_values(t, q, qd, kind)}
-
-            batch = forms(ts, qs, qdots)
-            singles = [forms(ts[i], qs[i], qdots[i]) for i in range(len(ts))]
-            rows = [forms(ts[i:i + 1], qs[i:i + 1], qdots[i:i + 1]) for i in range(len(ts))]
-        for name, reference in references.items():
-            assert batch[name].tobytes() == reference.tobytes(), name
-            # each (d,) state rounds as its row of one does
-            for i, (single, row) in enumerate(zip(singles, rows)):
-                assert (single[name].tobytes() == row[name].tobytes()
-                        == reference[i:i + 1].tobytes()), (name, i)
 
 
 class TestEllipticReduction:

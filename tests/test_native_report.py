@@ -33,7 +33,8 @@ def numpy_path(no_cc):
 
 def assert_same_bits(traj, no_cc):
     """The native and the numpy report of ``traj`` agree in every bit of
-    every value and drift, names and their order included."""
+    every value and drift, names and their order included; returns the
+    native one."""
     with np.errstate(all="ignore"):  # numpy's own overflow on extreme rows
         got = invariant_report(traj)
         assert invariants._native_report() is not None
@@ -45,6 +46,7 @@ def assert_same_bits(traj, no_cc):
     assert (np.array(list(got.drift.values())).tobytes()
             == np.array(list(want.drift.values())).tobytes())
     assert got.times is traj.times and got.kind is traj.kind
+    return got
 
 
 def unaligned(a):
@@ -80,19 +82,33 @@ class TestSameBits:
     @given(data=st.data())
     def test_drawn_trajectories(self, no_cc, kind, data):
         # 1, 2 and 11 rows in every layout; variances and rates near 1, or
-        # from 1e-150 to 1e150, so that products overflow and underflow
+        # from 1e-150 to 1e150, so that products overflow and underflow; and
+        # maybe rates and a first time that are zeros of either sign, so
+        # that a zero sum's sign counts
         n = data.draw(st.sampled_from([1, 2, 11]))
         spread = data.draw(st.sampled_from([0, 150]))
+        shape = (n, kind.dim)
 
         def draw(mantissas):
-            shape = (n, kind.dim)
             exponents = data.draw(hnp.arrays(float, shape, elements=st.integers(-spread, spread)))
             return data.draw(hnp.arrays(float, shape, elements=mantissas)) * 10.0 ** exponents
 
         qs, qdots = draw(st.floats(1.0, 10.0)), draw(st.floats(-10.0, 10.0))
-        times = data.draw(st.floats(-1e3, 1e3)) + data.draw(st.floats(0.01, 1e3)) * np.arange(n)
+        start = data.draw(st.floats(-1e3, 1e3))
+        if data.draw(st.booleans()):
+            zeros = st.sampled_from([1.0, 0.0, -0.0])
+            qdots = qdots * data.draw(hnp.arrays(float, shape, elements=zeros))
+            start = data.draw(st.sampled_from([0.0, -0.0]))
+        times = start + data.draw(st.floats(0.01, 1e3)) * np.arange(n)
+        times[0] = start  # -0.0 + 0.0 is +0.0
         layout = data.draw(st.sampled_from(sorted(LAYOUTS)))
-        assert_same_bits(LAYOUTS[layout](kind, times, qs, qdots), no_cc)
+        report = assert_same_bits(LAYOUTS[layout](kind, times, qs, qdots), no_cc)
+        # and each row as a (d,) state gives its row's bits
+        with np.errstate(all="ignore"):
+            for i in range(n):
+                single = dynamics.evaluate(kind, tuple(report.values), qs[i], qdots[i], times[i])
+                assert [np.float64(x).tobytes() for x in single] == [
+                    series[i:i + 1].tobytes() for series in report.values.values()], i
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     @pytest.mark.parametrize("t_end,interval,rows", [(1.0, 1.0, 2), (1e4, 1e3, 11),
